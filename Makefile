@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos chaos-net cluster-check bench bench-json bench-serve bench-ingest bench-cluster bench-smoke fuzz obs-check serve vet all
+.PHONY: build test race chaos chaos-net cluster-check bench bench-json bench-serve bench-ingest bench-cluster bench-smoke e2e-smoke fuzz obs-check serve vet all
 
 all: build vet test
 
@@ -77,6 +77,14 @@ bench-cluster:
 # One-iteration pass over the perf-relevant benchmarks, as run in CI.
 bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/lrusim/ ./internal/workload/ ./internal/experiment/
+
+# End-to-end harness smoke: bench/ is its own module (epfis/bench), so
+# neither `go test ./...` nor the targets above build it. A 0.5 s run of all
+# four loopback workloads plus the harness's own tests catch a service API
+# change that would break the benchmark. See bench/README.md.
+e2e-smoke:
+	bash bench/run.sh -smoke
+	cd bench && $(GO) test ./...
 
 # Cluster smoke: spawn a 3-node cluster (R=2) on loopback, install an index
 # through one node, verify bit-exact estimates from all three (own vs proxy),

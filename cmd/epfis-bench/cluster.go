@@ -234,10 +234,9 @@ func startBenchCluster(mt *memTransport, n, replicas int, entries []*stats.Index
 			return nil, err
 		}
 		srv, err := service.New(service.Config{
-			Store:          store,
-			Cluster:        node,
-			RequestTimeout: -1,
-			Transport:      tr,
+			Store:     store,
+			Cluster:   node,
+			Transport: tr,
 		})
 		if err != nil {
 			return nil, err

@@ -7,9 +7,9 @@
 //
 //	go test -bench=ServiceEstimate -benchmem ./cmd/epfis-serve
 //
-// and read allocs/op directly. Request timeouts are disabled here because
-// http.TimeoutHandler spawns a goroutine and buffer per request — socket-era
-// plumbing that would drown the measurement.
+// and read allocs/op directly. The server uses the default Config, as
+// served: the estimate routes run inline under their own deadlines, so the
+// request timeout stays on without a per-request watchdog goroutine.
 //
 // BenchmarkServiceHTTP is the old end-to-end family (real sockets, real
 // client), kept for continuity: it measures what a remote optimizer
@@ -25,6 +25,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"epfis/internal/catalog"
 	"epfis/internal/core"
@@ -68,11 +69,11 @@ func benchStore(b *testing.B) *catalog.Store {
 	return store
 }
 
-// benchHandler builds the serving-path server: full handler stack, no
-// request-timeout wrapper, optional memo cache.
+// benchHandler builds the serving-path server: full handler stack, default
+// request timeout, optional memo cache.
 func benchHandler(b *testing.B, cacheEntries int) *service.Server {
 	b.Helper()
-	srv, err := service.New(service.Config{Store: benchStore(b), RequestTimeout: -1, CacheEntries: cacheEntries})
+	srv, err := service.New(service.Config{Store: benchStore(b), CacheEntries: cacheEntries})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -80,7 +81,8 @@ func benchHandler(b *testing.B, cacheEntries int) *service.Server {
 }
 
 // discardWriter is a reusable http.ResponseWriter for handler-level
-// benchmarks.
+// benchmarks. Like net/http's connection writer it accepts read deadlines,
+// which the batch route sets on its body.
 type discardWriter struct {
 	h      http.Header
 	status int
@@ -88,9 +90,10 @@ type discardWriter struct {
 
 func newDiscardWriter() *discardWriter { return &discardWriter{h: make(http.Header, 4)} }
 
-func (w *discardWriter) Header() http.Header         { return w.h }
-func (w *discardWriter) WriteHeader(code int)        { w.status = code }
-func (w *discardWriter) Write(p []byte) (int, error) { return len(p), nil }
+func (w *discardWriter) Header() http.Header             { return w.h }
+func (w *discardWriter) WriteHeader(code int)            { w.status = code }
+func (w *discardWriter) Write(p []byte) (int, error)     { return len(p), nil }
+func (w *discardWriter) SetReadDeadline(time.Time) error { return nil }
 
 func (w *discardWriter) reset() {
 	w.status = 0

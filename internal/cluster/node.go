@@ -137,6 +137,7 @@ type Node struct {
 	log   *slog.Logger
 
 	ring        atomic.Pointer[Ring]
+	ringMu      sync.Mutex    // serializes rebuildRing
 	ringVersion atomic.Uint64 // membership version the ring was built at
 
 	epoch atomic.Uint64
@@ -527,8 +528,13 @@ func (n *Node) Merge(remote Doc) Doc {
 }
 
 // rebuildRing rebuilds the ring from the current member set if the set
-// changed since the last build.
+// changed since the last build. Rebuilds are serialized: concurrent gossip
+// merges could otherwise store an older member set's ring after a newer
+// one's version, and the node would keep the stale ring until the next
+// membership change.
 func (n *Node) rebuildRing() {
+	n.ringMu.Lock()
+	defer n.ringMu.Unlock()
 	v := n.mem.Version()
 	if n.ring.Load() != nil && n.ringVersion.Load() == v {
 		return

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -185,6 +186,29 @@ func TestNodeMergeDiscoversMembersAndRebuildsRing(t *testing.T) {
 		}
 		if n.Owns(k) != (owners[0].ID == "a" || owners[1].ID == "a") {
 			t.Errorf("Owns(%q) disagrees with Owners", k)
+		}
+	}
+}
+
+// TestNodeConcurrentMergesKeepEveryMember merges many peers' gossip at once,
+// as concurrent gossip handlers do: the ring must end with every member, not
+// with an older member set's ring stored under a newer version.
+func TestNodeConcurrentMergesKeepEveryMember(t *testing.T) {
+	const peers = 16
+	for round := 0; round < 50; round++ {
+		n, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a", Store: catalog.NewStore()})
+		var wg sync.WaitGroup
+		for i := 0; i < peers; i++ {
+			wg.Add(1)
+			go func(id string) {
+				defer wg.Done()
+				n.Merge(Doc{Self: NodeInfo{ID: id, URL: "http://" + id}})
+			}("p" + strconv.Itoa(i))
+		}
+		wg.Wait()
+		if got := n.Ring().Len(); got != peers+1 {
+			t.Fatalf("round %d: ring has %d members after %d concurrent merges, want %d",
+				round, got, peers, peers+1)
 		}
 	}
 }

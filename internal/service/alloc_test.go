@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 
 	"epfis/internal/catalog"
 )
@@ -22,12 +23,15 @@ const (
 
 // allocWriter is a reusable ResponseWriter: the header map and body buffer
 // are allocated once and reused, so the measurement sees only the server's
-// own garbage.
+// own garbage. Like net/http's connection writer it accepts read deadlines,
+// so the batch route's body deadline is measured as served.
 type allocWriter struct {
 	h      http.Header
 	status int
 	body   []byte
 }
+
+func (w *allocWriter) SetReadDeadline(time.Time) error { return nil }
 
 func newAllocWriter() *allocWriter { return &allocWriter{h: make(http.Header, 4)} }
 
@@ -49,16 +53,16 @@ func (w *allocWriter) reset() {
 }
 
 // newServingPathServer builds the configuration the serving benchmarks and
-// alloc gates use: request timeout disabled (http.TimeoutHandler spawns a
-// goroutine and buffer per request, which belongs to socket-level serving,
-// not the serving path under test) and admission control left on.
+// alloc gates use: the default Config, as served — request timeout and
+// admission control on. The estimate routes run inline, so what is measured
+// here is the path a socket request takes minus the kernel I/O.
 func newServingPathServer(t testing.TB) (*Server, *catalog.Store) {
 	t.Helper()
 	store := catalog.NewStore()
 	if _, err := store.Put(fitStats(t, "orders", "key", 1)); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, RequestTimeout: -1})
+	srv, err := New(Config{Store: store})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +141,7 @@ func TestAllocBudgetSingleTraced(t *testing.T) {
 	if _, err := store.Put(fitStats(t, "orders", "key", 1)); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, RequestTimeout: -1, SlowTrace: -1})
+	srv, err := New(Config{Store: store, SlowTrace: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,7 +172,7 @@ func TestAllocBudgetBatch64Traced(t *testing.T) {
 	if _, err := store.Put(fitStats(t, "orders", "key", 1)); err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, RequestTimeout: -1, SlowTrace: -1})
+	srv, err := New(Config{Store: store, SlowTrace: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

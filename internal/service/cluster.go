@@ -169,42 +169,55 @@ func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, in *estima
 	}
 	tb.Mark(obs.StageProxy)
 	defer tb.CloseSpan()
+	// The estimate routes run inline, without the watchdog, so the owner
+	// loop carries the request's time bound itself: one deadline across
+	// every attempt, not one per owner. Created only here, so an owned read
+	// stays allocation-free.
+	ctx := r.Context()
+	if s.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, s.timeout)
+		defer cancel()
+	}
 	for _, p := range s.cluster.Owners(key) {
+		if ctx.Err() != nil {
+			break
+		}
 		if p.ID == s.cluster.SelfID() || p.URL == "" || p.State == cluster.StateDead {
 			continue
 		}
-		if s.proxyTo(w, r, p) {
+		if s.proxyRequest(ctx, w, r, p, http.MethodGet, r.URL.RequestURI(), nil) {
 			s.cobs.proxied.Inc()
 			return true
 		}
 	}
+	s.cobs.proxyFailures.Inc()
+	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
+		writeTimeout(w)
+		return true
+	}
 	// Every owner was unreachable. 503 is the honest answer: retryable, and
 	// never a number this node cannot vouch for.
-	s.cobs.proxyFailures.Inc()
 	writeRetryable(w, http.StatusServiceUnavailable,
 		fmt.Errorf("%w %s", errAllOwnersDown, key), time.Second)
 	return true
 }
 
-// proxyTo forwards the estimate request to one owner.
-func (s *Server) proxyTo(w http.ResponseWriter, r *http.Request, p cluster.PeerInfo) bool {
-	return s.proxyRequest(w, r, p, http.MethodGet, r.URL.RequestURI(), nil)
-}
-
 // proxyRequest forwards a request to one peer with the given method, path,
-// and body, copying the response through verbatim. It reports false on
-// transport failure (the caller tries the next owner); any completed
-// upstream response — success or error — is relayed as-is and reported true.
+// and body under ctx, copying the response through verbatim. It reports
+// false on transport failure (the caller tries the next owner); any
+// completed upstream response — success or error — is relayed as-is and
+// reported true.
 // The outbound request carries this node's id plus a child traceparent
 // derived from the inbound request's trace (read from the request's trace
 // buffer, never from response headers), and the sender records one forward
 // hop so the stitched trace shows the proxy edge.
-func (s *Server) proxyRequest(w http.ResponseWriter, r *http.Request, p cluster.PeerInfo, method, path string, body []byte) bool {
+func (s *Server) proxyRequest(ctx context.Context, w http.ResponseWriter, r *http.Request, p cluster.PeerInfo, method, path string, body []byte) bool {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
 	}
-	req, err := http.NewRequestWithContext(r.Context(), method, p.URL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, method, p.URL+path, rd)
 	if err != nil {
 		return false
 	}

@@ -41,8 +41,9 @@ func (n *fnode) host() string { return strings.TrimPrefix(n.url, "http://") }
 // crosses a deterministic faultnet injector, so tests can partition the
 // cluster without touching real sockets. DeadAfter is effectively infinite:
 // partitions in these drills heal, and a peer that went "dead" would change
-// the replication decision being tested.
-func startFaultCluster(t testing.TB, n, replicas int) []*fnode {
+// the replication decision being tested. tweaks adjust each node's service
+// Config before it starts.
+func startFaultCluster(t testing.TB, n, replicas int, tweaks ...func(*Config)) []*fnode {
 	t.Helper()
 	lns := make([]net.Listener, n)
 	urls := make([]string, n)
@@ -80,13 +81,17 @@ func startFaultCluster(t testing.TB, n, replicas int) []*fnode {
 			t.Fatal(err)
 		}
 		handoffDir := filepath.Join(dir, "hints")
-		srv, err := New(Config{
+		cfg := Config{
 			Store:            store,
 			Cluster:          node,
 			Transport:        inj,
 			ReplicateTimeout: 500 * time.Millisecond,
 			HandoffDir:       handoffDir,
-		})
+		}
+		for _, tweak := range tweaks {
+			tweak(&cfg)
+		}
+		srv, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,10 +250,11 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 	doomed := fitStats(t, "orders", "doomed", 2)
 	putIndex(t, a.cnode, keep)
 	putIndex(t, b.cnode, doomed)
+	// A PUT acks at quorum (2 of 3) and its third send may still be in
+	// flight, so wait for it rather than assume it landed.
 	for _, n := range nodes {
-		if n.store.Len() != 2 {
-			t.Fatalf("%s store len = %d before partition, want 2", n.id, n.store.Len())
-		}
+		waitFor(t, 5*time.Second, func() bool { return n.store.Len() == 2 },
+			n.id+" to hold both entries before partition")
 	}
 
 	partition(nodes[:1], nodes[1:])

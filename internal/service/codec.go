@@ -269,11 +269,22 @@ func appendBatchItemError(dst []byte, msg string, status int) []byte {
 	return append(dst, '}')
 }
 
+// chunkingThreshold is net/http's response buffer size: a handler that
+// finishes within it gets Content-Length filled in by the server, a larger
+// body without one goes out chunked.
+const chunkingThreshold = 2048
+
 // writeResponseBytes mirrors writeJSON's header sequence with a
 // pre-assembled body (the buffer already carries the trailing newline the
-// old json.Encoder appended).
+// old json.Encoder appended). A body past net/http's buffer gets an explicit
+// Content-Length instead of chunked framing; smaller ones (every single
+// estimate) leave it to the server and skip the header's allocations.
 func writeResponseBytes(w http.ResponseWriter, status int, body []byte) {
-	w.Header().Set("Content-Type", "application/json")
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	if len(body) > chunkingThreshold {
+		h.Set("Content-Length", strconv.Itoa(len(body)))
+	}
 	w.WriteHeader(status)
 	_, _ = w.Write(body)
 }

@@ -389,7 +389,7 @@ func (s *Server) forwardIngest(w http.ResponseWriter, r *http.Request, req *Inge
 		if p.ID == s.cluster.SelfID() || p.URL == "" || p.State == cluster.StateDead {
 			continue
 		}
-		if s.proxyRequest(w, r, p, http.MethodPost, "/v1/ingest", body) {
+		if s.proxyRequest(r.Context(), w, r, p, http.MethodPost, "/v1/ingest", body) {
 			s.cobs.proxied.Inc()
 			return
 		}

@@ -38,8 +38,17 @@
 //
 // Invalid estimation inputs surface as HTTP 400 carrying the core package's
 // typed sentinel message; unknown indexes as 404. Handlers run behind
-// panic-recovery and request-timeout middleware, and Run drains in-flight
-// requests on context cancellation (SIGTERM in cmd/epfis-serve).
+// panic-recovery middleware, and Run drains in-flight requests on context
+// cancellation (SIGTERM in cmd/epfis-serve).
+//
+// Config.RequestTimeout is enforced per route. Routes that can block on I/O
+// (mutations, ingest, reload, the cluster and stitched-trace routes) run
+// under the http.TimeoutHandler watchdog. Every other route — the two
+// estimate routes included — runs inline on the connection's goroutine and
+// is bounded where its time can actually go: local work is pure CPU (batches
+// capped by MaxBatch), the batch body read carries a read deadline, and a
+// proxied estimate shares one deadline across its owner attempts. Either way
+// a timed-out request answers 503 {"error":"request timed out"}.
 //
 // # Resilience
 //
@@ -85,10 +94,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"log"
 	"log/slog"
 	"net"
 	"net/http"
+	"os"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -110,6 +121,14 @@ const (
 	DefaultMaxInflight    = 256
 
 	maxBodyBytes = 8 << 20 // PUT bodies carry histograms; batches carry many inputs
+
+	// timeoutBody is what every timed-out request answers with 503, whether
+	// the watchdog or an inline deadline caught it.
+	timeoutBody = `{"error":"request timed out"}`
+
+	// idleTimeout closes keep-alive connections that sit idle this long, so
+	// an abandoned client cannot pin a connection and its goroutine forever.
+	idleTimeout = 60 * time.Second
 )
 
 // errOverloaded is the admission-control shed response body.
@@ -122,7 +141,9 @@ type Config struct {
 	// CacheEntries sizes the Est-IO memo cache (total entries across
 	// shards). 0 = DefaultCacheEntries; negative disables memoization.
 	CacheEntries int
-	// RequestTimeout bounds each request's total handling time.
+	// RequestTimeout bounds each request's total handling time: through the
+	// http.TimeoutHandler watchdog on routes that can block on I/O, and by
+	// per-wait deadlines on the inline routes (see the package comment).
 	// 0 = DefaultRequestTimeout; negative disables the timeout.
 	RequestTimeout time.Duration
 	// MaxBatch caps the number of inputs per batch request.
@@ -212,6 +233,8 @@ type Server struct {
 	obs      *serverObs
 	handler  http.Handler
 	maxBatch int
+	timeout  time.Duration // resolved RequestTimeout; 0 = disabled
+	idle     time.Duration // Serve's keep-alive idle timeout (idleTimeout)
 
 	inflight map[string]chan struct{} // per-route admission tokens; nil route = unbounded
 	breaker  *resilience.Breaker      // nil when disabled
@@ -256,9 +279,17 @@ func New(cfg Config) (*Server, error) {
 	s := &Server{
 		store:    cfg.Store,
 		maxBatch: cfg.MaxBatch,
+		timeout:  cfg.RequestTimeout,
+		idle:     idleTimeout,
 	}
 	if s.maxBatch == 0 {
 		s.maxBatch = DefaultMaxBatch
+	}
+	switch {
+	case s.timeout == 0:
+		s.timeout = DefaultRequestTimeout
+	case s.timeout < 0:
+		s.timeout = 0
 	}
 	switch {
 	case cfg.CacheEntries == 0:
@@ -299,16 +330,6 @@ func New(cfg Config) (*Server, error) {
 		// hops land next to served requests in /debug/traces (nil when
 		// tracing is disabled — the node then skips hop recording).
 		s.cluster.SetTraceRing(s.obs.ring)
-		timeout := cfg.RequestTimeout
-		if timeout == 0 {
-			timeout = DefaultRequestTimeout
-		} else if timeout < 0 {
-			// Same contract as the handler timeout: negative disables it.
-			// Client.Timeout arms a timer, a cancel context, and a body
-			// wrapper on every forwarded request; with it off, cancellation
-			// still flows in from the inbound request context.
-			timeout = 0
-		}
 		tr := cfg.Transport
 		if tr == nil {
 			// Default to the pooled cluster transport: proxying, replication,
@@ -317,7 +338,12 @@ func New(cfg Config) (*Server, error) {
 			// 2-idle-conns-per-host pool.
 			tr = cluster.SharedTransport()
 		}
-		s.proxyHTTP = &http.Client{Timeout: timeout, Transport: tr}
+		// No Client.Timeout: every hop already carries a context deadline —
+		// a proxied estimate one across its owner loop, a forwarded ingest
+		// batch the watchdog's, replication, stitching and federation the
+		// replication timeout. Client.Timeout would arm a second timer,
+		// cancel context, and body wrapper on each of them.
+		s.proxyHTTP = &http.Client{Transport: tr}
 		s.replTimeout = cfg.ReplicateTimeout
 		if s.replTimeout <= 0 {
 			s.replTimeout = DefaultReplicateTimeout
@@ -368,44 +394,53 @@ func New(cfg Config) (*Server, error) {
 		go s.ingest.run()
 	}
 
+	// Each route states whether it can block on I/O. Blocking routes run
+	// under the http.TimeoutHandler watchdog, which costs a goroutine, a
+	// timer, and a buffered copy of the response per request. Inline routes
+	// do local, CPU-bound work on the connection's goroutine; the waits they
+	// can hit are bounded where they happen (handleBatch, clusterRoute).
 	mux := http.NewServeMux()
-	mux.Handle(routeEstimate, s.instrument(routeEstimate, s.handleEstimate))
-	mux.Handle(routeBatch, s.instrument(routeBatch, s.handleBatch))
-	mux.Handle(routeIndexes, s.instrument(routeIndexes, s.handleIndexes))
-	mux.Handle(routeIndex, s.instrument(routeIndex, s.handleIndex))
-	mux.Handle(routePutIndex, s.instrument(routePutIndex, s.handlePutIndex))
-	mux.Handle(routeDeleteIndex, s.instrument(routeDeleteIndex, s.handleDeleteIndex))
-	mux.Handle(routeReload, s.instrument(routeReload, s.handleReload))
+	inline := func(route string, h http.HandlerFunc) {
+		mux.Handle(route, s.instrument(route, h))
+	}
+	blocking := func(route string, h http.HandlerFunc) {
+		var wh http.Handler = s.instrument(route, h)
+		if s.timeout > 0 {
+			wh = http.TimeoutHandler(wh, s.timeout, timeoutBody)
+		}
+		mux.Handle(route, wh)
+	}
+	inline(routeEstimate, s.handleEstimate)
+	inline(routeBatch, s.handleBatch)
+	inline(routeIndexes, s.handleIndexes)
+	inline(routeIndex, s.handleIndex)
+	blocking(routePutIndex, s.handlePutIndex)       // catalog write, replication
+	blocking(routeDeleteIndex, s.handleDeleteIndex) // catalog write, replication
+	blocking(routeReload, s.handleReload)           // catalog file read
 	if s.ingest != nil {
 		// The ingest route carries its own backpressure (the bounded queue)
-		// and is exempt from per-route admission control.
-		mux.Handle(routeIngest, s.instrument(routeIngest, s.handleIngest))
-		mux.Handle(routeAccuracy, s.instrument(routeAccuracy, s.handleAccuracy))
+		// and is exempt from per-route admission control. It journals to the
+		// WAL and may forward to the owning node.
+		blocking(routeIngest, s.handleIngest)
+		inline(routeAccuracy, s.handleAccuracy)
 	}
-	mux.Handle(routeHealthz, s.instrument(routeHealthz, s.handleHealthz))
-	mux.Handle(routeMetrics, s.instrument(routeMetrics, s.handleMetrics))
-	mux.Handle(routeTraces, s.instrument(routeTraces, s.handleTraces))
-	mux.Handle(routeTrace, s.instrument(routeTrace, s.handleTrace))
+	inline(routeHealthz, s.handleHealthz)
+	inline(routeMetrics, s.handleMetrics)
+	inline(routeTraces, s.handleTraces)
+	blocking(routeTrace, s.handleTrace) // stitches across the cluster
 	if s.cluster != nil {
 		// Cluster management routes are exempt from admission control (like
 		// healthz/metrics): heartbeats and recovery must work under load.
-		mux.Handle(routeClusterHealth, s.instrument(routeClusterHealth, s.handleClusterHealth))
-		mux.Handle(routeClusterGossip, s.instrument(routeClusterGossip, s.handleClusterGossip))
-		mux.Handle(routeClusterSnapshot, s.instrument(routeClusterSnapshot, s.handleClusterSnapshot))
-		mux.Handle(routeClusterDigest, s.instrument(routeClusterDigest, s.handleClusterDigest))
-		mux.Handle(routeClusterEntry, s.instrument(routeClusterEntry, s.handleClusterEntry))
-		mux.Handle(routeClusterMetrics, s.instrument(routeClusterMetrics, s.handleClusterMetrics))
+		// They keep the watchdog: gossip reads peer bodies, snapshot, entry
+		// and digest export the store, and metrics fans out to every peer.
+		blocking(routeClusterHealth, s.handleClusterHealth)
+		blocking(routeClusterGossip, s.handleClusterGossip)
+		blocking(routeClusterSnapshot, s.handleClusterSnapshot)
+		blocking(routeClusterDigest, s.handleClusterDigest)
+		blocking(routeClusterEntry, s.handleClusterEntry)
+		blocking(routeClusterMetrics, s.handleClusterMetrics)
 	}
-
-	var h http.Handler = mux
-	timeout := cfg.RequestTimeout
-	if timeout == 0 {
-		timeout = DefaultRequestTimeout
-	}
-	if timeout > 0 {
-		h = http.TimeoutHandler(h, timeout, `{"error":"request timed out"}`)
-	}
-	s.handler = h
+	s.handler = mux
 	return s, nil
 }
 
@@ -432,6 +467,7 @@ func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	srv := &http.Server{
 		Handler:           s.handler,
 		ReadHeaderTimeout: 5 * time.Second,
+		IdleTimeout:       s.idle,
 	}
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
@@ -557,6 +593,10 @@ func (r *statusRecorder) Write(b []byte) (int, error) {
 	r.wrote = true
 	return r.ResponseWriter.Write(b)
 }
+
+// Unwrap lets http.ResponseController reach the connection's writer through
+// the recorder (handleBatch sets its body read deadline that way).
+func (r *statusRecorder) Unwrap() http.ResponseWriter { return r.ResponseWriter }
 
 // EstimateRequest is one Est-IO input addressed at a catalog entry. S is a
 // pointer so "omitted" (no sargable predicates, treated as 1) is
@@ -690,11 +730,24 @@ type BatchResponse struct {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	tb := traceOf(w)
 	tb.Mark(obs.StageParse)
+	if s.timeout > 0 {
+		// The one wait an inline batch can hit is a client trickling its
+		// body; a read deadline bounds it. net/http resets the deadline
+		// before the connection's next request. Writers without deadline
+		// support (in-process callers) have no socket to wait on.
+		_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.timeout))
+	}
 	scratch := getBatchScratch()
 	defer putBatchScratch(scratch)
 	body, err := readBody(http.MaxBytesReader(w, r.Body, maxBodyBytes), scratch.body)
 	scratch.body = body
 	if err != nil {
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			// The deadline stays armed, so net/http's post-handler discard of
+			// the unread body fails fast and the connection closes.
+			writeTimeout(w)
+			return
+		}
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			// Oversized bodies get the typed sentinel and 413, same as
@@ -1113,6 +1166,14 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 func writeError(w http.ResponseWriter, status int, err error) {
 	writeJSON(w, status, map[string]any{"error": err.Error(), "status": status})
+}
+
+// writeTimeout answers an inline route's expired deadline with the
+// watchdog's 503 body.
+func writeTimeout(w http.ResponseWriter) {
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusServiceUnavailable)
+	_, _ = io.WriteString(w, timeoutBody)
 }
 
 // writeRetryable is writeError plus a Retry-After header, for 429/503
