@@ -7,28 +7,33 @@ all: build vet test
 build:
 	$(GO) build ./...
 
+# gofmt -l prints every file whose formatting drifts; any output fails.
 vet:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
 
 test:
 	$(GO) test ./...
 
 # Race-test the concurrent subsystems (catalog store + estimation service,
-# plus the mergeable incremental simulator the ingest worker feeds).
+# the framed log under every journal, plus the mergeable incremental
+# simulator the ingest worker feeds).
 race:
-	$(GO) test -race ./internal/catalog/... ./internal/cluster/... ./internal/lrusim/... ./internal/service/... ./cmd/epfis-serve/...
+	$(GO) test -race ./internal/catalog/... ./internal/cluster/... ./internal/framelog/ ./internal/lrusim/... ./internal/service/... ./cmd/epfis-serve/...
 
 # Resilience drills under the race detector: fault injection on every catalog
 # write path mid-traffic (including WAL append/fsync/checkpoint faults under
 # concurrent ingest + readers), commit-abort and recovery invariants, overload
 # shedding, breaker/degraded behaviour, plus recovery fuzz smokes for both the
-# legacy rename store and the WAL log.
+# legacy rename store and the WAL log, and a fuzz pass over the journal frame
+# decoder every log replays through.
 chaos:
 	$(GO) test -race ./internal/faultfs/ ./internal/resilience/
 	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
 		./internal/catalog/ ./internal/service/
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenCatalogStore -fuzztime=20s ./internal/catalog/
 	$(GO) test -run=Fuzz -fuzz=FuzzWALRecovery -fuzztime=20s ./internal/catalog/
+	$(GO) test -run=Fuzz -fuzz=FuzzScan -fuzztime=20s ./internal/framelog/
 
 # Network partition drills under the race detector: the deterministic fault
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node

@@ -163,7 +163,7 @@ func runIngestSuite(out string, budgets ingestBudgets) bool {
 
 	// --- Incremental simulation: Accum feed and shard merge. ---
 	const feedBatch = 512
-	trace := lcgTrace(1 << 22, 4096)
+	trace := lcgTrace(1<<22, 4096)
 	accum := lrusim.NewAccum()
 	var off int
 	feedRes := testing.Benchmark(func(b *testing.B) {

@@ -32,6 +32,7 @@ import (
 	"strings"
 
 	"epfis/internal/faultfs"
+	"epfis/internal/framelog"
 	"epfis/internal/stats"
 )
 
@@ -185,36 +186,10 @@ func writeAtomicLSN(fsys faultfs.FS, path string, snap *Snapshot, lsn uint64, wi
 	if err != nil {
 		return err
 	}
-	dir := filepath.Dir(path)
-	tmp, err := fsys.CreateTemp(dir, ".catalog-*.tmp")
-	if err != nil {
+	if err := framelog.Replace(fsys, path, data, PrevPath(path)); err != nil {
 		return fmt.Errorf("catalog: %w", err)
 	}
-	tmpName := tmp.Name()
-	defer fsys.Remove(tmpName) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: %w", err)
-	}
-	// fsync before rename: the rename must never publish bytes that are
-	// still only in the page cache.
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	// Retain the current generation before replacing it. A crash between
-	// the two renames leaves no main file, which recovery serves from
-	// .prev.
-	if err := fsys.Rename(path, PrevPath(path)); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("catalog: retain previous generation: %w", err)
-	}
-	if err := fsys.Rename(tmpName, path); err != nil {
-		return fmt.Errorf("catalog: %w", err)
-	}
-	if err := fsys.SyncDir(dir); err != nil {
+	if err := fsys.SyncDir(filepath.Dir(path)); err != nil {
 		return fmt.Errorf("catalog: sync dir: %w", err)
 	}
 	return nil

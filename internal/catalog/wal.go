@@ -18,14 +18,16 @@ package catalog
 // tiny appends instead of N full-snapshot rewrites (the bench-ingest suite
 // pins the ratio at >= 10x).
 //
-// Frame format (all integers little-endian):
+// Frame format. Each record is one internal/framelog frame, whose package
+// doc gives the length + CRC32-C envelope and the torn-tail rules. The frame
+// body is (integers little-endian):
 //
-//	[len u32][crc u32][type u8][lsn u64][payload]
+//	[type u8][lsn u64][payload]
 //
-// len covers type+lsn+payload; crc is CRC32-C over the same bytes. Types:
-// header (log identity, written at creation/rotation), put (one entry's
-// JSON), delete (the key), replace (a full catalog JSON). LSNs increase by
-// one per logged mutation and never repeat within a log+checkpoint lineage.
+// Types: header (log identity, written at creation/rotation), put (one
+// entry's JSON), delete (the key), replace (a full catalog JSON), ingest (an
+// opaque ingest-journal record). LSNs increase by one per logged mutation and
+// never repeat within a log+checkpoint lineage.
 //
 // Durability protocol. Two snapshot pointers exist: Store.applied (newest
 // BUILT state, possibly unfsynced) and Store.snap (published to readers,
@@ -35,8 +37,8 @@ package catalog
 // batch's frames, fsyncs once, and only then publishes the batch's last
 // snapshot. On an append/fsync failure the leader fails every queued ticket
 // (their snapshots stack on doomed state), rolls applied back to the
-// published snapshot, rewinds the LSN, and marks the log for repair — the
-// next leader truncates the file back to the durable offset before writing.
+// published snapshot, and rewinds the LSN; the log itself truncates back to
+// its durable length before the next append.
 // Readers therefore never observe a generation that could be lost to a
 // crash, and the crash-recovery fuzz (wal_test.go) holds that any torn tail
 // recovers to exactly the last fsynced commit.
@@ -44,8 +46,8 @@ package catalog
 // Checkpointing. Every CheckpointEvery commits (and on Save/Checkpoint), the
 // leader writes the current published snapshot through the legacy atomic-
 // rename path with an "lsn=N" trailer field, then rotates the log: a fresh
-// WAL containing only a header frame is built as a temp file, fsynced, and
-// renamed over the old log. Recovery loads the checkpoint (falling back to
+// WAL containing only a header frame replaces the old one through
+// framelog.Log.Rewrite. Recovery loads the checkpoint (falling back to
 // .prev as always) and replays only frames with lsn > checkpoint lsn, so
 // every crash window — mid-append, mid-checkpoint, mid-rotation — lands on a
 // consistent committed state.
@@ -56,12 +58,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
 
 	"epfis/internal/faultfs"
+	"epfis/internal/framelog"
 	"epfis/internal/stats"
 )
 
@@ -82,15 +84,7 @@ const (
 	walFrameIngest byte = 4
 )
 
-const (
-	walHeaderMagic = "epfis-wal v1"
-	// walFrameMeta is the framed byte count before the payload: len + crc +
-	// type + lsn.
-	walFrameMeta = 4 + 4 + 1 + 8
-	// maxWALFrame bounds a frame's declared length so a corrupt length field
-	// cannot drive a giant allocation during replay.
-	maxWALFrame = 64 << 20
-)
+const walHeaderMagic = "epfis-wal v1"
 
 // DefaultCheckpointEvery is the commit count between automatic checkpoints
 // when WALOptions.CheckpointEvery is zero.
@@ -116,18 +110,15 @@ func (o WALOptions) WALPath(catalogPath string) string {
 	return filepath.Join(dir, filepath.Base(catalogPath)+".wal")
 }
 
-// wal is the log file state. lsn is guarded by Store.mu; the durable*,
-// needRepair, and handle fields are touched only by the current group-commit
-// leader (leadership hand-off through walQueue orders the accesses).
+// wal is the log file state. lsn is guarded by Store.mu; durableLSN, buf,
+// and the log handle are touched only by the current group-commit leader
+// (leadership hand-off through walQueue orders the accesses).
 type wal struct {
-	fs   faultfs.FS
 	path string
-	f    faultfs.File
+	log  *framelog.Log
 
 	lsn        uint64 // last assigned LSN (Store.mu)
 	durableLSN uint64 // last fsynced LSN (leader only)
-	durableOff int64  // fsynced byte length of the log (leader only)
-	needRepair bool   // tail beyond durableOff may be torn (leader only)
 	buf        []byte // reused batch write buffer (leader only)
 
 	ingest [][]byte // ingest-journal payloads found during recovery
@@ -136,6 +127,7 @@ type wal struct {
 // walTicket is one enqueued mutation awaiting durability.
 type walTicket struct {
 	frame []byte
+	lsn   uint64
 	snap  *Snapshot
 	done  bool
 	err   error
@@ -187,14 +179,21 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 		gen = 1
 	}
 
-	w := &wal{fs: fsys, path: opts.WALPath(path), lsn: snapLSN, durableLSN: snapLSN}
-	replayed, maxLSN, err := w.recover(snapLSN, entries)
-	if err != nil {
-		return nil, err
+	w := &wal{path: opts.WALPath(path)}
+	r := walReplay{snapLSN: snapLSN, maxLSN: snapLSN, entries: entries}
+	if w.log, err = framelog.Open(fsys, w.path, r.accept); err != nil {
+		return nil, fmt.Errorf("catalog: open wal: %w", err)
 	}
-	gen += uint64(replayed)
-	w.lsn = maxLSN
-	w.durableLSN = maxLSN
+	if !r.header {
+		// Missing, empty, or unrecognizable log: Open cut it to nothing, so
+		// start it afresh with the identity frame.
+		if err := w.log.Append(appendRecord(nil, walFrameHeader, r.maxLSN, []byte(walHeaderMagic))); err != nil {
+			w.log.Close()
+			return nil, fmt.Errorf("catalog: write wal header: %w", err)
+		}
+	}
+	gen += uint64(r.replayed)
+	w.lsn, w.durableLSN, w.ingest = r.maxLSN, r.maxLSN, r.ingest
 
 	snap := newSnapshot(gen, entries, nil)
 	st.snap.Store(snap)
@@ -211,97 +210,47 @@ func (st *Store) WALPath() string {
 	return st.wal.path
 }
 
-// recover reads the log, applies committed frames with lsn > snapLSN to
-// entries, truncates any torn tail, and leaves the file open for append. It
-// reports how many frames were applied and the highest LSN covered (snapLSN
-// when the log is empty or entirely superseded by the checkpoint).
-func (w *wal) recover(snapLSN uint64, entries map[string]*stats.IndexStats) (replayed int, maxLSN uint64, err error) {
-	maxLSN = snapLSN
-	data, rerr := w.fs.ReadFile(w.path)
-	switch {
-	case errors.Is(rerr, os.ErrNotExist):
-		data = nil
-	case rerr != nil:
-		return 0, 0, fmt.Errorf("catalog: read wal: %w", rerr)
-	}
-
-	goodOff := int64(0)
-	rest := data
-	first := true
-	for len(rest) > 0 {
-		ftype, lsn, payload, tail, ok := parseWALFrame(rest)
-		if !ok {
-			break // torn or corrupt from here on: everything before is committed
-		}
-		if first {
-			// The log must open with its identity frame; anything else means
-			// the file is not (or no longer) a v1 WAL — replay nothing.
-			if ftype != walFrameHeader || string(payload) != walHeaderMagic {
-				break
-			}
-			first = false
-		} else if ftype == walFrameHeader {
-			break // a header mid-log is corruption
-		} else if ftype == walFrameIngest {
-			// Ingest records are collected regardless of the checkpoint LSN:
-			// a checkpoint covers catalog state, not accumulator state, and
-			// rotation re-stamps carried records with the checkpoint LSN.
-			w.ingest = append(w.ingest, append([]byte(nil), payload...))
-			if lsn > maxLSN {
-				maxLSN = lsn
-			}
-		} else if lsn > snapLSN {
-			if !applyWALFrame(entries, ftype, payload) {
-				break // undecodable committed frame: stop at the last good one
-			}
-			replayed++
-			if lsn > maxLSN {
-				maxLSN = lsn
-			}
-		}
-		goodOff += int64(len(rest) - len(tail))
-		rest = tail
-	}
-
-	if data == nil || goodOff == 0 {
-		// Missing, empty, or unrecognizable log: start a fresh one.
-		return replayed, maxLSN, w.createFresh(maxLSN)
-	}
-	if goodOff < int64(len(data)) {
-		if err := w.fs.Truncate(w.path, goodOff); err != nil {
-			return 0, 0, fmt.Errorf("catalog: repair wal tail: %w", err)
-		}
-	}
-	f, err := w.fs.OpenAppend(w.path)
-	if err != nil {
-		return 0, 0, fmt.Errorf("catalog: open wal: %w", err)
-	}
-	w.f = f
-	w.durableOff = goodOff
-	return replayed, maxLSN, nil
+// walReplay is the log's frame filter, shared by recovery and Reload: the
+// log must open with its identity frame, committed mutation frames with
+// lsn > snapLSN fold into entries, and ingest frames are collected.
+type walReplay struct {
+	snapLSN  uint64
+	entries  map[string]*stats.IndexStats
+	header   bool     // the identity frame opened the log
+	replayed int      // mutation frames applied
+	maxLSN   uint64   // highest LSN covered (snapLSN when none is newer)
+	ingest   [][]byte // ingest-journal payloads, oldest first
 }
 
-// createFresh truncates/creates the log and writes its header frame.
-func (w *wal) createFresh(lsn uint64) error {
-	if err := w.fs.Truncate(w.path, 0); err != nil && !errors.Is(err, os.ErrNotExist) {
-		return fmt.Errorf("catalog: reset wal: %w", err)
+// accept takes one frame body in log order. It returns false at the first
+// frame that cannot belong to a committed log: everything before it is the
+// log, and recovery cuts the file there.
+func (r *walReplay) accept(body []byte) bool {
+	if len(body) < 9 {
+		return false
 	}
-	f, err := w.fs.OpenAppend(w.path)
-	if err != nil {
-		return fmt.Errorf("catalog: create wal: %w", err)
+	ftype, lsn, payload := body[0], binary.LittleEndian.Uint64(body[1:]), body[9:]
+	switch {
+	case !r.header:
+		// The log must open with its identity frame; anything else means
+		// the file is not (or no longer) a v1 WAL — replay nothing.
+		r.header = ftype == walFrameHeader && string(payload) == walHeaderMagic
+		return r.header
+	case ftype == walFrameHeader:
+		return false // a header mid-log is corruption
+	case ftype == walFrameIngest:
+		// Ingest records are collected regardless of the checkpoint LSN:
+		// a checkpoint covers catalog state, not accumulator state, and
+		// rotation re-stamps carried records with the checkpoint LSN.
+		r.ingest = append(r.ingest, append([]byte(nil), payload...))
+	case lsn > r.snapLSN:
+		if !applyWALFrame(r.entries, ftype, payload) {
+			return false // undecodable committed frame: stop at the last good one
+		}
+		r.replayed++
 	}
-	hdr := appendWALFrame(nil, walFrameHeader, lsn, []byte(walHeaderMagic))
-	if _, err := f.Write(hdr); err != nil {
-		f.Close()
-		return fmt.Errorf("catalog: write wal header: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("catalog: sync wal header: %w", err)
-	}
-	w.f = f
-	w.durableOff = int64(len(hdr))
-	return nil
+	r.maxLSN = max(r.maxLSN, lsn)
+	return true
 }
 
 // applyWALFrame folds one mutation frame into entries, reporting false when
@@ -335,36 +284,15 @@ func applyWALFrame(entries map[string]*stats.IndexStats, ftype byte, payload []b
 	}
 }
 
-// appendWALFrame appends one framed record to dst.
-func appendWALFrame(dst []byte, ftype byte, lsn uint64, payload []byte) []byte {
-	body := 1 + 8 + len(payload)
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(body))
-	crcAt := len(dst)
-	dst = append(dst, 0, 0, 0, 0) // crc placeholder
-	dst = append(dst, ftype)
+// appendRecord appends one WAL record to dst as a single frame. The payload
+// is copied once, straight into its frame.
+func appendRecord(dst []byte, ftype byte, lsn uint64, payload []byte) []byte {
+	at := len(dst)
+	dst = append(framelog.Reserve(dst), ftype)
 	dst = binary.LittleEndian.AppendUint64(dst, lsn)
 	dst = append(dst, payload...)
-	crc := crc32.Checksum(dst[crcAt+4:], crcTable)
-	binary.LittleEndian.PutUint32(dst[crcAt:], crc)
+	framelog.Seal(dst[at:])
 	return dst
-}
-
-// parseWALFrame decodes the first frame of data. ok=false means the bytes do
-// not contain one complete, checksum-valid frame (a torn or corrupt tail).
-func parseWALFrame(data []byte) (ftype byte, lsn uint64, payload, rest []byte, ok bool) {
-	if len(data) < walFrameMeta {
-		return 0, 0, nil, nil, false
-	}
-	body := int64(binary.LittleEndian.Uint32(data))
-	if body < 9 || body > maxWALFrame || int64(len(data)) < 8+body {
-		return 0, 0, nil, nil, false
-	}
-	want := binary.LittleEndian.Uint32(data[4:])
-	framed := data[8 : 8+body]
-	if crc32.Checksum(framed, crcTable) != want {
-		return 0, 0, nil, nil, false
-	}
-	return framed[0], binary.LittleEndian.Uint64(framed[1:]), framed[9:], data[8+body:], true
 }
 
 // appliedLocked is the snapshot the next mutation builds on. Callers hold
@@ -435,53 +363,15 @@ func (st *Store) walReload() (uint64, error) {
 			}
 		}
 	}
-	rw := &wal{fs: st.fs, path: st.wal.path}
-	if _, _, err := rw.replayOnly(snapLSN, entries); err != nil {
+	data, err := st.fs.ReadFile(st.wal.path)
+	if err != nil && !errors.Is(err, os.ErrNotExist) {
 		return 0, fmt.Errorf("catalog: reload: %w", err)
 	}
+	// Ingest frames are not catalog mutations: Reload rebuilds entry state
+	// only, so the collected payloads are dropped.
+	r := walReplay{snapLSN: snapLSN, maxLSN: snapLSN, entries: entries}
+	framelog.Scan(data, r.accept)
 	return st.walReplaceAll(entries)
-}
-
-// replayOnly is recover without the repair/open side effects: read the log
-// and fold committed frames into entries.
-func (w *wal) replayOnly(snapLSN uint64, entries map[string]*stats.IndexStats) (int, uint64, error) {
-	maxLSN := snapLSN
-	replayed := 0
-	data, rerr := w.fs.ReadFile(w.path)
-	if errors.Is(rerr, os.ErrNotExist) {
-		return 0, maxLSN, nil
-	}
-	if rerr != nil {
-		return 0, 0, rerr
-	}
-	rest := data
-	first := true
-	for len(rest) > 0 {
-		ftype, lsn, payload, tail, ok := parseWALFrame(rest)
-		if !ok {
-			break
-		}
-		if first {
-			if ftype != walFrameHeader || string(payload) != walHeaderMagic {
-				break
-			}
-			first = false
-		} else if ftype == walFrameHeader {
-			break
-		} else if ftype == walFrameIngest {
-			// Not a catalog mutation: Reload rebuilds entry state only.
-		} else if lsn > snapLSN {
-			if !applyWALFrame(entries, ftype, payload) {
-				break
-			}
-			replayed++
-			if lsn > maxLSN {
-				maxLSN = lsn
-			}
-		}
-		rest = tail
-	}
-	return replayed, maxLSN, nil
 }
 
 // encodeEntriesJSON renders an entry set as the canonical catalog JSON.
@@ -517,7 +407,7 @@ func (st *Store) walCommit(ftype byte, payload []byte, prepare func(*Snapshot) (
 	}
 	next := newSnapshot(base.gen+1, entries, base)
 	st.wal.lsn++
-	t := &walTicket{frame: appendWALFrame(nil, ftype, st.wal.lsn, payload), snap: next}
+	t := &walTicket{frame: appendRecord(nil, ftype, st.wal.lsn, payload), lsn: st.wal.lsn, snap: next}
 	st.applied = next
 	st.walQ.mu.Lock()
 	st.walQ.queue = append(st.walQ.queue, t)
@@ -545,7 +435,7 @@ func (st *Store) AppendIngest(payload []byte) error {
 		return ErrClosed
 	}
 	st.wal.lsn++
-	t := &walTicket{frame: appendWALFrame(nil, walFrameIngest, st.wal.lsn, payload)}
+	t := &walTicket{frame: appendRecord(nil, walFrameIngest, st.wal.lsn, payload), lsn: st.wal.lsn}
 	st.walQ.mu.Lock()
 	st.walQ.queue = append(st.walQ.queue, t)
 	st.walQ.mu.Unlock()
@@ -623,49 +513,14 @@ func (st *Store) groupCommit(t *walTicket) error {
 
 // writeBatch appends every ticket's frame and fsyncs once. Leader only.
 func (w *wal) writeBatch(batch []*walTicket) error {
-	if w.needRepair || w.f == nil {
-		if err := w.repair(); err != nil {
-			return fmt.Errorf("catalog: wal repair: %w", err)
-		}
-	}
 	w.buf = w.buf[:0]
 	for _, t := range batch {
 		w.buf = append(w.buf, t.frame...)
 	}
-	if _, err := w.f.Write(w.buf); err != nil {
-		w.needRepair = true // a partial append may sit past durableOff
+	if err := w.log.Append(w.buf); err != nil {
 		return fmt.Errorf("catalog: wal append: %w", err)
 	}
-	if err := w.f.Sync(); err != nil {
-		w.needRepair = true
-		return fmt.Errorf("catalog: wal fsync: %w", err)
-	}
-	w.durableOff += int64(len(w.buf))
-	w.durableLSN = lastLSN(batch[len(batch)-1].frame)
-	return nil
-}
-
-// lastLSN reads the lsn field back out of an encoded frame.
-func lastLSN(frame []byte) uint64 {
-	return binary.LittleEndian.Uint64(frame[9:])
-}
-
-// repair reopens the log truncated back to the durable offset, discarding a
-// possibly-torn tail left by a failed append or fsync. Leader only.
-func (w *wal) repair() error {
-	if w.f != nil {
-		w.f.Close()
-		w.f = nil
-	}
-	if err := w.fs.Truncate(w.path, w.durableOff); err != nil {
-		return err
-	}
-	f, err := w.fs.OpenAppend(w.path)
-	if err != nil {
-		return err
-	}
-	w.f = f
-	w.needRepair = false
+	w.durableLSN = batch[len(batch)-1].lsn
 	return nil
 }
 
@@ -777,53 +632,15 @@ func (st *Store) checkpointAsLeader() error {
 // rotate atomically replaces the log with a fresh one containing a header
 // frame plus any still-live ingest records carried forward (stamped with
 // the checkpoint LSN — they ride below the replay threshold on purpose,
-// since recovery collects ingest frames unconditionally). On failure before
-// the rename, the old log remains in place and in use. Leader only.
+// since recovery collects ingest frames unconditionally). Leader only.
 func (w *wal) rotate(carry [][]byte) error {
-	dir := filepath.Dir(w.path)
-	tmp, err := w.fs.CreateTemp(dir, ".wal-*.tmp")
-	if err != nil {
-		return fmt.Errorf("catalog: rotate wal: %w", err)
-	}
-	tmpName := tmp.Name()
-	defer w.fs.Remove(tmpName) // no-op after a successful rename
-	hdr := appendWALFrame(nil, walFrameHeader, w.durableLSN, []byte(walHeaderMagic))
+	w.buf = appendRecord(w.buf[:0], walFrameHeader, w.durableLSN, []byte(walHeaderMagic))
 	for _, p := range carry {
-		hdr = appendWALFrame(hdr, walFrameIngest, w.durableLSN, p)
+		w.buf = appendRecord(w.buf, walFrameIngest, w.durableLSN, p)
 	}
-	if _, err := tmp.Write(hdr); err != nil {
-		tmp.Close()
+	if err := w.log.Rewrite(w.buf); err != nil {
 		return fmt.Errorf("catalog: rotate wal: %w", err)
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("catalog: rotate wal fsync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("catalog: rotate wal: %w", err)
-	}
-	if err := w.fs.Rename(tmpName, w.path); err != nil {
-		return fmt.Errorf("catalog: rotate wal: %w", err)
-	}
-	if err := w.fs.SyncDir(dir); err != nil {
-		return fmt.Errorf("catalog: rotate wal syncdir: %w", err)
-	}
-	// The old handle points at the unlinked inode; all appends must go to
-	// the new file from here on.
-	if w.f != nil {
-		w.f.Close()
-	}
-	w.f = nil
-	w.durableOff = int64(len(hdr))
-	w.needRepair = false
-	f, err := w.fs.OpenAppend(w.path)
-	if err != nil {
-		// The next leader's repair() reopens (truncating to the header,
-		// which is already the whole file).
-		w.needRepair = true
-		return fmt.Errorf("catalog: reopen rotated wal: %w", err)
-	}
-	w.f = f
 	return nil
 }
 
@@ -845,11 +662,7 @@ func (st *Store) Close() error {
 	st.mu.Lock()
 	st.closed = true
 	st.mu.Unlock()
-	var err error
-	if st.wal.f != nil {
-		err = st.wal.f.Close()
-		st.wal.f = nil
-	}
+	err := st.wal.log.Close()
 
 	q.mu.Lock()
 	q.syncing = false

@@ -1,6 +1,7 @@
 package catalog
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"time"
 
 	"epfis/internal/faultfs"
+	"epfis/internal/stats"
 )
 
 // walFixture opens a WAL-backed store in a fresh temp dir.
@@ -241,6 +243,69 @@ func TestWALRecoveryTornTail(t *testing.T) {
 	}
 }
 
+func TestWALReplaysCommittedFormat(t *testing.T) {
+	// testdata/compat.wal was written before the WAL moved onto framelog:
+	// header, put, put, delete, replace, ingest, put. The frame format did
+	// not change, so it must replay unchanged to the same catalog, bit for
+	// bit, and the same ingest record.
+	data, err := os.ReadFile(filepath.Join("testdata", "compat.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	if err := os.WriteFile(path+".wal", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := OpenWAL(path, WALOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+
+	want := NewStore()
+	for _, e := range []*stats.IndexStats{entry("orders", "key", 500), entry("orders", "custno", 600)} {
+		if _, err := want.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := want.Delete("orders", "key"); err != nil {
+		t.Fatal(err)
+	}
+	c := stats.NewCatalog()
+	for _, e := range []*stats.IndexStats{entry("lineitem", "partkey", 700), entry("orders", "custno", 610)} {
+		if err := c.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := want.ReplaceAll(c); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := want.Put(entry("lineitem", "suppkey", 800)); err != nil {
+		t.Fatal(err)
+	}
+	gotHash, gotGen, err := re.ContentHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantHash, wantGen, err := want.ContentHash()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotHash != wantHash || gotGen != wantGen {
+		t.Fatalf("replayed catalog %s at gen %d, want %s at gen %d", gotHash, gotGen, wantHash, wantGen)
+	}
+	recs := re.IngestRecords()
+	if len(recs) != 1 || string(recs[0]) != `{"id":"batch-1","table":"lineitem","column":"suppkey","pages":[1,2,3]}` {
+		t.Fatalf("replayed ingest records %q", recs)
+	}
+	if ws := re.WALStatsNow(); ws.LSN != 6 || ws.DurableLSN != 6 {
+		t.Fatalf("wal stats %+v, want lsn 6", ws)
+	}
+	if after, err := os.ReadFile(path + ".wal"); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("replay rewrote an intact log (%v)", err)
+	}
+}
+
 func TestWALReload(t *testing.T) {
 	st, _ := walFixture(t, WALOptions{}, nil)
 	if _, err := st.Put(entry("t", "a", 700)); err != nil {
@@ -330,6 +395,41 @@ func TestChaosWALCheckpointFailure(t *testing.T) {
 	defer re.Close()
 	if got := stateOf(re.Snapshot()); !statesEqual(got, want) {
 		t.Fatalf("reopen after failed checkpoints: %v, want %v", got, want)
+	}
+}
+
+func TestChaosWALRotationSyncDirFailure(t *testing.T) {
+	// A rotation whose directory fsync fails after the rename must still
+	// switch appends to the new log. Otherwise later commits are fsynced
+	// into the replaced, unlinked file and acknowledged, then lost.
+	walDir := t.TempDir()
+	inj := faultfs.NewInjector(faultfs.OS(), 1)
+	st, path := walFixture(t, WALOptions{Dir: walDir, CheckpointEvery: 2}, inj)
+	inj.Add(faultfs.Rule{Op: faultfs.OpSyncDir, Path: walDir, Nth: 1})
+	for i := 0; i < 2; i++ {
+		if _, err := st.Put(entry("t", fmt.Sprintf("c%d", i), 200)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+	}
+	if inj.Injected() != 1 {
+		t.Fatalf("rotation syncdir fault fired %d times, want 1", inj.Injected())
+	}
+	// Later checkpoints fail before rotating, so nothing else moves the log.
+	inj.Add(faultfs.Rule{Op: faultfs.OpRename, Path: "catalog.json", Nth: 1, Count: -1})
+	for i := 2; i < 4; i++ {
+		if _, err := st.Put(entry("t", fmt.Sprintf("c%d", i), 200)); err != nil {
+			t.Fatalf("Put %d: %v", i, err)
+		}
+	}
+	want := stateOf(st.Snapshot())
+	st.Close()
+	re, err := OpenWALFS(path, WALOptions{Dir: walDir}, faultfs.OS())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if got := stateOf(re.Snapshot()); !statesEqual(got, want) {
+		t.Fatalf("acknowledged commits lost after a failed rotation syncdir: reopened %v, want %v", got, want)
 	}
 }
 

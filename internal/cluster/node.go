@@ -376,6 +376,14 @@ func (n *Node) HasKeyStamp(key string) bool {
 	return n.keyStamps[key] != Stamp{}
 }
 
+// KeyStampCount reports how many keys have a tracked stamp, without copying
+// the table — the stamp journal's compaction-pressure check.
+func (n *Node) KeyStampCount() int {
+	n.keyMu.Lock()
+	defer n.keyMu.Unlock()
+	return len(n.keyStamps)
+}
+
 // KeyStamps copies the tracked stamp table — the compaction source for the
 // service's durable stamp journal.
 func (n *Node) KeyStamps() map[string]Stamp {

@@ -390,4 +390,7 @@ func TestStampOrderingAndRecord(t *testing.T) {
 	if got := n.KeyStamps(); len(got) != 1 || got["k"] != a2 {
 		t.Errorf("KeyStamps = %+v", got)
 	}
+	if got := n.KeyStampCount(); got != 1 {
+		t.Errorf("KeyStampCount = %d, want 1", got)
+	}
 }

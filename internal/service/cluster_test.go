@@ -195,7 +195,7 @@ func TestClusterReplicationAndBitExactServing(t *testing.T) {
 		t.Fatalf("forwarded request to non-owner: status %d, want 421", resp.StatusCode)
 	}
 	var mis struct {
-		Key    string `json:"key"`
+		Key    string                     `json:"key"`
 		Owners []struct{ ID, URL string } `json:"owners"`
 	}
 	if err := json.NewDecoder(resp.Body).Decode(&mis); err != nil {

@@ -5,12 +5,14 @@ package service
 //
 // When a replicated mutation cannot reach a peer (partitioned, dead, or just
 // slow past the per-peer timeout), the sender journals a hint — the complete
-// replicated request plus its epoch — into a per-peer CRC32-C-framed file
-// under Config.HandoffDir and keeps serving. A background drainer retries
-// delivery (resilience.Retry behind a per-peer circuit breaker) until the
-// peer answers, then compacts the journal. Because every replicated apply is
-// epoch-gated on the receiver (see cluster.go), redelivery is idempotent:
-// at-least-once sends converge to exactly-once application.
+// replicated request plus its epoch — into a per-peer framed log
+// (internal/framelog) under Config.HandoffDir and keeps serving. A background
+// drainer retries delivery (resilience.Retry behind a per-peer circuit
+// breaker) until the peer answers, then compacts the journal by atomically
+// rewriting it, so a crash mid-compaction keeps every undelivered hint.
+// Because every replicated apply is epoch-gated on the receiver (see
+// cluster.go), redelivery is idempotent: at-least-once sends converge to
+// exactly-once application.
 //
 // The journal survives sender crashes — hints are fsynced before the
 // originating mutation is acknowledged as quorum-met or surfaced as 503
@@ -22,10 +24,8 @@ package service
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"log/slog"
 	"net/url"
 	"os"
@@ -36,6 +36,7 @@ import (
 
 	"epfis/internal/cluster"
 	"epfis/internal/faultfs"
+	"epfis/internal/framelog"
 	"epfis/internal/obs"
 	"epfis/internal/resilience"
 )
@@ -51,8 +52,6 @@ const DefaultHandoffAbandonAfter = time.Hour
 const (
 	// handoffRetryInterval paces the background drainer between sweeps.
 	handoffRetryInterval = time.Second
-	// handoffMaxFrame bounds one journaled hint (a PUT body plus envelope).
-	handoffMaxFrame = 16 << 20
 	// handoffCompactAfter is how many delivered-but-still-journaled hints a
 	// peer file may accumulate before it is rewritten.
 	handoffCompactAfter = 64
@@ -72,16 +71,20 @@ type hintRecord struct {
 	Trace  string `json:"trace,omitempty"`
 }
 
+// hintQueue is one peer's undelivered hints, oldest first, and their journal.
+type hintQueue struct {
+	hints     []hintRecord
+	delivered int           // delivered hints still in the journal
+	log       *framelog.Log // nil while nothing is journaled
+}
+
 // handoff is the per-peer hint queues, their journals, and the drainer.
 type handoff struct {
 	s   *Server
 	dir string // "" = memory-only
-	fs  faultfs.FS
 
-	mu        sync.Mutex
-	queues    map[string][]hintRecord // FIFO per peer
-	files     map[string]faultfs.File // open journal handles
-	delivered map[string]int          // delivered hints awaiting compaction
+	mu     sync.Mutex
+	queues map[string]*hintQueue
 
 	brMu     sync.Mutex
 	breakers map[string]*resilience.Breaker
@@ -112,19 +115,13 @@ type handoff struct {
 	abandonedC *obs.Counter
 }
 
-// hintCRC is the Castagnoli table shared by every hint frame.
-var hintCRC = crc32.MakeTable(crc32.Castagnoli)
-
 // newHandoff loads any journaled hints from cfg.HandoffDir and starts the
 // drainer. Called from New only in cluster mode.
 func newHandoff(s *Server, cfg Config) (*handoff, error) {
 	h := &handoff{
 		s:            s,
 		dir:          cfg.HandoffDir,
-		fs:           faultfs.OS(),
-		queues:       map[string][]hintRecord{},
-		files:        map[string]faultfs.File{},
-		delivered:    map[string]int{},
+		queues:       map[string]*hintQueue{},
 		breakers:     map[string]*resilience.Breaker{},
 		drains:       map[string]*sync.Mutex{},
 		abandonAfter: cfg.HandoffAbandonAfter,
@@ -187,86 +184,44 @@ func (h *handoff) load() error {
 		if err != nil {
 			continue // not one of ours
 		}
-		path := filepath.Join(h.dir, name)
-		data, err := h.fs.ReadFile(path)
+		q := &hintQueue{}
+		q.log, err = framelog.Open(faultfs.OS(), filepath.Join(h.dir, name), func(body []byte) bool {
+			var rec hintRecord
+			if json.Unmarshal(body, &rec) != nil {
+				return false
+			}
+			q.hints = append(q.hints, rec)
+			return true
+		})
 		if err != nil {
 			return fmt.Errorf("service: handoff journal %s: %w", name, err)
 		}
-		recs, good := decodeHints(data)
-		if good < int64(len(data)) {
-			// Torn or corrupt tail: keep the durable prefix, cut the rest.
-			if err := h.fs.Truncate(path, good); err != nil {
-				return fmt.Errorf("service: handoff journal %s: truncate torn tail: %w", name, err)
-			}
-		}
-		if len(recs) > 0 {
-			h.queues[peer] = recs
-		}
+		h.queues[peer] = q
 	}
 	return nil
 }
 
-// decodeFrame parses one [len][crc][json] frame from the head of data into
-// v, reporting the frame's total byte length and whether it was fully valid.
-// Shared by the hint and stamp journals.
-func decodeFrame(data []byte, v any) (int64, bool) {
-	if len(data) < 8 {
-		return 0, false
-	}
-	n := int(binary.LittleEndian.Uint32(data))
-	sum := binary.LittleEndian.Uint32(data[4:])
-	if n <= 0 || n > handoffMaxFrame || len(data)-8 < n {
-		return 0, false
-	}
-	payload := data[8 : 8+n]
-	if crc32.Checksum(payload, hintCRC) != sum {
-		return 0, false
-	}
-	if err := json.Unmarshal(payload, v); err != nil {
-		return 0, false
-	}
-	return int64(8 + n), true
-}
-
-// encodeFrame frames one record for a journal.
-func encodeFrame(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, 8+len(payload))
-	binary.LittleEndian.PutUint32(buf, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:], crc32.Checksum(payload, hintCRC))
-	copy(buf[8:], payload)
-	return buf, nil
-}
-
-// decodeHints parses a hint journal, returning the records and the byte
-// offset of the last fully valid frame.
-func decodeHints(data []byte) ([]hintRecord, int64) {
-	var recs []hintRecord
-	off := int64(0)
-	for {
-		var rec hintRecord
-		n, ok := decodeFrame(data[off:], &rec)
-		if !ok {
-			break
-		}
-		recs = append(recs, rec)
-		off += n
-	}
-	return recs, off
+// appendJSONFrame appends v's JSON encoding to dst as one journal frame —
+// the hint and stamp record format. Both record types hold only strings,
+// byte slices, and integers, which always encode.
+func appendJSONFrame(dst []byte, v any) []byte {
+	body, _ := json.Marshal(v)
+	return framelog.AppendFrame(dst, body)
 }
 
 // enqueue journals a hint (fsynced before return) and queues it for the
 // drainer. Journal failures demote the hint to memory-only rather than drop
 // it: delivery still happens unless the process dies first.
 func (h *handoff) enqueue(rec hintRecord) {
-	frame, encErr := encodeFrame(rec)
 	h.mu.Lock()
-	h.queues[rec.Peer] = append(h.queues[rec.Peer], rec)
-	if h.dir != "" && encErr == nil {
-		if err := h.appendLocked(rec.Peer, frame); err != nil {
+	q := h.queues[rec.Peer]
+	if q == nil {
+		q = &hintQueue{}
+		h.queues[rec.Peer] = q
+	}
+	q.hints = append(q.hints, rec)
+	if h.dir != "" {
+		if err := h.appendLocked(q, rec); err != nil {
 			h.journalC.Inc()
 			h.s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "handoff journal append failed",
 				slog.String("peer", rec.Peer), slog.String("error", err.Error()))
@@ -280,53 +235,37 @@ func (h *handoff) enqueue(rec hintRecord) {
 	}
 }
 
-// appendLocked writes one frame to the peer's journal and fsyncs. Caller
-// holds h.mu.
-func (h *handoff) appendLocked(peer string, frame []byte) error {
-	f := h.files[peer]
-	if f == nil {
-		var err error
-		f, err = h.fs.OpenAppend(h.hintPath(peer))
+// appendLocked journals one hint to its peer's log, opening the log on first
+// use. Caller holds h.mu.
+func (h *handoff) appendLocked(q *hintQueue, rec hintRecord) error {
+	if q.log == nil {
+		l, err := framelog.Open(faultfs.OS(), h.hintPath(rec.Peer), nil)
 		if err != nil {
 			return err
 		}
-		h.files[peer] = f
+		q.log = l
 	}
-	if _, err := f.Write(frame); err != nil {
-		return err
-	}
-	return f.Sync()
+	return q.log.Append(appendJSONFrame(nil, rec))
 }
 
-// compactLocked rewrites a peer's journal to exactly its undelivered queue.
-// Caller holds h.mu.
-func (h *handoff) compactLocked(peer string) {
-	h.delivered[peer] = 0
-	if h.dir == "" {
+// compactLocked rewrites a peer's journal to exactly its undelivered queue,
+// or removes it once the queue is empty. Caller holds h.mu.
+func (h *handoff) compactLocked(q *hintQueue) {
+	q.delivered = 0
+	if q.log == nil {
 		return
 	}
-	if f := h.files[peer]; f != nil {
-		f.Close()
-		delete(h.files, peer)
-	}
-	path := h.hintPath(peer)
-	queue := h.queues[peer]
-	if len(queue) == 0 {
-		_ = h.fs.Remove(path)
+	if len(q.hints) == 0 {
+		_ = q.log.Remove() // a leftover file only redelivers; epoch gating makes that harmless
+		q.log = nil
 		return
 	}
-	if err := h.fs.Truncate(path, 0); err != nil {
-		return // stale frames linger; epoch gating makes redelivery harmless
+	var frames []byte
+	for _, rec := range q.hints {
+		frames = appendJSONFrame(frames, rec)
 	}
-	for _, rec := range queue {
-		frame, err := encodeFrame(rec)
-		if err != nil {
-			continue
-		}
-		if err := h.appendLocked(peer, frame); err != nil {
-			h.journalC.Inc()
-			return
-		}
+	if err := q.log.Rewrite(frames); err != nil {
+		h.journalC.Inc() // stale frames linger; epoch gating makes redelivery harmless
 	}
 }
 
@@ -336,7 +275,7 @@ func (h *handoff) pending() int {
 	defer h.mu.Unlock()
 	n := 0
 	for _, q := range h.queues {
-		n += len(q)
+		n += len(q.hints)
 	}
 	return n
 }
@@ -394,7 +333,7 @@ func (h *handoff) drainOnce(ctx context.Context, force bool) {
 	h.mu.Lock()
 	peers := make([]string, 0, len(h.queues))
 	for id, q := range h.queues {
-		if len(q) > 0 {
+		if len(q.hints) > 0 {
 			peers = append(peers, id)
 		}
 	}
@@ -440,17 +379,13 @@ func (h *handoff) gcAbsent(peers []string) []string {
 			h.mu.Unlock()
 			continue
 		}
-		dropped := len(h.queues[id])
+		q := h.queues[id] // only this sweeper deletes queues
+		dropped := len(q.hints)
+		if q.log != nil {
+			_ = q.log.Remove() // best effort: a leftover journal reloads into the same fate
+		}
 		delete(h.queues, id)
-		delete(h.delivered, id)
 		delete(h.absentSince, id)
-		if f := h.files[id]; f != nil {
-			f.Close()
-			delete(h.files, id)
-		}
-		if h.dir != "" {
-			_ = h.fs.Remove(h.hintPath(id))
-		}
 		h.mu.Unlock()
 		h.abandonedC.Add(uint64(dropped))
 		h.s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "handoff queue abandoned",
@@ -472,7 +407,7 @@ func (h *handoff) orphaned() int {
 	n := 0
 	for id, q := range h.queues {
 		if !known[id] {
-			n += len(q)
+			n += len(q.hints)
 		}
 	}
 	return n
@@ -505,15 +440,15 @@ func (h *handoff) drainPeer(ctx context.Context, id string, force bool) {
 			return
 		}
 		h.mu.Lock()
-		queue := h.queues[id]
-		if len(queue) == 0 {
-			if h.delivered[id] > 0 {
-				h.compactLocked(id)
+		q := h.queues[id]
+		if q == nil || len(q.hints) == 0 {
+			if q != nil && q.delivered > 0 {
+				h.compactLocked(q)
 			}
 			h.mu.Unlock()
 			return
 		}
-		rec := queue[0]
+		rec := q.hints[0]
 		h.mu.Unlock()
 
 		commit, _, err := br.Begin()
@@ -544,12 +479,12 @@ func (h *handoff) drainPeer(ctx context.Context, id string, force bool) {
 		h.mu.Lock()
 		// Re-read under the lock: enqueue only appends, and the per-peer
 		// drain mutex excludes every other drainer, so index 0 is still the
-		// record just delivered.
-		if q := h.queues[id]; len(q) > 0 {
-			h.queues[id] = q[1:]
-			h.delivered[id]++
-			if len(h.queues[id]) == 0 || h.delivered[id] >= handoffCompactAfter {
-				h.compactLocked(id)
+		// record just delivered (unless gcAbsent dropped the whole queue).
+		if q := h.queues[id]; q != nil && len(q.hints) > 0 {
+			q.hints = q.hints[1:]
+			q.delivered++
+			if len(q.hints) == 0 || q.delivered >= handoffCompactAfter {
+				h.compactLocked(q)
 			}
 		}
 		h.mu.Unlock()
@@ -562,9 +497,10 @@ func (h *handoff) close() {
 	h.once.Do(func() { close(h.stop) })
 	<-h.done
 	h.mu.Lock()
-	for id, f := range h.files {
-		f.Close()
-		delete(h.files, id)
+	for _, q := range h.queues {
+		if q.log != nil {
+			q.log.Close()
+		}
 	}
 	h.mu.Unlock()
 }

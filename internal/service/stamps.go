@@ -9,29 +9,30 @@ package service
 // a DELETE, crashed, and then pulled a snapshot from a peer that had missed
 // the DELETE would happily re-adopt the deleted key — the tombstone died
 // with the process. The stamp journal closes it: every applied stamp (local
-// or replicated, PUTs and DELETEs alike) is appended to a CRC32-C-framed
-// file under Config.HandoffDir — the same durability domain as the hint
-// journal — and reloaded into the node's stamp table before the service
+// or replicated, PUTs and DELETEs alike) is appended to a framed log
+// (internal/framelog) under Config.HandoffDir — the same durability domain
+// as the hint journal — and reloaded into the node's stamp table before the service
 // answers its first request. The reload also folds the highest journaled
 // epoch into the node's Lamport clock, so the first post-restart local
 // mutation is stamped above everything this node ever applied.
 //
 // The journal is append-only between compactions; once the appended tail
-// outgrows the live table it is rewritten from the table (one frame per
-// key). With HandoffDir unset the table stays memory-only, preserving the
+// outgrows the live table it is atomically rewritten from the table (one
+// frame per key), so a crash mid-compaction keeps every tombstone. With
+// HandoffDir unset the table stays memory-only, preserving the
 // old behaviour for tests and throwaway topologies.
 
 import (
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
-	"io/fs"
 	"log/slog"
 	"path/filepath"
 	"sync"
 
 	"epfis/internal/cluster"
 	"epfis/internal/faultfs"
+	"epfis/internal/framelog"
 	"epfis/internal/obs"
 )
 
@@ -52,13 +53,11 @@ type stampRecord struct {
 
 // stampJournal persists the cluster node's per-key stamp table.
 type stampJournal struct {
-	s    *Server
-	path string
-	fs   faultfs.FS
+	s *Server
 
 	mu      sync.Mutex
-	f       faultfs.File
-	appends int // frames appended since the last compaction
+	log     *framelog.Log
+	appends int // frames in the journal (compaction pressure)
 
 	errorsC *obs.Counter
 }
@@ -68,130 +67,69 @@ type stampJournal struct {
 // journaled epoch into the node's Lamport clock. The caller (New) has
 // already created dir via newHandoff.
 func newStampJournal(s *Server, dir string) (*stampJournal, error) {
-	j := &stampJournal{
-		s:    s,
-		path: filepath.Join(dir, stampJournalFile),
-		fs:   faultfs.OS(),
-	}
+	j := &stampJournal{s: s}
 	j.errorsC = s.obs.reg.Counter("epfis_cluster_stamp_journal_errors_total",
 		"Stamp journal writes that failed (the stamp stays tracked in memory).")
-	data, err := j.fs.ReadFile(j.path)
-	if err != nil && !errors.Is(err, fs.ErrNotExist) {
+	var maxEpoch uint64
+	l, err := framelog.Open(faultfs.OS(), filepath.Join(dir, stampJournalFile), func(body []byte) bool {
+		var rec stampRecord
+		if json.Unmarshal(body, &rec) != nil {
+			return false
+		}
+		// RecordKeyStamp keeps the Stamp-max per key, so later frames for
+		// a key fold over earlier ones in Stamp order.
+		s.cluster.RecordKeyStamp(rec.Key, cluster.Stamp{Epoch: rec.Epoch, Origin: rec.Origin})
+		maxEpoch = max(maxEpoch, rec.Epoch)
+		j.appends++
+		return true
+	})
+	if err != nil {
 		return nil, fmt.Errorf("service: stamp journal: %w", err)
 	}
-	if err == nil {
-		recs, good, count := decodeStamps(data)
-		if good < int64(len(data)) {
-			// Torn or corrupt tail: keep the durable prefix, cut the rest.
-			if terr := j.fs.Truncate(j.path, good); terr != nil {
-				return nil, fmt.Errorf("service: stamp journal: truncate torn tail: %w", terr)
-			}
-		}
-		var maxEpoch uint64
-		for key, st := range recs {
-			s.cluster.RecordKeyStamp(key, st)
-			if st.Epoch > maxEpoch {
-				maxEpoch = st.Epoch
-			}
-		}
-		s.cluster.ObserveEpoch(maxEpoch)
-		j.appends = count
-	}
+	s.cluster.ObserveEpoch(maxEpoch)
+	j.log = l
 	return j, nil
-}
-
-// decodeStamps parses [len][crc][json] frames (the hint frame format),
-// folding later frames for the same key over earlier ones in Stamp order. It
-// returns the folded table, the byte offset of the last fully valid frame,
-// and the raw frame count (the compaction-pressure seed).
-func decodeStamps(data []byte) (map[string]cluster.Stamp, int64, int) {
-	recs := map[string]cluster.Stamp{}
-	off, count := int64(0), 0
-	for {
-		var rec stampRecord
-		n, ok := decodeFrame(data[off:], &rec)
-		if !ok {
-			break
-		}
-		st := cluster.Stamp{Epoch: rec.Epoch, Origin: rec.Origin}
-		if cur := recs[rec.Key]; cur.Less(st) {
-			recs[rec.Key] = st
-		}
-		off += n
-		count++
-	}
-	return recs, off, count
 }
 
 // append journals one applied stamp (fsynced). Failures demote the stamp to
 // memory-only rather than failing the mutation: the apply already happened
 // and the in-memory table still orders everything this process lifetime.
 func (j *stampJournal) append(key string, st cluster.Stamp) {
-	frame, err := encodeFrame(stampRecord{Key: key, Epoch: st.Epoch, Origin: st.Origin})
-	if err != nil {
-		j.errorsC.Inc()
-		return
-	}
+	frame := appendJSONFrame(nil, stampRecord{Key: key, Epoch: st.Epoch, Origin: st.Origin})
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	if err := j.appendLocked(frame); err != nil {
+	if err := j.log.Append(frame); err != nil {
 		j.errorsC.Inc()
 		j.s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "stamp journal append failed",
 			slog.String("key", key), slog.String("error", err.Error()))
 		return
 	}
 	j.appends++
-	if live := len(j.s.cluster.KeyStamps()); j.appends >= stampCompactMin && j.appends > 2*live {
+	if live := j.s.cluster.KeyStampCount(); j.appends >= stampCompactMin && j.appends > 2*live {
 		j.compactLocked()
 	}
 }
 
-// appendLocked writes one frame and fsyncs. Caller holds j.mu.
-func (j *stampJournal) appendLocked(frame []byte) error {
-	if j.f == nil {
-		f, err := j.fs.OpenAppend(j.path)
-		if err != nil {
-			return err
-		}
-		j.f = f
-	}
-	if _, err := j.f.Write(frame); err != nil {
-		return err
-	}
-	return j.f.Sync()
-}
-
-// compactLocked rewrites the journal to exactly the live stamp table (one
-// frame per key). Caller holds j.mu.
+// compactLocked atomically rewrites the journal to exactly the live stamp
+// table (one frame per key). Caller holds j.mu.
 func (j *stampJournal) compactLocked() {
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
-	if err := j.fs.Truncate(j.path, 0); err != nil {
-		return // stale frames linger; the Stamp-max fold on reload is harmless
-	}
 	table := j.s.cluster.KeyStamps()
-	j.appends = len(table)
+	var frames []byte
 	for key, st := range table {
-		frame, err := encodeFrame(stampRecord{Key: key, Epoch: st.Epoch, Origin: st.Origin})
-		if err != nil {
-			continue
-		}
-		if err := j.appendLocked(frame); err != nil {
-			j.errorsC.Inc()
-			return
-		}
+		frames = appendJSONFrame(frames, stampRecord{Key: key, Epoch: st.Epoch, Origin: st.Origin})
+	}
+	// Reset the pressure count even on failure, so a failing disk does not
+	// retry the rewrite on every mutation.
+	j.appends = len(table)
+	if err := j.log.Rewrite(frames); err != nil {
+		j.errorsC.Inc() // the old journal or the whole new one stays; both reload the live table
 	}
 }
 
 // close releases the journal handle.
 func (j *stampJournal) close() {
 	j.mu.Lock()
-	if j.f != nil {
-		j.f.Close()
-		j.f = nil
-	}
+	j.log.Close()
 	j.mu.Unlock()
 }
 
