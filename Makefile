@@ -25,8 +25,9 @@ race:
 # write path mid-traffic (including WAL append/fsync/checkpoint faults under
 # concurrent ingest + readers), commit-abort and recovery invariants, overload
 # shedding, breaker/degraded behaviour, plus recovery fuzz smokes for both the
-# legacy rename store and the WAL log, and a fuzz pass over the journal frame
-# decoder every log replays through.
+# legacy rename store and the WAL log, a fuzz pass over the journal frame
+# decoder every log replays through, and a differential fuzz pass holding the
+# batch body decoder to encoding/json.
 chaos:
 	$(GO) test -race ./internal/faultfs/ ./internal/resilience/
 	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
@@ -34,6 +35,7 @@ chaos:
 	$(GO) test -run=Fuzz -fuzz=FuzzOpenCatalogStore -fuzztime=20s ./internal/catalog/
 	$(GO) test -run=Fuzz -fuzz=FuzzWALRecovery -fuzztime=20s ./internal/catalog/
 	$(GO) test -run=Fuzz -fuzz=FuzzScan -fuzztime=20s ./internal/framelog/
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBatchBody -fuzztime=20s ./internal/service/
 
 # Network partition drills under the race detector: the deterministic fault
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node

@@ -71,7 +71,7 @@ func run(args []string) error {
 		addr     = fs.String("addr", ":8080", "listen address")
 		path     = fs.String("catalog", "catalog.json", "statistics catalog file (created on first install if missing)")
 		memory   = fs.Bool("in-memory", false, "run without a catalog file (no persistence, no reload)")
-		cache    = fs.Int("cache", service.DefaultCacheEntries, "Est-IO memo cache entries (negative disables)")
+		cache    = fs.Int("cache", service.DefaultCacheEntries, "Est-IO memo cache entries, single estimates only (negative disables)")
 		timeout  = fs.Duration("timeout", service.DefaultRequestTimeout, "per-request timeout (negative disables)")
 		maxBatch = fs.Int("max-batch", service.DefaultMaxBatch, "maximum inputs per batch request")
 		quiet    = fs.Bool("quiet", false, "suppress lifecycle logging")

@@ -85,12 +85,42 @@ func newHistogram(bounds []float64) *Histogram {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
+	h.buckets[h.Bucket(v)].Add(1)
+	h.count.Add(1)
+	h.addSum(v)
+}
+
+// Bucket returns the index of the bucket v falls in: the first bound v does
+// not exceed, or len(bounds) for the +Inf bucket.
+func (h *Histogram) Bucket(v float64) int {
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
+	return i
+}
+
+// AddCounts records a batch of observations tallied elsewhere: counts[i]
+// values fell in bucket i (as Bucket numbers them; len(counts) must be
+// len(bounds)+1) and sum is their total. It costs one atomic add per
+// non-empty bucket, one for the count and one sum CAS, however many values
+// the batch holds.
+func (h *Histogram) AddCounts(counts []uint64, sum float64) {
+	var n uint64
+	for i, c := range counts {
+		if c != 0 {
+			h.buckets[i].Add(c)
+			n += c
+		}
+	}
+	if n == 0 {
+		return
+	}
+	h.count.Add(n)
+	h.addSum(sum)
+}
+
+func (h *Histogram) addSum(v float64) {
 	for {
 		old := h.sumBits.Load()
 		next := math.Float64bits(math.Float64frombits(old) + v)

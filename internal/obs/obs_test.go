@@ -48,6 +48,32 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
+// TestHistogramAddCountsMatchesObserve tallies values through Bucket and adds
+// them in one AddCounts; the snapshot must equal one built by Observe.
+func TestHistogramAddCountsMatchesObserve(t *testing.T) {
+	bounds := []float64{0.1, 1, 10}
+	values := []float64{0.05, 0.1, 0.5, 2, 100, 0.25, 10}
+	one, bulk := newHistogram(bounds), newHistogram(bounds)
+	counts := make([]uint64, len(bounds)+1)
+	var sum float64
+	for _, v := range values {
+		one.Observe(v)
+		counts[bulk.Bucket(v)]++
+		sum += v // the order Observe adds in, so the sums agree bit for bit
+	}
+	bulk.AddCounts(counts, sum)
+	bulk.AddCounts(make([]uint64, len(counts)), 0) // an empty tally is a no-op
+	a, b := one.Snapshot(), bulk.Snapshot()
+	if a.Count != b.Count || a.Sum != b.Sum || one.Count() != bulk.Count() {
+		t.Fatalf("count/sum: Observe %d/%g, AddCounts %d/%g", a.Count, a.Sum, b.Count, b.Sum)
+	}
+	for i := range a.Counts {
+		if a.Counts[i] != b.Counts[i] {
+			t.Fatalf("bucket %d: Observe %d, AddCounts %d", i, a.Counts[i], b.Counts[i])
+		}
+	}
+}
+
 func TestExpositionValidatesAndEscapes(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("epfis_routes_total", "requests",

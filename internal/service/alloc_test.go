@@ -131,6 +131,50 @@ func TestAllocBudgetBatch64(t *testing.T) {
 	}
 }
 
+// TestAllocBudgetBatch64Cold pins the batch path on shapes it has never
+// served: every run posts 64 plans no earlier run carried, as a query
+// optimizer's plan enumeration does. TestAllocBudgetBatch64 repeats one body,
+// so anything a batch item pays only on its first sight is invisible there.
+func TestAllocBudgetBatch64Cold(t *testing.T) {
+	const runs = 100
+	srv, _ := newServingPathServer(t)
+	// Built up front: the warm-up call, AllocsPerRun's own warm-up, and runs.
+	bodies := make([][]byte, runs+2)
+	for k := range bodies {
+		reqs := make([]EstimateRequest, 64)
+		for i := range reqs {
+			reqs[i] = EstimateRequest{Table: "orders", Column: "key", B: int64(12 + 64*k + i), Sigma: float64(1+i) / 65}
+		}
+		body, err := json.Marshal(BatchRequest{Requests: reqs})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bodies[k] = body
+	}
+	body := &rewindBody{r: bytes.NewReader(nil)}
+	req := httptest.NewRequest(http.MethodPost, "/v1/estimate/batch", body)
+	w := newAllocWriter()
+
+	next := 0
+	serve := func() {
+		w.reset()
+		body.r.Reset(bodies[next])
+		next++
+		req.Body = body
+		srv.ServeHTTP(w, req)
+		if w.status != http.StatusOK {
+			t.Fatalf("status %d: %s", w.status, w.body)
+		}
+	}
+	serve()
+	if n := testing.AllocsPerRun(runs, serve); n > batch64AllocBudget {
+		t.Errorf("cold batch64 allocates %.1f/op, budget %d", n, batch64AllocBudget)
+	}
+	if next != len(bodies) {
+		t.Fatalf("served %d bodies, built %d", next, len(bodies))
+	}
+}
+
 // TestAllocBudgetSingleTraced pins the single-estimate path with every
 // tracing feature exercised at once: an inbound traceparent to parse and
 // re-parent, a slow-trace threshold of -1 so every request is flagged slow

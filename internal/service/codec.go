@@ -14,8 +14,9 @@
 //     BatchRequest shape (decodeBatchBody), reading into pooled scratch
 //     structures: item fields become substrings of one body string, so a
 //     64-item batch costs one body-string allocation instead of hundreds of
-//     reflection-driven ones. Unknown fields are rejected exactly like the
-//     old DisallowUnknownFields decoder;
+//     reflection-driven ones. It accepts exactly what the old
+//     DisallowUnknownFields json.Decoder accepted and decodes the same
+//     items, which FuzzDecodeBatchBody checks differentially;
 //
 //   - single-estimate query strings are parsed straight off URL.RawQuery
 //     (parseEstimateQuery) without materializing url.Values: zero
@@ -36,6 +37,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
 
@@ -87,15 +89,17 @@ func putBuf(b *[]byte) {
 }
 
 // batchScratch aggregates every reusable piece of batch handling: the body
-// read buffer, the decoded items, and the two response assembly buffers.
+// read buffer, the decoded items, the two response assembly buffers, and the
+// items' shape tally.
 type batchScratch struct {
 	body  []byte
 	reqs  []estimateInput
 	items []byte
 	out   []byte
+	tally shapeTally
 }
 
-var batchPool = sync.Pool{New: func() any { return new(batchScratch) }}
+var batchPool = sync.Pool{New: func() any { return &batchScratch{tally: newShapeTally()} }}
 
 func getBatchScratch() *batchScratch { return batchPool.Get().(*batchScratch) }
 
@@ -107,6 +111,7 @@ func putBatchScratch(s *batchScratch) {
 	s.reqs = s.reqs[:0]
 	s.items = s.items[:0]
 	s.out = s.out[:0]
+	s.tally.reset()
 	batchPool.Put(s)
 }
 
@@ -459,6 +464,9 @@ func unhex(c byte) (byte, bool) {
 
 // --- batch body decoding ----------------------------------------------------
 
+// errControlChar rejects a raw control byte inside a string, as JSON requires.
+var errControlChar = errors.New("invalid batch JSON: control character in string")
+
 // jsonScanner is a minimal JSON reader over one string. It understands
 // exactly the BatchRequest grammar; strings without escapes and all number
 // tokens come back as substrings of the input, so decoding a batch costs one
@@ -507,23 +515,45 @@ func (sc *jsonScanner) literal(word string) error {
 	return nil
 }
 
-// str reads a JSON string. The no-escape fast path returns a substring; the
-// escape path decodes into a fresh string (rare for identifier-like values).
+// plainStringByte marks the bytes str's fast path steps over: printable
+// ASCII other than the quote and the backslash.
+var plainStringByte = func() (t [256]bool) {
+	for c := 0x20; c < utf8.RuneSelf; c++ {
+		t[c] = c != '"' && c != '\\'
+	}
+	return t
+}()
+
+// str reads a JSON string. The fast path — no escapes, valid UTF-8 — returns
+// a substring; the slow path decodes into a fresh string (rare for
+// identifier-like values). Either way a string is read in one pass.
 func (sc *jsonScanner) str() (string, error) {
 	if err := sc.expect('"'); err != nil {
 		return "", err
 	}
-	start := sc.i
-	for sc.i < len(sc.s) {
-		switch sc.s[sc.i] {
-		case '"':
-			out := sc.s[start:sc.i]
-			sc.i++
-			return out, nil
-		case '\\':
+	s, start := sc.s, sc.i // locals keep the loop in registers
+	for i := start; i < len(s); {
+		c := s[i]
+		if plainStringByte[c] {
+			i++
+			continue
+		}
+		switch {
+		case c == '"':
+			sc.i = i + 1
+			return s[start:i], nil
+		case c == '\\':
+			sc.i = i
 			return sc.strSlow(start)
+		case c < 0x20:
+			return "", errControlChar
 		default:
-			sc.i++
+			r, size := utf8.DecodeRuneInString(s[i:])
+			if r == utf8.RuneError && size == 1 {
+				sc.i = i
+				return sc.strSlow(start)
+			}
+			i += size
 		}
 	}
 	return "", errors.New("invalid batch JSON: unterminated string")
@@ -573,7 +603,7 @@ func (sc *jsonScanner) strSlow(start int) (string, error) {
 				return "", fmt.Errorf("invalid batch JSON: bad escape \\%c", e)
 			}
 		case c < 0x20:
-			return "", errors.New("invalid batch JSON: control character in string")
+			return "", errControlChar
 		default:
 			r, size := utf8.DecodeRuneInString(sc.s[sc.i:])
 			b.WriteRune(r) // invalid UTF-8 becomes U+FFFD, as encoding/json does
@@ -625,40 +655,106 @@ func (sc *jsonScanner) hex4() (rune, error) {
 	return r, nil
 }
 
-// numberToken scans one JSON number, returning it as a substring for
-// strconv; ParseInt/ParseFloat validate the digits exactly as the reflection
-// decoder did.
+// numberToken scans one JSON number, -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?,
+// returning it as a substring for strconv; ParseInt/ParseFloat then convert
+// it exactly as the reflection decoder did. A leading zero ends the integer
+// part, so "05" leaves "5" to fail as a stray token.
 func (sc *jsonScanner) numberToken() (string, error) {
 	sc.skipSpace()
 	start := sc.i
 	if sc.i < len(sc.s) && sc.s[sc.i] == '-' {
 		sc.i++
 	}
-	if sc.i >= len(sc.s) || sc.s[sc.i] < '0' || sc.s[sc.i] > '9' {
+	if sc.i < len(sc.s) && sc.s[sc.i] == '0' {
+		sc.i++
+	} else if sc.digits() == 0 {
 		return "", fmt.Errorf("invalid batch JSON: expected number at offset %d", start)
 	}
-	for sc.i < len(sc.s) {
-		switch c := sc.s[sc.i]; {
-		case c >= '0' && c <= '9', c == '.', c == 'e', c == 'E', c == '+', c == '-':
-			sc.i++
-		default:
-			return sc.s[start:sc.i], nil
+	if sc.i < len(sc.s) && sc.s[sc.i] == '.' {
+		sc.i++
+		if sc.digits() == 0 {
+			return "", fmt.Errorf("invalid batch JSON: expected digit after decimal point at offset %d", sc.i)
 		}
 	}
-	return sc.s[start:], nil
+	if sc.i < len(sc.s) && (sc.s[sc.i] == 'e' || sc.s[sc.i] == 'E') {
+		sc.i++
+		if sc.i < len(sc.s) && (sc.s[sc.i] == '+' || sc.s[sc.i] == '-') {
+			sc.i++
+		}
+		if sc.digits() == 0 {
+			return "", fmt.Errorf("invalid batch JSON: expected exponent digit at offset %d", sc.i)
+		}
+	}
+	return sc.s[start:sc.i], nil
+}
+
+// digits consumes a run of decimal digits and reports its length.
+func (sc *jsonScanner) digits() int {
+	start := sc.i
+	for sc.i < len(sc.s) && sc.s[sc.i] >= '0' && sc.s[sc.i] <= '9' {
+		sc.i++
+	}
+	return sc.i - start
+}
+
+// itemField resolves a key inside a batch item to the EstimateRequest field
+// it sets, matching the way encoding/json matches struct fields: an exact
+// name first (compared inline), else a name under its case folding (see
+// foldField). An unknown key resolves to "".
+func itemField(key string) string {
+	switch key {
+	case "table", "column", "b", "sigma", "s", "detail":
+		return key
+	}
+	return foldField(key, "table", "column", "b", "sigma", "s", "detail")
+}
+
+// foldField returns the name in names that key matches under
+// encoding/json's field-name folding, which maps every rune r to
+// unicode.ToUpper(unicode.ToLower(r)) — so "Sigma", "SIGMA" and "ſigma"
+// (U+017F) all name sigma — or "" when none does.
+func foldField(key string, names ...string) string {
+	for _, name := range names {
+		if foldsTo(key, name) {
+			return name
+		}
+	}
+	return ""
+}
+
+// foldsTo reports whether key folds to the lower-case ASCII name.
+func foldsTo(key, name string) bool {
+	j := 0
+	for _, r := range key {
+		if j == len(name) || unicode.ToUpper(unicode.ToLower(r)) != unicode.ToUpper(rune(name[j])) {
+			return false
+		}
+		j++
+	}
+	return j == len(name)
 }
 
 // decodeBatchBody parses {"requests":[...]} into scratch.reqs, enforcing
 // maxBatch while scanning so an oversized batch fails before its tail is
-// parsed. It accepts what the old DisallowUnknownFields json.Decoder
-// accepted: unknown fields are errors, null field values are no-ops
-// (a null s keeps the "no sargable predicates" default), duplicate fields
-// last-win, and trailing data after the document is ignored (json.Decoder
-// reads exactly one value).
+// parsed. It accepts exactly what the old DisallowUnknownFields json.Decoder
+// accepted, and decodes it to the same items: unknown fields are errors,
+// field names match case-insensitively, null field values are no-ops except
+// on s (a nil S: no sargable predicates), a null body or item is an empty
+// one, duplicate fields last-win — a repeated "requests" merges into the
+// items the earlier one left — and trailing data after the document is
+// ignored (json.Decoder reads exactly one value). FuzzDecodeBatchBody holds
+// it to that.
 func decodeBatchBody(body string, maxBatch int, scratch *batchScratch) error {
 	sc := jsonScanner{s: body}
-	if sc.peek() == 0 {
+	scratch.reqs = scratch.reqs[:0]
+	switch sc.peek() {
+	case 0:
 		return errors.New("decode request body: empty body")
+	case 'n':
+		if err := sc.literal("null"); err != nil {
+			return fmt.Errorf("decode request body: %w", err)
+		}
+		return nil
 	}
 	if err := sc.expect('{'); err != nil {
 		return fmt.Errorf("decode request body: %w", err)
@@ -667,6 +763,7 @@ func decodeBatchBody(body string, maxBatch int, scratch *batchScratch) error {
 		sc.i++
 		return nil
 	}
+	backing := 0 // items json's backing array holds; see decodeRequestsArray
 	for {
 		key, err := sc.str()
 		if err != nil {
@@ -675,9 +772,9 @@ func decodeBatchBody(body string, maxBatch int, scratch *batchScratch) error {
 		if err := sc.expect(':'); err != nil {
 			return fmt.Errorf("decode request body: %w", err)
 		}
-		switch key {
+		switch foldField(key, "requests") {
 		case "requests":
-			if err := decodeRequestsArray(&sc, maxBatch, scratch); err != nil {
+			if err := decodeRequestsArray(&sc, maxBatch, scratch, &backing); err != nil {
 				return err
 			}
 		default:
@@ -695,28 +792,40 @@ func decodeBatchBody(body string, maxBatch int, scratch *batchScratch) error {
 	}
 }
 
-func decodeRequestsArray(sc *jsonScanner, maxBatch int, scratch *batchScratch) error {
-	if sc.peek() == 'n' { // "requests": null
+// decodeRequestsArray decodes one "requests" value. encoding/json decodes a
+// repeated "requests" into the slice the earlier one filled: item i merges
+// into the old item i, and an item past the current length but within the
+// longest earlier array revives the element its backing array still holds.
+// *backing tracks that high-water mark; null or [] starts a fresh slice.
+func decodeRequestsArray(sc *jsonScanner, maxBatch int, scratch *batchScratch, backing *int) error {
+	if sc.peek() == 'n' {
 		if err := sc.literal("null"); err != nil {
 			return fmt.Errorf("decode request body: %w", err)
 		}
-		scratch.reqs = scratch.reqs[:0]
+		scratch.reqs, *backing = scratch.reqs[:0], 0
 		return nil
 	}
 	if err := sc.expect('['); err != nil {
 		return fmt.Errorf("decode request body: %w", err)
 	}
-	scratch.reqs = scratch.reqs[:0]
 	if sc.peek() == ']' {
 		sc.i++
+		scratch.reqs, *backing = scratch.reqs[:0], 0
 		return nil
 	}
-	for {
-		if maxBatch > 0 && len(scratch.reqs) >= maxBatch {
+	for n := 0; ; n++ {
+		if maxBatch > 0 && n >= maxBatch {
 			return fmt.Errorf("%w %d", ErrBatchTooLarge, maxBatch)
 		}
-		scratch.reqs = append(scratch.reqs, estimateInput{s: 1})
-		if err := decodeBatchItem(sc, &scratch.reqs[len(scratch.reqs)-1]); err != nil {
+		switch {
+		case n < len(scratch.reqs):
+		case n < *backing:
+			scratch.reqs = scratch.reqs[:n+1]
+		default:
+			scratch.reqs = append(scratch.reqs, estimateInput{s: 1})
+			*backing = n + 1
+		}
+		if err := decodeBatchItem(sc, &scratch.reqs[n]); err != nil {
 			return err
 		}
 		switch sc.peek() {
@@ -724,6 +833,7 @@ func decodeRequestsArray(sc *jsonScanner, maxBatch int, scratch *batchScratch) e
 			sc.i++
 		case ']':
 			sc.i++
+			scratch.reqs = scratch.reqs[:n+1]
 			return nil
 		default:
 			return fmt.Errorf("decode request body: invalid batch JSON at offset %d", sc.i)
@@ -731,9 +841,19 @@ func decodeRequestsArray(sc *jsonScanner, maxBatch int, scratch *batchScratch) e
 	}
 }
 
+// decodeBatchItem decodes one item into out, over whatever out holds: a
+// field the item omits, or a null item, leaves out's value.
 func decodeBatchItem(sc *jsonScanner, out *estimateInput) error {
-	if err := sc.expect('{'); err != nil {
-		return fmt.Errorf("decode request body: %w", err)
+	switch sc.peek() {
+	case 'n':
+		if err := sc.literal("null"); err != nil {
+			return fmt.Errorf("decode request body: %w", err)
+		}
+		return nil
+	case '{':
+		sc.i++
+	default:
+		return fmt.Errorf("decode request body: invalid batch JSON: expected '{' at offset %d", sc.i)
 	}
 	if sc.peek() == '}' {
 		sc.i++
@@ -753,14 +873,14 @@ func decodeBatchItem(sc *jsonScanner, out *estimateInput) error {
 				return fmt.Errorf("decode request body: %w", err)
 			}
 		}
-		switch key {
+		switch name := itemField(key); name {
 		case "table", "column":
 			if !null {
 				v, err := sc.str()
 				if err != nil {
-					return fmt.Errorf("decode request body: field %s: %w", key, err)
+					return fmt.Errorf("decode request body: field %s: %w", name, err)
 				}
-				if key == "table" {
+				if name == "table" {
 					out.table = v
 				} else {
 					out.column = v
@@ -777,20 +897,24 @@ func decodeBatchItem(sc *jsonScanner, out *estimateInput) error {
 				}
 			}
 		case "sigma", "s":
-			if !null {
-				tok, err := sc.numberToken()
-				if err != nil {
-					return fmt.Errorf("decode request body: field %s: %w", key, err)
+			if null {
+				if name == "s" {
+					out.s = 1 // json resets the *float64 to nil
 				}
-				v, err := strconv.ParseFloat(tok, 64)
-				if err != nil {
-					return fmt.Errorf("decode request body: cannot decode number %q into field %s", tok, key)
-				}
-				if key == "sigma" {
-					out.sigma = v
-				} else {
-					out.s = v
-				}
+				break
+			}
+			tok, err := sc.numberToken()
+			if err != nil {
+				return fmt.Errorf("decode request body: field %s: %w", name, err)
+			}
+			v, err := strconv.ParseFloat(tok, 64)
+			if err != nil {
+				return fmt.Errorf("decode request body: cannot decode number %q into field %s", tok, name)
+			}
+			if name == "sigma" {
+				out.sigma = v
+			} else {
+				out.s = v
 			}
 		case "detail":
 			if !null {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -156,7 +157,8 @@ func TestEstimateResponseBytesMatchOldCodec(t *testing.T) {
 }
 
 // TestBatchResponseBytesMatchOldCodec does the same for the batch route,
-// mixing successful items, per-item 400s, and per-item 404s.
+// mixing successful items, per-item 400s, and per-item 404s. Batch items skip
+// the memo, so every estimate reports cached:false — a repeated item too.
 func TestBatchResponseBytesMatchOldCodec(t *testing.T) {
 	srv, store, st := newTestServer(t)
 	sarg := 0.5
@@ -165,11 +167,18 @@ func TestBatchResponseBytesMatchOldCodec(t *testing.T) {
 		{Table: st.Table, Column: st.Column, B: 128, Sigma: 0.2, S: &sarg, Detail: true},
 		{Table: st.Table, Column: st.Column, B: 0, Sigma: 0.05},  // per-item 400
 		{Table: "nosuch", Column: "idx", B: 64, Sigma: 0.05},     // per-item 404
-		{Table: st.Table, Column: st.Column, B: 64, Sigma: 0.05}, // repeat: cached
+		{Table: st.Table, Column: st.Column, B: 64, Sigma: 0.05}, // repeat of item 0
 	}}
 	body, err := json.Marshal(breq)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Warm the memo with item 0's shape through the single route: the batch
+	// must still compute it afresh.
+	warm := httptest.NewRecorder()
+	srv.ServeHTTP(warm, httptest.NewRequest(http.MethodGet, "/v1/estimate?table=orders&column=key&b=64&sigma=0.05", nil))
+	if warm.Code != http.StatusOK {
+		t.Fatalf("warm-up status %d body %s", warm.Code, warm.Body.String())
 	}
 	rec := httptest.NewRecorder()
 	req := httptest.NewRequest(http.MethodPost, "/v1/estimate/batch", bytes.NewReader(body))
@@ -184,19 +193,18 @@ func TestBatchResponseBytesMatchOldCodec(t *testing.T) {
 	want := BatchResponse{Count: len(breq.Requests), Generation: snap.Generation(), Items: make([]BatchItem, len(breq.Requests))}
 	for i, r := range breq.Requests {
 		in := estimateInput{table: r.Table, column: r.Column, b: r.B, sigma: r.Sigma, s: r.sarg(), detail: r.Detail}
-		var res estimateResult
-		if err := srv.estimate(snap, &in, &res, nil); err != nil {
+		var est core.Estimate
+		if err := estimateInto(snap, &in, &est); err != nil {
 			want.Items[i] = BatchItem{Error: err.Error(), Status: statusOf(err)}
 			want.Failed++
 			continue
 		}
 		item := EstimateResponse{
 			Table: r.Table, Column: r.Column, B: r.B, Sigma: r.Sigma, S: in.s,
-			Fetches: res.est.F, Generation: res.gen, Cached: true, // all warmed by the served batch
+			Fetches: est.F, Generation: snap.Generation(),
 		}
 		if r.Detail {
-			d := res.est
-			item.Detail = &d
+			item.Detail = &est
 		}
 		want.Items[i] = BatchItem{Estimate: &item}
 	}
@@ -205,28 +213,18 @@ func TestBatchResponseBytesMatchOldCodec(t *testing.T) {
 		t.Fatal(err)
 	}
 	got := rec.Body.Bytes()
-	// The served batch ran first, so its items 0/1/3(second occurrence) were
-	// misses; normalize by comparing structurally for the cached flag, then
-	// byte-compare with the flags the server actually reported.
+	if !bytes.Equal(got, buf.Bytes()) {
+		t.Errorf("batch bytes differ:\n got  %s\n want %s", got, buf.Bytes())
+	}
+	// And neither item 0 nor its repeat was served from the memo.
 	var served BatchResponse
 	if err := json.Unmarshal(got, &served); err != nil {
 		t.Fatal(err)
 	}
-	for i := range want.Items {
-		if want.Items[i].Estimate != nil {
-			want.Items[i].Estimate.Cached = served.Items[i].Estimate.Cached
+	for _, i := range []int{0, 4} {
+		if served.Items[i].Estimate.Cached {
+			t.Errorf("batch item %d reports cached:true; batch items bypass the memo", i)
 		}
-	}
-	buf.Reset()
-	if err := json.NewEncoder(&buf).Encode(want); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, buf.Bytes()) {
-		t.Errorf("batch bytes differ:\n got  %s\n want %s", got, buf.Bytes())
-	}
-	// And the repeat of item 0 must have been served from the memo.
-	if !served.Items[4].Estimate.Cached {
-		t.Error("repeated batch item was not served from the memo cache")
 	}
 }
 
@@ -289,26 +287,40 @@ func TestAppendBatchRequestMatchesEncodingJSON(t *testing.T) {
 
 // --- batch body decoder -----------------------------------------------------
 
+// decodedBodies are batch bodies encoding/json accepts. The rows after the
+// first block are cases an earlier decoder got wrong.
+var decodedBodies = []string{
+	`{"requests":[]}`,
+	`{}`,
+	`{"requests":null}`,
+	`{"requests":[{"table":"orders","column":"key","b":64,"sigma":0.05}]}`,
+	`{"requests":[{"table":"orders","column":"key","b":64,"sigma":0.05,"s":0.25,"detail":true}]}`,
+	`{"requests":[{"table":"orders","column":"key","b":64,"sigma":0.05,"s":null}]}`,
+	`{"requests":[{"b":-3,"sigma":1e-3,"table":"t","column":"c","detail":false}]}`,
+	`{"requests":[{"table":"esc\"aped\u0041\t","column":"日本\u2028","b":1,"sigma":1}]}`,
+	`{"requests":[{"table":"dup","column":"x","b":1,"b":2,"sigma":0.5}]}`,
+	"{\n  \"requests\" : [ { \"table\" : \"w s\" , \"column\" : \"c\" , \"b\" : 9007199254740993 , \"sigma\" : 0.3333333333333333 } ]\n}",
+	`{"requests":[{"table":"a","column":"b","b":1,"sigma":0.1},{"table":"c","column":"d","b":2,"sigma":0.2,"s":1e-6}]}`,
+	`{"requests":[{"table":null,"column":null,"b":null,"sigma":null,"detail":null}]}`,
+	`{"requests":[{"table":"\ud83d\ude00","column":"\ud800","b":1,"sigma":0}]}`,
+	`{"requests":[{"table":"t","column":"c","b":-0,"sigma":0.5E+1,"s":1.25e-1}]}`,
+	`{"requests":[{"b":1}],"requests":[],"requests":[{},{}]}`, // [] starts afresh
+
+	`{"requests":[null]}`, // a null item is an empty one
+	`{"requests":[{"Table":"t","COLUMN":"c","B":1,"Sigma":0.5,"S":0.5,"Detail":true}]}`, // names fold case
+	`{"Requests":[{"table":"t","column":"c","b":1,"sigma":0.5}]}`,
+	`{"requests":[{"table":"t","column":"c","b":1,"ſigma":0.5}]}`,                        // U+017F folds to S
+	"{\"requests\":[{\"table\":\"a\xffb\",\"column\":\"c\xc3\",\"b\":1,\"sigma\":0.5}]}", // invalid UTF-8 becomes U+FFFD
+	`{"requests":[{"table":"t","column":"c","b":1,"sigma":0.5,"s":0.5,"s":null}]}`,       // a null s resets S to nil
+	`{"requests":[{"b":1},{"b":2}],"requests":[{"sigma":0.5}],"requests":[{},{}]}`,       // repeats merge, revive
+	` null `, // json.Decoder leaves the request empty
+}
+
 // TestDecodeBatchBodyMatchesEncodingJSON decodes a range of valid bodies with
 // both the streaming scanner and the old json.Decoder and requires identical
 // resolved inputs.
 func TestDecodeBatchBodyMatchesEncodingJSON(t *testing.T) {
-	bodies := []string{
-		`{"requests":[]}`,
-		`{}`,
-		`{"requests":null}`,
-		`{"requests":[{"table":"orders","column":"key","b":64,"sigma":0.05}]}`,
-		`{"requests":[{"table":"orders","column":"key","b":64,"sigma":0.05,"s":0.25,"detail":true}]}`,
-		`{"requests":[{"table":"orders","column":"key","b":64,"sigma":0.05,"s":null}]}`,
-		`{"requests":[{"b":-3,"sigma":1e-3,"table":"t","column":"c","detail":false}]}`,
-		`{"requests":[{"table":"esc\"aped\u0041\t","column":"日本\u2028","b":1,"sigma":1}]}`,
-		`{"requests":[{"table":"dup","column":"x","b":1,"b":2,"sigma":0.5}]}`,
-		"{\n  \"requests\" : [ { \"table\" : \"w s\" , \"column\" : \"c\" , \"b\" : 9007199254740993 , \"sigma\" : 0.3333333333333333 } ]\n}",
-		`{"requests":[{"table":"a","column":"b","b":1,"sigma":0.1},{"table":"c","column":"d","b":2,"sigma":0.2,"s":1e-6}]}`,
-		`{"requests":[{"table":null,"column":null,"b":null,"sigma":null,"detail":null}]}`,
-		`{"requests":[{"table":"\ud83d\ude00","column":"\ud800","b":1,"sigma":0}]}`,
-	}
-	for _, body := range bodies {
+	for _, body := range decodedBodies {
 		var old BatchRequest
 		dec := json.NewDecoder(strings.NewReader(body))
 		dec.DisallowUnknownFields()
@@ -320,48 +332,107 @@ func TestDecodeBatchBodyMatchesEncodingJSON(t *testing.T) {
 			t.Errorf("decodeBatchBody(%s): %v", body, err)
 			continue
 		}
-		if len(scratch.reqs) != len(old.Requests) {
-			t.Errorf("%s: %d items, encoding/json %d", body, len(scratch.reqs), len(old.Requests))
-			continue
-		}
-		for i, r := range old.Requests {
-			want := estimateInput{table: r.Table, column: r.Column, b: r.B, sigma: r.Sigma, s: r.sarg(), detail: r.Detail}
-			if got := scratch.reqs[i]; got != want {
-				t.Errorf("%s item %d:\n got  %+v\n want %+v", body, i, got, want)
-			}
+		if d := diffDecoded(scratch.reqs, old.Requests); d != "" {
+			t.Errorf("%s: %s", body, d)
 		}
 	}
 }
 
+// diffDecoded compares decoded inputs with encoding/json's items field by
+// field (a nil S is s = 1) and describes the first difference.
+func diffDecoded(got []estimateInput, want []EstimateRequest) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d items, encoding/json %d", len(got), len(want))
+	}
+	for i, r := range want {
+		w := estimateInput{table: r.Table, column: r.Column, b: r.B, sigma: r.Sigma, s: r.sarg(), detail: r.Detail}
+		if got[i] != w {
+			return fmt.Sprintf("item %d:\n got  %+v\n want %+v", i, got[i], w)
+		}
+	}
+	return ""
+}
+
+// rejectedBodies are batch bodies encoding/json rejects, with a fragment of
+// the error decodeBatchBody must give. The rows after the first block are
+// cases an earlier decoder accepted.
+var rejectedBodies = []struct {
+	body     string
+	fragment string
+}{
+	{``, "decode request body"},
+	{`[]`, "decode request body"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":0.1}`, "decode request body"},
+	{`{"unknown":1}`, `unknown field "unknown"`},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":0.1,"extra":true}]}`, `unknown field "extra"`},
+	{`{"requests":[{"table":"t","column":"c","b":"12","sigma":0.1}]}`, "decode request body"},
+	{`{"requests":[{"table":"t","column":"c","b":1.5,"sigma":0.1}]}`, "field b"},
+	{`{"requests":[{"table":"t","column":"c","b":1e3,"sigma":0.1}]}`, "field b"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":1e999}]}`, "field sigma"},
+	{`{"requests":[{"table":12,"column":"c","b":1,"sigma":0.1}]}`, "decode request body"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":NaN}]}`, "decode request body"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":0.1,"detail":"yes"}]}`, "field detail"},
+	{`nul`, "decode request body"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigmax":0.1}]}`, `unknown field "sigmax"`},
+
+	{"{\"requests\":[{\"table\":\"a\tb\",\"column\":\"c\",\"b\":1,\"sigma\":0.1}]}", "control character"},
+	{"{\"requests\":[{\"table\":\"t\",\"column\":\"a\x01b\",\"b\":1,\"sigma\":0.1}]}", "control character"},
+	{`{"requests":[{"table":"t","column":"c","b":05,"sigma":0.1}]}`, "invalid batch JSON at offset"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":-01}]}`, "invalid batch JSON at offset"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":1.}]}`, "digit after decimal point"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":1.e5}]}`, "digit after decimal point"},
+	{`{"requests":[{"table":"t","column":"c","b":1,"sigma":1e+}]}`, "exponent digit"},
+}
+
 func TestDecodeBatchBodyRejections(t *testing.T) {
-	for _, c := range []struct {
-		body     string
-		fragment string
-	}{
-		{``, "decode request body"},
-		{`[]`, "decode request body"},
-		{`{"requests":[{"table":"t","column":"c","b":1,"sigma":0.1}`, "decode request body"},
-		{`{"unknown":1}`, `unknown field "unknown"`},
-		{`{"requests":[{"table":"t","column":"c","b":1,"sigma":0.1,"extra":true}]}`, `unknown field "extra"`},
-		{`{"requests":[{"table":"t","column":"c","b":"12","sigma":0.1}]}`, "decode request body"},
-		{`{"requests":[{"table":"t","column":"c","b":1.5,"sigma":0.1}]}`, "field b"},
-		{`{"requests":[{"table":"t","column":"c","b":1e3,"sigma":0.1}]}`, "field b"},
-		{`{"requests":[{"table":"t","column":"c","b":1,"sigma":1e999}]}`, "field sigma"},
-		{`{"requests":[{"table":12,"column":"c","b":1,"sigma":0.1}]}`, "decode request body"},
-		{`{"requests":[{"table":"t","column":"c","b":1,"sigma":NaN}]}`, "decode request body"},
-		{`{"requests":[{"table":"t","column":"c","b":1,"sigma":0.1,"detail":"yes"}]}`, "field detail"},
-	} {
+	for _, c := range rejectedBodies {
+		dec := json.NewDecoder(strings.NewReader(c.body))
+		dec.DisallowUnknownFields()
+		if err := dec.Decode(new(BatchRequest)); err == nil {
+			t.Fatalf("encoding/json accepted fixture %s", c.body)
+		}
 		if err := decodeBatchBody(c.body, 1024, &batchScratch{}); err == nil {
 			t.Errorf("decodeBatchBody(%s) accepted", c.body)
 		} else if !strings.Contains(err.Error(), c.fragment) {
 			t.Errorf("decodeBatchBody(%s) = %q, want fragment %q", c.body, err, c.fragment)
 		}
 	}
-	// The batch limit is enforced while scanning.
-	err := decodeBatchBody(`{"requests":[{"b":1},{"b":2},{"b":3}]}`, 2, &batchScratch{})
+	// The batch limit is enforced while scanning; null items count.
+	err := decodeBatchBody(`{"requests":[{"b":1},null,{"b":3}]}`, 2, &batchScratch{})
 	if err == nil || !strings.Contains(err.Error(), "exceeds limit 2") {
 		t.Errorf("limit breach = %v", err)
 	}
+}
+
+// FuzzDecodeBatchBody holds decodeBatchBody to the decoder it replaced,
+// encoding/json with DisallowUnknownFields into BatchRequest: both accept or
+// both reject, and an accepted body decodes to the same items. The limit is
+// off, since json has none.
+func FuzzDecodeBatchBody(f *testing.F) {
+	for _, body := range decodedBodies {
+		f.Add(body)
+	}
+	for _, c := range rejectedBodies {
+		f.Add(c.body)
+	}
+	f.Add(string(batch64Body(f)))
+	f.Fuzz(func(t *testing.T, body string) {
+		var want BatchRequest
+		dec := json.NewDecoder(strings.NewReader(body))
+		dec.DisallowUnknownFields()
+		wantErr := dec.Decode(&want)
+		scratch := &batchScratch{}
+		err := decodeBatchBody(body, math.MaxInt, scratch)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("decodeBatchBody error %v, encoding/json error %v", err, wantErr)
+		}
+		if err != nil {
+			return
+		}
+		if d := diffDecoded(scratch.reqs, want.Requests); d != "" {
+			t.Fatal(d)
+		}
+	})
 }
 
 // --- query parsing ----------------------------------------------------------

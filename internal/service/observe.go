@@ -26,6 +26,9 @@ const (
 // microsecond while disk-touching mutations run to milliseconds.
 var latencyBuckets = obs.ExpBuckets(1e-6, 4, 12)
 
+// pageBuckets spans requested buffer sizes B from one page to 2^24 pages.
+var pageBuckets = obs.Pow2Buckets(0, 24)
+
 // sigmaBuckets covers the selectivity fraction domain (0, 1]; values above 1
 // land in +Inf and flag malformed traffic.
 var sigmaBuckets = []float64{0.0001, 0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 1}
@@ -125,7 +128,7 @@ func newServerObs(s *Server, cfg Config, routes []string) *serverObs {
 	}
 
 	o.bufferPages = o.reg.Histogram("epfis_estimate_buffer_pages",
-		"Requested LRU buffer capacity B across estimate calls.", obs.Pow2Buckets(0, 24))
+		"Requested LRU buffer capacity B across estimate calls.", pageBuckets)
 	o.sigmaDist = o.reg.Histogram("epfis_estimate_sigma",
 		"Requested selectivity fraction sigma across estimate calls.", sigmaBuckets)
 	o.breakerTransitions = o.reg.Counter("epfis_breaker_transitions_total",
@@ -261,11 +264,56 @@ func (o *serverObs) observeRoute(ro *routeObs, status int, d time.Duration) {
 func (o *serverObs) observeEstimate(table, column string, b int64, sigma float64) {
 	o.bufferPages.Observe(float64(b))
 	o.sigmaDist.Observe(sigma)
-	if m := o.idx.Load(); m != nil {
-		if c := (*m)[obsIndexKey{table: table, column: column}]; c != nil {
-			c.Inc()
-		}
+	if c := o.indexCounters()[obsIndexKey{table: table, column: column}]; c != nil {
+		c.Inc()
 	}
+}
+
+// indexCounters returns the published per-index estimate counters (nil
+// before the first sync). A batch loads it once for all its items.
+func (o *serverObs) indexCounters() map[obsIndexKey]*obs.Counter {
+	if m := o.idx.Load(); m != nil {
+		return *m
+	}
+	return nil
+}
+
+// shapeTally holds a batch's observations for observeEstimate's two
+// histograms, counted locally: the shared histograms then take one bulk add
+// per batch, not a bucket add, a count add and a sum CAS per item on cache
+// lines every serving goroutine writes. The count slices parallel the
+// buckets of bufferPages and sigmaDist.
+type shapeTally struct {
+	pages, sigma       []uint64
+	pagesSum, sigmaSum float64
+}
+
+func newShapeTally() shapeTally {
+	return shapeTally{
+		pages: make([]uint64, len(pageBuckets)+1),
+		sigma: make([]uint64, len(sigmaBuckets)+1),
+	}
+}
+
+func (t *shapeTally) reset() {
+	clear(t.pages)
+	clear(t.sigma)
+	t.pagesSum, t.sigmaSum = 0, 0
+}
+
+// tally records one requested (B, sigma) point into t.
+func (o *serverObs) tally(t *shapeTally, b int64, sigma float64) {
+	pages := float64(b)
+	t.pages[o.bufferPages.Bucket(pages)]++
+	t.pagesSum += pages
+	t.sigma[o.sigmaDist.Bucket(sigma)]++
+	t.sigmaSum += sigma
+}
+
+// flushTally adds t to the shared histograms.
+func (o *serverObs) flushTally(t *shapeTally) {
+	o.bufferPages.AddCounts(t.pages, t.pagesSum)
+	o.sigmaDist.AddCounts(t.sigma, t.sigmaSum)
 }
 
 // syncIndexes registers estimate counters for catalog entries that lack one

@@ -1,17 +1,22 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"epfis/internal/catalog"
 	"epfis/internal/obs"
+	"epfis/internal/stats"
 )
 
 // newObsServer builds a server with every request flagged slow, so one
@@ -452,5 +457,153 @@ func TestSlowTraceThreshold(t *testing.T) {
 	total, slow := srv.obs.ring.Totals()
 	if total == 0 || slow != 0 {
 		t.Fatalf("totals = %d/%d, want >0 total and 0 slow", total, slow)
+	}
+}
+
+// estimateSeries scrapes srv's Prometheus exposition and returns its
+// estimate-shape histograms and estimate counters as series → value.
+func estimateSeries(t *testing.T, srv *Server) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	fams, err := obs.ParseExposition(rec.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]float64)
+	for _, f := range fams {
+		switch f.Name {
+		case "epfis_estimate_buffer_pages", "epfis_estimate_sigma",
+			"epfis_estimates_total", "epfis_index_estimates_total":
+			for _, s := range f.Samples {
+				out[s.Name+s.CanonicalLabels()] = s.Value
+			}
+		}
+	}
+	return out
+}
+
+// serveBatch serves one batch in process and returns its decoded response.
+func serveBatch(t *testing.T, srv *Server, reqs []EstimateRequest) BatchResponse {
+	t.Helper()
+	body, err := json.Marshal(BatchRequest{Requests: reqs})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate/batch", bytes.NewReader(body)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch status %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp BatchResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	return resp
+}
+
+// TestBatchTallyMatchesSingleObservations sends the same items once as a
+// batch and once as single estimates, to two fresh servers. Batch items skip
+// the memo and tally their shapes for one flush per batch; the metrics they
+// leave must equal per-item observation: failed items observed in the shape
+// histograms, only successes in the estimate counters. The σ values are
+// dyadic so both summation orders give exact sums.
+func TestBatchTallyMatchesSingleObservations(t *testing.T) {
+	entries := []*stats.IndexStats{fitStats(t, "orders", "key", 1), fitStats(t, "parts", "id", 2)}
+	newServer := func() *Server {
+		store := catalog.NewStore()
+		for _, e := range entries {
+			if _, err := store.Put(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+		srv, err := New(Config{Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srv
+	}
+	quarter := 0.25
+	items := []EstimateRequest{
+		{Table: "orders", Column: "key", B: 64, Sigma: 0.5},
+		{Table: "parts", Column: "id", B: 1, Sigma: 0.125, S: &quarter},
+		{Table: "orders", Column: "key", B: 3000, Sigma: 0.0625},
+		{Table: "parts", Column: "id", B: 1 << 25, Sigma: 1},  // +Inf pages bucket
+		{Table: "nosuch", Column: "idx", B: 100, Sigma: 0.25}, // 404, still observed
+		{Table: "orders", Column: "key", B: 200, Sigma: 1.5},  // 400, σ in the +Inf bucket
+		{Table: "orders", Column: "key", B: 64, Sigma: 0.5},   // a memo hit as a single
+		{Table: "parts", Column: "id", B: 77, Sigma: 0.75},
+	}
+
+	batchSrv, singleSrv := newServer(), newServer()
+	resp := serveBatch(t, batchSrv, items)
+	if resp.Failed != 2 {
+		t.Fatalf("batch failed %d items, want 2: %+v", resp.Failed, resp.Items)
+	}
+	for _, it := range items {
+		q := url.Values{}
+		q.Set("table", it.Table)
+		q.Set("column", it.Column)
+		q.Set("b", strconv.FormatInt(it.B, 10))
+		q.Set("sigma", strconv.FormatFloat(it.Sigma, 'g', -1, 64))
+		if it.S != nil {
+			q.Set("s", strconv.FormatFloat(*it.S, 'g', -1, 64))
+		}
+		rec := httptest.NewRecorder()
+		singleSrv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/estimate?"+q.Encode(), nil))
+	}
+
+	got, want := estimateSeries(t, batchSrv), estimateSeries(t, singleSrv)
+	if want["epfis_estimate_buffer_pages_count"] != float64(len(items)) ||
+		want["epfis_estimate_sigma_count"] != float64(len(items)) ||
+		want["epfis_estimates_total"] != float64(len(items)-2) {
+		t.Fatalf("singles left unexpected metrics: %v", want)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("batch left %d series, singles %d:\n batch   %v\n singles %v", len(got), len(want), got, want)
+	}
+	for series, v := range want {
+		if got[series] != v {
+			t.Errorf("%s: batch %v, singles %v", series, got[series], v)
+		}
+	}
+	if b, s := batchSrv.met.estimates.Load(), singleSrv.met.estimates.Load(); b != s {
+		t.Errorf("JSON estimates counter: batch %d, singles %d", b, s)
+	}
+
+	// A second batch adds on top of the first: the pooled tally starts empty.
+	serveBatch(t, batchSrv, items)
+	if got := estimateSeries(t, batchSrv); got["epfis_estimate_sigma_count"] != 2*float64(len(items)) ||
+		got["epfis_estimate_buffer_pages_sum"] != 2*want["epfis_estimate_buffer_pages_sum"] {
+		t.Errorf("second batch: %v", got)
+	}
+}
+
+// TestBatchMisdirectedItemsUnobserved covers cluster mode: a batch item this
+// node does not own answers 421 and leaves no trace in the estimate metrics,
+// while owned items (here unknown indexes, so 404s) are observed.
+func TestBatchMisdirectedItemsUnobserved(t *testing.T) {
+	nodes := startCluster(t, 2, 1)
+	self := nodes[0]
+	var owned, foreign []EstimateRequest
+	for i := 0; len(owned) < 2 || len(foreign) < 2; i++ {
+		r := EstimateRequest{Table: fmt.Sprintf("t%d", i), Column: "c", B: int64(10 + i), Sigma: 0.5}
+		if self.node.Owns(r.Table + "." + r.Column) {
+			owned = append(owned, r)
+		} else {
+			foreign = append(foreign, r)
+		}
+	}
+	resp := serveBatch(t, self.srv, []EstimateRequest{foreign[0], owned[0], foreign[1], owned[1]})
+	for i, wantStatus := range []int{http.StatusMisdirectedRequest, http.StatusNotFound, http.StatusMisdirectedRequest, http.StatusNotFound} {
+		if resp.Items[i].Status != wantStatus {
+			t.Fatalf("item %d: status %d, want %d", i, resp.Items[i].Status, wantStatus)
+		}
+	}
+	m := estimateSeries(t, self.srv)
+	if m["epfis_estimate_buffer_pages_count"] != 2 || m["epfis_estimate_sigma_count"] != 2 ||
+		m["epfis_estimate_buffer_pages_sum"] != float64(owned[0].B+owned[1].B) ||
+		m["epfis_estimates_total"] != 0 {
+		t.Errorf("misdirected items observed: %v", m)
 	}
 }

@@ -8,8 +8,9 @@
 //     estimator (core.CompiledEstimator) rather than interpreting the
 //     statistics entry per call;
 //   - a lock-free open-addressed memo cache (CLOCK eviction) absorbs
-//     re-costed identical plan shapes, keyed by (index, generation, B,
-//     sigma, S) so catalog updates invalidate implicitly;
+//     re-costed identical single-estimate shapes, keyed by (index,
+//     generation, B, sigma, S) so catalog updates invalidate implicitly;
+//     batch items bypass it and tally their metrics once per batch;
 //   - the two estimate routes bypass encoding/json entirely: pooled
 //     append-based encoding and a specialized batch decoder (codec.go) keep
 //     the steady-state serving path at a handful of allocations per request
@@ -139,7 +140,8 @@ type Config struct {
 	// Store is the catalog the service reads and writes.
 	Store *catalog.Store
 	// CacheEntries sizes the Est-IO memo cache (total entries across
-	// shards). 0 = DefaultCacheEntries; negative disables memoization.
+	// shards), which serves single estimates only; batch items bypass it.
+	// 0 = DefaultCacheEntries; negative disables memoization.
 	CacheEntries int
 	// RequestTimeout bounds each request's total handling time: through the
 	// http.TimeoutHandler watchdog on routes that can block on I/O, and by
@@ -621,35 +623,46 @@ func (r EstimateRequest) sarg() float64 {
 // EstimateResponse carries the estimate; Fetches is bit-exact with a direct
 // core.EstimateFetches call (JSON float64 encoding round-trips exactly).
 type EstimateResponse struct {
-	Table      string         `json:"table"`
-	Column     string         `json:"column"`
-	B          int64          `json:"b"`
-	Sigma      float64        `json:"sigma"`
-	S          float64        `json:"s"`
-	Fetches    float64        `json:"fetches"`
-	Generation uint64         `json:"generation"`
-	Cached     bool           `json:"cached"`
-	Detail     *core.Estimate `json:"detail,omitempty"`
+	Table      string  `json:"table"`
+	Column     string  `json:"column"`
+	B          int64   `json:"b"`
+	Sigma      float64 `json:"sigma"`
+	S          float64 `json:"s"`
+	Fetches    float64 `json:"fetches"`
+	Generation uint64  `json:"generation"`
+	// Cached reports that the memo cache answered. The memo serves single
+	// estimates only, so Cached is always false on a batch item.
+	Cached bool           `json:"cached"`
+	Detail *core.Estimate `json:"detail,omitempty"`
 }
 
-// estimate resolves statistics against one snapshot and runs (or recalls)
-// Est-IO. It is the shared core of the single and batch endpoints, and the
+// estimateInto resolves in's index against one snapshot and runs Est-IO into
+// est. It is the shared core of the single and batch endpoints, and the
 // allocation-free center of the serving path: inputs and results travel by
-// pointer, the memo key is built field-wise, and the estimator itself is the
-// snapshot's pre-compiled form (flat slices, no interface dispatch) whenever
-// one exists — EstIO interpretation remains only as the fallback for entries
-// whose compilation failed.
+// pointer, and the estimator is the snapshot's pre-compiled form (flat
+// slices, no interface dispatch) whenever one exists — EstIO interpretation
+// remains only as the fallback for entries whose compilation failed.
+func estimateInto(snap *catalog.Snapshot, in *estimateInput, est *core.Estimate) error {
+	input := core.Input{B: in.b, Sigma: in.sigma, S: in.s}
+	if ce, ok := snap.Compiled(in.table, in.column); ok {
+		return ce.EstimateInto(est, input)
+	}
+	entry, err := snap.Get(in.table, in.column)
+	if err != nil {
+		return err
+	}
+	*est, err = core.EstIO(entry, input, core.Options{})
+	return err
+}
+
+// estimate is estimateInto behind the memo cache, for the single-estimate
+// route: it records the request's shape, answers a repeated shape from the
+// memo, and memoizes a fresh answer. The memo key is built field-wise and
+// carries the snapshot generation, so a catalog write invalidates implicitly
+// and a hit can never belong to another generation's statistics. Batch
+// items bypass the memo (see handleBatch).
 func (s *Server) estimate(snap *catalog.Snapshot, in *estimateInput, out *estimateResult, tb *obs.TraceBuf) error {
 	s.obs.observeEstimate(in.table, in.column, in.b, in.sigma)
-	ce, ok := snap.Compiled(in.table, in.column)
-	var entry *stats.IndexStats
-	if !ok {
-		var err error
-		entry, err = snap.Get(in.table, in.column)
-		if err != nil {
-			return err
-		}
-	}
 	out.gen = snap.Generation()
 	out.cached = false
 	key := memoKey{table: in.table, column: in.column, gen: out.gen, b: in.b, sigma: in.sigma, sarg: in.s}
@@ -663,13 +676,7 @@ func (s *Server) estimate(snap *catalog.Snapshot, in *estimateInput, out *estima
 		}
 	}
 	tb.Mark(obs.StageEstimate)
-	var err error
-	if ce != nil {
-		err = ce.EstimateInto(&out.est, core.Input{B: in.b, Sigma: in.sigma, S: in.s})
-	} else {
-		out.est, err = core.EstIO(entry, core.Input{B: in.b, Sigma: in.sigma, S: in.s}, core.Options{})
-	}
-	if err != nil {
+	if err := estimateInto(snap, in, &out.est); err != nil {
 		return err
 	}
 	if s.cache != nil {
@@ -777,13 +784,16 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	// One snapshot for the whole batch: every item is costed against the
 	// same catalog generation even if a writer lands mid-flight.
 	snap := s.store.Snapshot()
+	res := estimateResult{gen: snap.Generation()}
+	idx := s.obs.indexCounters()
 	items := scratch.items[:0]
 	failed := 0
 	// Batch items share one aggregate estimate span (per-item spans would
-	// overflow the fixed buffer and say little); the estimate() internals
-	// pass nil and stay span-silent.
+	// overflow the fixed buffer and say little). They skip the memo: a batch
+	// carries the distinct shapes of one plan enumeration, which a memo
+	// lookup would miss and then pin. Their shapes are tallied in the
+	// scratch and reach the shared histograms in one flush per batch.
 	tb.Mark(obs.StageEstimate)
-	var res estimateResult
 	for i := range scratch.reqs {
 		in := &scratch.reqs[i]
 		if i > 0 {
@@ -798,7 +808,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			failed++
 			continue
 		}
-		if err := s.estimate(snap, in, &res, nil); err != nil {
+		// Observed like a single estimate: failures included.
+		s.obs.tally(&scratch.tally, in.b, in.sigma)
+		if c := idx[obsIndexKey{table: in.table, column: in.column}]; c != nil {
+			c.Inc()
+		}
+		if err := estimateInto(snap, in, &res.est); err != nil {
 			items = appendBatchItemError(items, err.Error(), statusOf(err))
 			failed++
 			continue
@@ -807,6 +822,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items = appendEstimateResponse(items, in, &res)
 		items = append(items, '}')
 	}
+	s.obs.flushTally(&scratch.tally)
+	s.met.estimates.Add(uint64(len(scratch.reqs) - failed))
 	scratch.items = items
 	tb.Mark(obs.StageEncode)
 	out := scratch.out[:0]
