@@ -26,8 +26,9 @@ race:
 # concurrent ingest + readers), commit-abort and recovery invariants, overload
 # shedding, breaker/degraded behaviour, plus recovery fuzz smokes for both the
 # legacy rename store and the WAL log, a fuzz pass over the journal frame
-# decoder every log replays through, and a differential fuzz pass holding the
-# batch body decoder to encoding/json.
+# decoder every log replays through, a differential fuzz pass holding the
+# batch body decoder to encoding/json, and a fuzz pass over the exposition
+# parser federation feeds peer bytes to.
 chaos:
 	$(GO) test -race ./internal/faultfs/ ./internal/resilience/
 	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
@@ -36,6 +37,7 @@ chaos:
 	$(GO) test -run=Fuzz -fuzz=FuzzWALRecovery -fuzztime=20s ./internal/catalog/
 	$(GO) test -run=Fuzz -fuzz=FuzzScan -fuzztime=20s ./internal/framelog/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBatchBody -fuzztime=20s ./internal/service/
+	$(GO) test -run=Fuzz -fuzz=FuzzParseExposition -fuzztime=20s ./internal/obs/
 
 # Network partition drills under the race detector: the deterministic fault
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node
@@ -93,18 +95,21 @@ e2e-smoke:
 	bash bench/run.sh -smoke
 	cd bench && $(GO) test ./...
 
-# Cluster smoke: spawn a 3-node cluster (R=2) on loopback, install an index
-# through one node, verify bit-exact estimates from all three (own vs proxy),
-# verify the checksummed snapshot stream imports, then kill a node and verify
-# the survivors keep serving. See README "Running a cluster".
+# Cluster drills under the race detector, each over in-process nodes on
+# loopback sockets: replicated install with bit-exact serving from every node
+# (own vs proxy), snapshot import, a one-key delta sync, partition and heal to
+# one content hash, and a node killed under load with the survivors staying
+# bit-exact. See README "Running a cluster".
 cluster-check:
-	$(GO) run ./cmd/epfis-clustercheck
+	$(GO) test -race -run '^(TestClusterReplicationAndBitExactServing|TestClusterSnapshotRoute|TestClusterDeltaOneKeyWireCost|TestClusterPartitionHealConvergence|TestClusterChaosKillNodeUnderLoad)$$' \
+		./internal/service/
 
 # Observability smoke: spin up a live service instance and check /metrics in
 # both negotiated formats (the Prometheus exposition is run through the obs
-# format validator), /debug/traces span breakdowns, traceparent echo, and the
-# /healthz build-info fields, all over real HTTP. Point it at a running
-# instance instead with `go run ./cmd/epfis-obscheck -addr localhost:8080`.
+# package's strict parser), /debug/traces span breakdowns, traceparent echo,
+# and the /healthz build-info fields, all over real HTTP. Point it at a
+# running instance instead with `go run ./cmd/epfis-obscheck -addr
+# localhost:8080`.
 obs-check:
 	$(GO) run ./cmd/epfis-obscheck
 

@@ -1,7 +1,7 @@
 // Command epfis-obscheck smoke-tests the estimation service's observability
 // surface end to end over real HTTP: content-negotiated /metrics (the JSON
 // default and both Prometheus forms, with the text exposition run through
-// the obs package's format validator), the /debug/traces ring with its
+// the obs package's strict parser), the /debug/traces ring with its
 // per-stage span breakdown, traceparent echo, and the build-info fields on
 // /healthz.
 //
@@ -213,7 +213,7 @@ func runChecks(ctx context.Context, base string, out io.Writer) error {
 		if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
 			return fmt.Errorf("metrics prom (%s): Content-Type = %q", form.name, ct)
 		}
-		if err := obs.ValidateExposition(raw); err != nil {
+		if _, err := obs.ParseExposition(raw); err != nil {
 			return fmt.Errorf("metrics prom (%s): invalid exposition: %w", form.name, err)
 		}
 		for _, fam := range requiredFamilies {
@@ -357,8 +357,9 @@ type clusterMember struct {
 // runClusterChecks spawns a 3-node fully replicated cluster and checks the
 // distributed observability surfaces: cross-node trace stitching of a
 // replicated PUT, the federated /v1/cluster/metrics exposition, and accuracy
-// telemetry flowing from a streamed ingest scan.
-func runClusterChecks(ctx context.Context, out io.Writer) error {
+// telemetry flowing from a streamed ingest scan. Every node is stopped and
+// waited for before it returns.
+func runClusterChecks(ctx context.Context, out io.Writer) (err error) {
 	const (
 		numNodes = 3
 		// Full replication: every PUT fans out to every node, so the stitched
@@ -379,6 +380,18 @@ func runClusterChecks(ctx context.Context, out io.Writer) error {
 		lns[i] = ln
 		urls[i] = "http://" + ln.Addr().String()
 	}
+	// Registered after the listener closes, so it runs before them: cancel,
+	// wait for every Run and Serve to return, and report a Serve failure.
+	done := make(chan error, 2*numNodes)
+	running := 0
+	defer func() {
+		cancel()
+		for ; running > 0; running-- {
+			if serr := <-done; serr != nil && err == nil {
+				err = fmt.Errorf("cluster node serve: %w", serr)
+			}
+		}
+	}()
 	members := make([]*clusterMember, numNodes)
 	for i := range members {
 		id := fmt.Sprintf("node-%c", 'a'+i)
@@ -398,8 +411,9 @@ func runClusterChecks(ctx context.Context, out io.Writer) error {
 		if err != nil {
 			return err
 		}
-		go node.Run(ctx)
-		go srv.Serve(ctx, lns[i])
+		go func() { node.Run(ctx); done <- nil }()
+		go func(ln net.Listener) { done <- srv.Serve(ctx, ln) }(lns[i])
+		running += 2
 		members[i] = &clusterMember{id: id, base: urls[i], node: node}
 	}
 	client := &http.Client{}
@@ -577,7 +591,7 @@ func federatedScrape(ctx context.Context, client *http.Client, base string, chec
 	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
 		return nil, fmt.Errorf("federated metrics: Content-Type = %q", ct)
 	}
-	if err := obs.ValidateExposition(raw); err != nil {
+	if _, err := obs.ParseExposition(raw); err != nil {
 		return nil, fmt.Errorf("federated metrics: invalid exposition: %w", err)
 	}
 	if err := check(raw); err != nil {

@@ -940,7 +940,8 @@ func (n *Node) DeltaPulls() (ok, fallback uint64) {
 }
 
 // AntiEntropyBytes reports the bytes received over the wire by sync mode —
-// the honest cost ledger the delta-sync gates (bench, clustercheck) read.
+// the honest cost ledger the delta-sync gates (bench, the wire-cost test)
+// read.
 func (n *Node) AntiEntropyBytes() (delta, full uint64) {
 	return n.bytesDelta.Load(), n.bytesFull.Load()
 }

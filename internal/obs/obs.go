@@ -19,9 +19,11 @@
 //     nothing.
 //
 // Exposition is rendered on demand by Registry.AppendText / WriteText in the
-// Prometheus text format (version 0.0.4). ValidateExposition (promlint.go)
-// is a small independent parser for that format, used by the obs-check
-// tooling and tests to keep the writer honest.
+// Prometheus text format (version 0.0.4). ParseExposition (parse.go) is the
+// one reader of that format: a strict parser, independent of the writer,
+// that decodes histogram series back into HistogramSnapshots. Federation
+// reads peer expositions through it, and tests and the obs-check tooling
+// use it to keep the writer honest.
 package obs
 
 import (
@@ -193,7 +195,7 @@ func (s HistogramSnapshot) AppendText(dst []byte, name string, labels []Label) [
 		cum += s.Counts[i]
 		dst = append(dst, name...)
 		dst = append(dst, "_bucket"...)
-		dst = appendLabelsWithLE(dst, labels, bound)
+		dst = appendLabelSet(dst, labels, "le", bound)
 		dst = append(dst, ' ')
 		dst = strconv.AppendUint(dst, cum, 10)
 		dst = append(dst, '\n')
@@ -203,7 +205,7 @@ func (s HistogramSnapshot) AppendText(dst []byte, name string, labels []Label) [
 	}
 	dst = append(dst, name...)
 	dst = append(dst, "_bucket"...)
-	dst = appendLabelsWithLE(dst, labels, math.Inf(1))
+	dst = appendLabelSet(dst, labels, "le", math.Inf(1))
 	dst = append(dst, ' ')
 	dst = strconv.AppendUint(dst, cum, 10)
 	dst = append(dst, '\n')
@@ -403,25 +405,23 @@ func (r *Registry) AppendText(dst []byte) []byte {
 		dst = append(dst, '\n')
 		for i := range f.samples {
 			s := &f.samples[i]
+			var v float64
 			switch {
 			case s.hist != nil:
-				dst = appendHistogram(dst, f.name, s)
-			default:
-				var v float64
-				switch {
-				case s.counter != nil:
-					v = float64(s.counter.Value())
-				case s.gauge != nil:
-					v = float64(s.gauge.Value())
-				case s.fn != nil:
-					v = s.fn()
-				}
-				dst = append(dst, f.name...)
-				dst = append(dst, s.labels...)
-				dst = append(dst, ' ')
-				dst = appendSampleValue(dst, v)
-				dst = append(dst, '\n')
+				dst = s.hist.Snapshot().AppendText(dst, f.name, s.rawLbls)
+				continue
+			case s.counter != nil:
+				v = float64(s.counter.Value())
+			case s.gauge != nil:
+				v = float64(s.gauge.Value())
+			case s.fn != nil:
+				v = s.fn()
 			}
+			dst = append(dst, f.name...)
+			dst = append(dst, s.labels...)
+			dst = append(dst, ' ')
+			dst = appendSampleValue(dst, v)
+			dst = append(dst, '\n')
 		}
 	}
 	return dst
@@ -445,47 +445,6 @@ func (r *Registry) Families() []string {
 	return out
 }
 
-// appendHistogram renders one histogram series: cumulative _bucket lines
-// ending at +Inf, then _sum and _count, all from one consistent bucket read.
-func appendHistogram(dst []byte, name string, s *sample) []byte {
-	h := s.hist
-	counts := make([]uint64, len(h.buckets))
-	for i := range h.buckets {
-		counts[i] = h.buckets[i].Load()
-	}
-	var cum uint64
-	for i, bound := range h.bounds {
-		cum += counts[i]
-		dst = append(dst, name...)
-		dst = append(dst, "_bucket"...)
-		dst = appendLabelsWithLE(dst, s.rawLbls, bound)
-		dst = append(dst, ' ')
-		dst = strconv.AppendUint(dst, cum, 10)
-		dst = append(dst, '\n')
-	}
-	cum += counts[len(counts)-1]
-	dst = append(dst, name...)
-	dst = append(dst, "_bucket"...)
-	dst = appendLabelsWithLE(dst, s.rawLbls, math.Inf(1))
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, cum, 10)
-	dst = append(dst, '\n')
-
-	dst = append(dst, name...)
-	dst = append(dst, "_sum"...)
-	dst = append(dst, s.labels...)
-	dst = append(dst, ' ')
-	dst = appendSampleValue(dst, h.Sum())
-	dst = append(dst, '\n')
-
-	dst = append(dst, name...)
-	dst = append(dst, "_count"...)
-	dst = append(dst, s.labels...)
-	dst = append(dst, ' ')
-	dst = strconv.AppendUint(dst, cum, 10)
-	return append(dst, '\n')
-}
-
 // renderLabels pre-renders a label set; leName non-empty appends le=<bound>.
 func renderLabels(labels []Label, leName string, bound float64) string {
 	if len(labels) == 0 && leName == "" {
@@ -494,10 +453,6 @@ func renderLabels(labels []Label, leName string, bound float64) string {
 	b := make([]byte, 0, 64)
 	b = appendLabelSet(b, labels, leName, bound)
 	return string(b)
-}
-
-func appendLabelsWithLE(dst []byte, labels []Label, bound float64) []byte {
-	return appendLabelSet(dst, labels, "le", bound)
 }
 
 func appendLabelSet(dst []byte, labels []Label, leName string, bound float64) []byte {

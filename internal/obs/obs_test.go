@@ -85,17 +85,55 @@ func TestExpositionValidatesAndEscapes(t *testing.T) {
 		Label{Name: "route", Value: "a"})
 	h.Observe(3e-4)
 	h.Observe(2)
+	u := r.Histogram("epfis_size_pages", "unlabelled \\ sizes\nin pages", []float64{1, 4})
+	u.Observe(3)
+	u.Observe(0.5)
+	u.Observe(3)
+	r.Histogram("epfis_empty_seconds", "never observed", []float64{0.5})
 
 	data := r.AppendText(nil)
-	if err := ValidateExposition(data); err != nil {
-		t.Fatalf("ValidateExposition: %v\n%s", err, data)
+	if _, err := ParseExposition(data); err != nil {
+		t.Fatalf("ParseExposition: %v\n%s", err, data)
 	}
-	text := string(data)
-	if !strings.Contains(text, `route="GET \"/v1/estimate\"\n\\x"`) {
-		t.Fatalf("label escaping wrong:\n%s", text)
-	}
-	if !strings.Contains(text, "# TYPE epfis_lat_seconds histogram") {
-		t.Fatalf("missing histogram TYPE:\n%s", text)
+	// The whole rendering, byte for byte: label and HELP escaping, shortest
+	// float spelling of bounds and sums, labelled, unlabelled and empty
+	// histograms.
+	const want = `# HELP epfis_routes_total requests
+# TYPE epfis_routes_total counter
+epfis_routes_total{route="GET \"/v1/estimate\"\n\\x"} 0
+epfis_routes_total{route="other"} 0
+# HELP epfis_up always one
+# TYPE epfis_up gauge
+epfis_up 1
+# HELP epfis_scraped_total scrape bridge
+# TYPE epfis_scraped_total counter
+epfis_scraped_total 42
+# HELP epfis_lat_seconds latency
+# TYPE epfis_lat_seconds histogram
+epfis_lat_seconds_bucket{route="a",le="1e-06"} 0
+epfis_lat_seconds_bucket{route="a",le="9.999999999999999e-06"} 0
+epfis_lat_seconds_bucket{route="a",le="9.999999999999999e-05"} 0
+epfis_lat_seconds_bucket{route="a",le="0.001"} 1
+epfis_lat_seconds_bucket{route="a",le="0.01"} 1
+epfis_lat_seconds_bucket{route="a",le="+Inf"} 2
+epfis_lat_seconds_sum{route="a"} 2.0003
+epfis_lat_seconds_count{route="a"} 2
+# HELP epfis_size_pages unlabelled \\ sizes\nin pages
+# TYPE epfis_size_pages histogram
+epfis_size_pages_bucket{le="1"} 1
+epfis_size_pages_bucket{le="4"} 3
+epfis_size_pages_bucket{le="+Inf"} 3
+epfis_size_pages_sum 6.5
+epfis_size_pages_count 3
+# HELP epfis_empty_seconds never observed
+# TYPE epfis_empty_seconds histogram
+epfis_empty_seconds_bucket{le="0.5"} 0
+epfis_empty_seconds_bucket{le="+Inf"} 0
+epfis_empty_seconds_sum 0
+epfis_empty_seconds_count 0
+`
+	if string(data) != want {
+		t.Fatalf("exposition drifted:\n got:\n%s\nwant:\n%s", data, want)
 	}
 }
 
@@ -174,7 +212,7 @@ func TestFamiliesSortedAndConcurrentScrape(t *testing.T) {
 		close(done)
 	}()
 	for i := 0; i < 50; i++ {
-		if err := ValidateExposition(r.AppendText(nil)); err != nil {
+		if _, err := ParseExposition(r.AppendText(nil)); err != nil {
 			t.Fatalf("concurrent scrape invalid: %v", err)
 		}
 	}

@@ -140,15 +140,22 @@ func TestClusterReplicationAndBitExactServing(t *testing.T) {
 	st := fitStats(t, "orders", "key", 1)
 	putIndex(t, nodes[0], st)
 
-	// The PUT fanned out synchronously: every store has the entry.
+	// The PUT acks once the quorum (both owners, R = 2) has applied it. The
+	// non-owner's copy is sent in the background after the ack (fast-ack),
+	// so it must land shortly after, not before.
 	for _, cn := range nodes {
-		if cn.store.Len() != 1 {
-			t.Fatalf("%s store len = %d after replicated PUT", cn.id, cn.store.Len())
-		}
-		if cn.node.Epoch() == 0 {
-			t.Errorf("%s epoch still 0 after mutation", cn.id)
+		if cn.node.Owns("orders.key") && cn.store.Len() != 1 {
+			t.Fatalf("owner %s store len = %d after acked PUT", cn.id, cn.store.Len())
 		}
 	}
+	waitFor(t, 5*time.Second, func() bool {
+		for _, cn := range nodes {
+			if cn.store.Len() != 1 || cn.node.Epoch() == 0 {
+				return false
+			}
+		}
+		return true
+	}, "the replicated PUT on every store")
 
 	// Every node answers bit-exactly, whether it owns the key or proxies.
 	want, err := core.EstimateFetches(st, 100, 0.1, 1)
@@ -461,6 +468,50 @@ func TestClusterChaosKillNodeUnderLoad(t *testing.T) {
 		if w := want[fmt.Sprintf("%s.%s/100", st.Table, st.Column)]; resp.Fetches != w {
 			t.Errorf("post-kill %s.%s = %v, want %v", st.Table, st.Column, resp.Fetches, w)
 		}
+	}
+
+	// Raw GETs from each survivor, not routed by the client: a survivor that
+	// does not own a key must proxy to the surviving owner. The first attempt
+	// may race the dead node's teardown, so allow brief retries.
+	rawEstimate := func(cn *cnode, st *stats.IndexStats) (float64, error) {
+		resp, err := cn.ts.Client().Get(fmt.Sprintf("%s/v1/estimate?table=%s&column=%s&b=100&sigma=0.1",
+			cn.url, st.Table, st.Column))
+		if err != nil {
+			return 0, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return 0, fmt.Errorf("status %d", resp.StatusCode)
+		}
+		var got EstimateResponse
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		return got.Fetches, err
+	}
+	proxied := 0
+	for _, cn := range nodes[:2] {
+		for _, st := range indexes {
+			key := st.Table + "." + st.Column
+			if !cn.node.Owns(key) {
+				proxied++
+			}
+			var got float64
+			var err error
+			for attempt := 0; attempt < 20; attempt++ {
+				if got, err = rawEstimate(cn, st); err == nil {
+					break
+				}
+				time.Sleep(100 * time.Millisecond)
+			}
+			if err != nil {
+				t.Fatalf("post-kill GET %s via %s: %v", key, cn.id, err)
+			}
+			if w := want[key+"/100"]; got != w {
+				t.Errorf("post-kill GET %s via %s = %v, want %v", key, cn.id, got, w)
+			}
+		}
+	}
+	if proxied == 0 {
+		t.Fatal("no survivor read a key it does not own; the proxy path went unexercised")
 	}
 
 	// Restart the victim with a FRESH store on a new port — same ring

@@ -8,21 +8,19 @@ package service
 // stay per-node: summing generations or queue depths across nodes would be
 // meaningless.
 //
-// The output is a single valid exposition (obs.ValidateExposition-clean):
+// The output is a single valid exposition (obs.ParseExposition accepts it):
 // one HELP/TYPE per family in first-seen order, per-node samples, then the
 // rollups, then epfis_federation_peer_up marking which nodes answered the
-// scrape. Peers that cannot answer inside the replication timeout are
-// reported as down rather than stalling the scrape.
+// scrape. Peers that cannot answer inside the replication timeout, or whose
+// exposition does not parse, are reported as down rather than stalling or
+// corrupting the scrape.
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 
 	"epfis/internal/cluster"
@@ -119,6 +117,7 @@ func (s *Server) scrapePeerMetrics(ctx context.Context, p cluster.PeerInfo) ([]o
 type nodeSamples struct {
 	node    string
 	samples []obs.ExpoSample
+	hists   []obs.ExpoHistogram
 }
 
 // famAgg accumulates one family across the cluster.
@@ -150,7 +149,7 @@ func renderFederated(expos []nodeExposition, up map[string]float64) []byte {
 				a.help = f.Help
 			}
 			if len(f.Samples) > 0 {
-				a.perNode = append(a.perNode, nodeSamples{node: ne.node, samples: f.Samples})
+				a.perNode = append(a.perNode, nodeSamples{node: ne.node, samples: f.Samples, hists: f.Histograms})
 			}
 		}
 	}
@@ -211,17 +210,6 @@ func withLabel(labels []obs.Label, name, value string) []obs.Label {
 	return append(out, obs.Label{Name: name, Value: value})
 }
 
-// labelsWithout returns labels minus the named one.
-func labelsWithout(labels []obs.Label, skip string) []obs.Label {
-	out := make([]obs.Label, 0, len(labels))
-	for _, l := range labels {
-		if l.Name != skip {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
 // appendCounterRollup sums counter series with identical label sets across
 // nodes and emits one node="cluster" sample per set.
 func appendCounterRollup(dst []byte, a *famAgg) []byte {
@@ -250,124 +238,38 @@ func appendCounterRollup(dst []byte, a *famAgg) []byte {
 	return dst
 }
 
-// appendHistogramRollup reconstructs each node's histogram series from its
-// cumulative bucket samples, merges them bucket-wise across nodes per label
-// set, and renders the merged snapshots under node="cluster". A label set
-// whose bounds disagree across nodes (mixed binary versions) is skipped
-// rather than merged wrongly.
+// appendHistogramRollup merges each label set's decoded histogram series
+// bucket-wise across nodes and renders the merged snapshots under
+// node="cluster". A label set whose bounds disagree across nodes (mixed
+// binary versions) is skipped rather than merged wrongly.
 func appendHistogramRollup(dst []byte, a *famAgg) []byte {
 	type group struct {
-		labels []obs.Label // sans le
+		labels []obs.Label
 		snap   obs.HistogramSnapshot
-		begun  bool
 		bad    bool
 	}
 	var order []string
 	groups := map[string]*group{}
 	for _, ns := range a.perNode {
-		type build struct {
-			labels []obs.Label
-			bounds []float64
-			cum    []float64
-			sum    float64
-		}
-		var bOrder []string
-		builds := map[string]*build{}
-		for _, smp := range ns.samples {
-			k := smp.CanonicalLabelsExcept("le")
-			b := builds[k]
-			if b == nil {
-				b = &build{}
-				builds[k] = b
-				bOrder = append(bOrder, k)
-			}
-			switch {
-			case strings.HasSuffix(smp.Name, "_bucket"):
-				le, ok := smp.LabelValue("le")
-				if !ok {
-					continue
-				}
-				bound, err := strconv.ParseFloat(le, 64)
-				if err != nil {
-					continue
-				}
-				b.bounds = append(b.bounds, bound)
-				b.cum = append(b.cum, smp.Value)
-				if b.labels == nil {
-					b.labels = labelsWithout(smp.Labels, "le")
-				}
-			case strings.HasSuffix(smp.Name, "_sum"):
-				b.sum = smp.Value
-				if b.labels == nil {
-					b.labels = smp.Labels
-				}
-			}
-		}
-		for _, k := range bOrder {
-			b := builds[k]
-			snap, ok := histSnapshotOf(b.bounds, b.cum, b.sum)
+		for _, h := range ns.hists {
+			k := h.CanonicalLabels()
 			g := groups[k]
 			if g == nil {
-				g = &group{labels: b.labels}
-				groups[k] = g
+				snap := h.HistogramSnapshot
+				snap.Counts = append([]uint64(nil), snap.Counts...) // Merge adds into it
+				groups[k] = &group{labels: h.Labels, snap: snap}
 				order = append(order, k)
-			}
-			if !ok {
-				g.bad = true
 				continue
 			}
-			if !g.begun {
-				g.snap, g.begun = snap, true
-				continue
-			}
-			if err := g.snap.Merge(snap); err != nil {
+			if err := g.snap.Merge(h.HistogramSnapshot); err != nil {
 				g.bad = true
 			}
 		}
 	}
 	for _, k := range order {
-		g := groups[k]
-		if g.bad || !g.begun {
-			continue
+		if g := groups[k]; !g.bad {
+			dst = g.snap.AppendText(dst, a.name, withLabel(g.labels, "node", "cluster"))
 		}
-		dst = g.snap.AppendText(dst, a.name, withLabel(g.labels, "node", "cluster"))
 	}
 	return dst
-}
-
-// histSnapshotOf rebuilds a non-cumulative snapshot from scraped cumulative
-// bucket samples: sort by bound, require a final +Inf bucket and
-// non-decreasing counts, then de-cumulate.
-func histSnapshotOf(bounds, cum []float64, sum float64) (obs.HistogramSnapshot, bool) {
-	if len(bounds) == 0 || len(bounds) != len(cum) {
-		return obs.HistogramSnapshot{}, false
-	}
-	type pair struct{ bound, cum float64 }
-	ps := make([]pair, len(bounds))
-	for i := range bounds {
-		ps[i] = pair{bound: bounds[i], cum: cum[i]}
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].bound < ps[j].bound })
-	if !math.IsInf(ps[len(ps)-1].bound, 1) {
-		return obs.HistogramSnapshot{}, false
-	}
-	snap := obs.HistogramSnapshot{
-		Bounds: make([]float64, 0, len(ps)-1),
-		Counts: make([]uint64, 0, len(ps)),
-		Sum:    sum,
-	}
-	prev := 0.0
-	for i, p := range ps {
-		if p.cum < prev {
-			return obs.HistogramSnapshot{}, false
-		}
-		c := uint64(p.cum - prev)
-		prev = p.cum
-		if i < len(ps)-1 {
-			snap.Bounds = append(snap.Bounds, p.bound)
-		}
-		snap.Counts = append(snap.Counts, c)
-		snap.Count += c
-	}
-	return snap, true
 }

@@ -56,11 +56,14 @@ func statusClass(status int) int {
 }
 
 // routeObs holds one route's hot-path instruments as direct pointers:
-// recording is a histogram observe plus one counter increment, with no map
-// lookups, locks, or allocation.
+// recording is a histogram observe, one counter increment and a max check,
+// with no map lookups, locks, or allocation. maxNanos is the route's exact
+// worst latency for the JSON document, the one number a histogram cannot
+// give; it is not exported to the exposition.
 type routeObs struct {
-	lat    *obs.Histogram
-	status [len(statusClasses)]*obs.Counter
+	lat      *obs.Histogram
+	status   [len(statusClasses)]*obs.Counter
+	maxNanos atomic.Uint64
 }
 
 // obsIndexKey addresses a per-index estimate counter. A comparable struct of
@@ -69,18 +72,25 @@ type routeObs struct {
 type obsIndexKey struct{ table, column string }
 
 // serverObs is the server's observability wiring: the metric registry, the
-// ring of completed request traces, and the structured logger.
+// ring of completed request traces, and the structured logger. Every service
+// counter is a registry instrument; both /metrics formats read them.
 type serverObs struct {
-	reg  *obs.Registry
-	log  *slog.Logger
-	ring *obs.TraceRing // nil when tracing is disabled
-	slow time.Duration  // negative: every request is flagged slow
+	reg   *obs.Registry
+	log   *slog.Logger
+	ring  *obs.TraceRing // nil when tracing is disabled
+	slow  time.Duration  // negative: every request is flagged slow
+	start time.Time      // construction time, for uptime
 
 	routes map[string]*routeObs
 
 	bufferPages        *obs.Histogram
 	sigmaDist          *obs.Histogram
 	breakerTransitions *obs.Counter
+
+	estimates      *obs.Counter // individual estimates served (batch items count)
+	panics         *obs.Counter
+	sheds          *obs.Counter // requests rejected by admission control (429)
+	reloadFailures *obs.Counter // reloads that left the service degraded
 
 	// Per-index estimate counters: registration happens on catalog mutations
 	// under idxMu; the serving path reads an immutable snapshot map through
@@ -91,13 +101,14 @@ type serverObs struct {
 }
 
 // newServerObs builds the registry and all instruments. Called from New once
-// store, cache, metrics, breaker, and the degraded/draining flags exist, so
-// the scrape-time bridges can close over them.
+// store, cache, breaker, and the degraded/draining flags exist, so the
+// scrape-time bridges can close over them.
 func newServerObs(s *Server, cfg Config, routes []string) *serverObs {
 	o := &serverObs{
 		reg:    obs.NewRegistry(),
 		log:    newServiceLogger(cfg),
 		slow:   cfg.SlowTrace,
+		start:  time.Now(),
 		routes: make(map[string]*routeObs, len(routes)),
 		idxAll: make(map[obsIndexKey]*obs.Counter),
 	}
@@ -134,22 +145,17 @@ func newServerObs(s *Server, cfg Config, routes []string) *serverObs {
 	o.breakerTransitions = o.reg.Counter("epfis_breaker_transitions_total",
 		"Circuit breaker state transitions.")
 
-	met := s.met
-	o.reg.CounterFunc("epfis_estimates_total",
-		"Individual estimates served (batch items count individually).",
-		func() float64 { return float64(met.estimates.Load()) })
-	o.reg.CounterFunc("epfis_panics_total",
-		"Handler panics recovered by the instrumentation middleware.",
-		func() float64 { return float64(met.panics.Load()) })
-	o.reg.CounterFunc("epfis_admission_shed_total",
-		"Requests shed with 429 by per-route admission control.",
-		func() float64 { return float64(met.sheds.Load()) })
-	o.reg.CounterFunc("epfis_reload_failures_total",
-		"Catalog reloads that left the service degraded.",
-		func() float64 { return float64(met.reloadFailures.Load()) })
+	o.estimates = o.reg.Counter("epfis_estimates_total",
+		"Individual estimates served (batch items count individually).")
+	o.panics = o.reg.Counter("epfis_panics_total",
+		"Handler panics recovered by the instrumentation middleware.")
+	o.sheds = o.reg.Counter("epfis_admission_shed_total",
+		"Requests shed with 429 by per-route admission control.")
+	o.reloadFailures = o.reg.Counter("epfis_reload_failures_total",
+		"Catalog reloads that left the service degraded.")
 	o.reg.GaugeFunc("epfis_uptime_seconds",
 		"Seconds since the service was constructed.",
-		func() float64 { return time.Since(met.start).Seconds() })
+		func() float64 { return time.Since(o.start).Seconds() })
 
 	if c := s.cache; c != nil {
 		o.reg.CounterFunc("epfis_cache_hits_total", "Est-IO memo cache hits.",
@@ -248,14 +254,86 @@ func (o *serverObs) tracing() bool { return o.ring != nil }
 // isSlow applies the slow-trace threshold (negative flags everything).
 func (o *serverObs) isSlow(d time.Duration) bool { return o.slow < 0 || d >= o.slow }
 
-// observeRoute records one served request on the route's histogram and
-// status-class counter — two direct-pointer instrument updates.
+// observeRoute records one served request on the route's histogram,
+// status-class counter and maximum — direct-pointer updates, with a CAS on
+// the maximum only when d exceeds it.
 func (o *serverObs) observeRoute(ro *routeObs, status int, d time.Duration) {
 	if ro == nil {
 		return
 	}
 	ro.lat.Observe(d.Seconds())
 	ro.status[statusClass(status)].Inc()
+	ns := uint64(d.Nanoseconds())
+	for {
+		cur := ro.maxNanos.Load()
+		if ns <= cur || ro.maxNanos.CompareAndSwap(cur, ns) {
+			return
+		}
+	}
+}
+
+// routeDoc is one route's row in the JSON /metrics document.
+type routeDoc struct {
+	Requests  uint64  `json:"requests"`
+	Errors    uint64  `json:"errors"` // responses with status >= 400
+	AvgMicros float64 `json:"avgMicros"`
+	MaxMicros float64 `json:"maxMicros"`
+}
+
+// metricsDoc assembles the JSON /metrics document from the registry's
+// instruments and the owners its scrape-time bridges read (memo cache,
+// breaker, degraded flag). A route's requests is its latency histogram's
+// count, errors the sum of its 4xx/429/5xx/503 classes, and the mean the
+// histogram's sum over its count.
+func (s *Server) metricsDoc() map[string]any {
+	o := s.obs
+	routes := make(map[string]routeDoc, len(o.routes))
+	for name, ro := range o.routes {
+		d := routeDoc{Requests: ro.lat.Count(), MaxMicros: float64(ro.maxNanos.Load()) / 1e3}
+		for _, c := range ro.status[statusClass(http.StatusBadRequest):] {
+			d.Errors += c.Value()
+		}
+		if d.Requests > 0 {
+			d.AvgMicros = 1e6 * ro.lat.Sum() / float64(d.Requests)
+		}
+		routes[name] = d
+	}
+	out := map[string]any{
+		"uptimeSeconds": time.Since(o.start).Seconds(),
+		"routes":        routes,
+		"panics":        o.panics.Value(),
+		"estimates":     o.estimates.Value(),
+	}
+	if c := s.cache; c != nil {
+		hits, misses := c.hits.Load(), c.misses.Load()
+		ratio := 0.0
+		if hits+misses > 0 {
+			ratio = float64(hits) / float64(hits+misses)
+		}
+		out["cache"] = map[string]any{
+			"hits":          hits,
+			"misses":        misses,
+			"evictions":     c.evictions.Load(),
+			"invalidations": c.invalidations.Load(),
+			"entries":       c.len(),
+			"hitRatio":      ratio,
+		}
+	}
+	res := map[string]any{
+		"sheds":          o.sheds.Value(),
+		"reloadFailures": o.reloadFailures.Value(),
+		"degraded":       s.degraded.Load() != nil,
+	}
+	if br := s.breaker; br != nil {
+		opens, rejected := br.Stats()
+		res["breaker"] = map[string]any{
+			"state":    br.State(),
+			"opens":    opens,
+			"rejected": rejected,
+		}
+	}
+	out["resilience"] = res
+	return out
 }
 
 // observeEstimate records the requested (B, sigma) point and the per-index
@@ -366,15 +444,11 @@ func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
 func (discardHandler) WithAttrs([]slog.Attr) slog.Handler        { return discardHandler{} }
 func (discardHandler) WithGroup(string) slog.Handler             { return discardHandler{} }
 
-// newServiceLogger resolves the configured structured logger: Slog wins, a
-// legacy Logger is bridged through a text handler on its writer, and with
-// neither set logs are discarded.
+// newServiceLogger resolves the configured structured logger; with none
+// set, logs are discarded.
 func newServiceLogger(cfg Config) *slog.Logger {
 	if cfg.Slog != nil {
 		return cfg.Slog
-	}
-	if cfg.Logger != nil {
-		return slog.New(slog.NewTextHandler(cfg.Logger.Writer(), nil))
 	}
 	return slog.New(discardHandler{})
 }

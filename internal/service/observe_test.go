@@ -6,15 +6,18 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"epfis/internal/catalog"
+	"epfis/internal/faultfs"
 	"epfis/internal/obs"
 	"epfis/internal/stats"
 )
@@ -229,7 +232,20 @@ func TestTracingDisabled(t *testing.T) {
 }
 
 func TestMetricsContentNegotiation(t *testing.T) {
-	srv, _ := newObsServer(t)
+	// A disk-backed store behind a fault injector, so the second phase can
+	// fail a reload.
+	inj := faultfs.NewInjector(faultfs.OS(), 1)
+	store, err := catalog.OpenFS(filepath.Join(t.TempDir(), "catalog.json"), inj)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Put(fitStats(t, "orders", "key", 1)); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Store: store, SlowTrace: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
 
@@ -281,7 +297,7 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := obs.ValidateExposition(data); err != nil {
+		if _, err := obs.ParseExposition(data); err != nil {
 			t.Fatalf("invalid exposition: %v\n%s", err, data)
 		}
 		return string(data)
@@ -314,6 +330,170 @@ func TestMetricsContentNegotiation(t *testing.T) {
 		if !strings.Contains(byQuery, want) {
 			t.Errorf("exposition missing %q", want)
 		}
+	}
+
+	// Second phase: traffic of every kind the JSON rows fold (2xx and 404
+	// above; a 400, a 429 shed and a failed reload here), then both views
+	// must tell the same story route by route.
+	serve := func(method, target string, want int) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+		if rec.Code != want {
+			t.Fatalf("%s %s = %d, want %d: %s", method, target, rec.Code, want, rec.Body)
+		}
+	}
+	serve(http.MethodGet, "/v1/estimate?table=orders&column=key&b=0&sigma=0.05", http.StatusBadRequest)
+	sem := srv.inflight[routeEstimate]
+	for len(sem) < cap(sem) {
+		sem <- struct{}{}
+	}
+	serve(http.MethodGet, "/v1/estimate?table=orders&column=key&b=64&sigma=0.05", http.StatusTooManyRequests)
+	for len(sem) > 0 {
+		<-sem
+	}
+	inj.Add(faultfs.Rule{Op: faultfs.OpReadFile, Path: "catalog", Nth: 1, Mode: faultfs.ModeError})
+	serve(http.MethodPost, "/v1/reload", http.StatusServiceUnavailable)
+	checkMetricsViewsAgree(t, srv)
+}
+
+// checkMetricsViewsAgree scrapes srv's JSON /metrics and then its Prometheus
+// exposition, and requires every JSON number to match the exposition:
+// per route, requests is the sum of the status-class counters, errors the
+// sum of the >=4xx classes, avgMicros is 1e6*_sum/_count, and maxMicros lies
+// inside the highest non-empty latency bucket; the service-wide counts equal
+// their epfis_* counters. The /metrics route itself is skipped: scraping it
+// moves it between the two views.
+func checkMetricsViewsAgree(t *testing.T, srv *Server) {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var doc struct {
+		Routes map[string]struct {
+			Requests  uint64  `json:"requests"`
+			Errors    uint64  `json:"errors"`
+			AvgMicros float64 `json:"avgMicros"`
+			MaxMicros float64 `json:"maxMicros"`
+		} `json:"routes"`
+		Panics     uint64 `json:"panics"`
+		Estimates  uint64 `json:"estimates"`
+		Resilience struct {
+			Sheds          uint64 `json:"sheds"`
+			ReloadFailures uint64 `json:"reloadFailures"`
+		} `json:"resilience"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
+		t.Fatalf("JSON /metrics: %v", err)
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	fams, err := obs.ParseExposition(rec.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	type promRoute struct {
+		requests, errors float64
+		lat              obs.HistogramSnapshot
+	}
+	routes := map[string]*promRoute{}
+	route := func(labels []obs.Label) *promRoute {
+		name := ""
+		for _, l := range labels {
+			if l.Name == "route" {
+				name = l.Value
+			}
+		}
+		if routes[name] == nil {
+			routes[name] = &promRoute{}
+		}
+		return routes[name]
+	}
+	scalar := map[string]float64{}
+	for _, f := range fams {
+		for _, h := range f.Histograms {
+			if f.Name == "epfis_http_request_duration_seconds" {
+				route(h.Labels).lat = h.HistogramSnapshot
+			}
+		}
+		for _, s := range f.Samples {
+			switch {
+			case s.Name == "epfis_http_requests_total":
+				r := route(s.Labels)
+				r.requests += s.Value
+				if class, _ := s.LabelValue("status"); class >= "4" {
+					r.errors += s.Value
+				}
+			case len(s.Labels) == 0:
+				scalar[s.Name] = s.Value
+			}
+		}
+	}
+
+	if len(doc.Routes) != len(routes) {
+		t.Fatalf("JSON has %d routes, exposition %d", len(doc.Routes), len(routes))
+	}
+	for name, row := range doc.Routes {
+		p := routes[name]
+		if p == nil {
+			t.Fatalf("route %q has no exposition series", name)
+		}
+		if name == routeMetrics {
+			continue
+		}
+		lat := p.lat
+		if float64(row.Requests) != p.requests || lat.Count != row.Requests {
+			t.Errorf("%s: JSON requests %d, status counters %g, _count %d", name, row.Requests, p.requests, lat.Count)
+		}
+		if float64(row.Errors) != p.errors {
+			t.Errorf("%s: JSON errors %d, >=4xx counters %g", name, row.Errors, p.errors)
+		}
+		wantAvg := 0.0
+		if lat.Count > 0 {
+			wantAvg = 1e6 * lat.Sum / float64(lat.Count)
+		}
+		if math.Abs(row.AvgMicros-wantAvg) > 1e-9*math.Abs(wantAvg) {
+			t.Errorf("%s: JSON avgMicros %g, 1e6*_sum/_count %g", name, row.AvgMicros, wantAvg)
+		}
+		// The highest non-empty bucket i spans (Bounds[i-1], Bounds[i]],
+		// open-ended for the +Inf bucket.
+		lo, hi := 0.0, 0.0
+		for i, c := range lat.Counts {
+			if c == 0 {
+				continue
+			}
+			lo, hi = 0, math.Inf(1)
+			if i > 0 {
+				lo = lat.Bounds[i-1]
+			}
+			if i < len(lat.Bounds) {
+				hi = lat.Bounds[i]
+			}
+		}
+		maxSec := row.MaxMicros / 1e6
+		if lat.Count == 0 {
+			if row.MaxMicros != 0 {
+				t.Errorf("%s: no requests but maxMicros %g", name, row.MaxMicros)
+			}
+		} else if !(maxSec > lo*(1-1e-9) && maxSec <= hi*(1+1e-9)) {
+			t.Errorf("%s: maxMicros %g outside the highest non-empty bucket (%g, %g] s", name, row.MaxMicros, lo, hi)
+		}
+	}
+	for _, c := range []struct {
+		json   uint64
+		series string
+	}{
+		{doc.Panics, "epfis_panics_total"},
+		{doc.Estimates, "epfis_estimates_total"},
+		{doc.Resilience.Sheds, "epfis_admission_shed_total"},
+		{doc.Resilience.ReloadFailures, "epfis_reload_failures_total"},
+	} {
+		if v, ok := scalar[c.series]; !ok || float64(c.json) != v {
+			t.Errorf("JSON %d vs %s = %g (present %v)", c.json, c.series, v, ok)
+		}
+	}
+	if doc.Resilience.Sheds == 0 || doc.Resilience.ReloadFailures == 0 || doc.Estimates == 0 {
+		t.Errorf("traffic left counters at zero: %+v, estimates %d", doc.Resilience, doc.Estimates)
 	}
 }
 
@@ -365,7 +545,7 @@ func TestShedAndDrainingStatusLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := obs.ValidateExposition(data); err != nil {
+	if _, err := obs.ParseExposition(data); err != nil {
 		t.Fatalf("invalid exposition: %v", err)
 	}
 	text := string(data)
@@ -567,7 +747,7 @@ func TestBatchTallyMatchesSingleObservations(t *testing.T) {
 			t.Errorf("%s: batch %v, singles %v", series, got[series], v)
 		}
 	}
-	if b, s := batchSrv.met.estimates.Load(), singleSrv.met.estimates.Load(); b != s {
+	if b, s := batchSrv.obs.estimates.Value(), singleSrv.obs.estimates.Value(); b != s {
 		t.Errorf("JSON estimates counter: batch %d, singles %d", b, s)
 	}
 

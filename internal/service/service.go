@@ -17,8 +17,10 @@
 //     while emitting byte-identical JSON;
 //   - POST /v1/estimate/batch amortizes HTTP and JSON overhead across the
 //     many candidate plans an optimizer costs per query;
-//   - per-route counters and latency summaries are plain atomics, serialized
-//     only when GET /metrics asks.
+//   - every counter lives in one obs registry, recorded through direct
+//     instrument pointers; GET /metrics renders it as the Prometheus text
+//     exposition or, by default, as a JSON summary read from the same
+//     instruments.
 //
 // Routes:
 //
@@ -96,7 +98,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"log/slog"
 	"net"
 	"net/http"
@@ -162,13 +163,9 @@ type Config struct {
 	// BreakerCooldown is how long the opened breaker rejects mutations
 	// before probing again. 0 = resilience.DefaultBreakerCooldown.
 	BreakerCooldown time.Duration
-	// Logger receives lifecycle and panic logs; nil discards them.
-	// Deprecated in favour of Slog: when only Logger is set it is bridged
-	// through a slog text handler on its writer.
-	Logger *log.Logger
-	// Slog receives structured service logs (request tracing, degraded-mode
-	// transitions, breaker state changes). Takes precedence over Logger;
-	// with both nil, logs are discarded.
+	// Slog receives structured service logs (lifecycle, panics, request
+	// tracing, degraded-mode transitions, breaker state changes); nil
+	// discards them.
 	Slog *slog.Logger
 	// TraceRing sizes the ring of recently completed request traces served
 	// at GET /debug/traces. 0 = DefaultTraceRing; negative disables request
@@ -231,7 +228,6 @@ type reloadFailure struct {
 type Server struct {
 	store    *catalog.Store
 	cache    *memoCache // nil when disabled
-	met      *metrics
 	obs      *serverObs
 	handler  http.Handler
 	maxBatch int
@@ -312,8 +308,6 @@ func New(cfg Config) (*Server, error) {
 			routeClusterHealth, routeClusterGossip, routeClusterSnapshot,
 			routeClusterDigest, routeClusterEntry, routeClusterMetrics)
 	}
-	s.met = newMetrics(routeNames)
-
 	if cfg.BreakerFailures >= 0 {
 		s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
 			Failures: cfg.BreakerFailures,
@@ -525,7 +519,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 		}
 		defer func() {
 			if p := recover(); p != nil {
-				s.met.panics.Add(1)
+				s.obs.panics.Inc()
 				s.obs.log.LogAttrs(context.Background(), slog.LevelError, "handler panic",
 					slog.String("route", route), slog.Any("panic", p))
 				if !rec.wrote {
@@ -534,7 +528,6 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 				rec.status = http.StatusInternalServerError
 			}
 			d := time.Since(start)
-			s.met.observe(route, rec.status, d)
 			s.obs.observeRoute(ro, rec.status, d)
 			if tb := rec.trace; tb != nil {
 				slow := s.obs.isSlow(d)
@@ -559,7 +552,7 @@ func (s *Server) instrument(route string, h http.HandlerFunc) http.Handler {
 			default:
 				// The route is saturated: shed now, cheaply, instead of
 				// queueing work the client will have timed out on.
-				s.met.sheds.Add(1)
+				s.obs.sheds.Inc()
 				rec.Header().Set("Retry-After", "1")
 				writeError(rec, http.StatusTooManyRequests, errOverloaded)
 				return
@@ -671,7 +664,7 @@ func (s *Server) estimate(snap *catalog.Snapshot, in *estimateInput, out *estima
 		if est, hit := s.cache.get(key); hit {
 			out.est = est
 			out.cached = true
-			s.met.estimates.Add(1)
+			s.obs.estimates.Inc()
 			return nil
 		}
 	}
@@ -682,7 +675,7 @@ func (s *Server) estimate(snap *catalog.Snapshot, in *estimateInput, out *estima
 	if s.cache != nil {
 		s.cache.put(key, out.est)
 	}
-	s.met.estimates.Add(1)
+	s.obs.estimates.Inc()
 	return nil
 }
 
@@ -823,7 +816,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items = append(items, '}')
 	}
 	s.obs.flushTally(&scratch.tally)
-	s.met.estimates.Add(uint64(len(scratch.reqs) - failed))
+	s.obs.estimates.Add(uint64(len(scratch.reqs) - failed))
 	scratch.items = items
 	tb.Mark(obs.StageEncode)
 	out := scratch.out[:0]
@@ -1027,7 +1020,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 			staleGen: s.store.Generation(),
 			at:       time.Now(),
 		})
-		s.met.reloadFailures.Add(1)
+		s.obs.reloadFailures.Inc()
 		s.obs.log.LogAttrs(r.Context(), slog.LevelError, "reload failed, serving degraded",
 			slog.Uint64("staleGeneration", s.store.Generation()),
 			slog.String("error", err.Error()))
@@ -1087,7 +1080,7 @@ func (s *Server) health() Health {
 		Status:          "ok",
 		Generation:      snap.Generation(),
 		Indexes:         snap.Len(),
-		UptimeSeconds:   time.Since(s.met.start).Seconds(),
+		UptimeSeconds:   time.Since(s.obs.start).Seconds(),
 		Version:         bi.version,
 		Revision:        bi.revision,
 		GoVersion:       bi.goVersion,
@@ -1134,22 +1127,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		putBuf(buf)
 		return
 	}
-	out := s.met.snapshot(s.cache)
-	res := map[string]any{
-		"sheds":          s.met.sheds.Load(),
-		"reloadFailures": s.met.reloadFailures.Load(),
-		"degraded":       s.degraded.Load() != nil,
-	}
-	if s.breaker != nil {
-		opens, rejected := s.breaker.Stats()
-		res["breaker"] = map[string]any{
-			"state":    s.breaker.State(),
-			"opens":    opens,
-			"rejected": rejected,
-		}
-	}
-	out["resilience"] = res
-	writeJSON(w, http.StatusOK, out)
+	writeJSON(w, http.StatusOK, s.metricsDoc())
 }
 
 // statusOf maps domain errors to HTTP statuses: invalid Est-IO inputs are

@@ -354,7 +354,7 @@ func TestHealthzAndMetrics(t *testing.T) {
 	getJSON(t, ts, "/v1/estimate?table=orders&column=key&b=0&sigma=0.1", http.StatusBadRequest, nil)
 
 	var met struct {
-		Routes map[string]routeSnapshot `json:"routes"`
+		Routes map[string]routeDoc `json:"routes"`
 	}
 	getJSON(t, ts, "/metrics", http.StatusOK, &met)
 	rs, ok := met.Routes[routeEstimate]
@@ -376,8 +376,18 @@ func TestPanicRecovery(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status after panic = %d", rec.Code)
 	}
-	if srv.met.panics.Load() != 1 {
-		t.Fatalf("panic counter = %d", srv.met.panics.Load())
+	var met struct {
+		Panics uint64 `json:"panics"`
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if err := json.Unmarshal(rec.Body.Bytes(), &met); err != nil || met.Panics != 1 {
+		t.Fatalf("JSON panics = %d (%v), want 1", met.Panics, err)
+	}
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	if !strings.Contains(rec.Body.String(), "\nepfis_panics_total 1\n") {
+		t.Fatalf("exposition lacks epfis_panics_total 1:\n%s", rec.Body)
 	}
 }
 
