@@ -43,8 +43,8 @@ chaos:
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node
 # cluster while both sides take writes and ingest, heal, and require every
 # store to converge to one content hash with bit-exact estimates — plus the
-# hinted-handoff restart, epoch-guard, ingest-routing, and WAL ingest-journal
-# crash-replay proofs.
+# hinted-handoff restart, epoch-guard, ingest-routing, read-fence, and WAL
+# ingest-journal crash-replay proofs.
 chaos-net:
 	$(GO) test -race ./internal/faultnet/
 	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestClusterIngestOwnership|TestIngestJournal' \
@@ -75,11 +75,13 @@ bench-serve:
 bench-ingest:
 	$(GO) run ./cmd/epfis-bench -suite ingest -out BENCH_ingest.json
 
-# Cluster data-plane baseline: proxied-estimate allocs, quorum PUT latency
-# with a faultnet-slowed straggler peer (the fast-ack gate), and delta
-# anti-entropy bytes-on-wire vs the full snapshot, measured over an
-# in-process multi-node cluster and written as BENCH_cluster.json. Exits
-# non-zero when any budget is breached (see README "Cluster performance").
+# Cluster data-plane baseline: allocs of an estimate at a non-owner vs an
+# owner (both answered locally; the non-owner may not allocate more),
+# quorum PUT latency with a faultnet-slowed straggler peer (the fast-ack
+# gate), and delta anti-entropy bytes-on-wire vs the full snapshot, measured
+# over an in-process multi-node cluster and written as BENCH_cluster.json.
+# Exits non-zero when any budget is breached (see README "Cluster
+# performance").
 bench-cluster:
 	$(GO) run ./cmd/epfis-bench -suite cluster -out BENCH_cluster.json
 
@@ -97,9 +99,9 @@ e2e-smoke:
 
 # Cluster drills under the race detector, each over in-process nodes on
 # loopback sockets: replicated install with bit-exact serving from every node
-# (own vs proxy), snapshot import, a one-key delta sync, partition and heal to
-# one content hash, and a node killed under load with the survivors staying
-# bit-exact. See README "Running a cluster".
+# (owner and non-owner alike), snapshot import, a one-key delta sync,
+# partition and heal to one content hash, and a node killed under load with
+# the survivors staying bit-exact. See README "Running a cluster".
 cluster-check:
 	$(GO) test -race -run '^(TestClusterReplicationAndBitExactServing|TestClusterSnapshotRoute|TestClusterDeltaOneKeyWireCost|TestClusterPartitionHealConvergence|TestClusterChaosKillNodeUnderLoad)$$' \
 		./internal/service/

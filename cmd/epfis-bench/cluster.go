@@ -5,15 +5,16 @@ package main
 // multi-node cluster: every node is a real *service.Server wired to a real
 // *cluster.Node, but HTTP hops dispatch straight into the target server's
 // handler through a pooled in-memory transport instead of sockets. That
-// keeps the measurement on the code under test — proxy request building,
-// replication fan-out, digest/entry serving — rather than on kernel TCP,
-// and makes allocs/op meaningful (testing.Benchmark counts mallocs across
-// all goroutines, so socket serving would drown the signal).
+// keeps the measurement on the code under test — local cluster-mode
+// serving, replication fan-out, digest/entry serving — rather than on
+// kernel TCP, and makes allocs/op meaningful (testing.Benchmark counts
+// mallocs across all goroutines, so socket serving would drown the signal).
 //
 // Three gated measurements:
 //
-//   - cluster/proxied_estimate: a non-owner node forwards a single estimate
-//     to its owner and relays the reply. Gate: allocs/op.
+//   - cluster/nonowner_estimate vs cluster/owned_estimate: every node
+//     answers estimates from its own replica, so a node that does not own
+//     the key must allocate no more per estimate than an owner does.
 //   - cluster/put_quorum_slow_peer vs cluster/put_quorum_nofault: a quorum
 //     PUT with a faultnet-slowed NON-owner peer must ack in at most
 //     -max-slowdown-quorum times the no-fault latency — the fast-ack
@@ -46,9 +47,9 @@ import (
 	"epfis/internal/stats"
 )
 
-// clusterBudgets is the cluster suite's CI gate.
+// clusterBudgets is the cluster suite's CI gate. The non-owner estimate's
+// gate has no knob: its budget is the owned estimate's allocs/op.
 type clusterBudgets struct {
-	ProxiedAllocsPerOpMax int64   `json:"proxied_allocs_per_op_max"`
 	QuorumSlowdownMax     float64 `json:"quorum_slowdown_max"`
 	DeltaBytesFractionMax float64 `json:"delta_bytes_fraction_max"`
 }
@@ -258,11 +259,10 @@ func startBenchCluster(mt *memTransport, n, replicas int, entries []*stats.Index
 	return nodes, nil
 }
 
-// pickProxiedColumn finds an entry column the given node does NOT own, so a
-// request for it exercises the full forward-and-relay path.
-func pickProxiedColumn(bn *benchNode, entries []*stats.IndexStats) string {
+// pickColumn finds an entry column the given node owns, or does not own.
+func pickColumn(bn *benchNode, entries []*stats.IndexStats, owned bool) string {
 	for _, e := range entries {
-		if !bn.node.Owns(e.Key()) {
+		if bn.node.Owns(e.Key()) == owned {
 			return e.Column
 		}
 	}
@@ -297,58 +297,45 @@ func runClusterSuite(out string, budgets clusterBudgets) bool {
 		fatalf("cluster suite: fit entries: %v", err)
 	}
 
-	// --- proxied estimate: R=1 makes exactly one owner per key, so a
-	// request at a non-owner always forwards one hop. ---
+	// --- estimates at a non-owner vs an owner: R=1 makes exactly one owner
+	// per key, so node-a owns one column and not the other, and answers
+	// both from its own replica. ---
 	mt := newMemTransport()
 	nodes, err := startBenchCluster(mt, 3, 1, entries, nil)
 	if err != nil {
 		fatalf("cluster suite: %v", err)
 	}
-	proxyNode := nodes[0]
-	col := pickProxiedColumn(proxyNode, entries)
-	if col == "" {
-		fatalf("cluster suite: node-a owns every key at R=1 (ring bug?)")
-	}
-	req := httptest.NewRequest(http.MethodGet,
-		fmt.Sprintf("/v1/estimate?table=bench&column=%s&b=120&sigma=0.5", col), nil)
-	w := &discardWriter{h: make(http.Header, 4)}
-	serveProxied := func() {
-		w.reset()
-		proxyNode.srv.ServeHTTP(w, req)
-		if w.status != http.StatusOK {
-			fatalf("cluster suite: proxied estimate status %d", w.status)
+	self := nodes[0]
+	estimateBench := func(owned bool) testing.BenchmarkResult {
+		col := pickColumn(self, entries, owned)
+		if col == "" {
+			fatalf("cluster suite: node-a owns every key or none at R=1 (ring bug?)")
 		}
-	}
-	serveProxied()
-	if got := w.h.Get(cluster.HeaderNode); got == proxyNode.id || got == "" {
-		fatalf("cluster suite: proxied estimate answered by %q, want a remote owner", got)
-	}
-	proxied := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			serveProxied()
+		req := httptest.NewRequest(http.MethodGet,
+			fmt.Sprintf("/v1/estimate?table=bench&column=%s&b=120&sigma=0.5", col), nil)
+		w := &discardWriter{h: make(http.Header, 4)}
+		serve := func() {
+			w.reset()
+			self.srv.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				fatalf("cluster suite: estimate of bench.%s status %d", col, w.status)
+			}
 		}
-	})
-	rep.Benchmarks = append(rep.Benchmarks, entry("cluster/proxied_estimate", proxied))
-
-	// Owned baseline for the same cluster, for the report's contrast row.
-	ownCol := ""
-	for _, e := range entries {
-		if proxyNode.node.Owns(e.Key()) {
-			ownCol = e.Column
-			break
+		serve()
+		if got := w.h.Get(cluster.HeaderNode); got != self.id {
+			fatalf("cluster suite: estimate of bench.%s answered by %q, want %s", col, got, self.id)
 		}
-	}
-	ownReq := httptest.NewRequest(http.MethodGet,
-		fmt.Sprintf("/v1/estimate?table=bench&column=%s&b=120&sigma=0.5", ownCol), nil)
-	rep.Benchmarks = append(rep.Benchmarks,
-		entry("cluster/owned_estimate", testing.Benchmark(func(b *testing.B) {
+		return testing.Benchmark(func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w.reset()
-				proxyNode.srv.ServeHTTP(w, ownReq)
+				serve()
 			}
-		})))
+		})
+	}
+	nonOwner, owned := estimateBench(false), estimateBench(true)
+	rep.Benchmarks = append(rep.Benchmarks,
+		entry("cluster/nonowner_estimate", nonOwner),
+		entry("cluster/owned_estimate", owned))
 
 	// --- quorum PUT, no-fault vs one slowed non-owner peer. R=2 over three
 	// nodes leaves one non-owner per key; the injector slows only that
@@ -476,10 +463,10 @@ func runClusterSuite(out string, budgets clusterBudgets) bool {
 
 	// --- Budget gate. ---
 	rep.BudgetsMet = true
-	if proxied.AllocsPerOp() > budgets.ProxiedAllocsPerOpMax {
+	if nonOwner.AllocsPerOp() > owned.AllocsPerOp() {
 		rep.BudgetsMet = false
-		fmt.Fprintf(os.Stderr, "epfis-bench: cluster/proxied_estimate allocates %d/op, budget %d\n",
-			proxied.AllocsPerOp(), budgets.ProxiedAllocsPerOpMax)
+		fmt.Fprintf(os.Stderr, "epfis-bench: cluster/nonowner_estimate allocates %d/op, more than cluster/owned_estimate's %d\n",
+			nonOwner.AllocsPerOp(), owned.AllocsPerOp())
 	}
 	if rep.QuorumSlowdown > budgets.QuorumSlowdownMax {
 		rep.BudgetsMet = false

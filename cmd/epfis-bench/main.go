@@ -2,11 +2,12 @@
 // writes machine-readable baselines. Suites are selected with -suite:
 //
 // -suite cluster (BENCH_cluster.json, via `make bench-cluster`) measures
-// the cluster data plane over an in-process multi-node cluster: proxied
-// estimate cost at a non-owner node, quorum PUT latency with and without a
-// faultnet-slowed straggler peer (gating the fast-ack property), and
-// delta anti-entropy bytes-on-wire for a 1-key divergence against the full
-// snapshot stream. See cluster.go.
+// the cluster data plane over an in-process multi-node cluster: estimate
+// cost at a node that does not own the key against one that does (gating
+// that the non-owner allocates no more), quorum PUT latency with and
+// without a faultnet-slowed straggler peer (gating the fast-ack property),
+// and delta anti-entropy bytes-on-wire for a 1-key divergence against the
+// full snapshot stream. See cluster.go.
 //
 // -suite serve (BENCH_serve.json, via `make bench-serve`) measures the
 // estimation service's serving path at the handler level — single estimate,
@@ -130,8 +131,6 @@ func main() {
 		minWALSpeedup = flag.Float64("min-wal-speedup", 10,
 			"ingest suite: fail when WAL mutation throughput is below this multiple of the rename-per-commit baseline")
 
-		maxAllocsProxied = flag.Int64("max-allocs-proxied", 32,
-			"cluster suite: fail when cluster/proxied_estimate exceeds this allocs/op")
 		maxQuorumSlowdown = flag.Float64("max-slowdown-quorum", 2,
 			"cluster suite: fail when a quorum PUT with one slowed non-owner peer exceeds this multiple of the no-fault latency")
 		maxDeltaFraction = flag.Float64("max-delta-fraction", 0.10,
@@ -167,7 +166,6 @@ func main() {
 			*out = "BENCH_cluster.json"
 		}
 		if !runClusterSuite(*out, clusterBudgets{
-			ProxiedAllocsPerOpMax: *maxAllocsProxied,
 			QuorumSlowdownMax:     *maxQuorumSlowdown,
 			DeltaBytesFractionMax: *maxDeltaFraction,
 		}) {

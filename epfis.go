@@ -42,6 +42,7 @@
 package epfis
 
 import (
+	"context"
 	"net/http"
 
 	"epfis/internal/baselines"
@@ -254,8 +255,9 @@ type (
 	// ClusterRing is the immutable consistent-hash ring (virtual nodes,
 	// deterministic R-way replica sets).
 	ClusterRing = cluster.Ring
-	// ClusterClient routes estimates by ring position with hedging,
-	// per-node breakers, and 421 re-routing.
+	// ClusterClient spreads estimates over the cluster's members, starting
+	// each key at the member its hash picks, with hedging, failover and
+	// per-node breakers.
 	ClusterClient = service.ClusterClient
 	// ClusterClientConfig configures NewClusterClient.
 	ClusterClientConfig = service.ClusterClientConfig
@@ -272,6 +274,13 @@ func NewClusterNode(cfg ClusterNodeConfig) (*ClusterNode, error) {
 // URLs.
 func NewClusterClient(cfg ClusterClientConfig) (*ClusterClient, error) {
 	return service.NewClusterClient(cfg)
+}
+
+// WithFence returns a context whose ClusterClient and ServiceClient reads
+// carry the fence tokens of cluster PUT and DELETE acknowledgements: a node
+// that has not applied a fenced write refuses instead of answering.
+func WithFence(ctx context.Context, tokens ...string) context.Context {
+	return service.WithFence(ctx, tokens...)
 }
 
 // BuildClusterRing constructs a consistent-hash ring over member IDs —

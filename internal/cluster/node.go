@@ -44,10 +44,15 @@ const (
 	// the originating node ID); receivers apply it locally and do not
 	// re-forward.
 	HeaderReplicated = "X-Epfis-Replicated"
-	// HeaderForwarded marks a proxied estimate request (the value is the
-	// forwarding node ID); a receiver that still does not own the key
-	// answers 421 instead of forwarding again, so stale rings cannot loop.
+	// HeaderForwarded marks an ingest batch forwarded to a ring owner (the
+	// value is the forwarding node ID); a receiver that still does not own
+	// the key answers 421 instead of forwarding again, so stale rings cannot
+	// loop.
 	HeaderForwarded = "X-Epfis-Forwarded"
+	// HeaderFence carries read fences on an estimate: tokens from PUT and
+	// DELETE acknowledgements naming writes the answering node must have
+	// applied. The header may repeat, one token per key.
+	HeaderFence = "X-Epfis-Fence"
 )
 
 // snapshotPullTimeout bounds one anti-entropy snapshot transfer.
@@ -238,7 +243,7 @@ func NewNode(cfg Config) (*Node, error) {
 	if n.hc == nil {
 		// Default client rides the pooled cluster transport: gossip and
 		// anti-entropy reuse the same kept-alive connections as the service
-		// layer's proxy/replication client.
+		// layer's forwarding/replication client.
 		tr := http.RoundTripper(SharedTransport())
 		if cfg.MaxIdleConnsPerHost > 0 {
 			tr = NewTransport(cfg.MaxIdleConnsPerHost)
@@ -277,7 +282,7 @@ func (n *Node) Replicas() int { return n.cfg.Replicas }
 func (n *Node) Ring() *Ring { return n.ring.Load() }
 
 // Owns reports whether this node is in the key's replica set. It is
-// allocation-free — the serving path's ownership check.
+// allocation-free — the ingest route's ownership check.
 func (n *Node) Owns(key string) bool {
 	return n.ring.Load().Owns(n.cfg.SelfID, key, n.cfg.Replicas)
 }

@@ -21,9 +21,10 @@
 //     peer (a Lamport mutation epoch decides direction; the import recompiles
 //     estimators through the catalog's usual core.Compile ingress path).
 //
-// The serving-path integration (ownership checks, request forwarding, 421
-// misdirected responses, replication fan-out) lives in internal/service; the
-// cluster-aware client lives next to the plain retrying client there too.
+// The serving-path integration (write quorums over the owner set, ingest
+// forwarding to an owner, read fences, replication fan-out) lives in
+// internal/service; the cluster-aware client lives next to the plain
+// retrying client there too.
 // This package deliberately has no dependency on the service layer.
 package cluster
 
@@ -210,17 +211,8 @@ func (r *Ring) Owners(key string, n int) []string {
 	return out
 }
 
-// Primary returns the key's primary owner ("" on an empty ring).
-func (r *Ring) Primary(key string) string {
-	var scratch [1]int32
-	if r.ownersInto(key, 1, scratch[:]) == 0 {
-		return ""
-	}
-	return r.members[scratch[0]]
-}
-
 // Owns reports whether member is in the key's n-way replica set. It is
-// allocation-free — the form the serving hot path uses for ownership checks.
+// allocation-free — the form request handlers use for ownership checks.
 func (r *Ring) Owns(member, key string, n int) bool {
 	if n > MaxReplicas {
 		n = MaxReplicas

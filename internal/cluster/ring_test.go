@@ -40,8 +40,8 @@ func TestRingGoldenPlacement(t *testing.T) {
 		if got := r.Owners(g.key, 2); !reflect.DeepEqual(got, g.owners) {
 			t.Errorf("Owners(%q) = %v, want %v", g.key, got, g.owners)
 		}
-		if got := r.Primary(g.key); got != g.owners[0] {
-			t.Errorf("Primary(%q) = %q, want %q", g.key, got, g.owners[0])
+		if got := r.Owners(g.key, 1); len(got) != 1 || got[0] != g.owners[0] {
+			t.Errorf("Owners(%q, 1) = %v, want [%s]", g.key, got, g.owners[0])
 		}
 		for _, m := range r.Members() {
 			want := m == g.owners[0] || m == g.owners[1]
@@ -88,16 +88,16 @@ func TestRingReplicaSetShape(t *testing.T) {
 			}
 			seen[o] = true
 		}
-		if owners[0] != r.Primary(k) {
-			t.Fatalf("Owners(%q)[0] = %q != Primary %q", k, owners[0], r.Primary(k))
+		if primary := r.Owners(k, 1)[0]; owners[0] != primary {
+			t.Fatalf("Owners(%q)[0] = %q != Owners(%q, 1)[0] %q", k, owners[0], k, primary)
 		}
 	}
 	empty := BuildRing(nil, 16)
 	if got := empty.Owners("x.y", 2); len(got) != 0 {
 		t.Errorf("empty ring Owners = %v", got)
 	}
-	if got := empty.Primary("x.y"); got != "" {
-		t.Errorf("empty ring Primary = %q", got)
+	if got := empty.Owners("x.y", 1); len(got) != 0 {
+		t.Errorf("empty ring Owners(_, 1) = %v", got)
 	}
 }
 
@@ -237,7 +237,7 @@ func TestRingBalance(t *testing.T) {
 	counts := map[string]int{}
 	keys := testKeys(20000)
 	for _, k := range keys {
-		counts[r.Primary(k)]++
+		counts[r.Owners(k, 1)[0]]++
 	}
 	for _, m := range members {
 		frac := float64(counts[m]) / float64(len(keys))

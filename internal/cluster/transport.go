@@ -2,14 +2,14 @@ package cluster
 
 // Shared pooled HTTP transport for intra-cluster traffic.
 //
-// Every cluster wire path — estimate proxying, replication fan-out, hinted
+// Every cluster wire path — ingest forwarding, replication fan-out, hinted
 // handoff, gossip, and anti-entropy pulls — is node-to-node traffic against
 // a small, stable peer set. http.DefaultTransport (and worse, a fresh
 // zero-Transport client per node) re-dials per burst and caps idle
 // connections per host at 2, so a replication fan-out under load pays TCP
 // handshakes on the hot path. One tuned transport with deep per-host idle
 // pools turns that into connection reuse: the steady-state cost of a
-// forwarded estimate is a write and a read on a kept-alive connection.
+// replicated mutation is a write and a read on a kept-alive connection.
 
 import (
 	"net"

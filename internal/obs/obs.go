@@ -386,11 +386,16 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 // AppendText renders the registry in the Prometheus text exposition format,
 // appended to dst. Families render in registration order, series in
 // registration order within a family; histogram bucket counts are read once
-// into a local snapshot so _count always equals the +Inf bucket.
+// into a local snapshot so _count always equals the +Inf bucket. Series
+// registered after construction (per-peer instruments, added on a peer's
+// first hop) may land mid-render: each family is copied under the lock, and
+// registration only ever appends past the copied sample list.
 func (r *Registry) AppendText(dst []byte) []byte {
 	r.mu.Lock()
-	fams := make([]*family, len(r.fams))
-	copy(fams, r.fams)
+	fams := make([]family, len(r.fams))
+	for i, f := range r.fams {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
 	for _, f := range fams {
 		dst = append(dst, "# HELP "...)

@@ -230,7 +230,6 @@ const (
 	StageCache    = "cache"
 	StageEstimate = "estimate"
 	StageEncode   = "encode"
-	StageProxy    = "proxy" // cluster mode: request forwarded to the owning node
 )
 
 // Hop kinds recorded for cluster-internal sends. Each inter-node request
@@ -243,7 +242,7 @@ const (
 	HopDigest    = "digest"    // anti-entropy digest pull
 	HopEntry     = "entry"     // anti-entropy per-key entry pull
 	HopSnapshot  = "snapshot"  // anti-entropy full snapshot pull
-	HopForward   = "forward"   // ownership proxy of a client request
+	HopForward   = "forward"   // ingest batch forwarded to a ring owner
 )
 
 // MaxSpans bounds the per-request span buffer; stages past the limit are

@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"epfis/internal/cluster"
 	"epfis/internal/obs"
 	"epfis/internal/resilience"
 )
@@ -60,6 +61,16 @@ type StatusError struct {
 
 func (e *StatusError) Error() string {
 	return fmt.Sprintf("service: %d %s: %s", e.Code, http.StatusText(e.Code), e.Message)
+}
+
+// fenceKey is the context key WithFence stores tokens under.
+type fenceKey struct{}
+
+// WithFence returns a context whose requests carry fence tokens (the
+// "fence" field of cluster PUT and DELETE acknowledgements) in X-Epfis-Fence:
+// a node that has not applied a fenced write refuses with ErrStaleReplica.
+func WithFence(ctx context.Context, tokens ...string) context.Context {
+	return context.WithValue(ctx, fenceKey{}, tokens)
 }
 
 // retryable reports whether the response status is worth retrying: shed
@@ -198,6 +209,7 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 		tp = obs.NewTraceparent()
 	}
 	traceparent := tp.String()
+	fences, _ := ctx.Value(fenceKey{}).([]string)
 	return resilience.Retry(ctx, c.retry, func(ctx context.Context) error {
 		var rd io.Reader
 		if body != nil {
@@ -208,6 +220,9 @@ func (c *Client) do(ctx context.Context, method, path string, body []byte, out a
 			return resilience.Permanent(err)
 		}
 		req.Header.Set(obs.TraceparentHeader, traceparent)
+		for _, f := range fences {
+			req.Header.Add(cluster.HeaderFence, f)
+		}
 		if body != nil {
 			req.Header.Set("Content-Type", "application/json")
 		}

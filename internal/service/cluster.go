@@ -1,21 +1,30 @@
 package service
 
-// Cluster-mode serving: ownership routing, request forwarding, mutation
-// replication, and the three cluster routes (health, gossip, snapshot).
+// Cluster-mode serving: read fences, mutation replication, ingest
+// forwarding, and the cluster routes (health, gossip, snapshot, digest,
+// entry).
 //
 // Everything here is reached only when Config.Cluster is set. The single-node
 // serving path pays exactly one nil-pointer check per request (s.cluster ==
 // nil), so the committed alloc budgets are untouched with cluster mode off.
 //
-// Routing model: the catalog is fully replicated (mutations fan out
-// synchronously; gossip anti-entropy repairs missed peers via snapshot
-// streaming), while the consistent-hash ring assigns each index key an R-way
-// replica set that answers estimates for it — owners keep hot memo-cache
-// locality and bound each node's working set. A node receiving an estimate
-// for a key it does not own proxies it to an owner (one hop, marked with
-// X-Epfis-Forwarded); a forwarded request that still lands on a non-owner
-// answers 421 Misdirected Request with the owner set, so stale rings
-// re-route instead of looping.
+// Routing model: the catalog is fully replicated — mutations fan out to
+// every live peer, hinted handoff redelivers what a peer missed, and gossip
+// anti-entropy repairs the rest — so every node answers both estimate routes
+// from its own snapshot, with no hop. The consistent-hash ring assigns each
+// index key an R-way owner set that decides whose acknowledgements make a
+// write's quorum and where the key's ingest stream accumulates; it does not
+// route reads. Memo-cache locality is the client's side of the bargain:
+// ClusterClient sends each key to the member its hash picks first.
+//
+// Read consistency: an unfenced estimate gets whatever the local replica
+// holds, bit-exact with some version of the entry this node applied, which
+// may be older than a write another node has acknowledged. Read-your-writes
+// takes a fence instead of a hop. Every PUT and DELETE acknowledgement
+// carries its write's stamp as a fence token; an estimate that sends the
+// token back in X-Epfis-Fence is answered only by a node whose stamp for the
+// key has reached it. Any other node refuses with a retryable 503
+// (ErrStaleReplica), and the caller tries another node.
 //
 // Mutation model: every mutation is stamped with a cluster-wide Lamport
 // epoch at the node that first receives it, applied locally, then fanned out
@@ -44,6 +53,7 @@ import (
 	"net/http"
 	"net/url"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -70,16 +80,20 @@ const (
 	routeClusterEntry    = "GET " + cluster.PathEntryPrefix + "{key}"
 )
 
-// errNotOwner is the 421 body message prefix.
-var errAllOwnersDown = errors.New("no owner reachable for key")
+// ErrStaleReplica is the retryable 503 for an estimate fenced on a write
+// this node has not applied; another node may have it.
+var ErrStaleReplica = errors.New("stale replica")
 
-// clusterObs is the proxy-vs-own serving metrics, registered only in cluster
+// ErrBadFence is the 400 answered to a malformed X-Epfis-Fence value.
+var ErrBadFence = errors.New("malformed fence")
+
+// clusterObs is the cluster-mode serving metrics, registered only in cluster
 // mode.
 type clusterObs struct {
-	servedOwn     *obs.Counter
-	proxied       *obs.Counter
-	misdirected   *obs.Counter
-	proxyFailures *obs.Counter
+	local         *obs.Counter
+	stale         *obs.Counter
+	ingestFwd     *obs.Counter
+	ingestFwdFail *obs.Counter
 	replicated    *obs.Counter
 	replFailures  *obs.Counter
 	staleDrops    *obs.Counter
@@ -91,16 +105,17 @@ type clusterObs struct {
 }
 
 func newClusterObs(reg *obs.Registry) *clusterObs {
+	const (
+		estHelp = "Estimates by disposition: answered from the local replica, or refused by a fence the replica has not reached."
+		fwdHelp = "Ingest batches forwarded to a ring owner of their index, by result."
+	)
 	src := func(v string) obs.Label { return obs.Label{Name: "source", Value: v} }
+	res := func(v string) obs.Label { return obs.Label{Name: "result", Value: v} }
 	return &clusterObs{
-		servedOwn: reg.Counter("epfis_cluster_estimates_total",
-			"Estimates by serving disposition.", src("own")),
-		proxied: reg.Counter("epfis_cluster_estimates_total",
-			"Estimates by serving disposition.", src("proxied")),
-		misdirected: reg.Counter("epfis_cluster_estimates_total",
-			"Estimates by serving disposition.", src("misdirected")),
-		proxyFailures: reg.Counter("epfis_cluster_proxy_failures_total",
-			"Estimate proxy attempts that exhausted every owner."),
+		local:         reg.Counter("epfis_cluster_estimates_total", estHelp, src("local")),
+		stale:         reg.Counter("epfis_cluster_estimates_total", estHelp, src("stale")),
+		ingestFwd:     reg.Counter("epfis_cluster_ingest_forwarded_total", fwdHelp, res("ok")),
+		ingestFwdFail: reg.Counter("epfis_cluster_ingest_forwarded_total", fwdHelp, res("failed")),
 		replicated: reg.Counter("epfis_cluster_replication_total",
 			"Mutations replicated to peers."),
 		replFailures: reg.Counter("epfis_cluster_replication_failures_total",
@@ -142,88 +157,89 @@ func replRoute(method string) string {
 	return "put"
 }
 
-// clusterKey builds the ring key for an estimate input.
-func clusterKey(in *estimateInput) string { return in.table + "." + in.column }
-
-// ownsEstimate reports whether this node should answer for the input's key.
-func (s *Server) ownsEstimate(in *estimateInput) bool {
-	return s.cluster.Owns(clusterKey(in))
+// fenceToken renders the fence a mutation acknowledgement returns: table,
+// column, epoch and origin joined by "/". url.PathEscape escapes "/" and ","
+// in every field, so a token splits unambiguously for any table, column or
+// node ID, and several tokens may share one comma-folded header line.
+func fenceToken(table, column string, st cluster.Stamp) string {
+	return url.PathEscape(table) + "/" + url.PathEscape(column) + "/" +
+		strconv.FormatUint(st.Epoch, 10) + "/" + url.PathEscape(st.Origin)
 }
 
-// clusterRoute handles ownership for the single-estimate route. It reports
-// true when it fully handled the request (proxied or rejected); false means
-// this node owns the key and the caller serves it locally.
-func (s *Server) clusterRoute(w http.ResponseWriter, r *http.Request, in *estimateInput, tb *obs.TraceBuf) bool {
-	key := clusterKey(in)
-	if s.cluster.Owns(key) {
-		s.cobs.servedOwn.Inc()
-		w.Header().Set(cluster.HeaderNode, s.cluster.SelfID())
+// parseFence is fenceToken's inverse.
+func parseFence(tok string) (table, column string, st cluster.Stamp, err error) {
+	if parts := strings.Split(strings.TrimSpace(tok), "/"); len(parts) == 4 {
+		table, err1 := url.PathUnescape(parts[0])
+		column, err2 := url.PathUnescape(parts[1])
+		epoch, err3 := strconv.ParseUint(parts[2], 10, 64)
+		origin, err4 := url.PathUnescape(parts[3])
+		if err1 == nil && err2 == nil && err3 == nil && err4 == nil &&
+			table != "" && column != "" && epoch != 0 && origin != "" {
+			return table, column, cluster.Stamp{Epoch: epoch, Origin: origin}, nil
+		}
+	}
+	return "", "", st, fmt.Errorf("%w %q: want table/column/epoch/origin, each path-escaped", ErrBadFence, tok)
+}
+
+// staleFences returns a refusal, keyed by {table, column}, for each fenced
+// index whose stamp here orders before the token's; nil when all pass. A
+// stamp is recorded only after the store publishes its write, and
+// anti-entropy never touches stamp-tracked keys, so a passing fence means a
+// snapshot loaded afterwards holds the write or a later one: callers check
+// fences before they load the snapshot.
+func (s *Server) staleFences(r *http.Request) (map[[2]string]error, error) {
+	var stale map[[2]string]error
+	for _, v := range r.Header[cluster.HeaderFence] {
+		for _, tok := range strings.Split(v, ",") {
+			table, column, st, err := parseFence(tok)
+			if err != nil {
+				return nil, err
+			}
+			if s.cluster.KeyStamp(table + "." + column).Less(st) {
+				if stale == nil {
+					stale = map[[2]string]error{}
+				}
+				stale[[2]string{table, column}] = fmt.Errorf("%w: %s.%s has not reached epoch %d from %s; try another node",
+					ErrStaleReplica, table, column, st.Epoch, st.Origin)
+			}
+		}
+	}
+	return stale, nil
+}
+
+// clusterEstimate is the single-estimate route's cluster-mode prologue: it
+// stamps the answer with this node's ID and checks the fences, answering
+// 400 or 503 itself. It reports whether to go on and serve the estimate.
+func (s *Server) clusterEstimate(w http.ResponseWriter, r *http.Request, in *estimateInput) bool {
+	w.Header()[cluster.HeaderNode] = s.nodeHeader
+	stale, err := s.staleFences(r)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return false
 	}
-	if r.Header.Get(cluster.HeaderForwarded) != "" {
-		// Already forwarded once and we still do not own it: the sender's
-		// ring is stale. Answer 421 with the owner set; never forward again.
-		s.cobs.misdirected.Inc()
-		s.writeMisdirected(w, key)
-		return true
+	if err := stale[[2]string{in.table, in.column}]; err != nil {
+		s.cobs.stale.Inc()
+		writeRetryable(w, http.StatusServiceUnavailable, err, time.Second)
+		return false
 	}
-	tb.Mark(obs.StageProxy)
-	defer tb.CloseSpan()
-	// The estimate routes run inline, without the watchdog, so the owner
-	// loop carries the request's time bound itself: one deadline across
-	// every attempt, not one per owner. Created only here, so an owned read
-	// stays allocation-free.
-	ctx := r.Context()
-	if s.timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.timeout)
-		defer cancel()
-	}
-	for _, p := range s.cluster.Owners(key) {
-		if ctx.Err() != nil {
-			break
-		}
-		if p.ID == s.cluster.SelfID() || p.URL == "" || p.State == cluster.StateDead {
-			continue
-		}
-		if s.proxyRequest(ctx, w, r, p, http.MethodGet, r.URL.RequestURI(), nil) {
-			s.cobs.proxied.Inc()
-			return true
-		}
-	}
-	s.cobs.proxyFailures.Inc()
-	if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-		writeTimeout(w)
-		return true
-	}
-	// Every owner was unreachable. 503 is the honest answer: retryable, and
-	// never a number this node cannot vouch for.
-	writeRetryable(w, http.StatusServiceUnavailable,
-		fmt.Errorf("%w %s", errAllOwnersDown, key), time.Second)
+	s.cobs.local.Inc()
 	return true
 }
 
-// proxyRequest forwards a request to one peer with the given method, path,
-// and body under ctx, copying the response through verbatim. It reports
-// false on transport failure (the caller tries the next owner); any
-// completed upstream response — success or error — is relayed as-is and
-// reported true.
+// proxyRequest forwards an ingest batch to one owner under ctx, copying the
+// response through verbatim. It reports false on transport failure (the
+// caller tries the next owner); any completed upstream response — success or
+// error — is relayed as-is and reported true.
 // The outbound request carries this node's id plus a child traceparent
 // derived from the inbound request's trace (read from the request's trace
 // buffer, never from response headers), and the sender records one forward
 // hop so the stitched trace shows the proxy edge.
-func (s *Server) proxyRequest(ctx context.Context, w http.ResponseWriter, r *http.Request, p cluster.PeerInfo, method, path string, body []byte) bool {
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, p.URL+path, rd)
+func (s *Server) proxyRequest(ctx context.Context, w http.ResponseWriter, p cluster.PeerInfo, path string, body []byte) bool {
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.URL+path, bytes.NewReader(body))
 	if err != nil {
 		return false
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
+	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(cluster.HeaderForwarded, s.cluster.SelfID())
 	req.Header.Set(cluster.HeaderNode, s.cluster.SelfID())
 	var hop obs.Traceparent
@@ -261,30 +277,8 @@ func (s *Server) proxyRequest(ctx context.Context, w http.ResponseWriter, r *htt
 		w.Header().Set(cluster.HeaderNode, id)
 	}
 	w.WriteHeader(resp.StatusCode)
-	cb := proxyCopyPool.Get().(*[]byte)
-	io.CopyBuffer(w, resp.Body, *cb)
-	proxyCopyPool.Put(cb)
+	io.Copy(w, resp.Body)
 	return true
-}
-
-// writeMisdirected answers 421 with the key's owner set so the caller can
-// refresh its ring and re-route.
-func (s *Server) writeMisdirected(w http.ResponseWriter, key string) {
-	type ownerDoc struct {
-		ID  string `json:"id"`
-		URL string `json:"url"`
-	}
-	owners := s.cluster.Owners(key)
-	docs := make([]ownerDoc, 0, len(owners))
-	for _, p := range owners {
-		docs = append(docs, ownerDoc{ID: p.ID, URL: p.URL})
-	}
-	writeJSON(w, http.StatusMisdirectedRequest, map[string]any{
-		"error":  "misdirected: this node does not own " + key,
-		"status": http.StatusMisdirectedRequest,
-		"key":    key,
-		"owners": docs,
-	})
 }
 
 // mutationEncoder pairs a buffer with a reusable json.Encoder for the
@@ -320,14 +314,6 @@ func encodeMutationBody(e *stats.IndexStats) ([]byte, error) {
 	}
 	return out, nil
 }
-
-// proxyCopyPool holds the 32KB buffers proxyRequest streams upstream
-// response bodies through, so a forwarded estimate does not allocate a copy
-// buffer per hop.
-var proxyCopyPool = sync.Pool{New: func() any {
-	b := make([]byte, 32<<10)
-	return &b
-}}
 
 // indexPath is the replicated mutation path for one index.
 func indexPath(table, column string) string {
@@ -390,7 +376,8 @@ func (s *Server) clusterPut(w http.ResponseWriter, r *http.Request, e *stats.Ind
 			time.Second)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "generation": gen, "epoch": epoch})
+	writeJSON(w, http.StatusOK, map[string]any{"key": key, "generation": gen, "epoch": epoch,
+		"fence": fenceToken(e.Table, e.Column, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})})
 }
 
 // requestTrace captures the inbound request's trace identity by value —
@@ -459,7 +446,8 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, co
 			time.Second)
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "epoch": epoch})
+	writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "epoch": epoch,
+		"fence": fenceToken(table, column, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})})
 }
 
 // applyReplicated applies one replicated mutation iff its (epoch, origin)

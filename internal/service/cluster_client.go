@@ -1,33 +1,23 @@
 package service
 
-// ClusterClient is the cluster-aware extension of the retrying Client: it
-// learns the ring from any seed node's /v1/cluster/health document, computes
-// the same consistent-hash placement every server computes, and routes each
-// estimate to the key's owners directly — no proxy hop in the steady state.
-//
-// Resilience layers, outermost first:
-//
-//   - ring-position routing with owner failover: the primary is tried first,
-//     replicas in ring order after it;
-//   - hedging: if the first owner has not answered within HedgeAfter, the
-//     request is also sent to the next replica and the first answer wins
-//     (estimates are idempotent reads, so hedges are safe);
-//   - a per-node resilience.Breaker: a node that keeps failing is skipped at
-//     dispatch until its cooldown probe succeeds, so a dead node costs one
-//     timeout per cooldown instead of one per request;
-//   - 421 re-route: a Misdirected answer means placement moved (a member
-//     joined); the client refreshes the ring from the cluster and retries
-//     once against the new owners.
-//
-// Batches are partitioned by primary owner — each node receives exactly the
-// items it owns in one sub-batch — and the per-node responses are merged
-// back into the original request order.
+// ClusterClient is the cluster-aware extension of the retrying Client. Every
+// node answers estimates from its own replica, so the client needs no ring:
+// it learns the members from any seed's /v1/cluster/health and starts each
+// key at the member the key's hash picks, keeping one node's memo cache warm
+// for the key. It fails over to the other members in order, hedges to the
+// next after HedgeAfter (estimates are idempotent), and skips a member whose
+// breaker is open. A batch goes whole to one node, chosen by its first
+// item's key. A fence refusal (ErrStaleReplica) fails over like any 503 but
+// does not strike the breaker: the node is healthy, only behind on one key.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"net/http"
+	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,14 +25,15 @@ import (
 	"epfis/internal/resilience"
 )
 
-// DefaultHedgeAfter is the time the primary owner gets before a hedge is
-// sent to the next replica.
+// DefaultHedgeAfter is the time the current member gets before a hedge is
+// sent to the next one.
 const DefaultHedgeAfter = 50 * time.Millisecond
 
 // ClusterClientConfig configures NewClusterClient. Seeds is required.
 type ClusterClientConfig struct {
-	// Seeds are node base URLs; the ring is learned from the first one that
-	// answers /v1/cluster/health and refreshed on demand after that.
+	// Seeds are node base URLs; the member list is learned from the first
+	// one that answers /v1/cluster/health and refreshed on demand after
+	// that.
 	Seeds []string
 	// HTTPClient overrides http.DefaultClient for every node.
 	HTTPClient *http.Client
@@ -50,7 +41,7 @@ type ClusterClientConfig struct {
 	// provides cross-node redundancy; the zero value here keeps the
 	// resilience defaults within one node.
 	Retry resilience.RetryPolicy
-	// HedgeAfter is the wait before hedging to the next replica.
+	// HedgeAfter is the wait before hedging to the next member.
 	// 0 = DefaultHedgeAfter; negative disables hedging (failover only).
 	HedgeAfter time.Duration
 	// BreakerFailures / BreakerCooldown tune the per-node breakers
@@ -60,7 +51,7 @@ type ClusterClientConfig struct {
 }
 
 // clusterNode is one node the client knows: its address, a plain Client
-// bound to it, and the breaker guarding it.
+// bound to it, and the breaker guarding it. Immutable once built.
 type clusterNode struct {
 	id      string
 	url     string
@@ -68,19 +59,17 @@ type clusterNode struct {
 	breaker *resilience.Breaker
 }
 
-// ClusterClient routes estimates across a cluster. Construct with
+// ClusterClient spreads estimates across a cluster. Construct with
 // NewClusterClient; safe for concurrent use.
 type ClusterClient struct {
 	cfg ClusterClientConfig
 	hc  *http.Client
 
-	mu       sync.RWMutex
-	ring     *cluster.Ring
-	replicas int
-	nodes    map[string]*clusterNode // by node ID
+	mu      sync.RWMutex
+	members []*clusterNode // sorted by node ID; nil before the first refresh
 }
 
-// NewClusterClient builds a client over the seed list. The ring is fetched
+// NewClusterClient builds a client over the seed list. Members are fetched
 // lazily on first use (or eagerly via Refresh).
 func NewClusterClient(cfg ClusterClientConfig) (*ClusterClient, error) {
 	if len(cfg.Seeds) == 0 {
@@ -93,202 +82,166 @@ func NewClusterClient(cfg ClusterClientConfig) (*ClusterClient, error) {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	return &ClusterClient{cfg: cfg, hc: hc, nodes: map[string]*clusterNode{}}, nil
+	return &ClusterClient{cfg: cfg, hc: hc}, nil
 }
 
-// Refresh fetches the cluster document from the first answering seed (or
-// already-known node) and rebuilds the ring and node table.
+// Refresh fetches the cluster document from the first answering node —
+// known members first (fresher than a static seed list), then the seeds —
+// and rebuilds the member list.
 func (c *ClusterClient) Refresh(ctx context.Context) error {
-	bases := c.knownURLs()
-	var lastErr error
-	for _, base := range bases {
-		cl, err := NewClient(ClientConfig{BaseURL: base, HTTPClient: c.hc,
-			Retry: resilience.RetryPolicy{MaxAttempts: 1}})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var doc cluster.Doc
-		if err := cl.do(ctx, http.MethodGet, cluster.PathHealth, nil, &doc); err != nil {
-			lastErr = err
-			continue
-		}
-		return c.adopt(doc)
-	}
-	if lastErr == nil {
-		lastErr = errors.New("service: no cluster seed answered")
-	}
-	return fmt.Errorf("service: cluster refresh: %w", lastErr)
-}
-
-// knownURLs lists node URLs to try for a refresh: known members first (their
-// docs are fresher than a static seed list), then the seeds.
-func (c *ClusterClient) knownURLs() []string {
 	c.mu.RLock()
-	defer c.mu.RUnlock()
-	seen := map[string]bool{}
-	out := make([]string, 0, len(c.nodes)+len(c.cfg.Seeds))
-	for _, n := range c.nodes {
-		if n.url != "" && !seen[n.url] {
-			seen[n.url] = true
-			out = append(out, n.url)
+	urls := make([]string, 0, len(c.members)+len(c.cfg.Seeds))
+	for _, n := range c.members {
+		urls = append(urls, n.url)
+	}
+	c.mu.RUnlock()
+	err := errors.New("no cluster seed answered")
+	for _, base := range append(urls, c.cfg.Seeds...) {
+		var cl *Client
+		var doc cluster.Doc
+		if cl, err = NewClient(ClientConfig{BaseURL: base, HTTPClient: c.hc,
+			Retry: resilience.RetryPolicy{MaxAttempts: 1}}); err == nil {
+			if err = cl.do(ctx, http.MethodGet, cluster.PathHealth, nil, &doc); err == nil {
+				return c.adopt(doc)
+			}
 		}
 	}
-	for _, s := range c.cfg.Seeds {
-		if s != "" && !seen[s] {
-			seen[s] = true
-			out = append(out, s)
-		}
-	}
-	return out
+	return fmt.Errorf("service: cluster refresh: %w", err)
 }
 
-// adopt installs a cluster document: rebuild the ring over the member IDs
-// and refresh the node table, preserving existing breakers (their failure
-// history survives a refresh).
+// adopt installs a cluster document: the member list becomes the document's
+// members with a URL, sorted by ID. A member already known keeps its
+// breaker, so its failure history survives a refresh.
 func (c *ClusterClient) adopt(doc cluster.Doc) error {
-	ids := make([]string, 0, len(doc.Members))
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	known := map[string]*clusterNode{}
+	for _, n := range c.members {
+		known[n.id] = n
+	}
+	var members []*clusterNode
 	for _, m := range doc.Members {
 		if m.ID == "" || m.URL == "" {
 			continue
 		}
-		ids = append(ids, m.ID)
-		if n, ok := c.nodes[m.ID]; ok {
-			if n.url != m.URL {
-				cl, err := NewClient(ClientConfig{BaseURL: m.URL, HTTPClient: c.hc, Retry: c.cfg.Retry})
-				if err != nil {
-					return err
-				}
-				n.url, n.client = m.URL, cl
+		n := known[m.ID]
+		if n == nil || n.url != m.URL {
+			cl, err := NewClient(ClientConfig{BaseURL: m.URL, HTTPClient: c.hc, Retry: c.cfg.Retry})
+			if err != nil {
+				return err
 			}
-			continue
-		}
-		cl, err := NewClient(ClientConfig{BaseURL: m.URL, HTTPClient: c.hc, Retry: c.cfg.Retry})
-		if err != nil {
-			return err
-		}
-		c.nodes[m.ID] = &clusterNode{
-			id:     m.ID,
-			url:    m.URL,
-			client: cl,
-			breaker: resilience.NewBreaker(resilience.BreakerConfig{
+			br := resilience.NewBreaker(resilience.BreakerConfig{
 				Failures: c.cfg.BreakerFailures,
 				Cooldown: c.cfg.BreakerCooldown,
-			}),
+			})
+			if n != nil {
+				br = n.breaker
+			}
+			n = &clusterNode{id: m.ID, url: m.URL, client: cl, breaker: br}
 		}
+		members = append(members, n)
 	}
-	if len(ids) == 0 {
+	if len(members) == 0 {
 		return errors.New("service: cluster document carries no members")
 	}
-	c.ring = cluster.BuildRing(ids, doc.VNodes)
-	c.replicas = doc.Replicas
-	if c.replicas <= 0 {
-		c.replicas = cluster.DefaultReplicas
-	}
+	sort.Slice(members, func(i, j int) bool { return members[i].id < members[j].id })
+	c.members = members
 	return nil
 }
 
-// ensureRing fetches the ring on first use.
-func (c *ClusterClient) ensureRing(ctx context.Context) error {
+// order returns every member, starting at the one key hashes to and going
+// on in member order. It fetches the member list on first use.
+func (c *ClusterClient) order(ctx context.Context, key string) ([]*clusterNode, error) {
 	c.mu.RLock()
-	ok := c.ring != nil
+	members := c.members
 	c.mu.RUnlock()
-	if ok {
-		return nil
-	}
-	return c.Refresh(ctx)
-}
-
-// ownerNodes resolves the key's replica set to dispatchable nodes, primary
-// first.
-func (c *ClusterClient) ownerNodes(key string) []*clusterNode {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	if c.ring == nil {
-		return nil
-	}
-	ids := c.ring.Owners(key, c.replicas)
-	out := make([]*clusterNode, 0, len(ids))
-	for _, id := range ids {
-		if n, ok := c.nodes[id]; ok {
-			out = append(out, n)
+	if members == nil {
+		if err := c.Refresh(ctx); err != nil {
+			return nil, err
 		}
+		return c.order(ctx, key) // adopt never installs an empty list
 	}
-	return out
-}
-
-// Ring returns the client's current view of the ring (nil before first use).
-func (c *ClusterClient) Ring() *cluster.Ring {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return c.ring
-}
-
-// isMisdirected reports a 421 answer — placement moved under the client.
-func isMisdirected(err error) bool {
-	var se *StatusError
-	return errors.As(err, &se) && se.Code == http.StatusMisdirectedRequest
+	h := fnv.New64a()
+	h.Write([]byte(key))
+	start := int(h.Sum64() % uint64(len(members)))
+	out := make([]*clusterNode, 0, len(members))
+	out = append(out, members[start:]...)
+	return append(out, members[:start]...), nil
 }
 
 // isNodeFailure classifies an estimate error for the per-node breaker:
-// transport trouble and 5xx/429 strike the node; client-side errors
-// (bad input, unknown index, misdirected) do not.
+// transport trouble and 5xx/429 strike the node; client-side errors (bad
+// input, unknown index) and fence refusals do not.
 func isNodeFailure(err error) bool {
 	if err == nil {
 		return false
 	}
 	var se *StatusError
 	if errors.As(err, &se) {
+		if strings.HasPrefix(se.Message, ErrStaleReplica.Error()) {
+			return false
+		}
 		return se.Code >= 500 || se.Code == http.StatusTooManyRequests
 	}
 	return !errors.Is(err, context.Canceled)
 }
 
-// Estimate fetches one estimate from the key's owners, hedging and failing
-// over between them, re-routing once on 421.
+// Estimate fetches one estimate, starting at the member the key hashes to
+// and hedging and failing over to the others.
 func (c *ClusterClient) Estimate(ctx context.Context, req EstimateRequest) (EstimateResponse, error) {
-	if err := c.ensureRing(ctx); err != nil {
-		return EstimateResponse{}, err
-	}
-	resp, err := c.estimateOnce(ctx, req)
-	if isMisdirected(err) {
-		if rerr := c.Refresh(ctx); rerr == nil {
-			resp, err = c.estimateOnce(ctx, req)
-		}
-	}
-	return resp, err
+	return race(ctx, c, req.Table+"."+req.Column, func(ctx context.Context, cl *Client) (EstimateResponse, error) {
+		return cl.Estimate(ctx, req)
+	})
 }
 
-// estimateOnce runs the hedged owner race for one logical estimate.
-func (c *ClusterClient) estimateOnce(ctx context.Context, req EstimateRequest) (EstimateResponse, error) {
-	key := req.Table + "." + req.Column
-	nodes := c.ownerNodes(key)
-	if len(nodes) == 0 {
-		return EstimateResponse{}, fmt.Errorf("service: no known owner for %s", key)
+// EstimateBatch sends the whole batch to the member its first item's key
+// hashes to, hedging and failing over to the others as a unit.
+func (c *ClusterClient) EstimateBatch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
+	key := ""
+	if len(req.Requests) > 0 {
+		key = req.Requests[0].Table + "." + req.Requests[0].Column
+	}
+	return race(ctx, c, key, func(ctx context.Context, cl *Client) (BatchResponse, error) {
+		return cl.EstimateBatch(ctx, req)
+	})
+}
+
+// race runs call against the members in key order: the next member is
+// launched when the hedge timer fires or a launched call fails, and the
+// first success wins. Each call passes its node's breaker; an open breaker
+// fails it at once.
+func race[T any](ctx context.Context, c *ClusterClient, key string, call func(context.Context, *Client) (T, error)) (T, error) {
+	var zero T
+	nodes, err := c.order(ctx, key)
+	if err != nil {
+		return zero, err
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel() // winner decided: abandon in-flight hedges
 	type result struct {
-		resp EstimateResponse
-		err  error
+		v   T
+		err error
 	}
 	resCh := make(chan result, len(nodes))
-	launch := func(n *clusterNode) {
+	launched := 0
+	launchNext := func() {
+		if launched == len(nodes) {
+			return
+		}
+		n := nodes[launched]
+		launched++
 		go func() {
 			commit, _, err := n.breaker.Begin()
 			if err != nil {
 				resCh <- result{err: fmt.Errorf("node %s: %w", n.id, err)}
 				return
 			}
-			resp, err := n.client.Estimate(ctx, req)
+			v, err := call(ctx, n.client)
 			commit(isNodeFailure(err))
-			resCh <- result{resp: resp, err: err}
+			resCh <- result{v: v, err: err}
 		}()
 	}
-	launched := 1
-	launch(nodes[0])
+	launchNext()
 	var hedge <-chan time.Time
 	if c.cfg.HedgeAfter > 0 && len(nodes) > 1 {
 		t := time.NewTimer(c.cfg.HedgeAfter)
@@ -301,160 +254,28 @@ func (c *ClusterClient) estimateOnce(ctx context.Context, req EstimateRequest) (
 		case r := <-resCh:
 			received++
 			if r.err == nil {
-				return r.resp, nil
+				return r.v, nil
 			}
-			if firstErr == nil || isMisdirected(r.err) {
-				// Keep the most actionable error: a 421 tells the caller to
-				// re-route, so it wins over earlier transport noise.
+			if firstErr == nil {
 				firstErr = r.err
 			}
-			// A definite failure frees a slot: fail over to the next owner
+			// A definite failure frees a slot: fail over to the next node
 			// immediately rather than waiting for the hedge timer.
-			if launched < len(nodes) {
-				launch(nodes[launched])
-				launched++
-			}
+			launchNext()
 		case <-hedge:
 			hedge = nil
-			if launched < len(nodes) {
-				launch(nodes[launched])
-				launched++
-			}
+			launchNext()
 		case <-ctx.Done():
-			return EstimateResponse{}, ctx.Err()
+			return zero, ctx.Err()
 		}
 	}
-	return EstimateResponse{}, firstErr
+	return zero, firstErr
 }
 
-// EstimateBatch partitions the batch by primary owner, sends each node its
-// sub-batch concurrently, and merges the answers back into request order.
-// Items whose sub-batch fails wholesale carry that error per-item; items
-// answered 421 are retried once after a ring refresh.
-func (c *ClusterClient) EstimateBatch(ctx context.Context, req BatchRequest) (BatchResponse, error) {
-	if err := c.ensureRing(ctx); err != nil {
-		return BatchResponse{}, err
-	}
-	items := make([]BatchItem, len(req.Requests))
-	if err := c.batchRound(ctx, req.Requests, indexRange(len(req.Requests)), items); err != nil {
-		return BatchResponse{}, err
-	}
-	// One re-route round for items the servers disowned (421).
-	var retry []int
-	for i, it := range items {
-		if it.Estimate == nil && it.Status == http.StatusMisdirectedRequest {
-			retry = append(retry, i)
-		}
-	}
-	if len(retry) > 0 {
-		if err := c.Refresh(ctx); err == nil {
-			_ = c.batchRound(ctx, req.Requests, retry, items)
-		}
-	}
-	out := BatchResponse{Count: len(items), Items: items}
-	for _, it := range items {
-		if it.Estimate == nil {
-			out.Failed++
-		} else if it.Estimate.Generation > out.Generation {
-			out.Generation = it.Estimate.Generation
-		}
-	}
-	return out, nil
-}
-
-func indexRange(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
-// batchRound sends the chosen request indices to their primary owners and
-// writes answers into items (indexed like reqs).
-func (c *ClusterClient) batchRound(ctx context.Context, reqs []EstimateRequest, idxs []int, items []BatchItem) error {
-	c.mu.RLock()
-	ring := c.ring
-	c.mu.RUnlock()
-	if ring == nil {
-		return errors.New("service: cluster ring not initialized")
-	}
-	groups := map[string][]int{} // primary owner ID -> request indices
-	for _, i := range idxs {
-		r := &reqs[i]
-		owner := ring.Primary(r.Table + "." + r.Column)
-		groups[owner] = append(groups[owner], i)
-	}
-	var wg sync.WaitGroup
-	var mu sync.Mutex // guards items writes across groups
-	for owner, members := range groups {
-		c.mu.RLock()
-		node := c.nodes[owner]
-		c.mu.RUnlock()
-		wg.Add(1)
-		go func(node *clusterNode, members []int) {
-			defer wg.Done()
-			fill := func(it BatchItem) {
-				mu.Lock()
-				for _, i := range members {
-					items[i] = it
-				}
-				mu.Unlock()
-			}
-			if node == nil {
-				fill(BatchItem{Error: "no known owner", Status: http.StatusServiceUnavailable})
-				return
-			}
-			commit, _, err := node.breaker.Begin()
-			if err != nil {
-				fill(BatchItem{Error: err.Error(), Status: http.StatusServiceUnavailable})
-				return
-			}
-			sub := BatchRequest{Requests: make([]EstimateRequest, len(members))}
-			for j, i := range members {
-				sub.Requests[j] = reqs[i]
-			}
-			resp, err := node.client.EstimateBatch(ctx, sub)
-			commit(isNodeFailure(err))
-			if err != nil {
-				status := http.StatusServiceUnavailable
-				var se *StatusError
-				if errors.As(err, &se) {
-					status = se.Code
-				}
-				fill(BatchItem{Error: err.Error(), Status: status})
-				return
-			}
-			mu.Lock()
-			for j, i := range members {
-				if j < len(resp.Items) {
-					items[i] = resp.Items[j]
-				} else {
-					items[i] = BatchItem{Error: "missing item in node response", Status: http.StatusBadGateway}
-				}
-			}
-			mu.Unlock()
-		}(node, members)
-	}
-	wg.Wait()
-	return nil
-}
-
-// Health proxies the plain health document from the first answering node.
+// Health fetches the plain health document from the first member that
+// answers, with the same failover and breakers as an estimate.
 func (c *ClusterClient) Health(ctx context.Context) (Health, error) {
-	var lastErr error
-	for _, base := range c.knownURLs() {
-		cl, err := NewClient(ClientConfig{BaseURL: base, HTTPClient: c.hc,
-			Retry: resilience.RetryPolicy{MaxAttempts: 1}})
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		h, err := cl.Health(ctx)
-		if err == nil {
-			return h, nil
-		}
-		lastErr = err
-	}
-	return Health{}, fmt.Errorf("service: cluster health: %w", lastErr)
+	return race(ctx, c, "", func(ctx context.Context, cl *Client) (Health, error) {
+		return cl.Health(ctx)
+	})
 }

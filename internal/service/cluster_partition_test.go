@@ -22,6 +22,8 @@ import (
 	"epfis/internal/cluster"
 	"epfis/internal/core"
 	"epfis/internal/faultnet"
+	"epfis/internal/obs"
+	"epfis/internal/resilience"
 	"epfis/internal/stats"
 )
 
@@ -540,8 +542,9 @@ func TestHandoffJournalSurvivesRestart(t *testing.T) {
 
 // TestClusterIngestOwnershipRouting is the satellite for ingest routing: a
 // batch posted to a non-owner is forwarded one hop to the ring owner (the
-// response carries the owner's node header), an already-forwarded misroute
-// answers 421, and a full scan streamed entirely through a non-owner still
+// response carries the owner's node header) and counted as a forwarded
+// ingest batch, never as an estimate; an already-forwarded misroute answers
+// 421, and a full scan streamed entirely through a non-owner still
 // accumulates coherently on the owner and republishes cluster-wide.
 func TestClusterIngestOwnershipRouting(t *testing.T) {
 	nodes := startCluster(t, 3, 1) // R=1: exactly one owner per key
@@ -563,6 +566,7 @@ func TestClusterIngestOwnershipRouting(t *testing.T) {
 
 	// A probe batch through the non-owner is forwarded: the 202 comes back
 	// stamped with the owner's identity.
+	before := promSeries(t, nonOwner.srv, "epfis_cluster_estimates_total", "epfis_cluster_ingest_forwarded_total")
 	probe := IngestRequest{Table: meta.Table, Column: meta.Column, Pages: trace[:1],
 		T: meta.T, N: meta.N, I: meta.I, BatchID: "probe-1"}
 	raw, err := json.Marshal(probe)
@@ -580,6 +584,16 @@ func TestClusterIngestOwnershipRouting(t *testing.T) {
 	}
 	if got := resp.Header.Get(cluster.HeaderNode); got != owner.id {
 		t.Fatalf("forwarded ingest answered by %q, want owner %q", got, owner.id)
+	}
+	after := promSeries(t, nonOwner.srv, "epfis_cluster_estimates_total", "epfis_cluster_ingest_forwarded_total")
+	const fwdOK = `epfis_cluster_ingest_forwarded_total{result="ok"}`
+	if after[fwdOK] != before[fwdOK]+1 {
+		t.Errorf("%s went %v -> %v over one forwarded batch, want +1", fwdOK, before[fwdOK], after[fwdOK])
+	}
+	for series, v := range after {
+		if strings.HasPrefix(series, "epfis_cluster_estimates_total") && v != before[series] {
+			t.Errorf("forwarded ingest batch moved %s: %v -> %v", series, before[series], v)
+		}
 	}
 
 	// An already-forwarded batch landing on a non-owner is a routing bug:
@@ -617,6 +631,29 @@ func TestClusterIngestOwnershipRouting(t *testing.T) {
 			t.Errorf("%s: republished entry diverges from offline fit", cn.id)
 		}
 	}
+}
+
+// promSeries scrapes srv's Prometheus exposition and returns every sample of
+// the named families as series → value.
+func promSeries(t testing.TB, srv *Server, families ...string) map[string]float64 {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	fams, err := obs.ParseExposition(rec.Body.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string]float64{}
+	for _, f := range fams {
+		for _, name := range families {
+			if f.Name == name {
+				for _, s := range f.Samples {
+					out[s.Name+"{"+s.CanonicalLabels()+"}"] = s.Value
+				}
+			}
+		}
+	}
+	return out
 }
 
 // TestEqualEpochConflictConverges is the regression for the split-brain
@@ -858,5 +895,218 @@ func TestHandoffAbandonsAbsentPeer(t *testing.T) {
 	}
 	if got := srv.handoff.abandonedC.Value(); got != 1 {
 		t.Fatalf("abandoned counter = %d, want 1", got)
+	}
+}
+
+// TestClusterPartitionReadFence is the read-your-writes drill. Every node
+// answers estimates from its own replica, so a write acknowledged at quorum
+// can be missing from a non-owner whose link from the coordinator is down.
+// The write's fence must turn that replica's answer into an honest 503
+// rather than a stale number, per key on a batch, until handoff delivers
+// the write; an unfenced read meanwhile gets the replica's own version,
+// bit-exactly. The coordinator's per-peer handoff gauge shows the lag.
+func TestClusterPartitionReadFence(t *testing.T) {
+	nodes := startFaultCluster(t, 3, 2)
+	const key = "orders.key"
+	var coord, stale *fnode
+	for _, n := range nodes {
+		if !n.node.Owns(key) {
+			stale = n
+		} else if coord == nil {
+			coord = n
+		}
+	}
+	if coord == nil || stale == nil {
+		t.Fatalf("no owner/non-owner split for %s at R=2 over 3 nodes", key)
+	}
+	v1, v2 := fitStats(t, "orders", "key", 1), fitStats(t, "orders", "key", 2)
+	other := fitStats(t, "orders", "other", 3)
+	const b, sigma = 100, 0.1
+	want1, err := core.EstimateFetches(v1, b, sigma, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want2, err := core.EstimateFetches(v2, b, sigma, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want1 == want2 {
+		t.Fatal("test needs versions with distinguishable estimates")
+	}
+	// mutate runs one write of orders.<column> through the coordinator and
+	// returns its fence; st is the PUT body, nil for a DELETE.
+	mutate := func(method, column string, st *stats.IndexStats) string {
+		t.Helper()
+		var body []byte
+		if st != nil {
+			body = mustMarshal(t, st)
+		}
+		status, raw := rawMutate(t, coord.cnode, method, "/v1/indexes/orders/"+column, body)
+		var ack struct{ Fence string }
+		if err := json.Unmarshal([]byte(raw), &ack); status != http.StatusOK || err != nil || ack.Fence == "" {
+			t.Fatalf("%s via %s = %d %s, want 200 with a fence", method, coord.id, status, raw)
+		}
+		return ack.Fence
+	}
+	mutate(http.MethodPut, "key", v1)
+	fenceOther := mutate(http.MethodPut, "other", other)
+	waitFor(t, 5*time.Second, func() bool { return stale.store.Len() == 2 }, "version 1 on the non-owner")
+
+	path := fmt.Sprintf("/v1/estimate?table=orders&column=key&b=%d&sigma=%v", b, sigma)
+	get := func(p string, fences ...string) (int, http.Header, string) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodGet, stale.url+p, nil)
+		for _, f := range fences {
+			req.Header.Add(cluster.HeaderFence, f)
+		}
+		resp, err := stale.ts.Client().Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, resp.Header, string(raw)
+	}
+	fetches := func(raw string) float64 {
+		t.Helper()
+		var er EstimateResponse
+		if err := json.Unmarshal([]byte(raw), &er); err != nil {
+			t.Fatal(err)
+		}
+		return er.Fetches
+	}
+	pending := func() float64 {
+		return promSeries(t, coord.srv, "epfis_cluster_handoff_pending")[`epfis_cluster_handoff_pending{peer="`+stale.id+`"}`]
+	}
+	const staleSeries = `epfis_cluster_estimates_total{source="stale"}`
+
+	// Cut the coordinator's link to the non-owner; version 2 still acks at
+	// quorum, the two owners holding it.
+	coord.inj.Block(stale.host())
+	fence2 := mutate(http.MethodPut, "key", v2)
+	waitFor(t, 5*time.Second, func() bool { return pending() >= 1 }, "a hint queued for the non-owner")
+
+	before := promSeries(t, stale.srv, "epfis_cluster_estimates_total")[staleSeries]
+	status, hdr, raw := get(path, fence2)
+	if status != http.StatusServiceUnavailable || !strings.Contains(raw, ErrStaleReplica.Error()) || hdr.Get("Retry-After") == "" {
+		t.Fatalf("fenced GET on the lagging replica = %d %s (Retry-After %q), want 503 %v",
+			status, raw, hdr.Get("Retry-After"), ErrStaleReplica)
+	}
+	var refusal struct{ Error string }
+	if err := json.Unmarshal([]byte(raw), &refusal); err != nil {
+		t.Fatal(err)
+	}
+	// Fences for other keys neither help nor hurt, comma-folded or not.
+	if status, _, raw := get(path, fenceOther+","+fence2); status != http.StatusServiceUnavailable || !strings.Contains(raw, refusal.Error) {
+		t.Fatalf("comma-folded fences = %d %s, want the same 503", status, raw)
+	}
+	if after := promSeries(t, stale.srv, "epfis_cluster_estimates_total")[staleSeries]; after != before+2 {
+		t.Errorf("%s went %v -> %v over two refused reads, want +2", staleSeries, before, after)
+	}
+	if status, _, raw := get(path); status != http.StatusOK || fetches(raw) != want1 {
+		t.Fatalf("unfenced GET on the lagging replica = %d %s, want 200 bit-exact with version 1 (%v)", status, raw, want1)
+	}
+
+	// A fenced batch fails only the fenced key's items, with the same
+	// refusal; the other index is served.
+	body, err := json.Marshal(BatchRequest{Requests: []EstimateRequest{
+		{Table: "orders", Column: "key", B: b, Sigma: sigma},
+		{Table: "orders", Column: "other", B: b, Sigma: sigma},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	observed := func() map[string]float64 {
+		return promSeries(t, stale.srv, "epfis_estimates_total", "epfis_estimate_buffer_pages")
+	}
+	obsBefore := observed()
+	req, _ := http.NewRequest(http.MethodPost, stale.url+"/v1/estimate/batch", bytes.NewReader(body))
+	req.Header.Add(cluster.HeaderFence, fence2)
+	req.Header.Add(cluster.HeaderFence, fenceOther) // repeated header, one token per key
+	resp, err := stale.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var batch BatchResponse
+	err = json.NewDecoder(resp.Body).Decode(&batch)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK || len(batch.Items) != 2 {
+		t.Fatalf("fenced batch = %d (%v) %+v", resp.StatusCode, err, batch)
+	}
+	if it := batch.Items[0]; it.Status != http.StatusServiceUnavailable || it.Error != refusal.Error {
+		t.Errorf("fenced item = %+v, want 503 %q", it, refusal.Error)
+	}
+	wantOther, err := core.EstimateFetches(other, b, sigma, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if it := batch.Items[1]; it.Estimate == nil || it.Estimate.Fetches != wantOther || batch.Failed != 1 {
+		t.Errorf("unfenced item = %+v (failed %d), want fetches %v", it, batch.Failed, wantOther)
+	}
+	// Only the served item reaches the estimate metrics; the refused one was
+	// never costed.
+	obsAfter := observed()
+	for _, series := range []string{"epfis_estimates_total{}", "epfis_estimate_buffer_pages_count{}"} {
+		if obsAfter[series] != obsBefore[series]+1 {
+			t.Errorf("%s went %v -> %v over a batch with one served item", series, obsBefore[series], obsAfter[series])
+		}
+	}
+
+	// ClusterClient carries the fence through WithFence. Its member order
+	// for the key starts at the lagging replica, so the fenced read is
+	// refused there and fails over to a node that has the write.
+	cc, err := NewClusterClient(ClusterClientConfig{Seeds: []string{stale.url},
+		Retry: resilience.RetryPolicy{MaxAttempts: 1}, HedgeAfter: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, err := cc.order(context.Background(), key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if order[0].id != stale.id {
+		t.Fatalf("client starts %s at %s, want the lagging %s", key, order[0].id, stale.id)
+	}
+	before = promSeries(t, stale.srv, "epfis_cluster_estimates_total")[staleSeries]
+	got, err := cc.Estimate(WithFence(context.Background(), fence2), EstimateRequest{Table: "orders", Column: "key", B: b, Sigma: sigma})
+	if err != nil || got.Fetches != want2 {
+		t.Fatalf("fenced ClusterClient estimate = %v, %v; want %v", got.Fetches, err, want2)
+	}
+	if after := promSeries(t, stale.srv, "epfis_cluster_estimates_total")[staleSeries]; after != before+1 {
+		t.Errorf("ClusterClient's fenced read was not refused by %s first (%s %v -> %v)", stale.id, staleSeries, before, after)
+	}
+
+	for _, bad := range []string{"orders.key", "orders/key/x/node-a", "orders/key/0/node-a", "orders/key/1/", "a/b/1/n/extra"} {
+		if status, _, raw := get(path, bad); status != http.StatusBadRequest || !strings.Contains(raw, ErrBadFence.Error()) {
+			t.Errorf("fence %q = %d %s, want 400 %v", bad, status, raw, ErrBadFence)
+		}
+	}
+
+	// Heal and drain: the hint delivers version 2, the fence passes, and
+	// the lag gauge returns to zero.
+	healAll(nodes)
+	if left := coord.srv.DrainHandoff(context.Background()); left != 0 {
+		t.Fatalf("%d hints still pending after heal", left)
+	}
+	if status, _, raw := get(path, fence2); status != http.StatusOK || fetches(raw) != want2 {
+		t.Fatalf("fenced GET after drain = %d %s, want 200 bit-exact with version 2 (%v)", status, raw, want2)
+	}
+	if p := pending(); p != 0 {
+		t.Errorf("handoff gauge for %s = %v after the drain, want 0", stale.id, p)
+	}
+
+	// A DELETE's fence holds the same way: refused while the delete is
+	// undelivered, 404 once it is drained.
+	coord.inj.Block(stale.host())
+	fenceDel := mutate(http.MethodDelete, "key", nil)
+	if status, _, raw := get(path, fenceDel); status != http.StatusServiceUnavailable {
+		t.Fatalf("fenced GET before the delete arrives = %d %s, want 503", status, raw)
+	}
+	healAll(nodes)
+	if left := coord.srv.DrainHandoff(context.Background()); left != 0 {
+		t.Fatalf("%d hints still pending after heal", left)
+	}
+	if status, _, raw := get(path, fenceDel); status != http.StatusNotFound {
+		t.Fatalf("fenced GET after the drained delete = %d %s, want 404", status, raw)
 	}
 }

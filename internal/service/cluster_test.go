@@ -157,18 +157,30 @@ func TestClusterReplicationAndBitExactServing(t *testing.T) {
 		return true
 	}, "the replicated PUT on every store")
 
-	// Every node answers bit-exactly, whether it owns the key or proxies.
+	// Every node answers bit-exactly from its own replica, whether it owns
+	// the key or not, and says so in X-Epfis-Node.
 	want, err := core.EstimateFetches(st, 100, 0.1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	const path = "/v1/estimate?table=orders&column=key&b=100&sigma=0.1"
 	for _, cn := range nodes {
+		resp, err := cn.ts.Client().Get(cn.url + path)
+		if err != nil {
+			t.Fatal(err)
+		}
 		var got EstimateResponse
-		getJSON(t, cn.ts, path, http.StatusOK, &got)
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, decode %v", cn.id, resp.StatusCode, err)
+		}
 		if got.Fetches != want {
 			t.Errorf("%s: estimate = %v, want %v (owns=%v)",
 				cn.id, got.Fetches, want, cn.node.Owns("orders.key"))
+		}
+		if by := resp.Header.Get(cluster.HeaderNode); by != cn.id {
+			t.Errorf("%s: answered by %q, want itself (owns=%v)", cn.id, by, cn.node.Owns("orders.key"))
 		}
 	}
 
@@ -179,8 +191,7 @@ func TestClusterReplicationAndBitExactServing(t *testing.T) {
 		t.Errorf("IndexDoc owners = %v, want 2 entries", doc.Owners)
 	}
 
-	// An already-forwarded request landing on a non-owner answers 421 with
-	// the owner set — never a second forward.
+	// A batch sent to a non-owner is served there, item for item.
 	var nonOwner *cnode
 	for _, cn := range nodes {
 		if !cn.node.Owns("orders.key") {
@@ -191,39 +202,16 @@ func TestClusterReplicationAndBitExactServing(t *testing.T) {
 	if nonOwner == nil {
 		t.Fatal("no non-owner with R=2 over 3 nodes")
 	}
-	req, _ := http.NewRequest(http.MethodGet, nonOwner.url+path, nil)
-	req.Header.Set(cluster.HeaderForwarded, "test")
-	resp, err := nonOwner.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusMisdirectedRequest {
-		t.Fatalf("forwarded request to non-owner: status %d, want 421", resp.StatusCode)
-	}
-	var mis struct {
-		Key    string                     `json:"key"`
-		Owners []struct{ ID, URL string } `json:"owners"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&mis); err != nil {
-		t.Fatal(err)
-	}
-	if mis.Key != "orders.key" || len(mis.Owners) != 2 {
-		t.Errorf("421 body = %+v", mis)
-	}
-
-	// Batch items for non-owned keys answer per-item 421 (clients partition
-	// by owner; the server never proxies item-by-item).
 	var batch BatchResponse
 	postJSON(t, nonOwner.ts, "/v1/estimate/batch", BatchRequest{Requests: []EstimateRequest{
 		{Table: "orders", Column: "key", B: 100, Sigma: 0.1},
 	}}, http.StatusOK, &batch)
-	if batch.Failed != 1 || batch.Items[0].Status != http.StatusMisdirectedRequest {
-		t.Errorf("non-owner batch item = %+v", batch.Items[0])
+	if batch.Failed != 0 || batch.Items[0].Estimate == nil || batch.Items[0].Estimate.Fetches != want {
+		t.Errorf("non-owner batch item = %+v, want fetches %v", batch.Items[0], want)
 	}
 
 	// DELETE replicates too.
-	req, _ = http.NewRequest(http.MethodDelete, nodes[1].url+"/v1/indexes/orders/key", nil)
+	req, _ := http.NewRequest(http.MethodDelete, nodes[1].url+"/v1/indexes/orders/key", nil)
 	resp2, err := nodes[1].ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -300,9 +288,6 @@ func TestClusterClientEndToEnd(t *testing.T) {
 	if err := cc.Refresh(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if cc.Ring().Len() != 3 {
-		t.Fatalf("client ring has %d members", cc.Ring().Len())
-	}
 
 	for _, st := range indexes {
 		want, err := core.EstimateFetches(st, 250, 0.3, 1)
@@ -318,7 +303,8 @@ func TestClusterClientEndToEnd(t *testing.T) {
 		}
 	}
 
-	// A batch spanning all owners partitions, fans out, and merges in order.
+	// A batch spanning every index goes whole to one node and answers in
+	// order.
 	var req BatchRequest
 	for _, st := range indexes {
 		for _, b := range []int64{12, 100, 1000} {
@@ -344,16 +330,15 @@ func TestClusterClientEndToEnd(t *testing.T) {
 	}
 }
 
-// honestOrFail asserts an estimate error is an "honest" one: a retryable or
-// re-routable status, a breaker rejection, or transport trouble — never a
+// honestOrFail asserts an estimate error is an "honest" one: a retryable
+// status, a breaker rejection, or transport trouble — never a
 // definitive-looking wrong answer like 200 with a bad number, 400, or 404.
 func honestOrFail(t *testing.T, err error) {
 	t.Helper()
 	var se *StatusError
 	if errors.As(err, &se) {
 		switch se.Code {
-		case http.StatusMisdirectedRequest, http.StatusTooManyRequests,
-			http.StatusBadGateway, http.StatusServiceUnavailable:
+		case http.StatusTooManyRequests, http.StatusBadGateway, http.StatusServiceUnavailable:
 			return
 		default:
 			t.Errorf("dishonest error status %d during chaos: %v", se.Code, err)
@@ -470,48 +455,40 @@ func TestClusterChaosKillNodeUnderLoad(t *testing.T) {
 		}
 	}
 
-	// Raw GETs from each survivor, not routed by the client: a survivor that
-	// does not own a key must proxy to the surviving owner. The first attempt
-	// may race the dead node's teardown, so allow brief retries.
-	rawEstimate := func(cn *cnode, st *stats.IndexStats) (float64, error) {
+	// Raw GETs from each survivor, not routed by the client: every survivor
+	// answers every key itself, from its own replica, whether it owns the
+	// key or not.
+	rawEstimate := func(cn *cnode, st *stats.IndexStats) {
+		t.Helper()
+		key := st.Table + "." + st.Column
 		resp, err := cn.ts.Client().Get(fmt.Sprintf("%s/v1/estimate?table=%s&column=%s&b=100&sigma=0.1",
 			cn.url, st.Table, st.Column))
 		if err != nil {
-			return 0, err
+			t.Fatalf("GET %s via %s: %v", key, cn.id, err)
 		}
 		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return 0, fmt.Errorf("status %d", resp.StatusCode)
-		}
 		var got EstimateResponse
-		err = json.NewDecoder(resp.Body).Decode(&got)
-		return got.Fetches, err
+		if err := json.NewDecoder(resp.Body).Decode(&got); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s via %s: status %d, decode %v", key, cn.id, resp.StatusCode, err)
+		}
+		if by := resp.Header.Get(cluster.HeaderNode); by != cn.id {
+			t.Errorf("GET %s via %s answered by %q", key, cn.id, by)
+		}
+		if w := want[key+"/100"]; got.Fetches != w {
+			t.Errorf("GET %s via %s = %v, want %v", key, cn.id, got.Fetches, w)
+		}
 	}
-	proxied := 0
+	nonOwned := 0
 	for _, cn := range nodes[:2] {
 		for _, st := range indexes {
-			key := st.Table + "." + st.Column
-			if !cn.node.Owns(key) {
-				proxied++
+			if !cn.node.Owns(st.Table + "." + st.Column) {
+				nonOwned++
 			}
-			var got float64
-			var err error
-			for attempt := 0; attempt < 20; attempt++ {
-				if got, err = rawEstimate(cn, st); err == nil {
-					break
-				}
-				time.Sleep(100 * time.Millisecond)
-			}
-			if err != nil {
-				t.Fatalf("post-kill GET %s via %s: %v", key, cn.id, err)
-			}
-			if w := want[key+"/100"]; got != w {
-				t.Errorf("post-kill GET %s via %s = %v, want %v", key, cn.id, got, w)
-			}
+			rawEstimate(cn, st)
 		}
 	}
-	if proxied == 0 {
-		t.Fatal("no survivor read a key it does not own; the proxy path went unexercised")
+	if nonOwned == 0 {
+		t.Fatal("no survivor read a key it does not own")
 	}
 
 	// Restart the victim with a FRESH store on a new port — same ring
@@ -538,17 +515,9 @@ func TestClusterChaosKillNodeUnderLoad(t *testing.T) {
 		t.Errorf("restarted node content hash %q, peers have %q", rh, sh)
 	}
 
-	// Direct reads from the reborn node for keys it owns are bit-exact.
+	// Direct reads from the reborn node are bit-exact for every key, owned
+	// or not.
 	for _, st := range indexes {
-		key := st.Table + "." + st.Column
-		if !reborn.node.Owns(key) {
-			continue
-		}
-		var got EstimateResponse
-		getJSON(t, reborn.ts, fmt.Sprintf("/v1/estimate?table=%s&column=%s&b=100&sigma=0.1", st.Table, st.Column),
-			http.StatusOK, &got)
-		if w := want[key+"/100"]; got.Fetches != w {
-			t.Errorf("reborn node %s = %v, want %v", key, got.Fetches, w)
-		}
+		rawEstimate(reborn, st)
 	}
 }

@@ -84,7 +84,7 @@ type handoff struct {
 	dir string // "" = memory-only
 
 	mu     sync.Mutex
-	queues map[string]*hintQueue
+	queues map[string]*hintQueue // never deleted, so each peer's gauge registers once
 
 	brMu     sync.Mutex
 	breakers map[string]*resilience.Breaker
@@ -152,9 +152,6 @@ func newHandoff(s *Server, cfg Config) (*handoff, error) {
 		"Hint journal writes that failed (the hint stays queued in memory).")
 	h.abandonedC = reg.Counter("epfis_cluster_handoff_abandoned_total",
 		"Hints dropped because their peer stayed absent from membership past the abandon horizon.")
-	reg.GaugeFunc("epfis_cluster_handoff_pending",
-		"Hints currently queued for unreachable peers.",
-		func() float64 { return float64(h.pending()) })
 	reg.GaugeFunc("epfis_cluster_handoff_orphaned",
 		"Hints queued for peers currently absent from cluster membership.",
 		func() float64 { return float64(h.orphaned()) })
@@ -184,7 +181,7 @@ func (h *handoff) load() error {
 		if err != nil {
 			continue // not one of ours
 		}
-		q := &hintQueue{}
+		q := h.newQueueLocked(peer)
 		q.log, err = framelog.Open(faultfs.OS(), filepath.Join(h.dir, name), func(body []byte) bool {
 			var rec hintRecord
 			if json.Unmarshal(body, &rec) != nil {
@@ -196,9 +193,24 @@ func (h *handoff) load() error {
 		if err != nil {
 			return fmt.Errorf("service: handoff journal %s: %w", name, err)
 		}
-		h.queues[peer] = q
 	}
 	return nil
+}
+
+// newQueueLocked creates peer's hint queue and registers its lag gauge.
+// Caller holds h.mu (or is New, before any concurrency).
+func (h *handoff) newQueueLocked(peer string) *hintQueue {
+	q := &hintQueue{}
+	h.queues[peer] = q
+	h.s.obs.reg.GaugeFunc("epfis_cluster_handoff_pending",
+		"Hints queued for a peer: mutations applied here that the peer has not acknowledged.",
+		func() float64 {
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			return float64(len(q.hints))
+		},
+		obs.Label{Name: "peer", Value: peer})
+	return q
 }
 
 // appendJSONFrame appends v's JSON encoding to dst as one journal frame —
@@ -216,8 +228,7 @@ func (h *handoff) enqueue(rec hintRecord) {
 	h.mu.Lock()
 	q := h.queues[rec.Peer]
 	if q == nil {
-		q = &hintQueue{}
-		h.queues[rec.Peer] = q
+		q = h.newQueueLocked(rec.Peer)
 	}
 	q.hints = append(q.hints, rec)
 	if h.dir != "" {
@@ -379,12 +390,12 @@ func (h *handoff) gcAbsent(peers []string) []string {
 			h.mu.Unlock()
 			continue
 		}
-		q := h.queues[id] // only this sweeper deletes queues
+		q := h.queues[id] // only this sweeper empties queues
 		dropped := len(q.hints)
 		if q.log != nil {
 			_ = q.log.Remove() // best effort: a leftover journal reloads into the same fate
 		}
-		delete(h.queues, id)
+		*q = hintQueue{}
 		delete(h.absentSince, id)
 		h.mu.Unlock()
 		h.abandonedC.Add(uint64(dropped))

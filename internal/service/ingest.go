@@ -39,7 +39,8 @@ package service
 // In cluster mode each index's stream is accumulated at its ring owners so
 // a scan's partial batches never split across nodes: a non-owner forwards
 // the batch one hop (X-Epfis-Forwarded), and a forwarded batch landing on a
-// non-owner answers 421 like a misrouted estimate.
+// non-owner answers 421, so a stale ring cannot loop. Ingest forwarding is
+// the one request a node proxies; estimates are always answered locally.
 
 import (
 	"context"
@@ -287,8 +288,8 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		key := req.Table + "." + req.Column
 		if !s.cluster.Owns(key) {
 			if r.Header.Get(cluster.HeaderForwarded) != "" {
-				s.cobs.misdirected.Inc()
-				s.writeMisdirected(w, key)
+				writeError(w, http.StatusMisdirectedRequest,
+					fmt.Errorf("misdirected: this node does not own %s", key))
 				return
 			}
 			s.forwardIngest(w, r, &req, key)
@@ -389,14 +390,14 @@ func (s *Server) forwardIngest(w http.ResponseWriter, r *http.Request, req *Inge
 		if p.ID == s.cluster.SelfID() || p.URL == "" || p.State == cluster.StateDead {
 			continue
 		}
-		if s.proxyRequest(r.Context(), w, r, p, http.MethodPost, "/v1/ingest", body) {
-			s.cobs.proxied.Inc()
+		if s.proxyRequest(r.Context(), w, p, "/v1/ingest", body) {
+			s.cobs.ingestFwd.Inc()
 			return
 		}
 	}
-	s.cobs.proxyFailures.Inc()
+	s.cobs.ingestFwdFail.Inc()
 	writeRetryable(w, http.StatusServiceUnavailable,
-		fmt.Errorf("%w %s", errAllOwnersDown, key), time.Second)
+		fmt.Errorf("no owner reachable for key %s", key), time.Second)
 }
 
 // addPending records a journaled batch as live: its frame is carried across

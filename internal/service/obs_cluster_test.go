@@ -25,11 +25,13 @@ const (
 	testParent2  = "00-" + testTraceID2 + "-b7ad6b7169203331-01"
 )
 
-// TestProxiedEstimateReparents is the regression for the proxy trace bug:
-// the forwarding node must echo its own re-parented traceparent (same trace
-// id as the inbound header, fresh span) rather than the one the owner's
-// response carried, record a forward hop on its ring, and the owner must
-// record the proxied request under the same trace id.
+// TestProxiedEstimateReparents is the regression for the proxy trace bug,
+// driven through the one request a node still proxies: an ingest batch
+// posted to a node that does not own its index. The forwarding node must
+// echo its own re-parented traceparent (same trace id as the inbound header,
+// fresh span) rather than the one the owner's response carried, record a
+// forward hop on its ring, and the owner must record the forwarded batch
+// under the same trace id.
 func TestProxiedEstimateReparents(t *testing.T) {
 	nodes := startCluster(t, 3, 1)
 	st := fitStats(t, "orders", "key", 1)
@@ -51,8 +53,9 @@ func TestProxiedEstimateReparents(t *testing.T) {
 		t.Fatal("could not split owner and non-owner")
 	}
 
-	req, _ := http.NewRequest(http.MethodGet,
-		other.url+"/v1/estimate?table=orders&column=key&b=64&sigma=0.5", nil)
+	req, _ := http.NewRequest(http.MethodPost, other.url+"/v1/ingest",
+		strings.NewReader(`{"table":"orders","column":"key","pages":[1,2,3]}`))
+	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(obs.TraceparentHeader, testParent)
 	resp, err := other.ts.Client().Do(req)
 	if err != nil {
@@ -60,15 +63,15 @@ func TestProxiedEstimateReparents(t *testing.T) {
 	}
 	io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("proxied estimate via %s = %d, want 200", other.id, resp.StatusCode)
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("forwarded ingest via %s = %d, want 202", other.id, resp.StatusCode)
 	}
 	echo := resp.Header.Get(obs.TraceparentHeader)
 	if !strings.HasPrefix(echo, "00-"+testTraceID+"-") {
-		t.Fatalf("proxied response traceparent %q does not keep the inbound trace id", echo)
+		t.Fatalf("forwarded response traceparent %q does not keep the inbound trace id", echo)
 	}
 	if strings.Contains(echo, "00f067aa0ba902b7") {
-		t.Fatalf("proxied response traceparent %q was not re-parented onto a fresh span", echo)
+		t.Fatalf("forwarded response traceparent %q was not re-parented onto a fresh span", echo)
 	}
 
 	id, ok := obs.ParseTraceID(testTraceID)
@@ -82,19 +85,19 @@ func TestProxiedEstimateReparents(t *testing.T) {
 		}
 	}
 	if !hop {
-		t.Fatalf("%s recorded no forward hop to %s for the proxied estimate", other.id, owner.id)
+		t.Fatalf("%s recorded no forward hop to %s for the forwarded ingest batch", other.id, owner.id)
 	}
 	// The owner's ring record lands after its handler returns; poll briefly.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		if recs := owner.srv.obs.ring.FindByTrace(id); len(recs) > 0 {
-			if recs[0].Route != routeEstimate {
-				t.Fatalf("owner record route = %q, want %q", recs[0].Route, routeEstimate)
+			if recs[0].Route != routeIngest {
+				t.Fatalf("owner record route = %q, want %q", recs[0].Route, routeIngest)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("owner %s never recorded the proxied estimate under trace %s", owner.id, testTraceID)
+			t.Fatalf("owner %s never recorded the forwarded ingest batch under trace %s", owner.id, testTraceID)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

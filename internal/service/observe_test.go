@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
-	"fmt"
 	"io"
 	"math"
 	"net/http"
@@ -756,34 +755,5 @@ func TestBatchTallyMatchesSingleObservations(t *testing.T) {
 	if got := estimateSeries(t, batchSrv); got["epfis_estimate_sigma_count"] != 2*float64(len(items)) ||
 		got["epfis_estimate_buffer_pages_sum"] != 2*want["epfis_estimate_buffer_pages_sum"] {
 		t.Errorf("second batch: %v", got)
-	}
-}
-
-// TestBatchMisdirectedItemsUnobserved covers cluster mode: a batch item this
-// node does not own answers 421 and leaves no trace in the estimate metrics,
-// while owned items (here unknown indexes, so 404s) are observed.
-func TestBatchMisdirectedItemsUnobserved(t *testing.T) {
-	nodes := startCluster(t, 2, 1)
-	self := nodes[0]
-	var owned, foreign []EstimateRequest
-	for i := 0; len(owned) < 2 || len(foreign) < 2; i++ {
-		r := EstimateRequest{Table: fmt.Sprintf("t%d", i), Column: "c", B: int64(10 + i), Sigma: 0.5}
-		if self.node.Owns(r.Table + "." + r.Column) {
-			owned = append(owned, r)
-		} else {
-			foreign = append(foreign, r)
-		}
-	}
-	resp := serveBatch(t, self.srv, []EstimateRequest{foreign[0], owned[0], foreign[1], owned[1]})
-	for i, wantStatus := range []int{http.StatusMisdirectedRequest, http.StatusNotFound, http.StatusMisdirectedRequest, http.StatusNotFound} {
-		if resp.Items[i].Status != wantStatus {
-			t.Fatalf("item %d: status %d, want %d", i, resp.Items[i].Status, wantStatus)
-		}
-	}
-	m := estimateSeries(t, self.srv)
-	if m["epfis_estimate_buffer_pages_count"] != 2 || m["epfis_estimate_sigma_count"] != 2 ||
-		m["epfis_estimate_buffer_pages_sum"] != float64(owned[0].B+owned[1].B) ||
-		m["epfis_estimates_total"] != 0 {
-		t.Errorf("misdirected items observed: %v", m)
 	}
 }

@@ -17,6 +17,9 @@
 //     while emitting byte-identical JSON;
 //   - POST /v1/estimate/batch amortizes HTTP and JSON overhead across the
 //     many candidate plans an optimizer costs per query;
+//   - in cluster mode every node answers both estimate routes from its own
+//     replica, never through a peer; a write's X-Epfis-Fence token makes a
+//     replica that lacks the write refuse instead (cluster.go);
 //   - every counter lives in one obs registry, recorded through direct
 //     instrument pointers; GET /metrics renders it as the Prometheus text
 //     exposition or, by default, as a JSON summary read from the same
@@ -49,9 +52,10 @@
 // under the http.TimeoutHandler watchdog. Every other route — the two
 // estimate routes included — runs inline on the connection's goroutine and
 // is bounded where its time can actually go: local work is pure CPU (batches
-// capped by MaxBatch), the batch body read carries a read deadline, and a
-// proxied estimate shares one deadline across its owner attempts. Either way
-// a timed-out request answers 503 {"error":"request timed out"}.
+// capped by MaxBatch), and the batch body read carries a read deadline. In
+// cluster mode too both estimate routes answer from the local snapshot and
+// never wait on a peer. Either way a timed-out request answers 503
+// {"error":"request timed out"}.
 //
 // # Resilience
 //
@@ -175,13 +179,13 @@ type Config struct {
 	// slow: counted in epfis_traces_slow_total and logged at warn.
 	// 0 = DefaultSlowTrace; negative flags every request (tests, drills).
 	SlowTrace time.Duration
-	// Cluster enables cluster mode: ownership routing on the estimate
-	// routes, mutation replication, and the /v1/cluster/* routes. nil (the
-	// default) keeps the single-node serving path — one pointer check per
-	// request, no other cost.
+	// Cluster enables cluster mode: read fences on the estimate routes,
+	// mutation replication, ingest forwarding, and the /v1/cluster/* routes.
+	// nil (the default) keeps the single-node serving path — one pointer
+	// check per request, no other cost.
 	Cluster *cluster.Node
-	// Transport is the HTTP transport for forwarding, replication, and
-	// hinted-handoff delivery. nil = http.DefaultTransport. Cluster mode
+	// Transport is the HTTP transport for ingest forwarding, replication,
+	// and hinted-handoff delivery. nil = http.DefaultTransport. Cluster mode
 	// only; the seam faultnet injectors plug into.
 	Transport http.RoundTripper
 	// ReplicateTimeout bounds each per-peer replication send, so one
@@ -239,11 +243,12 @@ type Server struct {
 	degraded atomic.Pointer[reloadFailure]
 	draining atomic.Bool
 
-	cluster   *cluster.Node // nil = single-node mode
-	cobs      *clusterObs   // nil unless cluster mode
-	proxyHTTP *http.Client  // forwarding + replication transport
-	handoff   *handoff      // nil unless cluster mode
-	stamps    *stampJournal // nil unless cluster mode with a HandoffDir
+	cluster    *cluster.Node // nil = single-node mode
+	cobs       *clusterObs   // nil unless cluster mode
+	nodeHeader []string      // X-Epfis-Node value, shared by every local answer
+	proxyHTTP  *http.Client  // forwarding + replication transport
+	handoff    *handoff      // nil unless cluster mode
+	stamps     *stampJournal // nil unless cluster mode with a HandoffDir
 
 	// clusterMu serializes epoch assignment with the store apply for every
 	// cluster-mode mutation, so per-key epoch order equals apply order.
@@ -321,6 +326,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Cluster != nil {
 		s.cluster = cfg.Cluster
 		s.cobs = newClusterObs(s.obs.reg)
+		s.nodeHeader = []string{s.cluster.SelfID()} // len == cap: an Add copies, never writes through
 		s.cluster.RegisterMetrics(s.obs.reg)
 		// Hand the node the request-trace ring so gossip and anti-entropy
 		// hops land next to served requests in /debug/traces (nil when
@@ -328,17 +334,16 @@ func New(cfg Config) (*Server, error) {
 		s.cluster.SetTraceRing(s.obs.ring)
 		tr := cfg.Transport
 		if tr == nil {
-			// Default to the pooled cluster transport: proxying, replication,
-			// and hinted handoff share kept-alive connections per peer
-			// instead of re-dialing through http.DefaultTransport's
+			// Default to the pooled cluster transport: ingest forwarding,
+			// replication, and hinted handoff share kept-alive connections
+			// per peer instead of re-dialing through http.DefaultTransport's
 			// 2-idle-conns-per-host pool.
 			tr = cluster.SharedTransport()
 		}
 		// No Client.Timeout: every hop already carries a context deadline —
-		// a proxied estimate one across its owner loop, a forwarded ingest
-		// batch the watchdog's, replication, stitching and federation the
-		// replication timeout. Client.Timeout would arm a second timer,
-		// cancel context, and body wrapper on each of them.
+		// a forwarded ingest batch the watchdog's, replication, stitching
+		// and federation the replication timeout. Client.Timeout would arm a
+		// second timer, cancel context, and body wrapper on each of them.
 		s.proxyHTTP = &http.Client{Transport: tr}
 		s.replTimeout = cfg.ReplicateTimeout
 		if s.replTimeout <= 0 {
@@ -393,8 +398,8 @@ func New(cfg Config) (*Server, error) {
 	// Each route states whether it can block on I/O. Blocking routes run
 	// under the http.TimeoutHandler watchdog, which costs a goroutine, a
 	// timer, and a buffered copy of the response per request. Inline routes
-	// do local, CPU-bound work on the connection's goroutine; the waits they
-	// can hit are bounded where they happen (handleBatch, clusterRoute).
+	// do local, CPU-bound work on the connection's goroutine; the one wait
+	// they can hit, a batch body read, is bounded in handleBatch.
 	mux := http.NewServeMux()
 	inline := func(route string, h http.HandlerFunc) {
 		mux.Handle(route, s.instrument(route, h))
@@ -687,7 +692,7 @@ func (s *Server) handleEstimate(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.cluster != nil && s.clusterRoute(w, r, &in, tb) {
+	if s.cluster != nil && !s.clusterEstimate(w, r, &in) {
 		return
 	}
 	var res estimateResult
@@ -774,13 +779,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, errors.New("batch has no requests"))
 		return
 	}
+	var stale map[[2]string]error
+	if s.cluster != nil {
+		w.Header()[cluster.HeaderNode] = s.nodeHeader
+		// Fences are checked before the snapshot load (see staleFences).
+		if stale, err = s.staleFences(r); err != nil {
+			writeError(w, http.StatusBadRequest, err)
+			return
+		}
+	}
 	// One snapshot for the whole batch: every item is costed against the
 	// same catalog generation even if a writer lands mid-flight.
 	snap := s.store.Snapshot()
 	res := estimateResult{gen: snap.Generation()}
 	idx := s.obs.indexCounters()
 	items := scratch.items[:0]
-	failed := 0
+	failed, refused := 0, 0
 	// Batch items share one aggregate estimate span (per-item spans would
 	// overflow the fixed buffer and say little). They skip the memo: a batch
 	// carries the distinct shapes of one plan enumeration, which a memo
@@ -792,14 +806,14 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if i > 0 {
 			items = append(items, ',')
 		}
-		if s.cluster != nil && !s.ownsEstimate(in) {
-			// Batches are not proxied item-by-item (the fan-out would defeat
-			// the batching); each misdirected item carries 421 so a
-			// cluster-aware client partitions by owner and retries.
-			items = appendBatchItemError(items,
-				"misdirected: not an owner of "+clusterKey(in), http.StatusMisdirectedRequest)
-			failed++
-			continue
+		if stale != nil {
+			if err := stale[[2]string{in.table, in.column}]; err != nil {
+				// Refused by its fence, not estimated: left out of the
+				// estimate metrics, like any item never costed.
+				items = appendBatchItemError(items, err.Error(), http.StatusServiceUnavailable)
+				refused++
+				continue
+			}
 		}
 		// Observed like a single estimate: failures included.
 		s.obs.tally(&scratch.tally, in.b, in.sigma)
@@ -816,7 +830,12 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		items = append(items, '}')
 	}
 	s.obs.flushTally(&scratch.tally)
-	s.obs.estimates.Add(uint64(len(scratch.reqs) - failed))
+	s.obs.estimates.Add(uint64(len(scratch.reqs) - failed - refused))
+	if s.cobs != nil {
+		s.cobs.local.Add(uint64(len(scratch.reqs) - refused))
+		s.cobs.stale.Add(uint64(refused))
+	}
+	failed += refused
 	scratch.items = items
 	tb.Mark(obs.StageEncode)
 	out := scratch.out[:0]

@@ -4,7 +4,7 @@ package service
 // returns every record of one trace — served requests and cluster hops —
 // merged across the whole cluster and ordered by start time. A slow quorum
 // PUT shows up as the coordinator's replicate hops with one straggling peer;
-// a forwarded estimate as the non-owner's forward hop parented under the
+// a forwarded ingest batch as the non-owner's forward hop parented under the
 // client's span next to the owner's served request.
 //
 // The fan-out is one concurrent GET per live peer with ?local=1 (peers

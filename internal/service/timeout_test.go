@@ -120,8 +120,10 @@ func TestPutSlowWALSyncTimesOut(t *testing.T) {
 }
 
 // TestClusterEstimateSlowOwnersTimesOut slows every owner of a key as seen
-// from the one node that does not own it. The proxied estimate runs inline;
-// one deadline across the owner loop must answer the 503 within about one
+// from the one node that does not own it, and posts that node an ingest
+// batch for the key: the one request a node forwards to an owner (estimates
+// are answered locally). The forward runs under the watchdog, whose one
+// deadline spans the owner loop, so the 503 arrives within about one
 // timeout, not one timeout per owner.
 func TestClusterEstimateSlowOwnersTimesOut(t *testing.T) {
 	nodes := startFaultCluster(t, 4, 3, func(c *Config) { c.RequestTimeout = drillTimeout })
@@ -139,12 +141,13 @@ func TestClusterEstimateSlowOwnersTimesOut(t *testing.T) {
 		t.Fatal("every node owns orders.key; want one non-owner")
 	}
 	proxy.inj.Add(faultnet.Rule{
-		Op: faultnet.OpRequest, Route: "/v1/estimate",
+		Op: faultnet.OpRequest, Route: "/v1/ingest",
 		Count: -1, Mode: faultnet.ModeSlow, Delay: 2 * time.Second,
 	})
 
 	start := time.Now()
-	resp, err := proxy.ts.Client().Get(proxy.url + "/v1/estimate?table=orders&column=key&b=100&sigma=0.05")
+	resp, err := proxy.ts.Client().Post(proxy.url+"/v1/ingest", "application/json",
+		bytes.NewReader([]byte(`{"table":"orders","column":"key","pages":[1,2,3]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
