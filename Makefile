@@ -25,7 +25,7 @@ race:
 # write path mid-traffic (including WAL append/fsync/checkpoint faults under
 # concurrent ingest + readers), commit-abort and recovery invariants, overload
 # shedding, breaker/degraded behaviour, plus recovery fuzz smokes for both the
-# legacy rename store and the WAL log, a fuzz pass over the journal frame
+# checkpoint file and the WAL log, a fuzz pass over the journal frame
 # decoder every log replays through, a differential fuzz pass holding the
 # batch body decoder to encoding/json, and a fuzz pass over the exposition
 # parser federation feeds peer bytes to.
@@ -68,8 +68,9 @@ bench-json:
 bench-serve:
 	$(GO) run ./cmd/epfis-bench -suite serve -out BENCH_serve.json
 
-# Ingestion-path baseline: WAL group-commit vs legacy rename mutation
-# throughput, Accum feed/merge cost, and POST /v1/ingest handler latency,
+# Ingestion-path baseline: WAL group-commit mutation throughput vs the
+# whole-catalog rewrite a rename-per-commit store pays per commit, Accum
+# feed/merge cost, and POST /v1/ingest handler latency,
 # written as BENCH_ingest.json. Exits non-zero when the WAL speedup falls
 # under -min-wal-speedup (default 10x) or Feed exceeds its alloc budget.
 bench-ingest:

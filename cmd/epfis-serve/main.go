@@ -6,9 +6,11 @@
 //
 // The catalog file is the same JSON format `epfis gen` writes. A missing
 // file starts the service empty; statistics can then be installed with
-// PUT /v1/indexes/{table}/{column} and are persisted back to the file with
-// the atomic-rename pattern. POST /v1/reload picks up a catalog refreshed
-// out-of-process (an LRU-Fit rerun) without restarting.
+// PUT /v1/indexes/{table}/{column}. Every install is group-committed to a
+// write-ahead log beside the file (<catalog>.wal, or in -wal-dir) and
+// checkpointed back into the file every -checkpoint-every commits and at
+// shutdown. POST /v1/reload picks up a catalog refreshed out-of-process (an
+// LRU-Fit rerun) without restarting; a restart picks it up too.
 //
 // The process shuts down gracefully on SIGINT/SIGTERM, draining in-flight
 // requests. Overload and persistence-failure behaviour is tunable with
@@ -94,9 +96,9 @@ func run(args []string) error {
 			fmt.Sprintf("requests at or above this duration are flagged slow (0 = default %s, negative flags all)", service.DefaultSlowTrace))
 
 		walDir = fs.String("wal-dir", "",
-			"enable the WAL-backed catalog (group-committed mutations) with the log in this directory; empty keeps rename-per-commit persistence")
+			"directory for the catalog's write-ahead log; empty keeps it beside the catalog file as <catalog>.wal")
 		checkpointEvery = fs.Int("checkpoint-every", 0,
-			fmt.Sprintf("committed mutations between WAL checkpoints (0 = default %d, negative disables automatic checkpoints; requires -wal-dir)", catalog.DefaultCheckpointEvery))
+			fmt.Sprintf("committed mutations between WAL checkpoints (0 = default %d, negative disables automatic checkpoints)", catalog.DefaultCheckpointEvery))
 		ingestQueue = fs.Int("ingest-queue", 0,
 			fmt.Sprintf("trace batches queued for the ingest worker before POST /v1/ingest sheds with 429 (0 = default %d, negative disables the route)", service.DefaultIngestQueue))
 		driftThreshold = fs.Float64("drift-threshold", 0,
@@ -145,44 +147,27 @@ func run(args []string) error {
 		return err
 	}
 
-	if *memory && *walDir != "" {
-		return fmt.Errorf("-in-memory and -wal-dir are mutually exclusive")
-	}
-	if *checkpointEvery != 0 && *walDir == "" {
-		return fmt.Errorf("-checkpoint-every requires -wal-dir")
+	if *memory && (*walDir != "" || *checkpointEvery != 0) {
+		return fmt.Errorf("-in-memory excludes -wal-dir and -checkpoint-every")
 	}
 	var store *catalog.Store
-	switch {
-	case *memory:
+	if *memory {
 		store = catalog.NewStore()
-	case *walDir != "":
-		opts := catalog.WALOptions{Dir: *walDir, CheckpointEvery: *checkpointEvery}
-		store, err = catalog.OpenWALFS(*path, opts, fsys)
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		if logger != nil {
-			logger.Info("WAL-backed catalog enabled",
-				"wal", store.WALPath(), "checkpointEvery", *checkpointEvery)
-		}
-	default:
-		store, err = catalog.OpenFS(*path, fsys)
-		if err != nil {
-			return err
-		}
+	} else if store, err = catalog.OpenWALFS(*path, catalog.WALOptions{Dir: *walDir, CheckpointEvery: *checkpointEvery}, fsys); err != nil {
+		return err
 	}
+	defer store.Close()
 	if logger != nil {
 		switch {
 		case *memory:
 			logger.Info("in-memory catalog (no persistence)")
 		case store.Recovered():
 			logger.Warn("catalog corrupt or missing; recovered previous generation",
-				"path", *path, "entries", store.Len(), "recoveredFrom", catalog.PrevPath(*path))
+				"path", *path, "entries", store.Len(), "recoveredFrom", catalog.PrevPath(*path), "wal", store.WALPath())
 		case store.Len() == 0:
-			logger.Info("catalog absent or empty; will be created on first install", "path", *path)
+			logger.Info("catalog absent or empty; install statistics with PUT", "path", *path, "wal", store.WALPath())
 		default:
-			logger.Info("catalog loaded", "path", *path, "entries", store.Len())
+			logger.Info("catalog loaded", "path", *path, "entries", store.Len(), "wal", store.WALPath())
 		}
 	}
 

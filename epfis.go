@@ -219,7 +219,7 @@ func LoadCatalog(path string) (*Catalog, error) { return stats.LoadFile(path) }
 // (cmd/epfis-serve is the standalone binary).
 type (
 	// CatalogStore is the concurrent copy-on-write statistics store:
-	// lock-free snapshot reads, serialized writers, atomic-rename file
+	// lock-free snapshot reads, serialized writers, write-ahead-logged file
 	// persistence, and generation counters.
 	CatalogStore = catalog.Store
 	// CatalogSnapshot is an immutable point-in-time view of a CatalogStore.
@@ -319,11 +319,15 @@ func ParseNetFaultRules(spec string) ([]NetFaultRule, error) {
 func NewCatalogStore() *CatalogStore { return catalog.NewStore() }
 
 // OpenCatalogStore binds a concurrent catalog store to a catalog file,
-// loading it when present; writes persist back with checksummed atomic
-// renames (fsync before rename, previous generation retained). A corrupt or
-// truncated file is recovered from the previous generation when one exists;
-// CatalogStore.Recovered reports when that happened.
-func OpenCatalogStore(path string) (*CatalogStore, error) { return catalog.Open(path) }
+// loading it when present; writes append to a group-committed log beside it
+// (<path>.wal) and periodically checkpoint into the file, retaining the
+// previous checkpoint. A file written outside the store (`epfis gen`) is
+// adopted whole. A corrupt or truncated file is recovered from the previous
+// checkpoint and the log when they exist; CatalogStore.Recovered reports
+// when that happened. Close the store to checkpoint and release the log.
+func OpenCatalogStore(path string) (*CatalogStore, error) {
+	return catalog.OpenWAL(path, catalog.WALOptions{})
+}
 
 // NewService builds the estimation HTTP service over a catalog store.
 func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }

@@ -20,19 +20,18 @@
 // derived state by generation and have it invalidate naturally when
 // statistics change.
 //
-// When the store is bound to a file path, writes persist the whole catalog
-// crash-safely: a CRC32-C checksum trailer pins the payload, the temp file
-// is fsynced before the atomic rename, the previous generation is retained
-// as <path>.prev, and the directory is fsynced after the rename. Open
-// recovers from a corrupt, truncated, or crash-orphaned catalog file by
-// falling back to the retained previous generation (see persist.go), and
-// Reload re-reads the file in place so statistics refreshed out-of-process
-// swap in without downtime. All filesystem access goes through a
-// faultfs.FS, so chaos tests (and the EPFIS_FAULTS knob) can inject torn
-// writes, failed fsyncs, and slow disks deterministically.
+// A store opened with OpenWAL persists every commit through a group-
+// committed write-ahead log with periodic checkpoints (see wal.go), and
+// recovers from a corrupt, truncated, or crash-orphaned checkpoint file by
+// falling back to the retained previous checkpoint and the log rotated away
+// with it. Reload re-reads the catalog file in place so statistics
+// refreshed out-of-process swap in without downtime. All filesystem access
+// goes through a faultfs.FS, so chaos tests (and the EPFIS_FAULTS knob) can
+// inject torn writes, failed fsyncs, and slow disks deterministically.
 package catalog
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -46,8 +45,8 @@ import (
 	"epfis/internal/stats"
 )
 
-// ErrNoPath is returned by Reload and Save on a store that is not bound to a
-// catalog file.
+// ErrNoPath is returned by Reload, Checkpoint and AppendIngest on a store
+// that is not bound to a catalog file.
 var ErrNoPath = errors.New("catalog: store has no backing file")
 
 // ErrNotFound aliases the stats-package sentinel so callers can test lookup
@@ -124,7 +123,7 @@ func (s *Snapshot) Catalog() (*stats.Catalog, error) {
 }
 
 // Store is the concurrent, versioned catalog store. The zero value is not
-// usable; construct with NewStore or Open. Methods are safe for concurrent
+// usable; construct with NewStore or OpenWAL. Methods are safe for concurrent
 // use by any number of goroutines.
 type Store struct {
 	snap atomic.Pointer[Snapshot]
@@ -132,12 +131,12 @@ type Store struct {
 	mu        sync.Mutex // serializes writers and persistence
 	path      string     // "" = in-memory only
 	fs        faultfs.FS // filesystem for persistence (faultfs.OS outside tests)
-	recovered bool       // Open served the .prev generation
+	recovered bool       // OpenWAL served the .prev checkpoint
 
-	// WAL mode (nil wal = legacy rename-per-commit persistence). applied is
-	// the newest built snapshot — possibly not yet durable — that the next
-	// mutation stacks on; snap only ever advances to fsynced state. Both are
-	// guarded by mu; see wal.go for the group-commit protocol.
+	// The log (nil wal = in-memory store). applied is the newest built
+	// snapshot — possibly not yet durable — that the next mutation stacks
+	// on; snap only ever advances to fsynced state. Both are guarded by mu;
+	// see wal.go for the group-commit protocol.
 	wal             *wal
 	walQ            walQueue
 	applied         *Snapshot
@@ -157,34 +156,11 @@ func NewStore() *Store {
 	return st
 }
 
-// Open binds a store to a catalog file. If the file exists it is loaded,
-// checksum-verified, and validated (generation 1); a corrupt or truncated
-// file falls back to the retained previous generation; if neither exists
-// the store starts empty and the file is created on the first write.
-func Open(path string) (*Store, error) { return OpenFS(path, faultfs.OS()) }
-
-// OpenFS is Open over an explicit filesystem — the injection point for
-// fault-injected chaos tests and the EPFIS_FAULTS knob.
-func OpenFS(path string, fsys faultfs.FS) (*Store, error) {
-	st := NewStore()
-	st.path = path
-	st.fs = fsys
-	c, recovered, err := loadWithRecovery(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	st.recovered = recovered
-	if c != nil {
-		st.snap.Store(snapshotOf(c, 1))
-	}
-	return st, nil
-}
-
 // Path reports the backing catalog file, or "" for an in-memory store.
 func (st *Store) Path() string { return st.path }
 
-// Recovered reports whether Open could not verify the main catalog file and
-// served the retained previous generation instead.
+// Recovered reports whether OpenWAL could not verify the catalog file and
+// served the retained previous checkpoint instead.
 func (st *Store) Recovered() bool { return st.recovered }
 
 // Snapshot returns the current immutable view. This is a single atomic load;
@@ -215,35 +191,32 @@ func (st *Store) Put(e *stats.IndexStats) (uint64, error) {
 		return 0, err
 	}
 	cp := deepCopy(e)
-	if st.wal != nil {
-		return st.walPut(cp)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cur := st.snap.Load()
-	next := cloneEntries(cur.entries)
-	next[cp.Key()] = cp
-	return st.commitLocked(next)
+	return st.commit(walFramePut, func() ([]byte, error) { return json.Marshal(cp) }, false,
+		func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
+			next := cloneEntries(base.entries)
+			next[cp.Key()] = cp
+			return next, true
+		})
 }
 
 // Delete removes the entry for table.column, reporting whether it existed.
 // Deleting a missing entry is a no-op that does not bump the generation.
 func (st *Store) Delete(table, column string) (bool, uint64, error) {
 	key := table + "." + column
-	if st.wal != nil {
-		return st.walDelete(key)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	cur := st.snap.Load()
-	if _, ok := cur.entries[key]; !ok {
-		return false, cur.gen, nil
-	}
-	next := cloneEntries(cur.entries)
-	delete(next, key)
-	gen, err := st.commitLocked(next)
+	gen, err := st.commit(walFrameDelete, func() ([]byte, error) { return []byte(key), nil }, false,
+		func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
+			if _, ok := base.entries[key]; !ok {
+				return nil, false
+			}
+			next := cloneEntries(base.entries)
+			delete(next, key)
+			return next, true
+		})
 	if err != nil {
-		return false, cur.gen, err
+		return false, 0, err
+	}
+	if gen == 0 { // aborted: key absent
+		return false, st.Generation(), nil
 	}
 	return true, gen, nil
 }
@@ -262,83 +235,24 @@ func (st *Store) ReplaceAll(c *stats.Catalog) (uint64, error) {
 	return st.commitReplace(next)
 }
 
-// commitReplace installs a full entry set as one generation step, routing
-// through the WAL when the store is WAL-backed.
+// commitReplace installs a full entry set as one generation step.
 func (st *Store) commitReplace(next map[string]*stats.IndexStats) (uint64, error) {
-	if st.wal != nil {
-		return st.walReplaceAll(next)
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.commitLocked(next)
+	return st.commit(walFrameReplace, func() ([]byte, error) { return encodeEntriesJSON(next) }, false,
+		func(*Snapshot) (map[string]*stats.IndexStats, bool) { return next, true })
 }
 
-// Reload re-reads the backing catalog file and publishes its contents as a
-// new generation, so statistics refreshed by an out-of-process LRU-Fit run
-// swap in without downtime. In-flight readers keep their old snapshot.
-// A WAL-backed store reloads the checkpoint plus the committed log tail and
-// republishes the result through the log, so the reload itself is a durable
-// mutation like any other.
-func (st *Store) Reload() (uint64, error) {
-	if st.path == "" {
-		return 0, ErrNoPath
-	}
-	if st.wal != nil {
-		return st.walReload()
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	c, err := loadVerified(st.fs, st.path)
-	if err != nil {
-		// Never adopt bytes that fail verification: the current snapshot
-		// stays published, and the caller (the service's degraded mode)
-		// decides how loudly to surface the failure.
-		return 0, fmt.Errorf("catalog: reload: %w", err)
-	}
-	next := snapshotOf(c, st.snap.Load().gen+1)
-	st.snap.Store(next)
-	return next.gen, nil
-}
-
-// Save persists the current snapshot to the backing file (atomic rename).
-// Writes already persist implicitly; Save is for forcing a write after
-// out-of-band changes or for checkpointing an Open-on-missing-file store.
-// On a WAL-backed store, Save forces a checkpoint and rotates the log.
-func (st *Store) Save() error {
-	if st.path == "" {
-		return ErrNoPath
-	}
-	if st.wal != nil {
-		return st.Checkpoint()
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return writeAtomicFS(st.fs, st.path, st.snap.Load())
-}
-
-// commitLocked persists (when file-backed) and publishes a new snapshot
-// built from entries. Persistence failures abort the commit: the in-memory
-// view and the file never diverge. Callers must hold st.mu.
-func (st *Store) commitLocked(entries map[string]*stats.IndexStats) (uint64, error) {
-	cur := st.snap.Load()
-	next := newSnapshot(cur.gen+1, entries, cur)
-	if st.path != "" {
-		if err := writeAtomicFS(st.fs, st.path, next); err != nil {
-			return 0, err
-		}
-	}
-	st.snap.Store(next)
-	return next.gen, nil
-}
-
-func snapshotOf(c *stats.Catalog, gen uint64) *Snapshot {
+// entriesOf indexes a loaded catalog's entries by key; nil c is empty.
+func entriesOf(c *stats.Catalog) map[string]*stats.IndexStats {
 	entries := map[string]*stats.IndexStats{}
+	if c == nil {
+		return entries
+	}
 	for _, k := range c.Keys() {
 		if e, err := c.Get(splitKey(k)); err == nil {
 			entries[k] = e
 		}
 	}
-	return newSnapshot(gen, entries, nil)
+	return entries
 }
 
 // newSnapshot assembles a snapshot, compiling an Est-IO estimator for every

@@ -123,11 +123,7 @@ func TestPutDeepCopies(t *testing.T) {
 }
 
 func TestPersistenceRoundTrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, path := walFixture(t, WALOptions{}, nil)
 	if st.Len() != 0 {
 		t.Fatalf("missing file should open empty, len = %d", st.Len())
 	}
@@ -148,11 +144,14 @@ func TestPersistenceRoundTrip(t *testing.T) {
 			t.Fatalf("leftover temp file %s", de.Name())
 		}
 	}
+	st.Close()
 
-	re, err := Open(path)
+	re, err := OpenWAL(path, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer re.Close()
+	// Close checkpointed both commits: the reopen replays nothing.
 	if re.Len() != 2 || re.Generation() != 1 {
 		t.Fatalf("reopened store len=%d gen=%d", re.Len(), re.Generation())
 	}
@@ -165,27 +164,29 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReload(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Refresh the file out-of-band, as an external LRU-Fit run would.
+// refresh rewrites the catalog file out-of-band, as an external LRU-Fit run
+// would: plain stats JSON, no checkpoint lsn.
+func refresh(t *testing.T, path string, entries ...*stats.IndexStats) {
+	t.Helper()
 	c := stats.NewCatalog()
-	if err := c.Put(entry("orders", "key", 777)); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Put(entry("lineitem", "partkey", 650)); err != nil {
-		t.Fatal(err)
+	for _, e := range entries {
+		if err := c.Put(e); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := c.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
+}
+
+func TestReload(t *testing.T) {
+	// The default checkpoint interval keeps commits in the log tail past the
+	// checkpoint, where a refresh must still win.
+	st, path := walFixture(t, WALOptions{}, nil)
+	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
+		t.Fatal(err)
+	}
+	refresh(t, path, entry("orders", "key", 777), entry("lineitem", "partkey", 650))
 
 	gen, err := st.Reload()
 	if err != nil {
@@ -194,12 +195,43 @@ func TestReload(t *testing.T) {
 	if gen != 2 || st.Len() != 2 {
 		t.Fatalf("after reload gen=%d len=%d", gen, st.Len())
 	}
-	e, err := st.Get("orders", "key")
-	if err != nil {
+	fmin := func() int64 {
+		t.Helper()
+		e, err := st.Get("orders", "key")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e.FMin
+	}
+	if got := fmin(); got != 777 {
+		t.Fatalf("reload did not swap entry: FMin = %d", got)
+	}
+
+	// A refresh after a checkpoint and a commit also wins.
+	if err := st.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
-	if e.FMin != 777 {
-		t.Fatalf("reload did not swap entry: FMin = %d", e.FMin)
+	if _, err := st.Put(entry("orders", "key", 501)); err != nil {
+		t.Fatal(err)
+	}
+	refresh(t, path, entry("orders", "key", 888))
+	if _, err := st.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmin(); got != 888 || st.Len() != 1 {
+		t.Fatalf("second refresh: FMin = %d, len = %d, want 888 and 1", got, st.Len())
+	}
+
+	// Reload checkpointed the adopted file, so a commit after it survives
+	// a reload of the unchanged file.
+	if _, err := st.Put(entry("orders", "key", 502)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	if got := fmin(); got != 502 {
+		t.Fatalf("reload of an unchanged file lost a commit: FMin = %d, want 502", got)
 	}
 
 	if _, err := NewStore().Reload(); !errors.Is(err, ErrNoPath) {
@@ -235,11 +267,7 @@ func TestReplaceAll(t *testing.T) {
 // goroutines hammer Get + Est-IO against the store while one writer installs
 // fresh statistics and periodically reloads from disk. Run with -race.
 func TestConcurrentReadersAndWriter(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, _ := walFixture(t, WALOptions{}, nil)
 	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
 		t.Fatal(err)
 	}

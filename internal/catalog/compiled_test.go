@@ -1,7 +1,6 @@
 package catalog
 
 import (
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -89,21 +88,18 @@ func TestCompiledEstimatorsReusedAcrossGenerations(t *testing.T) {
 // TestCompiledEstimatorsSurviveReloadAndRecovery: snapshots published by
 // Reload and by Open's recovery fallback also carry compiled estimators.
 func TestCompiledEstimatorsSurviveReloadAndRecovery(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "catalog.json")
-	st, err := Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
+	st, path := walFixture(t, WALOptions{}, nil)
 	if _, err := st.Put(compiledTestEntry("orders", "key", 100)); err != nil {
 		t.Fatal(err)
 	}
+	st.Close()
 
 	// A second store opening the same file compiles at load time.
-	st2, err := Open(path)
+	st2, err := OpenWAL(path, WALOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer st2.Close()
 	if _, ok := st2.Snapshot().Compiled("orders", "key"); !ok {
 		t.Fatal("Open produced a snapshot without compiled estimators")
 	}

@@ -8,25 +8,28 @@ import (
 	"epfis/internal/faultfs"
 )
 
-// FuzzOpenCatalogStore hardens store recovery against arbitrary catalog
+// FuzzOpenCatalogStore hardens store recovery against arbitrary checkpoint
 // file contents: truncations, bit flips, spliced trailers, zero-length
 // files. Invariants:
 //
-//   - Open never panics: it recovers or rejects.
-//   - With a verified previous generation retained on disk, Open ALWAYS
+//   - OpenWAL never panics: it recovers or rejects.
+//   - With a verified previous checkpoint retained on disk, OpenWAL ALWAYS
 //     succeeds — either the main bytes verify, or recovery serves .prev.
-//   - Whatever Open accepts is a working store: readable and writable.
+//   - Whatever OpenWAL accepts is a working store: readable and writable.
 func FuzzOpenCatalogStore(f *testing.F) {
-	// Seed with a genuine trailered file and characteristic damage shapes.
-	dir := f.TempDir()
-	seedPath := filepath.Join(dir, "seed.json")
-	st, err := Open(seedPath)
+	// Seed with a genuine checkpoint and characteristic damage shapes.
+	seedPath := filepath.Join(f.TempDir(), "seed.json")
+	st, err := OpenWAL(seedPath, WALOptions{})
 	if err != nil {
 		f.Fatal(err)
 	}
 	if _, err := st.Put(entry("orders", "key", 500)); err != nil {
 		f.Fatal(err)
 	}
+	if err := st.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	st.Close()
 	good, err := os.ReadFile(seedPath)
 	if err != nil {
 		f.Fatal(err)
@@ -42,23 +45,26 @@ func FuzzOpenCatalogStore(f *testing.F) {
 	f.Add(flipped)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		base := t.TempDir()
-		path := filepath.Join(base, "catalog.json")
-
-		// Case 1: no backup — Open recovers or rejects, never panics.
+		// Case 1: no backup — OpenWAL recovers or rejects, never panics.
+		path := filepath.Join(t.TempDir(), "catalog.json")
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if st, err := Open(path); err == nil {
+		if st, err := OpenWAL(path, WALOptions{}); err == nil {
 			exercise(t, st)
 		}
 
-		// Case 2: a good .prev generation is retained. Open must succeed —
-		// from the main bytes when they verify, from .prev otherwise.
+		// Case 2: a good previous checkpoint is retained. OpenWAL must
+		// succeed — from the main bytes when they verify, from .prev
+		// otherwise.
+		path = filepath.Join(t.TempDir(), "catalog.json")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
 		if err := os.WriteFile(PrevPath(path), good, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		st, err := Open(path)
+		st, err := OpenWAL(path, WALOptions{})
 		if err != nil {
 			t.Fatalf("Open failed despite a good previous generation: %v\nmain bytes: %q", err, data)
 		}
@@ -66,10 +72,11 @@ func FuzzOpenCatalogStore(f *testing.F) {
 	})
 }
 
-// exercise proves an opened store actually works: snapshot reads and a
-// persisted write.
+// exercise proves an opened store actually works: snapshot reads, a
+// committed write, and a checkpoint that verifies.
 func exercise(t *testing.T, st *Store) {
 	t.Helper()
+	defer st.Close()
 	snap := st.Snapshot()
 	for _, k := range snap.Keys() {
 		if _, ok := snap.Lookup(k); !ok {
@@ -79,7 +86,14 @@ func exercise(t *testing.T, st *Store) {
 	if _, err := st.Put(entry("fuzz", "probe", 700)); err != nil {
 		t.Fatalf("Put on opened store: %v", err)
 	}
-	if _, err := loadVerified(faultfs.OS(), st.Path()); err != nil {
-		t.Fatalf("file written by opened store does not verify: %v", err)
+	if err := st.Checkpoint(); err != nil {
+		t.Fatalf("Checkpoint on opened store: %v", err)
+	}
+	c, _, _, err := loadCheckpoint(faultfs.OS(), st.Path())
+	if err != nil {
+		t.Fatalf("checkpoint written by opened store does not verify: %v", err)
+	}
+	if _, err := c.Get("fuzz", "probe"); err != nil {
+		t.Fatalf("checkpoint lost the committed write: %v", err)
 	}
 }

@@ -5,10 +5,11 @@ package catalog
 // ExportSnapshot serializes the current snapshot in the exact trailered
 // on-disk format (payload JSON + checksum trailer), so a peer pulling the
 // stream gets end-to-end corruption detection for free: the same
-// verifyPayload that guards Open guards the network transfer. ImportSnapshot
-// is the receiving side — verify, parse, validate, then commit through the
-// normal commitLocked path, which recompiles estimators via core.Compile and
-// persists through the store's (possibly fault-injected) filesystem.
+// verifyPayload that guards recovery guards the network transfer.
+// ImportSnapshot is the receiving side — verify, parse, validate, then
+// commit through the normal commitReplace path, which recompiles estimators
+// via core.Compile and persists through the store's (possibly
+// fault-injected) filesystem.
 //
 // ContentHash gives both sides a cheap content-addressed identity for
 // anti-entropy: it hashes the canonical JSON payload only (no trailer, no
@@ -28,11 +29,11 @@ import (
 // stream as-is; the embedded trailer lets the receiver verify integrity.
 func (st *Store) ExportSnapshot() ([]byte, uint64, error) {
 	snap := st.Snapshot()
-	data, err := encodeSnapshot(snap)
+	payload, err := encodeEntriesJSON(snap.entries)
 	if err != nil {
 		return nil, 0, err
 	}
-	return data, snap.gen, nil
+	return withTrailer(payload, ""), snap.gen, nil
 }
 
 // ImportSnapshot verifies a trailered catalog stream (as produced by
@@ -45,7 +46,7 @@ func (st *Store) ImportSnapshot(data []byte) (uint64, error) {
 	if !bytes.Contains(data, []byte(trailerPrefix)) {
 		return 0, fmt.Errorf("%w: snapshot stream has no checksum trailer", ErrCorrupt)
 	}
-	payload, _, err := verifyPayload(data)
+	payload, _, _, err := verifyPayload(data)
 	if err != nil {
 		return 0, err
 	}
@@ -77,7 +78,7 @@ func (st *Store) MergeSnapshot(data []byte, skip func(key string) bool) (uint64,
 	if !bytes.Contains(data, []byte(trailerPrefix)) {
 		return 0, fmt.Errorf("%w: snapshot stream has no checksum trailer", ErrCorrupt)
 	}
-	payload, _, err := verifyPayload(data)
+	payload, _, _, err := verifyPayload(data)
 	if err != nil {
 		return 0, err
 	}
@@ -146,10 +147,7 @@ func (st *Store) ExportEntry(key string) ([]byte, uint64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	crc := crc32.Checksum(payload, crcTable)
-	buf := bytes.NewBuffer(payload)
-	fmt.Fprintf(buf, "%scrc32c=%08x bytes=%d\n", trailerPrefix, crc, len(payload))
-	return buf.Bytes(), snap.gen, nil
+	return withTrailer(payload, ""), snap.gen, nil
 }
 
 // EntryDigests reports, for every entry, the CRC32-C of its canonical
@@ -182,7 +180,7 @@ func (st *Store) MergeEntries(streams [][]byte, skip func(key string) bool) (uin
 		if !bytes.Contains(data, []byte(trailerPrefix)) {
 			return 0, fmt.Errorf("%w: entry stream has no checksum trailer", ErrCorrupt)
 		}
-		payload, _, err := verifyPayload(data)
+		payload, _, _, err := verifyPayload(data)
 		if err != nil {
 			return 0, err
 		}

@@ -2,10 +2,8 @@ package catalog
 
 // Write-ahead-logged persistence with group commit.
 //
-// The legacy persistence path (persist.go) serializes the WHOLE catalog and
-// walks the full temp+fsync+rename+dirsync sequence on every mutation — crash
-// safe, but each Put pays two fsyncs and a rewrite of every entry. The WAL
-// mode trades that for an append-only log:
+// A file-backed store keeps two files, each with its retained previous
+// generation:
 //
 //	catalog.json          checkpoint: trailered snapshot + "lsn=N" field
 //	catalog.json.wal      CRC32-C framed mutation log
@@ -24,10 +22,11 @@ package catalog
 //
 //	[type u8][lsn u64][payload]
 //
-// Types: header (log identity, written at creation/rotation), put (one
-// entry's JSON), delete (the key), replace (a full catalog JSON), ingest (an
-// opaque ingest-journal record). LSNs increase by one per logged mutation and
-// never repeat within a log+checkpoint lineage.
+// Types: header (log identity and the LSN the log starts from, written at
+// creation/rotation), put (one entry's JSON), delete (the key), replace (a
+// full catalog JSON), ingest (an opaque ingest-journal record). LSNs
+// increase by one per logged mutation and never repeat within a
+// log+checkpoint lineage.
 //
 // Durability protocol. Two snapshot pointers exist: Store.applied (newest
 // BUILT state, possibly unfsynced) and Store.snap (published to readers,
@@ -43,14 +42,28 @@ package catalog
 // crash, and the crash-recovery fuzz (wal_test.go) holds that any torn tail
 // recovers to exactly the last fsynced commit.
 //
-// Checkpointing. Every CheckpointEvery commits (and on Save/Checkpoint), the
-// leader writes the current published snapshot through the legacy atomic-
-// rename path with an "lsn=N" trailer field, then rotates the log: a fresh
-// WAL containing only a header frame replaces the old one through
-// framelog.Log.Rewrite. Recovery loads the checkpoint (falling back to
-// .prev as always) and replays only frames with lsn > checkpoint lsn, so
-// every crash window — mid-append, mid-checkpoint, mid-rotation — lands on a
-// consistent committed state.
+// Checkpointing. Every CheckpointEvery commits, and on Checkpoint and
+// Close, the leader writes the current published snapshot with an "lsn=N"
+// trailer field, retaining the previous checkpoint as catalog.json.prev,
+// then rotates the log: a fresh log holding only a header frame replaces
+// the old one, which is retained as catalog.json.wal.prev. Recovery loads the
+// checkpoint and replays the log frames past its LSN. When the checkpoint
+// does not verify, it loads catalog.json.prev and replays the retained log
+// and then the current one, so every frame since that older checkpoint is
+// replayed; the open then removes the unverifiable file and checkpoints, so
+// the verified one stays retained. A log whose header starts past the LSN
+// reached so far cannot continue what came before it: recovery refuses it
+// (ErrCorrupt) rather than skip committed frames. Every crash window —
+// mid-append, mid-checkpoint, mid-rotation — lands on a consistent
+// committed state.
+//
+// Out-of-band refreshes. A catalog file without an lsn field (written by
+// `epfis gen`, stats.SaveFile, or an older release) replaces the whole
+// catalog: OpenWAL and Reload adopt it as one logged replace frame, and
+// checkpoint over it before anything later is acknowledged. Commits logged
+// before the adoption do not survive it. The adopted file is retained as
+// catalog.json.prev; recovery from it replays both logs whole, and the
+// replace frame discards what came before it.
 
 import (
 	"bytes"
@@ -67,7 +80,7 @@ import (
 	"epfis/internal/stats"
 )
 
-// ErrClosed reports a mutation on a closed WAL-backed store.
+// ErrClosed reports a mutation on a closed file-backed store.
 var ErrClosed = errors.New("catalog: store is closed")
 
 // WAL frame types.
@@ -97,7 +110,7 @@ type WALOptions struct {
 	Dir string
 	// CheckpointEvery is the number of committed mutations between automatic
 	// checkpoints. Zero means DefaultCheckpointEvery; negative disables
-	// automatic checkpoints (Save/Checkpoint still work).
+	// automatic checkpoints (Checkpoint still works).
 	CheckpointEvery int
 }
 
@@ -129,6 +142,7 @@ type walTicket struct {
 	frame []byte
 	lsn   uint64
 	snap  *Snapshot
+	adopt bool // checkpoint before acknowledging (Reload of an out-of-band file)
 	done  bool
 	err   error
 }
@@ -141,12 +155,13 @@ type walQueue struct {
 	syncing bool // a leader is writing/fsyncing (or holding for rotation)
 }
 
-// OpenWAL opens (or creates) a WAL-backed store for the catalog at path:
-// append-only group-committed mutations with periodic checkpoints, instead
-// of a full atomic rewrite per mutation. Recovery loads the checkpoint —
-// with the same .prev fallback as Open — and replays committed log frames
-// past it; a torn tail (crash mid-append) is truncated at the last complete
-// frame.
+// OpenWAL opens (or creates) the file-backed store for the catalog at
+// path: append-only group-committed mutations with periodic checkpoints.
+// Recovery loads the checkpoint — falling back to the retained previous one
+// and its log when the checkpoint does not verify — and replays committed
+// log frames past it; a torn tail (crash mid-append) is truncated at the
+// last complete frame. A catalog file without an lsn field is adopted
+// whole; see the file comment.
 func OpenWAL(path string, opts WALOptions) (*Store, error) {
 	return OpenWALFS(path, opts, faultfs.OS())
 }
@@ -162,27 +177,42 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 		st.checkpointEvery = DefaultCheckpointEvery
 	}
 	st.walQ.cond = sync.NewCond(&st.walQ.mu)
-
-	c, snapLSN, recovered, err := loadWithRecoveryLSN(fsys, path)
-	if err != nil {
-		return nil, err
-	}
-	st.recovered = recovered
-	entries := map[string]*stats.IndexStats{}
-	gen := uint64(0)
-	if c != nil {
-		for _, k := range c.Keys() {
-			if e, err := c.Get(splitKey(k)); err == nil {
-				entries[k] = e
-			}
-		}
-		gen = 1
-	}
-
 	w := &wal{path: opts.WALPath(path)}
-	r := walReplay{snapLSN: snapLSN, maxLSN: snapLSN, entries: entries}
+
+	c, lsn, hasLSN, err := loadCheckpoint(fsys, path)
+	if err != nil {
+		// Corrupt, truncated, or missing after a crashed checkpoint: adopt
+		// the retained previous checkpoint when it verifies.
+		prev, prevLSN, prevHasLSN, prevErr := loadCheckpoint(fsys, PrevPath(path))
+		switch {
+		case prevErr == nil:
+			c, lsn, hasLSN, st.recovered = prev, prevLSN, prevHasLSN, true
+		case !errors.Is(err, os.ErrNotExist) || !errors.Is(prevErr, os.ErrNotExist):
+			return nil, err
+		default:
+			hasLSN = true // no catalog yet: the log must start at lsn 0
+		}
+	}
+	r := walReplay{maxLSN: lsn, entries: entriesOf(c), loose: !hasLSN}
+	if st.recovered {
+		// The log rotated away with that checkpoint holds the frames
+		// between it and the current log's start.
+		data, err := fsys.ReadFile(PrevPath(w.path))
+		if err != nil && !errors.Is(err, os.ErrNotExist) {
+			return nil, fmt.Errorf("catalog: read retained wal: %w", err)
+		}
+		if err := r.replay(data); err != nil {
+			return nil, err
+		}
+		r.ingest = nil // rotation carried the live ones into the current log
+	}
+	r.header = false
 	if w.log, err = framelog.Open(fsys, w.path, r.accept); err != nil {
 		return nil, fmt.Errorf("catalog: open wal: %w", err)
+	}
+	if r.err != nil {
+		w.log.Close()
+		return nil, r.err
 	}
 	if !r.header {
 		// Missing, empty, or unrecognizable log: Open cut it to nothing, so
@@ -192,17 +222,64 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 			return nil, fmt.Errorf("catalog: write wal header: %w", err)
 		}
 	}
-	gen += uint64(r.replayed)
-	w.lsn, w.durableLSN, w.ingest = r.maxLSN, r.maxLSN, r.ingest
-
+	gen, entries := uint64(r.replayed), r.entries
+	if c != nil {
+		gen++
+	}
+	// A file written outside the store replaces every mutation logged
+	// before it: the log gave only its end and its ingest records.
+	adopt := c != nil && !hasLSN && !st.recovered
+	if adopt {
+		gen, entries = 1, entriesOf(c)
+	}
 	snap := newSnapshot(gen, entries, nil)
 	st.snap.Store(snap)
 	st.applied = snap
 	st.wal = w
+	w.lsn, w.durableLSN, w.ingest = r.maxLSN, r.maxLSN, r.ingest
+
+	if adopt || st.recovered || c == nil {
+		// An adoption must land, or a later open would adopt the file again
+		// over every commit acknowledged since. Otherwise best effort, like
+		// every checkpoint: the log holds the state either way.
+		if err := st.openCheckpoint(adopt); err != nil {
+			if adopt {
+				w.log.Close()
+				return nil, err
+			}
+			st.sinceCheckpoint = st.checkpointEvery
+		}
+	}
 	return st, nil
 }
 
-// WALPath reports the store's log file, or "" outside WAL mode.
+// openCheckpoint makes the catalog file this store's checkpoint, so Reload
+// and later opens can tell it from an out-of-band refresh. An adopted file
+// is first logged as a replace frame, so recovery from the retained file
+// replays it; a file that did not verify is first removed, so the
+// checkpoint does not retain it over the verified one.
+func (st *Store) openCheckpoint(adopt bool) error {
+	w, snap := st.wal, st.snap.Load()
+	if adopt {
+		p, err := encodeEntriesJSON(snap.entries)
+		if err == nil {
+			err = w.log.Append(appendRecord(nil, walFrameReplace, w.lsn+1, p))
+		}
+		if err != nil {
+			return fmt.Errorf("catalog: log adopted catalog: %w", err)
+		}
+		w.lsn++
+		w.durableLSN = w.lsn
+	}
+	if st.recovered {
+		if err := st.fs.Remove(st.path); err != nil && !errors.Is(err, os.ErrNotExist) {
+			return fmt.Errorf("catalog: remove unverifiable checkpoint: %w", err)
+		}
+	}
+	return writeCheckpoint(st.fs, st.path, snap, w.durableLSN)
+}
+
+// WALPath reports the store's log file, or "" for an in-memory store.
 func (st *Store) WALPath() string {
 	if st.wal == nil {
 		return ""
@@ -210,16 +287,26 @@ func (st *Store) WALPath() string {
 	return st.wal.path
 }
 
-// walReplay is the log's frame filter, shared by recovery and Reload: the
-// log must open with its identity frame, committed mutation frames with
-// lsn > snapLSN fold into entries, and ingest frames are collected.
+// walReplay folds logs into a checkpoint's entries: each log must open with
+// its identity frame, starting no later than the LSN reached so far (unless
+// loose); committed mutation frames past that LSN fold into entries, and
+// ingest frames are collected.
 type walReplay struct {
-	snapLSN  uint64
 	entries  map[string]*stats.IndexStats
-	header   bool     // the identity frame opened the log
+	maxLSN   uint64   // LSN reached: the checkpoint's, then each frame's
+	loose    bool     // the state has no LSN: any log may continue it
+	header   bool     // the identity frame opened the current log
 	replayed int      // mutation frames applied
-	maxLSN   uint64   // highest LSN covered (snapLSN when none is newer)
 	ingest   [][]byte // ingest-journal payloads, oldest first
+	err      error    // the log does not continue the state before it
+}
+
+// replay folds one log's bytes, reporting a log that starts past the LSN
+// reached so far.
+func (r *walReplay) replay(data []byte) error {
+	r.header = false
+	framelog.Scan(data, r.accept)
+	return r.err
 }
 
 // accept takes one frame body in log order. It returns false at the first
@@ -231,19 +318,30 @@ func (r *walReplay) accept(body []byte) bool {
 	}
 	ftype, lsn, payload := body[0], binary.LittleEndian.Uint64(body[1:]), body[9:]
 	switch {
+	case r.err != nil:
+		return true // the log is refused whole; leave its bytes as they are
 	case !r.header:
 		// The log must open with its identity frame; anything else means
 		// the file is not (or no longer) a v1 WAL — replay nothing.
 		r.header = ftype == walFrameHeader && string(payload) == walHeaderMagic
-		return r.header
+		switch {
+		case !r.header:
+			return false
+		case lsn <= r.maxLSN:
+		case r.loose:
+			r.maxLSN = lsn
+		default:
+			r.err = fmt.Errorf("%w: log starts at lsn %d, past lsn %d of the state before it", ErrCorrupt, lsn, r.maxLSN)
+		}
+		return true
 	case ftype == walFrameHeader:
 		return false // a header mid-log is corruption
 	case ftype == walFrameIngest:
-		// Ingest records are collected regardless of the checkpoint LSN:
-		// a checkpoint covers catalog state, not accumulator state, and
-		// rotation re-stamps carried records with the checkpoint LSN.
+		// Ingest records are collected regardless of LSN: a checkpoint
+		// covers catalog state, not accumulator state, and rotation
+		// re-stamps carried records with the checkpoint LSN.
 		r.ingest = append(r.ingest, append([]byte(nil), payload...))
-	case lsn > r.snapLSN:
+	case lsn > r.maxLSN:
 		if !applyWALFrame(r.entries, ftype, payload) {
 			return false // undecodable committed frame: stop at the last good one
 		}
@@ -273,10 +371,8 @@ func applyWALFrame(entries map[string]*stats.IndexStats, ftype byte, payload []b
 			return false
 		}
 		clear(entries)
-		for _, k := range c.Keys() {
-			if e, err := c.Get(splitKey(k)); err == nil {
-				entries[k] = e
-			}
+		for k, e := range entriesOf(c) {
+			entries[k] = e
 		}
 		return true
 	default:
@@ -295,83 +391,36 @@ func appendRecord(dst []byte, ftype byte, lsn uint64, payload []byte) []byte {
 	return dst
 }
 
-// appliedLocked is the snapshot the next mutation builds on. Callers hold
-// st.mu.
-func (st *Store) appliedLocked() *Snapshot {
-	if st.applied != nil {
-		return st.applied
+// Reload re-reads the catalog file and publishes its contents as a new
+// generation, so statistics refreshed by an out-of-process LRU-Fit run swap
+// in without downtime; in-flight readers keep their old snapshot. A file
+// without an lsn field is adopted whole (see the file comment). A file with
+// one is a checkpoint the store already holds, with every commit past it:
+// Reload republishes the store's own state. A file that cannot be read or
+// verified is rejected, and the snapshot and generation stay as they were.
+func (st *Store) Reload() (uint64, error) {
+	if st.path == "" {
+		return 0, ErrNoPath
 	}
-	return st.snap.Load()
-}
-
-// walPut commits one entry install through the log.
-func (st *Store) walPut(cp *stats.IndexStats) (uint64, error) {
-	payload, err := json.Marshal(cp)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: encode entry: %w", err)
-	}
-	return st.walCommit(walFramePut, payload, func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
-		next := cloneEntries(base.entries)
-		next[cp.Key()] = cp
-		return next, true
+	var c *stats.Catalog
+	var hasLSN bool
+	// Read as the leader: a checkpoint moves the file aside before it
+	// renames the new one into place.
+	err := st.lead(func() (err error) {
+		c, _, hasLSN, err = loadCheckpoint(st.fs, st.path)
+		return err
 	})
-}
-
-// walDelete commits one entry removal through the log. A missing key is a
-// no-op that neither logs nor bumps the generation.
-func (st *Store) walDelete(key string) (bool, uint64, error) {
-	gen, err := st.walCommit(walFrameDelete, []byte(key), func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
-		if _, ok := base.entries[key]; !ok {
-			return nil, false
-		}
-		next := cloneEntries(base.entries)
-		delete(next, key)
-		return next, true
-	})
-	if err != nil {
-		return false, 0, err
-	}
-	if gen == 0 { // aborted: key absent
-		return false, st.Generation(), nil
-	}
-	return true, gen, nil
-}
-
-// walReplaceAll commits a full entry-set swap through the log.
-func (st *Store) walReplaceAll(next map[string]*stats.IndexStats) (uint64, error) {
-	payload, err := encodeEntriesJSON(next)
-	if err != nil {
-		return 0, err
-	}
-	return st.walCommit(walFrameReplace, payload, func(*Snapshot) (map[string]*stats.IndexStats, bool) {
-		return next, true
-	})
-}
-
-// walReload re-reads checkpoint + committed log from disk and republishes the
-// result as a replace mutation.
-func (st *Store) walReload() (uint64, error) {
-	c, snapLSN, _, err := loadWithRecoveryLSN(st.fs, st.path)
 	if err != nil {
 		return 0, fmt.Errorf("catalog: reload: %w", err)
 	}
-	entries := map[string]*stats.IndexStats{}
-	if c != nil {
-		for _, k := range c.Keys() {
-			if e, err := c.Get(splitKey(k)); err == nil {
-				entries[k] = e
-			}
-		}
+	if hasLSN {
+		return st.commit(walFrameReplace, nil, false, func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
+			return cloneEntries(base.entries), true
+		})
 	}
-	data, err := st.fs.ReadFile(st.wal.path)
-	if err != nil && !errors.Is(err, os.ErrNotExist) {
-		return 0, fmt.Errorf("catalog: reload: %w", err)
-	}
-	// Ingest frames are not catalog mutations: Reload rebuilds entry state
-	// only, so the collected payloads are dropped.
-	r := walReplay{snapLSN: snapLSN, maxLSN: snapLSN, entries: entries}
-	framelog.Scan(data, r.accept)
-	return st.walReplaceAll(entries)
+	entries := entriesOf(c)
+	return st.commit(walFrameReplace, func() ([]byte, error) { return encodeEntriesJSON(entries) }, true,
+		func(*Snapshot) (map[string]*stats.IndexStats, bool) { return entries, true })
 }
 
 // encodeEntriesJSON renders an entry set as the canonical catalog JSON.
@@ -389,25 +438,54 @@ func encodeEntriesJSON(entries map[string]*stats.IndexStats) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// walCommit is the mutation front door: build the next snapshot against
-// applied state, enqueue the frame, and ride (or drive) a group commit.
-// prepare returns ok=false to abort without logging (e.g. deleting a missing
-// key); walCommit then returns (0, nil).
-func (st *Store) walCommit(ftype byte, payload []byte, prepare func(*Snapshot) (map[string]*stats.IndexStats, bool)) (uint64, error) {
+// commit is the mutation front door: build the next snapshot against the
+// newest one with prepare and publish it — directly on an in-memory store;
+// on a file-backed one by enqueueing payload's frame and riding (or
+// driving) a group commit. A nil payload logs the prepared entries as a
+// replace frame, rendered under the lock. adopt checkpoints the commit
+// before it is acknowledged (see maybeCheckpoint). prepare returns ok=false
+// to abort without a commit (e.g. deleting a missing key); commit then
+// returns (0, nil).
+func (st *Store) commit(ftype byte, payload func() ([]byte, error), adopt bool, prepare func(*Snapshot) (map[string]*stats.IndexStats, bool)) (uint64, error) {
+	if st.wal == nil {
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		base := st.snap.Load()
+		entries, ok := prepare(base)
+		if !ok {
+			return 0, nil
+		}
+		next := newSnapshot(base.gen+1, entries, base)
+		st.snap.Store(next)
+		return next.gen, nil
+	}
+	var p []byte
+	var err error
+	if payload != nil {
+		if p, err = payload(); err != nil {
+			return 0, fmt.Errorf("catalog: encode commit: %w", err)
+		}
+	}
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return 0, ErrClosed
 	}
-	base := st.appliedLocked()
+	base := st.applied
 	entries, ok := prepare(base)
 	if !ok {
 		st.mu.Unlock()
 		return 0, nil
 	}
+	if payload == nil {
+		if p, err = encodeEntriesJSON(entries); err != nil {
+			st.mu.Unlock()
+			return 0, fmt.Errorf("catalog: encode commit: %w", err)
+		}
+	}
 	next := newSnapshot(base.gen+1, entries, base)
 	st.wal.lsn++
-	t := &walTicket{frame: appendRecord(nil, ftype, st.wal.lsn, payload), lsn: st.wal.lsn, snap: next}
+	t := &walTicket{frame: appendRecord(nil, ftype, st.wal.lsn, p), lsn: st.wal.lsn, snap: next, adopt: adopt}
 	st.applied = next
 	st.walQ.mu.Lock()
 	st.walQ.queue = append(st.walQ.queue, t)
@@ -424,10 +502,10 @@ func (st *Store) walCommit(ftype byte, payload []byte, prepare func(*Snapshot) (
 // group-committed log as catalog mutations: when it returns nil the record
 // is fsynced and will be handed back by IngestRecords after a crash. It
 // publishes no snapshot and bumps no generation — durability is the whole
-// contract. Only valid on WAL-backed stores.
+// contract. An in-memory store returns ErrNoPath.
 func (st *Store) AppendIngest(payload []byte) error {
 	if st.wal == nil {
-		return errors.New("catalog: not a WAL-backed store")
+		return ErrNoPath
 	}
 	st.mu.Lock()
 	if st.closed {
@@ -446,7 +524,7 @@ func (st *Store) AppendIngest(payload []byte) error {
 // IngestRecords returns the ingest-journal payloads recovered when the
 // store was opened, oldest first. The service replays them through its
 // accumulators at startup; records acknowledged before a crash are never
-// lost. Nil outside WAL mode or when the log held none.
+// lost. Nil for an in-memory store or when the log held none.
 func (st *Store) IngestRecords() [][]byte {
 	if st.wal == nil {
 		return nil
@@ -491,12 +569,20 @@ func (st *Store) groupCommit(t *walTicket) error {
 
 	err := st.wal.writeBatch(batch)
 	var failed []*walTicket
+	var adopt *walTicket
 	if err != nil {
 		failed = st.rollback(batch, err)
 	} else {
 		st.publish(batch)
-		st.maybeCheckpoint()
+		for _, bt := range batch {
+			if bt.adopt {
+				adopt = bt
+			}
+		}
 	}
+	// A due checkpoint also runs after a failed batch: its rotation is what
+	// gives a log moved aside by a failed rotation its file back.
+	st.maybeCheckpoint(adopt)
 
 	q.mu.Lock()
 	for _, bt := range batch {
@@ -569,25 +655,39 @@ func (st *Store) rollback(batch []*walTicket, cause error) []*walTicket {
 }
 
 // maybeCheckpoint runs an automatic checkpoint when enough commits have
-// accumulated. Leader only (st.mu NOT held).
-func (st *Store) maybeCheckpoint() {
+// accumulated, and always after a batch that adopted an out-of-band file:
+// until a checkpoint replaces that file, an open would adopt it again over
+// every later commit. Leader only (st.mu NOT held).
+func (st *Store) maybeCheckpoint(adopt *walTicket) {
 	st.mu.Lock()
-	due := st.checkpointEvery > 0 && st.sinceCheckpoint >= st.checkpointEvery
+	due := adopt != nil || st.checkpointEvery > 0 && st.sinceCheckpoint >= st.checkpointEvery
 	st.mu.Unlock()
-	if due {
-		// Best effort: the commits themselves are durable in the log either
-		// way; a failed checkpoint just leaves a longer log to replay.
-		_ = st.checkpointAsLeader()
+	if !due {
+		return
+	}
+	// Otherwise best effort: the commits themselves are durable in the log
+	// either way. A failed adoption fails, and retries with the next commit.
+	if err := st.checkpointAsLeader(); err != nil && adopt != nil {
+		adopt.err = err
+		st.mu.Lock()
+		st.sinceCheckpoint = max(st.sinceCheckpoint, st.checkpointEvery)
+		st.mu.Unlock()
 	}
 }
 
 // Checkpoint writes the current published snapshot as the checkpoint file
-// and rotates the log. It runs as (or serialized with) a group-commit
-// leader, so it never races an append.
+// and rotates the log. It runs as the group-commit leader, so it never
+// races an append. An in-memory store returns ErrNoPath.
 func (st *Store) Checkpoint() error {
 	if st.wal == nil {
-		return errors.New("catalog: not a WAL-backed store")
+		return ErrNoPath
 	}
+	return st.lead(st.checkpointAsLeader)
+}
+
+// lead runs fn as the group-commit leader: no append, checkpoint or
+// rotation runs beside it.
+func (st *Store) lead(fn func() error) error {
 	q := &st.walQ
 	q.mu.Lock()
 	for q.syncing {
@@ -596,7 +696,7 @@ func (st *Store) Checkpoint() error {
 	q.syncing = true
 	q.mu.Unlock()
 
-	err := st.checkpointAsLeader()
+	err := fn()
 
 	q.mu.Lock()
 	q.syncing = false
@@ -610,7 +710,7 @@ func (st *Store) Checkpoint() error {
 func (st *Store) checkpointAsLeader() error {
 	w := st.wal
 	snap := st.snap.Load()
-	if err := writeAtomicLSN(st.fs, st.path, snap, w.durableLSN, true); err != nil {
+	if err := writeCheckpoint(st.fs, st.path, snap, w.durableLSN); err != nil {
 		return err
 	}
 	st.mu.Lock()
@@ -632,43 +732,37 @@ func (st *Store) checkpointAsLeader() error {
 // rotate atomically replaces the log with a fresh one containing a header
 // frame plus any still-live ingest records carried forward (stamped with
 // the checkpoint LSN — they ride below the replay threshold on purpose,
-// since recovery collects ingest frames unconditionally). Leader only.
+// since recovery collects ingest frames unconditionally), and retains the
+// old log for recovery from the previous checkpoint. Leader only.
 func (w *wal) rotate(carry [][]byte) error {
 	w.buf = appendRecord(w.buf[:0], walFrameHeader, w.durableLSN, []byte(walHeaderMagic))
 	for _, p := range carry {
 		w.buf = appendRecord(w.buf, walFrameIngest, w.durableLSN, p)
 	}
-	if err := w.log.Rewrite(w.buf); err != nil {
+	if err := w.log.Rewrite(w.buf, PrevPath(w.path)); err != nil {
 		return fmt.Errorf("catalog: rotate wal: %w", err)
 	}
 	return nil
 }
 
-// Close flushes leadership, closes the log handle, and fails subsequent
-// mutations with ErrClosed. Reads keep serving the last published snapshot.
-// Close is a no-op on non-WAL stores.
+// Close checkpoints (best effort, unless automatic checkpoints are off), so
+// after a clean shutdown the catalog file holds every commit, then closes
+// the log and fails subsequent mutations with ErrClosed. Reads keep serving
+// the last published snapshot. Close is a no-op on an in-memory store.
 func (st *Store) Close() error {
 	if st.wal == nil {
 		return nil
 	}
-	q := &st.walQ
-	q.mu.Lock()
-	for q.syncing {
-		q.cond.Wait()
-	}
-	q.syncing = true
-	q.mu.Unlock()
-
-	st.mu.Lock()
-	st.closed = true
-	st.mu.Unlock()
-	err := st.wal.log.Close()
-
-	q.mu.Lock()
-	q.syncing = false
-	q.cond.Broadcast()
-	q.mu.Unlock()
-	return err
+	return st.lead(func() error {
+		st.mu.Lock()
+		due := !st.closed && st.checkpointEvery > 0 && st.sinceCheckpoint > 0
+		st.closed = true
+		st.mu.Unlock()
+		if due {
+			_ = st.checkpointAsLeader()
+		}
+		return st.wal.log.Close()
+	})
 }
 
 // WALStats is a point-in-time view of the log state, for observability and
@@ -679,7 +773,7 @@ type WALStats struct {
 	SinceCheckpoint int    // commits since the last checkpoint
 }
 
-// WALStatsNow reports the current log state; zero outside WAL mode.
+// WALStatsNow reports the current log state; zero for an in-memory store.
 func (st *Store) WALStatsNow() WALStats {
 	if st.wal == nil {
 		return WALStats{}

@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -183,11 +185,11 @@ func TestWALCheckpointRotation(t *testing.T) {
 	if _, err := re.Put(entry("t", "late", 250)); err != nil {
 		t.Fatal(err)
 	}
-	if err := re.Save(); err != nil {
+	if err := re.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	if ws := re.WALStatsNow(); ws.SinceCheckpoint != 0 {
-		t.Fatalf("SinceCheckpoint = %d after Save", ws.SinceCheckpoint)
+		t.Fatalf("SinceCheckpoint = %d after Checkpoint", ws.SinceCheckpoint)
 	}
 }
 
@@ -325,6 +327,131 @@ func TestWALReload(t *testing.T) {
 	}
 }
 
+func TestWALReloadDuringCommitsAndCheckpoints(t *testing.T) {
+	// Reloads of the store's own checkpoint race commits and the rotations
+	// they trigger: every acknowledged commit must survive them, in memory
+	// and across a reopen.
+	st, path := walFixture(t, WALOptions{CheckpointEvery: 2}, nil)
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	acked := make([]map[string]int64, 4) // per worker: key -> last acknowledged FMin
+	for wkr := range acked {
+		acked[wkr] = map[string]int64{}
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				col := fmt.Sprintf("c%d_%d", wkr, i%8)
+				if _, err := st.Put(entry("t", col, int64(100+i))); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+				acked[wkr]["t."+col] = int64(100 + i)
+			}
+		}(wkr)
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := st.Reload(); err != nil {
+			t.Errorf("Reload %d during commits: %v", i, err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	check := func(what string, s *Snapshot) {
+		t.Helper()
+		got := stateOf(s)
+		for _, m := range acked {
+			for k, v := range m {
+				if got[k] != v {
+					t.Fatalf("%s: %s = %d, want the last acknowledged %d", what, k, got[k], v)
+				}
+			}
+		}
+	}
+	check("after the reloads", st.Snapshot())
+	st.Close()
+	re, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("after a reopen", re.Snapshot())
+}
+
+func TestWALReloadAdoptionDuringCommits(t *testing.T) {
+	// Adoptions of refreshed files race commits and checkpoints. A commit
+	// that starts after the last adoption returned must survive it, in
+	// memory and across a reopen.
+	st, path := walFixture(t, WALOptions{CheckpointEvery: 2}, nil)
+	var adopted atomic.Bool
+	var late atomic.Int64
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	after := make([]map[string]int64, 4) // per worker: key -> last FMin committed after the adoptions
+	for wkr := range after {
+		after[wkr] = map[string]int64{}
+		wg.Add(1)
+		go func(wkr int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				started := adopted.Load()
+				col := fmt.Sprintf("c%d_%d", wkr, i%8)
+				if _, err := st.Put(entry("t", col, int64(100+i))); err != nil {
+					t.Errorf("Put: %v", err)
+					return
+				}
+				if started {
+					after[wkr]["t."+col] = int64(100 + i)
+					late.Add(1)
+				}
+			}
+		}(wkr)
+	}
+	for i := 0; i < 20; i++ {
+		refresh(t, path, entry("r", "x", int64(300+i)))
+		if _, err := st.Reload(); err != nil {
+			t.Errorf("Reload %d during commits: %v", i, err)
+			break
+		}
+	}
+	adopted.Store(true)
+	for late.Load() < 32 && !t.Failed() {
+		runtime.Gosched()
+	}
+	close(stop)
+	wg.Wait()
+	check := func(what string, s *Snapshot) {
+		t.Helper()
+		got := stateOf(s)
+		for _, m := range after {
+			for k, v := range m {
+				if got[k] != v {
+					t.Fatalf("%s: %s = %d, want %d, committed after the adoptions", what, k, got[k], v)
+				}
+			}
+		}
+	}
+	check("after the adoptions", st.Snapshot())
+	st.Close()
+	re, err := OpenWAL(path, WALOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	check("after a reopen", re.Snapshot())
+}
+
 func TestChaosWALAppendAndFsyncFailures(t *testing.T) {
 	// Injected append and fsync failures must fail the commit honestly —
 	// readers keep the previous durable generation — and the next commit
@@ -430,6 +557,57 @@ func TestChaosWALRotationSyncDirFailure(t *testing.T) {
 	defer re.Close()
 	if got := stateOf(re.Snapshot()); !statesEqual(got, want) {
 		t.Fatalf("acknowledged commits lost after a failed rotation syncdir: reopened %v, want %v", got, want)
+	}
+}
+
+func TestChaosWALRotationRenameFailure(t *testing.T) {
+	// A rotation that moves the log aside and can neither rename the fresh
+	// log into place nor move the old one back must take no commit into the
+	// moved file; the next checkpoint gives the log its file back, and every
+	// acknowledged commit survives a reopen.
+	inj := faultfs.NewInjector(faultfs.OS(), 1)
+	st, path := walFixture(t, WALOptions{CheckpointEvery: 2}, inj)
+	inj.Add(faultfs.Rule{Op: faultfs.OpRename, Path: ".wal", Nth: 2, Count: 2})
+	var acked []string
+	for i := 0; i < 6; i++ {
+		col := fmt.Sprintf("c%d", i)
+		if _, err := st.Put(entry("t", col, 200)); err == nil {
+			acked = append(acked, "t."+col)
+		}
+	}
+	if inj.Injected() != 2 {
+		t.Fatalf("rotation rename faults fired %d times, want 2", inj.Injected())
+	}
+	if len(acked) < 4 {
+		t.Fatalf("only %v acknowledged: the log did not get its file back", acked)
+	}
+	st.Close()
+	reopenHas := func(path string, keys []string) {
+		t.Helper()
+		re, err := OpenWAL(path, WALOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer re.Close()
+		for _, k := range keys {
+			if _, ok := re.Snapshot().Lookup(k); !ok {
+				t.Fatalf("acknowledged commit %s lost after a failed rotation", k)
+			}
+		}
+	}
+	reopenHas(path, acked)
+
+	// A commit right after the failed rotation, with no checkpoint between
+	// it and the reopen, must not be acknowledged from the moved file.
+	inj = faultfs.NewInjector(faultfs.OS(), 1)
+	st, path = walFixture(t, WALOptions{CheckpointEvery: -1}, inj)
+	inj.Add(faultfs.Rule{Op: faultfs.OpRename, Path: ".wal", Nth: 2, Count: 2})
+	if err := st.Checkpoint(); err == nil {
+		t.Fatal("Checkpoint succeeded under rotation rename faults")
+	}
+	if _, err := st.Put(entry("t", "late", 200)); err == nil {
+		st.Close()
+		reopenHas(path, []string{"t.late"})
 	}
 }
 

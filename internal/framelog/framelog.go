@@ -96,6 +96,10 @@ type Log struct {
 	// rename) is not yet durable. Until a directory fsync succeeds, no
 	// append is acknowledged.
 	dirSync bool
+	// displaced records a Rewrite that moved the file to its keep path and
+	// could not move it back: appends through the open handle would land in
+	// the kept file, so none is taken until a Rewrite succeeds.
+	displaced bool
 }
 
 // Open replays the log at path through accept (see Scan), cuts the file
@@ -119,6 +123,9 @@ func Open(fsys faultfs.FS, path string, accept func(body []byte) bool) (*Log, er
 // reopen cuts bytes past the durable length and opens the append handle if
 // it is not open.
 func (l *Log) reopen() error {
+	if l.displaced {
+		return fmt.Errorf("framelog: %s was moved aside by a failed rewrite", l.path)
+	}
 	if l.torn {
 		if err := l.fs.Truncate(l.path, l.size); err != nil {
 			return fmt.Errorf("framelog: cut torn tail of %s: %w", l.path, err)
@@ -170,21 +177,23 @@ func (l *Log) Append(frames []byte) error {
 }
 
 // Rewrite atomically replaces the log's content with frames: temp file,
-// fsync, rename, directory fsync. A failure before the rename leaves the old
-// log in place and in use. Once the rename succeeds the log is the new file,
-// even when a later step fails; Append then retries the directory fsync
-// before it acknowledges anything.
-func (l *Log) Rewrite(frames []byte) error {
-	if err := Replace(l.fs, l.path, frames, ""); err != nil {
+// fsync, rename, directory fsync. With keep set, the old log is retained
+// there (see Replace). A failure before the rename leaves the old log in
+// place and in use. Once the rename succeeds the log is the new file, even
+// when a later step fails; Append then retries the directory fsync before
+// it acknowledges anything.
+func (l *Log) Rewrite(frames []byte, keep string) error {
+	if err := Replace(l.fs, l.path, frames, keep); err != nil {
+		if errors.Is(err, errDisplaced) {
+			l.Close()
+			l.displaced = true
+		}
 		return fmt.Errorf("framelog: rewrite %s: %w", l.path, err)
 	}
-	// The old handle points at the unlinked file; every append must go to
-	// the new one from here on.
-	if l.f != nil {
-		l.f.Close()
-		l.f = nil
-	}
-	l.size, l.torn, l.dirSync = int64(len(frames)), false, true
+	// The old handle points at the unlinked (or kept) file; every append
+	// must go to the new one from here on.
+	l.Close()
+	l.size, l.torn, l.dirSync, l.displaced = int64(len(frames)), false, true, false
 	if err := l.syncDir(); err != nil {
 		return err
 	}
@@ -207,11 +216,17 @@ func (l *Log) Remove() error {
 	return l.fs.Remove(l.path)
 }
 
+// errDisplaced marks a Replace that moved path to keep, failed to rename
+// the new file into place, and failed to move the old one back.
+var errDisplaced = errors.New("file left at its keep path")
+
 // Replace writes data to a temp file beside path, fsyncs it, and renames it
 // over path. With keep set, the current file is first renamed to keep, so a
-// crash or failure between the two renames leaves it there for recovery;
-// any earlier failure leaves path as it was. Replace does not fsync the
-// directory: the caller does, once it has acted on the rename.
+// crash between the two renames leaves it there for recovery; when the
+// second rename fails, the file is moved back. Any failure leaves path as
+// it was, unless moving it back fails too (an error wrapping errDisplaced).
+// Replace does not fsync the directory: the caller does, once it has acted
+// on the rename.
 func Replace(fsys faultfs.FS, path string, data []byte, keep string) error {
 	tmp, err := fsys.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*.tmp")
 	if err != nil {
@@ -232,10 +247,21 @@ func Replace(fsys faultfs.FS, path string, data []byte, keep string) error {
 	if err := tmp.Close(); err != nil {
 		return err
 	}
+	kept := false
 	if keep != "" {
-		if err := fsys.Rename(path, keep); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		err := fsys.Rename(path, keep)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return fmt.Errorf("retain previous generation: %w", err)
 		}
+		kept = err == nil
 	}
-	return fsys.Rename(tmpName, path)
+	if err := fsys.Rename(tmpName, path); err != nil {
+		if kept {
+			if rerr := fsys.Rename(keep, path); rerr != nil {
+				return fmt.Errorf("%w: %w (moving it back: %v)", errDisplaced, err, rerr)
+			}
+		}
+		return err
+	}
+	return nil
 }

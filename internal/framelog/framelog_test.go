@@ -148,7 +148,7 @@ func TestRewriteFaultLeavesOldOrNewLog(t *testing.T) {
 				t.Fatal(err)
 			}
 			inj.Add(faultfs.Rule{Op: tc.op})
-			if err := l.Rewrite(encode(newBodies)); !errors.Is(err, faultfs.ErrInjected) {
+			if err := l.Rewrite(encode(newBodies), ""); !errors.Is(err, faultfs.ErrInjected) {
 				t.Fatalf("Rewrite under %s fault = %v, want ErrInjected", tc.op, err)
 			}
 			want := oldBodies
@@ -196,6 +196,69 @@ func TestRewriteFaultLeavesOldOrNewLog(t *testing.T) {
 			check.Close()
 			if !equalBodies(got, append(append([][]byte(nil), want...), extra)) {
 				t.Fatalf("after %s fault: append went astray (%d frames on reopen)", tc.op, len(got))
+			}
+		})
+	}
+}
+
+func TestRewriteKeepsOldLog(t *testing.T) {
+	// With a keep path, Rewrite retains the old log there. A failed second
+	// rename moves the old log back, still in use; when that fails too, no
+	// append is taken until a Rewrite succeeds, so none lands in the kept
+	// file where a reopen would not find it.
+	oldBodies := testBodies(3, 40, 7)
+	newBodies := testBodies(12, 1)
+	extra := []byte("after the rewrite")
+	for _, tc := range []struct {
+		name   string
+		faults int // consecutive renames failed from the second one on
+		want   [][]byte
+	}{
+		{"ok", 0, newBodies},
+		{"restored", 1, oldBodies},
+		{"displaced", 2, newBodies},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "j.log")
+			keep := path + ".prev"
+			inj := faultfs.NewInjector(faultfs.OS(), 1)
+			l, err := Open(inj, path, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			if err := l.Append(encode(oldBodies)); err != nil {
+				t.Fatal(err)
+			}
+			if tc.faults > 0 {
+				inj.Add(faultfs.Rule{Op: faultfs.OpRename, Nth: 2, Count: tc.faults})
+			}
+			err = l.Rewrite(encode(newBodies), keep)
+			if (err != nil) != (tc.faults > 0) {
+				t.Fatalf("Rewrite = %v with %d rename faults", err, tc.faults)
+			}
+			if tc.faults == 2 {
+				if err := l.Append(AppendFrame(nil, extra)); err == nil {
+					t.Fatal("Append accepted while the log was moved aside")
+				}
+				if err := l.Rewrite(encode(newBodies), keep); err != nil {
+					t.Fatalf("Rewrite after a displacing fault: %v", err)
+				}
+			}
+			if err := l.Append(AppendFrame(nil, extra)); err != nil {
+				t.Fatalf("Append: %v", err)
+			}
+			got, check := replay(t, faultfs.OS(), path)
+			check.Close()
+			if !equalBodies(got, append(append([][]byte(nil), tc.want...), extra)) {
+				t.Fatalf("reopened %d frames, want %d plus the append", len(got), len(tc.want))
+			}
+			if tc.faults != 1 {
+				kept, check := replay(t, faultfs.OS(), keep)
+				check.Close()
+				if !equalBodies(kept, oldBodies) {
+					t.Fatalf("kept log has %d frames, want the old %d", len(kept), len(oldBodies))
+				}
 			}
 		})
 	}

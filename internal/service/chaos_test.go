@@ -21,13 +21,16 @@ import (
 
 // newChaosServer builds a service over a disk-backed store whose filesystem
 // runs through a fault injector, seeded with the standard "orders.key" index.
+// A checkpoint every two commits puts the checkpoint and rotation writes on
+// the mutation path beside the log appends.
 func newChaosServer(t *testing.T) (*Server, *catalog.Store, *faultfs.Injector, float64) {
 	t.Helper()
 	inj := faultfs.NewInjector(faultfs.OS(), 42)
-	store, err := catalog.OpenFS(filepath.Join(t.TempDir(), "catalog.json"), inj)
+	store, err := catalog.OpenWALFS(filepath.Join(t.TempDir(), "catalog.json"), catalog.WALOptions{CheckpointEvery: 2}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { store.Close() })
 	orders := fitStats(t, "orders", "key", 1)
 	if _, err := store.Put(orders); err != nil {
 		t.Fatal(err)

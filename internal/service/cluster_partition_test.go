@@ -623,6 +623,12 @@ func TestClusterIngestOwnershipRouting(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cn := range nodes {
+		// The owner acknowledges the republish at its quorum (itself, with
+		// R=1); the fan-out to the other nodes finishes in the background.
+		waitFor(t, 5*time.Second, func() bool {
+			_, err := cn.store.Get("lineitem", "suppkey")
+			return err == nil
+		}, cn.id+": republished entry")
 		got, err := cn.store.Get("lineitem", "suppkey")
 		if err != nil {
 			t.Fatalf("%s: republished entry missing: %v", cn.id, err)

@@ -275,7 +275,7 @@ func (h *handoff) compactLocked(q *hintQueue) {
 	for _, rec := range q.hints {
 		frames = appendJSONFrame(frames, rec)
 	}
-	if err := q.log.Rewrite(frames); err != nil {
+	if err := q.log.Rewrite(frames, ""); err != nil {
 		h.journalC.Inc() // stale frames linger; epoch gating makes redelivery harmless
 	}
 }

@@ -234,10 +234,11 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	// A disk-backed store behind a fault injector, so the second phase can
 	// fail a reload.
 	inj := faultfs.NewInjector(faultfs.OS(), 1)
-	store, err := catalog.OpenFS(filepath.Join(t.TempDir(), "catalog.json"), inj)
+	store, err := catalog.OpenWALFS(filepath.Join(t.TempDir(), "catalog.json"), catalog.WALOptions{}, inj)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer store.Close()
 	if _, err := store.Put(fitStats(t, "orders", "key", 1)); err != nil {
 		t.Fatal(err)
 	}

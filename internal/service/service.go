@@ -384,10 +384,10 @@ func New(cfg Config) (*Server, error) {
 
 	s.ingest = newIngester(s, cfg)
 	if s.ingest != nil {
-		// With a WAL-backed store, acked ingest batches are journaled and
-		// replayed here — before the worker starts, so replay owns the
-		// accumulator maps without synchronization.
-		if cfg.Store.WALPath() != "" {
+		// With a file-backed store, acked ingest batches are journaled in
+		// its log and replayed here — before the worker starts, so replay
+		// owns the accumulator maps without synchronization.
+		if cfg.Store.Path() != "" {
 			s.ingest.journal = true
 			s.ingest.replay(cfg.Store.IngestRecords())
 			cfg.Store.SetIngestSource(s.ingest.liveJournal)

@@ -121,7 +121,7 @@ func (j *stampJournal) compactLocked() {
 	// Reset the pressure count even on failure, so a failing disk does not
 	// retry the rewrite on every mutation.
 	j.appends = len(table)
-	if err := j.log.Rewrite(frames); err != nil {
+	if err := j.log.Rewrite(frames, ""); err != nil {
 		j.errorsC.Inc() // the old journal or the whole new one stays; both reload the live table
 	}
 }
