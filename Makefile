@@ -26,9 +26,10 @@ race:
 # concurrent ingest + readers), commit-abort and recovery invariants, overload
 # shedding, breaker/degraded behaviour, plus recovery fuzz smokes for both the
 # checkpoint file and the WAL log, a fuzz pass over the journal frame
-# decoder every log replays through, a differential fuzz pass holding the
-# batch body decoder to encoding/json, and a fuzz pass over the exposition
-# parser federation feeds peer bytes to.
+# decoder every log replays through, differential fuzz passes holding the
+# batch body decoder to encoding/json and the estimate query parser to
+# net/url, and a fuzz pass over the exposition parser federation feeds peer
+# bytes to.
 chaos:
 	$(GO) test -race ./internal/faultfs/ ./internal/resilience/
 	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
@@ -37,6 +38,7 @@ chaos:
 	$(GO) test -run=Fuzz -fuzz=FuzzWALRecovery -fuzztime=20s ./internal/catalog/
 	$(GO) test -run=Fuzz -fuzz=FuzzScan -fuzztime=20s ./internal/framelog/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBatchBody -fuzztime=20s ./internal/service/
+	$(GO) test -run=Fuzz -fuzz=FuzzParseEstimateQuery -fuzztime=20s ./internal/service/
 	$(GO) test -run=Fuzz -fuzz=FuzzParseExposition -fuzztime=20s ./internal/obs/
 
 # Network partition drills under the race detector: the deterministic fault
@@ -55,36 +57,43 @@ chaos-net:
 bench:
 	$(GO) test -bench=ServiceEstimate -cpu 1,4 -run=NONE ./cmd/epfis-serve/
 
-# Tracked perf baseline: pooled-simulator and Measure microbenchmarks, the
-# warm-cache sweep, and full-suite wall-clock at -parallel 1/4, written as
-# BENCH_experiments.json (see README "Benchmarks and the perf baseline").
+# The bench-* targets run each perf gate as a named go test (-count=1, so a
+# cached pass never stands in for a measurement), then the go test
+# benchmarks of the same paths. The end-to-end and per-layer figures over
+# real sockets come from bench/ (make e2e-smoke; bench/README.md).
+
+# Experiment engine: all 34 experiments byte-identical at -parallel 1 and 4,
+# then the pooled simulator, Measure, warm-cache sweep and full-suite
+# benchmarks.
 bench-json:
-	$(GO) run ./cmd/epfis-bench -out BENCH_experiments.json
+	$(GO) test -count=1 -run '^TestEngineDeterministicAcrossParallelism$$' ./internal/experiment/
+	$(GO) test -run=NONE -bench='ScratchAnalyze|TreeAnalyzeLegacy' -benchmem ./internal/lrusim/
+	$(GO) test -run=NONE -bench=Measure200Scans -benchmem ./internal/workload/
+	$(GO) test -run=NONE -bench='ErrorSweep|EngineSuite' -benchmem ./internal/experiment/
 
-# Serving-path baseline: handler-level single/cache-hit/cache-miss/batch64/
-# parallel benchmarks written as BENCH_serve.json. Exits non-zero when
-# allocs/op exceed the committed budgets (the CI alloc gate; see README
-# "Performance").
+# Serving path: the allocation budgets (single estimate <= 8 allocs/op,
+# 64-plan batch <= 64, traced and cold variants included), then the
+# handler-level single/cache-hit/cache-miss/batch64/parallel benchmarks.
 bench-serve:
-	$(GO) run ./cmd/epfis-bench -suite serve -out BENCH_serve.json
+	$(GO) test -count=1 -run '^TestAllocBudget(Single|Batch64)' ./internal/service/
+	$(GO) test -run=NONE -bench=ServiceEstimate -benchmem ./cmd/epfis-serve/
 
-# Ingestion-path baseline: WAL group-commit mutation throughput vs the
-# whole-catalog rewrite a rename-per-commit store pays per commit, Accum
-# feed/merge cost, and POST /v1/ingest handler latency,
-# written as BENCH_ingest.json. Exits non-zero when the WAL speedup falls
-# under -min-wal-speedup (default 10x) or Feed exceeds its alloc budget.
+# Ingestion path: WAL group commit at least 10x a rename-per-commit rewrite
+# and at most 0.5 durability barriers per commit, Accum.Feed at most 2
+# amortized allocs per 512-reference batch, then the Feed/Merge benchmarks.
 bench-ingest:
-	$(GO) run ./cmd/epfis-bench -suite ingest -out BENCH_ingest.json
+	$(GO) test -count=1 -v -run '^TestWALGroupCommitSpeedup$$' ./internal/catalog/
+	$(GO) test -count=1 -run '^TestAccumFeedSteadyStateAllocs$$' ./internal/lrusim/
+	$(GO) test -run=NONE -bench='AccumFeed|AccumMerge' -benchmem ./internal/lrusim/
 
-# Cluster data-plane baseline: allocs of an estimate at a non-owner vs an
-# owner (both answered locally; the non-owner may not allocate more),
-# quorum PUT latency with a faultnet-slowed straggler peer (the fast-ack
-# gate), and delta anti-entropy bytes-on-wire vs the full snapshot, measured
-# over an in-process multi-node cluster and written as BENCH_cluster.json.
-# Exits non-zero when any budget is breached (see README "Cluster
-# performance").
+# Cluster data plane, over in-process nodes: an estimate at a non-owner
+# allocates no more than at an owner (nor an owner more than a single node),
+# a quorum PUT acks without waiting for a slowed owner straggler, and with a
+# 40 ms-slowed non-owner stays within 2x the no-fault median, and a 1-key
+# delta sync of a 64-entry catalog moves at most 10% of the snapshot bytes
+# without falling back.
 bench-cluster:
-	$(GO) run ./cmd/epfis-bench -suite cluster -out BENCH_cluster.json
+	$(GO) test -count=1 -v -run '^(TestAllocBudgetClusterEstimate|TestClusterQuorumFastAck.*|TestClusterDeltaOneKeyWireCost)$$' ./internal/service/
 
 # One-iteration pass over the perf-relevant benchmarks, as run in CI.
 bench-smoke:

@@ -5,7 +5,8 @@
 // metrics, so `go test -bench=.` prints the same headline numbers the paper
 // discusses. The experiment package shares datasets and suites through a
 // build cache; these benches clear it every iteration so each op really is
-// an end-to-end rebuild (cmd/epfis-bench measures the cached engine path).
+// an end-to-end rebuild (internal/experiment's BenchmarkEngineSuite* measure
+// the cached engine path).
 //
 // Benches default to a shape-preserving scaled run (Scale 25, 60 scans; see
 // DESIGN.md §6); set -epfis.full to run at paper size.

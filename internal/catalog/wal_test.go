@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,6 +15,7 @@ import (
 	"time"
 
 	"epfis/internal/faultfs"
+	"epfis/internal/framelog"
 	"epfis/internal/stats"
 )
 
@@ -854,4 +856,123 @@ func FuzzWALRecovery(f *testing.F) {
 		}
 		re.Close()
 	})
+}
+
+// TestWALGroupCommitSpeedup gates the WAL design's headline: 16 writers
+// committing through group commit reach at least minSpeedup times the rate
+// of the rename-per-commit rewrite the WAL replaced (encode the catalog,
+// replace the file keeping .prev, fsync the directory), both over a
+// 64-entry catalog. Rounds alternate the two sides so host load hits both;
+// the gate reads the median round. Durability barriers (file plus directory
+// fsyncs, from a rule-free faultfs trace) are counted too: one fsync per
+// commit, or a checkpoint after every group, breaks maxBarriersPerCommit
+// however fast the disk.
+func TestWALGroupCommitSpeedup(t *testing.T) {
+	const (
+		entries, writers, putsEach = 64, 16, 64
+		commits                    = writers * putsEach
+		rewrites                   = 64
+		rounds                     = 5
+		minSpeedup                 = 10.0
+		maxBarriersPerCommit       = 0.5
+		traceCap                   = 4096 // faultfs.Injector keeps the last 4,096 operations
+	)
+	cat := stats.NewCatalog()
+	for i := 0; i < entries; i++ {
+		if err := cat.Put(entry("t", fmt.Sprintf("c%d", i), 2000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var seed bytes.Buffer
+	if err := cat.Save(&seed); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+
+	walRound := func(round int) (perSec float64, barriers int) {
+		path := filepath.Join(dir, fmt.Sprintf("wal%d", round), "catalog.json")
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		// A file without an lsn is adopted whole at open: the seeded
+		// catalog costs one frame, not 64 commits.
+		if err := os.WriteFile(path, seed.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		inj := faultfs.NewInjector(faultfs.OS(), 1)
+		st, err := OpenWALFS(path, WALOptions{}, inj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		mark := len(inj.Trace())
+		start := time.Now()
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < putsEach; i++ {
+					n := w*putsEach + i
+					if _, err := st.Put(entry("t", fmt.Sprintf("c%d", n%entries), 2001+int64(n))); err != nil {
+						t.Errorf("Put: %v", err)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		perSec = commits / time.Since(start).Seconds()
+		trace := inj.Trace()
+		if len(trace) >= traceCap {
+			t.Fatalf("faultfs trace overflowed (%d operations); barriers uncountable", len(trace))
+		}
+		for _, op := range trace[mark:] {
+			if strings.HasPrefix(op, string(faultfs.OpSync)+" ") || strings.HasPrefix(op, string(faultfs.OpSyncDir)+" ") {
+				barriers++
+			}
+		}
+		return perSec, barriers
+	}
+
+	renamePath := filepath.Join(dir, "rename", "catalog.json")
+	if err := os.MkdirAll(filepath.Dir(renamePath), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	fsys := faultfs.OS()
+	var buf bytes.Buffer
+	renameRound := func() float64 {
+		start := time.Now()
+		for i := 0; i < rewrites; i++ {
+			buf.Reset()
+			if err := cat.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if err := framelog.Replace(fsys, renamePath, buf.Bytes(), PrevPath(renamePath)); err != nil {
+				t.Fatal(err)
+			}
+			if err := fsys.SyncDir(filepath.Dir(renamePath)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rewrites / time.Since(start).Seconds()
+	}
+
+	speedups := make([]float64, rounds)
+	barriers := 0
+	for r := range speedups {
+		wal, b := walRound(r)
+		barriers += b
+		speedups[r] = wal / renameRound()
+	}
+	slices.Sort(speedups)
+	perCommit := float64(barriers) / (rounds * commits)
+	t.Logf("WAL group commit vs rename-per-commit: median %.1fx (rounds %.1f); %.3f durability barriers per commit",
+		speedups[rounds/2], speedups, perCommit)
+	if speedups[rounds/2] < minSpeedup {
+		t.Errorf("WAL group commit is %.1fx the rename-per-commit rate, want at least %.0fx", speedups[rounds/2], minSpeedup)
+	}
+	if perCommit > maxBarriersPerCommit {
+		t.Errorf("%.3f durability barriers per commit, want at most %.1f", perCommit, maxBarriersPerCommit)
+	}
 }

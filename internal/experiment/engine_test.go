@@ -73,47 +73,61 @@ func seriesIdentical(a, b []Series) bool {
 }
 
 func TestEngineDeterministicAcrossParallelism(t *testing.T) {
-	// One synthetic figure and one GWL figure through the orchestrator API at
-	// -parallel 1 and -parallel 8. The cache is cleared between runs so the
-	// second run rebuilds everything; series must be bit-identical and the
-	// rendered bytes equal.
-	cfg := Config{Scale: 50, Scans: 30, Seed: 3}
-	exps, err := LookupExperiments([]string{"figure-13", "figure-5"})
-	if err != nil {
-		t.Fatal(err)
+	// Experiments through the orchestrator API at two parallelisms. The
+	// cache is cleared between runs so the second run rebuilds everything;
+	// figure series must be bit-identical and the rendered bytes equal.
+	cases := []struct {
+		name     string
+		ids      []string // nil = the whole registry
+		cfg      Config
+		parallel int
+	}{
+		{"synthetic+gwl", []string{"figure-13", "figure-5"}, Config{Scale: 50, Scans: 30, Seed: 3}, 8},
+		// Every experiment at the suite benchmarks' configuration.
+		{"registry", nil, benchCfg, 4},
 	}
-	run := func(parallel int) ([]RunReport, [][]byte) {
-		ClearSharedCache()
-		defer ClearSharedCache()
-		eng := Engine{Parallel: parallel}
-		reports := eng.RunAll(cfg, exps)
-		rendered := make([][]byte, len(reports))
-		for i, r := range reports {
-			if r.Err != nil {
-				t.Fatalf("parallel=%d %s: %v", parallel, r.ID, r.Err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			exps := Registry()
+			if tc.ids != nil {
+				var err error
+				if exps, err = LookupExperiments(tc.ids); err != nil {
+					t.Fatal(err)
+				}
 			}
-			var buf bytes.Buffer
-			if err := r.Result.Render(&buf); err != nil {
-				t.Fatalf("parallel=%d %s render: %v", parallel, r.ID, err)
+			run := func(parallel int) ([]RunReport, [][]byte) {
+				ClearSharedCache()
+				defer ClearSharedCache()
+				eng := Engine{Parallel: parallel}
+				reports := eng.RunAll(tc.cfg, exps)
+				rendered := make([][]byte, len(reports))
+				for i, r := range reports {
+					if r.Err != nil {
+						t.Fatalf("parallel=%d %s: %v", parallel, r.ID, r.Err)
+					}
+					var buf bytes.Buffer
+					if err := r.Result.Render(&buf); err != nil {
+						t.Fatalf("parallel=%d %s render: %v", parallel, r.ID, err)
+					}
+					rendered[i] = buf.Bytes()
+				}
+				return reports, rendered
 			}
-			rendered[i] = buf.Bytes()
-		}
-		return reports, rendered
-	}
-	serialReports, serialBytes := run(1)
-	parallelReports, parallelBytes := run(8)
-	for i := range serialReports {
-		sf, ok := serialReports[i].Result.(*FigureResult)
-		if !ok {
-			t.Fatalf("%s: not a figure result", serialReports[i].ID)
-		}
-		pf := parallelReports[i].Result.(*FigureResult)
-		if !seriesIdentical(sf.Series, pf.Series) {
-			t.Errorf("%s: series differ between parallel=1 and parallel=8", sf.ID)
-		}
-		if !bytes.Equal(serialBytes[i], parallelBytes[i]) {
-			t.Errorf("%s: rendered output differs between parallel=1 and parallel=8", sf.ID)
-		}
+			serialReports, serialBytes := run(1)
+			parallelReports, parallelBytes := run(tc.parallel)
+			for i := range serialReports {
+				id := serialReports[i].ID
+				if sf, ok := serialReports[i].Result.(*FigureResult); ok {
+					pf := parallelReports[i].Result.(*FigureResult)
+					if !seriesIdentical(sf.Series, pf.Series) {
+						t.Errorf("%s: series differ between parallel=1 and parallel=%d", id, tc.parallel)
+					}
+				}
+				if !bytes.Equal(serialBytes[i], parallelBytes[i]) {
+					t.Errorf("%s: rendered output differs between parallel=1 and parallel=%d", id, tc.parallel)
+				}
+			}
+		})
 	}
 }
 

@@ -33,7 +33,7 @@ import (
 //
 // The steady-state Feed path performs zero allocations; growth of the carried
 // structures is amortized doubling, so measured allocs/op over any realistic
-// batch sequence is ≤ 2 (gated by cmd/epfis-bench -suite ingest).
+// batch sequence is ≤ 2 (gated by TestAccumFeedSteadyStateAllocs).
 //
 // An Accum is not safe for concurrent use.
 type Accum struct {

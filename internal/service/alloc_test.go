@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,12 +11,13 @@ import (
 	"time"
 
 	"epfis/internal/catalog"
+	"epfis/internal/cluster"
 )
 
-// Serving-path allocation budgets. These are the numbers BENCH_serve.json
-// gates in CI: the whole handler stack (mux routing, admission control,
-// metrics, parse, estimate, encode) measured per request, excluding only the
-// kernel socket I/O that testing cannot meter deterministically.
+// Serving-path allocation budgets, gated in CI by `make bench-serve`: the
+// whole handler stack (mux routing, admission control, metrics, parse,
+// estimate, encode) measured per request, excluding only the kernel socket
+// I/O that testing cannot meter deterministically.
 const (
 	singleAllocBudget  = 8  // GET /v1/estimate, memo warm
 	batch64AllocBudget = 64 // POST /v1/estimate/batch, 64 items, memo warm
@@ -237,5 +239,65 @@ func TestAllocBudgetBatch64Traced(t *testing.T) {
 	serve()
 	if n := testing.AllocsPerRun(100, serve); n > batch64AllocBudget {
 		t.Errorf("traced batch64 allocates %.1f/op, budget %d", n, batch64AllocBudget)
+	}
+}
+
+// TestAllocBudgetClusterEstimate pins the cluster-mode single estimate.
+// Every node answers from its own replica, so an estimate at a node that
+// does not own the key may allocate no more than one at an owner, and the
+// owner no more than the same estimate on a single node: cluster mode adds
+// no per-request allocation to the estimate route.
+func TestAllocBudgetClusterEstimate(t *testing.T) {
+	if raceEnabled {
+		// The comparisons have no slack, and pool drops move each count by one.
+		t.Skip("allocation counts are not reproducible under the race detector")
+	}
+	self := startCluster(t, 3, 1)[0] // R = 1: one owner per key
+	single := catalog.NewStore()
+	var owned, notOwned string
+	for i := 0; owned == "" || notOwned == ""; i++ {
+		col := fmt.Sprintf("c%02d", i)
+		st := fitStats(t, "orders", col, int64(i)+1)
+		for _, store := range []*catalog.Store{self.store, single} {
+			if _, err := store.Put(st); err != nil {
+				t.Fatal(err)
+			}
+		}
+		switch {
+		case self.node.Owns("orders." + col):
+			owned = col
+		case notOwned == "":
+			notOwned = col
+		}
+	}
+	singleSrv, err := New(Config{Store: single})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocs := func(srv *Server, col, node string) float64 {
+		req := httptest.NewRequest(http.MethodGet, "/v1/estimate?table=orders&column="+col+"&b=120&sigma=0.5", nil)
+		w := newAllocWriter()
+		serve := func() {
+			w.reset()
+			srv.ServeHTTP(w, req)
+			if w.status != http.StatusOK {
+				t.Fatalf("estimate of orders.%s: status %d: %s", col, w.status, w.body)
+			}
+		}
+		serve()
+		if got := w.h.Get(cluster.HeaderNode); got != node {
+			t.Fatalf("estimate of orders.%s answered by %q, want %q", col, got, node)
+		}
+		return testing.AllocsPerRun(200, serve)
+	}
+	base := allocs(singleSrv, owned, "")
+	own := allocs(self.srv, owned, self.id)
+	nonOwner := allocs(self.srv, notOwned, self.id)
+	t.Logf("estimate allocs/op: single node %.0f, owner %.0f, non-owner %.0f", base, own, nonOwner)
+	if nonOwner > own {
+		t.Errorf("estimate at a non-owner allocates %.1f/op, at an owner %.1f", nonOwner, own)
+	}
+	if own > base {
+		t.Errorf("cluster estimate at an owner allocates %.1f/op, single node %.1f", own, base)
 	}
 }

@@ -610,21 +610,18 @@ func (s *Server) quorumFor(owners int) int {
 	}
 }
 
-// replicateRepublish fans an ingest-refit entry out like a local PUT. No
-// client waits on it, so a missed quorum is logged rather than surfaced;
-// hints still carry the refit to every peer eventually. Explicit replication
-// matters here: peers tracking an epoch for the key skip it during snapshot
-// merges, so anti-entropy alone would never deliver the refit.
-func (s *Server) replicateRepublish(e *stats.IndexStats) {
+// replicateRepublish fans an ingest-refit entry, already applied and stamped
+// at epoch through applyLocal, out like a local PUT. No client waits on it,
+// so a missed quorum is logged rather than surfaced; hints still carry the
+// refit to every peer eventually. Explicit replication matters here: peers
+// tracking an epoch for the key skip it during snapshot merges, so
+// anti-entropy alone would never deliver the refit.
+func (s *Server) replicateRepublish(e *stats.IndexStats, epoch uint64) {
 	key := e.Key()
 	body, err := encodeMutationBody(e)
 	if err != nil {
 		return
 	}
-	s.clusterMu.Lock()
-	epoch := s.cluster.BumpEpoch()
-	s.recordStamp(key, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})
-	s.clusterMu.Unlock()
 	// No client request carries a trace here; a republish starts its own.
 	var tp obs.Traceparent
 	traced := s.obs.tracing()

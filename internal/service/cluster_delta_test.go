@@ -2,8 +2,8 @@ package service
 
 // Delta anti-entropy drills: equivalence with the full snapshot pull across
 // random divergence sets (including tombstoned keys), and the wire-cost
-// property the cluster bench gates — a 1-key divergence must sync for a
-// small fraction of the full snapshot stream.
+// gate — a 1-key divergence must sync for a small fraction of the full
+// snapshot stream.
 
 import (
 	"context"
@@ -106,13 +106,17 @@ func TestClusterDeltaEquivalence(t *testing.T) {
 	}
 }
 
-// TestClusterDeltaOneKeyWireCost is the test-level twin of the bench gate:
-// one divergent key out of a dozen must sync via the digest route for far
-// fewer bytes than the full snapshot stream, without falling back.
+// TestClusterDeltaOneKeyWireCost gates delta anti-entropy: one divergent key
+// out of 64 must sync via the digest route, without falling back, for at
+// most maxDeltaFraction of the full snapshot stream's bytes.
 func TestClusterDeltaOneKeyWireCost(t *testing.T) {
+	const (
+		entries          = 64
+		maxDeltaFraction = 0.10
+	)
 	nodes := startCluster(t, 2, 2)
 	src, puller := nodes[0], nodes[1]
-	for i := 0; i < 12; i++ {
+	for i := 0; i < entries; i++ {
 		st := fitStats(t, "t", fmt.Sprintf("c%02d", i), int64(i)+1)
 		for _, n := range nodes {
 			if _, err := n.store.Put(st); err != nil {
@@ -151,7 +155,9 @@ func TestClusterDeltaOneKeyWireCost(t *testing.T) {
 	if fullBytes != 0 {
 		t.Fatalf("full-pull bytes = %d, want 0", fullBytes)
 	}
-	if delta == 0 || delta*2 >= uint64(len(full)) {
-		t.Fatalf("delta sync cost %d bytes vs %d-byte full snapshot, want < half", delta, len(full))
+	if delta == 0 || float64(delta) > maxDeltaFraction*float64(len(full)) {
+		t.Fatalf("delta sync cost %d bytes vs %d-byte full snapshot, want at most %.0f%%",
+			delta, len(full), maxDeltaFraction*100)
 	}
+	t.Logf("delta sync: %d of %d snapshot bytes (%.1f%%)", delta, len(full), 100*float64(delta)/float64(len(full)))
 }

@@ -7,7 +7,9 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"net/http"
+	"slices"
 	"testing"
 	"time"
 
@@ -77,5 +79,66 @@ func TestClusterQuorumFastAckStraggler(t *testing.T) {
 	}
 	if hc != ha {
 		t.Fatalf("slow peer hash %s != originator hash %s after drain", hc, ha)
+	}
+}
+
+// TestClusterQuorumFastAckSlowNonOwner gates fast-ack on the path every PUT
+// takes at R = 2 of 3 nodes: the non-owner's copy detaches once both owners
+// hold the write, so a 40 ms delay on every send to the non-owner must
+// leave the median client PUT latency within maxSlowdown of the no-fault
+// median. No-fault and slowed PUTs alternate, so load hits both sides.
+func TestClusterQuorumFastAckSlowNonOwner(t *testing.T) {
+	const (
+		rounds      = 15
+		maxSlowdown = 2.0
+	)
+	nodes := startFaultCluster(t, 3, 2)
+	a, c := nodes[0], nodes[2]
+	col := ""
+	for i := 0; col == ""; i++ {
+		if k := fmt.Sprintf("k%02d", i); a.node.Owns("orders."+k) && !c.node.Owns("orders."+k) {
+			col = k
+		}
+	}
+	st := fitStats(t, "orders", col, 7)
+	puts := 0
+	put := func() time.Duration {
+		puts++
+		st.CollectedAt = time.Unix(int64(puts), 0).UTC() // every PUT a real mutation
+		body := mustMarshal(t, st)
+		start := time.Now()
+		if status, resp := rawMutate(t, a.cnode, http.MethodPut, "/v1/indexes/orders/"+col, body); status != http.StatusOK {
+			t.Fatalf("PUT = %d: %s", status, resp)
+		}
+		return time.Since(start)
+	}
+	put() // warm connections to both peers
+	var nofault, slowed []time.Duration
+	for i := 0; i < rounds; i++ {
+		nofault = append(nofault, put())
+		a.inj.Add(faultnet.Rule{
+			Op:    faultnet.OpRequest,
+			Peer:  c.host(),
+			Route: "/v1/indexes/",
+			Count: -1,
+			Mode:  faultnet.ModeSlow,
+			Delay: 40 * time.Millisecond,
+		})
+		slowed = append(slowed, put())
+		a.inj.Reset()
+	}
+	// Every send, detached ones included, must finish before the cluster
+	// is torn down.
+	sends := uint64(2 * puts)
+	waitFor(t, 5*time.Second, func() bool {
+		return a.srv.cobs.replicated.Value()+a.srv.cobs.replFailures.Value() >= sends
+	}, "detached replication sends")
+	slices.Sort(nofault)
+	slices.Sort(slowed)
+	base, slow := nofault[rounds/2], slowed[rounds/2]
+	t.Logf("median quorum PUT: no-fault %v, non-owner slowed %v", base, slow)
+	if float64(slow) > maxSlowdown*float64(base) {
+		t.Fatalf("median quorum PUT with a slowed non-owner took %v, %.2fx the no-fault %v; budget %.0fx",
+			slow, float64(slow)/float64(base), base, maxSlowdown)
 	}
 }

@@ -365,18 +365,17 @@ func parseEstimateQuery(r *http.Request, out *estimateInput) error {
 		default:
 			continue // unknown parameters stay ignored
 		}
+		if needsUnescape(val) {
+			v, err := unescapeQuery(val)
+			if err != nil {
+				continue // dropped, so it cannot be a repeat either
+			}
+			val = v
+		}
 		if seen&bit != 0 {
 			return fmt.Errorf("query parameter %s supplied more than once", key)
 		}
 		seen |= bit
-		if needsUnescape(val) {
-			v, err := unescapeQuery(val)
-			if err != nil {
-				seen &^= bit
-				continue
-			}
-			val = v
-		}
 		switch bit {
 		case seenTable:
 			out.table = val

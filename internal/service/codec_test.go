@@ -482,6 +482,16 @@ func TestParseEstimateQueryHardening(t *testing.T) {
 			t.Errorf("parse(%s) = %v, want duplicate rejection", q, err)
 		}
 	}
+	// A pair whose value does not unescape is dropped, as url.Values drops
+	// it, so it is no repeat in either order.
+	for _, q := range []string{
+		"table=a&column=c&b=10&sigma=0.5&table=%zz",
+		"table=%zz&column=c&b=10&sigma=0.5&table=a",
+	} {
+		if in, err := parse(q); err != nil || in.table != "a" {
+			t.Errorf("parse(%s) = %+v, %v, want table a", q, in, err)
+		}
+	}
 
 	// Non-finite sigma and s are rejected with the core typed sentinels.
 	if _, err := parse("table=t&column=c&b=1&sigma=NaN"); !errors.Is(err, core.ErrBadSigma) {
@@ -542,4 +552,82 @@ func TestParseEstimateQueryZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("parseEstimateQuery allocates %v/op, want 0", n)
 	}
+}
+
+// parseEstimateQueryRef is parseEstimateQuery's specification over
+// url.ParseQuery: the pairs url.Values keeps, then a repeated known
+// parameter, identity, b, sigma, s and detail in that order, with NaN and
+// ±Inf sigma or s refused with the core sentinels.
+func parseEstimateQueryRef(rawQuery string) (estimateInput, error) {
+	vals, _ := url.ParseQuery(rawQuery) // dropped pairs are not errors
+	for _, k := range []string{"table", "column", "b", "sigma", "s", "detail"} {
+		if len(vals[k]) > 1 {
+			return estimateInput{}, fmt.Errorf("query parameter %s supplied more than once", k)
+		}
+	}
+	in := estimateInput{table: vals.Get("table"), column: vals.Get("column"), s: 1}
+	if in.table == "" || in.column == "" {
+		return in, errMissingTableColumn
+	}
+	var err error
+	if in.b, err = strconv.ParseInt(vals.Get("b"), 10, 64); err != nil {
+		return in, fmt.Errorf("query parameter b: %w", err)
+	}
+	if in.sigma, err = strconv.ParseFloat(vals.Get("sigma"), 64); err != nil {
+		return in, fmt.Errorf("query parameter sigma: %w", err)
+	}
+	if math.IsNaN(in.sigma) || math.IsInf(in.sigma, 0) {
+		return in, core.ErrBadSigma
+	}
+	if raw := vals.Get("s"); raw != "" {
+		if in.s, err = strconv.ParseFloat(raw, 64); err != nil {
+			return in, fmt.Errorf("query parameter s: %w", err)
+		}
+		if math.IsNaN(in.s) || math.IsInf(in.s, 0) {
+			return in, core.ErrBadSarg
+		}
+	}
+	if raw := vals.Get("detail"); raw != "" {
+		if in.detail, err = strconv.ParseBool(raw); err != nil {
+			return in, fmt.Errorf("query parameter detail: %w", err)
+		}
+	}
+	return in, nil
+}
+
+// FuzzParseEstimateQuery holds the zero-allocation query parser to
+// parseEstimateQueryRef: the same verdict, the same error (a repeat may
+// name another key: url.Values does not keep order), the same input.
+func FuzzParseEstimateQuery(f *testing.F) {
+	for _, q := range []string{
+		"table=orders&column=key&b=64&sigma=0.05&s=0.25&detail=1",
+		"table=we%3Cird%26%22table&column=col+umn%09%E2%9C%93&b=1&sigma=1",
+		"table=t&column=c&b=1&sigma=0.5&s=",
+		"table=t&column=c&b=1&b=2&sigma=0.5",
+		"table=a&column=c&b=10&sigma=0.5&table=%zz",
+		"table=t;x&column=c&b=1&sigma=NaN",
+		"sigma=bad&b=alsobad&table=t&column=c",
+		"%74able=t&column=c&&b=+1&sigma=-Inf&detail=maybe",
+	} {
+		f.Add(q)
+	}
+	f.Fuzz(func(t *testing.T, rawQuery string) {
+		var got estimateInput
+		err := parseEstimateQuery(&http.Request{URL: &url.URL{RawQuery: rawQuery}}, &got)
+		want, wantErr := parseEstimateQueryRef(rawQuery)
+		switch {
+		case (err == nil) != (wantErr == nil):
+			t.Fatalf("parseEstimateQuery error %v, reference error %v", err, wantErr)
+		case err == nil:
+			if got != want {
+				t.Fatalf("parsed %+v, reference %+v", got, want)
+			}
+		case strings.Contains(wantErr.Error(), "more than once"):
+			if !strings.Contains(err.Error(), "more than once") {
+				t.Fatalf("parseEstimateQuery error %v, reference error %v", err, wantErr)
+			}
+		case err.Error() != wantErr.Error():
+			t.Fatalf("parseEstimateQuery error %v, reference error %v", err, wantErr)
+		}
+	})
 }

@@ -19,10 +19,10 @@ package service
 // LRU-Fit minus the already-done simulation pass), republishes the entry as
 // a new catalog generation through the normal store path (WAL-durable when
 // the store is WAL-backed), invalidates stale memo-cache generations, and in
-// cluster mode bumps the gossip epoch so anti-entropy streams the refreshed
-// catalog to peers. Because the accumulator state is exactly the offline
-// simulation's state, a republished curve is bit-exact with running
-// core.LRUFit over the same trace offline.
+// cluster mode stamps the entry and replicates it to peers like a local PUT.
+// Because the accumulator state is exactly the offline simulation's state, a
+// republished curve is bit-exact with running core.LRUFit over the same
+// trace offline.
 
 // # Crash durability and cluster routing
 //
@@ -581,8 +581,14 @@ func (g *ingester) evaluate(key string, st *ingestState) {
 		// carries over from the published entry.
 		entry.KeyHistogram = append(entry.KeyHistogram[:0], pub.KeyHistogram...)
 	}
-	var gen uint64
-	if err == nil {
+	var gen, epoch uint64
+	switch {
+	case err == nil && g.s.cluster != nil:
+		// The store write and its stamp in one clusterMu section, as for a
+		// local PUT: a replicated PUT applied between them would be served
+		// under the refit's stamp.
+		gen, epoch, _, err = g.s.applyLocal(key, func() (uint64, error) { return g.s.store.Put(entry) })
+	case err == nil:
 		gen, err = g.s.store.Put(entry)
 	}
 	if err != nil {
@@ -602,16 +608,8 @@ func (g *ingester) evaluate(key string, st *ingestState) {
 		// mutation epoch for this key skip it during snapshot merges, so
 		// only replication (plus hinted handoff) delivers the refit
 		// everywhere.
-		g.s.replicateRepublish(entry)
+		g.s.replicateRepublish(entry, epoch)
 	}
 	g.s.obs.log.LogAttrs(context.Background(), slog.LevelInfo, "ingest republished catalog entry",
 		slog.String("index", key), slog.Float64("drift", drift), slog.Uint64("generation", gen))
-}
-
-// curveDrift is the maximum relative divergence between the live curve and
-// the published fetch polyline, sampled on the published entry's own
-// modeling grid: max over B of |F_live(B) − F_pub(B)| / max(F_pub(B), 1).
-func curveDrift(live *lrusim.FetchCurve, pubT int64, pubEval func(float64) float64) float64 {
-	maxRel, _, _ := curveAccuracy(live, pubT, pubEval)
-	return maxRel
 }

@@ -8,6 +8,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -247,5 +249,74 @@ func TestIngestRepublishBumpsClusterEpoch(t *testing.T) {
 	}
 	if _, err := store.Snapshot().Get("region", "nation"); err != nil {
 		t.Fatalf("republished entry missing: %v", err)
+	}
+}
+
+// TestIngestRepublishStampNamesStoredWrite races the ingest worker's
+// republish of a key against replicated PUTs of the same key on a one-node
+// cluster. After every round the key's stamp must name the write the store
+// holds: this node's stamp over the refit, or the sender's over its entry.
+// A replicated PUT applied between the refit's store write and its stamp
+// leaves the store serving one write under the other's stamp, which neither
+// anti-entropy (it skips stamped keys) nor a read fence repairs.
+func TestIngestRepublishStampNamesStoredWrite(t *testing.T) {
+	const rounds = 1200
+	cn := startCluster(t, 1, 1)[0]
+	g := cn.srv.ingest
+
+	// The stream is clustered (K 0.01), the replicated entry scattered, so
+	// every evaluation drifts past the threshold and refits.
+	cfg := datagen.Config{Name: "orders", Column: "key", N: 20_000, I: 500, R: 40, K: 0.01, Seed: 2}
+	ds, err := datagen.GenerateDataset(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := &ingestState{accum: lrusim.NewAccum(),
+		meta: core.Meta{Table: "orders", Column: "key", T: ds.T, N: cfg.N, I: cfg.I}}
+	st.accum.Feed(ds.Trace())
+	body := mustMarshal(t, fitStats(t, "orders", "key", 1))
+
+	const sender = "node-z"
+	replicate := func() {
+		req := httptest.NewRequest(http.MethodPut, "/v1/indexes/orders/key", bytes.NewReader(body))
+		req.Header.Set(cluster.HeaderReplicated, sender)
+		req.Header.Set(cluster.HeaderEpoch, strconv.FormatUint(cn.node.Epoch()+1, 10))
+		rec := httptest.NewRecorder()
+		cn.srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			t.Errorf("replicated PUT = %d: %s", rec.Code, rec.Body)
+		}
+	}
+	holdsReplicated := func() bool {
+		got, err := cn.store.Get("orders", "key")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytes.Equal(mustMarshal(t, got), body)
+	}
+
+	bad := 0
+	for round := 0; round < rounds; round++ {
+		replicate() // republish the far entry, so this round's evaluation refits
+		if !holdsReplicated() || cn.node.KeyStamp("orders.key").Origin != sender {
+			t.Fatalf("round %d: sequential replicated PUT not applied", round)
+		}
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g.evaluate("orders.key", st)
+		}()
+		replicate()
+		wg.Wait()
+		if holdsReplicated() != (cn.node.KeyStamp("orders.key").Origin == sender) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d rounds left the store holding a write other than the one its stamp names", bad, rounds)
+	}
+	if g.republishes.Value() == 0 {
+		t.Fatal("no round republished: the race never ran")
 	}
 }

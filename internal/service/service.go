@@ -92,8 +92,8 @@
 // by GET /debug/traces. Lifecycle and degradation events are structured
 // log/slog records (Config.Slog). The hot path records into preallocated
 // atomics only: with tracing and histograms enabled the estimate routes
-// stay within the committed alloc budgets (see cmd/epfis-bench -suite
-// serve).
+// stay within the committed alloc budgets (TestAllocBudgetSingleTraced and
+// TestAllocBudgetBatch64Traced).
 package service
 
 import (
