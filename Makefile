@@ -63,8 +63,9 @@ bench:
 # real sockets come from bench/ (make e2e-smoke; bench/README.md).
 
 # Experiment engine: all 34 experiments byte-identical at -parallel 1 and 4,
-# then the pooled simulator, Measure, warm-cache sweep and full-suite
-# benchmarks.
+# then the pooled simulator (a clustered and a random-placement 100k-ref
+# trace, against the fresh-structures tree simulator), Measure, warm-cache
+# sweep and full-suite benchmarks.
 bench-json:
 	$(GO) test -count=1 -run '^TestEngineDeterministicAcrossParallelism$$' ./internal/experiment/
 	$(GO) test -run=NONE -bench='ScratchAnalyze|TreeAnalyzeLegacy' -benchmem ./internal/lrusim/
@@ -80,10 +81,13 @@ bench-serve:
 
 # Ingestion path: WAL group commit at least 10x a rename-per-commit rewrite
 # and at most 0.5 durability barriers per commit, Accum.Feed at most 2
-# amortized allocs per 512-reference batch, then the Feed/Merge benchmarks.
+# amortized allocs per 512-reference batch, an Accum's retained memory
+# bounded by distinct pages (the same after 1M references over 2,500 pages
+# as after 100k, at most 64 B per page plus 16 KiB), then the Feed/Merge
+# benchmarks.
 bench-ingest:
 	$(GO) test -count=1 -v -run '^TestWALGroupCommitSpeedup$$' ./internal/catalog/
-	$(GO) test -count=1 -run '^TestAccumFeedSteadyStateAllocs$$' ./internal/lrusim/
+	$(GO) test -count=1 -v -run '^(TestAccumFeedSteadyStateAllocs|TestAccumMemoryBoundedByDistinctPages)$$' ./internal/lrusim/
 	$(GO) test -run=NONE -bench='AccumFeed|AccumMerge' -benchmem ./internal/lrusim/
 
 # Cluster data plane, over in-process nodes: an estimate at a non-owner

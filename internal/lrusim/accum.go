@@ -3,33 +3,37 @@ package lrusim
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 
 	"epfis/internal/storage"
 )
 
-// Accum is an incremental, mergeable Mattson stack simulator: the streaming
-// counterpart of Scratch. Where Scratch.Analyze consumes a complete trace and
-// resets between runs, an Accum consumes the trace in batches — Feed may be
-// called any number of times — carrying the Fenwick marker tree, the per-page
-// last-position table, and the stack-distance counts across calls, so the
-// fetch curve (and everything derived from it: FPF samples, the clustering
-// factor) can be read at any point with Curve() without replaying history.
+// Accum is an incremental, mergeable Mattson stack simulator, and the one
+// stack-distance kernel of the package's fast paths: Scratch is an Accum
+// reset and fed once per trace, and the ingest pipeline feeds one per index
+// batch by batch. Feed may be called any number of times; the fetch curve
+// (and everything derived from it: FPF samples, the clustering factor) can
+// be read at any point with Curve() without replaying history.
 //
 // Two Accums can also be combined: a.Merge(b) produces in a the exact state
 // of an accumulator that consumed a's stream followed by b's stream. Feed and
-// Merge are both bit-identical to Scratch.Analyze over the concatenated
-// trace (property-tested in accum_test.go), so per-shard accumulators — one
-// per ingest worker, or one per node — roll up into the same curve the
-// offline one-shot pass would have produced.
+// Merge are both bit-identical to TreeSimulator over the concatenated trace
+// (property-tested in accum_test.go), so per-shard accumulators — one per
+// ingest worker, or one per node — roll up into the same curve the offline
+// one-shot pass would have produced.
 //
-// Memory grows with the stream: the Fenwick tree is indexed by reference
-// position (one int32 per reference) and the last-position table by distinct
-// page. Exact stack-distance accounting needs both — there is no sublinear
-// exact form — so long-running pipelines bound an Accum's life (the ingest
-// pipeline rotates accumulators past a reference cap) rather than feeding one
-// forever. Positions are int32: a single Accum (or merge result) is capped at
-// MaxAccumRefs references and Feed/Merge panic beyond it, the same way a
-// slice append panics past its address space.
+// The kernel keeps one live marker per distinct page, on its latest
+// reference. A reference's stack distance is one more than the number of
+// markers newer than its page's own. Markers sit in slots handed out in
+// reference order, so a bitmap over slots plus a Fenwick tree over the
+// popcounts of its 64-bit words gives rank(slot), the markers at or before a
+// slot, in one prefix walk: distance = live − rank + 1. When the slots run
+// out, the live markers are renumbered in order into an array with at least
+// as many free slots as live ones (compaction). So every structure is sized
+// by distinct pages, not by stream length, and compaction amortizes to O(1)
+// per reference: an Accum fed forever over a fixed page set stops growing
+// (TestAccumMemoryBoundedByDistinctPages).
 //
 // The steady-state Feed path performs zero allocations; growth of the carried
 // structures is amortized doubling, so measured allocs/op over any realistic
@@ -37,26 +41,49 @@ import (
 //
 // An Accum is not safe for concurrent use.
 type Accum struct {
-	fen []int32 // Fenwick over stream positions, 1-based; len = n+1 once fed
-	n   int     // references consumed so far
+	n      int     // references consumed so far
+	counts []int64 // counts[d-1] = references at stack distance d; one per page
 
-	cold    int64   // first-ever references (== number of distinct pages)
-	counts  []int64 // counts[d] = references at stack distance d
-	maxDist int     // high-water mark of counts actually touched
+	pages []page // by dense page id, in first-sight order
 
-	lastPos []int32          // dense page id -> most recent position (0-based)
-	pages   []storage.PageID // dense page id -> raw id, in first-sight order
+	// Slots: pageAt[s] is the dense id whose marker is in slot s, valid
+	// where bit s of live is set; next is the first slot not yet handed
+	// out. fen is a 1-based Fenwick tree over the popcounts of live's words.
+	pageAt []int32
+	live   []uint64
+	fen    []int32
+	next   int
 
-	// Raw-id remap: slice path while ids stay dense, map fallback once the
-	// largest raw id outgrows maxSliceRemapFactor*refs + slack. denseOf
-	// stores dense+1 so the zero value means "unseen" (no epoch stamps —
-	// an Accum never resets implicitly).
+	// Raw-id remap: a flat table (denseOf[raw] = dense+1, 0 = unseen) while
+	// ids stay below max(flatRemapFactor*references, flatRemapFloor), then a
+	// map until the next Reset. Both are kept for reuse.
 	denseOf []int32
 	remap   map[storage.PageID]int32
+	sparse  bool
 }
 
-// MaxAccumRefs is the reference-count capacity of one Accum: positions are
-// int32, so a stream (or merge result) longer than this cannot be represented.
+// page is one distinct page: its raw id and the slot of its live marker.
+type page struct {
+	raw  storage.PageID
+	slot int32
+}
+
+// A raw page id stays in the flat remap table while it is below
+// max(flatRemapFactor × references, flatRemapFloor): a short stream with one
+// huge id cannot force a giant table, and a table of up to 64k pages stays
+// flat however a scan orders its ids. A fresh Accum allocates room for
+// minPages pages, then doubles.
+const (
+	flatRemapFactor = 4
+	flatRemapFloor  = 1 << 16
+	minPages        = 256
+)
+
+// MaxAccumRefs is the reference-count capacity of one Accum (or merge
+// result); Feed and Merge panic beyond it, the same way a slice append
+// panics past its address space. It bounds distinct pages, and with them the
+// 32-bit dense ids and slots. The ingest pipeline also uses it to cap a
+// window whose metadata never lets it complete.
 const MaxAccumRefs = math.MaxInt32 - 1
 
 // NewAccum returns an empty accumulator.
@@ -67,41 +94,38 @@ func (a *Accum) Total() int64 { return int64(a.n) }
 
 // Distinct reports the number of distinct pages seen so far — the cold-miss
 // count, the paper's A for the accumulated stream.
-func (a *Accum) Distinct() int64 { return a.cold }
+func (a *Accum) Distinct() int64 { return int64(len(a.pages)) }
 
 // MaxPageID reports the largest raw page id seen, or 0 on an empty Accum.
 // Callers deriving table metadata from a stream use it as a lower bound on T.
 func (a *Accum) MaxPageID() storage.PageID {
 	var max storage.PageID
-	for _, pg := range a.pages {
-		if pg > max {
-			max = pg
+	for _, p := range a.pages {
+		if p.raw > max {
+			max = p.raw
 		}
 	}
 	return max
 }
 
 // Reset returns the accumulator to the empty state, retaining capacity so a
-// rotated accumulator re-fills without reallocating.
+// rotated accumulator re-fills without reallocating. It costs O(distinct
+// pages + slots/64), not O(stream).
 func (a *Accum) Reset() {
-	for i := range a.fen {
-		a.fen[i] = 0
-	}
-	a.fen = a.fen[:0]
-	a.n = 0
-	a.cold = 0
-	for d := 1; d <= a.maxDist; d++ {
-		a.counts[d] = 0
-	}
-	a.maxDist = 0
-	a.lastPos = a.lastPos[:0]
-	a.pages = a.pages[:0]
-	for i := range a.denseOf {
-		a.denseOf[i] = 0
-	}
-	if a.remap != nil {
+	if a.sparse {
 		clear(a.remap)
+		a.sparse = false
+	} else {
+		for _, p := range a.pages {
+			a.denseOf[p.raw] = 0
+		}
 	}
+	a.n = 0
+	a.counts = a.counts[:0]
+	a.pages = a.pages[:0]
+	clear(a.live)
+	clear(a.fen)
+	a.next = 0
 }
 
 // Feed consumes one batch of references, extending the accumulated stream.
@@ -113,48 +137,40 @@ func (a *Accum) Feed(t Trace) {
 	if int64(a.n)+int64(len(t)) > MaxAccumRefs {
 		panic(fmt.Sprintf("lrusim: Accum overflow: %d+%d references exceed MaxAccumRefs", a.n, len(t)))
 	}
-	a.extendFen(a.n + len(t))
+	limit := max(flatRemapFactor*(a.n+len(t)), flatRemapFloor)
 	for _, pg := range t {
-		p := a.n
 		id, seen := a.lookup(pg)
 		if !seen {
-			id = a.assign(pg)
-			a.cold++
-			a.lastPos[id] = int32(p)
-			a.fenAdd(p+1, 1)
-			a.n++
-			continue
+			id = a.assign(pg, limit)
+		} else {
+			s := int(a.pages[id].slot)
+			a.counts[len(a.pages)-a.rank(s)]++ // distance live-rank+1
+			a.drop(s)
 		}
-		prev := int(a.lastPos[id])
-		// Distinct pages referenced strictly between prev and p: the
-		// most-recent-reference markers after prev, excluding the page's own
-		// marker still sitting at prev; distance is that count + 1.
-		d := a.fenRange(prev+1, p-1) + 1
-		a.count(d)
-		a.fenAdd(prev+1, -1)
-		a.lastPos[id] = int32(p)
-		a.fenAdd(p+1, 1)
-		a.n++
+		a.push(id)
 	}
+	a.n += len(t)
 }
 
 // Merge appends b's accumulated stream to a's: afterwards a holds exactly the
 // state of an accumulator that consumed a's references followed by b's, and
-// a.Curve() equals Scratch.Analyze over the concatenated trace bit for bit.
+// a.Curve() equals TreeSimulator over the concatenated trace bit for bit.
 // b is read, not modified, and remains usable.
 //
 // The fix-up is the heart of the operation: a reference that was a cold miss
 // within b may have a finite stack distance in the concatenation (its page was
 // seen in a). Walking b's distinct pages in first-sight order while retiring
-// their a-region markers as we go makes that distance exactly
+// their a-markers as we go makes that distance exactly
 //
-//	rank(p in b's first-sight order) + live a-markers above lastA(p) + 1
+//	rank(p in b's first-sight order) + live a-markers after p's + 1
 //
 // — the earlier b-pages are counted by rank whether or not a knew them, and
-// the a-region query skips exactly the pages already counted, because their
+// the a-marker count skips exactly the pages already counted, because their
 // markers have been retired. Every non-first reference within b keeps the
 // distance b already recorded (its reuse window is entirely inside b), so
-// b's histogram merges wholesale.
+// b's histogram merges wholesale. Last, a's surviving markers are compacted
+// to make room and b's markers are appended after them in b's slot order,
+// which is their reference order in the concatenation.
 func (a *Accum) Merge(b *Accum) {
 	if b.n == 0 {
 		return
@@ -165,37 +181,29 @@ func (a *Accum) Merge(b *Accum) {
 	if int64(a.n)+int64(b.n) > MaxAccumRefs {
 		panic(fmt.Sprintf("lrusim: Accum overflow: %d+%d references exceed MaxAccumRefs", a.n, b.n))
 	}
-	oldN := a.n
-	a.extendFen(oldN + b.n)
-	// Within-b distances are unchanged by prefixing a's stream.
-	if b.maxDist >= len(a.counts) {
-		a.growCounts(b.maxDist)
-	}
-	if b.maxDist > a.maxDist {
-		a.maxDist = b.maxDist
-	}
-	for d := 1; d <= b.maxDist; d++ {
-		a.counts[d] += b.counts[d]
-	}
-	// First-sight pages of b, in order: fix up the cold misses that are
-	// re-references in the concatenation, retire superseded a-markers, and
-	// plant each page's merged marker at its last-b position.
-	for r, pg := range b.pages {
-		if i, inA := a.lookup(pg); inA {
-			ip := int(a.lastPos[i])
-			after := a.fenRange(ip+1, oldN-1)
-			a.count(r + after + 1)
-			a.fenAdd(ip+1, -1)
-			mp := oldN + int(b.lastPos[r])
-			a.lastPos[i] = int32(mp)
-			a.fenAdd(mp+1, 1)
+	limit := max(flatRemapFactor*(a.n+b.n), flatRemapFloor)
+	aLive := len(a.pages)
+	for r, p := range b.pages {
+		id, inA := a.lookup(p.raw)
+		if !inA {
+			a.assign(p.raw, limit)
 			continue
 		}
-		id := a.assign(pg)
-		a.cold++
-		mp := oldN + int(b.lastPos[r])
-		a.lastPos[id] = int32(mp)
-		a.fenAdd(mp+1, 1)
+		s := int(a.pages[id].slot)
+		a.counts[r+aLive-a.rank(s)]++ // distance r+(aLive-rank)+1
+		a.drop(s)
+		aLive--
+	}
+	// Within-b distances are unchanged by prefixing a's stream.
+	for i, c := range b.counts {
+		a.counts[i] += c
+	}
+	a.compact(len(b.pages))
+	for w, word := range b.live {
+		for ; word != 0; word &= word - 1 {
+			id, _ := a.lookup(b.pages[b.pageAt[w<<6|bits.TrailingZeros64(word)]].raw)
+			a.push(id)
+		}
 	}
 	a.n += b.n
 }
@@ -204,44 +212,36 @@ func (a *Accum) Merge(b *Accum) {
 // the returned FetchCurve and its cumulative array are allocated; the Accum
 // keeps accumulating afterwards.
 func (a *Accum) Curve() *FetchCurve {
-	cum := make([]int64, a.maxDist+1)
+	top := a.maxDist()
+	cum := make([]int64, top+1)
 	var run int64
-	for d := 1; d <= a.maxDist; d++ {
-		run += a.counts[d]
+	for d := 1; d <= top; d++ {
+		run += a.counts[d-1]
 		cum[d] = run
 	}
-	return &FetchCurve{cumHits: cum, cold: a.cold, total: int64(a.n)}
+	return &FetchCurve{cumHits: cum, cold: a.Distinct(), total: a.Total()}
 }
 
 // Histogram materializes the stack-distance histogram accumulated so far.
 func (a *Accum) Histogram() *Histogram {
-	h := &Histogram{Total: int64(a.n), Cold: a.cold}
-	h.Counts = make([]int64, a.maxDist+1)
-	copy(h.Counts, a.counts[:min(len(a.counts), a.maxDist+1)])
+	top := a.maxDist()
+	h := &Histogram{Total: a.Total(), Cold: a.Distinct(), Counts: make([]int64, top+1)}
+	copy(h.Counts[1:], a.counts[:top])
 	return h
 }
 
-// count records one reference at stack distance d, growing the counts table
-// as the high-water mark advances.
-func (a *Accum) count(d int) {
-	if d >= len(a.counts) {
-		a.growCounts(d)
+// maxDist is the largest stack distance recorded so far, 0 if none.
+func (a *Accum) maxDist() int {
+	d := len(a.counts)
+	for d > 0 && a.counts[d-1] == 0 {
+		d--
 	}
-	if d > a.maxDist {
-		a.maxDist = d
-	}
-	a.counts[d]++
-}
-
-func (a *Accum) growCounts(d int) {
-	for len(a.counts) <= d {
-		a.counts = append(a.counts, 0)
-	}
+	return d
 }
 
 // lookup resolves a raw page id to its dense id without assigning one.
 func (a *Accum) lookup(pg storage.PageID) (int32, bool) {
-	if a.remap != nil {
+	if a.sparse {
 		id, ok := a.remap[pg]
 		return id, ok
 	}
@@ -253,99 +253,109 @@ func (a *Accum) lookup(pg storage.PageID) (int32, bool) {
 	return 0, false
 }
 
-// assign registers a first-sight page, returning its new dense id and
-// growing lastPos/pages in step. The slice remap is kept while raw ids stay
-// within maxSliceRemapFactor of the reference count (the Scratch rule);
-// a sparse id migrates everything to the map path, permanently.
-func (a *Accum) assign(pg storage.PageID) int32 {
+// assign registers a first-sight page and returns its new dense id. An id at
+// or past limit moves the remap to the map until the next Reset.
+func (a *Accum) assign(pg storage.PageID, limit int) int32 {
+	if !a.sparse && int(pg) >= limit {
+		if a.remap == nil {
+			a.remap = make(map[storage.PageID]int32, 2*len(a.pages))
+		}
+		for id, p := range a.pages {
+			a.remap[p.raw] = int32(id)
+			a.denseOf[p.raw] = 0
+		}
+		a.sparse = true
+	}
 	id := int32(len(a.pages))
-	a.pages = append(a.pages, pg)
-	a.lastPos = append(a.lastPos, 0)
-	if a.remap != nil {
+	if len(a.pages) == cap(a.pages) { // double: append's 1.25x reallocates often
+		a.pages = slices.Grow(a.pages, max(len(a.pages), minPages))
+		a.counts = slices.Grow(a.counts, max(len(a.pages), minPages))
+	}
+	a.pages = append(a.pages, page{raw: pg})
+	a.counts = append(a.counts, 0)
+	if a.sparse {
 		a.remap[pg] = id
 		return id
 	}
-	if need := int(pg) + 1; need > len(a.denseOf) {
-		if int64(pg) >= int64(maxSliceRemapFactor)*int64(a.n+1)+maxSliceRemapSlack {
-			// Too sparse for a flat table: migrate to the map, once.
-			a.remap = make(map[storage.PageID]int32, len(a.pages)*2)
-			for raw, v := range a.denseOf {
-				if v != 0 {
-					a.remap[storage.PageID(raw)] = v - 1
-				}
-			}
-			a.denseOf = nil
-			a.remap[pg] = id
-			return id
-		}
-		if need <= cap(a.denseOf) {
-			a.denseOf = a.denseOf[:need]
-		} else {
-			grown := make([]int32, need, max(need, 2*cap(a.denseOf)))
-			copy(grown, a.denseOf)
-			a.denseOf = grown
-		}
+	if int(pg) >= len(a.denseOf) {
+		grown := make([]int32, max(int(pg)+1, 2*len(a.denseOf)))
+		copy(grown, a.denseOf)
+		a.denseOf = grown
 	}
 	a.denseOf[pg] = id + 1
 	return id
 }
 
-// extendFen grows the Fenwick tree to cover positions 1..m. New indexes carry
-// prefix information over the existing marker region only (every position
-// past the current stream end has value zero until a marker lands there): an
-// index whose covered range stays inside the new region is zero, and the few
-// whose range crosses the old boundary — at most one per bit of m — get the
-// boundary-bounded prefix difference. Subsequent fenAdd calls update the new
-// indexes like any others.
-func (a *Accum) extendFen(m int) {
-	if len(a.fen) == 0 {
-		if cap(a.fen) > 0 {
-			a.fen = a.fen[:1]
-			a.fen[0] = 0
-		} else {
-			a.fen = append(a.fen, 0)
+// rank counts the live markers in slots 0..s.
+func (a *Accum) rank(s int) int {
+	w := s >> 6
+	r := bits.OnesCount64(a.live[w] << uint(63-s&63))
+	for i := w; i > 0; i &= i - 1 {
+		r += int(a.fen[i])
+	}
+	return r
+}
+
+// drop clears the live marker in slot s.
+func (a *Accum) drop(s int) {
+	a.live[s>>6] &^= 1 << uint(s&63)
+	for i := s>>6 + 1; i < len(a.fen); i += i & -i {
+		a.fen[i]--
+	}
+}
+
+// push places page id's live marker in the next slot, compacting first when
+// the slots have run out.
+func (a *Accum) push(id int32) {
+	if a.next == len(a.pageAt) {
+		a.compact(1)
+	}
+	s := a.next
+	a.next++
+	a.pageAt[s] = id
+	a.pages[id].slot = int32(s)
+	a.live[s>>6] |= 1 << uint(s&63)
+	for i := s>>6 + 1; i < len(a.fen); i += i & -i {
+		a.fen[i]++
+	}
+}
+
+// compact renumbers the k live markers, in slot order, into slots 0..k-1,
+// so at least max(k, room) slots are free: a refill costs as many references
+// as the renumbering it follows. The slot array grows at least twofold, so
+// a growing page set reallocates it O(log pages) times.
+func (a *Accum) compact(room int) {
+	k := 0
+	for w, word := range a.live {
+		for ; word != 0; word &= word - 1 {
+			id := a.pageAt[w<<6|bits.TrailingZeros64(word)]
+			a.pageAt[k] = id
+			a.pages[id].slot = int32(k)
+			k++
 		}
 	}
-	old := len(a.fen) - 1 // current max covered position
-	if m <= old {
-		return
+	if size := k + max(k, room); size > len(a.pageAt) {
+		size = min((max(size, 2*len(a.pageAt))+63)&^63, math.MaxInt32)
+		grown := make([]int32, size)
+		copy(grown, a.pageAt[:k])
+		a.pageAt = grown
+		a.live = make([]uint64, (size+63)>>6)
+		a.fen = make([]int32, len(a.live)+1)
 	}
-	if cap(a.fen) < m+1 {
-		grown := make([]int32, len(a.fen), max(m+1, 2*cap(a.fen)))
-		copy(grown, a.fen)
-		a.fen = grown
+	clear(a.live)
+	for w := 0; w < k>>6; w++ {
+		a.live[w] = ^uint64(0)
 	}
-	for i := old + 1; i <= m; i++ {
-		lo := i - i&(-i)
-		var v int32
-		if lo < old {
-			v = int32(a.fenPrefix(old) - a.fenPrefix(lo))
+	if k&63 != 0 {
+		a.live[k>>6] = 1<<uint(k&63) - 1
+	}
+	// Fenwick over the word popcounts, built in O(words).
+	clear(a.fen)
+	for i := 1; i < len(a.fen); i++ {
+		a.fen[i] += int32(bits.OnesCount64(a.live[i-1]))
+		if j := i + i&-i; j < len(a.fen) {
+			a.fen[j] += a.fen[i]
 		}
-		a.fen = append(a.fen, v)
 	}
-}
-
-func (a *Accum) fenAdd(i int, delta int32) {
-	for ; i < len(a.fen); i += i & (-i) {
-		a.fen[i] += delta
-	}
-}
-
-func (a *Accum) fenPrefix(i int) int {
-	sum := 0
-	if i >= len(a.fen) {
-		i = len(a.fen) - 1
-	}
-	for ; i > 0; i -= i & (-i) {
-		sum += int(a.fen[i])
-	}
-	return sum
-}
-
-// fenRange sums positions lo..hi inclusive, 0-based stream coordinates.
-func (a *Accum) fenRange(lo, hi int) int {
-	if hi < lo {
-		return 0
-	}
-	return a.fenPrefix(hi+1) - a.fenPrefix(lo)
+	a.next = k
 }

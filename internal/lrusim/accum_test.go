@@ -21,27 +21,26 @@ func feedInSplits(rng *rand.Rand, a *Accum, t Trace) {
 	}
 }
 
-// accumMatchesScratch checks the accumulated state against a fresh offline
-// pass over the full trace, bit for bit: identical histogram, identical
-// F(B) for every informative B, identical A and N.
-func accumMatchesScratch(t *testing.T, a *Accum, full Trace) {
+// accumMatchesTree checks the accumulated state against TreeSimulator, the
+// independent oracle, over the full trace, bit for bit: identical histogram,
+// identical F(B) for every informative B, identical A and N.
+func accumMatchesTree(t *testing.T, a *Accum, full Trace) {
 	t.Helper()
-	s := NewScratch()
-	want := s.Run(full)
+	want := TreeSimulator{}.Run(full)
 	if got := a.Histogram(); !histogramsEqual(got, want) {
 		t.Fatalf("histogram diverged: got cold=%d total=%d, want cold=%d total=%d",
 			got.Cold, got.Total, want.Cold, want.Total)
 	}
-	wc := s.Analyze(full)
+	wc := want.FetchCurve()
 	gc := a.Curve()
 	hi := int(wc.Accesses()) + 2
 	for b := 1; b <= hi; b++ {
 		if gc.Fetches(b) != wc.Fetches(b) {
-			t.Fatalf("F(%d): accum %d, scratch %d", b, gc.Fetches(b), wc.Fetches(b))
+			t.Fatalf("F(%d): accum %d, tree %d", b, gc.Fetches(b), wc.Fetches(b))
 		}
 	}
 	if gc.Accesses() != wc.Accesses() || gc.Total() != wc.Total() {
-		t.Fatalf("A/N diverged: accum (%d,%d), scratch (%d,%d)",
+		t.Fatalf("A/N diverged: accum (%d,%d), tree (%d,%d)",
 			gc.Accesses(), gc.Total(), wc.Accesses(), wc.Total())
 	}
 }
@@ -75,8 +74,7 @@ func TestAccumFeedMatchesScratchProperty(t *testing.T) {
 		full := pickTrace(rng, 1+rng.Intn(600), 1+rng.Intn(60))
 		a := NewAccum()
 		feedInSplits(rng, a, full)
-		s := NewScratch()
-		return histogramsEqual(a.Histogram(), s.Run(full))
+		return histogramsEqual(a.Histogram(), TreeSimulator{}.Run(full))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -103,8 +101,7 @@ func TestAccumMergeMatchesConcatenationProperty(t *testing.T) {
 		for _, b := range accs[1:] {
 			merged.Merge(b)
 		}
-		s := NewScratch()
-		return histogramsEqual(merged.Histogram(), s.Run(full))
+		return histogramsEqual(merged.Histogram(), TreeSimulator{}.Run(full))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
@@ -126,7 +123,7 @@ func TestAccumMergeThenKeepFeeding(t *testing.T) {
 		a.Feed(p3)          // feeding after a merge must stay exact
 		a.Merge(NewAccum()) // merging an empty accumulator is a no-op
 		concat := append(append(p1.Clone(), p2...), p3...)
-		accumMatchesScratch(t, a, concat)
+		accumMatchesTree(t, a, concat)
 	}
 }
 
@@ -141,7 +138,7 @@ func TestAccumMixedRemapMerge(t *testing.T) {
 		b.Feed(order[1])
 		a.Merge(b)
 		concat := append(order[0].Clone(), order[1]...)
-		accumMatchesScratch(t, a, concat)
+		accumMatchesTree(t, a, concat)
 	}
 }
 
@@ -151,7 +148,6 @@ func TestAccumCurveMidStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	full := clusteredTrace(rng, 1200, 80, 4)
 	a := NewAccum()
-	s := NewScratch()
 	for off := 0; off < len(full); {
 		k := 1 + rng.Intn(200)
 		if off+k > len(full) {
@@ -159,11 +155,11 @@ func TestAccumCurveMidStream(t *testing.T) {
 		}
 		a.Feed(full[off : off+k])
 		off += k
-		want := s.Analyze(full[:off])
+		want := TreeSimulator{}.Run(full[:off]).FetchCurve()
 		got := a.Curve()
 		for b := 1; b <= 90; b++ {
 			if got.Fetches(b) != want.Fetches(b) {
-				t.Fatalf("prefix %d F(%d): accum %d, scratch %d", off, b, got.Fetches(b), want.Fetches(b))
+				t.Fatalf("prefix %d F(%d): accum %d, tree %d", off, b, got.Fetches(b), want.Fetches(b))
 			}
 		}
 	}
@@ -172,11 +168,118 @@ func TestAccumCurveMidStream(t *testing.T) {
 func TestAccumResetReuse(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := NewAccum()
-	for _, n := range []int{1000, 3, 700, 1, 1200} {
+	for _, n := range []int{1000, 3, 700, 1, 1200, 30_000, 100, 20_000} {
 		a.Reset()
 		full := pickTrace(rng, n, 1+n/10)
 		feedInSplits(rng, a, full)
-		accumMatchesScratch(t, a, full)
+		accumMatchesTree(t, a, full)
+	}
+}
+
+func TestAccumAcrossCompactions(t *testing.T) {
+	// Each case renumbers the live markers many times; every renumbering
+	// and every growth of the slot array must keep the distances exact.
+	rng := rand.New(rand.NewSource(31))
+	t.Run("long-stream", func(t *testing.T) {
+		for _, pages := range []int{1, 7, 64, 65, 200} {
+			slots := (4*pages + 63) &^ 63 // the slot array stays within 4x the pages
+			full := pickTrace(rng, 50*slots+rng.Intn(64), pages)
+			a := NewAccum()
+			feedInSplits(rng, a, full)
+			if a.Total() < 50*int64(len(a.pageAt)) {
+				t.Fatalf("pages=%d: %d refs over %d slots, want >= 50x", pages, a.Total(), len(a.pageAt))
+			}
+			accumMatchesTree(t, a, full)
+		}
+	})
+	t.Run("pages-grow-mid-stream", func(t *testing.T) {
+		full := randomTrace(rng, 5_000, 40)
+		full = append(full, clusteredTrace(rng, 8_000, 3_000, 20)...)
+		full = append(full, randomTrace(rng, 5_000, 40)...)
+		a := NewAccum()
+		feedInSplits(rng, a, full)
+		accumMatchesTree(t, a, full)
+	})
+	t.Run("merge-exceeds-free-slots", func(t *testing.T) {
+		p1 := randomTrace(rng, 3_000, 50)
+		p2 := randomTrace(rng, 8_000, 2_000) // shares ids 0..49 with p1
+		p3 := randomTrace(rng, 2_000, 3_000)
+		a, b := NewAccum(), NewAccum()
+		a.Feed(p1)
+		b.Feed(p2)
+		if free := len(a.pageAt) - a.next; b.Distinct() <= int64(free) {
+			t.Fatalf("b has %d live markers, a has %d free slots: case does not overflow", b.Distinct(), free)
+		}
+		a.Merge(b)
+		concat := append(p1.Clone(), p2...)
+		accumMatchesTree(t, a, concat)
+		a.Feed(p3)
+		accumMatchesTree(t, a, append(concat, p3...))
+	})
+}
+
+// accumRetainedBytes is the capacity an Accum keeps between windows; the map
+// remap is excluded, so callers check the flat table is in use.
+func accumRetainedBytes(a *Accum) int {
+	return 8*(cap(a.counts)+cap(a.pages)+cap(a.live)) + 4*(cap(a.pageAt)+cap(a.fen)+cap(a.denseOf))
+}
+
+func TestAccumMemoryBoundedByDistinctPages(t *testing.T) {
+	// The ingest pipeline keeps one Accum per index between windows, so its
+	// capacity must follow distinct pages, not stream length: 1M random
+	// references over 2,500 pages retain exactly what 100k did, within 64 B
+	// per distinct page plus 16 KiB.
+	const pages = 2_500
+	rng := rand.New(rand.NewSource(41))
+	a := NewAccum()
+	batch := make(Trace, 5_000)
+	feedTo := func(refs int64) {
+		for a.Total() < refs {
+			for i := range batch {
+				batch[i] = storage.PageID(rng.Intn(pages))
+			}
+			a.Feed(batch)
+		}
+	}
+	feedTo(100_000)
+	at100k := accumRetainedBytes(a)
+	feedTo(1_000_000)
+	if a.sparse {
+		t.Fatal("dense page ids left the flat remap table")
+	}
+	if got := accumRetainedBytes(a); got != at100k {
+		t.Errorf("retained %d B after 1M refs, %d B after 100k", got, at100k)
+	}
+	t.Logf("retained %d B over %d distinct pages", at100k, a.Distinct())
+	if limit := 64*int(a.Distinct()) + 16<<10; at100k > limit {
+		t.Errorf("retained %d B over %d distinct pages, want <= %d", at100k, a.Distinct(), limit)
+	}
+}
+
+func TestAccumRandomPagesStayFlat(t *testing.T) {
+	// Unclustered ids keep the flat remap table from the first reference;
+	// ids far sparser than the stream still take the map, and Reset
+	// returns to the table.
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 20; trial++ {
+		full := randomTrace(rng, 100_000, 2_500)
+		a := NewAccum()
+		for off := 0; off < len(full); off += 5_000 {
+			a.Feed(full[off : off+5_000])
+		}
+		if a.sparse {
+			t.Fatalf("trial %d: random 2,500-page stream left the flat table", trial)
+		}
+	}
+	a := NewAccum()
+	a.Feed(sparseTrace(rng, 1_000, 50))
+	if !a.sparse {
+		t.Error("ids at a 1,048,573 stride stayed on the flat table")
+	}
+	a.Reset()
+	a.Feed(randomTrace(rng, 1_000, 50))
+	if a.sparse {
+		t.Error("Reset did not return to the flat table")
 	}
 }
 
@@ -194,7 +297,7 @@ func TestAccumEmptyAndEdge(t *testing.T) {
 	}
 	b := NewAccum()
 	b.Merge(a) // merge into empty
-	accumMatchesScratch(t, b, tr(5))
+	accumMatchesTree(t, b, tr(5))
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -234,7 +337,7 @@ func TestAccumConcurrentShards(t *testing.T) {
 	for _, b := range accs[1:] {
 		merged.Merge(b)
 	}
-	accumMatchesScratch(t, merged, full)
+	accumMatchesTree(t, merged, full)
 }
 
 func TestAccumFeedSteadyStateAllocs(t *testing.T) {
@@ -271,19 +374,23 @@ func BenchmarkAccumFeed(b *testing.B) {
 }
 
 // BenchmarkAccumMerge measures merging a 100k-reference shard into a
-// 100k-reference base (fresh copies per iteration, timer paused for setup).
+// 100k-reference base. The base is rebuilt per iteration with the timer
+// paused: Reset, then Merge of a copy fed once, which gives the state of
+// feeding the base trace in O(distinct pages), not another 100k-reference
+// Feed per ~0.1 ms iteration.
 func BenchmarkAccumMerge(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	t1 := clusteredTrace(rng, 100_000, 2_000, 40)
 	t2 := clusteredTrace(rng, 100_000, 2_000, 40)
-	shard := NewAccum()
+	fed, shard, base := NewAccum(), NewAccum(), NewAccum()
+	fed.Feed(t1)
 	shard.Feed(t2)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		base := NewAccum()
-		base.Feed(t1)
+		base.Reset()
+		base.Merge(fed)
 		b.StartTimer()
 		base.Merge(shard)
 	}

@@ -11,7 +11,8 @@
 // a histogram; a reference is a hit in a pool of size B if and only if d <= B,
 // so F(B) = cold misses + #\{references with d > B\}.
 //
-// Two stack-distance implementations are provided with identical output:
+// Two reference stack-distance implementations are provided with identical
+// output:
 //
 //   - ListSimulator: the textbook move-to-front list, O(n * avg depth). This
 //     mirrors the paper's description most literally (hash table avoids the
@@ -20,8 +21,12 @@
 //     The stack distance equals the number of distinct pages referenced since
 //     the page's previous reference, which is a prefix-sum query.
 //
-// Property tests in this package check the two against each other and against
-// the real LRU buffer pool in internal/buffer.
+// The fast path is one kernel, Accum: it keeps one slot per distinct page's
+// latest reference instead of one per reference, so its memory is bounded by
+// distinct pages, and it can be fed batch by batch and merged. Scratch and
+// Analyze reset and feed it once per trace. Property tests in this package
+// check the two reference simulators against each other and against the
+// real LRU buffer pool in internal/buffer, and the kernel against them.
 package lrusim
 
 import (

@@ -164,17 +164,26 @@ func (e traceMismatch) Error() string { return "concurrent Analyze mismatch" }
 
 func errAt(i, b int) error { return traceMismatch{i, b} }
 
-// BenchmarkScratchAnalyze measures the pooled path on the same clustered
-// trace BenchmarkTreeSimulator uses, so ns/op and allocs/op are directly
-// comparable.
+// BenchmarkScratchAnalyze measures one Scratch over 100k references: the
+// clustered trace BenchmarkTreeSimulator uses, so ns/op and allocs/op are
+// directly comparable, and uniformly random placement over 2,500 pages,
+// whose ids arrive out of order.
 func BenchmarkScratchAnalyze(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
-	trace := clusteredTrace(rng, 100_000, 2_000, 40)
-	s := NewScratch()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Analyze(trace)
+	for _, c := range []struct {
+		name  string
+		trace Trace
+	}{
+		{"clustered", clusteredTrace(rng, 100_000, 2_000, 40)},
+		{"random", randomTrace(rng, 100_000, 2_500)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			s := NewScratch()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.Analyze(c.trace)
+			}
+		})
 	}
 }
 

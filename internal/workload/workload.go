@@ -29,7 +29,6 @@ import (
 
 	"epfis/internal/datagen"
 	"epfis/internal/lrusim"
-	"epfis/internal/storage"
 )
 
 // Scan is one partial index scan, expressed over the dataset's index-entry
@@ -149,16 +148,9 @@ func Measure(ds *datagen.Dataset, scans []Scan) []Measured {
 	if workers > len(scans) {
 		workers = len(scans)
 	}
-	// Dataset pages are numbered 0..T-1, so T-1 bounds every trace the
-	// workers build; hinting it skips Scratch's per-scan max-id scan.
-	maxPage := storage.PageID(0)
-	if ds.T > 0 {
-		maxPage = storage.PageID(ds.T - 1)
-	}
 	measureRange := func(scratch *lrusim.Scratch, buf lrusim.Trace, i int) lrusim.Trace {
 		s := scans[i]
 		buf = ds.SliceTraceInto(buf, s.Lo, s.Hi)
-		scratch.ResetHint(maxPage)
 		out[i] = Measured{Scan: s, Curve: scratch.Analyze(buf)}
 		return buf
 	}
