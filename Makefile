@@ -23,7 +23,9 @@ race:
 
 # Resilience drills under the race detector: fault injection on every catalog
 # write path mid-traffic (including WAL append/fsync/checkpoint faults under
-# concurrent ingest + readers), commit-abort and recovery invariants, overload
+# concurrent ingest + readers), an anti-entropy merge beside an acknowledged
+# write, stamp durability across reopen, rotation, .prev recovery and a torn
+# tail, commit-abort and recovery invariants, overload
 # shedding, breaker/degraded behaviour, plus recovery fuzz smokes for both the
 # checkpoint file and the WAL log, a fuzz pass over the journal frame
 # decoder every log replays through, differential fuzz passes holding the
@@ -46,10 +48,12 @@ chaos:
 # cluster while both sides take writes and ingest, heal, and require every
 # store to converge to one content hash with bit-exact estimates — plus the
 # hinted-handoff restart, epoch-guard, ingest-routing, read-fence, and WAL
-# ingest-journal crash-replay proofs.
+# ingest-journal crash-replay proofs, and the restart drills: a delete
+# tombstone replayed from the WAL keeps a pull from resurrecting the key,
+# and an in-memory node re-learns every key after a restart.
 chaos-net:
 	$(GO) test -race ./internal/faultnet/
-	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestClusterIngestOwnership|TestIngestJournal' \
+	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestClusterIngestOwnership|TestIngestJournal|TestDeleteTombstoneSurvivesRestart|TestInMemoryNodeRelearnsKeysAfterRestart' \
 		./internal/service/
 	$(GO) test -race -run 'TestWALIngestJournal' ./internal/catalog/
 
@@ -93,11 +97,13 @@ bench-ingest:
 # Cluster data plane, over in-process nodes: an estimate at a non-owner
 # allocates no more than at an owner (nor an owner more than a single node),
 # a quorum PUT acks without waiting for a slowed owner straggler, and with a
-# 40 ms-slowed non-owner stays within 2x the no-fault median, and a 1-key
+# 40 ms-slowed non-owner stays within 2x the no-fault median, a 1-key
 # delta sync of a 64-entry catalog moves at most 10% of the snapshot bytes
-# without falling back.
+# without falling back, and 16 writers' PUTs of distinct keys through one
+# WAL-backed node share group commits: at most 0.5 durability barriers per
+# commit.
 bench-cluster:
-	$(GO) test -count=1 -v -run '^(TestAllocBudgetClusterEstimate|TestClusterQuorumFastAck.*|TestClusterDeltaOneKeyWireCost)$$' ./internal/service/
+	$(GO) test -count=1 -v -run '^(TestAllocBudgetClusterEstimate|TestClusterQuorumFastAck.*|TestClusterDeltaOneKeyWireCost|TestClusterPutGroupCommit)$$' ./internal/service/
 
 # One-iteration pass over the perf-relevant benchmarks, as run in CI.
 bench-smoke:

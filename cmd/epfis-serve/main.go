@@ -115,7 +115,7 @@ func run(args []string) error {
 		heartbeat = fs.Duration("heartbeat", cluster.DefaultHeartbeat,
 			"cluster gossip interval")
 		handoffDir = fs.String("handoff-dir", "",
-			"directory for the durable hinted-handoff and mutation-stamp journals (cluster mode); empty keeps both in memory only")
+			"directory for the durable hinted-handoff journals (cluster mode; mutation stamps live in the catalog's WAL); empty keeps hints in memory only")
 		handoffAbandonAfter = fs.Duration("handoff-abandon-after", 0,
 			fmt.Sprintf("drop hint queues for peers absent from membership this long (0 = default %s, negative keeps them forever)", service.DefaultHandoffAbandonAfter))
 		replicateTimeout = fs.Duration("replicate-timeout", 0,

@@ -20,6 +20,12 @@
 // derived state by generation and have it invalidate naturally when
 // statistics change.
 //
+// A snapshot also carries the stamp table: for each key a cluster mutation
+// has touched, the Stamp of the last one applied, a delete's tombstone
+// included. PutStamped and DeleteStamped record a stamp in the same commit
+// as the entry change, so a reader sees both or neither and the stamp is
+// durable exactly when the write is.
+//
 // A store opened with OpenWAL persists every commit through a group-
 // committed write-ahead log with periodic checkpoints (see wal.go), and
 // recovers from a corrupt, truncated, or crash-orphaned checkpoint file by
@@ -34,6 +40,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -61,6 +69,29 @@ type Snapshot struct {
 	entries  map[string]*stats.IndexStats
 	compiled map[string]*core.CompiledEstimator // same keys as entries
 	keys     []string                           // sorted
+	stamps   map[string]Stamp                   // never nil; may name keys entries lacks (tombstones)
+}
+
+// Stamp is the total order on one key's cluster mutations: the Lamport
+// epoch the mutation was assigned, tie-broken by the ID of the node that
+// assigned it. Two sides of a partition can assign the identical epoch to
+// concurrent mutations of the same key (both advance in lockstep from the
+// same base); the originator tiebreaker makes every node pick the same
+// winner after heal, so replicas converge instead of each dropping the
+// other's write as stale. The zero Stamp means no cluster mutation.
+type Stamp struct {
+	Epoch  uint64 `json:"epoch"`
+	Origin string `json:"origin"`
+}
+
+// Less reports whether s orders strictly before o: by epoch, then by
+// originating node ID. Equal stamps (redelivery of the same mutation) are
+// not Less, so application stays idempotent.
+func (s Stamp) Less(o Stamp) bool {
+	if s.Epoch != o.Epoch {
+		return s.Epoch < o.Epoch
+	}
+	return s.Origin < o.Origin
 }
 
 // Generation reports the snapshot's version number. Generations increase by
@@ -109,6 +140,13 @@ func (s *Snapshot) CompiledByKey(key string) (*core.CompiledEstimator, bool) {
 	return ce, ok
 }
 
+// Stamp reports the last mutation stamp recorded for key, a delete's
+// tombstone included; the zero Stamp means none.
+func (s *Snapshot) Stamp(key string) Stamp { return s.stamps[key] }
+
+// Stamps copies the stamp table.
+func (s *Snapshot) Stamps() map[string]Stamp { return maps.Clone(s.stamps) }
+
 // Catalog materializes the snapshot as a plain stats.Catalog (copying every
 // entry), for interoperation with code written against the non-concurrent
 // type.
@@ -152,7 +190,7 @@ type Store struct {
 // NewStore returns an empty in-memory store (no persistence).
 func NewStore() *Store {
 	st := &Store{fs: faultfs.OS()}
-	st.snap.Store(newSnapshot(0, map[string]*stats.IndexStats{}, nil))
+	st.snap.Store(newSnapshot(0, map[string]*stats.IndexStats{}, map[string]Stamp{}, nil))
 	return st
 }
 
@@ -186,43 +224,101 @@ func (st *Store) Get(table, column string) (*stats.IndexStats, error) {
 // Put validates and installs (or replaces) an entry, returning the new
 // generation. The entry is deep-copied, so the caller may keep mutating its
 // own copy.
-func (st *Store) Put(e *stats.IndexStats) (uint64, error) {
+func (st *Store) Put(e *stats.IndexStats) (uint64, error) { return st.put(e, Stamp{}) }
+
+// PutStamped is Put for a cluster mutation: the same commit records s as
+// the key's stamp (keeping the later of s and the stamp already held), so
+// the stamp is published and made durable together with the entry.
+func (st *Store) PutStamped(e *stats.IndexStats, s Stamp) (uint64, error) { return st.put(e, s) }
+
+func (st *Store) put(e *stats.IndexStats, s Stamp) (uint64, error) {
 	if err := e.Validate(); err != nil {
 		return 0, err
 	}
 	cp := deepCopy(e)
-	return st.commit(walFramePut, func() ([]byte, error) { return json.Marshal(cp) }, false,
-		func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
-			next := cloneEntries(base.entries)
-			next[cp.Key()] = cp
-			return next, true
-		})
+	key := cp.Key()
+	ftype, body := walFramePut, []byte(nil)
+	if st.wal != nil {
+		j, err := json.Marshal(cp)
+		if err != nil {
+			return 0, fmt.Errorf("catalog: encode commit: %w", err)
+		}
+		body = j
+		if s != (Stamp{}) {
+			ftype, body = walFramePutStamped, append(appendStampHeader(nil, s, key), j...)
+		}
+	}
+	return st.commit(frame(ftype, body), false, func(base *Snapshot) (*Snapshot, bool) {
+		next := cloneEntries(base.entries)
+		next[key] = cp
+		return base.derive(key, next, s), true
+	})
 }
 
 // Delete removes the entry for table.column, reporting whether it existed.
 // Deleting a missing entry is a no-op that does not bump the generation.
 func (st *Store) Delete(table, column string) (bool, uint64, error) {
-	key := table + "." + column
-	gen, err := st.commit(walFrameDelete, func() ([]byte, error) { return []byte(key), nil }, false,
-		func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
-			if _, ok := base.entries[key]; !ok {
-				return nil, false
-			}
-			next := cloneEntries(base.entries)
+	return st.del(table+"."+column, Stamp{}, false)
+}
+
+// DeleteStamped is Delete for a cluster mutation: the same commit records s
+// as the key's stamp, the tombstone that keeps an older write from bringing
+// the key back. With tombstone set the stamp is recorded even when the key
+// is absent (a replicated delete that arrives after the entry is gone);
+// otherwise an absent key is the same no-op as for Delete.
+func (st *Store) DeleteStamped(table, column string, s Stamp, tombstone bool) (bool, uint64, error) {
+	return st.del(table+"."+column, s, tombstone)
+}
+
+func (st *Store) del(key string, s Stamp, tombstone bool) (bool, uint64, error) {
+	ftype, body := walFrameDelete, []byte(key)
+	if s != (Stamp{}) {
+		ftype, body = walFrameDeleteStamped, appendStampHeader(nil, s, key)
+	}
+	existed := false
+	gen, err := st.commit(frame(ftype, body), false, func(base *Snapshot) (*Snapshot, bool) {
+		_, existed = base.entries[key]
+		if !existed && !tombstone {
+			return nil, false
+		}
+		next := base.entries
+		if existed {
+			next = cloneEntries(base.entries)
 			delete(next, key)
-			return next, true
-		})
+		}
+		return base.derive(key, next, s), true
+	})
 	if err != nil {
 		return false, 0, err
 	}
 	if gen == 0 { // aborted: key absent
 		return false, st.Generation(), nil
 	}
-	return true, gen, nil
+	return existed, gen, nil
+}
+
+// RecordStamps folds stamps into the stamp table as one commit, each key
+// keeping the later of its held and given stamp; entries are untouched.
+// It imports stamps kept outside the store, such as an older release's
+// stamp journal. An empty map commits nothing.
+func (st *Store) RecordStamps(stamps map[string]Stamp) (uint64, error) {
+	if len(stamps) == 0 {
+		return st.Generation(), nil
+	}
+	rec := func(lsn uint64, _ *Snapshot) ([]byte, error) { return appendStampRecords(nil, lsn, stamps), nil }
+	return st.commit(rec, false, func(base *Snapshot) (*Snapshot, bool) {
+		next := *base
+		next.gen++
+		next.stamps = maps.Clone(base.stamps)
+		for k, s := range stamps {
+			foldStamp(next.stamps, k, s)
+		}
+		return &next, true
+	})
 }
 
 // ReplaceAll swaps the entire catalog contents for c's entries in one
-// generation step (c itself is not retained).
+// generation step (c itself is not retained). The stamp table is kept.
 func (st *Store) ReplaceAll(c *stats.Catalog) (uint64, error) {
 	next := map[string]*stats.IndexStats{}
 	for _, k := range c.Keys() {
@@ -237,8 +333,17 @@ func (st *Store) ReplaceAll(c *stats.Catalog) (uint64, error) {
 
 // commitReplace installs a full entry set as one generation step.
 func (st *Store) commitReplace(next map[string]*stats.IndexStats) (uint64, error) {
-	return st.commit(walFrameReplace, func() ([]byte, error) { return encodeEntriesJSON(next) }, false,
-		func(*Snapshot) (map[string]*stats.IndexStats, bool) { return next, true })
+	var body []byte
+	if st.wal != nil {
+		p, err := encodeEntriesJSON(next)
+		if err != nil {
+			return 0, fmt.Errorf("catalog: encode commit: %w", err)
+		}
+		body = p
+	}
+	return st.commit(frame(walFrameReplace, body), false, func(base *Snapshot) (*Snapshot, bool) {
+		return newSnapshot(base.gen+1, next, base.stamps, base), true
+	})
 }
 
 // entriesOf indexes a loaded catalog's entries by key; nil c is empty.
@@ -259,21 +364,24 @@ func entriesOf(c *stats.Catalog) map[string]*stats.IndexStats {
 // entry. Compilation happens here — on the writer's (or loader's) path, never
 // on a request path — and entries carried over unchanged from prev (same
 // pointer, thanks to the copy-on-write entry sharing in cloneEntries) reuse
-// prev's compiled estimator instead of recompiling. An entry that fails to
-// compile (impossible for entries that passed validation, but recovery paths
-// are deliberately paranoid) simply has no compiled form; readers fall back
-// to interpreted EstIO for it.
-func newSnapshot(gen uint64, entries map[string]*stats.IndexStats, prev *Snapshot) *Snapshot {
+// prev's compiled estimator instead of recompiling; when the key set is
+// prev's, so is the sorted key slice. An entry that fails to compile
+// (impossible for entries that passed validation, but recovery paths are
+// deliberately paranoid) simply has no compiled form; readers fall back to
+// interpreted EstIO for it.
+func newSnapshot(gen uint64, entries map[string]*stats.IndexStats, stamps map[string]Stamp, prev *Snapshot) *Snapshot {
 	s := &Snapshot{
 		gen:      gen,
 		entries:  entries,
 		compiled: make(map[string]*core.CompiledEstimator, len(entries)),
-		keys:     sortedKeys(entries),
+		stamps:   stamps,
 	}
+	kept := 0 // keys prev also holds
 	for k, e := range entries {
 		if prev != nil {
-			if pe, ok := prev.entries[k]; ok && pe == e {
-				if ce, ok := prev.compiled[k]; ok {
+			if pe, ok := prev.entries[k]; ok {
+				kept++
+				if ce, ok := prev.compiled[k]; ok && pe == e {
 					s.compiled[k] = ce
 					continue
 				}
@@ -283,7 +391,45 @@ func newSnapshot(gen uint64, entries map[string]*stats.IndexStats, prev *Snapsho
 			s.compiled[k] = ce
 		}
 	}
+	if prev != nil && kept == len(entries) && kept == len(prev.entries) {
+		s.keys = prev.keys
+	} else {
+		s.keys = sortedKeys(entries)
+	}
 	return s
+}
+
+// derive builds the snapshot after a single-key commit: entries differs
+// from s's entry set at most under key, and a non-zero stamp is recorded for
+// key. Only key's compiled estimator, sorted position and stamp are redone;
+// everything else is shared with s, so the work does not grow with the
+// catalog beyond the map copies copy-on-write needs.
+func (s *Snapshot) derive(key string, entries map[string]*stats.IndexStats, stamp Stamp) *Snapshot {
+	next := &Snapshot{gen: s.gen + 1, entries: entries, compiled: s.compiled, keys: s.keys, stamps: s.stamps}
+	if s.stamps[key].Less(stamp) {
+		next.stamps = maps.Clone(s.stamps)
+		next.stamps[key] = stamp
+	}
+	e, now := entries[key]
+	pe, was := s.entries[key]
+	if now == was && e == pe {
+		return next
+	}
+	next.compiled = maps.Clone(s.compiled)
+	delete(next.compiled, key)
+	if now {
+		if ce, err := core.Compile(e, core.Options{}); err == nil {
+			next.compiled[key] = ce
+		}
+	}
+	i, _ := slices.BinarySearch(s.keys, key)
+	switch {
+	case now && !was:
+		next.keys = slices.Insert(slices.Clip(s.keys), i, key)
+	case was && !now:
+		next.keys = slices.Delete(slices.Clone(s.keys), i, i+1)
+	}
+	return next
 }
 
 func cloneEntries(m map[string]*stats.IndexStats) map[string]*stats.IndexStats {
@@ -292,6 +438,13 @@ func cloneEntries(m map[string]*stats.IndexStats) map[string]*stats.IndexStats {
 		out[k] = v // entries are immutable; share them across generations
 	}
 	return out
+}
+
+// foldStamp records s for key unless the table already holds a later one.
+func foldStamp(stamps map[string]Stamp, key string, s Stamp) {
+	if stamps[key].Less(s) {
+		stamps[key] = s
+	}
 }
 
 // deepCopy clones an entry including its slice-backed fields, so snapshot

@@ -31,7 +31,7 @@ func TestExportEntryRoundTrip(t *testing.T) {
 	if _, err := dst.Put(entry("orders", "other", 700)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := dst.MergeEntries([][]byte{data}, nil); err != nil {
+	if _, err := dst.MergeEntries([][]byte{data}); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Len() != 2 {
@@ -57,13 +57,13 @@ func TestMergeEntriesRejectsCorruptStream(t *testing.T) {
 	}
 	dst := NewStore()
 	// No trailer at all: network transfers get no legacy grace.
-	if _, err := dst.MergeEntries([][]byte{[]byte(`{"version":1,"entries":[]}`)}, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := dst.MergeEntries([][]byte{[]byte(`{"version":1,"entries":[]}`)}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("trailerless stream err = %v, want ErrCorrupt", err)
 	}
 	// Flip a payload byte: the trailer CRC must catch it.
 	bad := append([]byte(nil), data...)
 	bad[10] ^= 0x40
-	if _, err := dst.MergeEntries([][]byte{bad}, nil); !errors.Is(err, ErrCorrupt) {
+	if _, err := dst.MergeEntries([][]byte{bad}); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("corrupted stream err = %v, want ErrCorrupt", err)
 	}
 	if dst.Generation() != 0 {
@@ -80,12 +80,13 @@ func TestMergeEntriesSkipAndNoop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A stamped key is skipped: cluster mutations, not anti-entropy, own it.
 	dst := NewStore()
-	if _, err := dst.Put(entry("orders", "key", 111)); err != nil {
+	if _, err := dst.PutStamped(entry("orders", "key", 111), Stamp{Epoch: 1, Origin: "node-a"}); err != nil {
 		t.Fatal(err)
 	}
 	before := dst.Generation()
-	gen, err := dst.MergeEntries([][]byte{data}, func(k string) bool { return k == "orders.key" })
+	gen, err := dst.MergeEntries([][]byte{data})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestMergeEntriesSkipAndNoop(t *testing.T) {
 	if got.FMin != 111 {
 		t.Fatalf("skipped key was overwritten, FMin = %d", got.FMin)
 	}
-	if gen, err := dst.MergeEntries(nil, nil); err != nil || gen != before {
+	if gen, err := dst.MergeEntries(nil); err != nil || gen != before {
 		t.Fatalf("empty merge = (%d, %v), want (%d, nil)", gen, err, before)
 	}
 }

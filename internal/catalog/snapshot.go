@@ -67,14 +67,11 @@ func (st *Store) ImportSnapshot(data []byte) (uint64, error) {
 
 // MergeSnapshot is the partition-tolerant sibling of ImportSnapshot: it
 // folds a verified snapshot stream into the current entry set as a UNION
-// instead of a replacement. Stream entries win for every key except those
-// the skip callback claims (keys with locally-tracked mutation epochs,
-// whose precise state converges through hinted handoff rather than bulk
-// anti-entropy); local-only keys are never deleted by a merge — deletions
-// propagate as explicit replicated mutations, not by absence from a peer's
-// snapshot. With an empty local store and a nil skip it degenerates to a
-// full adopt, which is the bootstrap/restart case.
-func (st *Store) MergeSnapshot(data []byte, skip func(key string) bool) (uint64, error) {
+// instead of a replacement. Stream entries win for every key the store
+// holds no stamp for, and local-only keys are never deleted (see merge).
+// With an empty local store it degenerates to a full adopt, which is the
+// bootstrap/restart case.
+func (st *Store) MergeSnapshot(data []byte) (uint64, error) {
 	if !bytes.Contains(data, []byte(trailerPrefix)) {
 		return 0, fmt.Errorf("%w: snapshot stream has no checksum trailer", ErrCorrupt)
 	}
@@ -86,18 +83,47 @@ func (st *Store) MergeSnapshot(data []byte, skip func(key string) bool) (uint64,
 	if err != nil {
 		return 0, fmt.Errorf("catalog: merge snapshot: %w", err)
 	}
-	next := cloneEntries(st.Snapshot().entries)
+	incoming := map[string]*stats.IndexStats{}
 	for _, k := range c.Keys() {
-		if skip != nil && skip(k) {
-			continue
-		}
 		e, err := c.Get(splitKey(k))
 		if err != nil {
 			return 0, err
 		}
-		next[k] = deepCopy(e)
+		incoming[k] = deepCopy(e)
 	}
-	return st.commitReplace(next)
+	return st.merge(incoming)
+}
+
+// merge commits incoming as a union over the entry set: incoming entries win
+// for every key except those the stamp table names (keys a cluster mutation
+// touched, deletes included, converge through replicated mutations rather
+// than bulk anti-entropy), and local-only keys are never deleted —
+// deletions propagate as explicit replicated mutations, not by absence from
+// a peer's snapshot. The merged set and the skip set both come from the
+// commit's own base, so a write that lands while the streams are being
+// decoded is kept, never reverted. When every incoming key is skipped
+// nothing is committed and the current generation is returned.
+func (st *Store) merge(incoming map[string]*stats.IndexStats) (uint64, error) {
+	gen, err := st.commit(replaceRecord, false, func(base *Snapshot) (*Snapshot, bool) {
+		var next map[string]*stats.IndexStats
+		for k, e := range incoming {
+			if _, stamped := base.stamps[k]; stamped {
+				continue
+			}
+			if next == nil {
+				next = cloneEntries(base.entries)
+			}
+			next[k] = e
+		}
+		if next == nil {
+			return nil, false
+		}
+		return newSnapshot(base.gen+1, next, base.stamps, base), true
+	})
+	if err != nil || gen != 0 {
+		return gen, err
+	}
+	return st.Generation(), nil
 }
 
 // ContentHash reports the CRC32-C of the canonical JSON payload of the
@@ -170,11 +196,10 @@ func (st *Store) EntryDigests() (map[string]uint32, uint64, error) {
 
 // MergeEntries folds verified trailered entry streams (as produced by
 // ExportEntry) into the current entry set as a UNION, committing one
-// generation for the whole batch. Semantics mirror MergeSnapshot: stream
-// entries win except for keys the skip callback claims, and local-only keys
-// are never deleted. An empty batch (or one fully skipped) commits nothing
-// and returns the current generation.
-func (st *Store) MergeEntries(streams [][]byte, skip func(key string) bool) (uint64, error) {
+// generation for the whole batch, with MergeSnapshot's semantics. An empty
+// batch (or one fully skipped) commits nothing and returns the current
+// generation.
+func (st *Store) MergeEntries(streams [][]byte) (uint64, error) {
 	incoming := map[string]*stats.IndexStats{}
 	for _, data := range streams {
 		if !bytes.Contains(data, []byte(trailerPrefix)) {
@@ -189,9 +214,6 @@ func (st *Store) MergeEntries(streams [][]byte, skip func(key string) bool) (uin
 			return 0, fmt.Errorf("catalog: merge entries: %w", err)
 		}
 		for _, k := range c.Keys() {
-			if skip != nil && skip(k) {
-				continue
-			}
 			e, err := c.Get(splitKey(k))
 			if err != nil {
 				return 0, err
@@ -199,12 +221,5 @@ func (st *Store) MergeEntries(streams [][]byte, skip func(key string) bool) (uin
 			incoming[k] = deepCopy(e)
 		}
 	}
-	if len(incoming) == 0 {
-		return st.Generation(), nil
-	}
-	next := cloneEntries(st.Snapshot().entries)
-	for k, e := range incoming {
-		next[k] = e
-	}
-	return st.commitReplace(next)
+	return st.merge(incoming)
 }

@@ -1,0 +1,274 @@
+package catalog
+
+// Stamp coverage: stamped commits are durable with their writes across
+// reopen, checkpoint rotation, recovery from the retained files and a torn
+// tail; merges keep writes that land beside them; and single-key commits
+// share what they did not change.
+
+import (
+	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
+	"testing"
+	"time"
+
+	"epfis/internal/faultfs"
+	"epfis/internal/stats"
+)
+
+// reopenWAL opens the store at path from its files alone, as a restart
+// after a crash would, without closing any store still open over them.
+func reopenWAL(t *testing.T, path string) *Store {
+	t.Helper()
+	re, err := OpenWAL(path, WALOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { re.Close() })
+	return re
+}
+
+// checkStamped compares a store's entries and stamp table with the model.
+func checkStamped(t *testing.T, what string, st *Store, state map[string]int64, stamps map[string]Stamp) {
+	t.Helper()
+	snap := st.Snapshot()
+	if got := stateOf(snap); !statesEqual(got, state) {
+		t.Fatalf("%s: state %v, want %v", what, got, state)
+	}
+	if got := snap.Stamps(); !reflect.DeepEqual(got, stamps) {
+		t.Fatalf("%s: stamps %v, want %v", what, got, stamps)
+	}
+}
+
+func TestWALStampsSurviveReopenRotationAndRecovery(t *testing.T) {
+	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, nil)
+	a1, b2, a3 := Stamp{Epoch: 1, Origin: "node-a"}, Stamp{Epoch: 2, Origin: "node-b"}, Stamp{Epoch: 3, Origin: "node-a"}
+	if _, err := st.PutStamped(entry("orders", "key", 500), a1); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Put(entry("orders", "custno", 600)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.PutStamped(entry("lineitem", "partkey", 700), a1); err != nil {
+		t.Fatal(err)
+	}
+	if ok, _, err := st.DeleteStamped("lineitem", "partkey", b2, false); err != nil || !ok {
+		t.Fatalf("stamped delete = (%v, %v)", ok, err)
+	}
+	// A replicated delete of a key this node never held: the tombstone alone.
+	if ok, _, err := st.DeleteStamped("orders", "ghost", a3, true); err != nil || ok {
+		t.Fatalf("tombstone for an absent key = (%v, %v), want (false, nil)", ok, err)
+	}
+	// A local delete of an absent key records nothing.
+	if ok, gen, err := st.DeleteStamped("orders", "nothing", Stamp{Epoch: 9, Origin: "node-a"}, false); err != nil || ok || gen != st.Generation() {
+		t.Fatalf("absent local delete = (%v, %d, %v)", ok, gen, err)
+	}
+	state := map[string]int64{"orders.key": 500, "orders.custno": 600}
+	stamps := map[string]Stamp{"orders.key": a1, "lineitem.partkey": b2, "orders.ghost": a3}
+	checkStamped(t, "live", st, state, stamps)
+
+	// Reopen from the log alone: no Close, no checkpoint.
+	re := reopenWAL(t, path)
+	checkStamped(t, "reopen", re, state, stamps)
+
+	// A checkpoint rotates the log: the stamps ride into the fresh log as
+	// stamp records, since the checkpoint file holds none.
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	re = reopenWAL(t, path)
+	checkStamped(t, "after rotation", re, state, stamps)
+
+	// Commit past that checkpoint and rotate again, then make the newest
+	// checkpoint unverifiable: recovery loads the retained one and replays
+	// the retained log and the current one.
+	b4 := Stamp{Epoch: 4, Origin: "node-b"}
+	if _, err := re.PutStamped(entry("orders", "key", 501), b4); err != nil {
+		t.Fatal(err)
+	}
+	if err := re.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	state["orders.key"], stamps["orders.key"] = 501, b4
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0x40
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re = reopenWAL(t, path)
+	if !re.Recovered() {
+		t.Fatal("corrupt checkpoint did not recover from .prev")
+	}
+	checkStamped(t, "recovery from .prev", re, state, stamps)
+
+	// A torn stamped frame at the tail is cut; the commits before it stay.
+	a5 := Stamp{Epoch: 5, Origin: "node-a"}
+	if _, err := re.PutStamped(entry("orders", "custno", 601), a5); err != nil {
+		t.Fatal(err)
+	}
+	state["orders.custno"], stamps["orders.custno"] = 601, a5
+	torn := appendRecord(nil, walFramePutStamped, re.WALStatsNow().LSN+1,
+		append(appendStampHeader(nil, Stamp{Epoch: 6, Origin: "node-a"}, "orders.key"), `{"table":"orders"}`...))
+	f, err := os.OpenFile(re.WALPath(), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(torn[:len(torn)-3]); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	re = reopenWAL(t, path)
+	checkStamped(t, "torn tail", re, state, stamps)
+}
+
+// TestWALStampsSurviveAdoption adopts an out-of-band catalog file over a
+// log with stamped frames. The adoption checkpoints without rotating, so
+// the next open finds those frames below the checkpoint's LSN: their stamps
+// must still fold, while their entries stay replaced by the file's.
+func TestWALStampsSurviveAdoption(t *testing.T) {
+	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, nil)
+	stamps := map[string]Stamp{"orders.key": {Epoch: 1, Origin: "node-a"}, "orders.ghost": {Epoch: 2, Origin: "node-b"}}
+	if _, err := st.PutStamped(entry("orders", "key", 500), stamps["orders.key"]); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.DeleteStamped("orders", "ghost", stamps["orders.ghost"], true); err != nil {
+		t.Fatal(err)
+	}
+	c := stats.NewCatalog()
+	if err := c.Put(entry("lineitem", "partkey", 700)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	state := map[string]int64{"lineitem.partkey": 700}
+	checkStamped(t, "adoption", reopenWAL(t, path), state, stamps)
+	checkStamped(t, "reopen after adoption", reopenWAL(t, path), state, stamps)
+}
+
+func TestWALReplaysStampedFormat(t *testing.T) {
+	// testdata/stamped.wal holds every stamped frame type: header, stamped
+	// put, put, stamped put, stamped delete, stamped put, stamped delete of
+	// an absent key, and a stamp record. It must replay to the same catalog
+	// and stamps, without being rewritten.
+	data, err := os.ReadFile(filepath.Join("testdata", "stamped.wal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	if err := os.WriteFile(path+".wal", data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := reopenWAL(t, path)
+	checkStamped(t, "stamped.wal", re,
+		map[string]int64{"orders.custno": 600, "lineitem.partkey": 700, "lineitem.suppkey": 800},
+		map[string]Stamp{
+			"orders.key":       {Epoch: 4, Origin: "node-b"},
+			"lineitem.suppkey": {Epoch: 5, Origin: "node-a"},
+			"orders.ghost":     {Epoch: 6, Origin: "node-c"},
+			"orders.custno":    {Epoch: 7, Origin: "node-a"},
+			"lineitem.partkey": {Epoch: 3, Origin: "node-a"},
+		})
+	if ws := re.WALStatsNow(); ws.LSN != 7 || ws.DurableLSN != 7 {
+		t.Fatalf("wal stats %+v, want lsn 7", ws)
+	}
+	if after, err := os.ReadFile(path + ".wal"); err != nil || !bytes.Equal(after, data) {
+		t.Fatalf("replay rewrote an intact log (%v)", err)
+	}
+}
+
+// TestWALMergeKeepsConcurrentPut is the regression for a merge that reverted
+// an acknowledged write: a stamped Put of X that is applied but still
+// waiting on its fsync when an anti-entropy merge of a peer's X and Y builds
+// its entry set must survive the merge, in memory and on disk. The merge
+// must build on that write, not on the published snapshot, and must skip X
+// because the write stamped it.
+func TestWALMergeKeepsConcurrentPut(t *testing.T) {
+	src := NewStore()
+	var streams [][]byte
+	for _, col := range []string{"x", "y"} {
+		if _, err := src.Put(entry("orders", col, 700)); err != nil {
+			t.Fatal(err)
+		}
+		stream, _, err := src.ExportEntry("orders." + col)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streams = append(streams, stream)
+	}
+	inj := faultfs.NewInjector(faultfs.OS(), 1)
+	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, inj)
+	if _, err := st.Put(entry("orders", "x", 500)); err != nil {
+		t.Fatal(err)
+	}
+	inj.Add(faultfs.Rule{Op: faultfs.OpSync, Path: ".wal", Mode: faultfs.ModeSlow, Delay: 400 * time.Millisecond})
+	before := st.WALStatsNow().LSN
+	done := make(chan error, 1)
+	go func() {
+		_, err := st.PutStamped(entry("orders", "x", 501), Stamp{Epoch: 1, Origin: "node-a"})
+		done <- err
+	}()
+	for st.WALStatsNow().LSN == before {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := st.MergeEntries(streams); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("PutStamped: %v", err)
+	}
+	want := map[string]int64{"orders.x": 501, "orders.y": 700}
+	if got := stateOf(st.Snapshot()); !statesEqual(got, want) {
+		t.Fatalf("after merge beside an acknowledged put: %v, want %v", got, want)
+	}
+	if got := stateOf(reopenWAL(t, path).Snapshot()); !statesEqual(got, want) {
+		t.Fatalf("reopened after merge: %v, want %v", got, want)
+	}
+}
+
+// TestSingleKeyCommitSharesUnchangedParts holds a single-key commit to work
+// that does not grow with the catalog: a PUT of an existing key keeps the
+// sorted key slice and the other keys' compiled estimators, and an unstamped
+// commit keeps the stamp table.
+func TestSingleKeyCommitSharesUnchangedParts(t *testing.T) {
+	st := NewStore()
+	for i, col := range []string{"a", "c", "e"} {
+		if _, err := st.Put(entry("t", col, int64(200+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.PutStamped(entry("t", "a", 300), Stamp{Epoch: 1, Origin: "node-a"}); err != nil {
+		t.Fatal(err)
+	}
+	prev := st.Snapshot()
+	if _, err := st.Put(entry("t", "c", 301)); err != nil {
+		t.Fatal(err)
+	}
+	next := st.Snapshot()
+	if &next.keys[0] != &prev.keys[0] {
+		t.Fatal("a PUT of an existing key re-sorted the key slice")
+	}
+	if next.compiled["t.a"] != prev.compiled["t.a"] || next.compiled["t.c"] == prev.compiled["t.c"] {
+		t.Fatal("a PUT must recompile exactly its own key")
+	}
+	if reflect.ValueOf(next.stamps).UnsafePointer() != reflect.ValueOf(prev.stamps).UnsafePointer() {
+		t.Fatal("an unstamped PUT copied the stamp table")
+	}
+	// Inserts and deletes splice the sorted slice without touching prev's.
+	if _, err := st.Put(entry("t", "b", 302)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.Delete("t", "e"); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := st.Keys(), []string{"t.a", "t.b", "t.c"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("keys %v, want %v", got, want)
+	}
+	if got, want := next.Keys(), []string{"t.a", "t.c", "t.e"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("an older snapshot's keys changed to %v, want %v", got, want)
+	}
+}

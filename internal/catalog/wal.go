@@ -24,9 +24,24 @@ package catalog
 //
 // Types: header (log identity and the LSN the log starts from, written at
 // creation/rotation), put (one entry's JSON), delete (the key), replace (a
-// full catalog JSON), ingest (an opaque ingest-journal record). LSNs
-// increase by one per logged mutation and never repeat within a
+// full catalog JSON), ingest (an opaque ingest-journal record), and three
+// stamped types whose payload opens with a stamp header
+//
+//	[epoch u64][origin len uvarint][origin][key len uvarint][key]
+//
+// stamped put (the header, then the entry's JSON), stamped delete (the
+// header alone) and stamp (the header alone: a stamp record that changes no
+// entry). LSNs increase by one per logged commit and never repeat within a
 // log+checkpoint lineage.
+//
+// Stamps. A cluster mutation's stamp rides in its own put or delete frame,
+// so it is durable exactly when the write is and costs no barrier of its
+// own. The checkpoint file stays a plain stats catalog; rotation carries the
+// published stamp table into the fresh log as stamp records, as it carries
+// live ingest records. Replay folds the stamp of every stamped frame
+// regardless of LSN, keeping each key's latest, so the table survives
+// checkpoints, recovery from the retained files, and adoption of an
+// out-of-band catalog file.
 //
 // Durability protocol. Two snapshot pointers exist: Store.applied (newest
 // BUILT state, possibly unfsynced) and Store.snap (published to readers,
@@ -73,6 +88,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 	"sync"
 
 	"epfis/internal/faultfs"
@@ -95,6 +111,10 @@ const (
 	// the payloads back through Store.IngestRecords; checkpoints carry the
 	// still-live records into the rotated log (Store.SetIngestSource).
 	walFrameIngest byte = 4
+	// Stamped frames: see the file comment.
+	walFramePutStamped    byte = 5
+	walFrameDeleteStamped byte = 6
+	walFrameStamp         byte = 7
 )
 
 const walHeaderMagic = "epfis-wal v1"
@@ -123,15 +143,17 @@ func (o WALOptions) WALPath(catalogPath string) string {
 	return filepath.Join(dir, filepath.Base(catalogPath)+".wal")
 }
 
-// wal is the log file state. lsn is guarded by Store.mu; durableLSN, buf,
-// and the log handle are touched only by the current group-commit leader
-// (leadership hand-off through walQueue orders the accesses).
+// wal is the log file state. lsn is guarded by Store.mu; buf and the log
+// handle are touched only by the current group-commit leader (leadership
+// hand-off through walQueue orders the accesses); durableLSN is written by
+// the leader under Store.mu, so the leader reads it freely and anyone else
+// under Store.mu.
 type wal struct {
 	path string
 	log  *framelog.Log
 
 	lsn        uint64 // last assigned LSN (Store.mu)
-	durableLSN uint64 // last fsynced LSN (leader only)
+	durableLSN uint64 // last fsynced LSN (leader writes under Store.mu)
 	buf        []byte // reused batch write buffer (leader only)
 
 	ingest [][]byte // ingest-journal payloads found during recovery
@@ -193,7 +215,7 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 			hasLSN = true // no catalog yet: the log must start at lsn 0
 		}
 	}
-	r := walReplay{maxLSN: lsn, entries: entriesOf(c), loose: !hasLSN}
+	r := walReplay{maxLSN: lsn, entries: entriesOf(c), stamps: map[string]Stamp{}, loose: !hasLSN}
 	if st.recovered {
 		// The log rotated away with that checkpoint holds the frames
 		// between it and the current log's start.
@@ -232,7 +254,7 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 	if adopt {
 		gen, entries = 1, entriesOf(c)
 	}
-	snap := newSnapshot(gen, entries, nil)
+	snap := newSnapshot(gen, entries, r.stamps, nil)
 	st.snap.Store(snap)
 	st.applied = snap
 	st.wal = w
@@ -289,10 +311,11 @@ func (st *Store) WALPath() string {
 
 // walReplay folds logs into a checkpoint's entries: each log must open with
 // its identity frame, starting no later than the LSN reached so far (unless
-// loose); committed mutation frames past that LSN fold into entries, and
-// ingest frames are collected.
+// loose); committed mutation frames past that LSN fold into entries, every
+// stamped frame folds into stamps, and ingest frames are collected.
 type walReplay struct {
 	entries  map[string]*stats.IndexStats
+	stamps   map[string]Stamp
 	maxLSN   uint64   // LSN reached: the checkpoint's, then each frame's
 	loose    bool     // the state has no LSN: any log may continue it
 	header   bool     // the identity frame opened the current log
@@ -341,6 +364,19 @@ func (r *walReplay) accept(body []byte) bool {
 		// covers catalog state, not accumulator state, and rotation
 		// re-stamps carried records with the checkpoint LSN.
 		r.ingest = append(r.ingest, append([]byte(nil), payload...))
+	case ftype >= walFramePutStamped && ftype <= walFrameStamp:
+		// Stamps fold regardless of LSN: the checkpoint holds none.
+		s, key, body, ok := cutStampHeader(payload)
+		if !ok {
+			return false
+		}
+		if ftype != walFrameStamp && lsn > r.maxLSN {
+			if !applyStamped(r.entries, ftype, key, body) {
+				return false
+			}
+			r.replayed++
+		}
+		foldStamp(r.stamps, key, s)
 	case lsn > r.maxLSN:
 		if !applyWALFrame(r.entries, ftype, payload) {
 			return false // undecodable committed frame: stop at the last good one
@@ -380,6 +416,70 @@ func applyWALFrame(entries map[string]*stats.IndexStats, ftype byte, payload []b
 	}
 }
 
+// applyStamped folds a stamped put or delete's entry change into entries,
+// reporting false when its body does not decode to a mutation of key.
+func applyStamped(entries map[string]*stats.IndexStats, ftype byte, key string, body []byte) bool {
+	if ftype == walFrameDeleteStamped {
+		if len(body) != 0 {
+			return false
+		}
+		delete(entries, key)
+		return true
+	}
+	var e stats.IndexStats
+	if err := json.Unmarshal(body, &e); err != nil || e.Validate() != nil || e.Key() != key {
+		return false
+	}
+	entries[key] = &e
+	return true
+}
+
+// appendStampHeader appends the stamp header a stamped frame's payload
+// opens with (see the file comment).
+func appendStampHeader(dst []byte, s Stamp, key string) []byte {
+	dst = binary.LittleEndian.AppendUint64(dst, s.Epoch)
+	dst = binary.AppendUvarint(dst, uint64(len(s.Origin)))
+	dst = append(dst, s.Origin...)
+	dst = binary.AppendUvarint(dst, uint64(len(key)))
+	return append(dst, key...)
+}
+
+// cutStampHeader splits a stamped payload into its stamp, its key and the
+// rest, reporting false when the header does not decode or names no key.
+func cutStampHeader(p []byte) (s Stamp, key string, rest []byte, ok bool) {
+	if len(p) < 8 {
+		return Stamp{}, "", nil, false
+	}
+	s.Epoch = binary.LittleEndian.Uint64(p)
+	if s.Origin, rest, ok = cutString(p[8:]); ok {
+		key, rest, ok = cutString(rest)
+	}
+	return s, key, rest, ok && key != ""
+}
+
+// cutString splits a uvarint-length-prefixed string off the head of p.
+func cutString(p []byte) (string, []byte, bool) {
+	n, w := binary.Uvarint(p)
+	if w <= 0 || n > uint64(len(p)-w) {
+		return "", nil, false
+	}
+	return string(p[w : w+int(n)]), p[w+int(n):], true
+}
+
+// appendStampRecords appends one stamp record per key of stamps, in key
+// order, each at lsn.
+func appendStampRecords(dst []byte, lsn uint64, stamps map[string]Stamp) []byte {
+	keys := make([]string, 0, len(stamps))
+	for k := range stamps {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		dst = appendRecord(dst, walFrameStamp, lsn, appendStampHeader(nil, stamps[k], k))
+	}
+	return dst
+}
+
 // appendRecord appends one WAL record to dst as a single frame. The payload
 // is copied once, straight into its frame.
 func appendRecord(dst []byte, ftype byte, lsn uint64, payload []byte) []byte {
@@ -414,13 +514,20 @@ func (st *Store) Reload() (uint64, error) {
 		return 0, fmt.Errorf("catalog: reload: %w", err)
 	}
 	if hasLSN {
-		return st.commit(walFrameReplace, nil, false, func(base *Snapshot) (map[string]*stats.IndexStats, bool) {
-			return cloneEntries(base.entries), true
+		return st.commit(replaceRecord, false, func(base *Snapshot) (*Snapshot, bool) {
+			next := *base
+			next.gen++
+			return &next, true
 		})
 	}
 	entries := entriesOf(c)
-	return st.commit(walFrameReplace, func() ([]byte, error) { return encodeEntriesJSON(entries) }, true,
-		func(*Snapshot) (map[string]*stats.IndexStats, bool) { return entries, true })
+	p, err := encodeEntriesJSON(entries)
+	if err != nil {
+		return 0, fmt.Errorf("catalog: encode commit: %w", err)
+	}
+	return st.commit(frame(walFrameReplace, p), true, func(base *Snapshot) (*Snapshot, bool) {
+		return newSnapshot(base.gen+1, entries, base.stamps, base), true
+	})
 }
 
 // encodeEntriesJSON renders an entry set as the canonical catalog JSON.
@@ -438,54 +545,60 @@ func encodeEntriesJSON(entries map[string]*stats.IndexStats) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
+// record renders one commit's log bytes at the LSN the commit is assigned,
+// for the snapshot it publishes. It runs under the store lock.
+type record func(lsn uint64, next *Snapshot) ([]byte, error)
+
+// frame records a commit as one frame whose body was encoded beforehand,
+// off the lock.
+func frame(ftype byte, body []byte) record {
+	return func(lsn uint64, _ *Snapshot) ([]byte, error) { return appendRecord(nil, ftype, lsn, body), nil }
+}
+
+// replaceRecord records a commit as a replace frame of its whole entry set,
+// rendered under the lock: for commits whose entries depend on their base.
+func replaceRecord(lsn uint64, next *Snapshot) ([]byte, error) {
+	p, err := encodeEntriesJSON(next.entries)
+	if err != nil {
+		return nil, err
+	}
+	return appendRecord(nil, walFrameReplace, lsn, p), nil
+}
+
 // commit is the mutation front door: build the next snapshot against the
 // newest one with prepare and publish it — directly on an in-memory store;
-// on a file-backed one by enqueueing payload's frame and riding (or
-// driving) a group commit. A nil payload logs the prepared entries as a
-// replace frame, rendered under the lock. adopt checkpoints the commit
-// before it is acknowledged (see maybeCheckpoint). prepare returns ok=false
-// to abort without a commit (e.g. deleting a missing key); commit then
-// returns (0, nil).
-func (st *Store) commit(ftype byte, payload func() ([]byte, error), adopt bool, prepare func(*Snapshot) (map[string]*stats.IndexStats, bool)) (uint64, error) {
+// on a file-backed one by enqueueing rec's frames and riding (or driving) a
+// group commit. adopt checkpoints the commit before it is acknowledged (see
+// maybeCheckpoint). prepare returns ok=false to abort without a commit
+// (e.g. deleting a missing key); commit then returns (0, nil).
+func (st *Store) commit(rec record, adopt bool, prepare func(base *Snapshot) (*Snapshot, bool)) (uint64, error) {
 	if st.wal == nil {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		base := st.snap.Load()
-		entries, ok := prepare(base)
+		next, ok := prepare(st.snap.Load())
 		if !ok {
 			return 0, nil
 		}
-		next := newSnapshot(base.gen+1, entries, base)
 		st.snap.Store(next)
 		return next.gen, nil
-	}
-	var p []byte
-	var err error
-	if payload != nil {
-		if p, err = payload(); err != nil {
-			return 0, fmt.Errorf("catalog: encode commit: %w", err)
-		}
 	}
 	st.mu.Lock()
 	if st.closed {
 		st.mu.Unlock()
 		return 0, ErrClosed
 	}
-	base := st.applied
-	entries, ok := prepare(base)
+	next, ok := prepare(st.applied)
 	if !ok {
 		st.mu.Unlock()
 		return 0, nil
 	}
-	if payload == nil {
-		if p, err = encodeEntriesJSON(entries); err != nil {
-			st.mu.Unlock()
-			return 0, fmt.Errorf("catalog: encode commit: %w", err)
-		}
+	frames, err := rec(st.wal.lsn+1, next)
+	if err != nil {
+		st.mu.Unlock()
+		return 0, fmt.Errorf("catalog: encode commit: %w", err)
 	}
-	next := newSnapshot(base.gen+1, entries, base)
 	st.wal.lsn++
-	t := &walTicket{frame: appendRecord(nil, ftype, st.wal.lsn, p), lsn: st.wal.lsn, snap: next, adopt: adopt}
+	t := &walTicket{frame: frames, lsn: st.wal.lsn, snap: next, adopt: adopt}
 	st.applied = next
 	st.walQ.mu.Lock()
 	st.walQ.queue = append(st.walQ.queue, t)
@@ -606,13 +719,13 @@ func (w *wal) writeBatch(batch []*walTicket) error {
 	if err := w.log.Append(w.buf); err != nil {
 		return fmt.Errorf("catalog: wal append: %w", err)
 	}
-	w.durableLSN = batch[len(batch)-1].lsn
 	return nil
 }
 
-// publish advances the reader-visible snapshot to the batch's final (now
-// durable) state. Ingest-journal tickets carry no snapshot, so the batch's
-// last snapshot-bearing ticket wins (a batch may be all-ingest).
+// publish advances the durable LSN and the reader-visible snapshot to the
+// batch's final (now durable) state. Ingest-journal tickets carry no
+// snapshot, so the batch's last snapshot-bearing ticket wins (a batch may
+// be all-ingest).
 func (st *Store) publish(batch []*walTicket) {
 	var last *Snapshot
 	for i := len(batch) - 1; i >= 0; i-- {
@@ -622,6 +735,7 @@ func (st *Store) publish(batch []*walTicket) {
 		}
 	}
 	st.mu.Lock()
+	st.wal.durableLSN = batch[len(batch)-1].lsn
 	if last != nil {
 		if cur := st.snap.Load(); last.gen > cur.gen {
 			st.snap.Store(last)
@@ -720,7 +834,7 @@ func (st *Store) checkpointAsLeader() error {
 	if src != nil {
 		carry = src()
 	}
-	if err := w.rotate(carry); err != nil {
+	if err := w.rotate(carry, snap.stamps); err != nil {
 		return err
 	}
 	st.mu.Lock()
@@ -730,15 +844,17 @@ func (st *Store) checkpointAsLeader() error {
 }
 
 // rotate atomically replaces the log with a fresh one containing a header
-// frame plus any still-live ingest records carried forward (stamped with
-// the checkpoint LSN — they ride below the replay threshold on purpose,
-// since recovery collects ingest frames unconditionally), and retains the
-// old log for recovery from the previous checkpoint. Leader only.
-func (w *wal) rotate(carry [][]byte) error {
+// frame plus any still-live ingest records and the checkpointed snapshot's
+// stamp table carried forward (at the checkpoint LSN — they ride below the
+// replay threshold on purpose, since recovery collects ingest and stamp
+// frames unconditionally), and retains the old log for recovery from the
+// previous checkpoint. Leader only.
+func (w *wal) rotate(carry [][]byte, stamps map[string]Stamp) error {
 	w.buf = appendRecord(w.buf[:0], walFrameHeader, w.durableLSN, []byte(walHeaderMagic))
 	for _, p := range carry {
 		w.buf = appendRecord(w.buf, walFrameIngest, w.durableLSN, p)
 	}
+	w.buf = appendStampRecords(w.buf, w.durableLSN, stamps)
 	if err := w.log.Rewrite(w.buf, PrevPath(w.path)); err != nil {
 		return fmt.Errorf("catalog: rotate wal: %w", err)
 	}

@@ -823,6 +823,34 @@ func FuzzWALRecovery(f *testing.F) {
 	flipped := append([]byte(nil), seed...)
 	flipped[len(flipped)/3] ^= 0x40
 	f.Add(flipped)
+	// A stamped log: stamped put and delete, a tombstone for an absent key,
+	// then a rotation that carries the stamp table as stamp records.
+	ss, err := OpenWAL(filepath.Join(dir, "stamped.json"), WALOptions{CheckpointEvery: -1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ss.PutStamped(entry("t", "c0", 100), Stamp{Epoch: 1, Origin: "node-a"}); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := ss.DeleteStamped("t", "c0", Stamp{Epoch: 2, Origin: "node-b"}, false); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := ss.DeleteStamped("t", "ghost", Stamp{Epoch: 3, Origin: "node-a"}, true); err != nil {
+		f.Fatal(err)
+	}
+	if err := ss.Checkpoint(); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := ss.PutStamped(entry("t", "c1", 101), Stamp{Epoch: 4, Origin: "node-a"}); err != nil {
+		f.Fatal(err)
+	}
+	ss.Close()
+	stampedSeed, err := os.ReadFile(ss.WALPath())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(stampedSeed)
+	f.Add(stampedSeed[:len(stampedSeed)*2/3])
 
 	f.Fuzz(func(t *testing.T, walBytes []byte) {
 		tmp := t.TempDir()
@@ -847,9 +875,17 @@ func FuzzWALRecovery(f *testing.F) {
 				t.Fatal("recovered empty ingest frame")
 			}
 		}
+		for k, st := range s.Stamps() {
+			if k == "" || st == (Stamp{}) {
+				t.Fatalf("recovered stamp %+v for key %q", st, k)
+			}
+		}
 		// The store must accept new commits after any recovery.
 		if _, err := re.Put(entry("t", "post", 199)); err != nil {
 			t.Fatalf("Put after recovery: %v", err)
+		}
+		if _, err := re.PutStamped(entry("t", "post", 198), Stamp{Epoch: 1 << 40, Origin: "fuzz"}); err != nil {
+			t.Fatalf("PutStamped after recovery: %v", err)
 		}
 		if err := re.AppendIngest([]byte(`{"id":"post"}`)); err != nil {
 			t.Fatalf("AppendIngest after recovery: %v", err)

@@ -147,15 +147,6 @@ type Node struct {
 
 	epoch atomic.Uint64
 
-	// Per-key last-applied mutation stamps: the ordering guard that keeps a
-	// replicated DELETE from being resurrected by a stale PUT (and vice
-	// versa), and the skip set for merge-based snapshot pulls. The service
-	// layer persists these through its stamp journal (HandoffDir) and
-	// re-seeds them via RecordKeyStamp at startup; without that journal they
-	// are memory-only.
-	keyMu     sync.Mutex
-	keyStamps map[string]Stamp
-
 	// Cached catalog content hash, keyed by generation.
 	hashMu  sync.Mutex
 	hashGen uint64
@@ -252,9 +243,14 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	// A node that boots with statistics starts at epoch 1 so empty peers
 	// pull from it; an empty node starts at 0 and adopts whatever the
-	// cluster has.
+	// cluster has. Either way the clock then folds in the highest stamp the
+	// store holds, so the first local mutation after a restart is stamped
+	// above everything this node ever applied.
 	if cfg.Store.Len() > 0 {
 		n.epoch.Store(1)
+	}
+	for _, st := range cfg.Store.Snapshot().Stamps() {
+		n.ObserveEpoch(st.Epoch)
 	}
 	n.rebuildRing()
 	return n, nil
@@ -328,78 +324,18 @@ func (n *Node) ObserveEpoch(e uint64) {
 	}
 }
 
-// Stamp is the total order on same-key mutations: the Lamport epoch the
-// mutation was assigned, tie-broken by the originating node ID. Two sides of
-// a partition can assign the identical epoch to concurrent mutations of the
-// same key (both advance in lockstep from the same base); the originator
-// tiebreaker makes every node pick the same winner after heal, so replicas
-// converge instead of each dropping the other's write as stale.
-type Stamp struct {
-	Epoch  uint64 `json:"epoch"`
-	Origin string `json:"origin"`
-}
+// Stamp is the total order on same-key mutations, kept by the catalog
+// store beside the entries it orders (see catalog.Stamp).
+type Stamp = catalog.Stamp
 
-// Less reports whether s orders strictly before o: by epoch, then by
-// originating node ID. Equal stamps (redelivery of the same mutation) are
-// not Less — application stays idempotent.
-func (s Stamp) Less(o Stamp) bool {
-	if s.Epoch != o.Epoch {
-		return s.Epoch < o.Epoch
-	}
-	return s.Origin < o.Origin
-}
+// KeyStamp reports the last mutation stamp the store holds for a key, a
+// delete's tombstone included (the zero Stamp = no tracked mutation).
+func (n *Node) KeyStamp(key string) Stamp { return n.store.Snapshot().Stamp(key) }
 
-// KeyStamp reports the last mutation stamp applied for a key (the zero Stamp
-// = no tracked mutation).
-func (n *Node) KeyStamp(key string) Stamp {
-	n.keyMu.Lock()
-	defer n.keyMu.Unlock()
-	return n.keyStamps[key]
-}
-
-// RecordKeyStamp advances a key's last-applied stamp (monotonic max in Stamp
-// order). The service records every applied mutation — local or replicated,
-// including deletes, where the record doubles as a tombstone.
-func (n *Node) RecordKeyStamp(key string, st Stamp) {
-	n.keyMu.Lock()
-	if n.keyStamps == nil {
-		n.keyStamps = map[string]Stamp{}
-	}
-	if cur := n.keyStamps[key]; cur.Less(st) {
-		n.keyStamps[key] = st
-	}
-	n.keyMu.Unlock()
-}
-
-// HasKeyStamp reports whether a key has a tracked mutation stamp — the skip
-// predicate for merge-based snapshot pulls: stamp-tracked keys converge
-// through replicated mutations and hinted handoff, not bulk anti-entropy,
-// so a pulled snapshot must not clobber (or resurrect) them.
-func (n *Node) HasKeyStamp(key string) bool {
-	n.keyMu.Lock()
-	defer n.keyMu.Unlock()
-	return n.keyStamps[key] != Stamp{}
-}
-
-// KeyStampCount reports how many keys have a tracked stamp, without copying
-// the table — the stamp journal's compaction-pressure check.
-func (n *Node) KeyStampCount() int {
-	n.keyMu.Lock()
-	defer n.keyMu.Unlock()
-	return len(n.keyStamps)
-}
-
-// KeyStamps copies the tracked stamp table — the compaction source for the
-// service's durable stamp journal.
-func (n *Node) KeyStamps() map[string]Stamp {
-	n.keyMu.Lock()
-	defer n.keyMu.Unlock()
-	out := make(map[string]Stamp, len(n.keyStamps))
-	for k, v := range n.keyStamps {
-		out[k] = v
-	}
-	return out
-}
+// HasKeyStamp reports whether a key has a tracked mutation stamp: such keys
+// converge through replicated mutations and hinted handoff, not bulk
+// anti-entropy, so a pull never clobbers (or resurrects) them.
+func (n *Node) HasKeyStamp(key string) bool { return n.KeyStamp(key) != Stamp{} }
 
 // CatalogHash returns the content hash of the current catalog snapshot,
 // cached per generation (computing it encodes the snapshot, so the cache
@@ -467,9 +403,10 @@ func (n *Node) DigestDoc() (DigestDoc, error) {
 		Generation: gen,
 		Entries:    make(map[string]DigestEntry, len(digests)),
 	}
+	snap := n.store.Snapshot()
 	for k, crc := range digests {
 		de := DigestEntry{CRC: crc}
-		if st := n.KeyStamp(k); st != (Stamp{}) {
+		if st := snap.Stamp(k); st != (Stamp{}) {
 			de.Stamp = &st
 		}
 		doc.Entries[k] = de
@@ -801,7 +738,7 @@ func (n *Node) PullDelta(ctx context.Context, baseURL string) error {
 		}
 		streams = append(streams, data)
 	}
-	gen, err := n.store.MergeEntries(streams, n.HasKeyStamp)
+	gen, err := n.store.MergeEntries(streams)
 	if err != nil {
 		return fmt.Errorf("cluster: delta merge from %s: %w", baseURL, err)
 	}
@@ -890,7 +827,7 @@ func (n *Node) readBounded(r io.Reader, what string) ([]byte, error) {
 // merges it in: the trailer is verified, the payload re-validated,
 // estimators recompiled through the catalog's core.Compile ingress path,
 // and the result persisted through the store's (possibly fault-injected)
-// filesystem. The merge is a union guarded by the per-key stamp table —
+// filesystem. The merge is a union guarded by the store's stamp table —
 // keys this node has applied tracked mutations for are left alone (hinted
 // handoff converges them precisely), and local-only keys are never deleted
 // by a pull; an empty booting node degenerates to a full adopt. The peer's
@@ -917,7 +854,7 @@ func (n *Node) PullSnapshot(ctx context.Context, baseURL string) error {
 		return fmt.Errorf("cluster: snapshot %s: %w", baseURL, err)
 	}
 	n.bytesFull.Add(uint64(len(data)))
-	gen, err := n.store.MergeSnapshot(data, n.HasKeyStamp)
+	gen, err := n.store.MergeSnapshot(data)
 	if err != nil {
 		return fmt.Errorf("cluster: snapshot %s: %w", baseURL, err)
 	}

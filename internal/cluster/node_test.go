@@ -371,26 +371,37 @@ func TestStampOrderingAndRecord(t *testing.T) {
 		t.Error("a stamp must not order before itself (idempotent redelivery)")
 	}
 
-	n, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a", Store: catalog.NewStore()})
-	if n.HasKeyStamp("k") {
+	// The node reads stamps through to its store, where a stamped delete of
+	// an absent key records a tombstone and a stamp never regresses.
+	store := catalog.NewStore()
+	n, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a", Store: store})
+	if n.HasKeyStamp("t.k") {
 		t.Error("fresh node tracks no stamps")
 	}
-	n.RecordKeyStamp("k", b1)
-	n.RecordKeyStamp("k", a1) // older by tiebreak: must not regress
-	if got := n.KeyStamp("k"); got != b1 {
+	if _, _, err := store.DeleteStamped("t", "k", b1, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := store.DeleteStamped("t", "k", a1, true); err != nil { // older by tiebreak: must not regress
+		t.Fatal(err)
+	}
+	if got := n.KeyStamp("t.k"); got != b1 {
 		t.Errorf("KeyStamp after regressing record = %+v, want %+v", got, b1)
 	}
-	n.RecordKeyStamp("k", a2)
-	if got := n.KeyStamp("k"); got != a2 {
+	if _, _, err := store.DeleteStamped("t", "k", a2, true); err != nil {
+		t.Fatal(err)
+	}
+	if got := n.KeyStamp("t.k"); got != a2 {
 		t.Errorf("KeyStamp after advancing record = %+v, want %+v", got, a2)
 	}
-	if !n.HasKeyStamp("k") || n.HasKeyStamp("other") {
+	if !n.HasKeyStamp("t.k") || n.HasKeyStamp("t.other") {
 		t.Error("HasKeyStamp must reflect exactly the recorded keys")
 	}
-	if got := n.KeyStamps(); len(got) != 1 || got["k"] != a2 {
-		t.Errorf("KeyStamps = %+v", got)
+	if got := store.Snapshot().Stamps(); len(got) != 1 || got["t.k"] != a2 {
+		t.Errorf("Stamps = %+v", got)
 	}
-	if got := n.KeyStampCount(); got != 1 {
-		t.Errorf("KeyStampCount = %d, want 1", got)
+	// A node opened over a stamped store starts its clock at the highest
+	// stamp, so its next local mutation orders after every one it applied.
+	if re, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a", Store: store}); re.Epoch() != a2.Epoch {
+		t.Errorf("epoch over a stamped store = %d, want %d", re.Epoch(), a2.Epoch)
 	}
 }

@@ -1,8 +1,8 @@
 // Package framelog is the framed append-only log behind every durable
-// journal: the catalog WAL, the per-peer hint queues, and the key-stamp
-// journal. It owns the frame format and every open, truncate, fsync and
-// rename those journals perform; each owner keeps only its record rules,
-// expressed as the accept function it passes to Scan and Open.
+// journal: the catalog WAL and the per-peer hint queues. It owns the frame
+// format and every open, truncate, fsync and rename those journals perform;
+// each owner keeps only its record rules, expressed as the accept function
+// it passes to Scan and Open.
 //
 // Frame format (integers little-endian):
 //

@@ -28,7 +28,10 @@ package service
 //
 // Mutation model: every mutation is stamped with a cluster-wide Lamport
 // epoch at the node that first receives it, applied locally, then fanned out
-// to every live peer with a per-peer timeout. The client's PUT/DELETE
+// to every live peer with a per-peer timeout. A key's stamp check, epoch
+// assignment and store apply run under that key's lock stripe (keyLock), so
+// each key's epoch order is its apply order while mutations of other keys
+// run beside it and share one WAL group commit. The client's PUT/DELETE
 // succeeds only when W of the key's R ring owners acknowledged the write
 // (Config.WriteQuorum; majority by default) — otherwise 503, with the local
 // apply standing and the missed peers queued as durable hints (handoff.go).
@@ -37,10 +40,15 @@ package service
 // idempotent and closes the delete-resurrection race: a reordered older PUT
 // can no longer overwrite a newer DELETE. The originator tiebreaker decides
 // equal epochs — concurrent same-key mutations on both sides of a partition
-// — identically on every node, so replicas converge after heal. Applied
-// stamps are journaled under HandoffDir (stamps.go) and reloaded at startup,
-// so delete tombstones survive restarts and a post-restart snapshot merge
-// cannot resurrect a deleted key.
+// — identically on every node, so replicas converge after heal. The store
+// keeps the stamps: each is recorded in the same commit as its write
+// (catalog.Store.PutStamped, DeleteStamped) and, on a WAL-backed store, in
+// the same log frame, so it is durable exactly when the write is and costs
+// no fsync of its own. Delete tombstones therefore survive restarts, and a
+// post-restart snapshot merge cannot resurrect a deleted key. A node with
+// an in-memory store keeps its stamps in memory, like its catalog: after a
+// restart it is a fresh node, re-learns every key from its peers, and has
+// lost its tombstones with its entries.
 
 import (
 	"bytes"
@@ -48,16 +56,21 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/url"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
 	"time"
 
+	"epfis/internal/catalog"
 	"epfis/internal/cluster"
+	"epfis/internal/framelog"
 	"epfis/internal/obs"
 	"epfis/internal/stats"
 )
@@ -183,10 +196,10 @@ func parseFence(tok string) (table, column string, st cluster.Stamp, err error) 
 
 // staleFences returns a refusal, keyed by {table, column}, for each fenced
 // index whose stamp here orders before the token's; nil when all pass. A
-// stamp is recorded only after the store publishes its write, and
-// anti-entropy never touches stamp-tracked keys, so a passing fence means a
-// snapshot loaded afterwards holds the write or a later one: callers check
-// fences before they load the snapshot.
+// stamp is published in the same snapshot as its write, and anti-entropy
+// never touches stamp-tracked keys, so a passing fence means a snapshot
+// loaded afterwards holds the write or a later one: callers check fences
+// before they load the snapshot.
 func (s *Server) staleFences(r *http.Request) (map[[2]string]error, error) {
 	var stale map[[2]string]error
 	for _, v := range r.Header[cluster.HeaderFence] {
@@ -346,10 +359,13 @@ func (s *Server) clusterPut(w http.ResponseWriter, r *http.Request, e *stats.Ind
 			writeError(w, http.StatusBadRequest, rerr)
 			return
 		}
-		s.applyReplicated(w, key, st, func() (uint64, error) {
-			gen, err := s.store.Put(e)
-			if err == nil && s.cache != nil {
-				s.cache.dropOtherGenerations(gen)
+		s.applyReplicated(w, key, st, func(st cluster.Stamp) (uint64, error) {
+			gen, err := s.store.PutStamped(e, st)
+			if err == nil {
+				if s.cache != nil {
+					s.cache.dropOtherGenerations(gen)
+				}
+				s.obs.syncIndex(e.Table, e.Column)
 			}
 			return gen, err
 		})
@@ -360,7 +376,7 @@ func (s *Server) clusterPut(w http.ResponseWriter, r *http.Request, e *stats.Ind
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("encode replication body: %w", merr))
 		return
 	}
-	gen, epoch, retryAfter, err := s.applyLocal(key, func() (uint64, error) { return s.store.Put(e) })
+	gen, epoch, retryAfter, err := s.applyLocal(key, func(st cluster.Stamp) (uint64, error) { return s.store.PutStamped(e, st) })
 	if err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
 		return
@@ -368,7 +384,7 @@ func (s *Server) clusterPut(w http.ResponseWriter, r *http.Request, e *stats.Ind
 	if s.cache != nil {
 		s.cache.dropOtherGenerations(gen)
 	}
-	s.obs.syncIndexes(s.store.Snapshot())
+	s.obs.syncIndex(e.Table, e.Column)
 	tp, traced := requestTrace(w)
 	if err := s.replicateQuorum(http.MethodPut, indexPath(e.Table, e.Column), body, key, epoch, tp, traced); err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable,
@@ -391,9 +407,9 @@ func requestTrace(w http.ResponseWriter) (obs.Traceparent, bool) {
 }
 
 // clusterDelete is handleDeleteIndex's cluster-mode tail. A replicated
-// arrival records the delete's epoch even when the key is already absent —
-// that record is the in-memory tombstone that keeps a late older PUT from
-// resurrecting the deletion.
+// arrival records the delete's stamp even when the key is already absent —
+// that record is the tombstone that keeps a late older PUT from resurrecting
+// the deletion.
 func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, column string) {
 	key := table + "." + column
 	if st, replicated, rerr := replicatedStamp(r); replicated {
@@ -401,8 +417,8 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, co
 			writeError(w, http.StatusBadRequest, rerr)
 			return
 		}
-		s.applyReplicated(w, key, st, func() (uint64, error) {
-			ok, gen, err := s.store.Delete(table, column)
+		s.applyReplicated(w, key, st, func(st cluster.Stamp) (uint64, error) {
+			ok, gen, err := s.store.DeleteStamped(table, column, st, true)
 			if err != nil {
 				return 0, err
 			}
@@ -414,24 +430,17 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, co
 		})
 		return
 	}
-	commit, retryAfter, err := s.beginMutation()
+	existed := false
+	gen, epoch, retryAfter, err := s.applyLocal(key, func(st cluster.Stamp) (uint64, error) {
+		ok, gen, err := s.store.DeleteStamped(table, column, st, false)
+		existed = ok
+		return gen, err
+	})
 	if err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
 		return
 	}
-	s.clusterMu.Lock()
-	epoch := s.cluster.BumpEpoch()
-	ok, gen, err := s.store.Delete(table, column)
-	if err == nil && ok {
-		s.recordStamp(key, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})
-	}
-	s.clusterMu.Unlock()
-	commit(err != nil)
-	if err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, err, time.Second)
-		return
-	}
-	if !ok {
+	if !existed {
 		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s.%s", stats.ErrNotFound, table, column))
 		return
 	}
@@ -450,6 +459,16 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, co
 		"fence": fenceToken(table, column, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})})
 }
 
+// keyLockStripes is the number of mutexes keyLock spreads keys over.
+const keyLockStripes = 64
+
+// keyLock returns the mutex that orders cluster mutations of key: its stamp
+// check, epoch assignment and store apply run under it. Keys on other
+// stripes proceed concurrently, so their commits can share one WAL fsync.
+func (s *Server) keyLock(key string) *sync.Mutex {
+	return &s.keyLocks[maphash.String(s.keySeed, key)%keyLockStripes]
+}
+
 // applyReplicated applies one replicated mutation iff its (epoch, origin)
 // stamp advances the key's last-applied stamp — the per-key ordering gate
 // that makes replication delivery idempotent (hinted-handoff redelivery,
@@ -457,8 +476,9 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, co
 // tiebreaker resolves equal epochs, which concurrent mutations on both sides
 // of a partition can produce: every node picks the same winner, so replicas
 // converge after heal instead of each dropping the other's write as stale.
-func (s *Server) applyReplicated(w http.ResponseWriter, key string, st cluster.Stamp, apply func() (uint64, error)) {
-	// Fold the originator's epoch in before taking the mutation lock, so a
+// apply must record st with its write (PutStamped, DeleteStamped).
+func (s *Server) applyReplicated(w http.ResponseWriter, key string, st cluster.Stamp, apply func(cluster.Stamp) (uint64, error)) {
+	// Fold the originator's epoch in before taking the key's lock, so a
 	// local mutation serialized after this one is stamped strictly above it.
 	s.cluster.ObserveEpoch(st.Epoch)
 	commit, retryAfter, err := s.beginMutation()
@@ -466,48 +486,87 @@ func (s *Server) applyReplicated(w http.ResponseWriter, key string, st cluster.S
 		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
 		return
 	}
-	s.clusterMu.Lock()
+	mu := s.keyLock(key)
+	mu.Lock()
 	if !s.cluster.KeyStamp(key).Less(st) {
-		s.clusterMu.Unlock()
+		mu.Unlock()
 		commit(false)
 		s.cobs.staleDrops.Inc()
 		writeJSON(w, http.StatusOK, map[string]any{"key": key, "skipped": true, "epoch": st.Epoch})
 		return
 	}
-	gen, err := apply()
-	if err == nil {
-		s.recordStamp(key, st)
-	}
-	s.clusterMu.Unlock()
+	gen, err := apply(st)
+	mu.Unlock()
 	commit(err != nil)
 	if err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable, err, time.Second)
 		return
 	}
-	s.obs.syncIndexes(s.store.Snapshot())
 	writeJSON(w, http.StatusOK, map[string]any{"key": key, "generation": gen, "epoch": st.Epoch})
 }
 
-// applyLocal runs a locally originated mutation under the cluster mutation
-// lock with a freshly assigned epoch, so epoch order matches apply order for
-// every same-key mutation flowing through this node.
-func (s *Server) applyLocal(key string, apply func() (uint64, error)) (gen, epoch uint64, retryAfter time.Duration, err error) {
+// applyLocal runs a locally originated mutation under the key's lock with a
+// freshly assigned epoch, so epoch order matches apply order for every
+// same-key mutation flowing through this node. apply must record the stamp
+// it is given with its write (PutStamped, DeleteStamped).
+func (s *Server) applyLocal(key string, apply func(cluster.Stamp) (uint64, error)) (gen, epoch uint64, retryAfter time.Duration, err error) {
 	commit, retryAfter, err := s.beginMutation()
 	if err != nil {
 		return 0, 0, retryAfter, err
 	}
-	s.clusterMu.Lock()
+	mu := s.keyLock(key)
+	mu.Lock()
 	epoch = s.cluster.BumpEpoch()
-	gen, err = apply()
-	if err == nil {
-		s.recordStamp(key, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})
-	}
-	s.clusterMu.Unlock()
+	gen, err = apply(cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})
+	mu.Unlock()
 	commit(err != nil)
 	if err != nil {
 		return 0, 0, time.Second, err
 	}
 	return gen, epoch, 0, nil
+}
+
+// legacyStampJournal is the stamp journal an older release kept under
+// HandoffDir: one JSON {key, epoch, origin} frame per applied stamp.
+const legacyStampJournal = "keystamps.journal"
+
+// importStampJournal folds a legacy stamp journal under dir into the store
+// as one durable commit, each key keeping its latest stamp, then removes
+// the file; it returns the imported stamps. A missing file imports nothing.
+// Only a WAL-backed store imports: an in-memory one keeps its stamps in
+// memory like its catalog, and stamps for keys its empty catalog lacks
+// would make every anti-entropy pull skip them.
+func importStampJournal(store *catalog.Store, dir string) (map[string]cluster.Stamp, error) {
+	path := filepath.Join(dir, legacyStampJournal)
+	data, err := os.ReadFile(path)
+	if errors.Is(err, os.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("service: read stamp journal: %w", err)
+	}
+	stamps := map[string]cluster.Stamp{}
+	framelog.Scan(data, func(body []byte) bool {
+		var rec struct {
+			Key    string `json:"key"`
+			Epoch  uint64 `json:"epoch"`
+			Origin string `json:"origin"`
+		}
+		if json.Unmarshal(body, &rec) != nil || rec.Key == "" {
+			return false
+		}
+		if st := (cluster.Stamp{Epoch: rec.Epoch, Origin: rec.Origin}); stamps[rec.Key].Less(st) {
+			stamps[rec.Key] = st
+		}
+		return true
+	})
+	if _, err := store.RecordStamps(stamps); err != nil {
+		return nil, fmt.Errorf("service: import stamp journal: %w", err)
+	}
+	if err := os.Remove(path); err != nil {
+		return nil, fmt.Errorf("service: retire imported stamp journal: %w", err)
+	}
+	return stamps, nil
 }
 
 // replicateQuorum fans an epoch-stamped mutation out to every live peer and

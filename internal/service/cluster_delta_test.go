@@ -63,8 +63,9 @@ func TestClusterDeltaEquivalence(t *testing.T) {
 			// are stamp-tracked, so neither sync path may touch them.
 			tomb := cluster.Stamp{Epoch: 9, Origin: "tomb"}
 			for _, p := range []*cnode{deltaPuller, fullPuller} {
-				p.node.RecordKeyStamp("t."+mutated[0], tomb)
-				p.node.RecordKeyStamp("t."+deleted[0], tomb)
+				if _, err := p.store.RecordStamps(map[string]cluster.Stamp{"t." + mutated[0]: tomb, "t." + deleted[0]: tomb}); err != nil {
+					t.Fatal(err)
+				}
 			}
 
 			ctx := context.Background()

@@ -714,8 +714,10 @@ func TestEqualEpochConflictConverges(t *testing.T) {
 // TestDeleteTombstoneSurvivesRestart is the regression for resurrection via
 // snapshot: a node that applied a DELETE during a partition, crashed, and
 // restarted must still refuse to re-adopt the deleted key from a peer's
-// anti-entropy snapshot. Without the durable stamp journal the tombstone
-// dies with the process and the snapshot merge resurrects the key.
+// anti-entropy snapshot. The restart reopens the catalog from its files
+// alone, with no clean shutdown, so the tombstone must be durable in the
+// WAL frame of the DELETE itself; without it the snapshot merge resurrects
+// the key.
 func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 	nodes := startFaultCluster(t, 2, 2)
 	a, b := nodes[0], nodes[1]
@@ -730,8 +732,8 @@ func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 
 	partition(nodes[:1], nodes[1:])
 
-	// The DELETE applies locally on a (tombstone journaled), queues a hint,
-	// and answers an honest 503 — b never hears about it.
+	// The DELETE applies locally on a (tombstone in its WAL frame), queues
+	// a hint, and answers an honest 503 — b never hears about it.
 	status, body := rawMutate(t, a.cnode, http.MethodDelete, "/v1/indexes/orders/doomed", nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("partitioned DELETE = %d, want 503: %s", status, body)
@@ -740,10 +742,15 @@ func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 		t.Fatal("DELETE not applied locally")
 	}
 
-	// Crash node a: the service stops and the in-memory stamp table dies with
-	// the process. The restart builds a brand-new cluster node over the same
-	// store and journals.
+	// Crash node a: the service stops, and the restart reopens the catalog
+	// from its files (the crashed store is neither closed nor checkpointed)
+	// under a brand-new cluster node over the same hint journals.
 	a.srv.Close()
+	restore, err := catalog.OpenWAL(a.catalogPath, catalog.WALOptions{CheckpointEvery: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { restore.Close() })
 	renode, err := cluster.NewNode(cluster.Config{
 		SelfID:       a.id,
 		SelfURL:      a.url,
@@ -752,14 +759,17 @@ func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 		Heartbeat:    50 * time.Millisecond,
 		SuspectAfter: 300 * time.Millisecond,
 		DeadAfter:    time.Hour,
-		Store:        a.store,
+		Store:        restore,
 		HTTPClient:   a.inj.Client(2 * time.Second),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !renode.HasKeyStamp("orders.doomed") {
+		t.Fatal("the DELETE's tombstone did not survive reopening the WAL")
+	}
 	reborn, err := New(Config{
-		Store:            a.store,
+		Store:            restore,
 		Cluster:          renode,
 		Transport:        a.inj,
 		ReplicateTimeout: 500 * time.Millisecond,
@@ -773,11 +783,11 @@ func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 	healAll(nodes)
 
 	// Anti-entropy pull from b, which still holds the deleted key. The
-	// journal-reloaded tombstone must keep it out of a's store.
+	// replayed tombstone must keep it out of a's store.
 	if err := renode.PullSnapshot(context.Background(), b.url); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := a.store.Get("orders", "doomed"); err == nil {
+	if _, err := restore.Get("orders", "doomed"); err == nil {
 		t.Fatal("snapshot pull resurrected a deleted key after restart")
 	}
 
@@ -790,7 +800,7 @@ func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 	if _, err := b.store.Get("orders", "doomed"); err == nil {
 		t.Fatal("DELETE hint never delivered to b after restart")
 	}
-	ha, _, err := a.store.ContentHash()
+	ha, _, err := restore.ContentHash()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -800,6 +810,70 @@ func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 	}
 	if ha != hb {
 		t.Fatalf("stores diverged after restart + heal: a=%q b=%q", ha, hb)
+	}
+}
+
+// TestInMemoryNodeRelearnsKeysAfterRestart restarts a cluster node whose
+// catalog is in memory but whose hints are durable (HandoffDir). Its stamps
+// live in memory with its catalog, so after the restart it is a fresh node:
+// one anti-entropy sync re-learns every key the cluster wrote, instead of
+// skipping each as stamp-tracked.
+func TestInMemoryNodeRelearnsKeysAfterRestart(t *testing.T) {
+	lns := make([]net.Listener, 2)
+	urls := make([]string, 2)
+	for i := range lns {
+		ln, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		lns[i], urls[i] = ln, "http://"+ln.Addr().String()
+	}
+	handoffDir := t.TempDir()
+	memNode := func(store *catalog.Store) (*cluster.Node, *Server) {
+		node, err := cluster.NewNode(cluster.Config{
+			SelfID: "node-a", SelfURL: urls[0], Seeds: urls, Replicas: 2,
+			Heartbeat: 50 * time.Millisecond, SuspectAfter: 300 * time.Millisecond, DeadAfter: time.Hour,
+			Store: store,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{Store: store, Cluster: node, HandoffDir: handoffDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(srv.Close)
+		return node, srv
+	}
+	node, srv := memNode(catalog.NewStore())
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Listener.Close()
+	ts.Listener = lns[0]
+	ts.Start()
+	b := startClusterNode(t, "node-b", lns[1], urls, 2, catalog.NewStore())
+	for round := 0; round < 2; round++ {
+		node.Tick(context.Background())
+		b.node.Tick(context.Background())
+	}
+	// Both nodes own every key (R = 2), so each PUT through b applies on a
+	// under b's stamp before it is acknowledged.
+	keys := []*stats.IndexStats{fitStats(t, "orders", "key", 1), fitStats(t, "orders", "custno", 2)}
+	for _, st := range keys {
+		putIndex(t, b, st)
+		if !node.HasKeyStamp(st.Key()) {
+			t.Fatalf("%s not stamped on node-a before the restart", st.Key())
+		}
+	}
+	ts.Close()
+	srv.Close()
+
+	restore := catalog.NewStore()
+	renode, _ := memNode(restore)
+	if err := renode.Sync(context.Background(), b.url); err != nil {
+		t.Fatal(err)
+	}
+	if got := restore.Len(); got != len(keys) {
+		t.Fatalf("restarted in-memory node holds %d of %d cluster-written keys after sync", got, len(keys))
 	}
 }
 

@@ -214,8 +214,8 @@ func (h *handoff) newQueueLocked(peer string) *hintQueue {
 }
 
 // appendJSONFrame appends v's JSON encoding to dst as one journal frame —
-// the hint and stamp record format. Both record types hold only strings,
-// byte slices, and integers, which always encode.
+// the hint record format. A hint holds only strings, byte slices, and
+// integers, which always encode.
 func appendJSONFrame(dst []byte, v any) []byte {
 	body, _ := json.Marshal(v)
 	return framelog.AppendFrame(dst, body)

@@ -255,9 +255,6 @@ func (s *Server) Close() {
 	if s.handoff != nil {
 		s.handoff.close()
 	}
-	if s.stamps != nil {
-		s.stamps.close()
-	}
 }
 
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
@@ -584,10 +581,9 @@ func (g *ingester) evaluate(key string, st *ingestState) {
 	var gen, epoch uint64
 	switch {
 	case err == nil && g.s.cluster != nil:
-		// The store write and its stamp in one clusterMu section, as for a
-		// local PUT: a replicated PUT applied between them would be served
-		// under the refit's stamp.
-		gen, epoch, _, err = g.s.applyLocal(key, func() (uint64, error) { return g.s.store.Put(entry) })
+		// Stamped under the key's lock, as for a local PUT: the stamp and
+		// the refit commit together, so the stamp names the stored write.
+		gen, epoch, _, err = g.s.applyLocal(key, func(st cluster.Stamp) (uint64, error) { return g.s.store.PutStamped(entry, st) })
 	case err == nil:
 		gen, err = g.s.store.Put(entry)
 	}
@@ -602,7 +598,7 @@ func (g *ingester) evaluate(key string, st *ingestState) {
 	if c := g.s.cache; c != nil {
 		c.dropOtherGenerations(gen)
 	}
-	g.s.obs.syncIndexes(g.s.store.Snapshot())
+	g.s.obs.syncIndex(entry.Table, entry.Column)
 	if g.s.cluster != nil {
 		// Explicit fan-out, not just an epoch bump: peers tracking a
 		// mutation epoch for this key skip it during snapshot merges, so

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"errors"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -9,14 +10,12 @@ import (
 
 	"epfis/internal/catalog"
 	"epfis/internal/cluster"
-	"epfis/internal/framelog"
 )
 
-// soloJournalServer starts a one-node cluster server whose journals live in
-// dir, returning the server and its cluster node.
-func soloJournalServer(t *testing.T, dir string) (*Server, *cluster.Node) {
+// soloJournalServer starts a one-node cluster server over store whose
+// journals live in dir, returning the server and its cluster node.
+func soloJournalServer(t *testing.T, store *catalog.Store, dir string) (*Server, *cluster.Node) {
 	t.Helper()
-	store := catalog.NewStore()
 	node, err := cluster.NewNode(cluster.Config{SelfID: "node-a", SelfURL: "http://127.0.0.1:1", Store: store})
 	if err != nil {
 		t.Fatal(err)
@@ -28,14 +27,12 @@ func soloJournalServer(t *testing.T, dir string) (*Server, *cluster.Node) {
 	return srv, node
 }
 
-// TestJournalsReplayCommittedFormat replays testdata/journals: a hint queue
-// and a stamp journal written before both moved onto framelog. The frame
-// format did not change, so they must load unchanged into the same hint
-// queue and stamp table.
-func TestJournalsReplayCommittedFormat(t *testing.T) {
-	dir := t.TempDir()
+// copyJournals copies the named files of testdata/journals into dir and
+// returns their bytes.
+func copyJournals(t *testing.T, dir string, names ...string) map[string][]byte {
+	t.Helper()
 	files := map[string][]byte{}
-	for _, name := range []string{"node-b.hints", "keystamps.journal"} {
+	for _, name := range names {
 		data, err := os.ReadFile(filepath.Join("testdata", "journals", name))
 		if err != nil {
 			t.Fatal(err)
@@ -45,9 +42,21 @@ func TestJournalsReplayCommittedFormat(t *testing.T) {
 		}
 		files[name] = data
 	}
+	return files
+}
+
+// TestJournalsReplayCommittedFormat replays testdata/journals: a hint queue
+// and a stamp journal written before both moved onto framelog. The frame
+// format did not change, so the hints must load unchanged into the same
+// queue. The node's store is in memory, so it keeps its stamps in memory
+// like its catalog: it imports nothing and leaves the stamp journal alone.
+func TestJournalsReplayCommittedFormat(t *testing.T) {
+	dir := t.TempDir()
+	files := copyJournals(t, dir, "node-b.hints", legacyStampJournal)
 	// node-b is never a member and its hints never expire, so the drainer
 	// leaves the replayed queue alone.
-	srv, node := soloJournalServer(t, dir)
+	store := catalog.NewStore()
+	srv, _ := soloJournalServer(t, store, dir)
 	defer srv.Close()
 
 	wantHints := []hintRecord{
@@ -65,18 +74,8 @@ func TestJournalsReplayCommittedFormat(t *testing.T) {
 	if !reflect.DeepEqual(gotHints, wantHints) {
 		t.Fatalf("replayed hints %+v, want %+v", gotHints, wantHints)
 	}
-
-	// The journal holds five frames; orders.key's fold keeps its Stamp-max.
-	wantStamps := map[string]cluster.Stamp{
-		"orders.key":       {Epoch: 5, Origin: "node-b"},
-		"orders.doomed":    {Epoch: 4, Origin: "node-a"},
-		"lineitem.partkey": {Epoch: 6, Origin: "node-a"},
-	}
-	if got := node.KeyStamps(); !reflect.DeepEqual(got, wantStamps) {
-		t.Fatalf("replayed stamps %v, want %v", got, wantStamps)
-	}
-	if node.Epoch() < 6 {
-		t.Fatalf("node epoch %d after replay, want at least the journaled 6", node.Epoch())
+	if got := store.Snapshot().Stamps(); len(got) != 0 {
+		t.Fatalf("in-memory node imported stamps %v", got)
 	}
 	for name, data := range files {
 		if after, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !reflect.DeepEqual(after, data) {
@@ -85,42 +84,54 @@ func TestJournalsReplayCommittedFormat(t *testing.T) {
 	}
 }
 
-// TestStampJournalCompactsAndReloads drives the stamp journal past its
-// compaction threshold: the rewrite must shrink the file to one frame per
-// live key, and a restart must reload exactly the live table.
-func TestStampJournalCompactsAndReloads(t *testing.T) {
+// TestStampJournalImportedOnce opens a WAL-backed node over a HandoffDir
+// holding an older release's stamp journal (testdata/journals): the node
+// imports it into the store's log, folds its highest epoch into the clock,
+// and removes the file. A reopen from the files alone keeps every stamp.
+func TestStampJournalImportedOnce(t *testing.T) {
 	dir := t.TempDir()
-	srv, _ := soloJournalServer(t, dir)
-	for e := uint64(1); e <= stampCompactMin; e++ {
-		srv.recordStamp("orders.key", cluster.Stamp{Epoch: e, Origin: "node-a"})
+	hints := filepath.Join(dir, "hints")
+	if err := os.Mkdir(hints, 0o755); err != nil {
+		t.Fatal(err)
 	}
-	frames := func() int {
-		data, err := os.ReadFile(filepath.Join(dir, stampJournalFile))
-		if err != nil {
-			t.Fatal(err)
-		}
-		n := 0
-		if framelog.Scan(data, func([]byte) bool { n++; return true }) != int64(len(data)) {
-			t.Fatal("stamp journal has a torn tail")
-		}
-		return n
+	copyJournals(t, hints, legacyStampJournal)
+	catalogPath := filepath.Join(dir, "catalog.json")
+	store, err := catalog.OpenWAL(catalogPath, catalog.WALOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if n := frames(); n != 1 {
-		t.Fatalf("stamp journal holds %d frames after compaction, want 1", n)
+	defer store.Close()
+	srv, node := soloJournalServer(t, store, hints)
+
+	// The journal holds five frames; orders.key's fold keeps its Stamp-max.
+	want := map[string]cluster.Stamp{
+		"orders.key":       {Epoch: 5, Origin: "node-b"},
+		"orders.doomed":    {Epoch: 4, Origin: "node-a"},
+		"lineitem.partkey": {Epoch: 6, Origin: "node-a"},
 	}
-	srv.recordStamp("orders.doomed", cluster.Stamp{Epoch: stampCompactMin + 1, Origin: "node-a"})
-	if n := frames(); n != 2 {
-		t.Fatalf("stamp journal holds %d frames after one more append, want 2", n)
+	if got := store.Snapshot().Stamps(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("imported stamps %v, want %v", got, want)
+	}
+	if node.Epoch() < 6 {
+		t.Fatalf("node epoch %d after import, want at least the journaled 6", node.Epoch())
+	}
+	if _, err := os.Stat(filepath.Join(hints, legacyStampJournal)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("imported stamp journal not retired (%v)", err)
 	}
 	srv.Close()
 
-	reborn, node := soloJournalServer(t, dir)
-	defer reborn.Close()
-	want := map[string]cluster.Stamp{
-		"orders.key":    {Epoch: stampCompactMin, Origin: "node-a"},
-		"orders.doomed": {Epoch: stampCompactMin + 1, Origin: "node-a"},
+	// No Close of the store: the stamps must already be durable in its log.
+	re, err := catalog.OpenWAL(catalogPath, catalog.WALOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := node.KeyStamps(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("reloaded stamps %v, want %v", got, want)
+	defer re.Close()
+	reborn, renode := soloJournalServer(t, re, hints)
+	defer reborn.Close()
+	if got := re.Snapshot().Stamps(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("stamps after reopen %v, want %v", got, want)
+	}
+	if renode.Epoch() < 6 {
+		t.Fatalf("reopened node epoch %d, want at least 6", renode.Epoch())
 	}
 }

@@ -395,25 +395,54 @@ func (o *serverObs) flushTally(t *shapeTally) {
 }
 
 // syncIndexes registers estimate counters for catalog entries that lack one
-// and republishes the lock-free lookup snapshot. Called at construction and
-// after catalog mutations — never on the serving path. Counters persist
-// across drops (Prometheus counters must not vanish mid-scrape-series).
+// and, when it registered any, republishes the lock-free lookup snapshot.
+// Called at construction and after whole-catalog mutations (reload) — never
+// on the serving path. Counters persist across drops (Prometheus counters
+// must not vanish mid-scrape-series).
 func (o *serverObs) syncIndexes(snap *catalog.Snapshot) {
 	o.idxMu.Lock()
 	defer o.idxMu.Unlock()
+	added := o.idx.Load() == nil
 	for _, key := range snap.Keys() {
-		e, ok := snap.Lookup(key)
-		if !ok {
-			continue
+		if e, ok := snap.Lookup(key); ok && o.addIndexLocked(obsIndexKey{table: e.Table, column: e.Column}) {
+			added = true
 		}
-		k := obsIndexKey{table: e.Table, column: e.Column}
-		if _, ok := o.idxAll[k]; ok {
-			continue
-		}
-		o.idxAll[k] = o.reg.Counter("epfis_index_estimates_total",
-			"Estimates addressed at each catalog index.",
-			obs.Label{Name: "index", Value: e.Table + "." + e.Column})
 	}
+	if added {
+		o.publishIndexesLocked()
+	}
+}
+
+// syncIndex is syncIndexes for one installed entry. A write to an index
+// that already has a counter costs one lock-free lookup: the published map
+// is left as it is, so the work does not grow with the catalog.
+func (o *serverObs) syncIndex(table, column string) {
+	k := obsIndexKey{table: table, column: column}
+	if _, ok := o.indexCounters()[k]; ok {
+		return
+	}
+	o.idxMu.Lock()
+	defer o.idxMu.Unlock()
+	if o.addIndexLocked(k) {
+		o.publishIndexesLocked()
+	}
+}
+
+// addIndexLocked registers k's estimate counter unless it has one,
+// reporting whether it did. Caller holds idxMu.
+func (o *serverObs) addIndexLocked(k obsIndexKey) bool {
+	if _, ok := o.idxAll[k]; ok {
+		return false
+	}
+	o.idxAll[k] = o.reg.Counter("epfis_index_estimates_total",
+		"Estimates addressed at each catalog index.",
+		obs.Label{Name: "index", Value: k.table + "." + k.column})
+	return true
+}
+
+// publishIndexesLocked publishes a copy of the registered counters for the
+// serving path. Caller holds idxMu.
+func (o *serverObs) publishIndexesLocked() {
 	pub := make(map[obsIndexKey]*obs.Counter, len(o.idxAll))
 	for k, c := range o.idxAll {
 		pub[k] = c

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"epfis/internal/catalog"
+	"epfis/internal/cluster"
 	"epfis/internal/faultfs"
 	"epfis/internal/obs"
 	"epfis/internal/stats"
@@ -613,6 +614,46 @@ func TestPutIndexRegistersEstimateCounter(t *testing.T) {
 	}
 	if !strings.Contains(string(data), `epfis_index_estimates_total{index="users.id"} 1`) {
 		t.Fatalf("installed index has no estimate counter:\n%s", data)
+	}
+}
+
+// TestPutOfKnownIndexKeepsCounterMap holds the per-index counter sync to
+// what a write changed: a PUT of an index that already has its estimate
+// counter leaves the published counter map as it was, on the single-node
+// and the cluster PUT paths alike; a PUT of a new index republishes it.
+func TestPutOfKnownIndexKeepsCounterMap(t *testing.T) {
+	single, _, st := newTestServer(t)
+	store := catalog.NewStore()
+	node, err := cluster.NewNode(cluster.Config{SelfID: "node-a", SelfURL: "http://127.0.0.1:1", Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clustered, err := New(Config{Store: store, Cluster: node, WriteQuorum: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer clustered.Close()
+	put := func(srv *Server, e *stats.IndexStats) {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPut, "/v1/indexes/"+e.Table+"/"+e.Column, bytes.NewReader(mustMarshal(t, e))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("PUT %s = %d: %s", e.Key(), rec.Code, rec.Body)
+		}
+	}
+	for name, srv := range map[string]*Server{"single": single, "cluster": clustered} {
+		put(srv, st) // known to the single node since New; new to the cluster node
+		before := srv.obs.idx.Load()
+		put(srv, st)
+		if srv.obs.idx.Load() != before {
+			t.Fatalf("%s: a PUT of a known index republished the counter map", name)
+		}
+		fresh := *st
+		fresh.Column = "fresh"
+		put(srv, &fresh)
+		if after := srv.obs.idx.Load(); after == before || (*after)[obsIndexKey{table: "orders", column: "fresh"}] == nil {
+			t.Fatalf("%s: a PUT of a new index did not publish its counter", name)
+		}
 	}
 }
 

@@ -101,6 +101,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/maphash"
 	"io"
 	"log/slog"
 	"net"
@@ -200,9 +201,12 @@ type Config struct {
 	WriteQuorum int
 	// HandoffDir is where undeliverable replicated mutations are journaled
 	// as per-peer hints (CRC32-C framed, fsynced, replayed at startup and
-	// redelivered when the peer recovers), and where applied per-key
-	// mutation stamps are journaled so delete tombstones survive restarts.
-	// "" keeps both memory-only. Cluster mode only.
+	// redelivered when the peer recovers); "" keeps them memory-only. It
+	// holds hints only: applied mutation stamps, delete tombstones
+	// included, live in the catalog store beside the entries (in its WAL
+	// when file-backed). A stamp journal an older release left here is
+	// imported into a file-backed store once, then removed. Cluster mode
+	// only.
 	HandoffDir string
 	// HandoffAbandonAfter is how long hints for a peer absent from cluster
 	// membership are retained before the queue and its journal are dropped.
@@ -248,11 +252,12 @@ type Server struct {
 	nodeHeader []string      // X-Epfis-Node value, shared by every local answer
 	proxyHTTP  *http.Client  // forwarding + replication transport
 	handoff    *handoff      // nil unless cluster mode
-	stamps     *stampJournal // nil unless cluster mode with a HandoffDir
 
-	// clusterMu serializes epoch assignment with the store apply for every
-	// cluster-mode mutation, so per-key epoch order equals apply order.
-	clusterMu   sync.Mutex
+	// keyLocks order cluster-mode mutations per key (see keyLock), so each
+	// key's epoch order equals its apply order while mutations of other
+	// keys share the store's group commit.
+	keyLocks    [keyLockStripes]sync.Mutex
+	keySeed     maphash.Seed
 	replTimeout time.Duration
 	writeQuorum int
 
@@ -355,15 +360,19 @@ func New(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.handoff = h
-		if cfg.HandoffDir != "" {
-			// Reload applied mutation stamps (delete tombstones included)
-			// before the first request: a post-restart snapshot merge must
-			// not resurrect a key this node deleted.
-			j, err := newStampJournal(s, cfg.HandoffDir)
+		s.keySeed = maphash.MakeSeed()
+		if cfg.HandoffDir != "" && cfg.Store.WALPath() != "" {
+			// Stamps live in the store's log; an older release journaled
+			// them beside the hints. Import that journal before the first
+			// request, so a post-restart pull cannot resurrect a key this
+			// node deleted.
+			imported, err := importStampJournal(cfg.Store, cfg.HandoffDir)
 			if err != nil {
 				return nil, err
 			}
-			s.stamps = j
+			for _, st := range imported {
+				s.cluster.ObserveEpoch(st.Epoch)
+			}
 		}
 	}
 	maxInflight := cfg.MaxInflight
@@ -982,7 +991,7 @@ func (s *Server) handlePutIndex(w http.ResponseWriter, r *http.Request) {
 	if s.cache != nil {
 		s.cache.dropOtherGenerations(gen)
 	}
-	s.obs.syncIndexes(s.store.Snapshot())
+	s.obs.syncIndex(e.Table, e.Column)
 	writeJSON(w, http.StatusOK, map[string]any{"key": e.Key(), "generation": gen})
 }
 
