@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos chaos-net cluster-check bench bench-json bench-serve bench-ingest bench-cluster bench-smoke e2e-smoke fuzz obs-check serve vet all
+.PHONY: build test race chaos chaos-net cluster-check check-gates bench bench-json bench-serve bench-ingest bench-cluster bench-smoke e2e-smoke fuzz obs-check serve vet all
 
 all: build vet test
 
@@ -24,8 +24,9 @@ race:
 # Resilience drills under the race detector: fault injection on every catalog
 # write path mid-traffic (including WAL append/fsync/checkpoint faults under
 # concurrent ingest + readers), an anti-entropy merge beside an acknowledged
-# write, stamp durability across reopen, rotation, .prev recovery and a torn
-# tail, commit-abort and recovery invariants, overload
+# write and the stamp gate beside a pending merge, stamp durability across
+# reopen, rotation, .prev recovery and a torn tail, stamped reloads and
+# their cluster-wide refresh, commit-abort and recovery invariants, overload
 # shedding, breaker/degraded behaviour, plus recovery fuzz smokes for both the
 # checkpoint file and the WAL log, a fuzz pass over the journal frame
 # decoder every log replays through, differential fuzz passes holding the
@@ -46,14 +47,17 @@ chaos:
 # Network partition drills under the race detector: the deterministic fault
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node
 # cluster while both sides take writes and ingest, heal, and require every
-# store to converge to one content hash with bit-exact estimates — plus the
-# hinted-handoff restart, epoch-guard, ingest-routing, read-fence, and WAL
-# ingest-journal crash-replay proofs, and the restart drills: a delete
-# tombstone replayed from the WAL keeps a pull from resurrecting the key,
-# and an in-memory node re-learns every key after a restart.
+# node to converge to one catalog hash with bit-exact estimates — plus the
+# epoch-guard, ingest-routing, read-fence, and WAL ingest-journal
+# crash-replay proofs, and the restart drills: a 503'd write reaches its peer
+# after the sender restarts from its WAL files, a delete tombstone replayed
+# from the WAL keeps a pull from resurrecting the key, an in-memory node
+# re-learns every key and tombstone after a restart, concurrent pulls from
+# both ends deliver every partitioned write, and reloads and a file adopted
+# at open reach every peer.
 chaos-net:
 	$(GO) test -race ./internal/faultnet/
-	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestHandoffJournal|TestClusterIngestOwnership|TestIngestJournal|TestDeleteTombstoneSurvivesRestart|TestInMemoryNodeRelearnsKeysAfterRestart' \
+	$(GO) test -race -run 'TestClusterPartition|TestAsymmetricPartition|TestReplicatedDeleteEpochGuard|TestAckedWriteReachesPeerAfterSenderRestart|TestClusterIngestOwnership|TestIngestJournal|TestDeleteTombstoneSurvivesRestart|TestInMemoryNodeRelearnsKeysAfterRestart|TestConcurrentSyncsDeliverEveryWrite|TestReloadRefreshReachesEveryPeer|TestReloadDropDeletesOnEveryPeer|TestAdoptionAtOpenReachesEveryPeer' \
 		./internal/service/
 	$(GO) test -race -run 'TestWALIngestJournal' ./internal/catalog/
 
@@ -97,9 +101,9 @@ bench-ingest:
 # Cluster data plane, over in-process nodes: an estimate at a non-owner
 # allocates no more than at an owner (nor an owner more than a single node),
 # a quorum PUT acks without waiting for a slowed owner straggler, and with a
-# 40 ms-slowed non-owner stays within 2x the no-fault median, a 1-key
-# delta sync of a 64-entry catalog moves at most 10% of the snapshot bytes
-# without falling back, and 16 writers' PUTs of distinct keys through one
+# 40 ms-slowed non-owner stays within 2x the no-fault median, a pull of a
+# 1-key divergence in a 64-entry catalog moves at most 10% of the bytes of
+# the trailered catalog, and 16 writers' PUTs of distinct keys through one
 # WAL-backed node share group commits: at most 0.5 durability barriers per
 # commit.
 bench-cluster:
@@ -119,12 +123,19 @@ e2e-smoke:
 
 # Cluster drills under the race detector, each over in-process nodes on
 # loopback sockets: replicated install with bit-exact serving from every node
-# (owner and non-owner alike), snapshot import, a one-key delta sync,
-# partition and heal to one content hash, and a node killed under load with
-# the survivors staying bit-exact. See README "Running a cluster".
+# (owner and non-owner alike), a fresh node adopting the whole catalog, a
+# one-key pull, partition and heal to one catalog hash, and a node killed
+# under load with the survivors staying bit-exact. See README "Running a
+# cluster".
 cluster-check:
-	$(GO) test -race -run '^(TestClusterReplicationAndBitExactServing|TestClusterSnapshotRoute|TestClusterDeltaOneKeyWireCost|TestClusterPartitionHealConvergence|TestClusterChaosKillNodeUnderLoad)$$' \
+	$(GO) test -race -run '^(TestClusterReplicationAndBitExactServing|TestClusterFreshNodeAdoptsCatalog|TestClusterDeltaOneKeyWireCost|TestClusterPartitionHealConvergence|TestClusterChaosKillNodeUnderLoad)$$' \
 		./internal/service/
+
+# go test -run passes silently when its pattern matches no test, so a
+# renamed or deleted test would turn its gate into a no-op: fail when any
+# pattern the drill and bench-* targets run names no test (go test -list).
+check-gates:
+	bash scripts/check-gates.sh
 
 # Observability smoke: spin up a live service instance and check /metrics in
 # both negotiated formats (the Prometheus exposition is run through the obs

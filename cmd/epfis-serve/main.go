@@ -32,7 +32,7 @@
 //
 // EPFIS_NET_FAULTS / EPFIS_NET_FAULT_SEED do the same for the network: the
 // rules (see faultnet.ParseRules for the grammar) sit on every outbound
-// cluster hop — gossip, replication, forwarding, hinted handoff — and on
+// cluster hop — gossip, anti-entropy, replication, forwarding — and on
 // inbound accepts, so partition and flaky-link drills are reproducible:
 //
 //	EPFIS_NET_FAULTS='request:10.0.0.2:*:3:drop' epfis-serve -cluster-seeds ...
@@ -115,19 +115,15 @@ func run(args []string) error {
 		heartbeat = fs.Duration("heartbeat", cluster.DefaultHeartbeat,
 			"cluster gossip interval")
 		handoffDir = fs.String("handoff-dir", "",
-			"directory for the durable hinted-handoff journals (cluster mode; mutation stamps live in the catalog's WAL); empty keeps hints in memory only")
-		handoffAbandonAfter = fs.Duration("handoff-abandon-after", 0,
-			fmt.Sprintf("drop hint queues for peers absent from membership this long (0 = default %s, negative keeps them forever)", service.DefaultHandoffAbandonAfter))
+			"directory an older release kept its hint and stamp journals in (cluster mode): a stamp journal there is imported into the catalog's WAL once, then removed; leftover *.hints files are left unread")
 		replicateTimeout = fs.Duration("replicate-timeout", 0,
 			fmt.Sprintf("per-peer replication send timeout (0 = default %s)", service.DefaultReplicateTimeout))
 		writeQuorum = fs.Int("write-quorum", 0,
 			"owner acks required before a mutation succeeds (0 = majority of the replica set, negative = best-effort fan-out only)")
 		clusterMaxIdleConns = fs.Int("cluster-max-idle-conns", 0,
 			fmt.Sprintf("kept-alive connections per peer in the shared cluster transport (0 = default %d; requires -cluster-seeds)", cluster.DefaultMaxIdleConnsPerHost))
-		deltaThreshold = fs.Float64("antientropy-delta-threshold", 0,
-			fmt.Sprintf("divergent-key fraction above which anti-entropy falls back from per-entry delta sync to a full snapshot pull (0 = default %g, 1 = never fall back; requires -cluster-seeds)", cluster.DefaultDeltaThreshold))
 		snapshotMaxBytes = fs.Int64("snapshot-max-bytes", 0,
-			fmt.Sprintf("largest snapshot, digest, or entry body accepted from a peer during anti-entropy (0 = default %d; requires -cluster-seeds)", cluster.DefaultSnapshotMaxBytes))
+			fmt.Sprintf("largest digest or entries body accepted from a peer during anti-entropy; a pull fetches the entries it takes in as few requests as this allows (0 = default %d; requires -cluster-seeds)", cluster.DefaultSnapshotMaxBytes))
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -174,9 +170,8 @@ func run(args []string) error {
 	var node *cluster.Node
 	if *clusterSeeds == "" {
 		for name, set := range map[string]bool{
-			"-cluster-max-idle-conns":      *clusterMaxIdleConns != 0,
-			"-antientropy-delta-threshold": *deltaThreshold != 0,
-			"-snapshot-max-bytes":          *snapshotMaxBytes != 0,
+			"-cluster-max-idle-conns": *clusterMaxIdleConns != 0,
+			"-snapshot-max-bytes":     *snapshotMaxBytes != 0,
 		} {
 			if set {
 				return fmt.Errorf("%s requires -cluster-seeds", name)
@@ -185,9 +180,6 @@ func run(args []string) error {
 	} else {
 		if *nodeID == "" || *nodeURL == "" {
 			return fmt.Errorf("-cluster-seeds requires -node-id and -node-url")
-		}
-		if *deltaThreshold < 0 || *deltaThreshold > 1 {
-			return fmt.Errorf("-antientropy-delta-threshold must be in [0, 1], got %g", *deltaThreshold)
 		}
 		if *snapshotMaxBytes < 0 {
 			return fmt.Errorf("-snapshot-max-bytes must be positive, got %d", *snapshotMaxBytes)
@@ -201,7 +193,6 @@ func run(args []string) error {
 			Store:               store,
 			Log:                 logger,
 			MaxIdleConnsPerHost: *clusterMaxIdleConns,
-			DeltaThreshold:      *deltaThreshold,
 			SnapshotMaxBytes:    *snapshotMaxBytes,
 		}
 		if netInj != nil {
@@ -217,23 +208,22 @@ func run(args []string) error {
 	}
 
 	scfg := service.Config{
-		Store:               store,
-		CacheEntries:        *cache,
-		RequestTimeout:      *timeout,
-		MaxBatch:            *maxBatch,
-		MaxInflight:         *maxInflight,
-		BreakerFailures:     *breakerFailures,
-		BreakerCooldown:     *breakerCooldown,
-		Slog:                logger,
-		TraceRing:           *traceRing,
-		SlowTrace:           *slowTrace,
-		Cluster:             node,
-		IngestQueue:         *ingestQueue,
-		DriftThreshold:      *driftThreshold,
-		HandoffDir:          *handoffDir,
-		HandoffAbandonAfter: *handoffAbandonAfter,
-		ReplicateTimeout:    *replicateTimeout,
-		WriteQuorum:         *writeQuorum,
+		Store:            store,
+		CacheEntries:     *cache,
+		RequestTimeout:   *timeout,
+		MaxBatch:         *maxBatch,
+		MaxInflight:      *maxInflight,
+		BreakerFailures:  *breakerFailures,
+		BreakerCooldown:  *breakerCooldown,
+		Slog:             logger,
+		TraceRing:        *traceRing,
+		SlowTrace:        *slowTrace,
+		Cluster:          node,
+		IngestQueue:      *ingestQueue,
+		DriftThreshold:   *driftThreshold,
+		HandoffDir:       *handoffDir,
+		ReplicateTimeout: *replicateTimeout,
+		WriteQuorum:      *writeQuorum,
 	}
 	if netInj != nil {
 		scfg.Transport = netInj
@@ -256,18 +246,15 @@ func run(args []string) error {
 		if logger != nil {
 			logger.Info("cluster mode enabled", "nodeID", *nodeID, "nodeURL", *nodeURL,
 				"replicas", *replicas, "seeds", *clusterSeeds)
-			idle, thr, maxB := *clusterMaxIdleConns, *deltaThreshold, *snapshotMaxBytes
+			idle, maxB := *clusterMaxIdleConns, *snapshotMaxBytes
 			if idle == 0 {
 				idle = cluster.DefaultMaxIdleConnsPerHost
-			}
-			if thr == 0 {
-				thr = cluster.DefaultDeltaThreshold
 			}
 			if maxB == 0 {
 				maxB = cluster.DefaultSnapshotMaxBytes
 			}
 			logger.Info("cluster hot path tuned", "maxIdleConnsPerHost", idle,
-				"deltaThreshold", thr, "snapshotMaxBytes", maxB)
+				"snapshotMaxBytes", maxB)
 		}
 	}
 

@@ -244,7 +244,7 @@ type (
 
 // Cluster layer: coordinator-free sharding of the estimation service across
 // nodes — consistent-hash ownership, heartbeat/gossip membership, and
-// catalog snapshot streaming (see internal/cluster and the README's
+// stamp-ordered catalog anti-entropy (see internal/cluster and the README's
 // "Running a cluster" section).
 type (
 	// ClusterNode is the per-process cluster agent: ring, membership,

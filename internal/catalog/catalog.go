@@ -80,8 +80,8 @@ type Snapshot struct {
 // winner after heal, so replicas converge instead of each dropping the
 // other's write as stale. The zero Stamp means no cluster mutation.
 type Stamp struct {
-	Epoch  uint64 `json:"epoch"`
-	Origin string `json:"origin"`
+	Epoch  uint64
+	Origin string
 }
 
 // Less reports whether s orders strictly before o: by epoch, then by
@@ -185,6 +185,12 @@ type Store struct {
 	// ingestSrc reports the still-live ingest-journal records a checkpoint
 	// must carry into the rotated log (see SetIngestSource in wal.go).
 	ingestSrc func() [][]byte
+
+	// refreshed names the keys OpenWAL's adoption of an out-of-band file
+	// changed, added or removed, until StampRefreshed stamps them.
+	refreshed []string
+
+	crcs crcCache // entry CRCs for Versions and Merge
 }
 
 // NewStore returns an empty in-memory store (no persistence).
@@ -227,8 +233,9 @@ func (st *Store) Get(table, column string) (*stats.IndexStats, error) {
 func (st *Store) Put(e *stats.IndexStats) (uint64, error) { return st.put(e, Stamp{}) }
 
 // PutStamped is Put for a cluster mutation: the same commit records s as
-// the key's stamp (keeping the later of s and the stamp already held), so
-// the stamp is published and made durable together with the entry.
+// the key's stamp, so the stamp is published and made durable together
+// with the entry. It applies only if s orders after the stamp the commit's
+// base holds for the key, and returns ErrStale otherwise.
 func (st *Store) PutStamped(e *stats.IndexStats, s Stamp) (uint64, error) { return st.put(e, s) }
 
 func (st *Store) put(e *stats.IndexStats, s Stamp) (uint64, error) {
@@ -248,11 +255,19 @@ func (st *Store) put(e *stats.IndexStats, s Stamp) (uint64, error) {
 			ftype, body = walFramePutStamped, append(appendStampHeader(nil, s, key), j...)
 		}
 	}
-	return st.commit(frame(ftype, body), false, func(base *Snapshot) (*Snapshot, bool) {
+	stale := false
+	gen, err := st.commit(frame(ftype, body), false, func(base *Snapshot) (*Snapshot, bool) {
+		if stale = s != (Stamp{}) && !base.stamps[key].Less(s); stale {
+			return nil, false
+		}
 		next := cloneEntries(base.entries)
 		next[key] = cp
 		return base.derive(key, next, s), true
 	})
+	if stale {
+		return 0, ErrStale
+	}
+	return gen, err
 }
 
 // Delete removes the entry for table.column, reporting whether it existed.
@@ -265,7 +280,9 @@ func (st *Store) Delete(table, column string) (bool, uint64, error) {
 // as the key's stamp, the tombstone that keeps an older write from bringing
 // the key back. With tombstone set the stamp is recorded even when the key
 // is absent (a replicated delete that arrives after the entry is gone);
-// otherwise an absent key is the same no-op as for Delete.
+// otherwise an absent key is the same no-op as for Delete. Like PutStamped
+// it returns ErrStale, committing nothing, unless s orders after the
+// stamp the commit's base holds.
 func (st *Store) DeleteStamped(table, column string, s Stamp, tombstone bool) (bool, uint64, error) {
 	return st.del(table+"."+column, s, tombstone)
 }
@@ -275,10 +292,10 @@ func (st *Store) del(key string, s Stamp, tombstone bool) (bool, uint64, error) 
 	if s != (Stamp{}) {
 		ftype, body = walFrameDeleteStamped, appendStampHeader(nil, s, key)
 	}
-	existed := false
+	existed, stale := false, false
 	gen, err := st.commit(frame(ftype, body), false, func(base *Snapshot) (*Snapshot, bool) {
 		_, existed = base.entries[key]
-		if !existed && !tombstone {
+		if stale = s != (Stamp{}) && !base.stamps[key].Less(s); stale || !existed && !tombstone {
 			return nil, false
 		}
 		next := base.entries
@@ -288,6 +305,9 @@ func (st *Store) del(key string, s Stamp, tombstone bool) (bool, uint64, error) 
 		}
 		return base.derive(key, next, s), true
 	})
+	if stale {
+		return existed, 0, ErrStale
+	}
 	if err != nil {
 		return false, 0, err
 	}
@@ -300,7 +320,8 @@ func (st *Store) del(key string, s Stamp, tombstone bool) (bool, uint64, error) 
 // RecordStamps folds stamps into the stamp table as one commit, each key
 // keeping the later of its held and given stamp; entries are untouched.
 // It imports stamps kept outside the store, such as an older release's
-// stamp journal. An empty map commits nothing.
+// stamp journal, and stamps what OpenWAL adopted (StampRefreshed). An empty
+// map commits nothing.
 func (st *Store) RecordStamps(stamps map[string]Stamp) (uint64, error) {
 	if len(stamps) == 0 {
 		return st.Generation(), nil

@@ -7,6 +7,7 @@ package catalog
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -189,16 +190,18 @@ func TestWALReplaysStampedFormat(t *testing.T) {
 // because the write stamped it.
 func TestWALMergeKeepsConcurrentPut(t *testing.T) {
 	src := NewStore()
-	var streams [][]byte
 	for _, col := range []string{"x", "y"} {
 		if _, err := src.Put(entry("orders", col, 700)); err != nil {
 			t.Fatal(err)
 		}
-		stream, _, err := src.ExportEntry("orders." + col)
-		if err != nil {
-			t.Fatal(err)
-		}
-		streams = append(streams, stream)
+	}
+	data, _, err := src.ExportEntries([]string{"orders.x", "orders.y"}, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := DecodeEntries(data)
+	if err != nil {
+		t.Fatal(err)
 	}
 	inj := faultfs.NewInjector(faultfs.OS(), 1)
 	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, inj)
@@ -215,7 +218,7 @@ func TestWALMergeKeepsConcurrentPut(t *testing.T) {
 	for st.WALStatsNow().LSN == before {
 		time.Sleep(time.Millisecond)
 	}
-	if _, err := st.MergeEntries(streams); err != nil {
+	if _, _, err := st.Merge(in); err != nil {
 		t.Fatal(err)
 	}
 	if err := <-done; err != nil {
@@ -227,6 +230,59 @@ func TestWALMergeKeepsConcurrentPut(t *testing.T) {
 	}
 	if got := stateOf(reopenWAL(t, path).Snapshot()); !statesEqual(got, want) {
 		t.Fatalf("reopened after merge: %v, want %v", got, want)
+	}
+}
+
+// TestWALStampGateSeesPendingMerge is the race the stamp gate closes: a
+// merge that takes a peer's later write of x is applied but still waiting
+// on its fsync when a replicated write of x with an older stamp commits.
+// The gate runs against the commit's base, which holds the merge, so the
+// older write is refused: otherwise it would store older content under the
+// merge's newer stamp, a fence would pass on stale data, and the key would
+// never converge.
+func TestWALStampGateSeesPendingMerge(t *testing.T) {
+	peer := NewStore()
+	newer := Stamp{Epoch: 9, Origin: "node-b"}
+	if _, err := peer.PutStamped(entry("orders", "x", 900), newer); err != nil {
+		t.Fatal(err)
+	}
+	data, _, err := peer.ExportEntries([]string{"orders.x"}, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in, _, err := DecodeEntries(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inj := faultfs.NewInjector(faultfs.OS(), 1)
+	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, inj)
+	if _, err := st.PutStamped(entry("orders", "x", 100), Stamp{Epoch: 1, Origin: "node-a"}); err != nil {
+		t.Fatal(err)
+	}
+	inj.Add(faultfs.Rule{Op: faultfs.OpSync, Path: ".wal", Mode: faultfs.ModeSlow, Delay: 400 * time.Millisecond})
+	before := st.WALStatsNow().LSN
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := st.Merge(in)
+		done <- err
+	}()
+	for st.WALStatsNow().LSN == before {
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := st.PutStamped(entry("orders", "x", 700), Stamp{Epoch: 7, Origin: "node-c"}); !errors.Is(err, ErrStale) {
+		t.Fatalf("older write beside a pending merge = %v, want ErrStale", err)
+	}
+	if _, _, err := st.DeleteStamped("orders", "x", Stamp{Epoch: 8, Origin: "node-c"}, true); !errors.Is(err, ErrStale) {
+		t.Fatalf("older delete beside a pending merge = %v, want ErrStale", err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("Merge: %v", err)
+	}
+	for what, s := range map[string]*Store{"live": st, "reopened": reopenWAL(t, path)} {
+		snap := s.Snapshot()
+		if e, ok := snap.Lookup("orders.x"); !ok || e.FMin != 900 || snap.Stamp("orders.x") != newer {
+			t.Fatalf("%s: orders.x = %+v under %v, want the merged write under %v", what, e, snap.Stamp("orders.x"), newer)
+		}
 	}
 }
 
@@ -271,4 +327,80 @@ func TestSingleKeyCommitSharesUnchangedParts(t *testing.T) {
 	if got, want := next.Keys(), []string{"t.a", "t.c", "t.e"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("an older snapshot's keys changed to %v, want %v", got, want)
 	}
+}
+
+// TestWALReloadStampsRefresh: a stamped reload is a write. Each key the
+// file changes or adds is stamped, each key it drops gets a tombstone, an
+// unchanged key keeps its stamp, and a key whose held stamp orders after
+// the reload's keeps its entry. The commit survives a reopen and a recovery
+// from the adopted file the checkpoint retained.
+func TestWALReloadStampsRefresh(t *testing.T) {
+	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, nil)
+	s1, later := Stamp{Epoch: 1, Origin: "node-a"}, Stamp{Epoch: 9, Origin: "node-b"}
+	for _, w := range []struct {
+		col  string
+		fmin int64
+		s    Stamp
+	}{{"keep", 500, s1}, {"changed", 510, s1}, {"dropped", 520, s1}, {"later", 530, later}} {
+		if _, err := st.PutStamped(entry("t", w.col, w.fmin), w.s); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	refresh(t, path, entry("t", "keep", 500), entry("t", "changed", 600), entry("t", "added", 700), entry("t", "later", 800))
+	s := Stamp{Epoch: 5, Origin: "node-a"}
+	if _, err := st.ReloadStamped(s); err != nil {
+		t.Fatal(err)
+	}
+	state := map[string]int64{"t.keep": 500, "t.changed": 600, "t.added": 700, "t.later": 530}
+	stamps := map[string]Stamp{"t.keep": s1, "t.changed": s, "t.added": s, "t.dropped": s, "t.later": later}
+	checkStamped(t, "after the reload", st, state, stamps)
+	checkStamped(t, "reopened", reopenWAL(t, path), state, stamps)
+	if err := os.WriteFile(path, []byte("not a catalog"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := reopenWAL(t, path)
+	if !re.Recovered() {
+		t.Fatal("reopen over a corrupt checkpoint did not recover from the retained file")
+	}
+	checkStamped(t, "recovered from the adopted file", re, state, stamps)
+}
+
+// TestOpenAdoptionStampsRefresh: a file adopted at open names the keys it
+// changed, added or removed against the state it replaced (the retained
+// checkpoint and both logs), and StampRefreshed stamps exactly those, once.
+func TestOpenAdoptionStampsRefresh(t *testing.T) {
+	st, path := walFixture(t, WALOptions{CheckpointEvery: 2}, nil)
+	s1 := Stamp{Epoch: 1, Origin: "node-a"}
+	for _, col := range []string{"keep", "changed", "dropped"} {
+		if _, err := st.PutStamped(entry("t", col, 500), s1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.Put(entry("t", "plain", 540)); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	refresh(t, path, entry("t", "keep", 500), entry("t", "changed", 600), entry("t", "added", 700), entry("t", "plain", 540))
+
+	re, err := OpenWAL(path, WALOptions{CheckpointEvery: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	state := map[string]int64{"t.keep": 500, "t.changed": 600, "t.added": 700, "t.plain": 540}
+	checkStamped(t, "adopted", re, state, map[string]Stamp{"t.keep": s1, "t.changed": s1, "t.dropped": s1})
+	s := Stamp{Epoch: 2, Origin: "node-a"}
+	if _, err := re.StampRefreshed(func() Stamp { return s }); err != nil {
+		t.Fatal(err)
+	}
+	stamps := map[string]Stamp{"t.keep": s1, "t.changed": s, "t.added": s, "t.dropped": s}
+	checkStamped(t, "stamped", re, state, stamps)
+	gen := re.Generation()
+	if _, err := re.StampRefreshed(func() Stamp { t.Fatal("a second StampRefreshed asked for a stamp"); return Stamp{} }); err != nil || re.Generation() != gen {
+		t.Fatalf("a second StampRefreshed committed (generation %d -> %d, %v)", gen, re.Generation(), err)
+	}
+	checkStamped(t, "reopened", reopenWAL(t, path), state, stamps)
 }

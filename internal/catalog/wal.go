@@ -24,14 +24,17 @@ package catalog
 //
 // Types: header (log identity and the LSN the log starts from, written at
 // creation/rotation), put (one entry's JSON), delete (the key), replace (a
-// full catalog JSON), ingest (an opaque ingest-journal record), and three
+// full catalog JSON), ingest (an opaque ingest-journal record), three
 // stamped types whose payload opens with a stamp header
 //
 //	[epoch u64][origin len uvarint][origin][key len uvarint][key]
 //
 // stamped put (the header, then the entry's JSON), stamped delete (the
 // header alone) and stamp (the header alone: a stamp record that changes no
-// entry). LSNs increase by one per logged commit and never repeat within a
+// entry), and batch: several put, delete or stamped records of one commit,
+// each [type u8][len uvarint][payload], so a commit that touches many keys
+// (a merge, a reload, a stamp import) lands whole or not at all. LSNs
+// increase by one per logged commit and never repeat within a
 // log+checkpoint lineage.
 //
 // Stamps. A cluster mutation's stamp rides in its own put or delete frame,
@@ -74,11 +77,24 @@ package catalog
 //
 // Out-of-band refreshes. A catalog file without an lsn field (written by
 // `epfis gen`, stats.SaveFile, or an older release) replaces the whole
-// catalog: OpenWAL and Reload adopt it as one logged replace frame, and
-// checkpoint over it before anything later is acknowledged. Commits logged
-// before the adoption do not survive it. The adopted file is retained as
-// catalog.json.prev; recovery from it replays both logs whole, and the
-// replace frame discards what came before it.
+// catalog, and the store checkpoints over it before anything later is
+// acknowledged. OpenWAL logs the adoption as one replace frame: commits
+// logged before it do not survive it. Reload logs a batch frame recording
+// each key it changes (stamped on a cluster node, see ReloadStamped) and
+// each key a later stamp keeps against the file. The adopted file is
+// retained as catalog.json.prev; recovery from it replays both logs whole,
+// and the replace frame, or the reload's batch, bring it to the committed
+// state.
+//
+// A refresh is a write. Reload stamps what it changes in its own commit.
+// OpenWAL cannot: the node's clock is built from the store it opens. It
+// names the keys its adoption changed, added or removed against the state
+// the file replaced (the retained checkpoint and both logs, replayed), and
+// the cluster node stamps them with StampRefreshed before it serves. A
+// crash between the two leaves those keys under their older stamps, each
+// then converging to whichever version orders last; a later Reload of the
+// same statistics finds nothing to change, so the operator re-adopts by
+// writing the file again.
 
 import (
 	"bytes"
@@ -86,6 +102,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -115,6 +132,7 @@ const (
 	walFramePutStamped    byte = 5
 	walFrameDeleteStamped byte = 6
 	walFrameStamp         byte = 7
+	walFrameBatch         byte = 8
 )
 
 const walHeaderMagic = "epfis-wal v1"
@@ -202,21 +220,28 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 	w := &wal{path: opts.WALPath(path)}
 
 	c, lsn, hasLSN, err := loadCheckpoint(fsys, path)
-	if err != nil {
-		// Corrupt, truncated, or missing after a crashed checkpoint: adopt
+	// A file written outside the store is adopted whole. The state it
+	// replaces is still replayed, from the retained checkpoint and both
+	// logs, to name the keys the adoption changes.
+	adopt := err == nil && !hasLSN
+	base := c
+	if err != nil || adopt {
+		// Corrupt, truncated, or missing after a crashed checkpoint: serve
 		// the retained previous checkpoint when it verifies.
 		prev, prevLSN, prevHasLSN, prevErr := loadCheckpoint(fsys, PrevPath(path))
 		switch {
 		case prevErr == nil:
-			c, lsn, hasLSN, st.recovered = prev, prevLSN, prevHasLSN, true
+			base, lsn, hasLSN, st.recovered = prev, prevLSN, prevHasLSN, !adopt
+		case adopt:
+			base, lsn = nil, 0
 		case !errors.Is(err, os.ErrNotExist) || !errors.Is(prevErr, os.ErrNotExist):
 			return nil, err
 		default:
 			hasLSN = true // no catalog yet: the log must start at lsn 0
 		}
 	}
-	r := walReplay{maxLSN: lsn, entries: entriesOf(c), stamps: map[string]Stamp{}, loose: !hasLSN}
-	if st.recovered {
+	r := walReplay{maxLSN: lsn, entries: entriesOf(base), stamps: map[string]Stamp{}, loose: !hasLSN || adopt}
+	if st.recovered || adopt && base != nil {
 		// The log rotated away with that checkpoint holds the frames
 		// between it and the current log's start.
 		data, err := fsys.ReadFile(PrevPath(w.path))
@@ -245,14 +270,14 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 		}
 	}
 	gen, entries := uint64(r.replayed), r.entries
-	if c != nil {
+	if base != nil {
 		gen++
 	}
-	// A file written outside the store replaces every mutation logged
-	// before it: the log gave only its end and its ingest records.
-	adopt := c != nil && !hasLSN && !st.recovered
 	if adopt {
+		// The file replaces every mutation logged before it; the logs gave
+		// their end, their ingest records and their stamps.
 		gen, entries = 1, entriesOf(c)
+		st.refreshed = changedKeys(r.entries, entries)
 	}
 	snap := newSnapshot(gen, entries, r.stamps, nil)
 	st.snap.Store(snap)
@@ -364,27 +389,67 @@ func (r *walReplay) accept(body []byte) bool {
 		// covers catalog state, not accumulator state, and rotation
 		// re-stamps carried records with the checkpoint LSN.
 		r.ingest = append(r.ingest, append([]byte(nil), payload...))
-	case ftype >= walFramePutStamped && ftype <= walFrameStamp:
-		// Stamps fold regardless of LSN: the checkpoint holds none.
-		s, key, body, ok := cutStampHeader(payload)
-		if !ok {
+	case ftype == walFrameBatch:
+		// Applied to copies, so a batch that does not decode changes nothing.
+		entries, stamps := maps.Clone(r.entries), maps.Clone(r.stamps)
+		if !eachRecord(payload, func(t byte, p []byte) bool { return applyRecord(entries, stamps, t, p, lsn > r.maxLSN) }) {
 			return false
 		}
-		if ftype != walFrameStamp && lsn > r.maxLSN {
-			if !applyStamped(r.entries, ftype, key, body) {
-				return false
-			}
+		r.entries, r.stamps = entries, stamps
+		if lsn > r.maxLSN {
 			r.replayed++
 		}
-		foldStamp(r.stamps, key, s)
-	case lsn > r.maxLSN:
-		if !applyWALFrame(r.entries, ftype, payload) {
+	case ftype >= walFramePutStamped && ftype <= walFrameStamp, lsn > r.maxLSN:
+		if !applyRecord(r.entries, r.stamps, ftype, payload, lsn > r.maxLSN) {
 			return false // undecodable committed frame: stop at the last good one
 		}
-		r.replayed++
+		if ftype != walFrameStamp && lsn > r.maxLSN {
+			r.replayed++
+		}
 	}
 	r.maxLSN = max(r.maxLSN, lsn)
 	return true
+}
+
+// applyRecord folds one mutation record into entries and stamps, reporting
+// false when it does not decode. A stamped record's stamp folds regardless
+// of LSN (the checkpoint holds none); an entry change applies only when
+// fresh, that is, past the state replayed so far.
+func applyRecord(entries map[string]*stats.IndexStats, stamps map[string]Stamp, ftype byte, payload []byte, fresh bool) bool {
+	if ftype < walFramePutStamped || ftype > walFrameStamp {
+		return !fresh || applyWALFrame(entries, ftype, payload)
+	}
+	s, key, body, ok := cutStampHeader(payload)
+	if !ok || ftype != walFrameStamp && fresh && !applyStamped(entries, ftype, key, body) {
+		return false
+	}
+	foldStamp(stamps, key, s)
+	return true
+}
+
+// eachRecord walks a batch payload's records, reporting false when one does
+// not decode, is not a put, delete or stamped record, or fn refuses it.
+func eachRecord(p []byte, fn func(ftype byte, payload []byte) bool) bool {
+	for len(p) > 0 {
+		t := p[0]
+		n, w := binary.Uvarint(p[1:])
+		if w <= 0 || n > uint64(len(p)-1-w) {
+			return false
+		}
+		rec := p[1+w : 1+w+int(n)]
+		p = p[1+w+int(n):]
+		if t != walFramePut && t != walFrameDelete && (t < walFramePutStamped || t > walFrameStamp) || !fn(t, rec) {
+			return false
+		}
+	}
+	return true
+}
+
+// appendBatchRecord appends one record to a batch payload.
+func appendBatchRecord(dst []byte, ftype byte, payload []byte) []byte {
+	dst = append(dst, ftype)
+	dst = binary.AppendUvarint(dst, uint64(len(payload)))
+	return append(dst, payload...)
 }
 
 // applyWALFrame folds one mutation frame into entries, reporting false when
@@ -466,18 +531,22 @@ func cutString(p []byte) (string, []byte, bool) {
 	return string(p[w : w+int(n)]), p[w+int(n):], true
 }
 
-// appendStampRecords appends one stamp record per key of stamps, in key
-// order, each at lsn.
+// appendStampRecords appends the stamp table as one batch frame at lsn:
+// a stamp record per key, in key order. An empty table appends nothing.
 func appendStampRecords(dst []byte, lsn uint64, stamps map[string]Stamp) []byte {
+	if len(stamps) == 0 {
+		return dst
+	}
 	keys := make([]string, 0, len(stamps))
 	for k := range stamps {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	var b []byte
 	for _, k := range keys {
-		dst = appendRecord(dst, walFrameStamp, lsn, appendStampHeader(nil, stamps[k], k))
+		b = appendBatchRecord(b, walFrameStamp, appendStampHeader(nil, stamps[k], k))
 	}
-	return dst
+	return appendRecord(dst, walFrameBatch, lsn, b)
 }
 
 // appendRecord appends one WAL record to dst as a single frame. The payload
@@ -498,7 +567,15 @@ func appendRecord(dst []byte, ftype byte, lsn uint64, payload []byte) []byte {
 // one is a checkpoint the store already holds, with every commit past it:
 // Reload republishes the store's own state. A file that cannot be read or
 // verified is rejected, and the snapshot and generation stay as they were.
-func (st *Store) Reload() (uint64, error) {
+func (st *Store) Reload() (uint64, error) { return st.ReloadStamped(Stamp{}) }
+
+// ReloadStamped is Reload for a cluster node, where a refresh is a write:
+// each key the adopted file changes or adds is stamped s, and each key it
+// drops gets s as its tombstone, in the refresh's own commit, so the refresh
+// reaches every replica and a dropped key is deleted cluster-wide. A key
+// whose held stamp orders after s keeps its entry: the write that raced the
+// refresh and ordered after it wins. The zero s stamps nothing.
+func (st *Store) ReloadStamped(s Stamp) (uint64, error) {
 	if st.path == "" {
 		return 0, ErrNoPath
 	}
@@ -520,14 +597,95 @@ func (st *Store) Reload() (uint64, error) {
 			return &next, true
 		})
 	}
-	entries := entriesOf(c)
-	p, err := encodeEntriesJSON(entries)
-	if err != nil {
-		return 0, fmt.Errorf("catalog: encode commit: %w", err)
+	file := entriesOf(c)
+	// The log records each key whose entry or stamp the refresh changes,
+	// and each key it keeps against the file, so recovery from the
+	// adopted file (retained as .prev) replays to the same state.
+	var logged []string
+	rec := func(lsn uint64, next *Snapshot) ([]byte, error) {
+		if len(logged) == 0 {
+			return replaceRecord(lsn, next)
+		}
+		return appendKeyRecords(nil, lsn, next, logged)
 	}
-	return st.commit(frame(walFrameReplace, p), true, func(base *Snapshot) (*Snapshot, bool) {
-		return newSnapshot(base.gen+1, entries, base.stamps, base), true
+	return st.commit(rec, true, func(base *Snapshot) (*Snapshot, bool) {
+		logged = logged[:0]
+		next := cloneEntries(base.entries)
+		var stamps map[string]Stamp
+		for _, k := range changedKeys(base.entries, file) {
+			logged = append(logged, k)
+			if s != (Stamp{}) && !base.stamps[k].Less(s) {
+				continue // kept against the file
+			}
+			if e, ok := file[k]; ok {
+				next[k] = e
+			} else {
+				delete(next, k)
+			}
+			if s != (Stamp{}) {
+				if stamps == nil {
+					stamps = maps.Clone(base.stamps)
+				}
+				stamps[k] = s
+			}
+		}
+		if stamps == nil {
+			stamps = base.stamps
+		}
+		return newSnapshot(base.gen+1, next, stamps, base), true
 	})
+}
+
+// changedKeys lists, sorted, the keys whose entry differs between a and b,
+// present in one and absent from the other included.
+func changedKeys(a, b map[string]*stats.IndexStats) []string {
+	var out []string
+	for k, ea := range a {
+		eb, ok := b[k]
+		if !ok || !sameEntry(ea, eb) {
+			out = append(out, k)
+		}
+	}
+	for k := range b {
+		if _, ok := a[k]; !ok {
+			out = append(out, k)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// sameEntry reports whether two entries encode to the same JSON.
+func sameEntry(a, b *stats.IndexStats) bool {
+	if a == b {
+		return true
+	}
+	ja, errA := json.Marshal(a)
+	jb, errB := json.Marshal(b)
+	return errA == nil && errB == nil && bytes.Equal(ja, jb)
+}
+
+// StampRefreshed stamps, once and in one commit, the keys OpenWAL's
+// adoption of an out-of-band file changed, added or removed, each with the
+// stamp next returns (a tombstone for a removed key), so an adoption at
+// open is a refresh like Reload's. next is called only when there are keys
+// to stamp. A cluster node calls it before it serves or gossips. A crash
+// between the adoption and this commit leaves those keys under their older
+// stamps; see the file comment.
+func (st *Store) StampRefreshed(next func() Stamp) (uint64, error) {
+	st.mu.Lock()
+	keys := st.refreshed
+	st.refreshed = nil
+	st.mu.Unlock()
+	if len(keys) == 0 {
+		return st.Generation(), nil
+	}
+	s := next()
+	stamps := make(map[string]Stamp, len(keys))
+	for _, k := range keys {
+		stamps[k] = s
+	}
+	return st.RecordStamps(stamps)
 }
 
 // encodeEntriesJSON renders an entry set as the canonical catalog JSON.

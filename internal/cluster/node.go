@@ -6,11 +6,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"log/slog"
 	"net/http"
-	"net/url"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,24 +23,20 @@ import (
 // Cluster route paths and headers, shared by the node, the service layer
 // that mounts the handlers, and the cluster-aware client.
 const (
-	PathHealth   = "/v1/cluster/health"
-	PathGossip   = "/v1/cluster/gossip"
-	PathSnapshot = "/v1/cluster/snapshot"
-	// PathDigest serves the per-entry digest table (key -> stamp + CRC) that
-	// drives delta anti-entropy.
+	PathHealth = "/v1/cluster/health"
+	PathGossip = "/v1/cluster/gossip"
+	// PathDigest serves the digest (every entry's and tombstone's version)
+	// a pulling peer diffs against its own.
 	PathDigest = "/v1/cluster/digest"
-	// PathEntryPrefix prefixes single-entry exports; the path-escaped entry
-	// key follows it.
-	PathEntryPrefix = "/v1/cluster/entry/"
+	// PathEntries answers a POSTed entries request with the named keys'
+	// entries and tombstones, each with its stamp.
+	PathEntries = "/v1/cluster/entries"
 
 	// HeaderNode carries the sending/serving node ID.
 	HeaderNode = "X-Epfis-Node"
 	// HeaderEpoch carries the cluster mutation epoch of a replicated
-	// mutation or a snapshot stream.
+	// mutation.
 	HeaderEpoch = "X-Epfis-Epoch"
-	// HeaderGeneration carries the serving node's catalog generation on a
-	// snapshot stream.
-	HeaderGeneration = "X-Epfis-Generation"
 	// HeaderReplicated marks a mutation as replication fan-out (the value is
 	// the originating node ID); receivers apply it locally and do not
 	// re-forward.
@@ -55,19 +52,13 @@ const (
 	HeaderFence = "X-Epfis-Fence"
 )
 
-// snapshotPullTimeout bounds one anti-entropy snapshot transfer.
-const snapshotPullTimeout = 30 * time.Second
+// pullTimeout bounds one anti-entropy pull.
+const pullTimeout = 30 * time.Second
 
-// DefaultSnapshotMaxBytes caps anti-entropy response bodies (snapshot,
-// digest, entry) when Config.SnapshotMaxBytes is zero. A corrupt or hostile
-// peer can then cost the puller at most this much memory, never an OOM.
+// DefaultSnapshotMaxBytes caps anti-entropy response bodies (digest,
+// entries) when Config.SnapshotMaxBytes is zero. A corrupt or hostile peer
+// can then cost the puller at most this much memory, never an OOM.
 const DefaultSnapshotMaxBytes = 64 << 20
-
-// DefaultDeltaThreshold is the divergence fraction above which delta
-// anti-entropy gives up and pulls the full snapshot: fetching more than a
-// quarter of the catalog entry-by-entry costs more round trips than one
-// bulk stream saves.
-const DefaultDeltaThreshold = 0.25
 
 // NodeInfo is one node's record in the gossip documents.
 type NodeInfo struct {
@@ -110,22 +101,20 @@ type Config struct {
 	// Clock replaces time.Now (tests) — the injectable-clock seam shared
 	// with resilience.Breaker.
 	Clock func() time.Time
-	// HTTPClient performs gossip and snapshot transfers; nil uses a private
-	// client with sane timeouts.
+	// HTTPClient performs gossip and anti-entropy transfers; nil uses a
+	// private client with sane timeouts.
 	HTTPClient *http.Client
-	// Store is the node's catalog store; snapshot streaming exports from and
-	// imports into it.
+	// Store is the node's catalog store; anti-entropy exports from and
+	// merges into it.
 	Store *catalog.Store
 	// Log receives membership and sync events; nil discards.
 	Log *slog.Logger
 	// SnapshotMaxBytes caps anti-entropy response bodies (0 =
-	// DefaultSnapshotMaxBytes). Oversize responses fail the pull and count
-	// in epfis_cluster_antientropy_oversize_total.
+	// DefaultSnapshotMaxBytes): the digest, and each entries response, so a
+	// pull fetches what it takes in as few requests as the cap allows.
+	// Oversize responses fail the pull and count in
+	// epfis_cluster_antientropy_oversize_total.
 	SnapshotMaxBytes int64
-	// DeltaThreshold is the fraction of the peer's catalog that may diverge
-	// before delta anti-entropy falls back to a full snapshot pull (0 =
-	// DefaultDeltaThreshold).
-	DeltaThreshold float64
 	// MaxIdleConnsPerHost tunes the default pooled transport's per-peer idle
 	// connection depth (0 = the process-wide SharedTransport with default
 	// tuning). Ignored when HTTPClient is set.
@@ -147,43 +136,47 @@ type Node struct {
 
 	epoch atomic.Uint64
 
-	// Cached catalog content hash, keyed by generation.
-	hashMu  sync.Mutex
-	hashGen uint64
-	hashVal string
+	// The catalog's versions and their hash, cached per generation: the
+	// digest served to peers, the local side of every diff, and the hash
+	// gossip carries all come from one store snapshot.
+	versionsMu  sync.Mutex
+	versionsGen uint64
+	versions    map[string]catalog.Version
+	hash        string
 
-	// Cached per-entry digests, keyed by generation (same discipline as the
-	// content hash: computing them encodes every entry, so the cache keeps
-	// digest serving and delta diffs cheap between mutations).
-	digestMu  sync.Mutex
-	digestGen uint64
-	digestVal map[string]uint32
+	// Gossip-triggered pulls run one at a time in the background; pullDone
+	// is closed when the running one returns (nil when none runs).
+	pullMu   sync.Mutex
+	pullDone chan struct{}
 
-	pulling atomic.Bool // single-flight guard for anti-entropy syncs
-
+	// Anti-entropy accounting: completed and failed pulls, pulls that
+	// committed a merge, bytes received, and responses rejected by the size
+	// cap.
 	pullsOK   atomic.Uint64
 	pullsFail atomic.Uint64
+	merges    atomic.Uint64
+	bytes     atomic.Uint64
+	oversize  atomic.Uint64
 	rounds    atomic.Uint64
 
-	// Anti-entropy accounting: completed delta syncs, delta syncs that fell
-	// back to a full snapshot, bytes received by mode, and responses
-	// rejected by the size cap.
-	deltaOK       atomic.Uint64
-	deltaFallback atomic.Uint64
-	bytesDelta    atomic.Uint64
-	bytesFull     atomic.Uint64
-	oversize      atomic.Uint64
+	// lag holds, per peer, how many keys its last digest showed behind
+	// this node's versions.
+	lagMu sync.Mutex
+	lag   map[string]int
+
+	onMerge atomic.Pointer[func(gen uint64)]
 
 	// Per-peer instruments, registered lazily as peers are discovered.
-	obsMu  sync.Mutex
-	reg    *obs.Registry
-	peerUp map[string]*obs.Gauge
-	hbLat  map[string]*obs.Histogram
-	aeLat  map[string]*obs.Histogram // anti-entropy latency, keyed peer\x00route
+	obsMu   sync.Mutex
+	reg     *obs.Registry
+	peerUp  map[string]*obs.Gauge
+	peerLag map[string]bool // lag gauges registered
+	hbLat   map[string]*obs.Histogram
+	aeLat   map[string]*obs.Histogram // anti-entropy latency, keyed peer\x00route
 
 	// traceRing, when attached, receives one hop record per cluster-internal
-	// send (gossip, digest/entry/snapshot pulls) so distributed traces show
-	// the anti-entropy edges too. Nil = tracing disabled.
+	// send (gossip, digest and entries pulls) so distributed traces show the
+	// anti-entropy edges too. Nil = tracing disabled.
 	traceRing atomic.Pointer[obs.TraceRing]
 }
 
@@ -216,19 +209,18 @@ func NewNode(cfg Config) (*Node, error) {
 		cfg.Log = slog.New(discardHandler{})
 	}
 	n := &Node{
-		cfg:    cfg,
-		store:  cfg.Store,
-		mem:    NewMembership(cfg.SelfID, cfg.SuspectAfter, cfg.DeadAfter, cfg.Clock),
-		log:    cfg.Log,
-		peerUp: map[string]*obs.Gauge{},
-		hbLat:  map[string]*obs.Histogram{},
-		aeLat:  map[string]*obs.Histogram{},
+		cfg:     cfg,
+		store:   cfg.Store,
+		mem:     NewMembership(cfg.SelfID, cfg.SuspectAfter, cfg.DeadAfter, cfg.Clock),
+		log:     cfg.Log,
+		lag:     map[string]int{},
+		peerUp:  map[string]*obs.Gauge{},
+		peerLag: map[string]bool{},
+		hbLat:   map[string]*obs.Histogram{},
+		aeLat:   map[string]*obs.Histogram{},
 	}
 	if n.cfg.SnapshotMaxBytes <= 0 {
 		n.cfg.SnapshotMaxBytes = DefaultSnapshotMaxBytes
-	}
-	if n.cfg.DeltaThreshold <= 0 {
-		n.cfg.DeltaThreshold = DefaultDeltaThreshold
 	}
 	n.hc = cfg.HTTPClient
 	if n.hc == nil {
@@ -241,14 +233,9 @@ func NewNode(cfg Config) (*Node, error) {
 		}
 		n.hc = &http.Client{Timeout: 5 * time.Second, Transport: tr}
 	}
-	// A node that boots with statistics starts at epoch 1 so empty peers
-	// pull from it; an empty node starts at 0 and adopts whatever the
-	// cluster has. Either way the clock then folds in the highest stamp the
-	// store holds, so the first local mutation after a restart is stamped
-	// above everything this node ever applied.
-	if cfg.Store.Len() > 0 {
-		n.epoch.Store(1)
-	}
+	// The clock starts at the highest stamp the store holds, so the first
+	// local mutation after a restart is stamped above everything this node
+	// ever applied; gossip then folds in the cluster's epochs.
 	for _, st := range cfg.Store.Snapshot().Stamps() {
 		n.ObserveEpoch(st.Epoch)
 	}
@@ -332,86 +319,113 @@ type Stamp = catalog.Stamp
 // delete's tombstone included (the zero Stamp = no tracked mutation).
 func (n *Node) KeyStamp(key string) Stamp { return n.store.Snapshot().Stamp(key) }
 
-// HasKeyStamp reports whether a key has a tracked mutation stamp: such keys
-// converge through replicated mutations and hinted handoff, not bulk
-// anti-entropy, so a pull never clobbers (or resurrects) them.
-func (n *Node) HasKeyStamp(key string) bool { return n.KeyStamp(key) != Stamp{} }
-
-// CatalogHash returns the content hash of the current catalog snapshot,
-// cached per generation (computing it encodes the snapshot, so the cache
-// keeps heartbeats cheap between mutations).
-func (n *Node) CatalogHash() string {
+// catalogVersions returns the store's versions and their hash, cached per
+// generation. The returned map is shared — callers must treat it as
+// read-only.
+func (n *Node) catalogVersions() (map[string]catalog.Version, string, error) {
 	gen := n.store.Generation()
-	n.hashMu.Lock()
-	defer n.hashMu.Unlock()
-	if n.hashGen == gen && n.hashVal != "" {
-		return n.hashVal
+	n.versionsMu.Lock()
+	defer n.versionsMu.Unlock()
+	if n.versions != nil && n.versionsGen == gen {
+		return n.versions, n.hash, nil
 	}
-	hash, hgen, err := n.store.ContentHash()
+	v, vgen, err := n.store.Versions()
+	if err != nil {
+		return nil, "", err
+	}
+	n.versionsGen, n.versions, n.hash = vgen, v, hashVersions(v)
+	return v, n.hash, nil
+}
+
+// hashVersions is the catalog identity gossip carries: the CRC32-C of every
+// key's version in key order, stamps and tombstones included, so two nodes
+// report the same hash exactly when a pull between them would take nothing.
+func hashVersions(v map[string]catalog.Version) string {
+	keys := make([]string, 0, len(v))
+	for k := range v {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	var b []byte
+	for _, k := range keys {
+		x := v[k]
+		b = fmt.Appendf(b, "%s\x00%d\x00%s\x00%08x\x00%t\n", k, x.Stamp.Epoch, x.Stamp.Origin, x.CRC, x.Tombstone)
+	}
+	return fmt.Sprintf("crc32c:%08x", crc32.Checksum(b, crcTable))
+}
+
+var crcTable = crc32.MakeTable(crc32.Castagnoli)
+
+// CatalogHash returns the hash of the catalog's versions (see
+// hashVersions), cached per generation.
+func (n *Node) CatalogHash() string {
+	_, h, err := n.catalogVersions()
 	if err != nil {
 		return ""
 	}
-	n.hashGen, n.hashVal = hgen, hash
-	return hash
+	return h
 }
 
-// DigestEntry is one entry's record in the digest document: the CRC32-C of
-// its canonical single-entry payload plus the last mutation stamp this node
-// applied for the key (omitted when untracked — most entries are, and the
-// digest document's size is the delta path's fixed wire cost).
-type DigestEntry struct {
+// digestEntry is one entry's record in the digest document: the CRC32-C of
+// its JSON plus the stamp of its last mutation, omitted when it has none.
+type digestEntry struct {
 	CRC   uint32 `json:"crc"`
 	Stamp *Stamp `json:"stamp,omitempty"`
 }
 
-// DigestDoc is served at GET /v1/cluster/digest: every entry's digest, the
-// serving node's epoch, and the generation the digests describe. A behind
-// peer diffs it against its own digests and fetches only divergent entries.
-type DigestDoc struct {
+// digestDoc is served at GET /v1/cluster/digest: every entry's and every
+// tombstone's version, read from one snapshot, with the serving node's
+// epoch. Stamps travel as "epoch/origin".
+type digestDoc struct {
 	Node       string                 `json:"node"`
 	Epoch      uint64                 `json:"epoch"`
-	Generation uint64                 `json:"generation"`
-	Entries    map[string]DigestEntry `json:"entries"`
+	Entries    map[string]digestEntry `json:"entries"`
+	Tombstones map[string]Stamp       `json:"tombstones,omitempty"`
 }
 
-// entryDigests returns the per-entry digest table, cached per generation.
-// The returned map is shared — callers must treat it as read-only.
-func (n *Node) entryDigests() (map[string]uint32, uint64, error) {
-	gen := n.store.Generation()
-	n.digestMu.Lock()
-	defer n.digestMu.Unlock()
-	if n.digestGen == gen && n.digestVal != nil {
-		return n.digestVal, n.digestGen, nil
-	}
-	d, dgen, err := n.store.EntryDigests()
+// digest assembles the document served at GET /v1/cluster/digest.
+func (n *Node) digest() (digestDoc, error) {
+	versions, _, err := n.catalogVersions()
 	if err != nil {
-		return nil, 0, err
+		return digestDoc{}, err
 	}
-	n.digestGen, n.digestVal = dgen, d
-	return d, dgen, nil
-}
-
-// DigestDoc assembles the document served at GET /v1/cluster/digest.
-func (n *Node) DigestDoc() (DigestDoc, error) {
-	digests, gen, err := n.entryDigests()
-	if err != nil {
-		return DigestDoc{}, err
+	doc := digestDoc{
+		Node:    n.cfg.SelfID,
+		Epoch:   n.epoch.Load(),
+		Entries: make(map[string]digestEntry, len(versions)),
 	}
-	doc := DigestDoc{
-		Node:       n.cfg.SelfID,
-		Epoch:      n.epoch.Load(),
-		Generation: gen,
-		Entries:    make(map[string]DigestEntry, len(digests)),
-	}
-	snap := n.store.Snapshot()
-	for k, crc := range digests {
-		de := DigestEntry{CRC: crc}
-		if st := snap.Stamp(k); st != (Stamp{}) {
+	for k, v := range versions {
+		if v.Tombstone {
+			if doc.Tombstones == nil {
+				doc.Tombstones = map[string]Stamp{}
+			}
+			doc.Tombstones[k] = v.Stamp
+			continue
+		}
+		de := digestEntry{CRC: v.CRC}
+		if v.Stamp != (Stamp{}) {
+			st := v.Stamp
 			de.Stamp = &st
 		}
 		doc.Entries[k] = de
 	}
 	return doc, nil
+}
+
+// versions decodes the document back into per-key versions.
+func (d digestDoc) versions() map[string]catalog.Version {
+	out := make(map[string]catalog.Version, len(d.Entries)+len(d.Tombstones))
+	for k, de := range d.Entries {
+		v := catalog.Version{CRC: de.CRC}
+		if de.Stamp != nil {
+			v.Stamp = *de.Stamp
+		}
+		out[k] = v
+	}
+	for k, st := range d.Tombstones {
+		out[k] = catalog.Version{Stamp: st, Tombstone: true}
+	}
+	return out
 }
 
 // selfInfo assembles this node's own gossip record.
@@ -454,8 +468,9 @@ func (n *Node) HealthDoc() Doc {
 // the catalog state it reported, and member entries it carries are added to
 // the member table (discovery — states are NOT adopted; only direct contact
 // makes a peer alive here). It returns this node's own document, which the
-// gossip handler echoes back. Merge also feeds anti-entropy: a sender that
-// is ahead (higher epoch, different hash) triggers an async snapshot pull.
+// gossip handler echoes back. Merge also feeds anti-entropy: a sender whose
+// catalog hash differs from ours triggers an async pull from it, so both
+// ends of an exchange pull.
 func (n *Node) Merge(remote Doc) Doc {
 	changed := n.mem.Upsert(remote.Self.ID, remote.Self.URL)
 	n.mem.ObserveAlive(remote.Self.ID, remote.Self.Generation, remote.Self.Epoch, remote.Self.CatalogHash)
@@ -468,11 +483,10 @@ func (n *Node) Merge(remote Doc) Doc {
 		n.rebuildRing()
 	}
 	n.maybePull(remote.Self)
-	// Lamport receive rule, AFTER the pull decision (which keys off the
-	// epoch gap): fold the sender's epoch so a restarted node's next local
-	// mutation stamps an epoch above everything the cluster has seen —
-	// otherwise its writes would be dropped as stale by peers' per-key
-	// epoch guards.
+	// Lamport receive rule: fold the sender's epoch so a restarted node's
+	// next local mutation stamps an epoch above everything the cluster has
+	// seen — otherwise its writes would be dropped as stale by peers'
+	// per-key stamp gates.
 	n.ObserveEpoch(remote.Self.Epoch)
 	return n.HealthDoc()
 }
@@ -496,11 +510,20 @@ func (n *Node) rebuildRing() {
 		slog.Int("members", ring.Len()), slog.Uint64("memberVersion", v))
 }
 
-// Run gossips on the heartbeat interval until ctx is done. Seeds are
-// contacted on the first round.
+// Run gossips on the heartbeat interval until ctx is done, then waits for
+// the pull its gossip last triggered, so no anti-entropy request of this
+// node outlives it. Seeds are contacted on the first round.
 func (n *Node) Run(ctx context.Context) error {
 	t := time.NewTicker(n.cfg.Heartbeat)
 	defer t.Stop()
+	defer func() {
+		n.pullMu.Lock()
+		done := n.pullDone
+		n.pullMu.Unlock()
+		if done != nil {
+			<-done
+		}
+	}()
 	n.Tick(ctx)
 	for {
 		select {
@@ -604,39 +627,34 @@ func (n *Node) gossipOnce(ctx context.Context, baseURL string, doc Doc) (Doc, er
 	return reply, nil
 }
 
-// maybePull schedules an async anti-entropy sync from a peer whose catalog
-// is ahead of ours: strictly higher mutation epoch with a different content
-// hash. Syncs are single-flight and delta-first (digest diff, then
-// per-entry fetches), falling back to the full snapshot stream when the
-// divergence is too broad. Equal epochs with diverging hashes are a
-// conflict gossip cannot resolve; they are logged and left to operators
-// (the next mutation's epoch bump breaks the tie).
+// maybePull schedules an async pull from a peer whose catalog hash differs
+// from ours, at any epoch. Pulls are single-flight: a trigger that finds
+// one running is dropped, and the next gossip round fires again if the
+// hashes still differ.
 func (n *Node) maybePull(remote NodeInfo) {
-	selfEpoch := n.epoch.Load()
-	if remote.Epoch < selfEpoch || remote.URL == "" {
+	if remote.URL == "" || remote.CatalogHash == "" || remote.CatalogHash == n.CatalogHash() {
 		return
 	}
-	hash := n.CatalogHash()
-	if remote.CatalogHash == "" || remote.CatalogHash == hash {
+	n.pullMu.Lock()
+	if n.pullDone != nil {
+		n.pullMu.Unlock()
 		return
 	}
-	if remote.Epoch == selfEpoch {
-		n.log.LogAttrs(context.Background(), slog.LevelWarn, "catalog divergence at equal epoch",
-			slog.String("peer", remote.ID), slog.Uint64("epoch", selfEpoch),
-			slog.String("selfHash", hash), slog.String("peerHash", remote.CatalogHash))
-		return
-	}
-	if !n.pulling.CompareAndSwap(false, true) {
-		return
-	}
+	done := make(chan struct{})
+	n.pullDone = done
+	n.pullMu.Unlock()
 	url := remote.URL
 	go func() {
-		defer n.pulling.Store(false)
-		ctx, cancel := context.WithTimeout(context.Background(), snapshotPullTimeout)
+		defer func() {
+			n.pullMu.Lock()
+			n.pullDone = nil
+			n.pullMu.Unlock()
+			close(done)
+		}()
+		ctx, cancel := context.WithTimeout(context.Background(), pullTimeout)
 		defer cancel()
 		if err := n.Sync(ctx, url); err != nil {
-			n.pullsFail.Add(1)
-			n.log.LogAttrs(ctx, slog.LevelWarn, "anti-entropy sync failed",
+			n.log.LogAttrs(ctx, slog.LevelWarn, "anti-entropy pull failed",
 				slog.String("peer", url), slog.String("error", err.Error()))
 		}
 	}()
@@ -667,145 +685,206 @@ func (n *Node) doHop(req *http.Request, kind, baseURL string) (*http.Response, e
 	return resp, err
 }
 
-// errDeltaFallback marks a delta sync that declined in favor of the full
-// snapshot stream (too much divergence, or an empty local catalog where a
-// bulk adopt is strictly cheaper than per-entry fetches).
-var errDeltaFallback = errors.New("cluster: delta sync fell back to full snapshot")
-
-// Sync converges this node with a peer, delta-first: diff digests and fetch
-// only divergent entries; any delta failure — threshold exceeded, digest
-// route unavailable, a fetch error mid-stream — falls back to the full
-// snapshot pull, which remains the correctness backstop.
+// Sync pulls from a peer, the one way replicas converge: fetch its digest,
+// take every key whose version there orders after ours — a tombstone or a
+// stamp fold straight from the digest, an entry by fetching it — and merge
+// the lot as one commit. The entries come in as few requests as the
+// response cap allows, so a fresh node pays a handful of round trips for a
+// whole catalog. Every stamp the merge may record is folded into the clock
+// first, so a local write ordered after the merge is stamped above it.
 func (n *Node) Sync(ctx context.Context, baseURL string) error {
-	err := n.PullDelta(ctx, baseURL)
-	if err == nil {
-		return nil
+	err := n.sync(ctx, baseURL)
+	if err != nil {
+		n.pullsFail.Add(1)
+		return err
 	}
-	n.deltaFallback.Add(1)
-	if !errors.Is(err, errDeltaFallback) {
-		n.log.LogAttrs(ctx, slog.LevelDebug, "delta sync failed, pulling full snapshot",
-			slog.String("peer", baseURL), slog.String("error", err.Error()))
-	}
-	return n.PullSnapshot(ctx, baseURL)
+	n.pullsOK.Add(1)
+	return nil
 }
 
-// PullDelta runs one delta anti-entropy round against a peer: fetch its
-// digest table, diff against ours (skipping stamp-tracked keys, which
-// converge through replicated mutations and hinted handoff), fetch each
-// divergent entry as a verified trailered stream, and fold them in as one
-// merge generation. The wire cost is O(changed entries) plus one digest
-// document, against O(catalog) for a full pull. Returns errDeltaFallback
-// (wrapped) when a full pull is the better plan.
-func (n *Node) PullDelta(ctx context.Context, baseURL string) error {
+func (n *Node) sync(ctx context.Context, baseURL string) error {
 	remote, err := n.fetchDigest(ctx, baseURL)
 	if err != nil {
 		return err
 	}
-	local, _, err := n.entryDigests()
+	local, _, err := n.catalogVersions()
 	if err != nil {
 		return err
 	}
-	var diff []string
-	for k, de := range remote.Entries {
-		if n.HasKeyStamp(k) {
-			continue
+	theirs := remote.versions()
+	lag := 0
+	for k, v := range local {
+		if v.After(theirs[k]) {
+			lag++
 		}
-		if crc, ok := local[k]; ok && crc == de.CRC {
-			continue
+	}
+	n.lagMu.Lock()
+	n.lag[remote.Node] = lag
+	n.lagMu.Unlock()
+
+	in := map[string]catalog.Incoming{}
+	var fetch []string
+	for k, v := range theirs {
+		l, held := local[k]
+		switch {
+		case !v.After(l):
+		case v.Tombstone, held && !l.Tombstone && l.CRC == v.CRC:
+			in[k] = catalog.Incoming{Version: v} // a tombstone, or a stamp fold
+		default:
+			fetch = append(fetch, k)
 		}
-		diff = append(diff, k)
 	}
-	if len(diff) == 0 {
-		// All divergence (if any) is stamp-tracked: nothing bulk anti-entropy
-		// may touch. Fold the epoch so the pull trigger quiesces.
-		n.ObserveEpoch(remote.Epoch)
-		n.deltaOK.Add(1)
-		return nil
-	}
-	if len(local) == 0 {
-		return fmt.Errorf("%w: local catalog is empty, bulk adopt is cheaper", errDeltaFallback)
-	}
-	if max := n.cfg.DeltaThreshold * float64(len(remote.Entries)); float64(len(diff)) > max {
-		return fmt.Errorf("%w: %d of %d entries divergent (threshold %.0f%%)",
-			errDeltaFallback, len(diff), len(remote.Entries), n.cfg.DeltaThreshold*100)
-	}
-	sort.Strings(diff)
-	streams := make([][]byte, 0, len(diff))
-	for _, k := range diff {
-		data, err := n.fetchEntry(ctx, baseURL, k)
+	sort.Strings(fetch)
+	for len(fetch) > 0 {
+		got, covered, err := n.fetchEntries(ctx, baseURL, fetch)
 		if err != nil {
 			return err
 		}
-		streams = append(streams, data)
-	}
-	gen, err := n.store.MergeEntries(streams)
-	if err != nil {
-		return fmt.Errorf("cluster: delta merge from %s: %w", baseURL, err)
+		for k, v := range got {
+			in[k] = v
+		}
+		fetch = fetch[covered:]
 	}
 	n.ObserveEpoch(remote.Epoch)
-	n.deltaOK.Add(1)
-	n.log.LogAttrs(ctx, slog.LevelInfo, "catalog delta pulled",
-		slog.String("peer", baseURL), slog.Int("entries", len(diff)),
+	for _, v := range in {
+		n.ObserveEpoch(v.Stamp.Epoch)
+	}
+	gen, taken, err := n.store.Merge(in)
+	if err != nil {
+		return fmt.Errorf("cluster: merge from %s: %w", baseURL, err)
+	}
+	if len(taken) == 0 {
+		return nil
+	}
+	n.merges.Add(1)
+	if fn := n.onMerge.Load(); fn != nil {
+		(*fn)(gen)
+	}
+	n.log.LogAttrs(ctx, slog.LevelInfo, "catalog pulled",
+		slog.String("peer", baseURL), slog.Int("keys", len(taken)),
 		slog.Uint64("generation", gen), slog.Uint64("epoch", remote.Epoch))
 	return nil
 }
 
+// SetOnMerge registers fn to run after every pull that commits a merge,
+// with the merge's generation: the service registers the merged keys'
+// counters and drops its memo cache's other generations, as a PUT does.
+func (n *Node) SetOnMerge(fn func(gen uint64)) { n.onMerge.Store(&fn) }
+
 // fetchDigest GETs a peer's digest document, bounded by the snapshot size
 // cap; the bytes count against the delta wire-cost counter.
-func (n *Node) fetchDigest(ctx context.Context, baseURL string) (DigestDoc, error) {
+func (n *Node) fetchDigest(ctx context.Context, baseURL string) (digestDoc, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+PathDigest, nil)
 	if err != nil {
-		return DigestDoc{}, err
+		return digestDoc{}, err
 	}
 	req.Header.Set(HeaderNode, n.cfg.SelfID)
 	resp, err := n.doHop(req, obs.HopDigest, baseURL)
 	if err != nil {
-		return DigestDoc{}, err
+		return digestDoc{}, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return DigestDoc{}, fmt.Errorf("cluster: digest %s: status %d", baseURL, resp.StatusCode)
+		return digestDoc{}, fmt.Errorf("cluster: digest %s: status %d", baseURL, resp.StatusCode)
 	}
 	data, err := n.readBounded(resp.Body, "digest")
 	if err != nil {
-		return DigestDoc{}, fmt.Errorf("cluster: digest %s: %w", baseURL, err)
+		return digestDoc{}, fmt.Errorf("cluster: digest %s: %w", baseURL, err)
 	}
-	n.bytesDelta.Add(uint64(len(data)))
-	var doc DigestDoc
+	n.bytes.Add(uint64(len(data)))
+	var doc digestDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return DigestDoc{}, fmt.Errorf("cluster: digest %s: %w", baseURL, err)
+		return digestDoc{}, fmt.Errorf("cluster: digest %s: %w", baseURL, err)
 	}
 	return doc, nil
 }
 
-// fetchEntry GETs one entry's trailered stream from a peer, bounded by the
-// snapshot size cap; the bytes count against the delta wire-cost counter.
-func (n *Node) fetchEntry(ctx context.Context, baseURL, key string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+PathEntryPrefix+url.PathEscape(key), nil)
+// entriesRequest is the body POSTed to PathEntries: the keys wanted, and
+// the response size the asker accepts.
+type entriesRequest struct {
+	Keys     []string `json:"keys"`
+	MaxBytes int64    `json:"maxBytes"`
+}
+
+// HandleDigest serves GET PathDigest: the node's digest document.
+func (n *Node) HandleDigest(w http.ResponseWriter, r *http.Request) {
+	doc, err := n.digest()
 	if err != nil {
-		return nil, err
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(HeaderNode, n.cfg.SelfID)
+	json.NewEncoder(w).Encode(doc)
+}
+
+// HandleEntries serves POST PathEntries: the asked keys' entries and
+// tombstones, each with its stamp, read from one snapshot, as a trailered
+// stream no larger than the asker accepts or this node's own cap (one key
+// always goes, so every response makes progress).
+func (n *Node) HandleEntries(w http.ResponseWriter, r *http.Request) {
+	var req entriesRequest
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, n.cfg.SnapshotMaxBytes)).Decode(&req); err != nil {
+		http.Error(w, "decode entries request: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	limit := n.cfg.SnapshotMaxBytes
+	if req.MaxBytes > 0 {
+		limit = min(limit, req.MaxBytes)
+	}
+	data, _, err := n.store.ExportEntries(req.Keys, int(limit))
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
+	h := w.Header()
+	h.Set("Content-Type", "application/octet-stream")
+	h.Set(HeaderNode, n.cfg.SelfID)
+	h.Set("Content-Length", strconv.Itoa(len(data)))
+	w.Write(data)
+}
+
+// fetchEntries POSTs one entries request for keys, bounded by the size cap,
+// and returns the verified stream's contents and how many of keys it
+// answers (at least one); the bytes count against the wire-cost counter.
+func (n *Node) fetchEntries(ctx context.Context, baseURL string, keys []string) (map[string]catalog.Incoming, int, error) {
+	body, err := json.Marshal(entriesRequest{Keys: keys, MaxBytes: n.cfg.SnapshotMaxBytes})
+	if err != nil {
+		return nil, 0, err
+	}
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+PathEntries, bytes.NewReader(body))
+	if err != nil {
+		return nil, 0, err
+	}
+	req.Header.Set("Content-Type", "application/json")
 	req.Header.Set(HeaderNode, n.cfg.SelfID)
 	resp, err := n.doHop(req, obs.HopEntry, baseURL)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	defer func() {
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("cluster: entry %s from %s: status %d", key, baseURL, resp.StatusCode)
+		return nil, 0, fmt.Errorf("cluster: entries from %s: status %d", baseURL, resp.StatusCode)
 	}
-	data, err := n.readBounded(resp.Body, "entry")
+	data, err := n.readBounded(resp.Body, "entries")
 	if err != nil {
-		return nil, fmt.Errorf("cluster: entry %s from %s: %w", key, baseURL, err)
+		return nil, 0, fmt.Errorf("cluster: entries from %s: %w", baseURL, err)
 	}
-	n.bytesDelta.Add(uint64(len(data)))
-	return data, nil
+	n.bytes.Add(uint64(len(data)))
+	in, covered, err := catalog.DecodeEntries(data)
+	if err == nil && (covered < 1 || covered > len(keys)) {
+		err = fmt.Errorf("stream answers %d of %d keys", covered, len(keys))
+	}
+	if err != nil {
+		return nil, 0, fmt.Errorf("cluster: entries from %s: %w", baseURL, err)
+	}
+	return in, covered, nil
 }
 
 // readBounded reads a response body under the configured size cap, counting
@@ -823,70 +902,14 @@ func (n *Node) readBounded(r io.Reader, what string) ([]byte, error) {
 	return data, nil
 }
 
-// PullSnapshot streams the checksummed catalog snapshot from a peer and
-// merges it in: the trailer is verified, the payload re-validated,
-// estimators recompiled through the catalog's core.Compile ingress path,
-// and the result persisted through the store's (possibly fault-injected)
-// filesystem. The merge is a union guarded by the store's stamp table —
-// keys this node has applied tracked mutations for are left alone (hinted
-// handoff converges them precisely), and local-only keys are never deleted
-// by a pull; an empty booting node degenerates to a full adopt. The peer's
-// epoch header folds into ours on success.
-func (n *Node) PullSnapshot(ctx context.Context, baseURL string) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, baseURL+PathSnapshot, nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set(HeaderNode, n.cfg.SelfID)
-	resp, err := n.doHop(req, obs.HopSnapshot, baseURL)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("cluster: snapshot %s: status %d", baseURL, resp.StatusCode)
-	}
-	data, err := n.readBounded(resp.Body, "snapshot")
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot %s: %w", baseURL, err)
-	}
-	n.bytesFull.Add(uint64(len(data)))
-	gen, err := n.store.MergeSnapshot(data)
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot %s: %w", baseURL, err)
-	}
-	var remoteEpoch uint64
-	if raw := resp.Header.Get(HeaderEpoch); raw != "" {
-		fmt.Sscanf(raw, "%d", &remoteEpoch)
-	}
-	n.ObserveEpoch(remoteEpoch)
-	n.pullsOK.Add(1)
-	n.log.LogAttrs(ctx, slog.LevelInfo, "catalog snapshot pulled",
-		slog.String("peer", baseURL), slog.Uint64("generation", gen),
-		slog.Uint64("epoch", remoteEpoch), slog.Int("indexes", n.store.Len()))
-	return nil
-}
-
-// Pulls reports completed and failed snapshot pulls (tests, metrics).
+// Pulls reports completed and failed pulls (tests, metrics).
 func (n *Node) Pulls() (ok, failed uint64) {
 	return n.pullsOK.Load(), n.pullsFail.Load()
 }
 
-// DeltaPulls reports completed delta syncs and delta syncs that fell back
-// to a full snapshot pull.
-func (n *Node) DeltaPulls() (ok, fallback uint64) {
-	return n.deltaOK.Load(), n.deltaFallback.Load()
-}
-
-// AntiEntropyBytes reports the bytes received over the wire by sync mode —
-// the honest cost ledger the delta-sync gates (bench, the wire-cost test)
-// read.
-func (n *Node) AntiEntropyBytes() (delta, full uint64) {
-	return n.bytesDelta.Load(), n.bytesFull.Load()
-}
+// AntiEntropyBytes reports the bytes pulls received over the wire — the
+// cost ledger the wire-cost test reads.
+func (n *Node) AntiEntropyBytes() uint64 { return n.bytes.Load() }
 
 // OversizeRejections reports anti-entropy responses rejected by the
 // configured size cap.
@@ -925,8 +948,9 @@ func (n *Node) recordHop(tp obs.Traceparent, kind, peer, route string, status in
 }
 
 // RegisterMetrics wires the node's cluster metrics into an obs registry:
-// cluster-level gauges/counters now, and per-peer epfis_cluster_peer_up
-// gauges plus heartbeat-latency histograms as peers are discovered.
+// cluster-level gauges/counters now, and per-peer epfis_cluster_peer_up and
+// epfis_cluster_peer_lag_keys gauges plus heartbeat-latency histograms as
+// peers are discovered.
 func (n *Node) RegisterMetrics(reg *obs.Registry) {
 	n.obsMu.Lock()
 	n.reg = reg
@@ -939,18 +963,14 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(n.cfg.Replicas) })
 	reg.CounterFunc("epfis_cluster_gossip_rounds_total", "Gossip rounds run.",
 		func() float64 { return float64(n.rounds.Load()) })
-	reg.CounterFunc("epfis_cluster_snapshot_pulls_total", "Catalog snapshots pulled from peers.",
+	reg.CounterFunc("epfis_cluster_pulls_total", "Anti-entropy pulls completed.",
 		func() float64 { return float64(n.pullsOK.Load()) })
-	reg.CounterFunc("epfis_cluster_snapshot_pull_failures_total", "Snapshot pulls that failed.",
+	reg.CounterFunc("epfis_cluster_pull_failures_total", "Anti-entropy pulls that failed.",
 		func() float64 { return float64(n.pullsFail.Load()) })
-	reg.CounterFunc("epfis_cluster_delta_pulls_total", "Delta anti-entropy syncs completed.",
-		func() float64 { return float64(n.deltaOK.Load()) })
-	reg.CounterFunc("epfis_cluster_delta_fallbacks_total", "Delta syncs that fell back to a full snapshot pull.",
-		func() float64 { return float64(n.deltaFallback.Load()) })
-	reg.CounterFunc("epfis_cluster_antientropy_bytes_total", "Anti-entropy bytes received by sync mode.",
-		func() float64 { return float64(n.bytesDelta.Load()) }, obs.Label{Name: "mode", Value: "delta"})
-	reg.CounterFunc("epfis_cluster_antientropy_bytes_total", "Anti-entropy bytes received by sync mode.",
-		func() float64 { return float64(n.bytesFull.Load()) }, obs.Label{Name: "mode", Value: "full"})
+	reg.CounterFunc("epfis_cluster_merges_total", "Anti-entropy pulls that committed a merge.",
+		func() float64 { return float64(n.merges.Load()) })
+	reg.CounterFunc("epfis_cluster_antientropy_bytes_total", "Anti-entropy bytes received (digests and entries).",
+		func() float64 { return float64(n.bytes.Load()) })
 	reg.CounterFunc("epfis_cluster_antientropy_oversize_total", "Anti-entropy responses rejected by the size cap.",
 		func() float64 { return float64(n.oversize.Load()) })
 	n.syncPeerGauges()
@@ -980,8 +1000,8 @@ func (n *Node) observeHeartbeat(peerID string, d time.Duration) {
 	h.Observe(d.Seconds())
 }
 
-// observeAntiEntropy records one anti-entropy round trip (digest, entry, or
-// snapshot pull) into the per-peer, per-route latency histogram, registering
+// observeAntiEntropy records one anti-entropy round trip (digest or
+// entries) into the per-peer, per-route latency histogram, registering
 // the series lazily as peers and routes are first used.
 func (n *Node) observeAntiEntropy(peerID, route string, d time.Duration) {
 	if peerID == "" {
@@ -1005,7 +1025,7 @@ func (n *Node) observeAntiEntropy(peerID, route string, d time.Duration) {
 }
 
 // syncPeerGauges refreshes the per-peer up gauges (1 alive, 0 otherwise),
-// registering gauges for newly discovered peers.
+// registering up and lag gauges for newly discovered peers.
 func (n *Node) syncPeerGauges() {
 	peers := n.mem.Peers()
 	n.obsMu.Lock()
@@ -1026,5 +1046,25 @@ func (n *Node) syncPeerGauges() {
 		} else {
 			g.Set(0)
 		}
+		if !n.peerLag[p.ID] {
+			n.peerLag[p.ID] = true
+			id := p.ID
+			n.reg.GaugeFunc("epfis_cluster_peer_lag_keys",
+				"Keys on which the peer's last digest ordered before this node's versions; 0 once the gossiped catalog hashes agree.",
+				func() float64 { return float64(n.lagOf(id)) },
+				obs.Label{Name: "peer", Value: id})
+		}
 	}
+}
+
+// lagOf reports how many keys the peer lags this node by: the keys on
+// which its last fetched digest ordered before this node's versions, or 0
+// once the catalog hash it last gossiped equals this node's.
+func (n *Node) lagOf(id string) int {
+	if p, ok := n.mem.Peer(id); ok && p.CatalogHash != "" && p.CatalogHash == n.CatalogHash() {
+		return 0
+	}
+	n.lagMu.Lock()
+	defer n.lagMu.Unlock()
+	return n.lag[id]
 }

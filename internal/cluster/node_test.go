@@ -3,11 +3,13 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,10 +45,11 @@ func storeWith(t *testing.T, entries ...*stats.IndexStats) *catalog.Store {
 	return st
 }
 
-// serveNode exposes a node's gossip and snapshot routes the way the service
-// layer does, so cluster tests can run real HTTP exchanges without importing
-// internal/service (which would be an import cycle).
-func serveNode(t *testing.T, n *Node) *httptest.Server {
+// serveNode exposes a node's gossip and anti-entropy routes the way the
+// service layer does, so cluster tests can run real HTTP exchanges without
+// importing internal/service (which would be an import cycle). entries, when
+// not nil, counts the entries requests served.
+func serveNode(t *testing.T, n *Node, entries ...*atomic.Int64) *httptest.Server {
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathGossip, func(w http.ResponseWriter, r *http.Request) {
@@ -58,16 +61,12 @@ func serveNode(t *testing.T, n *Node) *httptest.Server {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(n.Merge(doc))
 	})
-	mux.HandleFunc("GET "+PathSnapshot, func(w http.ResponseWriter, r *http.Request) {
-		data, gen, err := n.store.ExportSnapshot()
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
-			return
+	mux.HandleFunc("GET "+PathDigest, n.HandleDigest)
+	mux.HandleFunc("POST "+PathEntries, func(w http.ResponseWriter, r *http.Request) {
+		for _, c := range entries {
+			c.Add(1)
 		}
-		w.Header().Set(HeaderNode, n.SelfID())
-		w.Header().Set(HeaderEpoch, strconv.FormatUint(n.Epoch(), 10))
-		w.Header().Set(HeaderGeneration, strconv.FormatUint(gen, 10))
-		w.Write(data)
+		n.HandleEntries(w, r)
 	})
 	srv := httptest.NewServer(mux)
 	t.Cleanup(srv.Close)
@@ -121,14 +120,16 @@ func TestNodeEpochSemantics(t *testing.T) {
 	if empty.Epoch() != 0 {
 		t.Errorf("empty node epoch = %d, want 0 (adopts the cluster's catalog)", empty.Epoch())
 	}
+	// Unstamped statistics leave the clock at 0: pulls key off catalog
+	// hashes, not epochs, so peers take them anyway.
 	loaded, _ := NewNode(Config{SelfID: "b", SelfURL: "http://b",
 		Store: storeWith(t, testEntry("t", "c", 500))})
-	if loaded.Epoch() != 1 {
-		t.Errorf("loaded node epoch = %d, want 1 (peers should pull from it)", loaded.Epoch())
+	if loaded.Epoch() != 0 {
+		t.Errorf("loaded node epoch = %d, want 0 (no stamp held)", loaded.Epoch())
 	}
 
-	if got := loaded.BumpEpoch(); got != 2 {
-		t.Errorf("BumpEpoch = %d, want 2", got)
+	if got := loaded.BumpEpoch(); got != 1 {
+		t.Errorf("BumpEpoch = %d, want 1", got)
 	}
 	loaded.ObserveEpoch(10)
 	if loaded.Epoch() != 10 {
@@ -213,18 +214,22 @@ func TestNodeConcurrentMergesKeepEveryMember(t *testing.T) {
 	}
 }
 
+// TestNodeGossipRoundTripAndSnapshotPull: a fresh node that gossips with a
+// peer holding statistics pulls the peer's whole catalog through the one
+// pull path, in a single entries request, and then stops pulling.
 func TestNodeGossipRoundTripAndSnapshotPull(t *testing.T) {
-	// Source node: has statistics, epoch 1.
+	// Source node: has statistics, none of them stamped.
 	src, err := NewNode(Config{SelfID: "src", SelfURL: "http://src",
 		Store: storeWith(t, testEntry("orders", "o_custkey", 500), testEntry("lineitem", "l_partkey", 450))})
 	if err != nil {
 		t.Fatal(err)
 	}
-	srcSrv := serveNode(t, src)
+	var entriesCalls atomic.Int64
+	srcSrv := serveNode(t, src, &entriesCalls)
 	src.cfg.SelfURL = srcSrv.URL // advertise the live listener
 
 	// Recovering node: empty store, seeds point at the source.
-	dst, err := NewNode(Config{SelfID: "dst", SelfURL: "http://dst",
+	dst, err := NewNode(Config{SelfID: "dst", SelfURL: "http://127.0.0.1:1",
 		Store: catalog.NewStore(), Seeds: []string{srcSrv.URL}})
 	if err != nil {
 		t.Fatal(err)
@@ -238,27 +243,27 @@ func TestNodeGossipRoundTripAndSnapshotPull(t *testing.T) {
 	if p, ok := dst.mem.Peer("src"); !ok || p.State != StateAlive {
 		t.Fatalf("source not discovered alive: %+v ok=%v", p, ok)
 	}
-	// ...and the epoch/hash gap triggered an async snapshot pull.
-	waitUntil(t, 5*time.Second, "snapshot pull", func() bool {
+	// ...and the hash difference triggered an async pull.
+	waitUntil(t, 5*time.Second, "pull", func() bool {
 		ok, _ := dst.Pulls()
 		return ok == 1
 	})
 	if dst.store.Len() != 2 {
-		t.Fatalf("imported store has %d entries, want 2", dst.store.Len())
+		t.Fatalf("pulled store has %d entries, want 2", dst.store.Len())
 	}
-	if dst.Epoch() != src.Epoch() {
-		t.Errorf("epoch after pull = %d, want %d", dst.Epoch(), src.Epoch())
+	if got := entriesCalls.Load(); got != 1 {
+		t.Errorf("a fresh node fetched its catalog in %d entries requests, want 1", got)
 	}
 	if dh, sh := dst.CatalogHash(), src.CatalogHash(); dh != sh || dh == "" {
-		t.Errorf("content hash after pull = %q, want %q", dh, sh)
+		t.Errorf("catalog hash after pull = %q, want %q", dh, sh)
 	}
-	// The imported statistics are bit-exact.
+	// The pulled statistics are bit-exact.
 	got, err := dst.store.Get("orders", "o_custkey")
 	if err != nil {
-		t.Fatalf("Get after import: %v", err)
+		t.Fatalf("Get after pull: %v", err)
 	}
 	if got.FMin != 500 || got.T != 100 {
-		t.Errorf("imported entry = %+v", got)
+		t.Errorf("pulled entry = %+v", got)
 	}
 
 	// Converged: another round must not pull again.
@@ -270,30 +275,61 @@ func TestNodeGossipRoundTripAndSnapshotPull(t *testing.T) {
 	}
 }
 
-func TestNodePullSnapshotRejectsGarbage(t *testing.T) {
+// TestNodePullRejectsGarbage: a pull refuses a digest that does not decode
+// and an entries stream without a checksum trailer, and leaves the store
+// as it was.
+func TestNodePullRejectsGarbage(t *testing.T) {
+	digest := `{"node":"x","epoch":3,"entries":{"t.x":{"crc":7}}}`
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte(`{"not":"a snapshot"}`))
+		if r.URL.Path == PathDigest {
+			w.Write([]byte(digest))
+			return
+		}
+		w.Write([]byte(`{"entries":[],"covered":1}`))
 	}))
 	defer srv.Close()
 	n, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a", Store: catalog.NewStore()})
-	if err := n.PullSnapshot(context.Background(), srv.URL); err == nil {
-		t.Fatal("PullSnapshot accepted a stream without a checksum trailer")
+	if err := n.Sync(context.Background(), srv.URL); err == nil || !strings.Contains(err.Error(), "checksum trailer") {
+		t.Fatalf("Sync over a trailerless entries stream = %v, want a checksum-trailer refusal", err)
 	}
-	if n.store.Len() != 0 {
-		t.Errorf("garbage import mutated the store: %d entries", n.store.Len())
+	digest = `{"not":"a digest"`
+	if err := n.Sync(context.Background(), srv.URL); err == nil {
+		t.Fatal("Sync accepted a digest that does not decode")
+	}
+	if n.store.Len() != 0 || n.store.Generation() != 0 {
+		t.Errorf("garbage pull mutated the store: %d entries, generation %d", n.store.Len(), n.store.Generation())
+	}
+	if _, fail := n.Pulls(); fail != 2 {
+		t.Errorf("failed pulls = %d, want 2", fail)
 	}
 }
 
-func TestNodeEqualEpochDivergenceDoesNotPull(t *testing.T) {
-	a, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a",
+// TestNodeEqualEpochDivergencePulls: a peer at the same epoch with a
+// different catalog hash is a pull trigger like any other difference, and
+// unstamped divergent copies settle on the same winner at both ends.
+func TestNodeEqualEpochDivergencePulls(t *testing.T) {
+	b, _ := NewNode(Config{SelfID: "b", SelfURL: "http://b",
+		Store: storeWith(t, testEntry("t", "x", 600), testEntry("t", "y", 700))})
+	bSrv := serveNode(t, b)
+	b.cfg.SelfURL = bSrv.URL
+	a, _ := NewNode(Config{SelfID: "a", SelfURL: "http://127.0.0.1:1",
 		Store: storeWith(t, testEntry("t", "x", 500))})
-	// A peer at the same epoch with a different hash is a conflict, not a
-	// pull trigger.
-	a.Merge(Doc{Self: NodeInfo{ID: "b", URL: "http://b", Epoch: a.Epoch(),
-		CatalogHash: "crc32c:ffffffff"}})
-	time.Sleep(20 * time.Millisecond)
-	if ok, fail := a.Pulls(); ok != 0 || fail != 0 {
-		t.Errorf("equal-epoch divergence triggered a pull: ok=%d fail=%d", ok, fail)
+	if a.Epoch() != b.Epoch() {
+		t.Fatalf("epochs %d and %d, want equal", a.Epoch(), b.Epoch())
+	}
+	a.Merge(b.HealthDoc())
+	waitUntil(t, 5*time.Second, "pull at equal epoch", func() bool {
+		ok, _ := a.Pulls()
+		return ok == 1
+	})
+	if _, err := a.store.Get("t", "y"); err != nil {
+		t.Fatalf("equal-epoch pull missed t.y: %v", err)
+	}
+	if err := b.Sync(context.Background(), serveNode(t, a).URL); err != nil {
+		t.Fatal(err)
+	}
+	if ha, hb := a.CatalogHash(), b.CatalogHash(); ha != hb {
+		t.Fatalf("after pulls both ways the hashes differ: %s vs %s", ha, hb)
 	}
 }
 
@@ -316,6 +352,7 @@ func TestNodeMetricsExposition(t *testing.T) {
 	for _, want := range []string{
 		`epfis_cluster_members 2`,
 		`epfis_cluster_peer_up{peer="src"} 1`,
+		`epfis_cluster_peer_lag_keys{peer="src"} 0`,
 		`epfis_cluster_heartbeat_seconds_count{peer="src"} 1`,
 		`epfis_cluster_gossip_rounds_total 1`,
 	} {
@@ -375,14 +412,14 @@ func TestStampOrderingAndRecord(t *testing.T) {
 	// an absent key records a tombstone and a stamp never regresses.
 	store := catalog.NewStore()
 	n, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a", Store: store})
-	if n.HasKeyStamp("t.k") {
+	if n.KeyStamp("t.k") != zero {
 		t.Error("fresh node tracks no stamps")
 	}
 	if _, _, err := store.DeleteStamped("t", "k", b1, true); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := store.DeleteStamped("t", "k", a1, true); err != nil { // older by tiebreak: must not regress
-		t.Fatal(err)
+	if _, _, err := store.DeleteStamped("t", "k", a1, true); !errors.Is(err, catalog.ErrStale) { // older by tiebreak: must not regress
+		t.Fatalf("older stamped delete = %v, want ErrStale", err)
 	}
 	if got := n.KeyStamp("t.k"); got != b1 {
 		t.Errorf("KeyStamp after regressing record = %+v, want %+v", got, b1)
@@ -393,8 +430,8 @@ func TestStampOrderingAndRecord(t *testing.T) {
 	if got := n.KeyStamp("t.k"); got != a2 {
 		t.Errorf("KeyStamp after advancing record = %+v, want %+v", got, a2)
 	}
-	if !n.HasKeyStamp("t.k") || n.HasKeyStamp("t.other") {
-		t.Error("HasKeyStamp must reflect exactly the recorded keys")
+	if n.KeyStamp("t.other") != zero {
+		t.Error("KeyStamp must reflect exactly the recorded keys")
 	}
 	if got := store.Snapshot().Stamps(); len(got) != 1 || got["t.k"] != a2 {
 		t.Errorf("Stamps = %+v", got)

@@ -2,8 +2,8 @@ package cluster
 
 // Shared pooled HTTP transport for intra-cluster traffic.
 //
-// Every cluster wire path — ingest forwarding, replication fan-out, hinted
-// handoff, gossip, and anti-entropy pulls — is node-to-node traffic against
+// Every cluster wire path — ingest forwarding, replication fan-out, gossip,
+// and anti-entropy pulls — is node-to-node traffic against
 // a small, stable peer set. http.DefaultTransport (and worse, a fresh
 // zero-Transport client per node) re-dials per burst and caps idle
 // connections per host at 2, so a replication fan-out under load pays TCP

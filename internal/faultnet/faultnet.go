@@ -16,8 +16,8 @@
 //	inj.Add(faultnet.Rule{Op: faultnet.OpRequest, Route: "/v1/cluster/gossip", Nth: 3, Mode: faultnet.ModeDrop})
 //
 // drops the third outbound gossip exchange. Every operation is traced so
-// tests can assert ordering (for example that a hinted-handoff retry
-// follows the original failed send).
+// tests can assert ordering (for example that a pull follows the gossip
+// exchange that triggered it).
 //
 // Partitions are modelled on top of the same injector: Block(peer) makes
 // every outbound request to a matching host fail with ErrPartitioned until
@@ -418,7 +418,7 @@ func (in *Injector) Client(timeout time.Duration) *http.Client {
 // the number of firings (-1 = forever). Examples:
 //
 //	request:9001:/v1/indexes:1:drop        drop the first PUT replicated to :9001
-//	response:*:/v1/cluster/snapshot:1:truncate  cut the first snapshot stream short
+//	response:*:/v1/cluster/entries:1:truncate  cut the first entries stream short
 //	*:node-b::1:slow=50ms:3                slow three exchanges with node-b by ~50ms
 func ParseRules(spec string) ([]Rule, error) {
 	var rules []Rule

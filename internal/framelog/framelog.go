@@ -1,5 +1,6 @@
 // Package framelog is the framed append-only log behind every durable
-// journal: the catalog WAL and the per-peer hint queues. It owns the frame
+// journal: the catalog WAL, and the stamp journal an older release kept,
+// which is read once on import. It owns the frame
 // format and every open, truncate, fsync and rename those journals perform;
 // each owner keeps only its record rules, expressed as the accept function
 // it passes to Scan and Open.

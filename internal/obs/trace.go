@@ -237,11 +237,9 @@ const (
 // distributed trace shows every network edge it crossed.
 const (
 	HopReplicate = "replicate" // quorum replication fan-out
-	HopHandoff   = "handoff"   // hinted-handoff retry delivery
 	HopGossip    = "gossip"    // membership heartbeat exchange
 	HopDigest    = "digest"    // anti-entropy digest pull
-	HopEntry     = "entry"     // anti-entropy per-key entry pull
-	HopSnapshot  = "snapshot"  // anti-entropy full snapshot pull
+	HopEntry     = "entry"     // anti-entropy entries pull
 	HopForward   = "forward"   // ingest batch forwarded to a ring owner
 )
 

@@ -1,17 +1,17 @@
 package service
 
 // Cluster-mode serving: read fences, mutation replication, ingest
-// forwarding, and the cluster routes (health, gossip, snapshot, digest,
-// entry).
+// forwarding, and the cluster routes (health, gossip, digest, entries).
 //
 // Everything here is reached only when Config.Cluster is set. The single-node
 // serving path pays exactly one nil-pointer check per request (s.cluster ==
 // nil), so the committed alloc budgets are untouched with cluster mode off.
 //
 // Routing model: the catalog is fully replicated — mutations fan out to
-// every live peer, hinted handoff redelivers what a peer missed, and gossip
-// anti-entropy repairs the rest — so every node answers both estimate routes
-// from its own snapshot, with no hop. The consistent-hash ring assigns each
+// every live peer, and anti-entropy (cluster.Node.Sync, triggered by any
+// catalog-hash difference at either end of a gossip exchange) repairs
+// whatever a peer missed — so every node answers both estimate routes from
+// its own snapshot, with no hop. The consistent-hash ring assigns each
 // index key an R-way owner set that decides whose acknowledgements make a
 // write's quorum and where the key's ingest stream accumulates; it does not
 // route reads. Memo-cache locality is the client's side of the bargain:
@@ -28,27 +28,29 @@ package service
 //
 // Mutation model: every mutation is stamped with a cluster-wide Lamport
 // epoch at the node that first receives it, applied locally, then fanned out
-// to every live peer with a per-peer timeout. A key's stamp check, epoch
-// assignment and store apply run under that key's lock stripe (keyLock), so
+// to every live peer with a per-peer timeout. A local mutation's epoch
+// assignment and store apply run under its key's lock stripe (keyLock), so
 // each key's epoch order is its apply order while mutations of other keys
 // run beside it and share one WAL group commit. The client's PUT/DELETE
 // succeeds only when W of the key's R ring owners acknowledged the write
 // (Config.WriteQuorum; majority by default) — otherwise 503, with the local
-// apply standing and the missed peers queued as durable hints (handoff.go).
-// Receivers apply a replicated mutation only when its (epoch, originator)
-// stamp advances the key's last-applied stamp, which makes redelivery
-// idempotent and closes the delete-resurrection race: a reordered older PUT
-// can no longer overwrite a newer DELETE. The originator tiebreaker decides
-// equal epochs — concurrent same-key mutations on both sides of a partition
-// — identically on every node, so replicas converge after heal. The store
-// keeps the stamps: each is recorded in the same commit as its write
+// apply standing. A send that failed is not journaled: the node's WAL holds
+// the write with its stamp, and the next gossip round's pull delivers it.
+// A store applies a stamped write only when its (epoch, originator) stamp
+// orders after the key's held stamp, checked inside the store's commit, so
+// redelivery is idempotent, a reordered older PUT can no longer overwrite a
+// newer DELETE, and a merge that lands beside a replicated apply can never
+// leave older content under a newer stamp. The originator tiebreaker
+// decides equal epochs — concurrent same-key mutations on both sides of a
+// partition — identically on every node, so replicas converge after heal.
+// Each stamp is recorded in the same commit as its write
 // (catalog.Store.PutStamped, DeleteStamped) and, on a WAL-backed store, in
 // the same log frame, so it is durable exactly when the write is and costs
-// no fsync of its own. Delete tombstones therefore survive restarts, and a
-// post-restart snapshot merge cannot resurrect a deleted key. A node with
-// an in-memory store keeps its stamps in memory, like its catalog: after a
-// restart it is a fresh node, re-learns every key from its peers, and has
-// lost its tombstones with its entries.
+// no fsync of its own. Delete tombstones travel in the digest, so a node
+// that missed a delete — including a restarted in-memory node, which
+// re-learns its catalog and its tombstones from its peers — takes the
+// tombstone instead of keeping or resurrecting the key. A reload is a
+// write too: what it changes carries a fresh stamp.
 
 import (
 	"bytes"
@@ -76,8 +78,8 @@ import (
 )
 
 // DefaultReplicateTimeout bounds each per-peer replication send when
-// Config.ReplicateTimeout is zero: a partitioned peer costs one timeout and
-// a hint, never a hung client request.
+// Config.ReplicateTimeout is zero: a partitioned peer costs one timeout,
+// never a hung client request.
 const DefaultReplicateTimeout = 2 * time.Second
 
 // replicationBuckets grade the per-peer replication send latency (0.5ms to
@@ -86,11 +88,10 @@ var replicationBuckets = obs.ExpBuckets(0.0005, 2, 14)
 
 // Cluster route names (metrics keys, mux patterns).
 const (
-	routeClusterHealth   = "GET " + cluster.PathHealth
-	routeClusterGossip   = "POST " + cluster.PathGossip
-	routeClusterSnapshot = "GET " + cluster.PathSnapshot
-	routeClusterDigest   = "GET " + cluster.PathDigest
-	routeClusterEntry    = "GET " + cluster.PathEntryPrefix + "{key}"
+	routeClusterHealth  = "GET " + cluster.PathHealth
+	routeClusterGossip  = "POST " + cluster.PathGossip
+	routeClusterDigest  = "GET " + cluster.PathDigest
+	routeClusterEntries = "POST " + cluster.PathEntries
 )
 
 // ErrStaleReplica is the retryable 503 for an estimate fenced on a write
@@ -132,9 +133,9 @@ func newClusterObs(reg *obs.Registry) *clusterObs {
 		replicated: reg.Counter("epfis_cluster_replication_total",
 			"Mutations replicated to peers."),
 		replFailures: reg.Counter("epfis_cluster_replication_failures_total",
-			"Peer replication sends that failed (hinted handoff redelivers them)."),
+			"Peer replication sends that failed (the next gossip round's pull repairs them)."),
 		staleDrops: reg.Counter("epfis_cluster_stale_mutations_total",
-			"Replicated mutations skipped because the key had already applied an equal or later epoch."),
+			"Replicated mutations skipped because the key already held an equal or later stamp."),
 		fastAcks: reg.Counter("epfis_cluster_quorum_fastacks_total",
 			"Quorum verdicts returned while replication sends were still in flight."),
 		reg:     reg,
@@ -145,8 +146,7 @@ func newClusterObs(reg *obs.Registry) *clusterObs {
 // observeReplication records one peer send in that peer's latency histogram
 // (epfis_cluster_replication_seconds{peer=...,route=...}), registered lazily
 // on the first send — never on the single-node serving path. route is the
-// hop disposition: "put"/"delete" for quorum fan-out, "handoff" for hint
-// redelivery.
+// method: "put" or "delete".
 func (c *clusterObs) observeReplication(peer, route string, d time.Duration) {
 	key := peer + "\x00" + route
 	c.replLatMu.Lock()
@@ -196,10 +196,10 @@ func parseFence(tok string) (table, column string, st cluster.Stamp, err error) 
 
 // staleFences returns a refusal, keyed by {table, column}, for each fenced
 // index whose stamp here orders before the token's; nil when all pass. A
-// stamp is published in the same snapshot as its write, and anti-entropy
-// never touches stamp-tracked keys, so a passing fence means a snapshot
-// loaded afterwards holds the write or a later one: callers check fences
-// before they load the snapshot.
+// stamp is published in the same snapshot as the write it names and never
+// moves backwards, so a passing fence means a snapshot loaded afterwards
+// holds the write or a later one: callers check fences before they load
+// the snapshot.
 func (s *Server) staleFences(r *http.Request) (map[[2]string]error, error) {
 	var stale map[[2]string]error
 	for _, v := range r.Header[cluster.HeaderFence] {
@@ -310,8 +310,8 @@ var mutationEncPool = sync.Pool{New: func() any {
 
 // encodeMutationBody renders an entry as the replication fan-out body using
 // the pooled encoder. The returned slice is an exact-size caller-owned copy:
-// the body outlives this call — detached straggler sends and hint journals
-// retain it — so it must never alias pooled memory.
+// the body outlives this call — detached straggler sends retain it — so it
+// must never alias pooled memory.
 func encodeMutationBody(e *stats.IndexStats) ([]byte, error) {
 	m := mutationEncPool.Get().(*mutationEncoder)
 	m.buf.Reset()
@@ -350,7 +350,7 @@ func replicatedStamp(r *http.Request) (st cluster.Stamp, replicated bool, err er
 }
 
 // clusterPut is handlePutIndex's cluster-mode tail (the entry is already
-// validated): epoch-gated application for replicated arrivals, epoch-stamped
+// validated): stamp-gated application for replicated arrivals, stamped
 // quorum fan-out for local originations.
 func (s *Server) clusterPut(w http.ResponseWriter, r *http.Request, e *stats.IndexStats) {
 	key := e.Key()
@@ -388,7 +388,7 @@ func (s *Server) clusterPut(w http.ResponseWriter, r *http.Request, e *stats.Ind
 	tp, traced := requestTrace(w)
 	if err := s.replicateQuorum(http.MethodPut, indexPath(e.Table, e.Column), body, key, epoch, tp, traced); err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable,
-			fmt.Errorf("replication quorum not met for %s: %w (applied locally, handoff pending; safe to retry)", key, err),
+			fmt.Errorf("replication quorum not met for %s: %w (applied locally, anti-entropy delivers it; safe to retry)", key, err),
 			time.Second)
 		return
 	}
@@ -451,7 +451,7 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, co
 	tp, traced := requestTrace(w)
 	if err := s.replicateQuorum(http.MethodDelete, indexPath(table, column), nil, key, epoch, tp, traced); err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable,
-			fmt.Errorf("replication quorum not met for %s: %w (deleted locally, handoff pending; safe to retry)", key, err),
+			fmt.Errorf("replication quorum not met for %s: %w (deleted locally, anti-entropy delivers it; safe to retry)", key, err),
 			time.Second)
 		return
 	}
@@ -462,53 +462,52 @@ func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, co
 // keyLockStripes is the number of mutexes keyLock spreads keys over.
 const keyLockStripes = 64
 
-// keyLock returns the mutex that orders cluster mutations of key: its stamp
-// check, epoch assignment and store apply run under it. Keys on other
-// stripes proceed concurrently, so their commits can share one WAL fsync.
+// keyLock returns the mutex that orders local cluster mutations of key: its
+// epoch assignment and store apply run under it, so epoch order is apply
+// order. Keys on other stripes proceed concurrently, so their commits can
+// share one WAL fsync.
 func (s *Server) keyLock(key string) *sync.Mutex {
 	return &s.keyLocks[maphash.String(s.keySeed, key)%keyLockStripes]
 }
 
 // applyReplicated applies one replicated mutation iff its (epoch, origin)
-// stamp advances the key's last-applied stamp — the per-key ordering gate
-// that makes replication delivery idempotent (hinted-handoff redelivery,
-// client retries) and closes the delete-resurrection race. The originator
-// tiebreaker resolves equal epochs, which concurrent mutations on both sides
-// of a partition can produce: every node picks the same winner, so replicas
-// converge after heal instead of each dropping the other's write as stale.
-// apply must record st with its write (PutStamped, DeleteStamped).
+// stamp orders after the key's held stamp — a gate the store checks inside
+// its commit (catalog.ErrStale), which makes replication delivery
+// idempotent and closes the delete-resurrection race. The originator
+// tiebreaker resolves equal epochs, which concurrent mutations on both
+// sides of a partition can produce: every node picks the same winner, so
+// replicas converge after heal instead of each dropping the other's write
+// as stale. apply must record st with its write (PutStamped, DeleteStamped).
 func (s *Server) applyReplicated(w http.ResponseWriter, key string, st cluster.Stamp, apply func(cluster.Stamp) (uint64, error)) {
-	// Fold the originator's epoch in before taking the key's lock, so a
-	// local mutation serialized after this one is stamped strictly above it.
+	// Fold the originator's epoch in first, so a local mutation serialized
+	// after this one is stamped strictly above it.
 	s.cluster.ObserveEpoch(st.Epoch)
 	commit, retryAfter, err := s.beginMutation()
 	if err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
 		return
 	}
-	mu := s.keyLock(key)
-	mu.Lock()
-	if !s.cluster.KeyStamp(key).Less(st) {
-		mu.Unlock()
-		commit(false)
+	gen, err := apply(st)
+	stale := errors.Is(err, catalog.ErrStale)
+	commit(err != nil && !stale)
+	switch {
+	case stale:
 		s.cobs.staleDrops.Inc()
 		writeJSON(w, http.StatusOK, map[string]any{"key": key, "skipped": true, "epoch": st.Epoch})
-		return
-	}
-	gen, err := apply(st)
-	mu.Unlock()
-	commit(err != nil)
-	if err != nil {
+	case err != nil:
 		writeRetryable(w, http.StatusServiceUnavailable, err, time.Second)
-		return
+	default:
+		writeJSON(w, http.StatusOK, map[string]any{"key": key, "generation": gen, "epoch": st.Epoch})
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "generation": gen, "epoch": st.Epoch})
 }
 
 // applyLocal runs a locally originated mutation under the key's lock with a
 // freshly assigned epoch, so epoch order matches apply order for every
 // same-key mutation flowing through this node. apply must record the stamp
-// it is given with its write (PutStamped, DeleteStamped).
+// it is given with its write (PutStamped, DeleteStamped). A pull that
+// merged a later write of the key between the epoch bump and the commit
+// supersedes this one (catalog.ErrStale): the write is acknowledged, and
+// its fence passes on the later write, as it would had it landed first.
 func (s *Server) applyLocal(key string, apply func(cluster.Stamp) (uint64, error)) (gen, epoch uint64, retryAfter time.Duration, err error) {
 	commit, retryAfter, err := s.beginMutation()
 	if err != nil {
@@ -516,14 +515,22 @@ func (s *Server) applyLocal(key string, apply func(cluster.Stamp) (uint64, error
 	}
 	mu := s.keyLock(key)
 	mu.Lock()
-	epoch = s.cluster.BumpEpoch()
-	gen, err = apply(cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})
+	st := s.freshStamp()
+	gen, err = apply(st)
 	mu.Unlock()
+	if errors.Is(err, catalog.ErrStale) {
+		gen, err = s.store.Generation(), nil
+	}
 	commit(err != nil)
 	if err != nil {
 		return 0, 0, time.Second, err
 	}
-	return gen, epoch, 0, nil
+	return gen, st.Epoch, 0, nil
+}
+
+// freshStamp assigns the next epoch to a mutation this node originates.
+func (s *Server) freshStamp() cluster.Stamp {
+	return cluster.Stamp{Epoch: s.cluster.BumpEpoch(), Origin: s.cluster.SelfID()}
 }
 
 // legacyStampJournal is the stamp journal an older release kept under
@@ -569,24 +576,19 @@ func importStampJournal(store *catalog.Store, dir string) (map[string]cluster.St
 	return stamps, nil
 }
 
-// replicateQuorum fans an epoch-stamped mutation out to every live peer and
+// replicateQuorum fans a stamped mutation out to every live peer and
 // returns as soon as the quorum verdict is decided: the mutation is
 // acknowledged when W of the key's R ring owners hold it (the local apply
 // counts when this node is an owner), and rejected the moment enough owner
 // sends have failed that W is unreachable. Sends that are still in flight
 // when the verdict lands — owner stragglers and every non-owner peer —
-// detach and finish in the background, still journaling a durable hint on
-// failure, so a slow replica costs the client nothing and convergence never
-// waits for anti-entropy. Peers that are unreachable up front — dead,
-// URL-less — get the hint immediately. A missed quorum returns an error;
-// the caller surfaces 503 with the applied-locally contract (retry-safe,
-// because every replicated apply is epoch-gated).
+// detach and finish in the background, so a slow replica costs the client
+// nothing. A failed send, or a peer unreachable up front (dead, URL-less),
+// is counted and logged; the next gossip round's pull repairs it. A missed
+// quorum returns an error; the caller surfaces 503 with the applied-locally
+// contract (retry-safe, because every replicated apply is stamp-gated).
 func (s *Server) replicateQuorum(method, path string, body []byte, key string, epoch uint64, tp obs.Traceparent, traced bool) error {
 	route := replRoute(method)
-	var traceVal string
-	if traced {
-		traceVal = tp.String() // rendered once; hints carry it for redelivery
-	}
 	owners := map[string]bool{}
 	for _, p := range s.cluster.Owners(key) {
 		owners[p.ID] = true
@@ -600,7 +602,6 @@ func (s *Server) replicateQuorum(method, path string, body []byte, key string, e
 	for _, p := range s.cluster.Peers() {
 		if p.URL == "" || p.State == cluster.StateDead {
 			s.cobs.replFailures.Inc()
-			s.handoff.enqueue(hintRecord{Peer: p.ID, Method: method, Path: path, Body: body, Epoch: epoch, Key: key, Trace: traceVal})
 			continue
 		}
 		live = append(live, p)
@@ -622,10 +623,9 @@ func (s *Server) replicateQuorum(method, path string, body []byte, key string, e
 			}
 			if err != nil {
 				s.cobs.replFailures.Inc()
-				s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "replication failed, hint journaled",
+				s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "replication failed, anti-entropy repairs it",
 					slog.String("peer", p.ID), slog.String("path", path),
 					slog.String("error", err.Error()))
-				s.handoff.enqueue(hintRecord{Peer: p.ID, Method: method, Path: path, Body: body, Epoch: epoch, Key: key, Trace: traceVal})
 			} else {
 				s.cobs.replicated.Inc()
 			}
@@ -654,7 +654,7 @@ func (s *Server) replicateQuorum(method, path string, body []byte, key string, e
 
 // quorumFor resolves Config.WriteQuorum against a key's owner count:
 // 0 = majority, positive = that many acks (capped at the owner count),
-// negative = none (the local apply suffices; hints still converge peers).
+// negative = none (the local apply suffices; anti-entropy converges peers).
 func (s *Server) quorumFor(owners int) int {
 	switch {
 	case s.writeQuorum < 0:
@@ -671,10 +671,8 @@ func (s *Server) quorumFor(owners int) int {
 
 // replicateRepublish fans an ingest-refit entry, already applied and stamped
 // at epoch through applyLocal, out like a local PUT. No client waits on it,
-// so a missed quorum is logged rather than surfaced; hints still carry the
-// refit to every peer eventually. Explicit replication matters here: peers
-// tracking an epoch for the key skip it during snapshot merges, so
-// anti-entropy alone would never deliver the refit.
+// so a missed quorum is logged rather than surfaced; anti-entropy carries
+// the refit to every peer it missed on the next gossip round.
 func (s *Server) replicateRepublish(e *stats.IndexStats, epoch uint64) {
 	key := e.Key()
 	body, err := encodeMutationBody(e)
@@ -733,22 +731,6 @@ func (s *Server) replicateTo(baseURL, method, path string, body []byte, epoch ui
 	return resp.StatusCode, nil
 }
 
-// noteClusterMutation accounts for a local mutation that is not forwarded
-// (reload): a replicated arrival folds the originator's epoch in, a local
-// origination bumps our own so anti-entropy propagates the change.
-func (s *Server) noteClusterMutation(r *http.Request) {
-	if s.cluster == nil {
-		return
-	}
-	if r.Header.Get(cluster.HeaderReplicated) != "" {
-		if e, err := strconv.ParseUint(r.Header.Get(cluster.HeaderEpoch), 10, 64); err == nil {
-			s.cluster.ObserveEpoch(e)
-		}
-		return
-	}
-	s.cluster.BumpEpoch()
-}
-
 // handleClusterHealth serves the membership document: self plus every known
 // peer with states, generations, epochs, and catalog hashes.
 func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
@@ -764,66 +746,4 @@ func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, s.cluster.Merge(doc))
-}
-
-// handleClusterSnapshot streams the checksummed catalog snapshot — the exact
-// trailered on-disk format, so the receiving ImportSnapshot verifies
-// integrity end to end. Headers carry the serving node, its epoch, and the
-// generation the stream captured.
-func (s *Server) handleClusterSnapshot(w http.ResponseWriter, r *http.Request) {
-	data, gen, err := s.store.ExportSnapshot()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set(cluster.HeaderNode, s.cluster.SelfID())
-	h.Set(cluster.HeaderEpoch, strconv.FormatUint(s.cluster.Epoch(), 10))
-	h.Set(cluster.HeaderGeneration, strconv.FormatUint(gen, 10))
-	h.Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
-}
-
-// handleClusterDigest serves the per-entry digest table that drives delta
-// anti-entropy: key -> (last applied stamp, CRC32-C of the canonical
-// single-entry payload), plus this node's epoch and generation. A behind
-// peer diffs it against its own digests and fetches only divergent entries.
-func (s *Server) handleClusterDigest(w http.ResponseWriter, r *http.Request) {
-	doc, err := s.cluster.DigestDoc()
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set(cluster.HeaderNode, s.cluster.SelfID())
-	writeJSON(w, http.StatusOK, doc)
-}
-
-// handleClusterEntry streams one entry in the trailered catalog framing —
-// the delta-sync sibling of handleClusterSnapshot, with the same end-to-end
-// checksum verification on the receiving MergeEntries.
-func (s *Server) handleClusterEntry(w http.ResponseWriter, r *http.Request) {
-	key, err := url.PathUnescape(r.PathValue("key"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad entry key: %w", err))
-		return
-	}
-	data, gen, err := s.store.ExportEntry(key)
-	if err != nil {
-		if errors.Is(err, stats.ErrNotFound) {
-			writeError(w, http.StatusNotFound, err)
-			return
-		}
-		writeError(w, http.StatusInternalServerError, err)
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/octet-stream")
-	h.Set(cluster.HeaderNode, s.cluster.SelfID())
-	h.Set(cluster.HeaderEpoch, strconv.FormatUint(s.cluster.Epoch(), 10))
-	h.Set(cluster.HeaderGeneration, strconv.FormatUint(gen, 10))
-	h.Set("Content-Length", strconv.Itoa(len(data)))
-	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(data)
 }

@@ -1,24 +1,27 @@
 package service
 
-// Delta anti-entropy drills: equivalence with the full snapshot pull across
-// random divergence sets (including tombstoned keys), and the wire-cost
-// gate — a 1-key divergence must sync for a small fraction of the full
-// snapshot stream.
+// Anti-entropy drills: a delta pull and a fresh node's full pull reach the
+// same versions across random divergence sets (tombstones and stamp folds
+// included), and the wire-cost gate — a 1-key divergence must sync for a
+// small fraction of the trailered catalog's bytes.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"testing"
 
 	"epfis/internal/cluster"
 )
 
-// TestClusterDeltaEquivalence checks that a delta sync and a full snapshot
-// pull converge two identically prepared replicas to the byte-identical
-// content hash, across randomized divergence sets: mutated entries, freshly
-// added entries, deleted entries, and stamp-tracked (tombstoned) keys that
-// bulk anti-entropy must leave alone on both paths.
+// TestClusterDeltaEquivalence checks that a node holding the base catalog
+// (a delta pull) and a fresh node (a full pull through the same path) both
+// reach the source's versions exactly — entries, stamps and tombstones —
+// across randomized divergence sets: mutated entries, a fresh entry,
+// deleted entries, and a key rewritten with identical content under a
+// later stamp, which the delta puller folds without fetching it.
 func TestClusterDeltaEquivalence(t *testing.T) {
 	const baseEntries = 12
 	for trial := 0; trial < 3; trial++ {
@@ -26,90 +29,83 @@ func TestClusterDeltaEquivalence(t *testing.T) {
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(trial) + 77))
 			nodes := startCluster(t, 3, 3)
-			src, deltaPuller, fullPuller := nodes[0], nodes[1], nodes[2]
+			src, deltaPuller, fresh := nodes[0], nodes[1], nodes[2]
 
-			// Identical base catalog on every store, installed directly so no
-			// replication stamps exist yet.
+			// Identical base catalog on the source and the delta puller,
+			// installed directly so no stamps exist yet; the fresh node
+			// holds nothing.
 			cols := make([]string, baseEntries)
 			for i := range cols {
 				cols[i] = fmt.Sprintf("c%02d", i)
 				st := fitStats(t, "t", cols[i], int64(i)+1)
-				for _, n := range nodes {
+				for _, n := range []*cnode{src, deltaPuller} {
 					if _, err := n.store.Put(st); err != nil {
 						t.Fatal(err)
 					}
 				}
 			}
 
-			// Diverge the source: mutate two entries, delete two, add one.
+			// Diverge the source through stamped writes, as the cluster
+			// makes them: mutate two, delete two, add one, and rewrite one
+			// with its own content.
+			stamp := func(e uint64) cluster.Stamp { return cluster.Stamp{Epoch: e, Origin: src.id} }
 			perm := rng.Perm(baseEntries)
 			mutated := []string{cols[perm[0]], cols[perm[1]]}
 			deleted := []string{cols[perm[2]], cols[perm[3]]}
+			refolded := cols[perm[4]]
 			for i, c := range mutated {
-				if _, err := src.store.Put(fitStats(t, "t", c, int64(100+trial*10+i))); err != nil {
+				if _, err := src.store.PutStamped(fitStats(t, "t", c, int64(100+trial*10+i)), stamp(uint64(1+i))); err != nil {
 					t.Fatal(err)
 				}
 			}
-			for _, c := range deleted {
-				if _, _, err := src.store.Delete("t", c); err != nil {
+			for i, c := range deleted {
+				if _, _, err := src.store.DeleteStamped("t", c, stamp(uint64(3+i)), true); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, err := src.store.Put(fitStats(t, "t", "fresh", int64(200+trial))); err != nil {
+			same, err := src.store.Get("t", refolded)
+			if err != nil {
 				t.Fatal(err)
 			}
-
-			// Tombstones on both pullers: one mutated key and one deleted key
-			// are stamp-tracked, so neither sync path may touch them.
-			tomb := cluster.Stamp{Epoch: 9, Origin: "tomb"}
-			for _, p := range []*cnode{deltaPuller, fullPuller} {
-				if _, err := p.store.RecordStamps(map[string]cluster.Stamp{"t." + mutated[0]: tomb, "t." + deleted[0]: tomb}); err != nil {
-					t.Fatal(err)
-				}
+			if _, err := src.store.PutStamped(same, stamp(5)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := src.store.PutStamped(fitStats(t, "t", "fresh", int64(200+trial)), stamp(6)); err != nil {
+				t.Fatal(err)
 			}
 
 			ctx := context.Background()
-			if err := deltaPuller.node.PullDelta(ctx, src.url); err != nil {
-				t.Fatalf("delta pull: %v", err)
-			}
-			if err := fullPuller.node.PullSnapshot(ctx, src.url); err != nil {
-				t.Fatalf("full pull: %v", err)
-			}
-
-			hd, _, err := deltaPuller.store.ContentHash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hf, _, err := fullPuller.store.ContentHash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if hd != hf {
-				t.Fatalf("delta converged to %s, full pull to %s", hd, hf)
-			}
-
-			// Merge semantics spot checks: deletions never propagate through
-			// anti-entropy, and the tombstoned mutation kept its base bytes.
-			for _, c := range deleted {
-				if _, err := deltaPuller.store.Get("t", c); err != nil {
-					t.Fatalf("delta pull deleted local-only key t.%s: %v", c, err)
+			for _, p := range []*cnode{deltaPuller, fresh} {
+				if err := p.node.Sync(ctx, src.url); err != nil {
+					t.Fatalf("%s pull: %v", p.id, err)
 				}
 			}
-			okPulls, fallbacks := deltaPuller.node.DeltaPulls()
-			if okPulls == 0 || fallbacks != 0 {
-				t.Fatalf("delta pulls ok=%d fallback=%d, want ok>0 fallback=0", okPulls, fallbacks)
+			want := src.node.CatalogHash()
+			for _, p := range []*cnode{deltaPuller, fresh} {
+				if got := p.node.CatalogHash(); got != want {
+					t.Fatalf("%s reached %s, the source holds %s", p.id, got, want)
+				}
+				for _, c := range deleted {
+					if _, err := p.store.Get("t", c); err == nil {
+						t.Fatalf("%s kept deleted key t.%s", p.id, c)
+					}
+				}
+				if got := p.node.KeyStamp("t." + refolded); got != stamp(5) {
+					t.Fatalf("%s holds t.%s under %v, want the folded %v", p.id, refolded, got, stamp(5))
+				}
 			}
-			db, fb := deltaPuller.node.AntiEntropyBytes()
-			if db == 0 || fb != 0 {
-				t.Fatalf("delta puller bytes delta=%d full=%d, want delta>0 full=0", db, fb)
+			// The delta puller fetched only the three changed entries; the
+			// fresh node fetched all eleven.
+			if db, fb := deltaPuller.node.AntiEntropyBytes(), fresh.node.AntiEntropyBytes(); db == 0 || 2*db > fb {
+				t.Fatalf("delta pull read %d bytes, the full pull %d: want under half", db, fb)
 			}
 		})
 	}
 }
 
-// TestClusterDeltaOneKeyWireCost gates delta anti-entropy: one divergent key
-// out of 64 must sync via the digest route, without falling back, for at
-// most maxDeltaFraction of the full snapshot stream's bytes.
+// TestClusterDeltaOneKeyWireCost gates anti-entropy's wire cost: one
+// divergent key out of 64 must sync for at most maxDeltaFraction of the
+// bytes of the whole catalog as a trailered stream.
 func TestClusterDeltaOneKeyWireCost(t *testing.T) {
 	const (
 		entries          = 64
@@ -125,40 +121,33 @@ func TestClusterDeltaOneKeyWireCost(t *testing.T) {
 			}
 		}
 	}
-	if _, err := src.store.Put(fitStats(t, "t", "c03", 99)); err != nil {
+	if _, err := src.store.PutStamped(fitStats(t, "t", "c03", 99), cluster.Stamp{Epoch: 1, Origin: src.id}); err != nil {
 		t.Fatal(err)
 	}
 
 	if err := puller.node.Sync(context.Background(), src.url); err != nil {
 		t.Fatal(err)
 	}
-	_, fallbacks := puller.node.DeltaPulls()
-	if fallbacks != 0 {
-		t.Fatalf("1-key divergence fell back to a full snapshot pull")
-	}
-	hs, _, err := src.store.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	hp, _, err := puller.store.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hs != hp {
-		t.Fatalf("puller hash %s != source hash %s after delta sync", hp, hs)
+	if hs, hp := src.node.CatalogHash(), puller.node.CatalogHash(); hs != hp {
+		t.Fatalf("puller hash %s != source hash %s after the pull", hp, hs)
 	}
 
-	full, _, err := src.store.ExportSnapshot()
+	// The denominator: the source's catalog in the trailered checkpoint
+	// format, the stream a whole-catalog transfer would cost.
+	c, err := src.store.Snapshot().Catalog()
 	if err != nil {
 		t.Fatal(err)
 	}
-	delta, fullBytes := puller.node.AntiEntropyBytes()
-	if fullBytes != 0 {
-		t.Fatalf("full-pull bytes = %d, want 0", fullBytes)
+	var payload bytes.Buffer
+	if err := c.Save(&payload); err != nil {
+		t.Fatal(err)
 	}
-	if delta == 0 || float64(delta) > maxDeltaFraction*float64(len(full)) {
-		t.Fatalf("delta sync cost %d bytes vs %d-byte full snapshot, want at most %.0f%%",
-			delta, len(full), maxDeltaFraction*100)
+	full := payload.Len() + len(fmt.Sprintf("#epfis-catalog v1 crc32c=%08x bytes=%d\n",
+		crc32.Checksum(payload.Bytes(), crc32.MakeTable(crc32.Castagnoli)), payload.Len()))
+	delta := puller.node.AntiEntropyBytes()
+	if delta == 0 || float64(delta) > maxDeltaFraction*float64(full) {
+		t.Fatalf("pull cost %d bytes vs the %d-byte catalog, want at most %.0f%%",
+			delta, full, maxDeltaFraction*100)
 	}
-	t.Logf("delta sync: %d of %d snapshot bytes (%.1f%%)", delta, len(full), 100*float64(delta)/float64(len(full)))
+	t.Logf("one-key pull: %d of %d catalog bytes (%.1f%%)", delta, full, 100*float64(delta)/float64(full))
 }

@@ -2,8 +2,8 @@ package service
 
 // Straggler-peer drill for the quorum fast-ack path: a client PUT must
 // return as soon as W owner acks land, not when the slowest replica
-// answers, and the detached straggler send must still converge the slow
-// peer — directly when it lands, through a journaled hint when it fails.
+// answers, and the slow peer must still converge — through the detached
+// straggler send when it lands, through its next pull when the send fails.
 
 import (
 	"context"
@@ -22,7 +22,7 @@ func TestClusterQuorumFastAckStraggler(t *testing.T) {
 
 	// Every replication send from a to c crawls: the injected delay is far
 	// past the 500ms per-peer replication timeout, so the straggler send is
-	// guaranteed to miss and journal a hint.
+	// guaranteed to miss.
 	a.inj.Add(faultnet.Rule{
 		Op:    faultnet.OpRequest,
 		Peer:  c.host(),
@@ -54,31 +54,22 @@ func TestClusterQuorumFastAckStraggler(t *testing.T) {
 		t.Fatalf("fast peer missing entry after ack: %v", err)
 	}
 
-	// The detached send must converge c eventually: once the straggler
-	// times out it journals a hint, and draining after the fault clears
-	// delivers it.
+	// c must converge eventually: once the fault clears, a gossip round
+	// between a and c makes c pull the entry.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		a.inj.Reset()
-		a.srv.DrainHandoff(context.Background())
+		a.node.Tick(context.Background())
 		if _, err := c.store.Get("orders", "straggler"); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("slow peer never received the straggler entry via detached send or hint")
+			t.Fatalf("slow peer never received the straggler entry via detached send or pull")
 		}
 		time.Sleep(50 * time.Millisecond)
 	}
-	hc, _, err := c.store.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ha, _, err := a.store.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if hc != ha {
-		t.Fatalf("slow peer hash %s != originator hash %s after drain", hc, ha)
+	if hc, ha := c.node.CatalogHash(), a.node.CatalogHash(); hc != ha {
+		t.Fatalf("slow peer hash %s != originator hash %s after the pull", hc, ha)
 	}
 }
 

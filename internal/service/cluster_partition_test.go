@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"sync"
@@ -27,14 +28,13 @@ import (
 	"epfis/internal/stats"
 )
 
-// fnode is one partition-drill cluster member: a WAL-backed store, a durable
-// handoff directory, and a faultnet injector sitting on every outbound HTTP
-// hop (gossip, replication, forwarding, hint delivery).
+// fnode is one partition-drill cluster member: a WAL-backed store and a
+// faultnet injector sitting on every outbound HTTP hop (gossip,
+// anti-entropy, replication, forwarding).
 type fnode struct {
 	*cnode
 	inj         *faultnet.Injector
 	catalogPath string
-	handoffDir  string
 }
 
 func (n *fnode) host() string { return strings.TrimPrefix(n.url, "http://") }
@@ -82,13 +82,11 @@ func startFaultCluster(t testing.TB, n, replicas int, tweaks ...func(*Config)) [
 		if err != nil {
 			t.Fatal(err)
 		}
-		handoffDir := filepath.Join(dir, "hints")
 		cfg := Config{
 			Store:            store,
 			Cluster:          node,
 			Transport:        inj,
 			ReplicateTimeout: 500 * time.Millisecond,
-			HandoffDir:       handoffDir,
 		}
 		for _, tweak := range tweaks {
 			tweak(&cfg)
@@ -107,7 +105,6 @@ func startFaultCluster(t testing.TB, n, replicas int, tweaks ...func(*Config)) [
 			cnode:       &cnode{id: id, url: urls[i], store: store, node: node, srv: srv, ts: ts},
 			inj:         inj,
 			catalogPath: catalogPath,
-			handoffDir:  handoffDir,
 		}
 	}
 	for round := 0; round < 2; round++ {
@@ -139,8 +136,9 @@ func healAll(nodes []*fnode) {
 	}
 }
 
-// converge ticks gossip and drains hinted handoff until every store reports
-// the same content hash, or fails after the deadline.
+// converge ticks gossip — each exchange whose catalog hashes differ pulls
+// at both ends — until every node reports the same catalog hash (entries,
+// stamps and tombstones alike), or fails after the deadline.
 func converge(t *testing.T, nodes []*fnode) {
 	t.Helper()
 	deadline := time.Now().Add(15 * time.Second)
@@ -148,27 +146,19 @@ func converge(t *testing.T, nodes []*fnode) {
 		for _, n := range nodes {
 			n.node.Tick(context.Background())
 		}
-		pending := 0
-		for _, n := range nodes {
-			pending += n.srv.DrainHandoff(context.Background())
-		}
 		hashes := make([]string, len(nodes))
 		same := true
 		for i, n := range nodes {
-			h, _, err := n.store.ContentHash()
-			if err != nil {
-				t.Fatal(err)
-			}
-			hashes[i] = h
-			if h != hashes[0] {
+			hashes[i] = n.node.CatalogHash()
+			if hashes[i] != hashes[0] {
 				same = false
 			}
 		}
-		if same && pending == 0 {
+		if same {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("stores never converged (pending hints %d): %v", pending, hashes)
+			t.Fatalf("stores never converged: %v", hashes)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
@@ -238,11 +228,11 @@ func crashImage(t testing.TB, n *fnode) *catalog.Store {
 // TestClusterPartitionHealConvergence is the jepsen-lite acceptance drill: a
 // 3-node cluster is split into a minority {a} and a majority {b,c} while both
 // sides take mutations and the majority streams an ingest scan. The minority
-// must answer honest 503s (applied locally, hint journaled); the majority
-// must keep acking with quorum. After the partition heals, gossip plus
-// hinted handoff must converge every store to the same content hash, every
-// node must serve bit-exact estimates, and a crash image of the minority node
-// must rebuild the identical catalog from its WAL.
+// must answer honest 503s (applied locally); the majority must keep acking
+// with quorum. After the partition heals, gossip-triggered pulls must
+// converge every node to the same catalog hash, every node must serve
+// bit-exact estimates, and a crash image of the minority node must rebuild
+// the identical catalog from its WAL.
 func TestClusterPartitionHealConvergence(t *testing.T) {
 	nodes := startFaultCluster(t, 3, 3) // R=3: all nodes own every key, majority W=2
 	a, b, c := nodes[0], nodes[1], nodes[2]
@@ -262,7 +252,7 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 	partition(nodes[:1], nodes[1:])
 
 	// Majority side: quorum (2 of 3 owners) is still reachable, so mutations
-	// succeed and hints queue for the unreachable minority.
+	// succeed; the sends to the unreachable minority fail.
 	major := fitStats(t, "orders", "major", 3)
 	if status, body := rawMutate(t, b.cnode, http.MethodPut, "/v1/indexes/orders/major", mustMarshal(t, major)); status != http.StatusOK {
 		t.Fatalf("majority PUT = %d, want 200: %s", status, body)
@@ -272,7 +262,8 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 	}
 
 	// Minority side: the write quorum is unreachable. The mutation applies
-	// locally, a hint is journaled, and the client gets an honest 503.
+	// locally, its failed sends are counted, and the client gets an honest
+	// 503.
 	minor := fitStats(t, "orders", "minor", 4)
 	status, body := rawMutate(t, a.cnode, http.MethodPut, "/v1/indexes/orders/minor", mustMarshal(t, minor))
 	if status != http.StatusServiceUnavailable {
@@ -281,8 +272,8 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 	if _, err := a.store.Get("orders", "minor"); err != nil {
 		t.Fatalf("minority PUT not applied locally: %v", err)
 	}
-	if n := a.srv.handoff.pending(); n == 0 {
-		t.Fatal("minority PUT queued no hints")
+	if a.srv.cobs.replFailures.Value() == 0 {
+		t.Fatal("minority PUT counted no failed sends")
 	}
 
 	// Concurrent ingestion on the majority: a full scan of an index the
@@ -295,8 +286,18 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 		return err == nil
 	}, "majority ingest republish")
 
+	var bytesBefore uint64
+	for _, n := range nodes {
+		bytesBefore += n.node.AntiEntropyBytes()
+	}
+	healed := time.Now()
 	healAll(nodes)
 	converge(t, nodes)
+	var bytesAfter uint64
+	for _, n := range nodes {
+		bytesAfter += n.node.AntiEntropyBytes()
+	}
+	t.Logf("heal to converged: %v, %d anti-entropy bytes", time.Since(healed), bytesAfter-bytesBefore)
 
 	for _, n := range nodes {
 		snap := n.store.Snapshot()
@@ -341,17 +342,17 @@ func TestClusterPartitionHealConvergence(t *testing.T) {
 	// Crash-durability: a point-in-time file copy of the minority node's
 	// catalog — taken as if the process died right now — must recover to the
 	// exact same content hash.
-	wantHash, _, err := a.store.ContentHash()
+	want, _, err := a.store.Versions()
 	if err != nil {
 		t.Fatal(err)
 	}
 	re := crashImage(t, a)
-	gotHash, _, err := re.ContentHash()
+	got, _, err := re.Versions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotHash != wantHash {
-		t.Fatalf("crash image recovered hash %q, live store has %q", gotHash, wantHash)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("crash image recovered %v, live store has %v", got, want)
 	}
 }
 
@@ -380,8 +381,9 @@ func waitFor(t testing.TB, d time.Duration, cond func() bool, what string) {
 
 // TestAsymmetricPartitionHandoff covers the one-way link failure: b can be
 // reached but cannot send. Writes through the healthy direction keep their
-// quorum; writes from the degraded node apply locally, answer 503, and drain
-// from the durable hint journal once the link heals.
+// quorum; a write from the degraded node applies locally and answers 503,
+// and a's pull over the working direction hands it to a even before the
+// link heals.
 func TestAsymmetricPartitionHandoff(t *testing.T) {
 	nodes := startFaultCluster(t, 2, 2) // W = majority of 2 owners = 2
 	a, b := nodes[0], nodes[1]
@@ -397,7 +399,7 @@ func TestAsymmetricPartitionHandoff(t *testing.T) {
 		t.Fatalf("entry missing on b after quorum PUT: %v", err)
 	}
 
-	// b cannot reach a: local apply, hint, honest 503.
+	// b cannot reach a: local apply, honest 503.
 	viaB := fitStats(t, "orders", "via_b", 2)
 	status, body := rawMutate(t, b.cnode, http.MethodPut, "/v1/indexes/orders/via_b", mustMarshal(t, viaB))
 	if status != http.StatusServiceUnavailable {
@@ -406,15 +408,15 @@ func TestAsymmetricPartitionHandoff(t *testing.T) {
 	if _, err := b.store.Get("orders", "via_b"); err != nil {
 		t.Fatalf("degraded PUT not applied locally: %v", err)
 	}
-	if b.srv.handoff.pending() == 0 {
-		t.Fatal("degraded PUT queued no hints")
-	}
 
-	b.inj.Heal()
 	converge(t, nodes)
 	if _, err := a.store.Get("orders", "via_b"); err != nil {
-		t.Fatalf("hint never delivered to a: %v", err)
+		t.Fatalf("the degraded node's write never reached a: %v", err)
 	}
+	if got, want := a.node.KeyStamp("orders.via_b"), b.node.KeyStamp("orders.via_b"); got != want {
+		t.Fatalf("a holds orders.via_b under %v, b under %v", got, want)
+	}
+	b.inj.Heal()
 }
 
 // TestReplicatedDeleteEpochGuard is the regression for the DELETE
@@ -493,10 +495,47 @@ func TestReplicatedDeleteEpochGuard(t *testing.T) {
 	}
 }
 
-// TestHandoffJournalSurvivesRestart proves hints are durable: a server that
-// crashed with undelivered hints must reload them from disk on restart and
-// deliver them once the peer is reachable.
-func TestHandoffJournalSurvivesRestart(t *testing.T) {
+// restartFrom brings node n back after a crash: a fresh cluster node and
+// server over store, with n's identity and injector, serving on a new
+// listener (the crashed one stops answering) and seeded with the peers.
+func restartFrom(t *testing.T, n *fnode, store *catalog.Store, peers ...*fnode) *cnode {
+	t.Helper()
+	n.ts.Close()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	url := "http://" + ln.Addr().String()
+	var seeds []string
+	for _, p := range peers {
+		seeds = append(seeds, p.url)
+	}
+	node, err := cluster.NewNode(cluster.Config{
+		SelfID: n.id, SelfURL: url, Seeds: seeds, Replicas: 2,
+		Heartbeat: 50 * time.Millisecond, SuspectAfter: 300 * time.Millisecond, DeadAfter: time.Hour,
+		Store: store, HTTPClient: n.inj.Client(2 * time.Second),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := New(Config{Store: store, Cluster: node, Transport: n.inj, ReplicateTimeout: 500 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+	ts := httptest.NewUnstartedServer(srv)
+	ts.Listener.Close()
+	ts.Listener = ln
+	ts.Start()
+	t.Cleanup(ts.Close)
+	return &cnode{id: n.id, url: url, store: store, node: node, srv: srv, ts: ts}
+}
+
+// TestAckedWriteReachesPeerAfterSenderRestart: a write the sender applied
+// but could not replicate (503, partitioned) must still reach the peer after
+// the sender crashes and restarts from its WAL files alone — no journal of
+// its own, just the stamped frame in the log and the peer's pull.
+func TestAckedWriteReachesPeerAfterSenderRestart(t *testing.T) {
 	nodes := startFaultCluster(t, 2, 2)
 	a, b := nodes[0], nodes[1]
 
@@ -507,36 +546,25 @@ func TestHandoffJournalSurvivesRestart(t *testing.T) {
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("partitioned PUT = %d, want 503: %s", status, body)
 	}
-	if a.srv.handoff.pending() == 0 {
-		t.Fatal("no hints queued")
-	}
+	stamp := a.node.KeyStamp("orders.key")
 
-	// "Crash" node a's service: stop its drainer with the hint undelivered.
+	// Crash node a: the restart reopens a copy of its catalog files, taken
+	// while the crashed store is neither closed nor checkpointed.
 	a.srv.Close()
-
-	// Restart the service over the same store, node, and handoff directory.
-	// The hint journal must reload from disk.
-	reborn, err := New(Config{
-		Store:            a.store,
-		Cluster:          a.node,
-		Transport:        a.inj,
-		ReplicateTimeout: 500 * time.Millisecond,
-		HandoffDir:       a.handoffDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reborn.Close()
-	if reborn.handoff.pending() == 0 {
-		t.Fatal("restarted server loaded no hints from the journal")
+	reborn := restartFrom(t, a, crashImage(t, a), b)
+	if got := reborn.node.KeyStamp("orders.key"); got != stamp {
+		t.Fatalf("the write's stamp after the restart = %v, want %v", got, stamp)
 	}
 
 	healAll(nodes)
-	waitFor(t, 5*time.Second, func() bool {
-		return reborn.DrainHandoff(context.Background()) == 0
-	}, "hint drain after restart")
-	if _, err := b.store.Get("orders", "key"); err != nil {
-		t.Fatalf("journaled hint never delivered after restart: %v", err)
+	waitFor(t, 10*time.Second, func() bool {
+		reborn.node.Tick(context.Background())
+		b.node.Tick(context.Background())
+		return b.node.KeyStamp("orders.key") == stamp
+	}, "the restarted sender's write on b")
+	got, err := b.store.Get("orders", "key")
+	if err != nil || got.FMin != st.FMin || got.C != st.C {
+		t.Fatalf("b holds %+v (%v) after heal, want the restarted sender's write", got, err)
 	}
 }
 
@@ -711,13 +739,13 @@ func TestEqualEpochConflictConverges(t *testing.T) {
 	}
 }
 
-// TestDeleteTombstoneSurvivesRestart is the regression for resurrection via
-// snapshot: a node that applied a DELETE during a partition, crashed, and
-// restarted must still refuse to re-adopt the deleted key from a peer's
-// anti-entropy snapshot. The restart reopens the catalog from its files
-// alone, with no clean shutdown, so the tombstone must be durable in the
-// WAL frame of the DELETE itself; without it the snapshot merge resurrects
-// the key.
+// TestDeleteTombstoneSurvivesRestart is the regression for resurrection by
+// anti-entropy: a node that applied a DELETE during a partition, crashed,
+// and restarted must still refuse to re-adopt the deleted key from a peer's
+// older copy. The restart reopens the catalog from its files alone, with no
+// clean shutdown, so the tombstone must be durable in the WAL frame of the
+// DELETE itself; without it the pull resurrects the key. The peer's own
+// pull then takes the tombstone.
 func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 	nodes := startFaultCluster(t, 2, 2)
 	a, b := nodes[0], nodes[1]
@@ -732,8 +760,8 @@ func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 
 	partition(nodes[:1], nodes[1:])
 
-	// The DELETE applies locally on a (tombstone in its WAL frame), queues
-	// a hint, and answers an honest 503 — b never hears about it.
+	// The DELETE applies locally on a (tombstone in its WAL frame) and
+	// answers an honest 503 — b never hears about it.
 	status, body := rawMutate(t, a.cnode, http.MethodDelete, "/v1/indexes/orders/doomed", nil)
 	if status != http.StatusServiceUnavailable {
 		t.Fatalf("partitioned DELETE = %d, want 503: %s", status, body)
@@ -744,83 +772,54 @@ func TestDeleteTombstoneSurvivesRestart(t *testing.T) {
 
 	// Crash node a: the service stops, and the restart reopens the catalog
 	// from its files (the crashed store is neither closed nor checkpointed)
-	// under a brand-new cluster node over the same hint journals.
+	// under a brand-new cluster node.
 	a.srv.Close()
 	restore, err := catalog.OpenWAL(a.catalogPath, catalog.WALOptions{CheckpointEvery: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { restore.Close() })
-	renode, err := cluster.NewNode(cluster.Config{
-		SelfID:       a.id,
-		SelfURL:      a.url,
-		Seeds:        []string{b.url},
-		Replicas:     2,
-		Heartbeat:    50 * time.Millisecond,
-		SuspectAfter: 300 * time.Millisecond,
-		DeadAfter:    time.Hour,
-		Store:        restore,
-		HTTPClient:   a.inj.Client(2 * time.Second),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !renode.HasKeyStamp("orders.doomed") {
+	reborn := restartFrom(t, a, restore, b)
+	tomb := reborn.node.KeyStamp("orders.doomed")
+	if tomb == (cluster.Stamp{}) {
 		t.Fatal("the DELETE's tombstone did not survive reopening the WAL")
 	}
-	reborn, err := New(Config{
-		Store:            restore,
-		Cluster:          renode,
-		Transport:        a.inj,
-		ReplicateTimeout: 500 * time.Millisecond,
-		HandoffDir:       a.handoffDir,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer reborn.Close()
 
 	healAll(nodes)
 
 	// Anti-entropy pull from b, which still holds the deleted key. The
-	// replayed tombstone must keep it out of a's store.
-	if err := renode.PullSnapshot(context.Background(), b.url); err != nil {
+	// replayed tombstone orders after b's copy and keeps it out.
+	if err := reborn.node.Sync(context.Background(), b.url); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := restore.Get("orders", "doomed"); err == nil {
-		t.Fatal("snapshot pull resurrected a deleted key after restart")
+		t.Fatal("pull resurrected a deleted key after restart")
 	}
 
-	// The journaled hint then propagates the DELETE to b. Tick gossip so the
-	// reborn node discovers b's address before draining.
-	waitFor(t, 10*time.Second, func() bool {
-		renode.Tick(context.Background())
-		return reborn.DrainHandoff(context.Background()) == 0
-	}, "hint drain after restart")
+	// b's pull from the restarted node takes the tombstone.
+	if err := b.node.Sync(context.Background(), reborn.url); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := b.store.Get("orders", "doomed"); err == nil {
-		t.Fatal("DELETE hint never delivered to b after restart")
+		t.Fatal("the DELETE never reached b after restart")
 	}
-	ha, _, err := restore.ContentHash()
-	if err != nil {
-		t.Fatal(err)
+	if got := b.node.KeyStamp("orders.doomed"); got != tomb {
+		t.Fatalf("b's tombstone %v, want %v", got, tomb)
 	}
-	hb, _, err := b.store.ContentHash()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ha != hb {
-		t.Fatalf("stores diverged after restart + heal: a=%q b=%q", ha, hb)
+	if ha, hb := reborn.node.CatalogHash(), b.node.CatalogHash(); ha != hb {
+		t.Fatalf("nodes diverged after restart + heal: a=%q b=%q", ha, hb)
 	}
 }
 
 // TestInMemoryNodeRelearnsKeysAfterRestart restarts a cluster node whose
-// catalog is in memory but whose hints are durable (HandoffDir). Its stamps
-// live in memory with its catalog, so after the restart it is a fresh node:
-// one anti-entropy sync re-learns every key the cluster wrote, instead of
-// skipping each as stamp-tracked.
+// catalog is in memory. Its stamps live in memory with its catalog, so after
+// the restart it is a fresh node: one pull re-learns every key the cluster
+// wrote and every tombstone, so a key deleted through the cluster stays
+// deleted — also after a pull from a stale peer that still holds the key's
+// older version.
 func TestInMemoryNodeRelearnsKeysAfterRestart(t *testing.T) {
-	lns := make([]net.Listener, 2)
-	urls := make([]string, 2)
+	lns := make([]net.Listener, 3)
+	urls := make([]string, 3)
 	for i := range lns {
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -828,17 +827,16 @@ func TestInMemoryNodeRelearnsKeysAfterRestart(t *testing.T) {
 		}
 		lns[i], urls[i] = ln, "http://"+ln.Addr().String()
 	}
-	handoffDir := t.TempDir()
 	memNode := func(store *catalog.Store) (*cluster.Node, *Server) {
 		node, err := cluster.NewNode(cluster.Config{
-			SelfID: "node-a", SelfURL: urls[0], Seeds: urls, Replicas: 2,
+			SelfID: "node-a", SelfURL: urls[0], Seeds: urls[:2], Replicas: 2,
 			Heartbeat: 50 * time.Millisecond, SuspectAfter: 300 * time.Millisecond, DeadAfter: time.Hour,
 			Store: store,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		srv, err := New(Config{Store: store, Cluster: node, HandoffDir: handoffDir})
+		srv, err := New(Config{Store: store, Cluster: node, HandoffDir: t.TempDir()})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -850,7 +848,7 @@ func TestInMemoryNodeRelearnsKeysAfterRestart(t *testing.T) {
 	ts.Listener.Close()
 	ts.Listener = lns[0]
 	ts.Start()
-	b := startClusterNode(t, "node-b", lns[1], urls, 2, catalog.NewStore())
+	b := startClusterNode(t, "node-b", lns[1], urls[:2], 2, catalog.NewStore())
 	for round := 0; round < 2; round++ {
 		node.Tick(context.Background())
 		b.node.Tick(context.Background())
@@ -860,10 +858,22 @@ func TestInMemoryNodeRelearnsKeysAfterRestart(t *testing.T) {
 	keys := []*stats.IndexStats{fitStats(t, "orders", "key", 1), fitStats(t, "orders", "custno", 2)}
 	for _, st := range keys {
 		putIndex(t, b, st)
-		if !node.HasKeyStamp(st.Key()) {
+		if node.KeyStamp(st.Key()) == (cluster.Stamp{}) {
 			t.Fatalf("%s not stamped on node-a before the restart", st.Key())
 		}
 	}
+	// A stale peer keeps orders.doomed as first written; the cluster then
+	// deletes it.
+	doomed := fitStats(t, "orders", "doomed", 3)
+	putIndex(t, b, doomed)
+	stale := startClusterNode(t, "node-c", lns[2], urls[2:], 1, catalog.NewStore())
+	if _, err := stale.store.PutStamped(doomed, b.node.KeyStamp("orders.doomed")); err != nil {
+		t.Fatal(err)
+	}
+	if status, body := rawMutate(t, b, http.MethodDelete, "/v1/indexes/orders/doomed", nil); status != http.StatusOK {
+		t.Fatalf("DELETE through b = %d: %s", status, body)
+	}
+	tomb := b.node.KeyStamp("orders.doomed")
 	ts.Close()
 	srv.Close()
 
@@ -873,25 +883,33 @@ func TestInMemoryNodeRelearnsKeysAfterRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := restore.Len(); got != len(keys) {
-		t.Fatalf("restarted in-memory node holds %d of %d cluster-written keys after sync", got, len(keys))
+		t.Fatalf("restarted in-memory node holds %d keys after the pull, want the %d live ones", got, len(keys))
+	}
+	for _, peer := range []*cnode{b, stale} {
+		if err := renode.Sync(context.Background(), peer.url); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := restore.Get("orders", "doomed"); err == nil {
+			t.Fatalf("a key deleted through the cluster came back after a pull from %s", peer.id)
+		}
+		if got := renode.KeyStamp("orders.doomed"); got != tomb {
+			t.Fatalf("tombstone after a pull from %s = %v, want %v", peer.id, got, tomb)
+		}
 	}
 }
 
-// TestConcurrentDrainDeliversEveryHint is the regression for the drain race:
-// the background sweeper and synchronous DrainHandoff calls used to both read
-// queue[0], deliver it twice, and pop twice — silently discarding the second
-// popped hint. With per-peer drain serialization, hammering DrainHandoff from
-// many goroutines must still deliver every queued hint exactly as recorded.
-// Gossip is deliberately never ticked after heal, so anti-entropy cannot mask
-// a dropped hint.
-func TestConcurrentDrainDeliversEveryHint(t *testing.T) {
+// TestConcurrentSyncsDeliverEveryWrite: eight writes a node applied during a
+// partition (each a 503) reach its peer through pulls run concurrently from
+// both ends, each with the stamp its sender recorded. Concurrent merges of
+// the same keys must neither lose nor double-apply one.
+func TestConcurrentSyncsDeliverEveryWrite(t *testing.T) {
 	nodes := startFaultCluster(t, 2, 2)
 	a, b := nodes[0], nodes[1]
 
 	partition(nodes[:1], nodes[1:])
 
-	const hints = 8
-	sts := make([]*stats.IndexStats, hints)
+	const writes = 8
+	sts := make([]*stats.IndexStats, writes)
 	for i := range sts {
 		sts[i] = fitStats(t, "orders", fmt.Sprintf("k%d", i), int64(i+1))
 		status, body := rawMutate(t, a.cnode, http.MethodPut, fmt.Sprintf("/v1/indexes/orders/k%d", i), mustMarshal(t, sts[i]))
@@ -899,82 +917,37 @@ func TestConcurrentDrainDeliversEveryHint(t *testing.T) {
 			t.Fatalf("partitioned PUT k%d = %d, want 503: %s", i, status, body)
 		}
 	}
-	if got := a.srv.handoff.pending(); got != hints {
-		t.Fatalf("pending hints = %d, want %d", got, hints)
-	}
 
 	healAll(nodes)
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 5; i++ {
-				a.srv.DrainHandoff(context.Background())
-			}
-		}()
-	}
-	wg.Wait()
-	waitFor(t, 5*time.Second, func() bool {
-		return a.srv.DrainHandoff(context.Background()) == 0
-	}, "hint queues to empty")
-
-	for i := 0; i < hints; i++ {
-		if _, err := b.store.Get("orders", fmt.Sprintf("k%d", i)); err != nil {
-			t.Errorf("hint for orders.k%d lost under concurrent drains: %v", i, err)
+		for _, pair := range [][2]*fnode{{a, b}, {b, a}} {
+			wg.Add(1)
+			go func(from, to *fnode) {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					if err := to.node.Sync(context.Background(), from.url); err != nil {
+						t.Errorf("%s pulling from %s: %v", to.id, from.id, err)
+					}
+				}
+			}(pair[0], pair[1])
 		}
 	}
-}
+	wg.Wait()
 
-// TestHandoffAbandonsAbsentPeer is the regression for unbounded hint growth:
-// hints queued for a peer that never appears in membership (decommissioned or
-// renamed before restart) must be dropped — queue, journal file, and all —
-// once the peer has been absent past the abandon horizon, and the drop must
-// be visible in the abandoned counter.
-func TestHandoffAbandonsAbsentPeer(t *testing.T) {
-	store := catalog.NewStore()
-	node, err := cluster.NewNode(cluster.Config{
-		SelfID:  "solo",
-		SelfURL: "http://127.0.0.1:1",
-		Store:   store,
-	})
-	if err != nil {
-		t.Fatal(err)
+	for i := 0; i < writes; i++ {
+		key := fmt.Sprintf("orders.k%d", i)
+		got, err := b.store.Get("orders", fmt.Sprintf("k%d", i))
+		if err != nil || got.FMin != sts[i].FMin {
+			t.Errorf("%s on b = %+v (%v), want the partitioned write", key, got, err)
+		}
+		if sa, sb := a.node.KeyStamp(key), b.node.KeyStamp(key); sa != sb || sa.Origin != a.id {
+			t.Errorf("%s stamped %v on a, %v on b", key, sa, sb)
+		}
 	}
-	srv, err := New(Config{
-		Store:               store,
-		Cluster:             node,
-		HandoffDir:          t.TempDir(),
-		HandoffAbandonAfter: 50 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
-	srv.handoff.enqueue(hintRecord{
-		Peer: "ghost", Method: http.MethodDelete,
-		Path: "/v1/indexes/t/c", Epoch: 1, Key: "t.c",
-	})
-	path := srv.handoff.hintPath("ghost")
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("hint journal not created: %v", err)
-	}
-	if srv.handoff.orphaned() != 1 {
-		t.Fatalf("orphaned gauge = %d, want 1", srv.handoff.orphaned())
-	}
-
-	// The background sweeper marks the peer absent on its first pass and
-	// drops the queue on the first pass after the 50ms horizon.
-	waitFor(t, 10*time.Second, func() bool {
-		return srv.handoff.pending() == 0
-	}, "ghost queue abandonment")
-	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("abandoned hint journal still on disk: %v", err)
-	}
-	if got := srv.handoff.abandonedC.Value(); got != 1 {
-		t.Fatalf("abandoned counter = %d, want 1", got)
+	if ha, hb := a.node.CatalogHash(), b.node.CatalogHash(); ha != hb {
+		t.Fatalf("catalog hashes differ after the pulls: %s vs %s", ha, hb)
 	}
 }
 
@@ -982,9 +955,10 @@ func TestHandoffAbandonsAbsentPeer(t *testing.T) {
 // answers estimates from its own replica, so a write acknowledged at quorum
 // can be missing from a non-owner whose link from the coordinator is down.
 // The write's fence must turn that replica's answer into an honest 503
-// rather than a stale number, per key on a batch, until handoff delivers
-// the write; an unfenced read meanwhile gets the replica's own version,
-// bit-exactly. The coordinator's per-peer handoff gauge shows the lag.
+// rather than a stale number, per key on a batch, until the replica's pull
+// takes the write; an unfenced read meanwhile gets the replica's own
+// version, bit-exactly. The coordinator's per-peer lag gauge, computed from
+// the replica's digest, shows the lag and reads 0 once the hashes agree.
 func TestClusterPartitionReadFence(t *testing.T) {
 	nodes := startFaultCluster(t, 3, 2)
 	const key = "orders.key"
@@ -1055,16 +1029,32 @@ func TestClusterPartitionReadFence(t *testing.T) {
 		}
 		return er.Fetches
 	}
-	pending := func() float64 {
-		return promSeries(t, coord.srv, "epfis_cluster_handoff_pending")[`epfis_cluster_handoff_pending{peer="`+stale.id+`"}`]
+	lag := func() float64 {
+		return promSeries(t, coord.srv, "epfis_cluster_peer_lag_keys")[`epfis_cluster_peer_lag_keys{peer="`+stale.id+`"}`]
+	}
+	// holdPulls keeps the lagging replica from pulling (its digest and
+	// entries requests are dropped) while the coordinator reads its digest.
+	holdPulls := func() {
+		for _, route := range []string{cluster.PathDigest, cluster.PathEntries} {
+			stale.inj.Add(faultnet.Rule{Op: faultnet.OpRequest, Route: route, Count: -1, Mode: faultnet.ModeDrop})
+		}
 	}
 	const staleSeries = `epfis_cluster_estimates_total{source="stale"}`
 
 	// Cut the coordinator's link to the non-owner; version 2 still acks at
-	// quorum, the two owners holding it.
+	// quorum, the two owners holding it. With the link back, the
+	// coordinator's pull reads the replica's digest and counts the one key
+	// it lags by.
 	coord.inj.Block(stale.host())
 	fence2 := mutate(http.MethodPut, "key", v2)
-	waitFor(t, 5*time.Second, func() bool { return pending() >= 1 }, "a hint queued for the non-owner")
+	holdPulls()
+	coord.inj.Heal()
+	if err := coord.node.Sync(context.Background(), stale.url); err != nil {
+		t.Fatal(err)
+	}
+	if l := lag(); l != 1 {
+		t.Fatalf("lag gauge for %s = %v with version 2 undelivered, want 1", stale.id, l)
+	}
 
 	before := promSeries(t, stale.srv, "epfis_cluster_estimates_total")[staleSeries]
 	status, hdr, raw := get(path, fence2)
@@ -1162,31 +1152,28 @@ func TestClusterPartitionReadFence(t *testing.T) {
 		}
 	}
 
-	// Heal and drain: the hint delivers version 2, the fence passes, and
-	// the lag gauge returns to zero.
-	healAll(nodes)
-	if left := coord.srv.DrainHandoff(context.Background()); left != 0 {
-		t.Fatalf("%d hints still pending after heal", left)
-	}
+	// Let the replica pull: gossip delivers version 2, the fence passes,
+	// and once the gossiped hashes agree the lag gauge reads zero.
+	stale.inj.Reset()
+	converge(t, nodes)
 	if status, _, raw := get(path, fence2); status != http.StatusOK || fetches(raw) != want2 {
-		t.Fatalf("fenced GET after drain = %d %s, want 200 bit-exact with version 2 (%v)", status, raw, want2)
+		t.Fatalf("fenced GET after the pull = %d %s, want 200 bit-exact with version 2 (%v)", status, raw, want2)
 	}
-	if p := pending(); p != 0 {
-		t.Errorf("handoff gauge for %s = %v after the drain, want 0", stale.id, p)
+	coord.node.Tick(context.Background())
+	if l := lag(); l != 0 {
+		t.Errorf("lag gauge for %s = %v after convergence, want 0", stale.id, l)
 	}
 
 	// A DELETE's fence holds the same way: refused while the delete is
-	// undelivered, 404 once it is drained.
+	// undelivered, 404 once the replica's pull takes the tombstone.
 	coord.inj.Block(stale.host())
 	fenceDel := mutate(http.MethodDelete, "key", nil)
 	if status, _, raw := get(path, fenceDel); status != http.StatusServiceUnavailable {
 		t.Fatalf("fenced GET before the delete arrives = %d %s, want 503", status, raw)
 	}
 	healAll(nodes)
-	if left := coord.srv.DrainHandoff(context.Background()); left != 0 {
-		t.Fatalf("%d hints still pending after heal", left)
-	}
+	converge(t, nodes)
 	if status, _, raw := get(path, fenceDel); status != http.StatusNotFound {
-		t.Fatalf("fenced GET after the drained delete = %d %s, want 404", status, raw)
+		t.Fatalf("fenced GET after the pulled delete = %d %s, want 404", status, raw)
 	}
 }

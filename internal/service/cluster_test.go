@@ -228,41 +228,52 @@ func TestClusterReplicationAndBitExactServing(t *testing.T) {
 	}
 }
 
-func TestClusterSnapshotRoute(t *testing.T) {
+// TestClusterFreshNodeAdoptsCatalog: a fresh node adopts a peer's whole
+// catalog through the one pull path, bit-exactly and under the writes'
+// stamps, from a trailered entries stream served by the cluster route.
+func TestClusterFreshNodeAdoptsCatalog(t *testing.T) {
 	nodes := startCluster(t, 2, 2)
 	st := fitStats(t, "orders", "key", 1)
 	putIndex(t, nodes[0], st)
+	putIndex(t, nodes[0], fitStats(t, "orders", "custno", 2))
 
-	resp, err := nodes[0].ts.Client().Get(nodes[0].url + cluster.PathSnapshot)
+	body := strings.NewReader(`{"keys":["orders.key"]}`)
+	resp, err := nodes[0].ts.Client().Post(nodes[0].url+cluster.PathEntries, "application/json", body)
 	if err != nil {
 		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot status = %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get(cluster.HeaderNode); got != "node-a" {
-		t.Errorf("snapshot node header = %q", got)
 	}
 	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("entries route = %d (%v)", resp.StatusCode, err)
 	}
-	// The stream is the trailered on-disk format and imports bit-exactly
-	// into a fresh store.
+	if got := resp.Header.Get(cluster.HeaderNode); got != "node-a" {
+		t.Errorf("entries node header = %q", got)
+	}
 	if !strings.Contains(string(data), "#epfis-catalog v1 ") {
-		t.Fatal("snapshot stream lacks the checksum trailer")
+		t.Fatal("entries stream lacks the checksum trailer")
 	}
-	fresh := catalog.NewStore()
-	if _, err := fresh.ImportSnapshot(data); err != nil {
-		t.Fatalf("ImportSnapshot: %v", err)
-	}
-	got, err := fresh.Get("orders", "key")
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.FMin != st.FMin || len(got.Curve.Knots) != len(st.Curve.Knots) {
-		t.Errorf("imported entry diverges: %+v", got)
+	fresh := startClusterNode(t, "node-z", ln, nil, 2, catalog.NewStore())
+	if err := fresh.node.Sync(context.Background(), nodes[0].url); err != nil {
+		t.Fatal(err)
+	}
+	if fh, sh := fresh.node.CatalogHash(), nodes[0].node.CatalogHash(); fh != sh {
+		t.Fatalf("fresh node reached %s, the peer holds %s", fh, sh)
+	}
+	got, err := fresh.store.Get("orders", "key")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.FMin != st.FMin || got.C != st.C || len(got.Curve.Knots) != len(st.Curve.Knots) {
+		t.Errorf("adopted entry diverges: %+v", got)
+	}
+	if fresh.node.KeyStamp("orders.key") != nodes[0].node.KeyStamp("orders.key") {
+		t.Errorf("adopted entry lost its stamp")
 	}
 }
 
@@ -353,7 +364,7 @@ func honestOrFail(t *testing.T, err error) {
 // killed mid-load. Every successful answer must be bit-exact against the
 // direct Est-IO computation; every failure must be an honest, retryable
 // error. Afterwards the killed node restarts EMPTY (fresh store, new port)
-// and must recover the catalog via snapshot streaming from its peers.
+// and must recover the catalog by pulling it from its peers.
 func TestClusterChaosKillNodeUnderLoad(t *testing.T) {
 	nodes := startCluster(t, 3, 2)
 	indexes := []*stats.IndexStats{
@@ -492,8 +503,8 @@ func TestClusterChaosKillNodeUnderLoad(t *testing.T) {
 	}
 
 	// Restart the victim with a FRESH store on a new port — same ring
-	// identity. It must recover the catalog from a peer via snapshot
-	// streaming (not from disk) and then serve bit-exactly.
+	// identity. It must recover the catalog by pulling it from a peer (not
+	// from disk) and then serve bit-exactly.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -506,10 +517,10 @@ func TestClusterChaosKillNodeUnderLoad(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	if reborn.store.Len() != len(indexes) {
-		t.Fatalf("restarted node recovered %d/%d entries via snapshot streaming", reborn.store.Len(), len(indexes))
+		t.Fatalf("restarted node recovered %d/%d entries by pulling", reborn.store.Len(), len(indexes))
 	}
 	if pulls, _ := reborn.node.Pulls(); pulls == 0 {
-		t.Error("restarted node did not pull a snapshot")
+		t.Error("restarted node did not pull")
 	}
 	if rh, sh := reborn.node.CatalogHash(), nodes[0].node.CatalogHash(); rh != sh {
 		t.Errorf("restarted node content hash %q, peers have %q", rh, sh)

@@ -244,16 +244,13 @@ func (g *ingester) close() {
 	<-g.done
 }
 
-// Close releases background resources (the ingest worker and the handoff
-// drainer). The HTTP handler keeps answering — queued batches are drained
-// first, later ones sit in the queue unprocessed — so Close is safe to call
-// while a server drains.
+// Close releases background resources (the ingest worker). The HTTP
+// handler keeps answering — queued batches are drained first, later ones
+// sit in the queue unprocessed — so Close is safe to call while a server
+// drains.
 func (s *Server) Close() {
 	if s.ingest != nil {
 		s.ingest.close()
-	}
-	if s.handoff != nil {
-		s.handoff.close()
 	}
 }
 
@@ -600,10 +597,8 @@ func (g *ingester) evaluate(key string, st *ingestState) {
 	}
 	g.s.obs.syncIndex(entry.Table, entry.Column)
 	if g.s.cluster != nil {
-		// Explicit fan-out, not just an epoch bump: peers tracking a
-		// mutation epoch for this key skip it during snapshot merges, so
-		// only replication (plus hinted handoff) delivers the refit
-		// everywhere.
+		// Fan the refit out like a PUT, so peers serve it now rather than
+		// after the next gossip round's pull.
 		g.s.replicateRepublish(entry, epoch)
 	}
 	g.s.obs.log.LogAttrs(context.Background(), slog.LevelInfo, "ingest republished catalog entry",

@@ -2,7 +2,6 @@ package service
 
 import (
 	"errors"
-	"net/http"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -20,7 +19,7 @@ func soloJournalServer(t *testing.T, store *catalog.Store, dir string) (*Server,
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(Config{Store: store, Cluster: node, HandoffDir: dir, HandoffAbandonAfter: -1})
+	srv, err := New(Config{Store: store, Cluster: node, HandoffDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,41 +44,29 @@ func copyJournals(t *testing.T, dir string, names ...string) map[string][]byte {
 	return files
 }
 
-// TestJournalsReplayCommittedFormat replays testdata/journals: a hint queue
-// and a stamp journal written before both moved onto framelog. The frame
-// format did not change, so the hints must load unchanged into the same
-// queue. The node's store is in memory, so it keeps its stamps in memory
-// like its catalog: it imports nothing and leaves the stamp journal alone.
+// TestJournalsReplayCommittedFormat opens an in-memory node over a handoff
+// directory holding an older release's stamp journal (testdata/journals)
+// and a leftover hint journal. The node keeps its stamps in memory like its
+// catalog, so it imports nothing; hint journals are left unread, since the
+// WAL holds each hinted write and anti-entropy delivers it. Both files stay
+// byte for byte as they were.
 func TestJournalsReplayCommittedFormat(t *testing.T) {
 	dir := t.TempDir()
-	files := copyJournals(t, dir, "node-b.hints", legacyStampJournal)
-	// node-b is never a member and its hints never expire, so the drainer
-	// leaves the replayed queue alone.
+	files := copyJournals(t, dir, legacyStampJournal)
+	files["node-b.hints"] = []byte("a hint journal an older release left behind\n")
+	if err := os.WriteFile(filepath.Join(dir, "node-b.hints"), files["node-b.hints"], 0o644); err != nil {
+		t.Fatal(err)
+	}
 	store := catalog.NewStore()
 	srv, _ := soloJournalServer(t, store, dir)
 	defer srv.Close()
 
-	wantHints := []hintRecord{
-		{Peer: "node-b", Method: http.MethodPut, Path: "/v1/indexes/orders/key",
-			Body: []byte(`{"table":"orders","column":"key"}`), Epoch: 3, Key: "orders.key",
-			Trace: "00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01"},
-		{Peer: "node-b", Method: http.MethodDelete, Path: "/v1/indexes/orders/doomed",
-			Epoch: 4, Key: "orders.doomed"},
-		{Peer: "node-b", Method: http.MethodPut, Path: "/v1/indexes/lineitem/partkey",
-			Body: []byte(`{"table":"lineitem","column":"partkey"}`), Epoch: 6, Key: "lineitem.partkey"},
-	}
-	srv.handoff.mu.Lock()
-	gotHints := append([]hintRecord(nil), srv.handoff.queues["node-b"].hints...)
-	srv.handoff.mu.Unlock()
-	if !reflect.DeepEqual(gotHints, wantHints) {
-		t.Fatalf("replayed hints %+v, want %+v", gotHints, wantHints)
-	}
 	if got := store.Snapshot().Stamps(); len(got) != 0 {
 		t.Fatalf("in-memory node imported stamps %v", got)
 	}
 	for name, data := range files {
 		if after, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !reflect.DeepEqual(after, data) {
-			t.Fatalf("replay rewrote the intact %s (%v)", name, err)
+			t.Fatalf("opening the node rewrote %s (%v)", name, err)
 		}
 	}
 }

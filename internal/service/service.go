@@ -185,13 +185,14 @@ type Config struct {
 	// nil (the default) keeps the single-node serving path — one pointer
 	// check per request, no other cost.
 	Cluster *cluster.Node
-	// Transport is the HTTP transport for ingest forwarding, replication,
-	// and hinted-handoff delivery. nil = http.DefaultTransport. Cluster mode
-	// only; the seam faultnet injectors plug into.
+	// Transport is the HTTP transport for ingest forwarding and
+	// replication. nil = the pooled cluster transport. Cluster mode only;
+	// the seam faultnet injectors plug into.
 	Transport http.RoundTripper
 	// ReplicateTimeout bounds each per-peer replication send, so one
-	// partitioned peer costs a timeout plus a journaled hint, never a hung
-	// client mutation. 0 = DefaultReplicateTimeout. Cluster mode only.
+	// partitioned peer costs a timeout, never a hung client mutation; the
+	// next gossip round repairs the missed send. 0 =
+	// DefaultReplicateTimeout. Cluster mode only.
 	ReplicateTimeout time.Duration
 	// WriteQuorum is W: how many of a key's ring owners must acknowledge a
 	// mutation before the client's request succeeds (the local apply counts
@@ -199,20 +200,12 @@ type Config struct {
 	// = that many (capped at the owner count); negative = no quorum (the
 	// pre-quorum best-effort behaviour). Cluster mode only.
 	WriteQuorum int
-	// HandoffDir is where undeliverable replicated mutations are journaled
-	// as per-peer hints (CRC32-C framed, fsynced, replayed at startup and
-	// redelivered when the peer recovers); "" keeps them memory-only. It
-	// holds hints only: applied mutation stamps, delete tombstones
-	// included, live in the catalog store beside the entries (in its WAL
-	// when file-backed). A stamp journal an older release left here is
-	// imported into a file-backed store once, then removed. Cluster mode
-	// only.
+	// HandoffDir is where an older release kept its hint and stamp
+	// journals. A stamp journal found here is imported into a file-backed
+	// store once, then removed; leftover *.hints files are left unread,
+	// since the WAL holds each hinted write with its stamp and anti-entropy
+	// delivers it. Cluster mode only.
 	HandoffDir string
-	// HandoffAbandonAfter is how long hints for a peer absent from cluster
-	// membership are retained before the queue and its journal are dropped.
-	// 0 = DefaultHandoffAbandonAfter; negative retains them forever.
-	// Cluster mode only.
-	HandoffAbandonAfter time.Duration
 	// IngestQueue bounds the trace batches queued for the ingest worker;
 	// POST /v1/ingest sheds with 429 + Retry-After when it is full.
 	// 0 = DefaultIngestQueue; negative disables the ingest route.
@@ -251,7 +244,6 @@ type Server struct {
 	cobs       *clusterObs   // nil unless cluster mode
 	nodeHeader []string      // X-Epfis-Node value, shared by every local answer
 	proxyHTTP  *http.Client  // forwarding + replication transport
-	handoff    *handoff      // nil unless cluster mode
 
 	// keyLocks order cluster-mode mutations per key (see keyLock), so each
 	// key's epoch order equals its apply order while mutations of other
@@ -315,8 +307,8 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Cluster != nil {
 		routeNames = append(routeNames,
-			routeClusterHealth, routeClusterGossip, routeClusterSnapshot,
-			routeClusterDigest, routeClusterEntry, routeClusterMetrics)
+			routeClusterHealth, routeClusterGossip, routeClusterDigest,
+			routeClusterEntries, routeClusterMetrics)
 	}
 	if cfg.BreakerFailures >= 0 {
 		s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
@@ -339,10 +331,10 @@ func New(cfg Config) (*Server, error) {
 		s.cluster.SetTraceRing(s.obs.ring)
 		tr := cfg.Transport
 		if tr == nil {
-			// Default to the pooled cluster transport: ingest forwarding,
-			// replication, and hinted handoff share kept-alive connections
-			// per peer instead of re-dialing through http.DefaultTransport's
-			// 2-idle-conns-per-host pool.
+			// Default to the pooled cluster transport: ingest forwarding and
+			// replication share kept-alive connections per peer instead of
+			// re-dialing through http.DefaultTransport's 2-idle-conns-per-host
+			// pool.
 			tr = cluster.SharedTransport()
 		}
 		// No Client.Timeout: every hop already carries a context deadline —
@@ -355,15 +347,10 @@ func New(cfg Config) (*Server, error) {
 			s.replTimeout = DefaultReplicateTimeout
 		}
 		s.writeQuorum = cfg.WriteQuorum
-		h, err := newHandoff(s, cfg)
-		if err != nil {
-			return nil, err
-		}
-		s.handoff = h
 		s.keySeed = maphash.MakeSeed()
 		if cfg.HandoffDir != "" && cfg.Store.WALPath() != "" {
 			// Stamps live in the store's log; an older release journaled
-			// them beside the hints. Import that journal before the first
+			// them beside its hints. Import that journal before the first
 			// request, so a post-restart pull cannot resurrect a key this
 			// node deleted.
 			imported, err := importStampJournal(cfg.Store, cfg.HandoffDir)
@@ -374,6 +361,19 @@ func New(cfg Config) (*Server, error) {
 				s.cluster.ObserveEpoch(st.Epoch)
 			}
 		}
+		// A catalog file adopted at open is a refresh like a reload: stamp
+		// what it changed before the node serves or gossips.
+		if _, err := cfg.Store.StampRefreshed(s.freshStamp); err != nil {
+			return nil, fmt.Errorf("service: stamp the adopted catalog: %w", err)
+		}
+		// A pull that merges keys registers their counters and retires the
+		// memo cache's older generations, as a PUT does.
+		s.cluster.SetOnMerge(func(gen uint64) {
+			if s.cache != nil {
+				s.cache.dropOtherGenerations(gen)
+			}
+			s.obs.syncIndexes(s.store.Snapshot())
+		})
 	}
 	maxInflight := cfg.MaxInflight
 	if maxInflight == 0 {
@@ -441,13 +441,12 @@ func New(cfg Config) (*Server, error) {
 	if s.cluster != nil {
 		// Cluster management routes are exempt from admission control (like
 		// healthz/metrics): heartbeats and recovery must work under load.
-		// They keep the watchdog: gossip reads peer bodies, snapshot, entry
-		// and digest export the store, and metrics fans out to every peer.
+		// They keep the watchdog: gossip reads peer bodies, digest and
+		// entries export the store, and metrics fans out to every peer.
 		blocking(routeClusterHealth, s.handleClusterHealth)
 		blocking(routeClusterGossip, s.handleClusterGossip)
-		blocking(routeClusterSnapshot, s.handleClusterSnapshot)
-		blocking(routeClusterDigest, s.handleClusterDigest)
-		blocking(routeClusterEntry, s.handleClusterEntry)
+		blocking(routeClusterDigest, s.cluster.HandleDigest)
+		blocking(routeClusterEntries, s.cluster.HandleEntries)
 		blocking(routeClusterMetrics, s.handleClusterMetrics)
 	}
 	s.handler = mux
@@ -971,8 +970,8 @@ func (s *Server) handlePutIndex(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cluster != nil {
-		// Cluster mode: epoch-gated application for replicated arrivals,
-		// quorum fan-out with hinted handoff for local originations.
+		// Cluster mode: stamp-gated application for replicated arrivals,
+		// quorum fan-out for local originations.
 		s.clusterPut(w, r, &e)
 		return
 	}
@@ -1032,7 +1031,15 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
 		return
 	}
-	gen, err := s.store.Reload()
+	var gen uint64
+	if s.cluster != nil {
+		// A refresh is a write: what it changes carries a fresh stamp, so
+		// anti-entropy takes it to every peer (a dropped key is deleted
+		// cluster-wide).
+		gen, err = s.store.ReloadStamped(s.freshStamp())
+	} else {
+		gen, err = s.store.Reload()
+	}
 	if err != nil {
 		if errors.Is(err, catalog.ErrNoPath) {
 			// Configuration error, not disk trouble: no breaker strike, no
@@ -1064,12 +1071,6 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.cache.dropOtherGenerations(gen)
 	}
 	s.obs.syncIndexes(s.store.Snapshot())
-	if s.cluster != nil {
-		// A reload is not forwarded (peers have their own files); the epoch
-		// bump makes gossip anti-entropy stream the refreshed catalog to any
-		// peer whose content now differs.
-		s.noteClusterMutation(r)
-	}
 	writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "indexes": s.store.Len()})
 }
 
