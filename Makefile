@@ -31,8 +31,10 @@ race:
 # checkpoint file and the WAL log, a fuzz pass over the journal frame
 # decoder every log replays through, differential fuzz passes holding the
 # batch body decoder to encoding/json and the estimate query parser to
-# net/url, and a fuzz pass over the exposition parser federation feeds peer
-# bytes to.
+# net/url, a fuzz pass over the exposition parser federation feeds peer
+# bytes to, and round-trip fuzz passes over the two decoders every push and
+# pull feeds peer bytes to: the entry stream (a merge of any accepted stream
+# never moves a stamp back) and the digest document with its stamp text.
 chaos:
 	$(GO) test -race ./internal/faultfs/ ./internal/resilience/
 	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
@@ -43,13 +45,16 @@ chaos:
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBatchBody -fuzztime=20s ./internal/service/
 	$(GO) test -run=Fuzz -fuzz=FuzzParseEstimateQuery -fuzztime=20s ./internal/service/
 	$(GO) test -run=Fuzz -fuzz=FuzzParseExposition -fuzztime=20s ./internal/obs/
+	$(GO) test -run=Fuzz -fuzz=FuzzDecodeEntries -fuzztime=20s ./internal/catalog/
+	$(GO) test -run=Fuzz -fuzz=FuzzDigestDoc -fuzztime=20s ./internal/cluster/
 
 # Network partition drills under the race detector: the deterministic fault
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node
 # cluster while both sides take writes and ingest, heal, and require every
 # node to converge to one catalog hash with bit-exact estimates — plus the
-# epoch-guard, ingest-routing, read-fence, and WAL ingest-journal
-# crash-replay proofs, and the restart drills: a 503'd write reaches its peer
+# push stamp guard (an older push after a newer tombstone is skipped), the
+# ingest-routing, read-fence, and WAL ingest-journal crash-replay proofs,
+# and the restart drills: a 503'd write reaches its peer
 # after the sender restarts from its WAL files, a delete tombstone replayed
 # from the WAL keeps a pull from resurrecting the key, an in-memory node
 # re-learns every key and tombstone after a restart, concurrent pulls from
@@ -142,9 +147,13 @@ check-gates:
 # package's strict parser), /debug/traces span breakdowns, traceparent echo,
 # and the /healthz build-info fields, all over real HTTP. Point it at a
 # running instance instead with `go run ./cmd/epfis-obscheck -addr
-# localhost:8080`.
+# localhost:8080`. Then the cluster surfaces, over in-process nodes on
+# loopback sockets: a quorum PUT's trace stitched across all three nodes
+# (with a slowed owner, too), the federated exposition, and accuracy
+# telemetry from a streamed scan reaching it.
 obs-check:
 	$(GO) run ./cmd/epfis-obscheck
+	$(GO) test -count=1 -run '^(TestStitchAcrossClusterIdentifiesSlowOwner|TestClusterMetricsFederation|TestClusterObservabilityPlane)$$' ./internal/service/
 
 # Short fuzz passes: catalog JSON format, and store recovery from corrupt
 # catalog files (run one at a time; go fuzzing allows one -fuzz per package).

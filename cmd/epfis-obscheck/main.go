@@ -18,7 +18,8 @@
 //	epfis-obscheck -addr localhost:8080
 //
 // Exit status is non-zero when any check fails; `make obs-check` runs the
-// self-spawning form in CI.
+// self-spawning form in CI, beside the in-process cluster tests that check
+// trace stitching, federation and accuracy telemetry across nodes.
 package main
 
 import (
@@ -35,7 +36,6 @@ import (
 	"time"
 
 	"epfis/internal/catalog"
-	"epfis/internal/cluster"
 	"epfis/internal/core"
 	"epfis/internal/datagen"
 	"epfis/internal/obs"
@@ -113,15 +113,7 @@ func run(args []string) error {
 	if !strings.Contains(base, "://") {
 		base = "http://" + base
 	}
-	if err := runChecks(ctx, base, os.Stdout); err != nil {
-		return err
-	}
-	// The cluster phase spawns its own nodes; against -addr there is nothing
-	// to federate with, so it only runs in the self-spawning form.
-	if *addr == "" {
-		return runClusterChecks(ctx, os.Stdout)
-	}
-	return nil
+	return runChecks(ctx, base, os.Stdout)
 }
 
 // runChecks drives the observability checks against the service at base,
@@ -327,289 +319,11 @@ func do(ctx context.Context, client *http.Client, method, url string, body []byt
 // fitCheckStats runs the real LRU-Fit pipeline over a small synthetic index
 // so the installed statistics are paper-shaped, not hand-rolled.
 func fitCheckStats() (*stats.IndexStats, error) {
-	ds, _, err := checkDataset()
-	if err != nil {
-		return nil, err
-	}
-	meta := core.Meta{Table: checkTable, Column: checkColumn, T: ds.T, N: int64(len(ds.Trace())), I: 500}
-	return core.LRUFit(ds.Trace(), meta, core.Options{})
-}
-
-// checkDataset generates the synthetic index the checks fit and re-scan; the
-// cluster phase streams its trace through /v1/ingest, so fitting and ingest
-// must see the same references.
-func checkDataset() (*datagen.Dataset, core.Meta, error) {
 	cfg := datagen.Config{Name: checkTable, Column: checkColumn, N: 20_000, I: 500, R: 40, K: 0.2, Seed: 11}
 	ds, err := datagen.GenerateDataset(cfg)
 	if err != nil {
-		return nil, core.Meta{}, err
+		return nil, err
 	}
-	return ds, core.Meta{Table: checkTable, Column: checkColumn, T: ds.T, N: cfg.N, I: cfg.I}, nil
-}
-
-// clusterMember is one spawned node of the cluster observability phase.
-type clusterMember struct {
-	id   string
-	base string
-	node *cluster.Node
-}
-
-// runClusterChecks spawns a 3-node fully replicated cluster and checks the
-// distributed observability surfaces: cross-node trace stitching of a
-// replicated PUT, the federated /v1/cluster/metrics exposition, and accuracy
-// telemetry flowing from a streamed ingest scan. Every node is stopped and
-// waited for before it returns.
-func runClusterChecks(ctx context.Context, out io.Writer) (err error) {
-	const (
-		numNodes = 3
-		// Full replication: every PUT fans out to every node, so the stitched
-		// trace must span the whole cluster.
-		replicas = 3
-	)
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	lns := make([]net.Listener, numNodes)
-	urls := make([]string, numNodes)
-	for i := range lns {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		defer ln.Close()
-		lns[i] = ln
-		urls[i] = "http://" + ln.Addr().String()
-	}
-	// Registered after the listener closes, so it runs before them: cancel,
-	// wait for every Run and Serve to return, and report a Serve failure.
-	done := make(chan error, 2*numNodes)
-	running := 0
-	defer func() {
-		cancel()
-		for ; running > 0; running-- {
-			if serr := <-done; serr != nil && err == nil {
-				err = fmt.Errorf("cluster node serve: %w", serr)
-			}
-		}
-	}()
-	members := make([]*clusterMember, numNodes)
-	for i := range members {
-		id := fmt.Sprintf("node-%c", 'a'+i)
-		store := catalog.NewStore()
-		node, err := cluster.NewNode(cluster.Config{
-			SelfID:    id,
-			SelfURL:   urls[i],
-			Seeds:     urls,
-			Replicas:  replicas,
-			Heartbeat: 100 * time.Millisecond,
-			Store:     store,
-		})
-		if err != nil {
-			return err
-		}
-		srv, err := service.New(service.Config{Store: store, Cluster: node})
-		if err != nil {
-			return err
-		}
-		go func() { node.Run(ctx); done <- nil }()
-		go func(ln net.Listener) { done <- srv.Serve(ctx, ln) }(lns[i])
-		running += 2
-		members[i] = &clusterMember{id: id, base: urls[i], node: node}
-	}
-	client := &http.Client{}
-	for _, m := range members {
-		var h service.Health
-		if err := pollHealthz(ctx, client, m.base, &h); err != nil {
-			return err
-		}
-	}
-	if err := waitFor(ctx, "membership convergence", func() bool {
-		for _, m := range members {
-			if m.node.Ring().Len() != numNodes {
-				return false
-			}
-		}
-		return true
-	}); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "ok cluster: %d nodes up and gossiped (R=%d)\n", numNodes, replicas)
-
-	// A replicated PUT under a known traceparent must stitch into one
-	// distributed trace on a node that did not coordinate the write: the
-	// coordinator's replicate hops to both peers plus records from every node.
-	st, err := fitCheckStats()
-	if err != nil {
-		return err
-	}
-	body, err := json.Marshal(st)
-	if err != nil {
-		return err
-	}
-	tp := obs.NewTraceparent()
-	putURL := fmt.Sprintf("%s/v1/indexes/%s/%s", members[0].base, checkTable, checkColumn)
-	if _, _, err := do(ctx, client, http.MethodPut, putURL, body,
-		http.Header{obs.TraceparentHeader: []string{tp.String()}}); err != nil {
-		return fmt.Errorf("cluster install: %w", err)
-	}
-	type stitched struct {
-		Nodes        []string `json:"nodes"`
-		MissingNodes []string `json:"missing_nodes"`
-		Records      []struct {
-			Node string `json:"node"`
-			Kind string `json:"kind"`
-			Peer string `json:"peer"`
-		} `json:"records"`
-	}
-	var doc stitched
-	stitchURL := members[1].base + "/debug/traces/" + tp.TraceString()
-	if err := waitFor(ctx, "stitched trace convergence", func() bool {
-		_, raw, err := do(ctx, client, http.MethodGet, stitchURL, nil, nil)
-		if err != nil {
-			return false
-		}
-		doc = stitched{}
-		if err := json.Unmarshal(raw, &doc); err != nil {
-			return false
-		}
-		hops := map[string]bool{}
-		for _, rec := range doc.Records {
-			if rec.Kind == obs.HopReplicate && rec.Node == members[0].id {
-				hops[rec.Peer] = true
-			}
-		}
-		return len(doc.Nodes) == numNodes && hops[members[1].id] && hops[members[2].id]
-	}); err != nil {
-		return err
-	}
-	if len(doc.MissingNodes) != 0 {
-		return fmt.Errorf("stitch: healthy cluster reported missing nodes %v", doc.MissingNodes)
-	}
-	fmt.Fprintf(out, "ok stitch: trace %s spans all %d nodes with both replicate hops (%d records)\n",
-		tp.TraceString(), numNodes, len(doc.Records))
-
-	// Estimate traffic through every node, then one federated scrape: a valid
-	// exposition carrying per-node series, the cluster counter rollup, and a
-	// peer-up gauge for every member.
-	estPath := fmt.Sprintf("/v1/estimate?table=%s&column=%s&b=128&sigma=0.1", checkTable, checkColumn)
-	for _, m := range members {
-		if _, _, err := do(ctx, client, http.MethodGet, m.base+estPath, nil, nil); err != nil {
-			return fmt.Errorf("cluster estimate via %s: %w", m.id, err)
-		}
-	}
-	fedRaw, err := federatedScrape(ctx, client, members[2].base, func(raw []byte) error {
-		if !bytes.Contains(raw, []byte(`epfis_estimates_total{node="cluster"}`)) {
-			return fmt.Errorf("missing cluster counter rollup")
-		}
-		return nil
-	})
-	if err != nil {
-		return err
-	}
-	for _, m := range members {
-		if !bytes.Contains(fedRaw, []byte(fmt.Sprintf(`epfis_federation_peer_up{node=%q} 1`, m.id))) {
-			return fmt.Errorf("federation: peer %s not reported up", m.id)
-		}
-		if !bytes.Contains(fedRaw, []byte(fmt.Sprintf(`node=%q`, m.id))) {
-			return fmt.Errorf("federation: no per-node series for %s", m.id)
-		}
-	}
-	fmt.Fprintf(out, "ok federate: valid %d-byte exposition, %d nodes up, cluster rollups present\n",
-		len(fedRaw), numNodes)
-
-	// Stream one full scan of the fitted index through ingest: the owning
-	// node must surface the measurement on /debug/accuracy, and the accuracy
-	// histograms must reach the federated exposition.
-	ds, meta, err := checkDataset()
-	if err != nil {
-		return err
-	}
-	trace := ds.Trace()
-	for batch := 0; len(trace) > 0; batch++ {
-		n := 4096
-		if n > len(trace) {
-			n = len(trace)
-		}
-		req := service.IngestRequest{
-			Table: meta.Table, Column: meta.Column, Pages: trace[:n],
-			BatchID: fmt.Sprintf("obscheck-%d", batch),
-		}
-		raw, err := json.Marshal(req)
-		if err != nil {
-			return err
-		}
-		if _, _, err := do(ctx, client, http.MethodPost, members[0].base+"/v1/ingest", raw, nil); err != nil {
-			return fmt.Errorf("cluster ingest batch %d: %w", batch, err)
-		}
-		trace = trace[n:]
-	}
-	key := checkTable + "." + checkColumn
-	var scans uint64
-	if err := waitFor(ctx, "accuracy telemetry", func() bool {
-		for _, m := range members {
-			var acc struct {
-				Indexes map[string]struct {
-					Scans     uint64  `json:"scans"`
-					MaxRelErr float64 `json:"maxRelErr"`
-				} `json:"indexes"`
-			}
-			_, raw, err := do(ctx, client, http.MethodGet, m.base+"/debug/accuracy", nil, nil)
-			if err != nil {
-				continue
-			}
-			if err := json.Unmarshal(raw, &acc); err != nil {
-				continue
-			}
-			if a, ok := acc.Indexes[key]; ok && a.Scans >= 1 {
-				scans = a.Scans
-				return true
-			}
-		}
-		return false
-	}); err != nil {
-		return err
-	}
-	if _, err := federatedScrape(ctx, client, members[0].base, func(raw []byte) error {
-		if !bytes.Contains(raw, []byte("epfis_accuracy_relerr_bucket")) {
-			return fmt.Errorf("missing epfis_accuracy_relerr histograms")
-		}
-		return nil
-	}); err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "ok accuracy: %s measured (%d scans), relerr histograms federated\n", key, scans)
-	return nil
-}
-
-// federatedScrape fetches /v1/cluster/metrics, validates the exposition, and
-// applies one extra content check.
-func federatedScrape(ctx context.Context, client *http.Client, base string, check func([]byte) error) ([]byte, error) {
-	resp, raw, err := do(ctx, client, http.MethodGet, base+"/v1/cluster/metrics", nil, nil)
-	if err != nil {
-		return nil, fmt.Errorf("federated metrics: %w", err)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
-		return nil, fmt.Errorf("federated metrics: Content-Type = %q", ct)
-	}
-	if _, err := obs.ParseExposition(raw); err != nil {
-		return nil, fmt.Errorf("federated metrics: invalid exposition: %w", err)
-	}
-	if err := check(raw); err != nil {
-		return nil, fmt.Errorf("federated metrics: %w", err)
-	}
-	return raw, nil
-}
-
-// waitFor polls cond until it holds or ctx expires.
-func waitFor(ctx context.Context, what string, cond func() bool) error {
-	for {
-		if cond() {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return fmt.Errorf("timed out waiting for %s", what)
-		case <-time.After(50 * time.Millisecond):
-		}
-	}
+	meta := core.Meta{Table: checkTable, Column: checkColumn, T: ds.T, N: cfg.N, I: cfg.I}
+	return core.LRUFit(ds.Trace(), meta, core.Options{})
 }

@@ -75,9 +75,10 @@ func (v Version) After(o Version) bool {
 }
 
 // Incoming is a peer's version of one key offered to Merge: an entry with
-// its stamp, a tombstone, or, with neither Entry nor Tombstone, a stamp to
-// fold onto a local entry whose CRC matches (the peer's later write stored
-// the same content).
+// its stamp and the CRC of its JSON (as DecodeEntries computes it), a
+// tombstone, or, with neither Entry nor Tombstone, a stamp to fold onto a
+// local entry whose CRC matches (the peer's later write stored the same
+// content).
 type Incoming struct {
 	Version
 	Entry *stats.IndexStats
@@ -112,13 +113,19 @@ func (c *crcCache) get(e *stats.IndexStats) (uint32, error) {
 	if err != nil {
 		return 0, err
 	}
+	c.put(e, crc)
+	return crc, nil
+}
+
+// put records an entry's CRC computed elsewhere, such as a merged entry's,
+// which DecodeEntries computed from the same JSON.
+func (c *crcCache) put(e *stats.IndexStats, crc uint32) {
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = map[*stats.IndexStats]uint32{}
 	}
 	c.m[e] = crc
 	c.mu.Unlock()
-	return crc, nil
 }
 
 // prune drops cached CRCs of entries no longer in live, once the cache has
@@ -136,6 +143,16 @@ func (c *crcCache) prune(live map[string]*stats.IndexStats) {
 		}
 	}
 	c.m = keep
+}
+
+// orders reports whether v orders after key's version in snapshot s. Only
+// a stamp tie needs the held entry's CRC, so only a tie computes it.
+func (st *Store) orders(v Version, s *Snapshot, key string) (bool, error) {
+	if held := s.stamps[key]; held != v.Stamp {
+		return held.Less(v.Stamp), nil
+	}
+	local, err := st.version(s, key)
+	return v.After(local), err
 }
 
 // version reports key's version in snapshot s.
@@ -305,17 +322,20 @@ func (st *Store) Merge(in map[string]Incoming) (uint64, []string, error) {
 		var stamps map[string]Stamp
 		for _, k := range keys {
 			p := in[k]
-			local, err := st.version(base, k)
-			if err != nil {
-				ferr = err
-				return nil, false
-			}
 			if p.Entry == nil && !p.Tombstone {
 				// A stamp fold: same content, later write.
+				local, err := st.version(base, k)
+				if err != nil {
+					ferr = err
+					return nil, false
+				}
 				if _, ok := base.entries[k]; !ok || local.CRC != p.CRC || !local.Stamp.Less(p.Stamp) {
 					continue
 				}
-			} else if !p.After(local) {
+			} else if take, err := st.orders(p.Version, base, k); err != nil {
+				ferr = err
+				return nil, false
+			} else if !take {
 				continue
 			} else {
 				if entries == nil {
@@ -324,7 +344,9 @@ func (st *Store) Merge(in map[string]Incoming) (uint64, []string, error) {
 				if p.Tombstone {
 					delete(entries, k)
 				} else {
-					entries[k] = deepCopy(p.Entry)
+					cp := deepCopy(p.Entry)
+					st.crcs.put(cp, p.CRC) // the CRC of the same JSON
+					entries[k] = cp
 				}
 			}
 			if p.Stamp != (Stamp{}) {

@@ -273,21 +273,17 @@ func (st *Store) put(e *stats.IndexStats, s Stamp) (uint64, error) {
 // Delete removes the entry for table.column, reporting whether it existed.
 // Deleting a missing entry is a no-op that does not bump the generation.
 func (st *Store) Delete(table, column string) (bool, uint64, error) {
-	return st.del(table+"."+column, Stamp{}, false)
+	return st.DeleteStamped(table, column, Stamp{})
 }
 
 // DeleteStamped is Delete for a cluster mutation: the same commit records s
 // as the key's stamp, the tombstone that keeps an older write from bringing
-// the key back. With tombstone set the stamp is recorded even when the key
-// is absent (a replicated delete that arrives after the entry is gone);
-// otherwise an absent key is the same no-op as for Delete. Like PutStamped
-// it returns ErrStale, committing nothing, unless s orders after the
-// stamp the commit's base holds.
-func (st *Store) DeleteStamped(table, column string, s Stamp, tombstone bool) (bool, uint64, error) {
-	return st.del(table+"."+column, s, tombstone)
-}
-
-func (st *Store) del(key string, s Stamp, tombstone bool) (bool, uint64, error) {
+// the key back. An absent key is the same no-op as for Delete; a peer's
+// tombstone for a key this node lacks enters through Merge. Like
+// PutStamped it returns ErrStale, committing nothing, unless s orders after
+// the stamp the commit's base holds.
+func (st *Store) DeleteStamped(table, column string, s Stamp) (bool, uint64, error) {
+	key := table + "." + column
 	ftype, body := walFrameDelete, []byte(key)
 	if s != (Stamp{}) {
 		ftype, body = walFrameDeleteStamped, appendStampHeader(nil, s, key)
@@ -295,14 +291,11 @@ func (st *Store) del(key string, s Stamp, tombstone bool) (bool, uint64, error) 
 	existed, stale := false, false
 	gen, err := st.commit(frame(ftype, body), false, func(base *Snapshot) (*Snapshot, bool) {
 		_, existed = base.entries[key]
-		if stale = s != (Stamp{}) && !base.stamps[key].Less(s); stale || !existed && !tombstone {
+		if stale = s != (Stamp{}) && !base.stamps[key].Less(s); stale || !existed {
 			return nil, false
 		}
-		next := base.entries
-		if existed {
-			next = cloneEntries(base.entries)
-			delete(next, key)
-		}
+		next := cloneEntries(base.entries)
+		delete(next, key)
 		return base.derive(key, next, s), true
 	})
 	if stale {

@@ -34,9 +34,7 @@ func TestExportEntryRoundTrip(t *testing.T) {
 	if _, err := src.Put(entry("orders", "custno", 600)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := src.DeleteStamped("orders", "gone", Stamp{Epoch: 4, Origin: "node-b"}, true); err != nil {
-		t.Fatal(err)
-	}
+	tombstone(t, src, "orders.gone", Stamp{Epoch: 4, Origin: "node-b"})
 	in := exportAll(t, src, "orders.key", "orders.custno", "orders.gone", "orders.nope")
 	if len(in) != 3 {
 		t.Fatalf("stream holds %d keys, want 3 (an unknown key is covered by its absence)", len(in))
@@ -226,9 +224,7 @@ func TestEntryDigestsMatchContent(t *testing.T) {
 	if _, err := b.PutStamped(entry("orders", "key", 999), Stamp{Epoch: 7, Origin: "n"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := b.DeleteStamped("orders", "gone", Stamp{Epoch: 8, Origin: "n"}, true); err != nil {
-		t.Fatal(err)
-	}
+	tombstone(t, b, "orders.gone", Stamp{Epoch: 8, Origin: "n"})
 	db2, gen, err := b.Versions()
 	if err != nil || gen != b.Generation() {
 		t.Fatalf("Versions at generation %d (%v), want %d", gen, err, b.Generation())

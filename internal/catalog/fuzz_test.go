@@ -3,6 +3,7 @@ package catalog
 import (
 	"os"
 	"path/filepath"
+	"sort"
 	"testing"
 
 	"epfis/internal/faultfs"
@@ -96,4 +97,105 @@ func exercise(t *testing.T, st *Store) {
 	if _, err := c.Get("fuzz", "probe"); err != nil {
 		t.Fatalf("checkpoint lost the committed write: %v", err)
 	}
+}
+
+// FuzzDecodeEntries holds the decoder every pull and every push feeds peer
+// bytes to. Every input is rejected or round-trips: an accepted stream,
+// merged into an empty store and exported again, decodes to the same
+// versions and entries. Nothing panics, and a Merge of any accepted stream
+// into a populated store never moves a recorded stamp backwards: each key
+// ends on the later of its held and offered versions.
+func FuzzDecodeEntries(f *testing.F) {
+	src := NewStore()
+	if _, err := src.PutStamped(entry("t", "c0", 500), Stamp{Epoch: 3, Origin: "node-a"}); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := src.Put(entry("t", "c1", 600)); err != nil {
+		f.Fatal(err)
+	}
+	if _, _, err := src.Merge(map[string]Incoming{"t.c2": {Version: Version{Stamp: Stamp{Epoch: 5, Origin: "node-b"}, Tombstone: true}}}); err != nil {
+		f.Fatal(err)
+	}
+	good, _, err := src.ExportEntries([]string{"t.c0", "t.c1", "t.c2", "t.c3"}, 1<<20)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)/2])
+	f.Add([]byte(`{"entries":[],"covered":0}`))
+	flipped := append([]byte(nil), good...)
+	flipped[len(flipped)/3] ^= 0x10
+	f.Add(flipped)
+	held, _, err := src.Versions()
+	if err != nil {
+		f.Fatal(err)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in, _, err := DecodeEntries(data)
+		if err != nil {
+			return
+		}
+		keys := make([]string, 0, len(in))
+		for k := range in {
+			keys = append(keys, k)
+		}
+		sort.Strings(keys)
+
+		fresh := NewStore()
+		if _, _, err := fresh.Merge(in); err != nil {
+			t.Fatalf("merge of an accepted stream into an empty store: %v", err)
+		}
+		again, covered, err := fresh.ExportEntries(keys, 1<<30)
+		if err != nil || covered != len(keys) {
+			t.Fatalf("re-export covered %d of %d keys: %v", covered, len(keys), err)
+		}
+		back, _, err := DecodeEntries(again)
+		if err != nil {
+			t.Fatalf("re-exported stream rejected: %v", err)
+		}
+		if len(back) != len(in) {
+			t.Fatalf("round trip holds %d keys, want %d", len(back), len(in))
+		}
+		for k, v := range in {
+			b := back[k]
+			if b.Version != v.Version || (v.Entry == nil) != (b.Entry == nil) {
+				t.Fatalf("%s: round trip %+v, want %+v", k, b.Version, v.Version)
+			}
+		}
+
+		st := NewStore()
+		if _, err := st.PutStamped(entry("t", "c0", 500), Stamp{Epoch: 3, Origin: "node-a"}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.Put(entry("t", "c1", 600)); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Merge(map[string]Incoming{"t.c2": {Version: held["t.c2"]}}); err != nil {
+			t.Fatal(err)
+		}
+		before, _, err := st.Versions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := st.Merge(in); err != nil {
+			t.Fatalf("merge of an accepted stream: %v", err)
+		}
+		after, _, err := st.Versions()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range after {
+			if v.Stamp.Less(before[k].Stamp) {
+				t.Fatalf("%s: stamp moved back from %v to %v", k, before[k].Stamp, v.Stamp)
+			}
+			want := before[k]
+			if p, ok := in[k]; ok && p.After(want) {
+				want = p.Version
+			}
+			if v != want {
+				t.Fatalf("%s: holds %+v, want the later of held and offered, %+v", k, v, want)
+			}
+		}
+	})
 }

@@ -30,6 +30,15 @@ func reopenWAL(t *testing.T, path string) *Store {
 	return re
 }
 
+// tombstone records s as key's tombstone the one way a peer's delete of a
+// key this node lacks arrives: through Merge.
+func tombstone(t testing.TB, st *Store, key string, s Stamp) {
+	t.Helper()
+	if _, taken, err := st.Merge(map[string]Incoming{key: {Version: Version{Stamp: s, Tombstone: true}}}); err != nil || len(taken) != 1 {
+		t.Fatalf("tombstone %s under %v: taken %v, %v", key, s, taken, err)
+	}
+}
+
 // checkStamped compares a store's entries and stamp table with the model.
 func checkStamped(t *testing.T, what string, st *Store, state map[string]int64, stamps map[string]Stamp) {
 	t.Helper()
@@ -54,15 +63,13 @@ func TestWALStampsSurviveReopenRotationAndRecovery(t *testing.T) {
 	if _, err := st.PutStamped(entry("lineitem", "partkey", 700), a1); err != nil {
 		t.Fatal(err)
 	}
-	if ok, _, err := st.DeleteStamped("lineitem", "partkey", b2, false); err != nil || !ok {
+	if ok, _, err := st.DeleteStamped("lineitem", "partkey", b2); err != nil || !ok {
 		t.Fatalf("stamped delete = (%v, %v)", ok, err)
 	}
-	// A replicated delete of a key this node never held: the tombstone alone.
-	if ok, _, err := st.DeleteStamped("orders", "ghost", a3, true); err != nil || ok {
-		t.Fatalf("tombstone for an absent key = (%v, %v), want (false, nil)", ok, err)
-	}
+	// A peer's delete of a key this node never held: the tombstone alone.
+	tombstone(t, st, "orders.ghost", a3)
 	// A local delete of an absent key records nothing.
-	if ok, gen, err := st.DeleteStamped("orders", "nothing", Stamp{Epoch: 9, Origin: "node-a"}, false); err != nil || ok || gen != st.Generation() {
+	if ok, gen, err := st.DeleteStamped("orders", "nothing", Stamp{Epoch: 9, Origin: "node-a"}); err != nil || ok || gen != st.Generation() {
 		t.Fatalf("absent local delete = (%v, %d, %v)", ok, gen, err)
 	}
 	state := map[string]int64{"orders.key": 500, "orders.custno": 600}
@@ -136,9 +143,7 @@ func TestWALStampsSurviveAdoption(t *testing.T) {
 	if _, err := st.PutStamped(entry("orders", "key", 500), stamps["orders.key"]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := st.DeleteStamped("orders", "ghost", stamps["orders.ghost"], true); err != nil {
-		t.Fatal(err)
-	}
+	tombstone(t, st, "orders.ghost", stamps["orders.ghost"])
 	c := stats.NewCatalog()
 	if err := c.Put(entry("lineitem", "partkey", 700)); err != nil {
 		t.Fatal(err)
@@ -272,7 +277,7 @@ func TestWALStampGateSeesPendingMerge(t *testing.T) {
 	if _, err := st.PutStamped(entry("orders", "x", 700), Stamp{Epoch: 7, Origin: "node-c"}); !errors.Is(err, ErrStale) {
 		t.Fatalf("older write beside a pending merge = %v, want ErrStale", err)
 	}
-	if _, _, err := st.DeleteStamped("orders", "x", Stamp{Epoch: 8, Origin: "node-c"}, true); !errors.Is(err, ErrStale) {
+	if _, _, err := st.DeleteStamped("orders", "x", Stamp{Epoch: 8, Origin: "node-c"}); !errors.Is(err, ErrStale) {
 		t.Fatalf("older delete beside a pending merge = %v, want ErrStale", err)
 	}
 	if err := <-done; err != nil {
@@ -393,13 +398,13 @@ func TestOpenAdoptionStampsRefresh(t *testing.T) {
 	state := map[string]int64{"t.keep": 500, "t.changed": 600, "t.added": 700, "t.plain": 540}
 	checkStamped(t, "adopted", re, state, map[string]Stamp{"t.keep": s1, "t.changed": s1, "t.dropped": s1})
 	s := Stamp{Epoch: 2, Origin: "node-a"}
-	if _, err := re.StampRefreshed(func() Stamp { return s }); err != nil {
+	if _, err := re.StampRefreshed(func() (Stamp, error) { return s, nil }); err != nil {
 		t.Fatal(err)
 	}
 	stamps := map[string]Stamp{"t.keep": s1, "t.changed": s, "t.added": s, "t.dropped": s}
 	checkStamped(t, "stamped", re, state, stamps)
 	gen := re.Generation()
-	if _, err := re.StampRefreshed(func() Stamp { t.Fatal("a second StampRefreshed asked for a stamp"); return Stamp{} }); err != nil || re.Generation() != gen {
+	if _, err := re.StampRefreshed(func() (Stamp, error) { t.Fatal("a second StampRefreshed asked for a stamp"); return Stamp{}, nil }); err != nil || re.Generation() != gen {
 		t.Fatalf("a second StampRefreshed committed (generation %d -> %d, %v)", gen, re.Generation(), err)
 	}
 	checkStamped(t, "reopened", reopenWAL(t, path), state, stamps)

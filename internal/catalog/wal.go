@@ -672,7 +672,7 @@ func sameEntry(a, b *stats.IndexStats) bool {
 // to stamp. A cluster node calls it before it serves or gossips. A crash
 // between the adoption and this commit leaves those keys under their older
 // stamps; see the file comment.
-func (st *Store) StampRefreshed(next func() Stamp) (uint64, error) {
+func (st *Store) StampRefreshed(next func() (Stamp, error)) (uint64, error) {
 	st.mu.Lock()
 	keys := st.refreshed
 	st.refreshed = nil
@@ -680,7 +680,10 @@ func (st *Store) StampRefreshed(next func() Stamp) (uint64, error) {
 	if len(keys) == 0 {
 		return st.Generation(), nil
 	}
-	s := next()
+	s, err := next()
+	if err != nil {
+		return 0, err
+	}
 	stamps := make(map[string]Stamp, len(keys))
 	for _, k := range keys {
 		stamps[k] = s

@@ -833,12 +833,10 @@ func FuzzWALRecovery(f *testing.F) {
 	if _, err := ss.PutStamped(entry("t", "c0", 100), Stamp{Epoch: 1, Origin: "node-a"}); err != nil {
 		f.Fatal(err)
 	}
-	if _, _, err := ss.DeleteStamped("t", "c0", Stamp{Epoch: 2, Origin: "node-b"}, false); err != nil {
+	if _, _, err := ss.DeleteStamped("t", "c0", Stamp{Epoch: 2, Origin: "node-b"}); err != nil {
 		f.Fatal(err)
 	}
-	if _, _, err := ss.DeleteStamped("t", "ghost", Stamp{Epoch: 3, Origin: "node-a"}, true); err != nil {
-		f.Fatal(err)
-	}
+	tombstone(f, ss, "t.ghost", Stamp{Epoch: 3, Origin: "node-a"})
 	if err := ss.Checkpoint(); err != nil {
 		f.Fatal(err)
 	}

@@ -9,6 +9,7 @@ import (
 	"hash/crc32"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -31,16 +32,12 @@ const (
 	// PathEntries answers a POSTed entries request with the named keys'
 	// entries and tombstones, each with its stamp.
 	PathEntries = "/v1/cluster/entries"
+	// PathPush takes a POSTed entries stream, the one PathEntries serves,
+	// and merges it as a pull does: how a write's coordinator replicates it.
+	PathPush = "/v1/cluster/push"
 
 	// HeaderNode carries the sending/serving node ID.
 	HeaderNode = "X-Epfis-Node"
-	// HeaderEpoch carries the cluster mutation epoch of a replicated
-	// mutation.
-	HeaderEpoch = "X-Epfis-Epoch"
-	// HeaderReplicated marks a mutation as replication fan-out (the value is
-	// the originating node ID); receivers apply it locally and do not
-	// re-forward.
-	HeaderReplicated = "X-Epfis-Replicated"
 	// HeaderForwarded marks an ingest batch forwarded to a ring owner (the
 	// value is the forwarding node ID); a receiver that still does not own
 	// the key answers 421 instead of forwarding again, so stale rings cannot
@@ -54,6 +51,10 @@ const (
 
 // pullTimeout bounds one anti-entropy pull.
 const pullTimeout = 30 * time.Second
+
+// ErrClockExhausted reports that the mutation epoch has reached its maximum,
+// so this node cannot stamp a write after every stamp it has seen.
+var ErrClockExhausted = errors.New("cluster: mutation clock exhausted")
 
 // DefaultSnapshotMaxBytes caps anti-entropy response bodies (digest,
 // entries) when Config.SnapshotMaxBytes is zero. A corrupt or hostile peer
@@ -158,13 +159,14 @@ type Node struct {
 	bytes     atomic.Uint64
 	oversize  atomic.Uint64
 	rounds    atomic.Uint64
+	skipped   atomic.Uint64 // pushes that took nothing
 
 	// lag holds, per peer, how many keys its last digest showed behind
 	// this node's versions.
 	lagMu sync.Mutex
 	lag   map[string]int
 
-	onMerge atomic.Pointer[func(gen uint64)]
+	onMerge atomic.Pointer[func(gen uint64, keys []string)]
 
 	// Per-peer instruments, registered lazily as peers are discovered.
 	obsMu   sync.Mutex
@@ -297,11 +299,23 @@ func (n *Node) Peers() []PeerInfo { return n.mem.Peers() }
 func (n *Node) Epoch() uint64 { return n.epoch.Load() }
 
 // BumpEpoch advances the mutation epoch for a locally originated catalog
-// mutation and returns the new value.
-func (n *Node) BumpEpoch() uint64 { return n.epoch.Add(1) }
+// mutation and returns the new value. The clock never wraps: once it holds
+// the largest epoch, no stamp orders after every one this node has seen,
+// and BumpEpoch fails with ErrClockExhausted instead.
+func (n *Node) BumpEpoch() (uint64, error) {
+	for {
+		cur := n.epoch.Load()
+		if cur == math.MaxUint64 {
+			return 0, ErrClockExhausted
+		}
+		if n.epoch.CompareAndSwap(cur, cur+1) {
+			return cur + 1, nil
+		}
+	}
+}
 
-// ObserveEpoch folds a remote epoch in (Lamport max), so replicated
-// mutations and snapshot imports keep epochs comparable cluster-wide.
+// ObserveEpoch folds a remote epoch in (Lamport max), so merged versions
+// and gossiped clocks keep epochs comparable cluster-wide.
 func (n *Node) ObserveEpoch(e uint64) {
 	for {
 		cur := n.epoch.Load()
@@ -685,13 +699,12 @@ func (n *Node) doHop(req *http.Request, kind, baseURL string) (*http.Response, e
 	return resp, err
 }
 
-// Sync pulls from a peer, the one way replicas converge: fetch its digest,
+// Sync pulls from a peer, the way replicas converge: fetch its digest,
 // take every key whose version there orders after ours — a tombstone or a
 // stamp fold straight from the digest, an entry by fetching it — and merge
-// the lot as one commit. The entries come in as few requests as the
-// response cap allows, so a fresh node pays a handful of round trips for a
-// whole catalog. Every stamp the merge may record is folded into the clock
-// first, so a local write ordered after the merge is stamped above it.
+// the lot as one commit through merge, the tail a push runs too. The
+// entries come in as few requests as the response cap allows, so a fresh
+// node pays a handful of round trips for a whole catalog.
 func (n *Node) Sync(ctx context.Context, baseURL string) error {
 	err := n.sync(ctx, baseURL)
 	if err != nil {
@@ -746,10 +759,7 @@ func (n *Node) sync(ctx context.Context, baseURL string) error {
 		fetch = fetch[covered:]
 	}
 	n.ObserveEpoch(remote.Epoch)
-	for _, v := range in {
-		n.ObserveEpoch(v.Stamp.Epoch)
-	}
-	gen, taken, err := n.store.Merge(in)
+	gen, taken, err := n.merge(in)
 	if err != nil {
 		return fmt.Errorf("cluster: merge from %s: %w", baseURL, err)
 	}
@@ -757,19 +767,73 @@ func (n *Node) sync(ctx context.Context, baseURL string) error {
 		return nil
 	}
 	n.merges.Add(1)
-	if fn := n.onMerge.Load(); fn != nil {
-		(*fn)(gen)
-	}
 	n.log.LogAttrs(ctx, slog.LevelInfo, "catalog pulled",
 		slog.String("peer", baseURL), slog.Int("keys", len(taken)),
 		slog.Uint64("generation", gen), slog.Uint64("epoch", remote.Epoch))
 	return nil
 }
 
-// SetOnMerge registers fn to run after every pull that commits a merge,
-// with the merge's generation: the service registers the merged keys'
-// counters and drops its memo cache's other generations, as a PUT does.
-func (n *Node) SetOnMerge(fn func(gen uint64)) { n.onMerge.Store(&fn) }
+// merge is the one way a peer's versions enter this node, pulled or pushed:
+// every stamp is folded into the clock first, so a local write ordered
+// after the merge is stamped above it; Store.Merge then takes each key iff
+// the peer's version orders after the held one, as one commit; and the
+// merge hook gets the keys taken.
+func (n *Node) merge(in map[string]catalog.Incoming) (uint64, []string, error) {
+	for _, v := range in {
+		n.ObserveEpoch(v.Stamp.Epoch)
+	}
+	gen, taken, err := n.store.Merge(in)
+	if err == nil && len(taken) > 0 {
+		if fn := n.onMerge.Load(); fn != nil {
+			(*fn)(gen, taken)
+		}
+	}
+	return gen, taken, err
+}
+
+// SetOnMerge registers fn to run after every merge, pulled or pushed, that
+// took keys, with its generation and the keys taken: the service runs the
+// post-commit step a local write runs.
+func (n *Node) SetOnMerge(fn func(gen uint64, keys []string)) { n.onMerge.Store(&fn) }
+
+// pushAck is the push route's answer: the generation after the merge, and
+// Skipped when it took no key because this node already held an equal or
+// later version of each.
+type pushAck struct {
+	Generation uint64 `json:"generation"`
+	Skipped    bool   `json:"skipped,omitempty"`
+}
+
+// HandlePush serves POST PathPush, how a write's coordinator replicates it:
+// the body is an ExportEntries stream, read under the snapshot size cap and
+// merged exactly as a pull merges what it fetched. A stream taken or not
+// newer answers 200; one that does not decode answers 400. Pushed bytes do
+// not count as anti-entropy bytes. It reports false only when the store
+// failed the merge (503), so the caller's circuit breaker can count it.
+func (n *Node) HandlePush(w http.ResponseWriter, r *http.Request) bool {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, n.cfg.SnapshotMaxBytes))
+	if err != nil {
+		http.Error(w, "read push: "+err.Error(), http.StatusBadRequest)
+		return true
+	}
+	in, _, err := catalog.DecodeEntries(data)
+	if err != nil {
+		http.Error(w, "decode push: "+err.Error(), http.StatusBadRequest)
+		return true
+	}
+	gen, taken, err := n.merge(in)
+	if err != nil {
+		http.Error(w, "merge push: "+err.Error(), http.StatusServiceUnavailable)
+		return false
+	}
+	if len(taken) == 0 {
+		n.skipped.Add(1)
+	}
+	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set(HeaderNode, n.cfg.SelfID)
+	json.NewEncoder(w).Encode(pushAck{Generation: gen, Skipped: len(taken) == 0})
+	return true
+}
 
 // fetchDigest GETs a peer's digest document, bounded by the snapshot size
 // cap; the bytes count against the delta wire-cost counter.
@@ -973,6 +1037,9 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(n.bytes.Load()) })
 	reg.CounterFunc("epfis_cluster_antientropy_oversize_total", "Anti-entropy responses rejected by the size cap.",
 		func() float64 { return float64(n.oversize.Load()) })
+	reg.CounterFunc("epfis_cluster_stale_mutations_total",
+		"Pushes skipped because the node already held an equal or later version of every key.",
+		func() float64 { return float64(n.skipped.Load()) })
 	n.syncPeerGauges()
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -128,8 +129,8 @@ func TestNodeEpochSemantics(t *testing.T) {
 		t.Errorf("loaded node epoch = %d, want 0 (no stamp held)", loaded.Epoch())
 	}
 
-	if got := loaded.BumpEpoch(); got != 1 {
-		t.Errorf("BumpEpoch = %d, want 1", got)
+	if got, err := loaded.BumpEpoch(); got != 1 || err != nil {
+		t.Errorf("BumpEpoch = %d, %v, want 1", got, err)
 	}
 	loaded.ObserveEpoch(10)
 	if loaded.Epoch() != 10 {
@@ -138,6 +139,16 @@ func TestNodeEpochSemantics(t *testing.T) {
 	loaded.ObserveEpoch(4) // max-fold: lower epochs are ignored
 	if loaded.Epoch() != 10 {
 		t.Errorf("ObserveEpoch(4) regressed epoch to %d", loaded.Epoch())
+	}
+
+	// The clock never wraps: at the largest epoch no stamp orders after
+	// every one seen, so BumpEpoch refuses rather than return 0.
+	loaded.ObserveEpoch(math.MaxUint64 - 1)
+	if got, err := loaded.BumpEpoch(); got != math.MaxUint64 || err != nil {
+		t.Errorf("BumpEpoch below the top = %d, %v, want %d", got, err, uint64(math.MaxUint64))
+	}
+	if got, err := loaded.BumpEpoch(); !errors.Is(err, ErrClockExhausted) || loaded.Epoch() != math.MaxUint64 {
+		t.Errorf("BumpEpoch at the top = %d, %v (epoch %d), want ErrClockExhausted and no wrap", got, err, loaded.Epoch())
 	}
 }
 
@@ -408,24 +419,32 @@ func TestStampOrderingAndRecord(t *testing.T) {
 		t.Error("a stamp must not order before itself (idempotent redelivery)")
 	}
 
-	// The node reads stamps through to its store, where a stamped delete of
-	// an absent key records a tombstone and a stamp never regresses.
+	// The node reads stamps through to its store, where a merged tombstone
+	// of an absent key is recorded and a stamp never regresses.
 	store := catalog.NewStore()
 	n, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a", Store: store})
 	if n.KeyStamp("t.k") != zero {
 		t.Error("fresh node tracks no stamps")
 	}
-	if _, _, err := store.DeleteStamped("t", "k", b1, true); err != nil {
-		t.Fatal(err)
+	tomb := func(s Stamp) []string {
+		t.Helper()
+		_, taken, err := store.Merge(map[string]catalog.Incoming{"t.k": {Version: catalog.Version{Stamp: s, Tombstone: true}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return taken
 	}
-	if _, _, err := store.DeleteStamped("t", "k", a1, true); !errors.Is(err, catalog.ErrStale) { // older by tiebreak: must not regress
-		t.Fatalf("older stamped delete = %v, want ErrStale", err)
+	if taken := tomb(b1); len(taken) != 1 {
+		t.Fatalf("tombstone for an absent key not taken: %v", taken)
+	}
+	if taken := tomb(a1); len(taken) != 0 { // older by tiebreak: must not regress
+		t.Fatalf("older tombstone taken: %v", taken)
 	}
 	if got := n.KeyStamp("t.k"); got != b1 {
 		t.Errorf("KeyStamp after regressing record = %+v, want %+v", got, b1)
 	}
-	if _, _, err := store.DeleteStamped("t", "k", a2, true); err != nil {
-		t.Fatal(err)
+	if taken := tomb(a2); len(taken) != 1 {
+		t.Fatalf("newer tombstone not taken: %v", taken)
 	}
 	if got := n.KeyStamp("t.k"); got != a2 {
 		t.Errorf("KeyStamp after advancing record = %+v, want %+v", got, a2)

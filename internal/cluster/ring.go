@@ -16,13 +16,15 @@
 //
 //   - Node: the per-process agent tying the two together: it gossips with
 //     peers on a fixed heartbeat, rebuilds the ring when the member set
-//     changes, exports per-peer health metrics, and converges diverged
-//     catalogs by streaming the checksummed snapshot from the most advanced
-//     peer (a Lamport mutation epoch decides direction; the import recompiles
-//     estimators through the catalog's usual core.Compile ingress path).
+//     changes, exports per-peer health metrics, keeps the Lamport mutation
+//     clock, and is the one way a peer's catalog version enters this node:
+//     a write's coordinator pushes it (HandlePush), and a pull fetches
+//     whatever differs in a peer's digest (Sync). Both merge through the
+//     same tail, which takes a key iff the peer's version orders after the
+//     held one.
 //
-// The serving-path integration (write quorums over the owner set, ingest
-// forwarding to an owner, read fences, replication fan-out) lives in
+// The serving-path integration (write quorums over the owner set, quorum
+// pushes, ingest forwarding to an owner, read fences) lives in
 // internal/service; the cluster-aware client lives next to the plain
 // retrying client there too.
 // This package deliberately has no dependency on the service layer.

@@ -162,19 +162,10 @@ func (c *memoCache) put(k memoKey, est core.Estimate) {
 	c.ref[victim].Store(1)
 }
 
-// invalidateIndex removes every memo entry for table.column, across all
-// generations. Generation keying already makes stale entries unreachable
-// after a delete bumps the generation; this sweep additionally frees them,
-// so a dropped index cannot linger in memory (and a later re-install at a
-// coincidentally reused generation can never alias them).
-func (c *memoCache) invalidateIndex(table, column string) int {
-	return c.sweep(func(k *memoKey) bool { return k.table == table && k.column == column })
-}
-
 // dropOtherGenerations removes entries whose generation differs from gen —
-// the post-write segment sweep: after a reload/install/delete publishes
-// generation gen, every older generation's memo entries are garbage by
-// construction of the (index, generation) key.
+// the post-commit sweep: after a write or merge publishes generation gen,
+// every older generation's memo entries are garbage by construction of the
+// (index, generation) key, a deleted index's included.
 func (c *memoCache) dropOtherGenerations(gen uint64) int {
 	return c.sweep(func(k *memoKey) bool { return k.gen != gen })
 }

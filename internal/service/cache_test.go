@@ -60,8 +60,9 @@ func TestMemoCacheClockEviction(t *testing.T) {
 	}
 }
 
-// TestMemoCacheSweeps covers the explicit removal paths: per-index
-// invalidation and cross-generation drops.
+// TestMemoCacheSweeps covers the explicit removal path every commit runs:
+// once a commit publishes a generation, every other generation's entries
+// go, a deleted index's included, and the current generation's stay.
 func TestMemoCacheSweeps(t *testing.T) {
 	c := newMemoCache(256)
 	put := func(table, column string, gen uint64, b int64) memoKey {
@@ -72,29 +73,24 @@ func TestMemoCacheSweeps(t *testing.T) {
 	kOrders1 := put("orders", "key", 1, 10)
 	kOrders2 := put("orders", "key", 2, 10)
 	kLine := put("lineitem", "partkey", 2, 20)
+	kDeleted := put("deleted", "col", 1, 30)
 
-	if n := c.invalidateIndex("orders", "key"); n != 2 {
-		t.Fatalf("invalidateIndex removed %d entries, want 2", n)
+	if n := c.dropOtherGenerations(2); n != 2 {
+		t.Fatalf("dropOtherGenerations removed %d entries, want 2", n)
 	}
-	if _, ok := c.get(kOrders1); ok {
-		t.Fatal("invalidated entry still served (gen 1)")
+	for _, k := range []memoKey{kOrders1, kDeleted} {
+		if _, ok := c.get(k); ok {
+			t.Fatalf("older-generation entry %s.%s@%d still served", k.table, k.column, k.gen)
+		}
 	}
-	if _, ok := c.get(kOrders2); ok {
-		t.Fatal("invalidated entry still served (gen 2)")
-	}
-	if got, ok := c.get(kLine); !ok || got.F != 20 {
-		t.Fatal("unrelated index swept away")
-	}
-
-	put("orders", "key", 1, 30)
-	if n := c.dropOtherGenerations(2); n != 1 {
-		t.Fatalf("dropOtherGenerations removed %d entries, want 1", n)
+	if got, ok := c.get(kOrders2); !ok || got.F != 10 {
+		t.Fatal("current-generation entry swept away")
 	}
 	if got, ok := c.get(kLine); !ok || got.F != 20 {
 		t.Fatal("current-generation entry swept away")
 	}
-	if c.invalidations.Load() != 3 {
-		t.Fatalf("invalidations = %d, want 3", c.invalidations.Load())
+	if c.invalidations.Load() != 2 {
+		t.Fatalf("invalidations = %d, want 2", c.invalidations.Load())
 	}
 }
 

@@ -1,13 +1,13 @@
 package service
 
-// Cluster-mode serving: read fences, mutation replication, ingest
-// forwarding, and the cluster routes (health, gossip, digest, entries).
+// Cluster-mode serving: read fences, quorum pushes, ingest forwarding, and
+// the cluster routes (health, gossip, digest, entries, push).
 //
 // Everything here is reached only when Config.Cluster is set. The single-node
 // serving path pays exactly one nil-pointer check per request (s.cluster ==
 // nil), so the committed alloc budgets are untouched with cluster mode off.
 //
-// Routing model: the catalog is fully replicated — mutations fan out to
+// Routing model: the catalog is fully replicated — every write is pushed to
 // every live peer, and anti-entropy (cluster.Node.Sync, triggered by any
 // catalog-hash difference at either end of a gossip exchange) repairs
 // whatever a peer missed — so every node answers both estimate routes from
@@ -26,31 +26,29 @@ package service
 // key has reached it. Any other node refuses with a retryable 503
 // (ErrStaleReplica), and the caller tries another node.
 //
-// Mutation model: every mutation is stamped with a cluster-wide Lamport
-// epoch at the node that first receives it, applied locally, then fanned out
-// to every live peer with a per-peer timeout. A local mutation's epoch
-// assignment and store apply run under its key's lock stripe (keyLock), so
-// each key's epoch order is its apply order while mutations of other keys
-// run beside it and share one WAL group commit. The client's PUT/DELETE
-// succeeds only when W of the key's R ring owners acknowledged the write
-// (Config.WriteQuorum; majority by default) — otherwise 503, with the local
-// apply standing. A send that failed is not journaled: the node's WAL holds
-// the write with its stamp, and the next gossip round's pull delivers it.
-// A store applies a stamped write only when its (epoch, originator) stamp
-// orders after the key's held stamp, checked inside the store's commit, so
-// redelivery is idempotent, a reordered older PUT can no longer overwrite a
-// newer DELETE, and a merge that lands beside a replicated apply can never
-// leave older content under a newer stamp. The originator tiebreaker
-// decides equal epochs — concurrent same-key mutations on both sides of a
-// partition — identically on every node, so replicas converge after heal.
-// Each stamp is recorded in the same commit as its write
-// (catalog.Store.PutStamped, DeleteStamped) and, on a WAL-backed store, in
-// the same log frame, so it is durable exactly when the write is and costs
-// no fsync of its own. Delete tombstones travel in the digest, so a node
-// that missed a delete — including a restarted in-memory node, which
-// re-learns its catalog and its tombstones from its peers — takes the
-// tombstone instead of keeping or resurrecting the key. A reload is a
-// write too: what it changes carries a fresh stamp.
+// Write model: one way in for each kind of write. A local write — a client
+// PUT or DELETE, or an ingest refit — takes applyLocal (service.go) in
+// every mode: its stamp, a cluster-wide Lamport epoch plus this node's ID,
+// is assigned under the key's lock stripe, so each key's stamp order is its
+// commit order while writes to other keys share one WAL group commit, and
+// the store records the stamp in the write's own commit and WAL frame
+// (catalog.Store.PutStamped, DeleteStamped). The coordinator then pushes
+// the key's version from its snapshot — the one-key stream PathEntries
+// serves, POSTed to PathPush — to every live peer with a per-peer timeout,
+// and acknowledges once W of the key's R ring owners answered
+// (Config.WriteQuorum; majority by default); otherwise 503, with the local
+// commit standing. A send that failed is not journaled: the WAL holds the
+// write with its stamp, and the next gossip round's pull delivers it. A
+// peer's version enters only through cluster.Node's merge, pushed or
+// pulled: it is taken iff it orders after the held version, by stamp and
+// then by CRC, inside the store's commit, so redelivery is idempotent, a
+// reordered older write never overwrites a newer delete, and a merge beside
+// a local write never leaves older content under a newer stamp. The
+// originator tiebreaker decides equal epochs identically on every node, so
+// replicas converge after a partition heals. Delete tombstones travel in
+// pushes and digests alike, so a node that missed a delete — a restarted
+// in-memory node included — takes the tombstone instead of resurrecting
+// the key. A reload is a write too: what it changes carries a fresh stamp.
 
 import (
 	"bytes"
@@ -58,7 +56,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/maphash"
 	"io"
 	"log/slog"
 	"net/http"
@@ -74,7 +71,6 @@ import (
 	"epfis/internal/cluster"
 	"epfis/internal/framelog"
 	"epfis/internal/obs"
-	"epfis/internal/stats"
 )
 
 // DefaultReplicateTimeout bounds each per-peer replication send when
@@ -92,6 +88,7 @@ const (
 	routeClusterGossip  = "POST " + cluster.PathGossip
 	routeClusterDigest  = "GET " + cluster.PathDigest
 	routeClusterEntries = "POST " + cluster.PathEntries
+	routeClusterPush    = "POST " + cluster.PathPush
 )
 
 // ErrStaleReplica is the retryable 503 for an estimate fenced on a write
@@ -110,7 +107,6 @@ type clusterObs struct {
 	ingestFwdFail *obs.Counter
 	replicated    *obs.Counter
 	replFailures  *obs.Counter
-	staleDrops    *obs.Counter
 	fastAcks      *obs.Counter
 
 	reg       *obs.Registry
@@ -131,11 +127,9 @@ func newClusterObs(reg *obs.Registry) *clusterObs {
 		ingestFwd:     reg.Counter("epfis_cluster_ingest_forwarded_total", fwdHelp, res("ok")),
 		ingestFwdFail: reg.Counter("epfis_cluster_ingest_forwarded_total", fwdHelp, res("failed")),
 		replicated: reg.Counter("epfis_cluster_replication_total",
-			"Mutations replicated to peers."),
+			"Pushes a peer acknowledged."),
 		replFailures: reg.Counter("epfis_cluster_replication_failures_total",
-			"Peer replication sends that failed (the next gossip round's pull repairs them)."),
-		staleDrops: reg.Counter("epfis_cluster_stale_mutations_total",
-			"Replicated mutations skipped because the key already held an equal or later stamp."),
+			"Pushes that failed or found their peer unreachable (the next gossip round's pull repairs them)."),
 		fastAcks: reg.Counter("epfis_cluster_quorum_fastacks_total",
 			"Quorum verdicts returned while replication sends were still in flight."),
 		reg:     reg,
@@ -143,31 +137,20 @@ func newClusterObs(reg *obs.Registry) *clusterObs {
 	}
 }
 
-// observeReplication records one peer send in that peer's latency histogram
-// (epfis_cluster_replication_seconds{peer=...,route=...}), registered lazily
-// on the first send — never on the single-node serving path. route is the
-// method: "put" or "delete".
-func (c *clusterObs) observeReplication(peer, route string, d time.Duration) {
-	key := peer + "\x00" + route
+// observeReplication records one push in that peer's latency histogram
+// (epfis_cluster_replication_seconds{peer=...}), registered lazily on the
+// first send — never on the single-node serving path.
+func (c *clusterObs) observeReplication(peer string, d time.Duration) {
 	c.replLatMu.Lock()
-	h := c.replLat[key]
+	h := c.replLat[peer]
 	if h == nil {
 		h = c.reg.Histogram("epfis_cluster_replication_seconds",
-			"Replication send latency by peer and route.", replicationBuckets,
-			obs.Label{Name: "peer", Value: peer},
-			obs.Label{Name: "route", Value: route})
-		c.replLat[key] = h
+			"Replication push latency by peer.", replicationBuckets,
+			obs.Label{Name: "peer", Value: peer})
+		c.replLat[peer] = h
 	}
 	c.replLatMu.Unlock()
 	h.Observe(d.Seconds())
-}
-
-// replRoute maps a replication method to its histogram route label.
-func replRoute(method string) string {
-	if method == http.MethodDelete {
-		return "delete"
-	}
-	return "put"
 }
 
 // fenceToken renders the fence a mutation acknowledgement returns: table,
@@ -294,108 +277,6 @@ func (s *Server) proxyRequest(ctx context.Context, w http.ResponseWriter, p clus
 	return true
 }
 
-// mutationEncoder pairs a buffer with a reusable json.Encoder for the
-// replication-body hot path; pooling both means a cluster PUT stops paying
-// encoder-state and buffer-growth allocations per call.
-type mutationEncoder struct {
-	buf bytes.Buffer
-	enc *json.Encoder
-}
-
-var mutationEncPool = sync.Pool{New: func() any {
-	m := &mutationEncoder{}
-	m.enc = json.NewEncoder(&m.buf)
-	return m
-}}
-
-// encodeMutationBody renders an entry as the replication fan-out body using
-// the pooled encoder. The returned slice is an exact-size caller-owned copy:
-// the body outlives this call — detached straggler sends retain it — so it
-// must never alias pooled memory.
-func encodeMutationBody(e *stats.IndexStats) ([]byte, error) {
-	m := mutationEncPool.Get().(*mutationEncoder)
-	m.buf.Reset()
-	if err := m.enc.Encode(e); err != nil {
-		mutationEncPool.Put(m)
-		return nil, err
-	}
-	b := bytes.TrimSuffix(m.buf.Bytes(), []byte("\n"))
-	out := make([]byte, len(b))
-	copy(out, b)
-	if m.buf.Cap() <= maxPooledBuf {
-		mutationEncPool.Put(m)
-	}
-	return out, nil
-}
-
-// indexPath is the replicated mutation path for one index.
-func indexPath(table, column string) string {
-	return "/v1/indexes/" + url.PathEscape(table) + "/" + url.PathEscape(column)
-}
-
-// replicatedStamp extracts the (epoch, originator) stamp of a replicated
-// mutation; replicated is false for locally originated requests. The
-// originator is the X-Epfis-Replicated value — receivers never re-forward,
-// so the sender is always the node that assigned the epoch.
-func replicatedStamp(r *http.Request) (st cluster.Stamp, replicated bool, err error) {
-	origin := r.Header.Get(cluster.HeaderReplicated)
-	if origin == "" {
-		return cluster.Stamp{}, false, nil
-	}
-	e, perr := strconv.ParseUint(r.Header.Get(cluster.HeaderEpoch), 10, 64)
-	if perr != nil {
-		return cluster.Stamp{}, true, fmt.Errorf("replicated mutation carries no valid %s header", cluster.HeaderEpoch)
-	}
-	return cluster.Stamp{Epoch: e, Origin: origin}, true, nil
-}
-
-// clusterPut is handlePutIndex's cluster-mode tail (the entry is already
-// validated): stamp-gated application for replicated arrivals, stamped
-// quorum fan-out for local originations.
-func (s *Server) clusterPut(w http.ResponseWriter, r *http.Request, e *stats.IndexStats) {
-	key := e.Key()
-	if st, replicated, rerr := replicatedStamp(r); replicated {
-		if rerr != nil {
-			writeError(w, http.StatusBadRequest, rerr)
-			return
-		}
-		s.applyReplicated(w, key, st, func(st cluster.Stamp) (uint64, error) {
-			gen, err := s.store.PutStamped(e, st)
-			if err == nil {
-				if s.cache != nil {
-					s.cache.dropOtherGenerations(gen)
-				}
-				s.obs.syncIndex(e.Table, e.Column)
-			}
-			return gen, err
-		})
-		return
-	}
-	body, merr := encodeMutationBody(e)
-	if merr != nil {
-		writeError(w, http.StatusInternalServerError, fmt.Errorf("encode replication body: %w", merr))
-		return
-	}
-	gen, epoch, retryAfter, err := s.applyLocal(key, func(st cluster.Stamp) (uint64, error) { return s.store.PutStamped(e, st) })
-	if err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
-		return
-	}
-	if s.cache != nil {
-		s.cache.dropOtherGenerations(gen)
-	}
-	s.obs.syncIndex(e.Table, e.Column)
-	tp, traced := requestTrace(w)
-	if err := s.replicateQuorum(http.MethodPut, indexPath(e.Table, e.Column), body, key, epoch, tp, traced); err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable,
-			fmt.Errorf("replication quorum not met for %s: %w (applied locally, anti-entropy delivers it; safe to retry)", key, err),
-			time.Second)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": key, "generation": gen, "epoch": epoch,
-		"fence": fenceToken(e.Table, e.Column, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})})
-}
-
 // requestTrace captures the inbound request's trace identity by value —
 // replication goroutines outlive the handler, and the TraceBuf behind
 // traceOf is pooled, so they must never retain the pointer.
@@ -404,133 +285,6 @@ func requestTrace(w http.ResponseWriter) (obs.Traceparent, bool) {
 		return tb.TP, true
 	}
 	return obs.Traceparent{}, false
-}
-
-// clusterDelete is handleDeleteIndex's cluster-mode tail. A replicated
-// arrival records the delete's stamp even when the key is already absent —
-// that record is the tombstone that keeps a late older PUT from resurrecting
-// the deletion.
-func (s *Server) clusterDelete(w http.ResponseWriter, r *http.Request, table, column string) {
-	key := table + "." + column
-	if st, replicated, rerr := replicatedStamp(r); replicated {
-		if rerr != nil {
-			writeError(w, http.StatusBadRequest, rerr)
-			return
-		}
-		s.applyReplicated(w, key, st, func(st cluster.Stamp) (uint64, error) {
-			ok, gen, err := s.store.DeleteStamped(table, column, st, true)
-			if err != nil {
-				return 0, err
-			}
-			if ok && s.cache != nil {
-				s.cache.invalidateIndex(table, column)
-				s.cache.dropOtherGenerations(gen)
-			}
-			return gen, nil
-		})
-		return
-	}
-	existed := false
-	gen, epoch, retryAfter, err := s.applyLocal(key, func(st cluster.Stamp) (uint64, error) {
-		ok, gen, err := s.store.DeleteStamped(table, column, st, false)
-		existed = ok
-		return gen, err
-	})
-	if err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
-		return
-	}
-	if !existed {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s.%s", stats.ErrNotFound, table, column))
-		return
-	}
-	if s.cache != nil {
-		s.cache.invalidateIndex(table, column)
-		s.cache.dropOtherGenerations(gen)
-	}
-	tp, traced := requestTrace(w)
-	if err := s.replicateQuorum(http.MethodDelete, indexPath(table, column), nil, key, epoch, tp, traced); err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable,
-			fmt.Errorf("replication quorum not met for %s: %w (deleted locally, anti-entropy delivers it; safe to retry)", key, err),
-			time.Second)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "epoch": epoch,
-		"fence": fenceToken(table, column, cluster.Stamp{Epoch: epoch, Origin: s.cluster.SelfID()})})
-}
-
-// keyLockStripes is the number of mutexes keyLock spreads keys over.
-const keyLockStripes = 64
-
-// keyLock returns the mutex that orders local cluster mutations of key: its
-// epoch assignment and store apply run under it, so epoch order is apply
-// order. Keys on other stripes proceed concurrently, so their commits can
-// share one WAL fsync.
-func (s *Server) keyLock(key string) *sync.Mutex {
-	return &s.keyLocks[maphash.String(s.keySeed, key)%keyLockStripes]
-}
-
-// applyReplicated applies one replicated mutation iff its (epoch, origin)
-// stamp orders after the key's held stamp — a gate the store checks inside
-// its commit (catalog.ErrStale), which makes replication delivery
-// idempotent and closes the delete-resurrection race. The originator
-// tiebreaker resolves equal epochs, which concurrent mutations on both
-// sides of a partition can produce: every node picks the same winner, so
-// replicas converge after heal instead of each dropping the other's write
-// as stale. apply must record st with its write (PutStamped, DeleteStamped).
-func (s *Server) applyReplicated(w http.ResponseWriter, key string, st cluster.Stamp, apply func(cluster.Stamp) (uint64, error)) {
-	// Fold the originator's epoch in first, so a local mutation serialized
-	// after this one is stamped strictly above it.
-	s.cluster.ObserveEpoch(st.Epoch)
-	commit, retryAfter, err := s.beginMutation()
-	if err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
-		return
-	}
-	gen, err := apply(st)
-	stale := errors.Is(err, catalog.ErrStale)
-	commit(err != nil && !stale)
-	switch {
-	case stale:
-		s.cobs.staleDrops.Inc()
-		writeJSON(w, http.StatusOK, map[string]any{"key": key, "skipped": true, "epoch": st.Epoch})
-	case err != nil:
-		writeRetryable(w, http.StatusServiceUnavailable, err, time.Second)
-	default:
-		writeJSON(w, http.StatusOK, map[string]any{"key": key, "generation": gen, "epoch": st.Epoch})
-	}
-}
-
-// applyLocal runs a locally originated mutation under the key's lock with a
-// freshly assigned epoch, so epoch order matches apply order for every
-// same-key mutation flowing through this node. apply must record the stamp
-// it is given with its write (PutStamped, DeleteStamped). A pull that
-// merged a later write of the key between the epoch bump and the commit
-// supersedes this one (catalog.ErrStale): the write is acknowledged, and
-// its fence passes on the later write, as it would had it landed first.
-func (s *Server) applyLocal(key string, apply func(cluster.Stamp) (uint64, error)) (gen, epoch uint64, retryAfter time.Duration, err error) {
-	commit, retryAfter, err := s.beginMutation()
-	if err != nil {
-		return 0, 0, retryAfter, err
-	}
-	mu := s.keyLock(key)
-	mu.Lock()
-	st := s.freshStamp()
-	gen, err = apply(st)
-	mu.Unlock()
-	if errors.Is(err, catalog.ErrStale) {
-		gen, err = s.store.Generation(), nil
-	}
-	commit(err != nil)
-	if err != nil {
-		return 0, 0, time.Second, err
-	}
-	return gen, st.Epoch, 0, nil
-}
-
-// freshStamp assigns the next epoch to a mutation this node originates.
-func (s *Server) freshStamp() cluster.Stamp {
-	return cluster.Stamp{Epoch: s.cluster.BumpEpoch(), Origin: s.cluster.SelfID()}
 }
 
 // legacyStampJournal is the stamp journal an older release kept under
@@ -576,19 +330,26 @@ func importStampJournal(store *catalog.Store, dir string) (map[string]cluster.St
 	return stamps, nil
 }
 
-// replicateQuorum fans a stamped mutation out to every live peer and
-// returns as soon as the quorum verdict is decided: the mutation is
-// acknowledged when W of the key's R ring owners hold it (the local apply
-// counts when this node is an owner), and rejected the moment enough owner
-// sends have failed that W is unreachable. Sends that are still in flight
-// when the verdict lands — owner stragglers and every non-owner peer —
-// detach and finish in the background, so a slow replica costs the client
-// nothing. A failed send, or a peer unreachable up front (dead, URL-less),
-// is counted and logged; the next gossip round's pull repairs it. A missed
-// quorum returns an error; the caller surfaces 503 with the applied-locally
-// contract (retry-safe, because every replicated apply is stamp-gated).
-func (s *Server) replicateQuorum(method, path string, body []byte, key string, epoch uint64, tp obs.Traceparent, traced bool) error {
-	route := replRoute(method)
+// replicateQuorum pushes key's version in this node's snapshot — the write
+// just committed, or a later version that superseded it, so an owner that
+// holds it holds a version ordered after the write — to every live peer, as
+// the one-key stream PathEntries serves. It returns as soon as the quorum
+// verdict is decided: the write is acknowledged when W of the key's R ring
+// owners hold it (the local commit counts when this node is an owner), and
+// rejected the moment enough owner sends have failed that W is
+// unreachable. Sends still in flight when the verdict lands — owner
+// stragglers and every non-owner peer — detach and finish in the
+// background, bounded by the replication timeout, so a slow replica costs
+// the client nothing. A failed send, or a peer unreachable up front (dead,
+// URL-less), is counted and logged; the next gossip round's pull repairs
+// it. A missed quorum returns an error; the caller surfaces 503 with the
+// committed-locally contract (retry-safe: a retry is a later write).
+func (s *Server) replicateQuorum(key string, tp obs.Traceparent, traced bool) error {
+	// One key always goes, whatever the size bound.
+	body, _, err := s.store.ExportEntries([]string{key}, 0)
+	if err != nil {
+		return fmt.Errorf("render push: %w", err)
+	}
 	owners := map[string]bool{}
 	for _, p := range s.cluster.Owners(key) {
 		owners[p.ID] = true
@@ -616,15 +377,15 @@ func (s *Server) replicateQuorum(method, path string, body []byte, key string, e
 		go func(p cluster.PeerInfo, isOwner bool) {
 			hop := tp.Child() // fresh span per peer edge
 			start := time.Now()
-			status, err := s.replicateTo(p.URL, method, path, body, epoch, hop, traced)
-			s.cobs.observeReplication(p.ID, route, time.Since(start))
+			status, err := s.pushTo(p.URL, body, hop, traced)
+			s.cobs.observeReplication(p.ID, time.Since(start))
 			if traced {
-				s.obs.ring.RecordHop(hop, tp.Span, obs.HopReplicate, p.ID, path, status, start, time.Since(start))
+				s.obs.ring.RecordHop(hop, tp.Span, obs.HopReplicate, p.ID, cluster.PathPush, status, start, time.Since(start))
 			}
 			if err != nil {
 				s.cobs.replFailures.Inc()
 				s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "replication failed, anti-entropy repairs it",
-					slog.String("peer", p.ID), slog.String("path", path),
+					slog.String("peer", p.ID), slog.String("index", key),
 					slog.String("error", err.Error()))
 			} else {
 				s.cobs.replicated.Inc()
@@ -654,7 +415,7 @@ func (s *Server) replicateQuorum(method, path string, body []byte, key string, e
 
 // quorumFor resolves Config.WriteQuorum against a key's owner count:
 // 0 = majority, positive = that many acks (capped at the owner count),
-// negative = none (the local apply suffices; anti-entropy converges peers).
+// negative = none (the local commit suffices; anti-entropy converges peers).
 func (s *Server) quorumFor(owners int) int {
 	switch {
 	case s.writeQuorum < 0:
@@ -669,49 +430,37 @@ func (s *Server) quorumFor(owners int) int {
 	}
 }
 
-// replicateRepublish fans an ingest-refit entry, already applied and stamped
-// at epoch through applyLocal, out like a local PUT. No client waits on it,
-// so a missed quorum is logged rather than surfaced; anti-entropy carries
-// the refit to every peer it missed on the next gossip round.
-func (s *Server) replicateRepublish(e *stats.IndexStats, epoch uint64) {
-	key := e.Key()
-	body, err := encodeMutationBody(e)
-	if err != nil {
-		return
-	}
+// replicateRepublish pushes an ingest refit, committed through applyLocal,
+// like a local PUT. No client waits on it, so a missed quorum is logged
+// rather than surfaced; anti-entropy carries the refit to every peer it
+// missed on the next gossip round.
+func (s *Server) replicateRepublish(key string) {
 	// No client request carries a trace here; a republish starts its own.
 	var tp obs.Traceparent
 	traced := s.obs.tracing()
 	if traced {
 		tp = obs.NewTraceparent()
 	}
-	if err := s.replicateQuorum(http.MethodPut, indexPath(e.Table, e.Column), body, key, epoch, tp, traced); err != nil {
+	if err := s.replicateQuorum(key, tp, traced); err != nil {
 		s.obs.log.LogAttrs(context.Background(), slog.LevelWarn, "ingest republish quorum not met",
 			slog.String("index", key), slog.String("error", err.Error()))
 	}
 }
 
-// replicateTo sends one replicated mutation to one peer, bounded by the
-// per-peer replication timeout. When traced, the send carries tp as its
-// traceparent so the receiver's span re-parents onto the originating trace.
-// The returned status is the peer's HTTP answer (0 on transport failure).
-func (s *Server) replicateTo(baseURL, method, path string, body []byte, epoch uint64, tp obs.Traceparent, traced bool) (int, error) {
+// pushTo POSTs one push stream to one peer, bounded by the per-peer
+// replication timeout. When traced, the send carries tp as its traceparent
+// so the receiver's span re-parents onto the originating trace. The
+// returned status is the peer's HTTP answer (0 on transport failure); any
+// 2xx — the version taken, or skipped as not newer — is an ack.
+func (s *Server) pushTo(baseURL string, body []byte, tp obs.Traceparent, traced bool) (int, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), s.replTimeout)
 	defer cancel()
-	var rd io.Reader
-	if body != nil {
-		rd = bytes.NewReader(body)
-	}
-	req, err := http.NewRequestWithContext(ctx, method, baseURL+path, rd)
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, baseURL+cluster.PathPush, bytes.NewReader(body))
 	if err != nil {
 		return 0, err
 	}
-	if body != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	req.Header.Set(cluster.HeaderReplicated, s.cluster.SelfID())
+	req.Header.Set("Content-Type", "application/octet-stream")
 	req.Header.Set(cluster.HeaderNode, s.cluster.SelfID())
-	req.Header.Set(cluster.HeaderEpoch, strconv.FormatUint(epoch, 10))
 	if traced {
 		req.Header.Set(obs.TraceparentHeader, tp.String())
 	}
@@ -723,12 +472,22 @@ func (s *Server) replicateTo(baseURL, method, path string, body []byte, epoch ui
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	// 404 on a replicated delete means the peer already lacks the entry —
-	// converged, not failed.
-	if resp.StatusCode/100 != 2 && !(method == http.MethodDelete && resp.StatusCode == http.StatusNotFound) {
+	if resp.StatusCode/100 != 2 {
 		return resp.StatusCode, fmt.Errorf("peer answered %d", resp.StatusCode)
 	}
 	return resp.StatusCode, nil
+}
+
+// handleClusterPush admits a peer's push through the circuit breaker, as a
+// PUT is admitted, and merges it (cluster.Node.HandlePush); a merge the
+// store failed strikes the breaker.
+func (s *Server) handleClusterPush(w http.ResponseWriter, r *http.Request) {
+	commit, retryAfter, err := s.beginMutation()
+	if err != nil {
+		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
+		return
+	}
+	commit(!s.cluster.HandlePush(w, r))
 }
 
 // handleClusterHealth serves the membership document: self plus every known

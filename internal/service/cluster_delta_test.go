@@ -59,7 +59,7 @@ func TestClusterDeltaEquivalence(t *testing.T) {
 				}
 			}
 			for i, c := range deleted {
-				if _, _, err := src.store.DeleteStamped("t", c, stamp(uint64(3+i)), true); err != nil {
+				if _, _, err := src.store.DeleteStamped("t", c, stamp(uint64(3+i))); err != nil {
 					t.Fatal(err)
 				}
 			}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"epfis/internal/cluster"
 	"epfis/internal/faultnet"
 )
 
@@ -26,7 +27,7 @@ func TestClusterQuorumFastAckStraggler(t *testing.T) {
 	a.inj.Add(faultnet.Rule{
 		Op:    faultnet.OpRequest,
 		Peer:  c.host(),
-		Route: "/v1/indexes/",
+		Route: cluster.PathPush,
 		Count: -1,
 		Mode:  faultnet.ModeSlow,
 		Delay: 3 * time.Second,
@@ -110,7 +111,7 @@ func TestClusterQuorumFastAckSlowNonOwner(t *testing.T) {
 		a.inj.Add(faultnet.Rule{
 			Op:    faultnet.OpRequest,
 			Peer:  c.host(),
-			Route: "/v1/indexes/",
+			Route: cluster.PathPush,
 			Count: -1,
 			Mode:  faultnet.ModeSlow,
 			Delay: 40 * time.Millisecond,

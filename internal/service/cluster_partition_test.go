@@ -185,6 +185,41 @@ func rawMutate(t testing.TB, cn *cnode, method, path string, body []byte) (int, 
 	return resp.StatusCode, string(raw)
 }
 
+// pushBody renders the push a peer sends for one key: the one-key entries
+// stream of a store holding e under st or, with e nil, key's tombstone
+// under st.
+func pushBody(t testing.TB, key string, e *stats.IndexStats, st cluster.Stamp) []byte {
+	t.Helper()
+	src := catalog.NewStore()
+	var err error
+	if e != nil {
+		_, err = src.PutStamped(e, st)
+	} else {
+		_, _, err = src.Merge(map[string]catalog.Incoming{key: {Version: catalog.Version{Stamp: st, Tombstone: true}}})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _, err := src.ExportEntries([]string{key}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return body
+}
+
+// push delivers a push stream to a node's push route, as a peer does, and
+// returns the status and body.
+func push(t testing.TB, cn *cnode, body []byte) (int, string) {
+	t.Helper()
+	resp, err := cn.ts.Client().Post(cn.url+cluster.PathPush, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	return resp.StatusCode, string(raw)
+}
+
 func mustMarshal(t testing.TB, st *stats.IndexStats) []byte {
 	t.Helper()
 	raw, err := json.Marshal(st)
@@ -420,75 +455,56 @@ func TestAsymmetricPartitionHandoff(t *testing.T) {
 }
 
 // TestReplicatedDeleteEpochGuard is the regression for the DELETE
-// resurrection race: a replicated PUT that was assigned an older epoch than a
-// later DELETE arrives out of order and must be dropped, not applied.
+// resurrection race, over pushes: a push of a write that was assigned an
+// older stamp than a later DELETE arrives out of order and must not be
+// taken.
 func TestReplicatedDeleteEpochGuard(t *testing.T) {
 	nodes := startCluster(t, 1, 1)
 	n := nodes[0]
-	raw := mustMarshal(t, fitStats(t, "orders", "key", 1))
+	e := fitStats(t, "orders", "key", 1)
+	at := func(epoch uint64) cluster.Stamp { return cluster.Stamp{Epoch: epoch, Origin: "peer-x"} }
 
-	send := func(method string, epoch uint64, body []byte) (int, string) {
-		t.Helper()
-		var rd io.Reader
-		if body != nil {
-			rd = bytes.NewReader(body)
-		}
-		req, err := http.NewRequest(method, n.url+"/v1/indexes/orders/key", rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set(cluster.HeaderReplicated, "peer-x")
-		req.Header.Set(cluster.HeaderEpoch, strconv.FormatUint(epoch, 10))
-		if body != nil {
-			req.Header.Set("Content-Type", "application/json")
-		}
-		resp, err := n.ts.Client().Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out, _ := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		return resp.StatusCode, string(out)
-	}
-
-	if status, body := send(http.MethodPut, 5, raw); status != http.StatusOK {
-		t.Fatalf("replicated PUT@5 = %d: %s", status, body)
+	if status, body := push(t, n, pushBody(t, "orders.key", e, at(5))); status != http.StatusOK {
+		t.Fatalf("push of PUT@5 = %d: %s", status, body)
 	}
 	if n.store.Len() != 1 {
-		t.Fatal("replicated PUT@5 not applied")
+		t.Fatal("push of PUT@5 not taken")
 	}
-	if status, body := send(http.MethodDelete, 7, nil); status != http.StatusOK {
-		t.Fatalf("replicated DELETE@7 = %d: %s", status, body)
+	if status, body := push(t, n, pushBody(t, "orders.key", nil, at(7))); status != http.StatusOK {
+		t.Fatalf("push of DELETE@7 = %d: %s", status, body)
 	}
 	if n.store.Len() != 0 {
-		t.Fatal("replicated DELETE@7 not applied")
+		t.Fatal("push of DELETE@7 not taken")
 	}
 
 	// The race: a PUT stamped with epoch 6 — older than the DELETE — arrives
-	// late (slow link, retry, hint replay). Applying it would resurrect the
-	// deleted index; the epoch gate must drop it and say so.
-	status, body := send(http.MethodPut, 6, raw)
+	// late (slow link, retry). Taking it would resurrect the deleted index;
+	// the merge must skip it and say so.
+	status, body := push(t, n, pushBody(t, "orders.key", e, at(6)))
 	if status != http.StatusOK {
-		t.Fatalf("stale replicated PUT@6 = %d: %s", status, body)
+		t.Fatalf("stale push of PUT@6 = %d: %s", status, body)
 	}
 	if !strings.Contains(body, `"skipped":true`) {
-		t.Fatalf("stale replicated PUT@6 was not reported skipped: %s", body)
+		t.Fatalf("stale push of PUT@6 was not reported skipped: %s", body)
 	}
 	if n.store.Len() != 0 {
-		t.Fatal("stale replicated PUT resurrected a deleted index")
+		t.Fatal("stale push resurrected a deleted index")
+	}
+	if got := promSeries(t, n.srv, "epfis_cluster_stale_mutations_total")["epfis_cluster_stale_mutations_total{}"]; got != 1 {
+		t.Fatalf("epfis_cluster_stale_mutations_total = %g after one skipped push, want 1", got)
 	}
 
 	// A genuinely newer PUT applies again...
-	if status, body := send(http.MethodPut, 8, raw); status != http.StatusOK {
-		t.Fatalf("replicated PUT@8 = %d: %s", status, body)
+	if status, body := push(t, n, pushBody(t, "orders.key", e, at(8))); status != http.StatusOK {
+		t.Fatalf("push of PUT@8 = %d: %s", status, body)
 	}
 	if n.store.Len() != 1 {
-		t.Fatal("newer replicated PUT@8 not applied")
+		t.Fatal("newer push of PUT@8 not taken")
 	}
-	// ...and redelivering the same epoch (at-least-once retry) is idempotent.
+	// ...and redelivering the same push (at-least-once retry) is idempotent.
 	gen := n.store.Generation()
-	if status, _ := send(http.MethodPut, 8, raw); status != http.StatusOK {
-		t.Fatalf("redelivered PUT@8 = %d", status)
+	if status, _ := push(t, n, pushBody(t, "orders.key", e, at(8))); status != http.StatusOK {
+		t.Fatalf("redelivered push of PUT@8 = %d", status)
 	}
 	if n.store.Generation() != gen {
 		t.Fatal("duplicate redelivery advanced the catalog generation")

@@ -155,7 +155,7 @@ func TestClusterReplicationAndBitExactServing(t *testing.T) {
 			}
 		}
 		return true
-	}, "the replicated PUT on every store")
+	}, "the pushed PUT on every store")
 
 	// Every node answers bit-exactly from its own replica, whether it owns
 	// the key or not, and says so in X-Epfis-Node.
@@ -223,7 +223,7 @@ func TestClusterReplicationAndBitExactServing(t *testing.T) {
 	}
 	for _, cn := range nodes {
 		if cn.store.Len() != 0 {
-			t.Errorf("%s store len = %d after replicated DELETE", cn.id, cn.store.Len())
+			t.Errorf("%s store len = %d after pushed DELETE", cn.id, cn.store.Len())
 		}
 	}
 }

@@ -575,14 +575,11 @@ func (g *ingester) evaluate(key string, st *ingestState) {
 		// carries over from the published entry.
 		entry.KeyHistogram = append(entry.KeyHistogram[:0], pub.KeyHistogram...)
 	}
-	var gen, epoch uint64
-	switch {
-	case err == nil && g.s.cluster != nil:
-		// Stamped under the key's lock, as for a local PUT: the stamp and
-		// the refit commit together, so the stamp names the stored write.
-		gen, epoch, _, err = g.s.applyLocal(key, func(st cluster.Stamp) (uint64, error) { return g.s.store.PutStamped(entry, st) })
-	case err == nil:
-		gen, err = g.s.store.Put(entry)
+	var gen uint64
+	if err == nil {
+		// The local write path, as for a PUT: the stamp and the refit
+		// commit together, so the stamp names the stored write.
+		gen, _, _, err = g.s.applyLocal(key, func(st cluster.Stamp) (uint64, error) { return g.s.store.PutStamped(entry, st) })
 	}
 	if err != nil {
 		g.republishFailures.Inc()
@@ -592,14 +589,10 @@ func (g *ingester) evaluate(key string, st *ingestState) {
 	}
 	g.republishes.Inc()
 	g.noteRepublish(key, gen)
-	if c := g.s.cache; c != nil {
-		c.dropOtherGenerations(gen)
-	}
-	g.s.obs.syncIndex(entry.Table, entry.Column)
 	if g.s.cluster != nil {
-		// Fan the refit out like a PUT, so peers serve it now rather than
+		// Push the refit like a PUT, so peers serve it now rather than
 		// after the next gossip round's pull.
-		g.s.replicateRepublish(entry, epoch)
+		g.s.replicateRepublish(key)
 	}
 	g.s.obs.log.LogAttrs(context.Background(), slog.LevelInfo, "ingest republished catalog entry",
 		slog.String("index", key), slog.Float64("drift", drift), slog.Uint64("generation", gen))

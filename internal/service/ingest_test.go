@@ -8,7 +8,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -253,12 +252,12 @@ func TestIngestRepublishBumpsClusterEpoch(t *testing.T) {
 }
 
 // TestIngestRepublishStampNamesStoredWrite races the ingest worker's
-// republish of a key against replicated PUTs of the same key on a one-node
+// republish of a key against a peer's pushes of the same key on a one-node
 // cluster. After every round the key's stamp must name the write the store
 // holds: this node's stamp over the refit, or the sender's over its entry.
-// A replicated PUT applied between the refit's store write and its stamp
-// leaves the store serving one write under the other's stamp, which neither
-// anti-entropy (it skips stamped keys) nor a read fence repairs.
+// A push merged between the refit's store write and its stamp would leave
+// the store serving one write under the other's stamp, which neither
+// anti-entropy nor a read fence repairs.
 func TestIngestRepublishStampNamesStoredWrite(t *testing.T) {
 	const rounds = 1200
 	cn := startCluster(t, 1, 1)[0]
@@ -274,17 +273,17 @@ func TestIngestRepublishStampNamesStoredWrite(t *testing.T) {
 	st := &ingestState{accum: lrusim.NewAccum(),
 		meta: core.Meta{Table: "orders", Column: "key", T: ds.T, N: cfg.N, I: cfg.I}}
 	st.accum.Feed(ds.Trace())
-	body := mustMarshal(t, fitStats(t, "orders", "key", 1))
+	entry := fitStats(t, "orders", "key", 1)
+	body := mustMarshal(t, entry)
 
 	const sender = "node-z"
 	replicate := func() {
-		req := httptest.NewRequest(http.MethodPut, "/v1/indexes/orders/key", bytes.NewReader(body))
-		req.Header.Set(cluster.HeaderReplicated, sender)
-		req.Header.Set(cluster.HeaderEpoch, strconv.FormatUint(cn.node.Epoch()+1, 10))
+		st := cluster.Stamp{Epoch: cn.node.Epoch() + 1, Origin: sender}
+		req := httptest.NewRequest(http.MethodPost, cluster.PathPush, bytes.NewReader(pushBody(t, "orders.key", entry, st)))
 		rec := httptest.NewRecorder()
 		cn.srv.ServeHTTP(rec, req)
 		if rec.Code != http.StatusOK {
-			t.Errorf("replicated PUT = %d: %s", rec.Code, rec.Body)
+			t.Errorf("push = %d: %s", rec.Code, rec.Body)
 		}
 	}
 	holdsReplicated := func() bool {
@@ -299,7 +298,7 @@ func TestIngestRepublishStampNamesStoredWrite(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		replicate() // republish the far entry, so this round's evaluation refits
 		if !holdsReplicated() || cn.node.KeyStamp("orders.key").Origin != sender {
-			t.Fatalf("round %d: sequential replicated PUT not applied", round)
+			t.Fatalf("round %d: sequential push not taken", round)
 		}
 		var wg sync.WaitGroup
 		wg.Add(1)

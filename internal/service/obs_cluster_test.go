@@ -6,6 +6,7 @@ package service
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"math/rand"
 	"net/http"
@@ -14,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"epfis/internal/cluster"
 	"epfis/internal/faultnet"
 	"epfis/internal/obs"
 )
@@ -25,14 +27,14 @@ const (
 	testParent2  = "00-" + testTraceID2 + "-b7ad6b7169203331-01"
 )
 
-// TestProxiedEstimateReparents is the regression for the proxy trace bug,
-// driven through the one request a node still proxies: an ingest batch
-// posted to a node that does not own its index. The forwarding node must
+// TestForwardedIngestKeepsTraceParent is the regression for the proxy
+// trace bug, driven through the one request a node still proxies: an
+// ingest batch posted to a node that does not own its index. The forwarding node must
 // echo its own re-parented traceparent (same trace id as the inbound header,
 // fresh span) rather than the one the owner's response carried, record a
 // forward hop on its ring, and the owner must record the forwarded batch
 // under the same trace id.
-func TestProxiedEstimateReparents(t *testing.T) {
+func TestForwardedIngestKeepsTraceParent(t *testing.T) {
 	nodes := startCluster(t, 3, 1)
 	st := fitStats(t, "orders", "key", 1)
 	putIndex(t, nodes[0], st)
@@ -104,7 +106,7 @@ func TestProxiedEstimateReparents(t *testing.T) {
 }
 
 // getStitched fetches and decodes one stitched trace document.
-func getStitched(t testing.TB, cn *fnode, traceID string) stitchDoc {
+func getStitched(t testing.TB, cn *cnode, traceID string) stitchDoc {
 	t.Helper()
 	resp, err := cn.ts.Client().Get(cn.url + "/debug/traces/" + traceID)
 	if err != nil {
@@ -135,7 +137,7 @@ func TestStitchAcrossClusterIdentifiesSlowOwner(t *testing.T) {
 	// replication timeout, so the hop succeeds but straggles behind the
 	// quorum fast-ack.
 	a.inj.Add(faultnet.Rule{
-		Op: faultnet.OpRequest, Peer: c.host(), Route: "/v1/indexes/",
+		Op: faultnet.OpRequest, Peer: c.host(), Route: cluster.PathPush,
 		Count: -1, Mode: faultnet.ModeSlow, Delay: 200 * time.Millisecond,
 	})
 
@@ -157,7 +159,7 @@ func TestStitchAcrossClusterIdentifiesSlowOwner(t *testing.T) {
 	// view from b until both replication hops are visible.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		doc := getStitched(t, b, testTraceID)
+		doc := getStitched(t, b.cnode, testTraceID)
 		var hopB, hopC *traceDoc
 		seen := map[string]bool{}
 		for i := range doc.Records {
@@ -220,12 +222,12 @@ func TestStitchPartitionedPeerHonestTimeout(t *testing.T) {
 		t.Fatalf("PUT = %d, want 200", resp.StatusCode)
 	}
 
-	// Give b's ring its replicated-PUT record before cutting c off.
+	// Give b's ring its push record before cutting c off.
 	deadline := time.Now().Add(3 * time.Second)
 	id, _ := obs.ParseTraceID(testTraceID2)
 	for len(b.srv.obs.ring.FindByTrace(id)) == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("replica b never recorded the replicated PUT")
+			t.Fatal("replica b never recorded the pushed PUT")
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -237,7 +239,7 @@ func TestStitchPartitionedPeerHonestTimeout(t *testing.T) {
 	})
 
 	start := time.Now()
-	doc := getStitched(t, a, testTraceID2)
+	doc := getStitched(t, a.cnode, testTraceID2)
 	elapsed := time.Since(start)
 	if elapsed > 2*time.Second {
 		t.Fatalf("stitch with a partitioned peer took %v, must stay inside the peer timeout", elapsed)
@@ -368,6 +370,99 @@ func TestClusterMetricsFederation(t *testing.T) {
 			t.Fatalf("epfis_federation_peer_up[%s] = %g, want 1 (all: %v)", cn.id, ups[cn.id], ups)
 		}
 	}
+}
+
+// TestClusterObservabilityPlane checks the distributed observability
+// surfaces of a fully replicated 3-node cluster together: a quorum PUT
+// under a known traceparent stitches, on a node that did not coordinate
+// it, into one trace spanning all three nodes with the coordinator's push
+// hops to both peers and no missing node; after estimates through every
+// node, the federated exposition is valid, rolls the estimate counter up
+// and reports every member up with its own series; and a streamed full
+// scan shows on /debug/accuracy and brings epfis_accuracy_relerr to the
+// federated exposition.
+func TestClusterObservabilityPlane(t *testing.T) {
+	nodes := startCluster(t, 3, 3)
+	st := fitStats(t, "orders", "key", 11)
+	req, _ := http.NewRequest(http.MethodPut, nodes[0].url+"/v1/indexes/orders/key", strings.NewReader(string(mustMarshal(t, st))))
+	req.Header.Set(obs.TraceparentHeader, testParent)
+	resp, err := nodes[0].ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("quorum PUT = %d, want 200", resp.StatusCode)
+	}
+	var doc stitchDoc
+	waitFor(t, 5*time.Second, func() bool {
+		doc = getStitched(t, nodes[1], testTraceID)
+		hops := map[string]bool{}
+		for _, rec := range doc.Records {
+			if rec.Kind == obs.HopReplicate && rec.Node == nodes[0].id {
+				hops[rec.Peer] = true
+			}
+		}
+		return len(doc.Nodes) == len(nodes) && hops[nodes[1].id] && hops[nodes[2].id]
+	}, "a stitched trace over all 3 nodes with both push hops")
+	if len(doc.MissingNodes) != 0 {
+		t.Fatalf("healthy stitch reported missing nodes %v", doc.MissingNodes)
+	}
+
+	for _, cn := range nodes {
+		getJSON(t, cn.ts, "/v1/estimate?table=orders&column=key&b=128&sigma=0.1", http.StatusOK, nil)
+	}
+	fed := federated(t, nodes[2])
+	if !strings.Contains(fed, `epfis_estimates_total{node="cluster"}`) {
+		t.Fatal("federated exposition lacks the cluster counter rollup")
+	}
+	for _, cn := range nodes {
+		if !strings.Contains(fed, fmt.Sprintf(`epfis_federation_peer_up{node=%q} 1`, cn.id)) {
+			t.Fatalf("federation: peer %s not reported up", cn.id)
+		}
+		if !strings.Contains(fed, fmt.Sprintf(`node=%q`, cn.id)) {
+			t.Fatalf("federation: no per-node series for %s", cn.id)
+		}
+	}
+
+	ds, meta := ingestDataset(t, "orders", "key", 11)
+	postIngest(t, nodes[0].ts, meta, ds.Trace(), false, rand.New(rand.NewSource(13)))
+	waitFor(t, 10*time.Second, func() bool {
+		for _, cn := range nodes {
+			var acc accuracyDoc
+			getJSON(t, cn.ts, "/debug/accuracy", http.StatusOK, &acc)
+			if a, ok := acc.Indexes["orders.key"]; ok && a.Scans >= 1 {
+				return true
+			}
+		}
+		return false
+	}, "the streamed scan on /debug/accuracy")
+	if !strings.Contains(federated(t, nodes[0]), "epfis_accuracy_relerr_bucket") {
+		t.Fatal("federated exposition lacks epfis_accuracy_relerr histograms")
+	}
+}
+
+// federated scrapes a node's /v1/cluster/metrics and checks it is a valid
+// exposition.
+func federated(t testing.TB, cn *cnode) string {
+	t.Helper()
+	resp, err := cn.ts.Client().Get(cn.url + "/v1/cluster/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /v1/cluster/metrics = %d (%v)", resp.StatusCode, err)
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
+		t.Fatalf("federated Content-Type = %q, want %q", ct, obs.ContentType)
+	}
+	if _, err := obs.ParseExposition(body); err != nil {
+		t.Fatalf("federated exposition invalid: %v", err)
+	}
+	return string(body)
 }
 
 // TestAccuracyTelemetrySingleNode streams one full scan of the published

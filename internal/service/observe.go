@@ -237,7 +237,8 @@ func newServerObs(s *Server, cfg Config, routes []string) *serverObs {
 		obs.Label{Name: "revision", Value: bi.revision},
 		obs.Label{Name: "goversion", Value: bi.goVersion})
 
-	o.syncIndexes(store.Snapshot())
+	snap := store.Snapshot()
+	o.syncIndexes(snap, snap.Keys())
 	return o
 }
 
@@ -394,36 +395,35 @@ func (o *serverObs) flushTally(t *shapeTally) {
 	o.sigmaDist.AddCounts(t.sigma, t.sigmaSum)
 }
 
-// syncIndexes registers estimate counters for catalog entries that lack one
-// and, when it registered any, republishes the lock-free lookup snapshot.
-// Called at construction and after whole-catalog mutations (reload) — never
-// on the serving path. Counters persist across drops (Prometheus counters
+// syncIndexes registers an estimate counter for each of keys that snap
+// holds and that lacks one and, when it registered any, republishes the
+// lock-free lookup map once. A key that already has a counter costs one
+// lock-free lookup, so a write's cost does not grow with the catalog.
+// Called at construction and after every commit (afterCommit) — never on
+// the serving path. Counters persist across drops (Prometheus counters
 // must not vanish mid-scrape-series).
-func (o *serverObs) syncIndexes(snap *catalog.Snapshot) {
-	o.idxMu.Lock()
-	defer o.idxMu.Unlock()
-	added := o.idx.Load() == nil
-	for _, key := range snap.Keys() {
-		if e, ok := snap.Lookup(key); ok && o.addIndexLocked(obsIndexKey{table: e.Table, column: e.Column}) {
-			added = true
+func (o *serverObs) syncIndexes(snap *catalog.Snapshot, keys []string) {
+	have := o.indexCounters()
+	var add []obsIndexKey
+	for _, key := range keys {
+		if e, ok := snap.Lookup(key); ok {
+			if k := (obsIndexKey{table: e.Table, column: e.Column}); have[k] == nil {
+				add = append(add, k)
+			}
 		}
 	}
-	if added {
-		o.publishIndexesLocked()
-	}
-}
-
-// syncIndex is syncIndexes for one installed entry. A write to an index
-// that already has a counter costs one lock-free lookup: the published map
-// is left as it is, so the work does not grow with the catalog.
-func (o *serverObs) syncIndex(table, column string) {
-	k := obsIndexKey{table: table, column: column}
-	if _, ok := o.indexCounters()[k]; ok {
+	if len(add) == 0 && have != nil {
 		return
 	}
 	o.idxMu.Lock()
 	defer o.idxMu.Unlock()
-	if o.addIndexLocked(k) {
+	added := o.idx.Load() == nil
+	for _, k := range add {
+		if o.addIndexLocked(k) {
+			added = true
+		}
+	}
+	if added {
 		o.publishIndexesLocked()
 	}
 }

@@ -245,9 +245,9 @@ type Server struct {
 	nodeHeader []string      // X-Epfis-Node value, shared by every local answer
 	proxyHTTP  *http.Client  // forwarding + replication transport
 
-	// keyLocks order cluster-mode mutations per key (see keyLock), so each
-	// key's epoch order equals its apply order while mutations of other
-	// keys share the store's group commit.
+	// keyLocks order local writes per key (see keyLock), so each key's
+	// epoch order equals its apply order while writes to other keys share
+	// the store's group commit.
 	keyLocks    [keyLockStripes]sync.Mutex
 	keySeed     maphash.Seed
 	replTimeout time.Duration
@@ -281,6 +281,7 @@ func New(cfg Config) (*Server, error) {
 		maxBatch: cfg.MaxBatch,
 		timeout:  cfg.RequestTimeout,
 		idle:     idleTimeout,
+		keySeed:  maphash.MakeSeed(), // maphash panics on a zero seed
 	}
 	if s.maxBatch == 0 {
 		s.maxBatch = DefaultMaxBatch
@@ -308,7 +309,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.Cluster != nil {
 		routeNames = append(routeNames,
 			routeClusterHealth, routeClusterGossip, routeClusterDigest,
-			routeClusterEntries, routeClusterMetrics)
+			routeClusterEntries, routeClusterPush, routeClusterMetrics)
 	}
 	if cfg.BreakerFailures >= 0 {
 		s.breaker = resilience.NewBreaker(resilience.BreakerConfig{
@@ -347,7 +348,6 @@ func New(cfg Config) (*Server, error) {
 			s.replTimeout = DefaultReplicateTimeout
 		}
 		s.writeQuorum = cfg.WriteQuorum
-		s.keySeed = maphash.MakeSeed()
 		if cfg.HandoffDir != "" && cfg.Store.WALPath() != "" {
 			// Stamps live in the store's log; an older release journaled
 			// them beside its hints. Import that journal before the first
@@ -366,14 +366,9 @@ func New(cfg Config) (*Server, error) {
 		if _, err := cfg.Store.StampRefreshed(s.freshStamp); err != nil {
 			return nil, fmt.Errorf("service: stamp the adopted catalog: %w", err)
 		}
-		// A pull that merges keys registers their counters and retires the
-		// memo cache's older generations, as a PUT does.
-		s.cluster.SetOnMerge(func(gen uint64) {
-			if s.cache != nil {
-				s.cache.dropOtherGenerations(gen)
-			}
-			s.obs.syncIndexes(s.store.Snapshot())
-		})
+		// A merge, pulled or pushed, runs the post-commit step a local
+		// write runs, over the keys it took.
+		s.cluster.SetOnMerge(s.afterCommit)
 	}
 	maxInflight := cfg.MaxInflight
 	if maxInflight == 0 {
@@ -389,6 +384,9 @@ func New(cfg Config) (*Server, error) {
 		} {
 			s.inflight[route] = make(chan struct{}, maxInflight)
 		}
+		// A peer's push shares the PUT route's bound, as the write it
+		// carries shares the store's commits.
+		s.inflight[routeClusterPush] = s.inflight[routePutIndex]
 	}
 
 	s.ingest = newIngester(s, cfg)
@@ -424,8 +422,8 @@ func New(cfg Config) (*Server, error) {
 	inline(routeBatch, s.handleBatch)
 	inline(routeIndexes, s.handleIndexes)
 	inline(routeIndex, s.handleIndex)
-	blocking(routePutIndex, s.handlePutIndex)       // catalog write, replication
-	blocking(routeDeleteIndex, s.handleDeleteIndex) // catalog write, replication
+	blocking(routePutIndex, s.handlePutIndex)       // catalog write, quorum push
+	blocking(routeDeleteIndex, s.handleDeleteIndex) // catalog write, quorum push
 	blocking(routeReload, s.handleReload)           // catalog file read
 	if s.ingest != nil {
 		// The ingest route carries its own backpressure (the bounded queue)
@@ -442,11 +440,14 @@ func New(cfg Config) (*Server, error) {
 		// Cluster management routes are exempt from admission control (like
 		// healthz/metrics): heartbeats and recovery must work under load.
 		// They keep the watchdog: gossip reads peer bodies, digest and
-		// entries export the store, and metrics fans out to every peer.
+		// entries export the store, and metrics fans out to every peer. A
+		// push is a write: it shares the PUT route's admission bound and
+		// passes the breaker.
 		blocking(routeClusterHealth, s.handleClusterHealth)
 		blocking(routeClusterGossip, s.handleClusterGossip)
 		blocking(routeClusterDigest, s.cluster.HandleDigest)
 		blocking(routeClusterEntries, s.cluster.HandleEntries)
+		blocking(routeClusterPush, s.handleClusterPush)
 		blocking(routeClusterMetrics, s.handleClusterMetrics)
 	}
 	s.handler = mux
@@ -969,77 +970,132 @@ func (s *Server) handlePutIndex(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.cluster != nil {
-		// Cluster mode: stamp-gated application for replicated arrivals,
-		// quorum fan-out for local originations.
-		s.clusterPut(w, r, &e)
-		return
-	}
-	commit, retryAfter, err := s.beginMutation()
-	if err != nil {
-		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
-		return
-	}
-	gen, err := s.store.Put(&e)
-	commit(err != nil)
-	if err != nil {
-		// Past validation, a Put error is persistence trouble: retryable.
-		writeRetryable(w, http.StatusServiceUnavailable, err, time.Second)
-		return
-	}
-	if s.cache != nil {
-		s.cache.dropOtherGenerations(gen)
-	}
-	s.obs.syncIndex(e.Table, e.Column)
-	writeJSON(w, http.StatusOK, map[string]any{"key": e.Key(), "generation": gen})
+	s.writeLocal(w, e.Table, e.Column, map[string]any{"key": e.Key()}, func(st cluster.Stamp) (uint64, error) {
+		return s.store.PutStamped(&e, st)
+	})
 }
 
 func (s *Server) handleDeleteIndex(w http.ResponseWriter, r *http.Request) {
 	table, column := r.PathValue("table"), r.PathValue("column")
-	if s.cluster != nil {
-		s.clusterDelete(w, r, table, column)
+	s.writeLocal(w, table, column, map[string]any{}, func(st cluster.Stamp) (uint64, error) {
+		ok, gen, err := s.store.DeleteStamped(table, column, st)
+		if !ok && (err == nil || errors.Is(err, catalog.ErrStale)) {
+			err = fmt.Errorf("%w: %s.%s", stats.ErrNotFound, table, column)
+		}
+		return gen, err
+	})
+}
+
+// writeLocal answers a client PUT or DELETE: applyLocal, then, in cluster
+// mode, the quorum push and the fence token. ack carries the
+// acknowledgement's other fields; a single-node ack has no epoch or fence.
+func (s *Server) writeLocal(w http.ResponseWriter, table, column string, ack map[string]any, apply func(cluster.Stamp) (uint64, error)) {
+	key := table + "." + column
+	gen, st, retryAfter, err := s.applyLocal(key, apply)
+	switch {
+	case errors.Is(err, stats.ErrNotFound):
+		writeError(w, http.StatusNotFound, err)
 		return
-	}
-	commit, retryAfter, err := s.beginMutation()
-	if err != nil {
+	case err != nil:
+		// Past validation, a write error is persistence trouble or an
+		// exhausted clock: retryable.
 		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
 		return
 	}
-	ok, gen, err := s.store.Delete(table, column)
-	commit(err != nil)
+	ack["generation"] = gen
+	if s.cluster != nil {
+		tp, traced := requestTrace(w)
+		if err := s.replicateQuorum(key, tp, traced); err != nil {
+			writeRetryable(w, http.StatusServiceUnavailable,
+				fmt.Errorf("replication quorum not met for %s: %w (committed locally, anti-entropy delivers it; safe to retry)", key, err),
+				time.Second)
+			return
+		}
+		ack["epoch"] = st.Epoch
+		ack["fence"] = fenceToken(table, column, st)
+	}
+	writeJSON(w, http.StatusOK, ack)
+}
+
+// keyLockStripes is the number of mutexes keyLock spreads keys over.
+const keyLockStripes = 64
+
+// keyLock returns the mutex that orders local writes of key: its stamp
+// assignment and store commit run under it, so stamp order is commit
+// order. Keys on other stripes proceed concurrently, so their commits can
+// share one WAL fsync.
+func (s *Server) keyLock(key string) *sync.Mutex {
+	return &s.keyLocks[maphash.String(s.keySeed, key)%keyLockStripes]
+}
+
+// applyLocal is the one path of a local write — a client PUT or DELETE, or
+// an ingest refit — in single-node and cluster mode alike: the breaker, the
+// key's lock, a fresh stamp (Stamp{} off-cluster, where PutStamped and
+// DeleteStamped are exactly Put and Delete), the commit, and the
+// post-commit step. apply must record the stamp it is given with its write.
+// A merge that took a later version of the key between the stamp and the
+// commit supersedes this write (catalog.ErrStale): it is acknowledged, and
+// its fence passes on the later version, as it would had it landed first.
+// An apply error wrapping stats.ErrNotFound, or an exhausted clock, does
+// not strike the breaker.
+func (s *Server) applyLocal(key string, apply func(cluster.Stamp) (uint64, error)) (gen uint64, st cluster.Stamp, retryAfter time.Duration, err error) {
+	commit, retryAfter, err := s.beginMutation()
+	if err != nil {
+		return 0, st, retryAfter, err
+	}
+	mu := s.keyLock(key)
+	mu.Lock()
+	if st, err = s.freshStamp(); err == nil {
+		gen, err = apply(st)
+	}
+	mu.Unlock()
+	if errors.Is(err, catalog.ErrStale) {
+		gen, err = s.store.Generation(), nil
+	}
+	commit(err != nil && !errors.Is(err, stats.ErrNotFound) && !errors.Is(err, cluster.ErrClockExhausted))
+	if err != nil {
+		return 0, st, time.Second, err
+	}
+	s.afterCommit(gen, []string{key})
+	return gen, st, 0, nil
+}
+
+// freshStamp assigns the next stamp to a write this node originates; off
+// cluster it is the zero Stamp, which stamps nothing.
+func (s *Server) freshStamp() (cluster.Stamp, error) {
+	if s.cluster == nil {
+		return cluster.Stamp{}, nil
+	}
+	e, err := s.cluster.BumpEpoch()
+	return cluster.Stamp{Epoch: e, Origin: s.cluster.SelfID()}, err
+}
+
+// afterCommit is the one post-commit step of every write, local or merged:
+// it retires the memo cache's other generations — a deleted index's entries
+// included — and registers an estimate counter for each key the commit
+// touched that the catalog now holds.
+func (s *Server) afterCommit(gen uint64, keys []string) {
+	if s.cache != nil {
+		s.cache.dropOtherGenerations(gen)
+	}
+	s.obs.syncIndexes(s.store.Snapshot(), keys)
+}
+
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
+	// A refresh is a write: in cluster mode what it changes carries a fresh
+	// stamp, so anti-entropy takes it to every peer (a dropped key is
+	// deleted cluster-wide). It touches many keys, so it takes no key lock.
+	st, err := s.freshStamp()
 	if err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable, err, time.Second)
 		return
 	}
-	if !ok {
-		writeError(w, http.StatusNotFound, fmt.Errorf("%w: %s.%s", stats.ErrNotFound, table, column))
-		return
-	}
-	if s.cache != nil {
-		// Belt and braces: generation keying already hides the dead
-		// entries, and this sweep frees them so a deleted index cannot
-		// linger in memory either.
-		s.cache.invalidateIndex(table, column)
-		s.cache.dropOtherGenerations(gen)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"generation": gen})
-}
-
-func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	commit, retryAfter, err := s.beginMutation()
 	if err != nil {
 		writeRetryable(w, http.StatusServiceUnavailable, err, retryAfter)
 		return
 	}
-	var gen uint64
-	if s.cluster != nil {
-		// A refresh is a write: what it changes carries a fresh stamp, so
-		// anti-entropy takes it to every peer (a dropped key is deleted
-		// cluster-wide).
-		gen, err = s.store.ReloadStamped(s.freshStamp())
-	} else {
-		gen, err = s.store.Reload()
-	}
+	gen, err := s.store.ReloadStamped(st)
 	if err != nil {
 		if errors.Is(err, catalog.ErrNoPath) {
 			// Configuration error, not disk trouble: no breaker strike, no
@@ -1067,10 +1123,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		s.obs.log.LogAttrs(r.Context(), slog.LevelInfo, "reload recovered, degraded mode cleared",
 			slog.Uint64("generation", gen))
 	}
-	if s.cache != nil {
-		s.cache.dropOtherGenerations(gen)
-	}
-	s.obs.syncIndexes(s.store.Snapshot())
+	s.afterCommit(gen, s.store.Keys())
 	writeJSON(w, http.StatusOK, map[string]any{"generation": gen, "indexes": s.store.Len()})
 }
 

@@ -8,12 +8,12 @@
 # packages; `-run=NONE` lines run benchmarks only and are skipped.
 #
 # Usage: bash scripts/check-gates.sh [target ...]
-# (default: chaos-net cluster-check bench-json bench-serve bench-ingest bench-cluster)
+# (default: chaos-net cluster-check obs-check bench-json bench-serve bench-ingest bench-cluster)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 targets=("$@")
 if [ ${#targets[@]} -eq 0 ]; then
-	targets=(chaos-net cluster-check bench-json bench-serve bench-ingest bench-cluster)
+	targets=(chaos-net cluster-check obs-check bench-json bench-serve bench-ingest bench-cluster)
 fi
 GO=${GO:-go}
 
