@@ -32,9 +32,12 @@ race:
 # decoder every log replays through, differential fuzz passes holding the
 # batch body decoder to encoding/json and the estimate query parser to
 # net/url, a fuzz pass over the exposition parser federation feeds peer
-# bytes to, and round-trip fuzz passes over the two decoders every push and
+# bytes to, round-trip fuzz passes over the two decoders every push and
 # pull feeds peer bytes to: the entry stream (a merge of any accepted stream
-# never moves a stamp back) and the digest document with its stamp text.
+# never moves a stamp back) and the digest document with its stamp text (no
+# accepted epoch reaches the peer bound), and differential fuzz passes over
+# the serving path: the compiled estimator held bit-exact to EstIO, and the
+# hand-rolled response encoder held to encoding/json.
 chaos:
 	$(GO) test -race ./internal/faultfs/ ./internal/resilience/
 	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
@@ -47,6 +50,8 @@ chaos:
 	$(GO) test -run=Fuzz -fuzz=FuzzParseExposition -fuzztime=20s ./internal/obs/
 	$(GO) test -run=Fuzz -fuzz=FuzzDecodeEntries -fuzztime=20s ./internal/catalog/
 	$(GO) test -run=Fuzz -fuzz=FuzzDigestDoc -fuzztime=20s ./internal/cluster/
+	$(GO) test -run=Fuzz -fuzz=FuzzCompiledEquivalence -fuzztime=20s ./internal/core/
+	$(GO) test -run=Fuzz -fuzz=FuzzEncodeEstimateResponse -fuzztime=20s ./internal/service/
 
 # Network partition drills under the race detector: the deterministic fault
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node
@@ -93,13 +98,14 @@ bench-serve:
 	$(GO) test -run=NONE -bench=ServiceEstimate -benchmem ./cmd/epfis-serve/
 
 # Ingestion path: WAL group commit at least 10x a rename-per-commit rewrite
-# and at most 0.5 durability barriers per commit, Accum.Feed at most 2
-# amortized allocs per 512-reference batch, an Accum's retained memory
-# bounded by distinct pages (the same after 1M references over 2,500 pages
-# as after 100k, at most 64 B per page plus 16 KiB), then the Feed/Merge
-# benchmarks.
+# and at most 0.5 durability barriers per commit, a single-key commit in a
+# 1,024-key store (unstamped and stamped) allocating at most 1.5x one clone
+# of a 1,024-entry map, Accum.Feed at most 2 amortized allocs per
+# 512-reference batch, an Accum's retained memory bounded by distinct pages
+# (the same after 1M references over 2,500 pages as after 100k, at most
+# 64 B per page plus 16 KiB), then the Feed/Merge benchmarks.
 bench-ingest:
-	$(GO) test -count=1 -v -run '^TestWALGroupCommitSpeedup$$' ./internal/catalog/
+	$(GO) test -count=1 -v -run '^(TestWALGroupCommitSpeedup|TestSingleKeyCommitCopiesOneMap)$$' ./internal/catalog/
 	$(GO) test -count=1 -v -run '^(TestAccumFeedSteadyStateAllocs|TestAccumMemoryBoundedByDistinctPages)$$' ./internal/lrusim/
 	$(GO) test -run=NONE -bench='AccumFeed|AccumMerge' -benchmem ./internal/lrusim/
 
@@ -136,9 +142,10 @@ cluster-check:
 	$(GO) test -race -run '^(TestClusterReplicationAndBitExactServing|TestClusterFreshNodeAdoptsCatalog|TestClusterDeltaOneKeyWireCost|TestClusterPartitionHealConvergence|TestClusterChaosKillNodeUnderLoad)$$' \
 		./internal/service/
 
-# go test -run passes silently when its pattern matches no test, so a
-# renamed or deleted test would turn its gate into a no-op: fail when any
-# pattern the drill and bench-* targets run names no test (go test -list).
+# go test -run passes silently when its pattern matches no test, and
+# go test -fuzz when its name matches no fuzz test, so a renamed or deleted
+# test would turn its gate into a no-op: fail when any pattern the drill,
+# fuzz and bench-* targets run names no test (go test -list).
 check-gates:
 	bash scripts/check-gates.sh
 

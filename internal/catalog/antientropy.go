@@ -1,21 +1,7 @@
 package catalog
 
-// Anti-entropy primitives for the cluster layer.
-//
-// Replicas converge by one rule: a node takes a peer's entry or tombstone
-// if and only if the peer's Version of the key orders after its own.
-// Versions order by stamp; equal stamps, unstamped keys included, fall back
-// to the CRC32-C of the entry's JSON, so every node picks the same winner.
-//
-// Versions reports every key's version from one snapshot — the digest a
-// peer diffs against its own. ExportEntries renders the entries a peer
-// asked for, each with its stamp, from one snapshot as a trailered stream
-// (the checkpoint file's framing, so the receiver gets end-to-end
-// corruption detection); DecodeEntries verifies and parses it. Merge
-// decides, key by key and from the commit's own base, what to take, and
-// logs the taken keys, each record carrying its stamp beside its content,
-// in one batch frame, so a stamp is always durable with the content it
-// names and the merge lands whole or not at all.
+// Anti-entropy primitives for the cluster layer; the package comment
+// describes how replicas converge through them.
 
 import (
 	"bytes"
@@ -23,11 +9,9 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"maps"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"epfis/internal/stats"
 )
@@ -43,13 +27,25 @@ func (s Stamp) MarshalText() ([]byte, error) {
 	return fmt.Appendf(nil, "%d/%s", s.Epoch, s.Origin), nil
 }
 
+// EpochBound is the first epoch a peer may not send. Every stamp and clock
+// decoded from a peer's bytes must order below it: UnmarshalText refuses a
+// stamp at or above it (digests, entry streams, pushes), and the cluster
+// layer refuses a gossiped or digest epoch at or above it. So no peer
+// message can exhaust a node's clock; local writes alone would need 2^63
+// commits to reach the bound.
+const EpochBound = 1 << 63
+
 // UnmarshalText parses MarshalText's form. The epoch is digits, so the
-// first "/" ends it whatever the origin holds.
+// first "/" ends it whatever the origin holds. It refuses an epoch at or
+// above EpochBound: stamps in text come from peers.
 func (s *Stamp) UnmarshalText(b []byte) error {
 	epoch, origin, ok := strings.Cut(string(b), "/")
 	e, err := strconv.ParseUint(epoch, 10, 64)
 	if !ok || err != nil {
 		return fmt.Errorf("catalog: malformed stamp %q, want epoch/origin", b)
+	}
+	if e >= EpochBound {
+		return fmt.Errorf("catalog: stamp %q: epoch at or above the peer bound 2^63", b)
 	}
 	*s = Stamp{Epoch: e, Origin: origin}
 	return nil
@@ -84,14 +80,6 @@ type Incoming struct {
 	Entry *stats.IndexStats
 }
 
-// crcCache remembers each entry's CRC by entry pointer. Entries are
-// immutable and shared across generations, so a digest recomputes only
-// what changed since the last one.
-type crcCache struct {
-	mu sync.Mutex
-	m  map[*stats.IndexStats]uint32
-}
-
 // entryCRC is the CRC32-C of an entry's JSON encoding, which is
 // deterministic, so nodes holding the same entry agree on it.
 func entryCRC(e *stats.IndexStats) (uint32, error) {
@@ -102,70 +90,14 @@ func entryCRC(e *stats.IndexStats) (uint32, error) {
 	return crc32.Checksum(j, crcTable), nil
 }
 
-func (c *crcCache) get(e *stats.IndexStats) (uint32, error) {
-	c.mu.Lock()
-	crc, ok := c.m[e]
-	c.mu.Unlock()
-	if ok {
-		return crc, nil
-	}
-	crc, err := entryCRC(e)
-	if err != nil {
-		return 0, err
-	}
-	c.put(e, crc)
-	return crc, nil
-}
-
-// put records an entry's CRC computed elsewhere, such as a merged entry's,
-// which DecodeEntries computed from the same JSON.
-func (c *crcCache) put(e *stats.IndexStats, crc uint32) {
-	c.mu.Lock()
-	if c.m == nil {
-		c.m = map[*stats.IndexStats]uint32{}
-	}
-	c.m[e] = crc
-	c.mu.Unlock()
-}
-
-// prune drops cached CRCs of entries no longer in live, once the cache has
-// grown past twice the live set.
-func (c *crcCache) prune(live map[string]*stats.IndexStats) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.m) <= 2*len(live)+16 {
-		return
-	}
-	keep := make(map[*stats.IndexStats]uint32, len(live))
-	for _, e := range live {
-		if crc, ok := c.m[e]; ok {
-			keep[e] = crc
-		}
-	}
-	c.m = keep
-}
-
-// orders reports whether v orders after key's version in snapshot s. Only
-// a stamp tie needs the held entry's CRC, so only a tie computes it.
-func (st *Store) orders(v Version, s *Snapshot, key string) (bool, error) {
-	if held := s.stamps[key]; held != v.Stamp {
+// ordersAfter reports whether v orders after r's version. Only a stamp tie
+// needs r's CRC, so only a tie computes it.
+func (r *record) ordersAfter(v Version) (bool, error) {
+	if _, held := r.held(); held != v.Stamp {
 		return held.Less(v.Stamp), nil
 	}
-	local, err := st.version(s, key)
+	local, err := r.version()
 	return v.After(local), err
-}
-
-// version reports key's version in snapshot s.
-func (st *Store) version(s *Snapshot, key string) (Version, error) {
-	v := Version{Stamp: s.stamps[key]}
-	e, ok := s.entries[key]
-	if !ok {
-		v.Tombstone = v.Stamp != (Stamp{})
-		return v, nil
-	}
-	crc, err := st.crcs.get(e)
-	v.CRC = crc
-	return v, err
 }
 
 // Versions reports the version of every entry and every tombstone, read
@@ -173,20 +105,14 @@ func (st *Store) version(s *Snapshot, key string) (Version, error) {
 // describe the same content.
 func (st *Store) Versions() (map[string]Version, uint64, error) {
 	snap := st.Snapshot()
-	out := make(map[string]Version, len(snap.entries)+len(snap.stamps))
-	for k := range snap.entries {
-		v, err := st.version(snap, k)
+	out := make(map[string]Version, len(snap.recs))
+	for k, r := range snap.recs {
+		v, err := r.version()
 		if err != nil {
 			return nil, 0, err
 		}
 		out[k] = v
 	}
-	for k, s := range snap.stamps {
-		if _, ok := snap.entries[k]; !ok {
-			out[k] = Version{Stamp: s, Tombstone: true}
-		}
-	}
-	st.crcs.prune(snap.entries)
 	return out, snap.gen, nil
 }
 
@@ -212,8 +138,8 @@ func (st *Store) ExportEntries(keys []string, maxBytes int) ([]byte, int, error)
 	var doc entriesDoc[json.RawMessage]
 	size, n := 160, 0 // the document's framing and the trailer, with slack
 	for _, k := range keys {
-		s := snap.stamps[k]
-		e, ok := snap.entries[k]
+		e, s := snap.recs[k].held()
+		ok := e != nil
 		var item json.RawMessage
 		grow := len(k) + 32 // a tombstone's "key":"epoch/origin" pair
 		if ok {
@@ -318,55 +244,39 @@ func (st *Store) Merge(in map[string]Incoming) (uint64, []string, error) {
 	rec := func(lsn uint64, next *Snapshot) ([]byte, error) { return appendKeyRecords(nil, lsn, next, taken) }
 	gen, err := st.commit(rec, false, func(base *Snapshot) (*Snapshot, bool) {
 		taken = taken[:0]
-		var entries map[string]*stats.IndexStats
-		var stamps map[string]Stamp
+		changed := map[string]*record{}
 		for _, k := range keys {
-			p := in[k]
+			p, held := in[k], base.recs[k]
+			var e *stats.IndexStats
 			if p.Entry == nil && !p.Tombstone {
 				// A stamp fold: same content, later write.
-				local, err := st.version(base, k)
+				local, err := held.version()
 				if err != nil {
 					ferr = err
 					return nil, false
 				}
-				if _, ok := base.entries[k]; !ok || local.CRC != p.CRC || !local.Stamp.Less(p.Stamp) {
+				if e, _ = held.held(); e == nil || local.CRC != p.CRC || !local.Stamp.Less(p.Stamp) {
 					continue
 				}
-			} else if take, err := st.orders(p.Version, base, k); err != nil {
+			} else if take, err := held.ordersAfter(p.Version); err != nil {
 				ferr = err
 				return nil, false
 			} else if !take {
 				continue
-			} else {
-				if entries == nil {
-					entries = cloneEntries(base.entries)
-				}
-				if p.Tombstone {
-					delete(entries, k)
-				} else {
-					cp := deepCopy(p.Entry)
-					st.crcs.put(cp, p.CRC) // the CRC of the same JSON
-					entries[k] = cp
-				}
+			} else if !p.Tombstone {
+				e = deepCopy(p.Entry)
 			}
-			if p.Stamp != (Stamp{}) {
-				if stamps == nil {
-					stamps = maps.Clone(base.stamps)
-				}
-				stamps[k] = p.Stamp
+			r := newRecord(e, p.Stamp, held)
+			if p.Entry != nil && !p.Tombstone {
+				r.crc.Store(knownCRC(p.CRC)) // DecodeEntries computed it from the same JSON
 			}
+			changed[k] = r
 			taken = append(taken, k)
 		}
 		if len(taken) == 0 {
 			return nil, false
 		}
-		if entries == nil {
-			entries = base.entries
-		}
-		if stamps == nil {
-			stamps = base.stamps
-		}
-		return newSnapshot(base.gen+1, entries, stamps, base), true
+		return base.derive(changed), true
 	})
 	switch {
 	case ferr != nil:
@@ -386,10 +296,9 @@ func (st *Store) Merge(in map[string]Incoming) (uint64, []string, error) {
 func appendKeyRecords(dst []byte, lsn uint64, next *Snapshot, keys []string) ([]byte, error) {
 	var b []byte
 	for _, k := range keys {
-		s := next.stamps[k]
-		e, ok := next.entries[k]
+		e, s := next.recs[k].held()
 		switch {
-		case ok:
+		case e != nil:
 			j, err := json.Marshal(e)
 			if err != nil {
 				return nil, err

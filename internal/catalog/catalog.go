@@ -1,45 +1,82 @@
-// Package catalog provides a concurrent, versioned statistics-catalog store
-// on top of package stats, designed for the estimation service's read-heavy
-// workload: Est-IO lookups happen on the planning hot path of every query,
-// while statistics installs and refreshes (LRU-Fit reruns) are rare.
+// Package catalog is the concurrent, versioned statistics-catalog store on
+// top of package stats: where each index's LRU-Fit entry lives while the
+// service serves Est-IO from it on the planning hot path. This comment is
+// the package's one detailed description; wal.go, persist.go and
+// antientropy.go give the byte formats of the log, the checkpoint file and
+// the anti-entropy streams.
 //
-// The concurrency model is copy-on-write snapshots:
+// # Snapshots and records
 //
-//   - Readers call Snapshot (or the Get/Keys/Len conveniences) and receive an
-//     immutable view through a single atomic pointer load — no locks, no
-//     contention, no allocation. Entries inside a snapshot are shared and
-//     must be treated as read-only.
+// Readers call Snapshot (or Get, Keys, Len) and get an immutable view from
+// one atomic pointer load: no lock, no allocation. A snapshot is one map
+// from key ("table.column") to record, plus the sorted live keys. A record
+// is one key's version, published once and never changed: the entry, its
+// compiled Est-IO estimator (built on the writer's path, so serving never
+// compiles), the Stamp of the key's last cluster mutation, and the CRC32-C
+// of the entry's JSON, computed at most once, lazily or from JSON the
+// commit already holds. A tombstone is a record without an entry, so a
+// delete swaps one record and Versions walks one map; a key neither held
+// nor stamped has no record. A read sees live entries only, in one lookup.
 //
-//   - Writers (Put, Delete, ReplaceAll, Reload) serialize behind a mutex,
-//     build a fresh entry map from the current one, persist it, and publish
-//     the new snapshot with one atomic store. A reader that loaded the old
-//     snapshot keeps a consistent view for as long as it holds the pointer.
+// Writers serialize behind a mutex. A commit copies the record map once,
+// swaps in the records of the keys it changes, all made by newRecord, and
+// shares every other record by pointer; a stamp fold makes a new record
+// sharing the old one's entry, estimator and CRC. A single-key commit thus
+// costs one map copy plus its own key's work. Each published snapshot's
+// generation is one above its predecessor's, so callers (the service's
+// memo) can key derived state by generation.
 //
-// Every published snapshot carries a monotonically increasing generation
-// number, so callers (for example the service's estimate memo cache) can key
-// derived state by generation and have it invalidate naturally when
-// statistics change.
+// # Stamps
 //
-// A snapshot also carries the stamp table: for each key a cluster mutation
-// has touched, the Stamp of the last one applied, a delete's tombstone
-// included. PutStamped and DeleteStamped record a stamp in the same commit
-// as the entry change, so a reader sees both or neither and the stamp is
-// durable exactly when the write is.
+// Every stamped write (PutStamped, DeleteStamped, Merge, ReloadStamped,
+// RecordStamps) records its stamp in the same commit, and on a WAL store
+// the same frame, as the content it names, and applies only if the stamp
+// orders after the one the commit's base holds. So a record's stamp never
+// moves backwards and always names the content or tombstone stored with
+// it, and is durable exactly when the write is. Stamps decoded from peers
+// stay below EpochBound.
 //
-// A store opened with OpenWAL persists every commit through a group-
-// committed write-ahead log with periodic checkpoints (see wal.go), and
-// recovers from a corrupt, truncated, or crash-orphaned checkpoint file by
-// falling back to the retained previous checkpoint and the log rotated away
-// with it. Reload re-reads the catalog file in place so statistics
-// refreshed out-of-process swap in without downtime. All filesystem access
-// goes through a faultfs.FS, so chaos tests (and the EPFIS_FAULTS knob) can
-// inject torn writes, failed fsyncs, and slow disks deterministically.
+// # Durability
+//
+// NewStore is the in-memory store; OpenWAL the one durable store (wal.go
+// gives the log's frames and group commit). Readers see only fsynced
+// state. Every CheckpointEvery commits, and on Checkpoint and Close, the
+// published snapshot is written as a checkpoint covering the log up to its
+// lsn (the previous kept as .prev), and the log rotates (the old kept as
+// .wal.prev), carrying the stamp table and live ingest records forward.
+// Recovery loads the checkpoint and replays the log past it; when the
+// checkpoint does not verify, it loads .prev, replays both logs, removes
+// the bad file and checkpoints. A log that starts past the LSN reached is
+// refused (ErrCorrupt). Every crash window lands on a committed state
+// (FuzzWALRecovery, FuzzOpenCatalogStore). The log doubles as the ingest
+// journal (AppendIngest). File access goes through a faultfs.FS, so chaos
+// tests inject faults deterministically.
+//
+// # Refreshes
+//
+// A catalog file without an lsn field (epfis gen, stats.SaveFile) is an
+// out-of-band refresh that replaces the catalog, checkpointed over before
+// anything later is acknowledged. OpenWAL logs the adoption as one replace
+// frame; Reload logs a batch frame of the keys it changes and of those a
+// later stamp keeps, so recovery from the adopted file, retained as .prev,
+// replays to the committed state. On a cluster node a refresh is a write:
+// ReloadStamped stamps what it changes and tombstones what it drops, and
+// StampRefreshed stamps what an adoption at open changed.
+//
+// # Anti-entropy
+//
+// A node takes a peer's entry or tombstone iff the peer's Version of the
+// key orders after its own: by stamp, then, for equal stamps, by CRC, so
+// every node picks the same winner. Versions is the digest, ExportEntries
+// and DecodeEntries the trailered entry stream, and Merge the one commit
+// that folds a peer's versions in.
 package catalog
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"maps"
 	"slices"
 	"sort"
@@ -61,15 +98,78 @@ var ErrNoPath = errors.New("catalog: store has no backing file")
 // misses without importing both packages.
 var ErrNotFound = stats.ErrNotFound
 
-// Snapshot is an immutable point-in-time view of the catalog. All methods
-// are safe for concurrent use; the *stats.IndexStats values it returns are
-// shared across snapshots and must not be mutated.
+// Snapshot is an immutable point-in-time view of the catalog: one map from
+// key to record, and the sorted live keys. All methods are safe for
+// concurrent use; the *stats.IndexStats values it returns are shared across
+// snapshots and must not be mutated.
 type Snapshot struct {
-	gen      uint64
-	entries  map[string]*stats.IndexStats
-	compiled map[string]*core.CompiledEstimator // same keys as entries
-	keys     []string                           // sorted
-	stamps   map[string]Stamp                   // never nil; may name keys entries lacks (tombstones)
+	gen  uint64
+	keys []string           // sorted; the keys whose record holds an entry
+	recs map[string]*record // entries and tombstones
+}
+
+// record is one key's version (see the package comment). A tombstone has
+// no entry and a non-zero stamp; compiled is nil when the entry did not
+// compile, and readers then fall back to interpreted EstIO.
+type record struct {
+	entry    *stats.IndexStats
+	compiled *core.CompiledEstimator
+	stamp    Stamp
+	crc      atomic.Uint64 // knownCRC(CRC32-C of the entry's JSON), 0 until known
+}
+
+// knownCRC is a record's crc field once its CRC c is known.
+func knownCRC(c uint32) uint64 { return 1<<32 | uint64(c) }
+
+// newRecord makes a key's version: entry e under stamp s, or, for a nil e,
+// the tombstone s. Neither (a nil e and the zero s) is the nil record: the
+// key is absent. like is the record it replaces, or nil. When like holds e
+// under s it is returned as it is; when it holds e under another stamp (a
+// stamp fold), the new record shares its estimator and CRC. Otherwise e is
+// compiled here, on the writer's path, never on a request path.
+func newRecord(e *stats.IndexStats, s Stamp, like *record) *record {
+	if e == nil && s == (Stamp{}) {
+		return nil
+	}
+	r := &record{entry: e, stamp: s}
+	switch {
+	case like != nil && like.entry == e && like.stamp == s:
+		return like
+	case like != nil && like.entry == e:
+		r.compiled = like.compiled
+		r.crc.Store(like.crc.Load())
+	case e != nil:
+		if ce, err := core.Compile(e, core.Options{}); err == nil {
+			r.compiled = ce
+		}
+	}
+	return r
+}
+
+// held reports r's entry and stamp; the nil record holds neither.
+func (r *record) held() (*stats.IndexStats, Stamp) {
+	if r == nil {
+		return nil, Stamp{}
+	}
+	return r.entry, r.stamp
+}
+
+// version reports r's version, computing its CRC on first use; the nil
+// record is the zero Version.
+func (r *record) version() (Version, error) {
+	if r == nil {
+		return Version{}, nil
+	}
+	c := r.crc.Load()
+	if c == 0 && r.entry != nil {
+		crc, err := entryCRC(r.entry)
+		if err != nil {
+			return Version{}, err
+		}
+		c = knownCRC(crc)
+		r.crc.Store(c)
+	}
+	return Version{Stamp: r.stamp, CRC: uint32(c), Tombstone: r.entry == nil}, nil
 }
 
 // Stamp is the total order on one key's cluster mutations: the Lamport
@@ -99,7 +199,7 @@ func (s Stamp) Less(o Stamp) bool {
 func (s *Snapshot) Generation() uint64 { return s.gen }
 
 // Len reports the number of catalog entries.
-func (s *Snapshot) Len() int { return len(s.entries) }
+func (s *Snapshot) Len() int { return len(s.keys) }
 
 // Keys lists the entry keys ("table.column") in sorted order. The returned
 // slice is a copy and may be retained or mutated by the caller.
@@ -112,40 +212,52 @@ func (s *Snapshot) Keys() []string {
 // Get returns the entry for table.column, or an error wrapping ErrNotFound.
 // The returned entry is shared; treat it as read-only.
 func (s *Snapshot) Get(table, column string) (*stats.IndexStats, error) {
-	e, ok := s.entries[table+"."+column]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s.%s", ErrNotFound, table, column)
+	if e, ok := s.Lookup(table + "." + column); ok {
+		return e, nil
 	}
-	return e, nil
+	return nil, fmt.Errorf("%w: %s.%s", ErrNotFound, table, column)
 }
 
 // Lookup is Get by precomputed key, returning ok = false on a miss.
 func (s *Snapshot) Lookup(key string) (*stats.IndexStats, bool) {
-	e, ok := s.entries[key]
-	return e, ok
+	e, _ := s.recs[key].held()
+	return e, e != nil
 }
 
 // Compiled returns the pre-compiled Est-IO estimator for table.column, built
-// once when the snapshot was published (off the request path). The serving
-// hot path uses this instead of re-validating the raw entry per call. It is a
+// once when its record was made (off the request path). The serving hot
+// path uses this instead of re-validating the raw entry per call. It is a
 // plain map lookup: no locks, no allocation for short keys.
 func (s *Snapshot) Compiled(table, column string) (*core.CompiledEstimator, bool) {
-	ce, ok := s.compiled[table+"."+column]
-	return ce, ok
+	return s.CompiledByKey(table + "." + column)
 }
 
 // CompiledByKey is Compiled by precomputed "table.column" key.
 func (s *Snapshot) CompiledByKey(key string) (*core.CompiledEstimator, bool) {
-	ce, ok := s.compiled[key]
-	return ce, ok
+	if r := s.recs[key]; r != nil && r.compiled != nil {
+		return r.compiled, true
+	}
+	return nil, false
 }
 
 // Stamp reports the last mutation stamp recorded for key, a delete's
 // tombstone included; the zero Stamp means none.
-func (s *Snapshot) Stamp(key string) Stamp { return s.stamps[key] }
+func (s *Snapshot) Stamp(key string) Stamp {
+	_, st := s.recs[key].held()
+	return st
+}
 
-// Stamps copies the stamp table.
-func (s *Snapshot) Stamps() map[string]Stamp { return maps.Clone(s.stamps) }
+// Stamps copies the stamp table: every stamped key's stamp, tombstones
+// included.
+func (s *Snapshot) Stamps() map[string]Stamp {
+	out := map[string]Stamp{}
+	for k, r := range s.recs {
+		if r.stamp != (Stamp{}) {
+			out[k] = r.stamp
+		}
+	}
+	return out
+}
 
 // Catalog materializes the snapshot as a plain stats.Catalog (copying every
 // entry), for interoperation with code written against the non-concurrent
@@ -153,11 +265,20 @@ func (s *Snapshot) Stamps() map[string]Stamp { return maps.Clone(s.stamps) }
 func (s *Snapshot) Catalog() (*stats.Catalog, error) {
 	c := stats.NewCatalog()
 	for _, k := range s.keys {
-		if err := c.Put(s.entries[k]); err != nil {
+		if err := c.Put(s.recs[k].entry); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
+}
+
+// entries indexes the snapshot's live entries by key.
+func (s *Snapshot) entries() map[string]*stats.IndexStats {
+	out := make(map[string]*stats.IndexStats, len(s.keys))
+	for _, k := range s.keys {
+		out[k] = s.recs[k].entry
+	}
+	return out
 }
 
 // Store is the concurrent, versioned catalog store. The zero value is not
@@ -189,14 +310,12 @@ type Store struct {
 	// refreshed names the keys OpenWAL's adoption of an out-of-band file
 	// changed, added or removed, until StampRefreshed stamps them.
 	refreshed []string
-
-	crcs crcCache // entry CRCs for Versions and Merge
 }
 
 // NewStore returns an empty in-memory store (no persistence).
 func NewStore() *Store {
 	st := &Store{fs: faultfs.OS()}
-	st.snap.Store(newSnapshot(0, map[string]*stats.IndexStats{}, map[string]Stamp{}, nil))
+	st.snap.Store(newSnapshot(0, nil, nil))
 	return st
 }
 
@@ -244,25 +363,27 @@ func (st *Store) put(e *stats.IndexStats, s Stamp) (uint64, error) {
 	}
 	cp := deepCopy(e)
 	key := cp.Key()
-	ftype, body := walFramePut, []byte(nil)
+	ftype, body, crc := walFramePut, []byte(nil), uint64(0)
 	if st.wal != nil {
 		j, err := json.Marshal(cp)
 		if err != nil {
 			return 0, fmt.Errorf("catalog: encode commit: %w", err)
 		}
-		body = j
+		body, crc = j, knownCRC(crc32.Checksum(j, crcTable))
 		if s != (Stamp{}) {
 			ftype, body = walFramePutStamped, append(appendStampHeader(nil, s, key), j...)
 		}
 	}
 	stale := false
 	gen, err := st.commit(frame(ftype, body), false, func(base *Snapshot) (*Snapshot, bool) {
-		if stale = s != (Stamp{}) && !base.stamps[key].Less(s); stale {
+		held := base.recs[key]
+		_, hs := held.held()
+		if stale = s != (Stamp{}) && !hs.Less(s); stale {
 			return nil, false
 		}
-		next := cloneEntries(base.entries)
-		next[key] = cp
-		return base.derive(key, next, s), true
+		r := newRecord(cp, later(hs, s), held)
+		r.crc.Store(crc) // the log frame's JSON, when there is one
+		return base.derive(map[string]*record{key: r}), true
 	})
 	if stale {
 		return 0, ErrStale
@@ -290,13 +411,15 @@ func (st *Store) DeleteStamped(table, column string, s Stamp) (bool, uint64, err
 	}
 	existed, stale := false, false
 	gen, err := st.commit(frame(ftype, body), false, func(base *Snapshot) (*Snapshot, bool) {
-		_, existed = base.entries[key]
-		if stale = s != (Stamp{}) && !base.stamps[key].Less(s); stale || !existed {
+		held := base.recs[key]
+		e, hs := held.held()
+		existed = e != nil
+		if stale = s != (Stamp{}) && !hs.Less(s); stale || !existed {
 			return nil, false
 		}
-		next := cloneEntries(base.entries)
-		delete(next, key)
-		return base.derive(key, next, s), true
+		// An unstamped delete of a stamped key leaves its stamp as the
+		// tombstone; an unstamped key goes.
+		return base.derive(map[string]*record{key: newRecord(nil, later(hs, s), held)}), true
 	})
 	if stale {
 		return existed, 0, ErrStale
@@ -311,28 +434,30 @@ func (st *Store) DeleteStamped(table, column string, s Stamp) (bool, uint64, err
 }
 
 // RecordStamps folds stamps into the stamp table as one commit, each key
-// keeping the later of its held and given stamp; entries are untouched.
-// It imports stamps kept outside the store, such as an older release's
-// stamp journal, and stamps what OpenWAL adopted (StampRefreshed). An empty
-// map commits nothing.
+// keeping the later of its held and given stamp; entries are untouched (a
+// stamp for a key without an entry is a tombstone). It imports stamps kept
+// outside the store, such as an older release's stamp journal, and stamps
+// what OpenWAL adopted (StampRefreshed). An empty map commits nothing.
 func (st *Store) RecordStamps(stamps map[string]Stamp) (uint64, error) {
 	if len(stamps) == 0 {
 		return st.Generation(), nil
 	}
 	rec := func(lsn uint64, _ *Snapshot) ([]byte, error) { return appendStampRecords(nil, lsn, stamps), nil }
 	return st.commit(rec, false, func(base *Snapshot) (*Snapshot, bool) {
-		next := *base
-		next.gen++
-		next.stamps = maps.Clone(base.stamps)
+		folded := map[string]*record{}
 		for k, s := range stamps {
-			foldStamp(next.stamps, k, s)
+			held := base.recs[k]
+			if e, hs := held.held(); hs.Less(s) {
+				folded[k] = newRecord(e, s, held)
+			}
 		}
-		return &next, true
+		return base.derive(folded), true
 	})
 }
 
 // ReplaceAll swaps the entire catalog contents for c's entries in one
-// generation step (c itself is not retained). The stamp table is kept.
+// generation step (c itself is not retained). The stamp table is kept: a
+// stamped key c lacks becomes a tombstone.
 func (st *Store) ReplaceAll(c *stats.Catalog) (uint64, error) {
 	next := map[string]*stats.IndexStats{}
 	for _, k := range c.Keys() {
@@ -342,21 +467,25 @@ func (st *Store) ReplaceAll(c *stats.Catalog) (uint64, error) {
 		}
 		next[k] = deepCopy(e)
 	}
-	return st.commitReplace(next)
-}
-
-// commitReplace installs a full entry set as one generation step.
-func (st *Store) commitReplace(next map[string]*stats.IndexStats) (uint64, error) {
 	var body []byte
 	if st.wal != nil {
-		p, err := encodeEntriesJSON(next)
+		p, err := encodeCatalog(c)
 		if err != nil {
 			return 0, fmt.Errorf("catalog: encode commit: %w", err)
 		}
 		body = p
 	}
 	return st.commit(frame(walFrameReplace, body), false, func(base *Snapshot) (*Snapshot, bool) {
-		return newSnapshot(base.gen+1, next, base.stamps, base), true
+		changed := make(map[string]*record, len(base.recs)+len(next))
+		for k, r := range base.recs {
+			changed[k] = newRecord(next[k], r.stamp, r)
+		}
+		for k, e := range next {
+			if base.recs[k] == nil {
+				changed[k] = newRecord(e, Stamp{}, nil)
+			}
+		}
+		return base.derive(changed), true
 	})
 }
 
@@ -374,91 +503,71 @@ func entriesOf(c *stats.Catalog) map[string]*stats.IndexStats {
 	return entries
 }
 
-// newSnapshot assembles a snapshot, compiling an Est-IO estimator for every
-// entry. Compilation happens here — on the writer's (or loader's) path, never
-// on a request path — and entries carried over unchanged from prev (same
-// pointer, thanks to the copy-on-write entry sharing in cloneEntries) reuse
-// prev's compiled estimator instead of recompiling; when the key set is
-// prev's, so is the sorted key slice. An entry that fails to compile
-// (impossible for entries that passed validation, but recovery paths are
-// deliberately paranoid) simply has no compiled form; readers fall back to
-// interpreted EstIO for it.
-func newSnapshot(gen uint64, entries map[string]*stats.IndexStats, stamps map[string]Stamp, prev *Snapshot) *Snapshot {
-	s := &Snapshot{
-		gen:      gen,
-		entries:  entries,
-		compiled: make(map[string]*core.CompiledEstimator, len(entries)),
-		stamps:   stamps,
+// newSnapshot assembles generation gen from an entry set and a stamp
+// table, as OpenWAL does after replay: a record per key either names,
+// derived from the empty snapshot.
+func newSnapshot(gen uint64, entries map[string]*stats.IndexStats, stamps map[string]Stamp) *Snapshot {
+	recs := make(map[string]*record, len(entries)+len(stamps))
+	for k, s := range stamps {
+		recs[k] = newRecord(entries[k], s, nil)
 	}
-	kept := 0 // keys prev also holds
 	for k, e := range entries {
-		if prev != nil {
-			if pe, ok := prev.entries[k]; ok {
-				kept++
-				if ce, ok := prev.compiled[k]; ok && pe == e {
-					s.compiled[k] = ce
-					continue
-				}
-			}
-		}
-		if ce, err := core.Compile(e, core.Options{}); err == nil {
-			s.compiled[k] = ce
+		if _, ok := stamps[k]; !ok {
+			recs[k] = newRecord(e, Stamp{}, nil)
 		}
 	}
-	if prev != nil && kept == len(entries) && kept == len(prev.entries) {
-		s.keys = prev.keys
-	} else {
-		s.keys = sortedKeys(entries)
-	}
-	return s
+	snap := (&Snapshot{recs: map[string]*record{}}).derive(recs)
+	snap.gen = gen
+	return snap
 }
 
-// derive builds the snapshot after a single-key commit: entries differs
-// from s's entry set at most under key, and a non-zero stamp is recorded for
-// key. Only key's compiled estimator, sorted position and stamp are redone;
-// everything else is shared with s, so the work does not grow with the
-// catalog beyond the map copies copy-on-write needs.
-func (s *Snapshot) derive(key string, entries map[string]*stats.IndexStats, stamp Stamp) *Snapshot {
-	next := &Snapshot{gen: s.gen + 1, entries: entries, compiled: s.compiled, keys: s.keys, stamps: s.stamps}
-	if s.stamps[key].Less(stamp) {
-		next.stamps = maps.Clone(s.stamps)
-		next.stamps[key] = stamp
-	}
-	e, now := entries[key]
-	pe, was := s.entries[key]
-	if now == was && e == pe {
+// derive builds the snapshot a commit publishes: s's records with those in
+// changed set in their place (a nil record removes its key). It copies s's
+// one map once and shares every other record by pointer, so a single-key
+// commit costs one map copy and the work of its own key; the sorted key
+// slice is s's unless the live key set changed, and one key's arrival or
+// departure splices it. A commit that changes nothing still takes the next
+// generation.
+func (s *Snapshot) derive(changed map[string]*record) *Snapshot {
+	next := &Snapshot{gen: s.gen + 1, keys: s.keys, recs: s.recs}
+	if len(changed) == 0 {
 		return next
 	}
-	next.compiled = maps.Clone(s.compiled)
-	delete(next.compiled, key)
-	if now {
-		if ce, err := core.Compile(e, core.Options{}); err == nil {
-			next.compiled[key] = ce
+	next.recs = maps.Clone(s.recs)
+	moved, key := 0, ""
+	for k, r := range changed {
+		if r == nil {
+			delete(next.recs, k)
+		} else {
+			next.recs[k] = r
+		}
+		if was, _ := s.recs[k].held(); (was != nil) != (r != nil && r.entry != nil) {
+			moved, key = moved+1, k
 		}
 	}
-	i, _ := slices.BinarySearch(s.keys, key)
-	switch {
-	case now && !was:
-		next.keys = slices.Insert(slices.Clip(s.keys), i, key)
-	case was && !now:
+	switch i, found := slices.BinarySearch(s.keys, key); {
+	case moved > 1:
+		next.keys = make([]string, 0, len(next.recs))
+		for k, r := range next.recs {
+			if r.entry != nil {
+				next.keys = append(next.keys, k)
+			}
+		}
+		sort.Strings(next.keys)
+	case moved == 1 && found:
 		next.keys = slices.Delete(slices.Clone(s.keys), i, i+1)
+	case moved == 1:
+		next.keys = slices.Insert(slices.Clip(s.keys), i, key)
 	}
 	return next
 }
 
-func cloneEntries(m map[string]*stats.IndexStats) map[string]*stats.IndexStats {
-	out := make(map[string]*stats.IndexStats, len(m)+1)
-	for k, v := range m {
-		out[k] = v // entries are immutable; share them across generations
+// later is the later of two stamps.
+func later(a, b Stamp) Stamp {
+	if a.Less(b) {
+		return b
 	}
-	return out
-}
-
-// foldStamp records s for key unless the table already holds a later one.
-func foldStamp(stamps map[string]Stamp, key string, s Stamp) {
-	if stamps[key].Less(s) {
-		stamps[key] = s
-	}
+	return a
 }
 
 // deepCopy clones an entry including its slice-backed fields, so snapshot
@@ -472,15 +581,6 @@ func deepCopy(e *stats.IndexStats) *stats.IndexStats {
 		cp.KeyHistogram = append([]histogram.Bucket(nil), e.KeyHistogram...)
 	}
 	return &cp
-}
-
-func sortedKeys(m map[string]*stats.IndexStats) []string {
-	ks := make([]string, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Strings(ks)
-	return ks
 }
 
 func splitKey(key string) (table, column string) {

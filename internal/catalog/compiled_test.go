@@ -59,20 +59,33 @@ func TestSnapshotCarriesCompiledEstimators(t *testing.T) {
 }
 
 // TestCompiledEstimatorsReusedAcrossGenerations: committing an unrelated
-// entry must not recompile untouched entries — the snapshot shares both the
-// entry pointer and its compiled estimator copy-on-write.
+// entry must not recompile untouched entries: the snapshot shares the whole
+// record, entry and compiled estimator with it. A stamp fold makes a new
+// record that shares both; replacing the entry compiles afresh.
 func TestCompiledEstimatorsReusedAcrossGenerations(t *testing.T) {
 	st := NewStore()
 	if _, err := st.Put(compiledTestEntry("orders", "key", 100)); err != nil {
 		t.Fatal(err)
 	}
+	rec := st.Snapshot().recs["orders.key"]
 	first, _ := st.Snapshot().Compiled("orders", "key")
 	if _, err := st.Put(compiledTestEntry("lineitem", "partkey", 64)); err != nil {
 		t.Fatal(err)
 	}
 	second, _ := st.Snapshot().Compiled("orders", "key")
-	if first != second {
+	if first != second || st.Snapshot().recs["orders.key"] != rec {
 		t.Fatal("unchanged entry was recompiled on an unrelated commit")
+	}
+
+	if _, err := st.RecordStamps(map[string]Stamp{"orders.key": {Epoch: 7, Origin: "node-a"}}); err != nil {
+		t.Fatal(err)
+	}
+	folded := st.Snapshot().recs["orders.key"]
+	if folded == rec || folded.entry != rec.entry || folded.compiled != first || folded.stamp.Epoch != 7 {
+		t.Fatal("a stamp fold must make a new record sharing the entry and its estimator")
+	}
+	if st.Snapshot().recs["lineitem.partkey"] == nil {
+		t.Fatal("a stamp fold dropped another key")
 	}
 
 	// Replacing the entry itself must swap in a fresh compiled estimator.

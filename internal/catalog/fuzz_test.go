@@ -102,7 +102,8 @@ func exercise(t *testing.T, st *Store) {
 // FuzzDecodeEntries holds the decoder every pull and every push feeds peer
 // bytes to. Every input is rejected or round-trips: an accepted stream,
 // merged into an empty store and exported again, decodes to the same
-// versions and entries. Nothing panics, and a Merge of any accepted stream
+// versions and entries. No accepted stamp reaches the peer bound. Nothing
+// panics, and a Merge of any accepted stream
 // into a populated store never moves a recorded stamp backwards: each key
 // ends on the later of its held and offered versions.
 func FuzzDecodeEntries(f *testing.F) {
@@ -135,6 +136,11 @@ func FuzzDecodeEntries(f *testing.F) {
 		in, _, err := DecodeEntries(data)
 		if err != nil {
 			return
+		}
+		for k, v := range in {
+			if v.Stamp.Epoch >= EpochBound {
+				t.Fatalf("%s: accepted stamp %v, at or above the peer bound", k, v.Stamp)
+			}
 		}
 		keys := make([]string, 0, len(in))
 		for k := range in {

@@ -121,7 +121,7 @@ func loadCheckpoint(fsys faultfs.FS, path string) (*stats.Catalog, uint64, bool,
 // into place, fsync the directory. Any failure leaves a loadable checkpoint
 // at path or, after a crash between the renames, at .prev.
 func writeCheckpoint(fsys faultfs.FS, path string, snap *Snapshot, lsn uint64) error {
-	payload, err := encodeEntriesJSON(snap.entries)
+	payload, err := snap.encode()
 	if err != nil {
 		return err
 	}

@@ -292,9 +292,10 @@ func TestWALStampGateSeesPendingMerge(t *testing.T) {
 }
 
 // TestSingleKeyCommitSharesUnchangedParts holds a single-key commit to work
-// that does not grow with the catalog: a PUT of an existing key keeps the
-// sorted key slice and the other keys' compiled estimators, and an unstamped
-// commit keeps the stamp table.
+// that does not grow with the catalog: every key a commit does not change
+// keeps its record by pointer (entry, estimator, stamp and CRC with it), a
+// PUT of an existing key keeps the sorted key slice, and a stamp fold makes
+// a new record that shares the entry, the estimator and the CRC.
 func TestSingleKeyCommitSharesUnchangedParts(t *testing.T) {
 	st := NewStore()
 	for i, col := range []string{"a", "c", "e"} {
@@ -305,32 +306,75 @@ func TestSingleKeyCommitSharesUnchangedParts(t *testing.T) {
 	if _, err := st.PutStamped(entry("t", "a", 300), Stamp{Epoch: 1, Origin: "node-a"}); err != nil {
 		t.Fatal(err)
 	}
-	prev := st.Snapshot()
-	if _, err := st.Put(entry("t", "c", 301)); err != nil {
-		t.Fatal(err)
+	tombstone(t, st, "t.z", Stamp{Epoch: 2, Origin: "node-b"})
+	// commit runs one commit and requires every key but its own to keep
+	// its record, and its own to get a new one.
+	commit := func(what, key string, fn func() error) (prev, next *Snapshot) {
+		t.Helper()
+		prev = st.Snapshot()
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		next = st.Snapshot()
+		for k, r := range prev.recs {
+			if k != key && next.recs[k] != r {
+				t.Fatalf("%s: unchanged key %s got a new record", what, k)
+			}
+		}
+		if next.recs[key] == prev.recs[key] {
+			t.Fatalf("%s: %s kept its old record", what, key)
+		}
+		return prev, next
 	}
-	next := st.Snapshot()
+	prev, next := commit("unstamped PUT", "t.c", func() error { _, err := st.Put(entry("t", "c", 301)); return err })
 	if &next.keys[0] != &prev.keys[0] {
 		t.Fatal("a PUT of an existing key re-sorted the key slice")
 	}
-	if next.compiled["t.a"] != prev.compiled["t.a"] || next.compiled["t.c"] == prev.compiled["t.c"] {
-		t.Fatal("a PUT must recompile exactly its own key")
+	if next.recs["t.c"].compiled == prev.recs["t.c"].compiled || next.recs["t.c"].compiled == nil {
+		t.Fatal("a PUT must recompile its own key")
 	}
-	if reflect.ValueOf(next.stamps).UnsafePointer() != reflect.ValueOf(prev.stamps).UnsafePointer() {
-		t.Fatal("an unstamped PUT copied the stamp table")
+	commit("stamped PUT", "t.e", func() error {
+		_, err := st.PutStamped(entry("t", "e", 302), Stamp{Epoch: 3, Origin: "node-a"})
+		return err
+	})
+
+	// Stamp folds, by merge and by RecordStamps: a new record under the
+	// later stamp, sharing the entry, the estimator and the CRC.
+	before := st.Snapshot()
+	v, err := before.recs["t.a"].version()
+	if err != nil {
+		t.Fatal(err)
 	}
+	fold := Stamp{Epoch: 4, Origin: "node-b"}
+	commit("merged stamp fold", "t.a", func() error {
+		_, _, err := st.Merge(map[string]Incoming{"t.a": {Version: Version{Stamp: fold, CRC: v.CRC}}})
+		return err
+	})
+	commit("recorded stamp fold", "t.c", func() error {
+		_, err := st.RecordStamps(map[string]Stamp{"t.c": {Epoch: 5, Origin: "node-a"}})
+		return err
+	})
+	for _, k := range []string{"t.a", "t.c"} {
+		r, was := st.Snapshot().recs[k], before.recs[k]
+		if r.entry != was.entry || r.compiled != was.compiled || r.crc.Load() != was.crc.Load() {
+			t.Fatalf("a stamp fold of %s did not share the entry, estimator and CRC", k)
+		}
+	}
+	if got := st.Snapshot().Stamp("t.a"); got != fold {
+		t.Fatalf("t.a folded to %v, want %v", got, fold)
+	}
+
 	// Inserts and deletes splice the sorted slice without touching prev's.
-	if _, err := st.Put(entry("t", "b", 302)); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := st.Delete("t", "e"); err != nil {
-		t.Fatal(err)
-	}
+	commit("insert", "t.b", func() error { _, err := st.Put(entry("t", "b", 303)); return err })
+	commit("delete", "t.e", func() error { _, _, err := st.Delete("t", "e"); return err })
 	if got, want := st.Keys(), []string{"t.a", "t.b", "t.c"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("keys %v, want %v", got, want)
 	}
 	if got, want := next.Keys(), []string{"t.a", "t.c", "t.e"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("an older snapshot's keys changed to %v, want %v", got, want)
+	}
+	if _, ok := st.Snapshot().recs["t.e"]; !ok || st.Snapshot().Stamp("t.e").Epoch != 3 {
+		t.Fatal("an unstamped delete of a stamped key must leave its stamp as the tombstone")
 	}
 }
 

@@ -8,14 +8,6 @@ package catalog
 //	catalog.json          checkpoint: trailered snapshot + "lsn=N" field
 //	catalog.json.wal      CRC32-C framed mutation log
 //
-// Each mutation appends one frame and the commit is a single fsync of the
-// log — and that fsync is GROUP commit: while one writer's fsync is in
-// flight, later writers enqueue their frames and park; whichever of them
-// wakes first becomes the next leader and flushes the whole accumulated
-// batch under one fsync. Under concurrency, N mutations cost ~1 fsync plus N
-// tiny appends instead of N full-snapshot rewrites (the bench-ingest suite
-// pins the ratio at >= 10x).
-//
 // Frame format. Each record is one internal/framelog frame, whose package
 // doc gives the length + CRC32-C envelope and the torn-tail rules. The frame
 // body is (integers little-endian):
@@ -37,64 +29,29 @@ package catalog
 // increase by one per logged commit and never repeat within a
 // log+checkpoint lineage.
 //
-// Stamps. A cluster mutation's stamp rides in its own put or delete frame,
-// so it is durable exactly when the write is and costs no barrier of its
-// own. The checkpoint file stays a plain stats catalog; rotation carries the
-// published stamp table into the fresh log as stamp records, as it carries
-// live ingest records. Replay folds the stamp of every stamped frame
-// regardless of LSN, keeping each key's latest, so the table survives
-// checkpoints, recovery from the retained files, and adoption of an
-// out-of-band catalog file.
+// Stamps. A stamp rides in the frame of the write it names. The checkpoint
+// file stays a plain stats catalog: rotation carries the stamp table into
+// the fresh log as stamp records, and replay folds the stamp of every
+// stamped frame regardless of LSN, keeping each key's latest.
 //
 // Durability protocol. Two snapshot pointers exist: Store.applied (newest
 // BUILT state, possibly unfsynced) and Store.snap (published to readers,
 // always durable). A mutation builds its snapshot against applied, assigns
 // the next LSN, enqueues a ticket, and releases the store lock before any
-// I/O — that's what lets commits overlap. The group leader appends the
-// batch's frames, fsyncs once, and only then publishes the batch's last
-// snapshot. On an append/fsync failure the leader fails every queued ticket
+// I/O — that's what lets commits overlap. Whichever parked writer wakes
+// first leads: it appends the whole queued batch, fsyncs once, and only
+// then publishes the batch's last snapshot, so N concurrent mutations cost
+// about one fsync (bench-ingest pins at least 10x over a rewrite per
+// commit). On an append/fsync failure the leader fails every queued ticket
 // (their snapshots stack on doomed state), rolls applied back to the
-// published snapshot, and rewinds the LSN; the log itself truncates back to
-// its durable length before the next append.
-// Readers therefore never observe a generation that could be lost to a
-// crash, and the crash-recovery fuzz (wal_test.go) holds that any torn tail
-// recovers to exactly the last fsynced commit.
+// published snapshot, and rewinds the LSN; the log itself truncates back
+// to its durable length before the next append. Readers therefore never
+// observe a generation that could be lost to a crash, and the
+// crash-recovery fuzz (wal_test.go) holds that any torn tail recovers to
+// exactly the last fsynced commit.
 //
-// Checkpointing. Every CheckpointEvery commits, and on Checkpoint and
-// Close, the leader writes the current published snapshot with an "lsn=N"
-// trailer field, retaining the previous checkpoint as catalog.json.prev,
-// then rotates the log: a fresh log holding only a header frame replaces
-// the old one, which is retained as catalog.json.wal.prev. Recovery loads the
-// checkpoint and replays the log frames past its LSN. When the checkpoint
-// does not verify, it loads catalog.json.prev and replays the retained log
-// and then the current one, so every frame since that older checkpoint is
-// replayed; the open then removes the unverifiable file and checkpoints, so
-// the verified one stays retained. A log whose header starts past the LSN
-// reached so far cannot continue what came before it: recovery refuses it
-// (ErrCorrupt) rather than skip committed frames. Every crash window —
-// mid-append, mid-checkpoint, mid-rotation — lands on a consistent
-// committed state.
-//
-// Out-of-band refreshes. A catalog file without an lsn field (written by
-// `epfis gen`, stats.SaveFile, or an older release) replaces the whole
-// catalog, and the store checkpoints over it before anything later is
-// acknowledged. OpenWAL logs the adoption as one replace frame: commits
-// logged before it do not survive it. Reload logs a batch frame recording
-// each key it changes (stamped on a cluster node, see ReloadStamped) and
-// each key a later stamp keeps against the file. The adopted file is
-// retained as catalog.json.prev; recovery from it replays both logs whole,
-// and the replace frame, or the reload's batch, bring it to the committed
-// state.
-//
-// A refresh is a write. Reload stamps what it changes in its own commit.
-// OpenWAL cannot: the node's clock is built from the store it opens. It
-// names the keys its adoption changed, added or removed against the state
-// the file replaced (the retained checkpoint and both logs, replayed), and
-// the cluster node stamps them with StampRefreshed before it serves. A
-// crash between the two leaves those keys under their older stamps, each
-// then converging to whichever version orders last; a later Reload of the
-// same statistics finds nothing to change, so the operator re-adopts by
-// writing the file again.
+// Checkpoints, recovery and out-of-band refreshes are described in the
+// package comment.
 
 import (
 	"bytes"
@@ -201,7 +158,7 @@ type walQueue struct {
 // and its log when the checkpoint does not verify — and replays committed
 // log frames past it; a torn tail (crash mid-append) is truncated at the
 // last complete frame. A catalog file without an lsn field is adopted
-// whole; see the file comment.
+// whole; see the package comment.
 func OpenWAL(path string, opts WALOptions) (*Store, error) {
 	return OpenWALFS(path, opts, faultfs.OS())
 }
@@ -279,7 +236,7 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 		gen, entries = 1, entriesOf(c)
 		st.refreshed = changedKeys(r.entries, entries)
 	}
-	snap := newSnapshot(gen, entries, r.stamps, nil)
+	snap := newSnapshot(gen, entries, r.stamps)
 	st.snap.Store(snap)
 	st.applied = snap
 	st.wal = w
@@ -308,7 +265,7 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 func (st *Store) openCheckpoint(adopt bool) error {
 	w, snap := st.wal, st.snap.Load()
 	if adopt {
-		p, err := encodeEntriesJSON(snap.entries)
+		p, err := snap.encode()
 		if err == nil {
 			err = w.log.Append(appendRecord(nil, walFrameReplace, w.lsn+1, p))
 		}
@@ -423,7 +380,7 @@ func applyRecord(entries map[string]*stats.IndexStats, stamps map[string]Stamp, 
 	if !ok || ftype != walFrameStamp && fresh && !applyStamped(entries, ftype, key, body) {
 		return false
 	}
-	foldStamp(stamps, key, s)
+	stamps[key] = later(stamps[key], s)
 	return true
 }
 
@@ -563,10 +520,11 @@ func appendRecord(dst []byte, ftype byte, lsn uint64, payload []byte) []byte {
 // Reload re-reads the catalog file and publishes its contents as a new
 // generation, so statistics refreshed by an out-of-process LRU-Fit run swap
 // in without downtime; in-flight readers keep their old snapshot. A file
-// without an lsn field is adopted whole (see the file comment). A file with
-// one is a checkpoint the store already holds, with every commit past it:
-// Reload republishes the store's own state. A file that cannot be read or
-// verified is rejected, and the snapshot and generation stay as they were.
+// without an lsn field is adopted whole (see the package comment). A file
+// with one is a checkpoint the store already holds, with every commit past
+// it: Reload republishes the store's own state. A file that cannot be read
+// or verified is rejected, and the snapshot and generation stay as they
+// were.
 func (st *Store) Reload() (uint64, error) { return st.ReloadStamped(Stamp{}) }
 
 // ReloadStamped is Reload for a cluster node, where a refresh is a write:
@@ -592,9 +550,7 @@ func (st *Store) ReloadStamped(s Stamp) (uint64, error) {
 	}
 	if hasLSN {
 		return st.commit(replaceRecord, false, func(base *Snapshot) (*Snapshot, bool) {
-			next := *base
-			next.gen++
-			return &next, true
+			return base.derive(nil), true
 		})
 	}
 	file := entriesOf(c)
@@ -610,29 +566,17 @@ func (st *Store) ReloadStamped(s Stamp) (uint64, error) {
 	}
 	return st.commit(rec, true, func(base *Snapshot) (*Snapshot, bool) {
 		logged = logged[:0]
-		next := cloneEntries(base.entries)
-		var stamps map[string]Stamp
-		for _, k := range changedKeys(base.entries, file) {
+		changed := map[string]*record{}
+		for _, k := range changedKeys(base.entries(), file) {
 			logged = append(logged, k)
-			if s != (Stamp{}) && !base.stamps[k].Less(s) {
+			held := base.recs[k]
+			_, hs := held.held()
+			if s != (Stamp{}) && !hs.Less(s) {
 				continue // kept against the file
 			}
-			if e, ok := file[k]; ok {
-				next[k] = e
-			} else {
-				delete(next, k)
-			}
-			if s != (Stamp{}) {
-				if stamps == nil {
-					stamps = maps.Clone(base.stamps)
-				}
-				stamps[k] = s
-			}
+			changed[k] = newRecord(file[k], later(hs, s), held)
 		}
-		if stamps == nil {
-			stamps = base.stamps
-		}
-		return newSnapshot(base.gen+1, next, stamps, base), true
+		return base.derive(changed), true
 	})
 }
 
@@ -671,7 +615,8 @@ func sameEntry(a, b *stats.IndexStats) bool {
 // open is a refresh like Reload's. next is called only when there are keys
 // to stamp. A cluster node calls it before it serves or gossips. A crash
 // between the adoption and this commit leaves those keys under their older
-// stamps; see the file comment.
+// stamps, each converging to whichever version orders last; a later Reload
+// of the same file changes nothing, so re-adopt by writing it again.
 func (st *Store) StampRefreshed(next func() (Stamp, error)) (uint64, error) {
 	st.mu.Lock()
 	keys := st.refreshed
@@ -691,14 +636,8 @@ func (st *Store) StampRefreshed(next func() (Stamp, error)) (uint64, error) {
 	return st.RecordStamps(stamps)
 }
 
-// encodeEntriesJSON renders an entry set as the canonical catalog JSON.
-func encodeEntriesJSON(entries map[string]*stats.IndexStats) ([]byte, error) {
-	c := stats.NewCatalog()
-	for _, k := range sortedKeys(entries) {
-		if err := c.Put(entries[k]); err != nil {
-			return nil, err
-		}
-	}
+// encodeCatalog renders a catalog as the canonical catalog JSON.
+func encodeCatalog(c *stats.Catalog) ([]byte, error) {
 	var buf bytes.Buffer
 	if err := c.Save(&buf); err != nil {
 		return nil, err
@@ -706,20 +645,29 @@ func encodeEntriesJSON(entries map[string]*stats.IndexStats) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// record renders one commit's log bytes at the LSN the commit is assigned,
-// for the snapshot it publishes. It runs under the store lock.
-type record func(lsn uint64, next *Snapshot) ([]byte, error)
+// encode renders the snapshot's entries as the canonical catalog JSON.
+func (s *Snapshot) encode() ([]byte, error) {
+	c, err := s.Catalog()
+	if err != nil {
+		return nil, err
+	}
+	return encodeCatalog(c)
+}
+
+// logRecord renders one commit's log bytes at the LSN the commit is
+// assigned, for the snapshot it publishes. It runs under the store lock.
+type logRecord func(lsn uint64, next *Snapshot) ([]byte, error)
 
 // frame records a commit as one frame whose body was encoded beforehand,
 // off the lock.
-func frame(ftype byte, body []byte) record {
+func frame(ftype byte, body []byte) logRecord {
 	return func(lsn uint64, _ *Snapshot) ([]byte, error) { return appendRecord(nil, ftype, lsn, body), nil }
 }
 
 // replaceRecord records a commit as a replace frame of its whole entry set,
 // rendered under the lock: for commits whose entries depend on their base.
 func replaceRecord(lsn uint64, next *Snapshot) ([]byte, error) {
-	p, err := encodeEntriesJSON(next.entries)
+	p, err := next.encode()
 	if err != nil {
 		return nil, err
 	}
@@ -732,7 +680,7 @@ func replaceRecord(lsn uint64, next *Snapshot) ([]byte, error) {
 // group commit. adopt checkpoints the commit before it is acknowledged (see
 // maybeCheckpoint). prepare returns ok=false to abort without a commit
 // (e.g. deleting a missing key); commit then returns (0, nil).
-func (st *Store) commit(rec record, adopt bool, prepare func(base *Snapshot) (*Snapshot, bool)) (uint64, error) {
+func (st *Store) commit(rec logRecord, adopt bool, prepare func(base *Snapshot) (*Snapshot, bool)) (uint64, error) {
 	if st.wal == nil {
 		st.mu.Lock()
 		defer st.mu.Unlock()
@@ -995,7 +943,7 @@ func (st *Store) checkpointAsLeader() error {
 	if src != nil {
 		carry = src()
 	}
-	if err := w.rotate(carry, snap.stamps); err != nil {
+	if err := w.rotate(carry, snap.Stamps()); err != nil {
 		return err
 	}
 	st.mu.Lock()

@@ -39,7 +39,7 @@ func walFixture(t *testing.T, opts WALOptions, fsys faultfs.FS) (*Store, string)
 func stateOf(s *Snapshot) map[string]int64 {
 	out := make(map[string]int64, s.Len())
 	for _, k := range s.keys {
-		out[k] = s.entries[k].FMin
+		out[k] = s.recs[k].entry.FMin
 	}
 	return out
 }
@@ -646,7 +646,7 @@ func TestChaosWALConcurrentReadersSeeCommittedOnly(t *testing.T) {
 				}
 				lastGen = s.Generation()
 				for _, k := range s.keys {
-					if err := s.entries[k].Validate(); err != nil {
+					if err := s.recs[k].entry.Validate(); err != nil {
 						readerMu.Lock()
 						readerErr = fmt.Errorf("reader saw invalid entry %s: %v", k, err)
 						readerMu.Unlock()
@@ -894,7 +894,7 @@ func FuzzWALRecovery(f *testing.F) {
 		}
 		s := re.Snapshot()
 		for _, k := range s.keys {
-			if err := s.entries[k].Validate(); err != nil {
+			if err := s.recs[k].entry.Validate(); err != nil {
 				t.Fatalf("recovered invalid entry %s: %v", k, err)
 			}
 		}

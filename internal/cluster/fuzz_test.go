@@ -12,7 +12,8 @@ import (
 // bytes, and the stamp text inside it. Every input is rejected or
 // round-trips: an accepted digest, encoded and decoded again, reports the
 // same node, epoch and versions; an accepted stamp renders to text that
-// parses back to it. Nothing panics.
+// parses back to it. No accepted epoch or stamp reaches the peer bound.
+// Nothing panics.
 func FuzzDigestDoc(f *testing.F) {
 	store := catalog.NewStore()
 	if _, err := store.PutStamped(testEntry("t", "c0", 500), Stamp{Epoch: 3, Origin: "node-a"}); err != nil {
@@ -41,10 +42,14 @@ func FuzzDigestDoc(f *testing.F) {
 	f.Add([]byte(`{"entries":{"t.c":{"crc":1,"stamp":"18446744073709551615/"}}}`))
 	f.Add([]byte(`7/node-a`))
 	f.Add([]byte(`/`))
+	f.Add([]byte(`{"node":"z","epoch":9223372036854775808,"entries":{}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var s Stamp
 		if s.UnmarshalText(data) == nil {
+			if s.Epoch >= catalog.EpochBound {
+				t.Fatalf("stamp %q parsed to epoch %d, at or above the peer bound", data, s.Epoch)
+			}
 			text, err := s.MarshalText()
 			if err != nil {
 				t.Fatal(err)
@@ -55,9 +60,17 @@ func FuzzDigestDoc(f *testing.F) {
 			}
 		}
 
-		var d digestDoc
-		if json.Unmarshal(data, &d) != nil {
+		d, err := decodeDigest(data)
+		if err != nil {
 			return
+		}
+		if d.Epoch >= catalog.EpochBound {
+			t.Fatalf("accepted a digest at epoch %d, at or above the peer bound", d.Epoch)
+		}
+		for k, v := range d.versions() {
+			if v.Stamp.Epoch >= catalog.EpochBound {
+				t.Fatalf("accepted a digest stamping %s %v, at or above the peer bound", k, v.Stamp)
+			}
 		}
 		enc, err := json.Marshal(d)
 		if err != nil {

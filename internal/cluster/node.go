@@ -80,6 +80,28 @@ type Doc struct {
 	Members  []NodeInfo `json:"members"`
 }
 
+// DecodeDoc decodes a gossip document from a peer, refusing one whose
+// sender reports an epoch at or above catalog.EpochBound: the receiver
+// folds that epoch into its clock, and no peer may exhaust it.
+func DecodeDoc(r io.Reader) (Doc, error) {
+	var d Doc
+	if err := json.NewDecoder(r).Decode(&d); err != nil {
+		return Doc{}, err
+	}
+	if err := checkEpoch(d.Self.Epoch); err != nil {
+		return Doc{}, err
+	}
+	return d, nil
+}
+
+// checkEpoch refuses a peer's epoch at or above catalog.EpochBound.
+func checkEpoch(e uint64) error {
+	if e >= catalog.EpochBound {
+		return fmt.Errorf("cluster: epoch %d is at or above the peer bound 2^63", e)
+	}
+	return nil
+}
+
 // Config configures NewNode. SelfID, SelfURL, and Store are required.
 type Config struct {
 	// SelfID is this node's stable identity on the ring. Placement hashes
@@ -153,13 +175,14 @@ type Node struct {
 	// Anti-entropy accounting: completed and failed pulls, pulls that
 	// committed a merge, bytes received, and responses rejected by the size
 	// cap.
-	pullsOK   atomic.Uint64
-	pullsFail atomic.Uint64
-	merges    atomic.Uint64
-	bytes     atomic.Uint64
-	oversize  atomic.Uint64
-	rounds    atomic.Uint64
-	skipped   atomic.Uint64 // pushes that took nothing
+	pullsOK    atomic.Uint64
+	pullsFail  atomic.Uint64
+	merges     atomic.Uint64
+	bytes      atomic.Uint64
+	oversize   atomic.Uint64
+	rounds     atomic.Uint64
+	gossipFail atomic.Uint64 // exchanges that failed or were refused
+	skipped    atomic.Uint64 // pushes that took nothing
 
 	// lag holds, per peer, how many keys its last digest showed behind
 	// this node's versions.
@@ -579,6 +602,7 @@ func (n *Node) Tick(ctx context.Context) {
 			start := time.Now()
 			reply, err := n.gossipOnce(ctx, tg.url, doc)
 			if err != nil {
+				n.gossipFail.Add(1)
 				n.log.LogAttrs(ctx, slog.LevelDebug, "gossip failed",
 					slog.String("peer", tg.url), slog.String("error", err.Error()))
 				return
@@ -623,8 +647,7 @@ func (n *Node) gossipOnce(ctx context.Context, baseURL string, doc Doc) (Doc, er
 		io.Copy(io.Discard, resp.Body)
 		resp.Body.Close()
 	}()
-	var reply Doc
-	decodeErr := json.NewDecoder(io.LimitReader(resp.Body, 1<<20)).Decode(&reply)
+	reply, decodeErr := DecodeDoc(io.LimitReader(resp.Body, 1<<20))
 	if traced {
 		peer := reply.Self.ID
 		if peer == "" {
@@ -859,9 +882,23 @@ func (n *Node) fetchDigest(ctx context.Context, baseURL string) (digestDoc, erro
 		return digestDoc{}, fmt.Errorf("cluster: digest %s: %w", baseURL, err)
 	}
 	n.bytes.Add(uint64(len(data)))
+	doc, err := decodeDigest(data)
+	if err != nil {
+		return digestDoc{}, fmt.Errorf("cluster: digest %s: %w", baseURL, err)
+	}
+	return doc, nil
+}
+
+// decodeDigest decodes a peer's digest document. Its stamps are refused at
+// or above catalog.EpochBound as they parse (Stamp.UnmarshalText), its
+// epoch here.
+func decodeDigest(data []byte) (digestDoc, error) {
 	var doc digestDoc
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return digestDoc{}, fmt.Errorf("cluster: digest %s: %w", baseURL, err)
+		return digestDoc{}, err
+	}
+	if err := checkEpoch(doc.Epoch); err != nil {
+		return digestDoc{}, err
 	}
 	return doc, nil
 }
@@ -1027,6 +1064,8 @@ func (n *Node) RegisterMetrics(reg *obs.Registry) {
 		func() float64 { return float64(n.cfg.Replicas) })
 	reg.CounterFunc("epfis_cluster_gossip_rounds_total", "Gossip rounds run.",
 		func() float64 { return float64(n.rounds.Load()) })
+	reg.CounterFunc("epfis_cluster_gossip_failures_total", "Gossip exchanges that failed or whose reply was refused.",
+		func() float64 { return float64(n.gossipFail.Load()) })
 	reg.CounterFunc("epfis_cluster_pulls_total", "Anti-entropy pulls completed.",
 		func() float64 { return float64(n.pullsOK.Load()) })
 	reg.CounterFunc("epfis_cluster_pull_failures_total", "Anti-entropy pulls that failed.",

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -54,8 +55,8 @@ func serveNode(t *testing.T, n *Node, entries ...*atomic.Int64) *httptest.Server
 	t.Helper()
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathGossip, func(w http.ResponseWriter, r *http.Request) {
-		var doc Doc
-		if err := json.NewDecoder(r.Body).Decode(&doc); err != nil {
+		doc, err := DecodeDoc(r.Body)
+		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
@@ -149,6 +150,58 @@ func TestNodeEpochSemantics(t *testing.T) {
 	}
 	if got, err := loaded.BumpEpoch(); !errors.Is(err, ErrClockExhausted) || loaded.Epoch() != math.MaxUint64 {
 		t.Errorf("BumpEpoch at the top = %d, %v (epoch %d), want ErrClockExhausted and no wrap", got, err, loaded.Epoch())
+	}
+}
+
+// TestPeerEpochBoundRefused: no peer message moves the clock to 2^63 or
+// above. A gossip document, a gossip reply and a digest whose epoch or
+// stamps reach catalog.EpochBound are refused where they are decoded: the
+// reply fails its round and the digest its pull, each counted, and the
+// clock does not move. An epoch just below the bound is taken.
+func TestPeerEpochBoundRefused(t *testing.T) {
+	top := uint64(catalog.EpochBound)
+	if _, err := DecodeDoc(strings.NewReader(fmt.Sprintf(`{"self":{"id":"z","epoch":%d}}`, top))); err == nil {
+		t.Fatal("DecodeDoc took a sender epoch at the bound")
+	}
+	if d, err := DecodeDoc(strings.NewReader(fmt.Sprintf(`{"self":{"id":"z","epoch":%d}}`, top-1))); err != nil || d.Self.Epoch != top-1 {
+		t.Fatalf("DecodeDoc below the bound = %+v, %v", d.Self, err)
+	}
+
+	reply, digest := "", ""
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathDigest {
+			w.Write([]byte(digest))
+			return
+		}
+		w.Write([]byte(reply))
+	}))
+	defer peer.Close()
+	n, _ := NewNode(Config{SelfID: "a", SelfURL: "http://a", Store: catalog.NewStore(), Seeds: []string{peer.URL}})
+	reg := obs.NewRegistry()
+	n.RegisterMetrics(reg)
+	n.ObserveEpoch(5)
+	reply = fmt.Sprintf(`{"self":{"id":"z","url":%q,"epoch":%d}}`, peer.URL, uint64(math.MaxUint64))
+	n.Tick(context.Background())
+	if len(n.Peers()) != 0 || n.Epoch() != 5 || n.gossipFail.Load() != 1 {
+		t.Fatalf("a gossip reply at the top of the clock: peers %v, epoch %d, failures %d; want refused and counted", n.Peers(), n.Epoch(), n.gossipFail.Load())
+	}
+	for _, d := range []string{
+		fmt.Sprintf(`{"node":"z","epoch":%d,"entries":{}}`, uint64(math.MaxUint64)),
+		fmt.Sprintf(`{"node":"z","epoch":1,"entries":{},"tombstones":{"t.x":"%d/z"}}`, top),
+		fmt.Sprintf(`{"node":"z","epoch":1,"entries":{"t.x":{"crc":7,"stamp":"%d/z"}}}`, top),
+	} {
+		digest = d
+		if err := n.Sync(context.Background(), peer.URL); err == nil {
+			t.Fatalf("Sync took digest %s", d)
+		}
+	}
+	var b strings.Builder
+	if err := reg.WriteText(&b); err != nil {
+		t.Fatal(err)
+	}
+	if _, failed := n.Pulls(); failed != 3 || n.Epoch() != 5 || n.store.Generation() != 0 ||
+		!strings.Contains(b.String(), "epfis_cluster_gossip_failures_total 1") {
+		t.Fatalf("refused digests: %d failed pulls, epoch %d, generation %d; want 3, 5, 0 and the gossip failure exposed", failed, n.Epoch(), n.store.Generation())
 	}
 }
 

@@ -21,7 +21,7 @@
 //     a write's coordinator pushes it (HandlePush), and a pull fetches
 //     whatever differs in a peer's digest (Sync). Both merge through the
 //     same tail, which takes a key iff the peer's version orders after the
-//     held one.
+//     held one. No peer epoch at or above catalog.EpochBound is taken.
 //
 // The serving-path integration (write quorums over the owner set, quorum
 // pushes, ingest forwarding to an owner, read fences) lives in

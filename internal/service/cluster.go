@@ -497,10 +497,11 @@ func (s *Server) handleClusterHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleClusterGossip is the heartbeat receiver: fold the sender's document
-// in, answer with ours.
+// in, answer with ours. A document that does not decode, or whose sender's
+// epoch reaches the peer bound, answers 400.
 func (s *Server) handleClusterGossip(w http.ResponseWriter, r *http.Request) {
-	var doc cluster.Doc
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&doc); err != nil {
+	doc, err := cluster.DecodeDoc(http.MaxBytesReader(w, r.Body, 1<<20))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode gossip document: %w", err))
 		return
 	}

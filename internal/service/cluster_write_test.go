@@ -12,6 +12,7 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
+	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
@@ -27,9 +28,10 @@ import (
 // headers with the largest epoch used to fold that epoch into the clock, so
 // the next client PUT wrapped to epoch 0: it was acknowledged with a fence
 // that does not parse while the store kept the older entry under the older
-// stamp. The public routes now serve clients only. An epoch that still
-// reaches the clock, through a peer's push, exhausts it: local writes then
-// answer a typed 503 and never take a stamp that orders before one held.
+// stamp. The public routes now serve clients only, and no peer message can
+// raise the clock to the top (TestPeerEpochAtTopRefused). A clock raised
+// there in process is exhausted: local writes then answer a typed 503 and
+// never take a stamp that orders before one held.
 func TestClusterClockNeverWraps(t *testing.T) {
 	n := startCluster(t, 1, 1)[0]
 	v1, v2 := fitStats(t, "orders", "key", 1), fitStats(t, "orders", "key", 2)
@@ -43,47 +45,13 @@ func TestClusterClockNeverWraps(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	st := putAcknowledged(t, n, v2)
 
-	status, raw := rawMutate(t, n, http.MethodPut, "/v1/indexes/orders/key", mustMarshal(t, v2))
-	var ack struct {
-		Epoch uint64
-		Fence string
-	}
-	if err := json.Unmarshal([]byte(raw), &ack); status != http.StatusOK || err != nil {
-		t.Fatalf("PUT v2 = %d %s", status, raw)
-	}
-	_, _, st, err := parseFence(ack.Fence)
-	if err != nil {
-		t.Fatalf("acknowledged fence %q does not parse: %v", ack.Fence, err)
-	}
-	if held := n.node.KeyStamp("orders.key"); held != st {
-		t.Fatalf("store holds orders.key under %v, the ack's fence names %v", held, st)
-	}
-	want, err := core.EstimateFetches(v2, 100, 0.1, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	req, _ = http.NewRequest(http.MethodGet, n.url+"/v1/estimate?table=orders&column=key&b=100&sigma=0.1", nil)
-	req.Header.Set(cluster.HeaderFence, ack.Fence)
-	resp, err = n.ts.Client().Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var er EstimateResponse
-	err = json.NewDecoder(resp.Body).Decode(&er)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || err != nil || er.Fetches != want {
-		t.Fatalf("fenced estimate on the acknowledging node = %d %+v (%v), want 200 with %v", resp.StatusCode, er, err, want)
-	}
-
-	// A peer's push still folds its stamp's epoch; the largest one exhausts
-	// the clock, and the next local write is refused with nothing committed.
-	if status, body := push(t, n, pushBody(t, "orders.other", fitStats(t, "orders", "other", 3),
-		cluster.Stamp{Epoch: math.MaxUint64, Origin: "node-z"})); status != http.StatusOK {
-		t.Fatalf("push at the largest epoch = %d %s", status, body)
-	}
+	// The top of the clock, raised in process: the next local write is
+	// refused with nothing committed.
+	n.node.ObserveEpoch(math.MaxUint64)
 	gen := n.store.Generation()
-	status, raw = rawMutate(t, n, http.MethodPut, "/v1/indexes/orders/key", mustMarshal(t, v1))
+	status, raw := rawMutate(t, n, http.MethodPut, "/v1/indexes/orders/key", mustMarshal(t, v1))
 	if status != http.StatusServiceUnavailable || !strings.Contains(raw, cluster.ErrClockExhausted.Error()) {
 		t.Fatalf("PUT on an exhausted clock = %d %s, want 503 naming %v", status, raw, cluster.ErrClockExhausted)
 	}
@@ -93,6 +61,92 @@ func TestClusterClockNeverWraps(t *testing.T) {
 	if status, raw = rawMutate(t, n, http.MethodDelete, "/v1/indexes/orders/key", nil); status != http.StatusServiceUnavailable {
 		t.Fatalf("DELETE on an exhausted clock = %d %s, want 503", status, raw)
 	}
+}
+
+// TestPeerEpochAtTopRefused is the regression for a clock exhausted by one
+// peer message. A push, a gossip POST and a digest the node pulls, each
+// carrying the largest epoch, are refused: 400, 400, and a failed pull that
+// is counted. The clock does not move, and the next client PUT is
+// acknowledged with a fence that parses and names the stored stamp.
+func TestPeerEpochAtTopRefused(t *testing.T) {
+	n := startCluster(t, 1, 1)[0]
+	putIndex(t, n, fitStats(t, "orders", "key", 1))
+	epoch := n.node.Epoch()
+	top := cluster.Stamp{Epoch: math.MaxUint64, Origin: "node-z"}
+
+	if status, body := push(t, n, pushBody(t, "orders.other", fitStats(t, "orders", "other", 3), top)); status != http.StatusBadRequest {
+		t.Fatalf("push of an entry at the largest epoch = %d %s, want 400", status, body)
+	}
+	if status, body := push(t, n, pushBody(t, "orders.gone", nil, top)); status != http.StatusBadRequest {
+		t.Fatalf("push of a tombstone at the largest epoch = %d %s, want 400", status, body)
+	}
+	doc, err := json.Marshal(cluster.Doc{Self: cluster.NodeInfo{ID: "node-z", URL: "http://127.0.0.1:1", State: "alive", Epoch: math.MaxUint64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := n.ts.Client().Post(n.url+cluster.PathGossip, "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || len(n.node.Peers()) != 0 {
+		t.Fatalf("gossip POST at the largest epoch = %d with peers %v, want 400 and no member", resp.StatusCode, n.node.Peers())
+	}
+	peer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprintf(w, `{"node":"node-z","epoch":%d,"entries":{}}`, uint64(math.MaxUint64))
+	}))
+	defer peer.Close()
+	_, failed := n.node.Pulls()
+	if err := n.node.Sync(context.Background(), peer.URL); err == nil {
+		t.Fatal("a pull took a digest at the largest epoch")
+	}
+	if _, now := n.node.Pulls(); now != failed+1 {
+		t.Fatalf("failed pulls %d -> %d, want the refused digest counted", failed, now)
+	}
+	if got := n.node.Epoch(); got != epoch {
+		t.Fatalf("refused peer messages moved the clock from %d to %d", epoch, got)
+	}
+	putAcknowledged(t, n, fitStats(t, "orders", "key", 2))
+}
+
+// putAcknowledged PUTs e through the public route and requires the ack's
+// fence to parse, to name the stamp the store holds, and to let a fenced
+// estimate on the acknowledging node answer bit-exact with offline Est-IO.
+// It returns the stamp.
+func putAcknowledged(t *testing.T, n *cnode, e *stats.IndexStats) cluster.Stamp {
+	t.Helper()
+	status, raw := rawMutate(t, n, http.MethodPut, "/v1/indexes/"+e.Table+"/"+e.Column, mustMarshal(t, e))
+	var ack struct {
+		Epoch uint64
+		Fence string
+	}
+	if err := json.Unmarshal([]byte(raw), &ack); status != http.StatusOK || err != nil {
+		t.Fatalf("PUT = %d %s", status, raw)
+	}
+	_, _, st, err := parseFence(ack.Fence)
+	if err != nil {
+		t.Fatalf("acknowledged fence %q does not parse: %v", ack.Fence, err)
+	}
+	if held := n.node.KeyStamp(e.Key()); held != st {
+		t.Fatalf("store holds %s under %v, the ack's fence names %v", e.Key(), held, st)
+	}
+	want, err := core.EstimateFetches(e, 100, 0.1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req, _ := http.NewRequest(http.MethodGet, n.url+"/v1/estimate?table="+e.Table+"&column="+e.Column+"&b=100&sigma=0.1", nil)
+	req.Header.Set(cluster.HeaderFence, ack.Fence)
+	resp, err := n.ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var er EstimateResponse
+	err = json.NewDecoder(resp.Body).Decode(&er)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || err != nil || er.Fetches != want {
+		t.Fatalf("fenced estimate on the acknowledging node = %d %+v (%v), want 200 with %v", resp.StatusCode, er, err, want)
+	}
+	return st
 }
 
 // TestPushAndPullMergeAlike delivers one history of peer versions — entries

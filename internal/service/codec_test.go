@@ -80,6 +80,48 @@ func TestAppendJSONFloatMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// FuzzEncodeEstimateResponse holds the serving path's hand-rolled encoder
+// to encoding/json over any table and column strings (invalid UTF-8, HTML
+// characters and U+2028 included), any finite floats, any generation, and
+// both detail settings: appendEstimateResponse must equal json.Marshal of
+// the same EstimateResponse, and appendBatchItemError json.Marshal of the
+// matching failed BatchItem, whose message is never empty and whose status
+// is never zero.
+func FuzzEncodeEstimateResponse(f *testing.F) {
+	f.Add("orders", "key", int64(64), 0.05, 1.0, 444.3272727272727, 512.5, 25.6, 0.128, 1, 418.7, 1.0, uint64(7), false, true, "core: invalid estimation input: b must be >= 1", 400)
+	f.Add(`we<ird&"table`, "col umn\t\u2028\xff", int64(-1), 1e-7, 0.25, 1e21, -0.0, 5e-324, 1.5e-9, 0, 3.0000000000000004, 0.999999999e21, uint64(1<<63), true, false, "<&>\u2029", 503)
+	f.Fuzz(func(t *testing.T, table, column string, b int64, sigma, s, fetches, pfb, base, phi float64, nu int, corr, sarg float64, gen uint64, cached, detail bool, msg string, status int) {
+		for _, x := range []float64{sigma, s, fetches, pfb, base, phi, corr, sarg} {
+			if math.IsNaN(x) || math.IsInf(x, 0) {
+				t.Skip("estimates and inputs are finite")
+			}
+		}
+		in := estimateInput{table: table, column: column, b: b, sigma: sigma, s: s, detail: detail}
+		res := estimateResult{est: core.Estimate{F: fetches, PFB: pfb, Base: base, Phi: phi, Nu: nu, Correction: corr, SargableFactor: sarg}, gen: gen, cached: cached}
+		want := EstimateResponse{Table: table, Column: column, B: b, Sigma: sigma, S: s, Fetches: fetches, Generation: gen, Cached: cached}
+		if detail {
+			want.Detail = &res.est
+		}
+		wantBytes, err := json.Marshal(want)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendEstimateResponse(nil, &in, &res); !bytes.Equal(got, wantBytes) {
+			t.Fatalf("appendEstimateResponse:\n got  %s\n want %s", got, wantBytes)
+		}
+		if msg == "" || status == 0 {
+			return
+		}
+		wantItem, err := json.Marshal(BatchItem{Error: msg, Status: status})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := appendBatchItemError(nil, msg, status); !bytes.Equal(got, wantItem) {
+			t.Fatalf("appendBatchItemError:\n got  %s\n want %s", got, wantItem)
+		}
+	})
+}
+
 // TestEstimateResponseBytesMatchOldCodec serves /v1/estimate and requires the
 // body to equal, byte for byte, what the old writeJSON (json.Encoder over
 // EstimateResponse) produced for the same answer — including the trailing

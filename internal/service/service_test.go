@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -496,4 +498,133 @@ func TestGracefulShutdown(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after context cancellation")
 	}
+}
+
+// TestEstimatesBitExactAfterEveryCommitKind holds the serving path to the
+// catalog's records: after a PUT, a DELETE, a merge, a reload, an ingest
+// republish and a WAL reopen, every index the catalog holds answers single
+// and batch estimates bit-exact with offline core.EstIO over the entry the
+// commit installed, and a deleted index answers 404.
+func TestEstimatesBitExactAfterEveryCommitKind(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "catalog.json")
+	open := func() (*catalog.Store, *Server, *httptest.Server) {
+		store, err := catalog.OpenWAL(path, catalog.WALOptions{CheckpointEvery: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err := New(Config{Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(srv)
+		t.Cleanup(func() { ts.Close(); srv.Close(); store.Close() })
+		return store, srv, ts
+	}
+	store, srv, ts := open()
+	want := map[string]*stats.IndexStats{}
+	inputs := []core.Input{{B: 12, Sigma: 0.01, S: 1}, {B: 100, Sigma: 0.1, S: 1}, {B: 400, Sigma: 0.37, S: 0.25}}
+	check := func(what string, ts *httptest.Server, gone ...string) {
+		t.Helper()
+		var breq BatchRequest
+		var direct []float64
+		for key, e := range want {
+			for _, in := range inputs {
+				est, err := core.EstIO(e, in, core.Options{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got EstimateResponse
+				getJSON(t, ts, fmt.Sprintf("/v1/estimate?table=%s&column=%s&b=%d&sigma=%g&s=%g", e.Table, e.Column, in.B, in.Sigma, in.S), http.StatusOK, &got)
+				if got.Fetches != est.F {
+					t.Fatalf("%s: %s at %+v serves %v, offline EstIO %v", what, key, in, got.Fetches, est.F)
+				}
+				s := in.S
+				breq.Requests = append(breq.Requests, EstimateRequest{Table: e.Table, Column: e.Column, B: in.B, Sigma: in.Sigma, S: &s})
+				direct = append(direct, est.F)
+			}
+		}
+		var bresp BatchResponse
+		postJSON(t, ts, "/v1/estimate/batch", breq, http.StatusOK, &bresp)
+		for i, item := range bresp.Items {
+			if item.Estimate == nil || item.Estimate.Fetches != direct[i] {
+				t.Fatalf("%s: batch item %d = %+v, offline EstIO %v", what, i, item, direct[i])
+			}
+		}
+		for _, key := range gone {
+			table, column, _ := strings.Cut(key, ".")
+			getJSON(t, ts, "/v1/estimate?table="+table+"&column="+column+"&b=100&sigma=0.1", http.StatusNotFound, nil)
+		}
+	}
+	put := func(e *stats.IndexStats) {
+		t.Helper()
+		req, _ := http.NewRequest(http.MethodPut, ts.URL+"/v1/indexes/"+e.Table+"/"+e.Column, bytes.NewReader(mustMarshal(t, e)))
+		resp, err := ts.Client().Do(req)
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("PUT %s: %v %v", e.Key(), resp, err)
+		}
+		resp.Body.Close()
+		want[e.Key()] = e
+	}
+
+	put(fitStats(t, "orders", "key", 1))
+	put(fitStats(t, "orders", "cust", 2))
+	check("put", ts)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/indexes/orders/cust", nil)
+	if resp, err := ts.Client().Do(req); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE: %v %v", resp, err)
+	}
+	delete(want, "orders.cust")
+	check("delete", ts, "orders.cust")
+
+	peer := fitStats(t, "orders", "key", 3)
+	in, _, err := catalog.DecodeEntries(pushBody(t, "orders.key", peer, catalog.Stamp{Epoch: 9, Origin: "node-z"}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, taken, err := store.Merge(in); err != nil || len(taken) != 1 {
+		t.Fatalf("merge: taken %v, %v", taken, err)
+	}
+	want["orders.key"] = peer
+	check("merge", ts, "orders.cust")
+
+	c := stats.NewCatalog()
+	for _, e := range []*stats.IndexStats{fitStats(t, "orders", "key", 4), fitStats(t, "lineitem", "suppkey", 5)} {
+		if err := c.Put(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	postJSON(t, ts, "/v1/reload", nil, http.StatusOK, nil)
+	want = map[string]*stats.IndexStats{}
+	for _, k := range c.Keys() {
+		table, column, _ := strings.Cut(k, ".")
+		e, err := c.Get(table, column)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[k] = e
+	}
+	check("reload", ts, "orders.cust")
+
+	ds, meta := ingestDataset(t, "lineitem", "partkey", 7)
+	postIngest(t, ts, meta, ds.Trace(), true, rand.New(rand.NewSource(42)))
+	srv.Close() // drains the worker: every queued batch is processed
+	fit, err := core.LRUFit(ds.Trace(), meta, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want[fit.Key()] = fit
+	after, err := New(Config{Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ingested := httptest.NewServer(after)
+	defer ingested.Close()
+	check("ingest republish", ingested, "orders.cust")
+
+	store.Close()
+	_, _, reopened := open()
+	check("WAL reopen", reopened, "orders.cust")
 }

@@ -1,19 +1,22 @@
 #!/usr/bin/env bash
-# check-gates.sh fails when a test pattern a make target runs matches no
-# test. `go test -run` passes silently when its pattern matches nothing, so
-# a gate whose test was renamed or deleted would stop gating without a
-# sound. For every `go test ... -run '<pattern>' <packages>` line the named
-# targets run (as `make -n` prints them), each top-level alternative of the
-# pattern must match at least one test listed by `go test -list` in those
-# packages; `-run=NONE` lines run benchmarks only and are skipped.
+# check-gates.sh fails when a test pattern or fuzz target a make target runs
+# matches no test. `go test -run` passes silently when its pattern matches
+# nothing, and `go test -fuzz` only warns when its name matches no fuzz
+# test, so a gate whose test was renamed or deleted would stop gating
+# without a sound. For every `go test ... -run '<pattern>' <packages>` line
+# the named targets run (as `make -n` prints them), each top-level
+# alternative of the pattern must match at least one test listed by
+# `go test -list` in those packages; for every `-fuzz=<name>` line, the name
+# must match a fuzz test listed there. `-run=NONE` lines run benchmarks
+# only and are skipped.
 #
 # Usage: bash scripts/check-gates.sh [target ...]
-# (default: chaos-net cluster-check obs-check bench-json bench-serve bench-ingest bench-cluster)
+# (default: chaos chaos-net cluster-check obs-check fuzz bench-json bench-serve bench-ingest bench-cluster)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 targets=("$@")
 if [ ${#targets[@]} -eq 0 ]; then
-	targets=(chaos-net cluster-check obs-check bench-json bench-serve bench-ingest bench-cluster)
+	targets=(chaos chaos-net cluster-check obs-check fuzz bench-json bench-serve bench-ingest bench-cluster)
 fi
 GO=${GO:-go}
 
@@ -38,7 +41,8 @@ fail=0
 checked=0
 while IFS= read -r line; do
 	pattern=$(sed -n "s/.* -run '\([^']*\)'.*/\1/p" <<<"$line")
-	[ -n "$pattern" ] || continue
+	fuzz=$(sed -n 's/.* -fuzz=\([^ ]*\).*/\1/p' <<<"$line")
+	[ -n "$pattern$fuzz" ] || continue
 	read -ra pkgs <<<"$(grep -o '\./[^ ]*' <<<"$line" | tr '\n' ' ')"
 	names=""
 	for pkg in "${pkgs[@]}"; do
@@ -47,6 +51,15 @@ while IFS= read -r line; do
 		fi
 		names+="${listed[$pkg]}"$'\n'
 	done
+	if [ -n "$fuzz" ]; then
+		checked=$((checked + 1))
+		fuzzers=$(grep -E '^Fuzz' <<<"$names" || true)
+		if ! grep -Eq -- "$fuzz" <<<"$fuzzers"; then
+			echo "check-gates: -fuzz=$fuzz in ${pkgs[*]} matches no fuzz test" >&2
+			fail=1
+		fi
+	fi
+	[ -n "$pattern" ] || continue
 	# An anchored ^(a|b)$ pattern anchors each alternative; an unanchored
 	# one matches substrings, as go test does.
 	pre="" post="" body="$pattern"
@@ -64,4 +77,4 @@ done < <(make -n --no-print-directory "${targets[@]}" | sed -e ':a' -e '/\\$/N; 
 if [ "$fail" -ne 0 ]; then
 	exit 1
 fi
-echo "check-gates: every one of $checked test patterns in ${targets[*]} names a test"
+echo "check-gates: every one of $checked test patterns and fuzz targets in ${targets[*]} names a test"
