@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos chaos-net cluster-check check-gates bench bench-json bench-serve bench-ingest bench-cluster bench-smoke e2e-smoke fuzz obs-check serve vet all
+.PHONY: build test race chaos chaos-net cluster-check check-gates check-docs bench bench-json bench-serve bench-ingest bench-cluster bench-smoke e2e-smoke fuzz obs-check serve vet all
 
 all: build vet test
 
@@ -135,11 +135,13 @@ e2e-smoke:
 # Cluster drills under the race detector, each over in-process nodes on
 # loopback sockets: replicated install with bit-exact serving from every node
 # (owner and non-owner alike), a fresh node adopting the whole catalog, a
-# one-key pull, partition and heal to one catalog hash, and a node killed
-# under load with the survivors staying bit-exact. See README "Running a
+# one-key pull, partition and heal to one catalog hash, a node killed under
+# load with the survivors staying bit-exact, and two scans streamed
+# round-robin over three nodes at R = 2 reaching one ingest home, so every
+# node serves the offline LRU-Fit bit-exactly. See README "Running a
 # cluster".
 cluster-check:
-	$(GO) test -race -run '^(TestClusterReplicationAndBitExactServing|TestClusterFreshNodeAdoptsCatalog|TestClusterDeltaOneKeyWireCost|TestClusterPartitionHealConvergence|TestClusterChaosKillNodeUnderLoad)$$' \
+	$(GO) test -race -run '^(TestClusterReplicationAndBitExactServing|TestClusterFreshNodeAdoptsCatalog|TestClusterDeltaOneKeyWireCost|TestClusterPartitionHealConvergence|TestClusterChaosKillNodeUnderLoad|TestClusterIngestOneHomePerKey)$$' \
 		./internal/service/
 
 # go test -run passes silently when its pattern matches no test, and
@@ -149,10 +151,15 @@ cluster-check:
 check-gates:
 	bash scripts/check-gates.sh
 
-# Observability smoke: spin up a live service instance and check /metrics in
-# both negotiated formats (the Prometheus exposition is run through the obs
-# package's strict parser), /debug/traces span breakdowns, traceparent echo,
-# and the /healthz build-info fields, all over real HTTP. Point it at a
+# README.md must name every flag `epfis-serve -h` prints and every route the
+# service mounts (method and path), so neither ships undocumented.
+check-docs:
+	bash scripts/check-docs.sh
+
+# Observability smoke: spin up a live service instance and check the
+# Prometheus exposition /metrics answers (run through the obs package's
+# strict parser), /debug/traces span breakdowns, traceparent echo, and the
+# /healthz build-info fields, all over real HTTP. Point it at a
 # running instance instead with `go run ./cmd/epfis-obscheck -addr
 # localhost:8080`. Then the cluster surfaces, over in-process nodes on
 # loopback sockets: a quorum PUT's trace stitched across all three nodes

@@ -1,9 +1,8 @@
 // Command epfis-obscheck smoke-tests the estimation service's observability
-// surface end to end over real HTTP: content-negotiated /metrics (the JSON
-// default and both Prometheus forms, with the text exposition run through
-// the obs package's strict parser), the /debug/traces ring with its
-// per-stage span breakdown, traceparent echo, and the build-info fields on
-// /healthz.
+// surface end to end over real HTTP: the Prometheus exposition GET /metrics
+// answers (run through the obs package's strict parser), the /debug/traces
+// ring with its per-stage span breakdown, traceparent echo, and the
+// build-info fields on /healthz.
 //
 // With no flags it spawns a live instance of the service (the same server
 // epfis-serve runs) on a loopback port, installs a freshly fitted index
@@ -171,61 +170,34 @@ func runChecks(ctx context.Context, base string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "ok estimate: traceparent %s echoed and re-parented\n", tp.TraceString())
 
-	// Default /metrics stays JSON.
+	// GET /metrics must answer a valid exposition with the expected
+	// families.
 	resp, raw, err := do(ctx, client, http.MethodGet, base+"/metrics", nil, nil)
 	if err != nil {
-		return fmt.Errorf("metrics json: %w", err)
+		return fmt.Errorf("metrics: %w", err)
 	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
-		return fmt.Errorf("metrics json: Content-Type = %q", ct)
+	if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
+		return fmt.Errorf("metrics: Content-Type = %q", ct)
 	}
-	var doc map[string]json.RawMessage
-	if err := json.Unmarshal(raw, &doc); err != nil {
-		return fmt.Errorf("metrics json: not a JSON document: %w", err)
+	if _, err := obs.ParseExposition(raw); err != nil {
+		return fmt.Errorf("metrics: invalid exposition: %w", err)
 	}
-	if _, ok := doc["routes"]; !ok {
-		return fmt.Errorf("metrics json: missing routes map")
+	for _, fam := range requiredFamilies {
+		if !bytes.Contains(raw, []byte(fam)) {
+			return fmt.Errorf("metrics: missing family %s", fam)
+		}
 	}
-	fmt.Fprintf(out, "ok metrics: default JSON document (%d bytes, %d keys)\n", len(raw), len(doc))
-
-	// Both Prometheus negotiation forms must yield a valid exposition with
-	// the expected families.
-	for _, form := range []struct {
-		name string
-		url  string
-		hdr  http.Header
-	}{
-		{"query", base + "/metrics?format=prom", nil},
-		{"accept", base + "/metrics", http.Header{"Accept": []string{"text/plain"}}},
-	} {
-		resp, raw, err := do(ctx, client, http.MethodGet, form.url, nil, form.hdr)
-		if err != nil {
-			return fmt.Errorf("metrics prom (%s): %w", form.name, err)
-		}
-		if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
-			return fmt.Errorf("metrics prom (%s): Content-Type = %q", form.name, ct)
-		}
-		if _, err := obs.ParseExposition(raw); err != nil {
-			return fmt.Errorf("metrics prom (%s): invalid exposition: %w", form.name, err)
-		}
-		for _, fam := range requiredFamilies {
-			if !bytes.Contains(raw, []byte(fam)) {
-				return fmt.Errorf("metrics prom (%s): missing family %s", form.name, fam)
-			}
-		}
-		idx := fmt.Sprintf(`epfis_index_estimates_total{index="%s.%s"}`, checkTable, checkColumn)
-		if !bytes.Contains(raw, []byte(idx)) {
-			return fmt.Errorf("metrics prom (%s): missing per-index series %s", form.name, idx)
-		}
-		fmt.Fprintf(out, "ok metrics: prom via %s valid (%d bytes, %d families)\n", form.name, len(raw), len(requiredFamilies))
+	idx := fmt.Sprintf(`epfis_index_estimates_total{index="%s.%s"}`, checkTable, checkColumn)
+	if !bytes.Contains(raw, []byte(idx)) {
+		return fmt.Errorf("metrics: missing per-index series %s", idx)
 	}
+	fmt.Fprintf(out, "ok metrics: exposition valid (%d bytes, %d families)\n", len(raw), len(requiredFamilies))
 
 	// The trace ring must hold the estimate request with its span breakdown.
-	resp, raw, err = do(ctx, client, http.MethodGet, base+"/debug/traces", nil, nil)
+	_, raw, err = do(ctx, client, http.MethodGet, base+"/debug/traces", nil, nil)
 	if err != nil {
 		return fmt.Errorf("debug/traces: %w (is tracing disabled on this instance?)", err)
 	}
-	_ = resp
 	var traces struct {
 		Ring   int `json:"ring"`
 		Traces []struct {

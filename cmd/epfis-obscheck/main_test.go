@@ -32,8 +32,7 @@ func TestRunChecksAgainstLiveServer(t *testing.T) {
 	if err := runChecks(ctx, ts.URL, &out); err != nil {
 		t.Fatalf("checks failed: %v\noutput:\n%s", err, out.String())
 	}
-	for _, want := range []string{"ok healthz", "ok install", "ok estimate", "ok metrics: default JSON",
-		"ok metrics: prom via query", "ok metrics: prom via accept", "ok traces"} {
+	for _, want := range []string{"ok healthz", "ok install", "ok estimate", "ok metrics: exposition valid", "ok traces"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("output missing %q:\n%s", want, out.String())
 		}

@@ -8,12 +8,14 @@
 //     resulting statistics over HTTP (PUT /v1/indexes/{table}/{column}).
 //  3. Cost a whole batch of candidate plans — one buffer budget per plan —
 //     in a single POST /v1/estimate/batch round trip.
-//  4. Re-cost one plan twice to show the memo cache, then read /metrics.
+//  4. Re-cost one plan twice to show the memo cache, then read the memo's
+//     counters off the Prometheus exposition GET /metrics answers.
 //
 // Run with: go run ./examples/estimation-service
 package main
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -21,6 +23,8 @@ import (
 	"log"
 	"net"
 	"net/http"
+	"strconv"
+	"strings"
 
 	"epfis"
 )
@@ -139,21 +143,32 @@ func main() {
 		fmt.Printf("\nestimate(B=500, sigma=0.25) = %.1f fetches (cached: %v)", est.Fetches, est.Cached)
 	}
 
+	// GET /metrics answers the Prometheus text exposition: one
+	// "name value" line per unlabelled counter.
 	resp, err = http.Get(base + "/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
-	var metrics struct {
-		Estimates uint64 `json:"estimates"`
-		Cache     struct {
-			Hits     uint64  `json:"hits"`
-			Misses   uint64  `json:"misses"`
-			HitRatio float64 `json:"hitRatio"`
-		} `json:"cache"`
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		log.Fatalf("GET /metrics: HTTP %d", resp.StatusCode)
 	}
-	mustDecode(resp, &metrics)
-	fmt.Printf("\n\nmetrics: %d estimates served, cache %d hits / %d misses (ratio %.2f)\n",
-		metrics.Estimates, metrics.Cache.Hits, metrics.Cache.Misses, metrics.Cache.HitRatio)
+	counters := map[string]float64{"epfis_estimates_total": 0, "epfis_cache_hits_total": 0, "epfis_cache_misses_total": 0}
+	sc := bufio.NewScanner(resp.Body)
+	for sc.Scan() {
+		name, value, _ := strings.Cut(sc.Text(), " ")
+		if _, ok := counters[name]; ok {
+			if counters[name], err = strconv.ParseFloat(value, 64); err != nil {
+				log.Fatalf("GET /metrics: %s: %v", name, err)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		log.Fatal(err)
+	}
+	hits, misses := counters["epfis_cache_hits_total"], counters["epfis_cache_misses_total"]
+	fmt.Printf("\n\nmetrics: %.0f estimates served, cache %.0f hits / %.0f misses (ratio %.2f)\n",
+		counters["epfis_estimates_total"], hits, misses, hits/(hits+misses))
 }
 
 // mustDecode checks the HTTP status and decodes the JSON body.

@@ -232,13 +232,22 @@ func DecodeEntries(data []byte) (map[string]Incoming, int, error) {
 // so a write that lands while the peer's streams are fetched is never
 // reverted, and the taken keys are logged, with their stamps, in one frame.
 // It reports the generation and the keys taken; with none, nothing is
-// committed and the generation is the current one.
+// committed and the generation is the current one. An offered entry that
+// does not validate fails the whole merge before anything commits, so
+// every record the store holds has a compiled estimator.
 func (st *Store) Merge(in map[string]Incoming) (uint64, []string, error) {
 	keys := make([]string, 0, len(in))
 	for k := range in {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
+	for _, k := range keys {
+		if p := in[k]; p.Entry != nil && !p.Tombstone {
+			if err := p.Entry.Validate(); err != nil {
+				return 0, nil, fmt.Errorf("catalog: merge %s: %w", k, err)
+			}
+		}
+	}
 	var taken []string
 	var ferr error
 	rec := func(lsn uint64, next *Snapshot) ([]byte, error) { return appendKeyRecords(nil, lsn, next, taken) }

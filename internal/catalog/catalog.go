@@ -58,10 +58,11 @@
 // out-of-band refresh that replaces the catalog, checkpointed over before
 // anything later is acknowledged. OpenWAL logs the adoption as one replace
 // frame; Reload logs a batch frame of the keys it changes and of those a
-// later stamp keeps, so recovery from the adopted file, retained as .prev,
-// replays to the committed state. On a cluster node a refresh is a write:
-// ReloadStamped stamps what it changes and tombstones what it drops, and
-// StampRefreshed stamps what an adoption at open changed.
+// later stamp keeps (empty when it changes none, as a reload of the store's
+// own checkpoint never does), so recovery from the adopted file, retained
+// as .prev, replays to the committed state. On a cluster node a refresh is
+// a write: ReloadStamped stamps what it changes and tombstones what it
+// drops, and StampRefreshed stamps what an adoption at open changed.
 //
 // # Anti-entropy
 //

@@ -195,6 +195,44 @@ func TestMergeTombstones(t *testing.T) {
 	}
 }
 
+// TestMergeRefusesInvalidEntry: an offered entry that does not validate
+// fails the whole merge, valid keys beside it included, and commits
+// nothing, so every record a store holds has a compiled estimator.
+func TestMergeRefusesInvalidEntry(t *testing.T) {
+	for name, open := range map[string]func(t *testing.T) *Store{
+		"memory": func(*testing.T) *Store { return NewStore() },
+		"wal":    func(t *testing.T) *Store { st, _ := walFixture(t, WALOptions{}, nil); return st },
+	} {
+		t.Run(name, func(t *testing.T) {
+			st := open(t)
+			if _, err := st.Put(entry("t", "held", 500)); err != nil {
+				t.Fatal(err)
+			}
+			before, snap := st.Generation(), st.Snapshot()
+			bad := entry("t", "bad", 600)
+			bad.I = bad.N + 1 // fails Validate
+			later := Stamp{Epoch: 7, Origin: "node-b"}
+			in := map[string]Incoming{
+				"t.bad":  {Version: Version{Stamp: later}, Entry: bad},
+				"t.good": {Version: Version{Stamp: later}, Entry: entry("t", "good", 700)},
+			}
+			gen, taken, err := st.Merge(in)
+			if err == nil || gen != 0 || taken != nil {
+				t.Fatalf("merge of an invalid entry = (%d, %v, %v), want an error", gen, taken, err)
+			}
+			if st.Generation() != before || st.Snapshot() != snap {
+				t.Fatalf("a refused merge committed: generation %d -> %d", before, st.Generation())
+			}
+			if _, ok := st.Snapshot().CompiledByKey("t.bad"); ok {
+				t.Fatal("a refused entry has an estimator")
+			}
+			if got := st.Snapshot().Stamp("t.good"); got != (Stamp{}) {
+				t.Fatalf("a refused merge stamped t.good %v", got)
+			}
+		})
+	}
+}
+
 func TestEntryDigestsMatchContent(t *testing.T) {
 	a, b := NewStore(), NewStore()
 	for _, st := range []struct {

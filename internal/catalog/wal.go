@@ -23,11 +23,11 @@ package catalog
 //
 // stamped put (the header, then the entry's JSON), stamped delete (the
 // header alone) and stamp (the header alone: a stamp record that changes no
-// entry), and batch: several put, delete or stamped records of one commit,
-// each [type u8][len uvarint][payload], so a commit that touches many keys
-// (a merge, a reload, a stamp import) lands whole or not at all. LSNs
-// increase by one per logged commit and never repeat within a
-// log+checkpoint lineage.
+// entry), and batch: the put, delete or stamped records of one commit, each
+// [type u8][len uvarint][payload], so a commit that touches many keys (a
+// merge, a reload, a stamp import) lands whole or not at all; a reload that
+// changes no key logs a batch of none. LSNs increase by one per logged
+// commit and never repeat within a log+checkpoint lineage.
 //
 // Stamps. A stamp rides in the frame of the write it names. The checkpoint
 // file stays a plain stats catalog: rotation carries the stamp table into
@@ -548,8 +548,11 @@ func (st *Store) ReloadStamped(s Stamp) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("catalog: reload: %w", err)
 	}
+	// A reload that changes no key logs an empty batch frame: replay
+	// counts it as one mutation, so a reopen reaches the same generation.
+	noop := frame(walFrameBatch, nil)
 	if hasLSN {
-		return st.commit(replaceRecord, false, func(base *Snapshot) (*Snapshot, bool) {
+		return st.commit(noop, false, func(base *Snapshot) (*Snapshot, bool) {
 			return base.derive(nil), true
 		})
 	}
@@ -560,7 +563,7 @@ func (st *Store) ReloadStamped(s Stamp) (uint64, error) {
 	var logged []string
 	rec := func(lsn uint64, next *Snapshot) ([]byte, error) {
 		if len(logged) == 0 {
-			return replaceRecord(lsn, next)
+			return noop(lsn, next)
 		}
 		return appendKeyRecords(nil, lsn, next, logged)
 	}
@@ -662,16 +665,6 @@ type logRecord func(lsn uint64, next *Snapshot) ([]byte, error)
 // off the lock.
 func frame(ftype byte, body []byte) logRecord {
 	return func(lsn uint64, _ *Snapshot) ([]byte, error) { return appendRecord(nil, ftype, lsn, body), nil }
-}
-
-// replaceRecord records a commit as a replace frame of its whole entry set,
-// rendered under the lock: for commits whose entries depend on their base.
-func replaceRecord(lsn uint64, next *Snapshot) ([]byte, error) {
-	p, err := next.encode()
-	if err != nil {
-		return nil, err
-	}
-	return appendRecord(nil, walFrameReplace, lsn, p), nil
 }
 
 // commit is the mutation front door: build the next snapshot against the

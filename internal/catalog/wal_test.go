@@ -330,6 +330,96 @@ func TestWALReload(t *testing.T) {
 	}
 }
 
+// copyImage copies a file-backed store's four files (checkpoint, log, and
+// their retained previous generations) into a fresh directory, as a crash
+// would leave them, and returns the copy's catalog path.
+func copyImage(t *testing.T, path string) string {
+	t.Helper()
+	img := filepath.Join(t.TempDir(), filepath.Base(path))
+	for _, suffix := range []string{"", ".prev", ".wal", ".wal.prev"} {
+		data, err := os.ReadFile(path + suffix)
+		if errors.Is(err, os.ErrNotExist) {
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(img+suffix, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return img
+}
+
+// TestWALNoopReloadLogsEmptyBatch: a reload that changes no key — of the
+// store's own checkpoint, or of a file without an lsn holding the store's
+// entries — logs one empty batch frame, not the whole catalog, and still
+// advances the generation by one. A crash image reproduces the entries and
+// stamps, and the generation wherever it replays the frame: from the
+// checkpoint after a reload of the store's own file, and from the retained
+// adopted file after the other kind, whose reload checkpoints (a reopen
+// from that new checkpoint starts the generation over, as after any
+// checkpoint).
+func TestWALNoopReloadLogsEmptyBatch(t *testing.T) {
+	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, nil)
+	var entries []*stats.IndexStats
+	for i := 0; i < 64; i++ {
+		e := entry("t", fmt.Sprintf("c%02d", i), int64(500+i))
+		entries = append(entries, e)
+		if _, err := st.PutStamped(e, Stamp{Epoch: uint64(i + 1), Origin: "node-a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st.Close()
+	st = reopenWAL(t, path)
+	state, stamps := stateOf(st.Snapshot()), st.Snapshot().Stamps()
+	if len(state) != 64 || len(stamps) != 64 {
+		t.Fatalf("fixture holds %d entries and %d stamps, want 64 each", len(state), len(stamps))
+	}
+	size := func(p string) int64 {
+		t.Helper()
+		fi, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	reload := func(what, grown string) uint64 {
+		t.Helper()
+		before, gen := size(path+".wal"), st.Generation()
+		if got, err := st.Reload(); err != nil || got != gen+1 {
+			t.Fatalf("%s: Reload = (%d, %v), want generation %d", what, got, err, gen+1)
+		}
+		if d := size(grown) - before; d <= 0 || d >= 64 {
+			t.Fatalf("%s: the log grew %d B, want under 64", what, d)
+		}
+		checkStamped(t, what, st, state, stamps)
+		return gen + 1
+	}
+	check := func(what, img string, gen uint64) {
+		t.Helper()
+		re := reopenWAL(t, img)
+		checkStamped(t, what, re, state, stamps)
+		if re.Generation() != gen {
+			t.Fatalf("%s: generation %d, want %d", what, re.Generation(), gen)
+		}
+	}
+
+	gen := reload("reload of the store's own checkpoint", path+".wal")
+	check("crash image after the own-checkpoint reload", copyImage(t, path), gen)
+
+	// The adoption checkpoints, rotating the log: the frame it appended is
+	// the last one of the retained log.
+	refresh(t, path, entries...)
+	gen = reload("reload of an lsn-less file", path+".wal.prev")
+	img := copyImage(t, path)
+	check("crash image after the lsn-less reload", img, 1)
+	if err := os.WriteFile(img, []byte("not a catalog"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check("recovery from the adopted file", img, gen)
+}
+
 func TestWALReloadDuringCommitsAndCheckpoints(t *testing.T) {
 	// Reloads of the store's own checkpoint race commits and the rotations
 	// they trigger: every acknowledged commit must survive them, in memory
@@ -878,9 +968,22 @@ func FuzzWALRecovery(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
+	// A reload of the store's own checkpoint changes nothing: it logs an
+	// empty batch frame.
+	if _, err := bs.Reload(); err != nil {
+		f.Fatal(err)
+	}
+	emptyBatchSeed, err := os.ReadFile(bs.WALPath())
+	if err != nil {
+		f.Fatal(err)
+	}
 	bs.Close()
 	f.Add(batchSeed)
 	f.Add(batchSeed[:len(batchSeed)-7])
+	if len(emptyBatchSeed) != len(batchSeed)+17 {
+		f.Fatalf("a no-op reload grew the log %d B, want one 17-B empty batch frame", len(emptyBatchSeed)-len(batchSeed))
+	}
+	f.Add(emptyBatchSeed)
 
 	f.Fuzz(func(t *testing.T, walBytes []byte) {
 		tmp := t.TempDir()

@@ -290,7 +290,7 @@ func (n *Node) Replicas() int { return n.cfg.Replicas }
 func (n *Node) Ring() *Ring { return n.ring.Load() }
 
 // Owns reports whether this node is in the key's replica set. It is
-// allocation-free — the ingest route's ownership check.
+// allocation-free.
 func (n *Node) Owns(key string) bool {
 	return n.ring.Load().Owns(n.cfg.SelfID, key, n.cfg.Replicas)
 }

@@ -267,11 +267,8 @@ func TestOverloadShedsDeterministically(t *testing.T) {
 	if h.Status != "ok" {
 		t.Fatalf("health during overload = %q, want ok", h.Status)
 	}
-	var met map[string]any
-	getJSON(t, ts, "/metrics", http.StatusOK, &met)
-	res, ok := met["resilience"].(map[string]any)
-	if !ok || res["sheds"].(float64) < 1 {
-		t.Fatalf("metrics resilience block = %v, want sheds >= 1", met["resilience"])
+	if sheds := promSeries(t, srv, "epfis_admission_shed_total")["epfis_admission_shed_total{}"]; sheds < 1 {
+		t.Fatalf("epfis_admission_shed_total = %v, want >= 1", sheds)
 	}
 
 	<-sem // release one token; service resumes

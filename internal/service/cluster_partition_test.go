@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -683,12 +684,95 @@ func TestClusterIngestOwnershipRouting(t *testing.T) {
 	}
 }
 
+// TestClusterIngestOneHomePerKey is the regression for split ingest
+// streams at R = 2: two full scans of one index, streamed in batches of
+// 1-4,096 references round-robin over all three nodes, must all reach one
+// accumulator, the key's ingest home. Every node then serves an entry
+// bit-exact with offline LRU-Fit of one scan, and only the home counts
+// scans. When the key's two owners each accumulated their own batches,
+// one owner completed a window from pieces of both scans and every node
+// served its wrong refit.
+func TestClusterIngestOneHomePerKey(t *testing.T) {
+	nodes := startFaultCluster(t, 3, 2)
+	ds, meta := ingestDataset(t, "lineitem", "suppkey", 9)
+	trace := ds.Trace()
+	key := meta.Table + "." + meta.Column
+	home := nodes[0].srv.ingestHome(key)
+	for _, n := range nodes {
+		if got := n.srv.ingestHome(key); got.ID != home.ID || !slices.ContainsFunc(n.node.Owners(key), func(p cluster.PeerInfo) bool { return p.ID == home.ID }) {
+			t.Fatalf("%s: ingest home of %s is %q, want the owner %q every node names", n.id, key, got.ID, home.ID)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(9))
+	next := 0
+	for scan := 0; scan < 2; scan++ {
+		for rest := trace; len(rest) > 0; next++ {
+			n := min(1+rng.Intn(4096), len(rest))
+			req := IngestRequest{Table: meta.Table, Column: meta.Column, Pages: rest[:n],
+				T: meta.T, N: meta.N, I: meta.I, BatchID: fmt.Sprintf("scan%d-%d", scan, next)}
+			raw, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			via := nodes[next%len(nodes)]
+			resp, err := via.ts.Client().Post(via.url+"/v1/ingest", "application/json", bytes.NewReader(raw))
+			if err != nil {
+				t.Fatal(err)
+			}
+			io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusAccepted {
+				t.Fatalf("batch %d via %s = %d, want 202", next, via.id, resp.StatusCode)
+			}
+			rest = rest[n:]
+		}
+	}
+	for _, n := range nodes {
+		n.srv.Close() // drain each worker: every queued batch is processed
+	}
+
+	want, err := core.LRUFit(trace, meta, core.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range nodes {
+		wantScans := 0.0
+		if n.id == home.ID {
+			wantScans = 2
+		}
+		if scans := promSeries(t, n.srv, "epfis_ingest_scans_total")["epfis_ingest_scans_total{}"]; scans != wantScans {
+			t.Errorf("%s counted %v scans, want %v (ingest home %s)", n.id, scans, wantScans, home.ID)
+		}
+		waitFor(t, 5*time.Second, func() bool {
+			_, err := n.store.Get(meta.Table, meta.Column)
+			return err == nil
+		}, n.id+": republished entry")
+		got, err := n.store.Get(meta.Table, meta.Column)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.C != want.C || got.FMin != want.FMin || got.BMin != want.BMin || got.BMax != want.BMax ||
+			!reflect.DeepEqual(got.Curve, want.Curve) {
+			t.Errorf("%s serves C = %v, FMin = %d, %d knots; offline LRU-Fit of one scan gives C = %v, FMin = %d, %d knots",
+				n.id, got.C, got.FMin, len(got.Curve.Knots), want.C, want.FMin, len(want.Curve.Knots))
+		}
+		for _, b := range []int64{want.BMin, (want.BMin + want.BMax) / 2, want.BMax} {
+			var est EstimateResponse
+			getJSON(t, n.ts, fmt.Sprintf("/v1/estimate?table=%s&column=%s&b=%d&sigma=0.2", meta.Table, meta.Column, b), http.StatusOK, &est)
+			if wantF, err := core.EstimateFetches(want, b, 0.2, 1); err != nil || est.Fetches != wantF {
+				t.Errorf("%s: fetches(B=%d) = %v, offline %v (%v)", n.id, b, est.Fetches, wantF, err)
+			}
+		}
+	}
+}
+
 // promSeries scrapes srv's Prometheus exposition and returns every sample of
 // the named families as series → value.
 func promSeries(t testing.TB, srv *Server, families ...string) map[string]float64 {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	fams, err := obs.ParseExposition(rec.Body.Bytes())
 	if err != nil {
 		t.Fatal(err)

@@ -21,7 +21,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"sync"
 
 	"epfis/internal/cluster"
 	"epfis/internal/obs"
@@ -49,41 +48,14 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 	expos := []nodeExposition{{node: self, fams: local}}
 	up := map[string]float64{self: 1}
 
-	peers := s.cluster.Peers()
-	ctx, cancel := context.WithTimeout(r.Context(), s.replTimeout)
-	defer cancel()
-	type scrape struct {
-		node string
-		fams []obs.ExpoFamily
-		err  error
+	answers, missing := fanOut(r.Context(), s, s.scrapePeerMetrics)
+	for _, a := range answers {
+		up[a.peer] = 1
+		expos = append(expos, nodeExposition{node: a.peer, fams: a.val})
 	}
-	results := make(chan scrape, len(peers))
-	n := 0
-	var wg sync.WaitGroup
-	for _, p := range peers {
-		up[p.ID] = 0
-		if p.URL == "" || p.State == cluster.StateDead {
-			continue
-		}
-		n++
-		wg.Add(1)
-		go func(p cluster.PeerInfo) {
-			defer wg.Done()
-			fams, err := s.scrapePeerMetrics(ctx, p)
-			results <- scrape{node: p.ID, fams: fams, err: err}
-		}(p)
+	for _, id := range missing {
+		up[id] = 0
 	}
-	wg.Wait()
-	for i := 0; i < n; i++ {
-		res := <-results
-		if res.err != nil {
-			continue
-		}
-		up[res.node] = 1
-		expos = append(expos, nodeExposition{node: res.node, fams: res.fams})
-	}
-	// Deterministic output: peers after self, sorted by node ID.
-	sort.Slice(expos[1:], func(i, j int) bool { return expos[i+1].node < expos[j+1].node })
 
 	body := renderFederated(expos, up)
 	w.Header().Set("Content-Type", obs.ContentType)
@@ -93,6 +65,9 @@ func (s *Server) handleClusterMetrics(w http.ResponseWriter, r *http.Request) {
 
 // scrapePeerMetrics fetches and parses one peer's Prometheus exposition.
 func (s *Server) scrapePeerMetrics(ctx context.Context, p cluster.PeerInfo) ([]obs.ExpoFamily, error) {
+	// Every release answers /metrics with the exposition, whatever the
+	// query; ?format=prom stays for a peer still on an older release during
+	// an upgrade, where it selects the exposition over a JSON default.
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, p.URL+"/metrics?format=prom", nil)
 	if err != nil {
 		return nil, err

@@ -36,11 +36,17 @@ package service
 // retry, crash replay of a carried frame) is deduplicated within its
 // accumulation window.
 //
-// In cluster mode each index's stream is accumulated at its ring owners so
-// a scan's partial batches never split across nodes: a non-owner forwards
-// the batch one hop (X-Epfis-Forwarded), and a forwarded batch landing on a
-// non-owner answers 421, so a stale ring cannot loop. Ingest forwarding is
-// the one request a node proxies; estimates are always answered locally.
+// In cluster mode each index's stream is accumulated at one node, its
+// ingest home: the first of the key's ring owners that this node does not
+// hold dead (this node counts itself alive). Every other node forwards a
+// batch one hop to the home (X-Epfis-Forwarded) and answers a retryable 503
+// when the home does not answer; it never tries the next owner, which would
+// split a scan's batches between two accumulators whenever the home is
+// reachable from some nodes only. A forwarded batch landing on a node that
+// is not the home in its own view answers 421, so differing views cannot
+// loop. The home moves to the next owner only when membership declares it
+// dead. Ingest forwarding is the one request a node proxies; estimates are
+// always answered locally.
 
 import (
 	"context"
@@ -275,18 +281,18 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if s.cluster != nil {
-		// Ring-ownership routing: an index's stream is accumulated at its
-		// owners so a scan's partial batches never split across nodes. A
-		// non-owner forwards one hop; a forwarded batch still landing on a
-		// non-owner means the sender's ring is stale — 421, never a loop.
+		// Only the key's ingest home accumulates (see the file comment); any
+		// other node forwards one hop. A forwarded batch landing here when
+		// this node is not the home means the sender's view differs: 421,
+		// never a second hop.
 		key := req.Table + "." + req.Column
-		if !s.cluster.Owns(key) {
+		if home := s.ingestHome(key); home.ID != s.cluster.SelfID() {
 			if r.Header.Get(cluster.HeaderForwarded) != "" {
 				writeError(w, http.StatusMisdirectedRequest,
-					fmt.Errorf("misdirected: this node does not own %s", key))
+					fmt.Errorf("misdirected: this node is not the ingest home of %s", key))
 				return
 			}
-			s.forwardIngest(w, r, &req, key)
+			s.forwardIngest(w, r, &req, key, home)
 			return
 		}
 		w.Header().Set(cluster.HeaderNode, s.cluster.SelfID())
@@ -372,26 +378,37 @@ func newBatchID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// forwardIngest proxies a non-owned ingest batch one hop to a ring owner,
-// preserving any client batch ID so owner-side dedup applies across the hop.
-func (s *Server) forwardIngest(w http.ResponseWriter, r *http.Request, req *IngestRequest, key string) {
+// ingestHome is the node that accumulates key's ingest stream: the first
+// of the key's owners, in ring order, that this node does not hold dead.
+// This node is never dead in its own view, so an owner is always its own
+// home or forwards to an earlier owner. With every owner dead the zero
+// PeerInfo comes back, and forwarding to it fails.
+func (s *Server) ingestHome(key string) cluster.PeerInfo {
+	for _, p := range s.cluster.Owners(key) {
+		if p.State != cluster.StateDead {
+			return p
+		}
+	}
+	return cluster.PeerInfo{}
+}
+
+// forwardIngest proxies an ingest batch one hop to the key's ingest home,
+// preserving any client batch ID so the home's dedup applies across the
+// hop. A home that does not answer gets the client a retryable 503, not a
+// forward to the next owner (see the file comment).
+func (s *Server) forwardIngest(w http.ResponseWriter, r *http.Request, req *IngestRequest, key string, home cluster.PeerInfo) {
 	body, err := json.Marshal(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	for _, p := range s.cluster.Owners(key) {
-		if p.ID == s.cluster.SelfID() || p.URL == "" || p.State == cluster.StateDead {
-			continue
-		}
-		if s.proxyRequest(r.Context(), w, p, "/v1/ingest", body) {
-			s.cobs.ingestFwd.Inc()
-			return
-		}
+	if home.URL != "" && s.proxyRequest(r.Context(), w, home, "/v1/ingest", body) {
+		s.cobs.ingestFwd.Inc()
+		return
 	}
 	s.cobs.ingestFwdFail.Inc()
 	writeRetryable(w, http.StatusServiceUnavailable,
-		fmt.Errorf("no owner reachable for key %s", key), time.Second)
+		fmt.Errorf("ingest home of key %s unreachable", key), time.Second)
 }
 
 // addPending records a journaled batch as live: its frame is carried across

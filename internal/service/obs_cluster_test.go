@@ -513,7 +513,7 @@ func TestAccuracyTelemetrySingleNode(t *testing.T) {
 		t.Fatalf("republishes = %d, want 0", acc.Republishes)
 	}
 
-	resp, err := ts.Client().Get(ts.URL + "/metrics?format=prom")
+	resp, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -56,14 +55,11 @@ func statusClass(status int) int {
 }
 
 // routeObs holds one route's hot-path instruments as direct pointers:
-// recording is a histogram observe, one counter increment and a max check,
-// with no map lookups, locks, or allocation. maxNanos is the route's exact
-// worst latency for the JSON document, the one number a histogram cannot
-// give; it is not exported to the exposition.
+// recording is a histogram observe and one counter increment, with no map
+// lookups, locks, or allocation.
 type routeObs struct {
-	lat      *obs.Histogram
-	status   [len(statusClasses)]*obs.Counter
-	maxNanos atomic.Uint64
+	lat    *obs.Histogram
+	status [len(statusClasses)]*obs.Counter
 }
 
 // obsIndexKey addresses a per-index estimate counter. A comparable struct of
@@ -73,7 +69,7 @@ type obsIndexKey struct{ table, column string }
 
 // serverObs is the server's observability wiring: the metric registry, the
 // ring of completed request traces, and the structured logger. Every service
-// counter is a registry instrument; both /metrics formats read them.
+// counter is a registry instrument; GET /metrics renders the registry.
 type serverObs struct {
 	reg   *obs.Registry
 	log   *slog.Logger
@@ -255,86 +251,14 @@ func (o *serverObs) tracing() bool { return o.ring != nil }
 // isSlow applies the slow-trace threshold (negative flags everything).
 func (o *serverObs) isSlow(d time.Duration) bool { return o.slow < 0 || d >= o.slow }
 
-// observeRoute records one served request on the route's histogram,
-// status-class counter and maximum — direct-pointer updates, with a CAS on
-// the maximum only when d exceeds it.
+// observeRoute records one served request on the route's histogram and
+// status-class counter — direct-pointer updates.
 func (o *serverObs) observeRoute(ro *routeObs, status int, d time.Duration) {
 	if ro == nil {
 		return
 	}
 	ro.lat.Observe(d.Seconds())
 	ro.status[statusClass(status)].Inc()
-	ns := uint64(d.Nanoseconds())
-	for {
-		cur := ro.maxNanos.Load()
-		if ns <= cur || ro.maxNanos.CompareAndSwap(cur, ns) {
-			return
-		}
-	}
-}
-
-// routeDoc is one route's row in the JSON /metrics document.
-type routeDoc struct {
-	Requests  uint64  `json:"requests"`
-	Errors    uint64  `json:"errors"` // responses with status >= 400
-	AvgMicros float64 `json:"avgMicros"`
-	MaxMicros float64 `json:"maxMicros"`
-}
-
-// metricsDoc assembles the JSON /metrics document from the registry's
-// instruments and the owners its scrape-time bridges read (memo cache,
-// breaker, degraded flag). A route's requests is its latency histogram's
-// count, errors the sum of its 4xx/429/5xx/503 classes, and the mean the
-// histogram's sum over its count.
-func (s *Server) metricsDoc() map[string]any {
-	o := s.obs
-	routes := make(map[string]routeDoc, len(o.routes))
-	for name, ro := range o.routes {
-		d := routeDoc{Requests: ro.lat.Count(), MaxMicros: float64(ro.maxNanos.Load()) / 1e3}
-		for _, c := range ro.status[statusClass(http.StatusBadRequest):] {
-			d.Errors += c.Value()
-		}
-		if d.Requests > 0 {
-			d.AvgMicros = 1e6 * ro.lat.Sum() / float64(d.Requests)
-		}
-		routes[name] = d
-	}
-	out := map[string]any{
-		"uptimeSeconds": time.Since(o.start).Seconds(),
-		"routes":        routes,
-		"panics":        o.panics.Value(),
-		"estimates":     o.estimates.Value(),
-	}
-	if c := s.cache; c != nil {
-		hits, misses := c.hits.Load(), c.misses.Load()
-		ratio := 0.0
-		if hits+misses > 0 {
-			ratio = float64(hits) / float64(hits+misses)
-		}
-		out["cache"] = map[string]any{
-			"hits":          hits,
-			"misses":        misses,
-			"evictions":     c.evictions.Load(),
-			"invalidations": c.invalidations.Load(),
-			"entries":       c.len(),
-			"hitRatio":      ratio,
-		}
-	}
-	res := map[string]any{
-		"sheds":          o.sheds.Value(),
-		"reloadFailures": o.reloadFailures.Value(),
-		"degraded":       s.degraded.Load() != nil,
-	}
-	if br := s.breaker; br != nil {
-		opens, rejected := br.Stats()
-		res["breaker"] = map[string]any{
-			"state":    br.State(),
-			"opens":    opens,
-			"rejected": rejected,
-		}
-	}
-	out["resilience"] = res
-	return out
 }
 
 // observeEstimate records the requested (B, sigma) point and the per-index
@@ -511,16 +435,6 @@ func traceOf(w http.ResponseWriter) *obs.TraceBuf {
 		return rec.trace
 	}
 	return nil
-}
-
-// wantsProm reports whether a /metrics request asked for the Prometheus text
-// format — ?format=prom, or an Accept header naming text/plain. The default
-// stays the historical JSON document.
-func wantsProm(r *http.Request) bool {
-	if r.URL.Query().Get("format") == "prom" {
-		return true
-	}
-	return strings.Contains(r.Header.Get("Accept"), "text/plain")
 }
 
 // traceSpanDoc is one stage in a /debug/traces entry.

@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -231,9 +230,14 @@ func TestTracingDisabled(t *testing.T) {
 	}
 }
 
+// TestMetricsContentNegotiation: GET /metrics has nothing to negotiate. A
+// plain request, either Accept type and an older release's ?format=prom all
+// get the same Prometheus exposition: one Content-Type, one series set, and
+// equal values everywhere but the series a scrape itself moves. Traffic of
+// every status class lands in its class on the exposition: 2xx, a 404, a
+// 400, a shed 429 and a failed reload's 503.
 func TestMetricsContentNegotiation(t *testing.T) {
-	// A disk-backed store behind a fault injector, so the second phase can
-	// fail a reload.
+	// A disk-backed store behind a fault injector, so a reload can fail.
 	inj := faultfs.NewInjector(faultfs.OS(), 1)
 	store, err := catalog.OpenWALFS(filepath.Join(t.TempDir(), "catalog.json"), catalog.WALOptions{}, inj)
 	if err != nil {
@@ -247,95 +251,6 @@ func TestMetricsContentNegotiation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-
-	// Drive a little traffic so histograms and counters are non-empty.
-	for i := 0; i < 4; i++ {
-		resp, err := ts.Client().Get(ts.URL + "/v1/estimate?table=orders&column=key&b=64&sigma=0.05")
-		if err != nil {
-			t.Fatal(err)
-		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-	}
-	resp, err := ts.Client().Get(ts.URL + "/v1/estimate?table=nosuch&column=key&b=64&sigma=0.05")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-
-	// Default stays the JSON document.
-	dflt, err := ts.Client().Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer dflt.Body.Close()
-	if ct := dflt.Header.Get("Content-Type"); ct != "application/json" {
-		t.Fatalf("default /metrics Content-Type = %q", ct)
-	}
-	var doc map[string]any
-	if err := json.NewDecoder(dflt.Body).Decode(&doc); err != nil {
-		t.Fatalf("default /metrics not JSON: %v", err)
-	}
-	if _, ok := doc["routes"]; !ok {
-		t.Fatalf("JSON document lost its routes map: %v", doc)
-	}
-
-	// Both negotiation forms yield a valid Prometheus exposition.
-	fetch := func(build func() *http.Request) string {
-		t.Helper()
-		resp, err := ts.Client().Do(build())
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if ct := resp.Header.Get("Content-Type"); ct != obs.ContentType {
-			t.Fatalf("prom /metrics Content-Type = %q", ct)
-		}
-		data, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := obs.ParseExposition(data); err != nil {
-			t.Fatalf("invalid exposition: %v\n%s", err, data)
-		}
-		return string(data)
-	}
-	byQuery := fetch(func() *http.Request {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics?format=prom", nil)
-		return req
-	})
-	fetch(func() *http.Request {
-		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/metrics", nil)
-		req.Header.Set("Accept", "text/plain")
-		return req
-	})
-
-	for _, want := range []string{
-		`epfis_http_requests_total{route="GET /v1/estimate",status="2xx"} 4`,
-		`epfis_http_requests_total{route="GET /v1/estimate",status="4xx"} 1`,
-		`epfis_http_request_duration_seconds_bucket{route="GET /v1/estimate",le="+Inf"} 5`,
-		`epfis_index_estimates_total{index="orders.key"} 4`,
-		"epfis_estimate_buffer_pages_bucket",
-		"epfis_estimate_sigma_bucket",
-		"epfis_cache_hits_total",
-		"epfis_catalog_generation 1",
-		"epfis_degraded 0",
-		"epfis_draining 0",
-		"epfis_traces_total",
-		"epfis_build_info{",
-		"epfis_uptime_seconds",
-	} {
-		if !strings.Contains(byQuery, want) {
-			t.Errorf("exposition missing %q", want)
-		}
-	}
-
-	// Second phase: traffic of every kind the JSON rows fold (2xx and 404
-	// above; a 400, a 429 shed and a failed reload here), then both views
-	// must tell the same story route by route.
 	serve := func(method, target string, want int) {
 		t.Helper()
 		rec := httptest.NewRecorder()
@@ -344,157 +259,116 @@ func TestMetricsContentNegotiation(t *testing.T) {
 			t.Fatalf("%s %s = %d, want %d: %s", method, target, rec.Code, want, rec.Body)
 		}
 	}
+	const estimate = "/v1/estimate?table=orders&column=key&b=64&sigma=0.05"
+	for i := 0; i < 4; i++ {
+		serve(http.MethodGet, estimate, http.StatusOK)
+	}
+	serve(http.MethodGet, "/v1/estimate?table=nosuch&column=key&b=64&sigma=0.05", http.StatusNotFound)
 	serve(http.MethodGet, "/v1/estimate?table=orders&column=key&b=0&sigma=0.05", http.StatusBadRequest)
 	sem := srv.inflight[routeEstimate]
 	for len(sem) < cap(sem) {
 		sem <- struct{}{}
 	}
-	serve(http.MethodGet, "/v1/estimate?table=orders&column=key&b=64&sigma=0.05", http.StatusTooManyRequests)
+	serve(http.MethodGet, estimate, http.StatusTooManyRequests)
 	for len(sem) > 0 {
 		<-sem
 	}
 	inj.Add(faultfs.Rule{Op: faultfs.OpReadFile, Path: "catalog", Nth: 1, Mode: faultfs.ModeError})
 	serve(http.MethodPost, "/v1/reload", http.StatusServiceUnavailable)
-	checkMetricsViewsAgree(t, srv)
-}
 
-// checkMetricsViewsAgree scrapes srv's JSON /metrics and then its Prometheus
-// exposition, and requires every JSON number to match the exposition:
-// per route, requests is the sum of the status-class counters, errors the
-// sum of the >=4xx classes, avgMicros is 1e6*_sum/_count, and maxMicros lies
-// inside the highest non-empty latency bucket; the service-wide counts equal
-// their epfis_* counters. The /metrics route itself is skipped: scraping it
-// moves it between the two views.
-func checkMetricsViewsAgree(t *testing.T, srv *Server) {
-	t.Helper()
-	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	var doc struct {
-		Routes map[string]struct {
-			Requests  uint64  `json:"requests"`
-			Errors    uint64  `json:"errors"`
-			AvgMicros float64 `json:"avgMicros"`
-			MaxMicros float64 `json:"maxMicros"`
-		} `json:"routes"`
-		Panics     uint64 `json:"panics"`
-		Estimates  uint64 `json:"estimates"`
-		Resilience struct {
-			Sheds          uint64 `json:"sheds"`
-			ReloadFailures uint64 `json:"reloadFailures"`
-		} `json:"resilience"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &doc); err != nil {
-		t.Fatalf("JSON /metrics: %v", err)
-	}
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
-	fams, err := obs.ParseExposition(rec.Body.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	type promRoute struct {
-		requests, errors float64
-		lat              obs.HistogramSnapshot
-	}
-	routes := map[string]*promRoute{}
-	route := func(labels []obs.Label) *promRoute {
-		name := ""
-		for _, l := range labels {
-			if l.Name == "route" {
-				name = l.Value
+	scrape := func(target, accept string) map[string]float64 {
+		t.Helper()
+		req := httptest.NewRequest(http.MethodGet, target, nil)
+		if accept != "" {
+			req.Header.Set("Accept", accept)
+		}
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK || rec.Header().Get("Content-Type") != obs.ContentType {
+			t.Fatalf("GET %s (Accept %q) = %d, Content-Type %q", target, accept, rec.Code, rec.Header().Get("Content-Type"))
+		}
+		fams, err := obs.ParseExposition(rec.Body.Bytes())
+		if err != nil {
+			t.Fatalf("GET %s (Accept %q): invalid exposition: %v\n%s", target, accept, err, rec.Body)
+		}
+		out := map[string]float64{}
+		for _, f := range fams {
+			for _, s := range f.Samples {
+				out[s.Name+"{"+s.CanonicalLabels()+"}"] = s.Value
 			}
 		}
-		if routes[name] == nil {
-			routes[name] = &promRoute{}
-		}
-		return routes[name]
+		return out
 	}
-	scalar := map[string]float64{}
-	for _, f := range fams {
-		for _, h := range f.Histograms {
-			if f.Name == "epfis_http_request_duration_seconds" {
-				route(h.Labels).lat = h.HistogramSnapshot
-			}
+	// moves reports a series that a scrape, or time, moves on its own.
+	moves := func(series string) bool {
+		return strings.Contains(series, `route="GET /metrics"`) ||
+			strings.HasPrefix(series, "epfis_uptime_seconds") ||
+			strings.HasPrefix(series, "epfis_go_") ||
+			strings.HasPrefix(series, "epfis_traces_")
+	}
+	plain := scrape("/metrics", "")
+	for _, form := range []struct{ target, accept string }{
+		{"/metrics", "application/json"},
+		{"/metrics", "text/plain"},
+		{"/metrics?format=prom", ""},
+	} {
+		got := scrape(form.target, form.accept)
+		if len(got) != len(plain) {
+			t.Errorf("GET %s (Accept %q): %d series, plain GET /metrics %d", form.target, form.accept, len(got), len(plain))
 		}
-		for _, s := range f.Samples {
-			switch {
-			case s.Name == "epfis_http_requests_total":
-				r := route(s.Labels)
-				r.requests += s.Value
-				if class, _ := s.LabelValue("status"); class >= "4" {
-					r.errors += s.Value
-				}
-			case len(s.Labels) == 0:
-				scalar[s.Name] = s.Value
+		for series, v := range plain {
+			if w, ok := got[series]; !ok || !moves(series) && w != v {
+				t.Errorf("GET %s (Accept %q): %s = %v (present %v), plain GET /metrics %v", form.target, form.accept, series, w, ok, v)
 			}
 		}
 	}
 
-	if len(doc.Routes) != len(routes) {
-		t.Fatalf("JSON has %d routes, exposition %d", len(doc.Routes), len(routes))
-	}
-	for name, row := range doc.Routes {
-		p := routes[name]
-		if p == nil {
-			t.Fatalf("route %q has no exposition series", name)
+	for series, want := range map[string]float64{
+		`epfis_http_requests_total{route="GET /v1/estimate",status="2xx"}`:               4,
+		`epfis_http_requests_total{route="GET /v1/estimate",status="4xx"}`:               2, // the 404 and the 400
+		`epfis_http_requests_total{route="GET /v1/estimate",status="429"}`:               1,
+		`epfis_http_requests_total{route="GET /v1/estimate",status="5xx"}`:               0,
+		`epfis_http_requests_total{route="POST /v1/reload",status="503"}`:                1,
+		`epfis_http_request_duration_seconds_count{route="GET /v1/estimate"}`:            7,
+		`epfis_http_request_duration_seconds_count{route="POST /v1/reload"}`:             1,
+		`epfis_http_request_duration_seconds_bucket{le="+Inf",route="GET /v1/estimate"}`: 7,
+		`epfis_index_estimates_total{index="orders.key"}`:                                5, // the 400 is observed too
+		`epfis_estimate_buffer_pages_count{}`:                                            6,
+		`epfis_estimates_total{}`:                                                        4,
+		`epfis_admission_shed_total{}`:                                                   1,
+		`epfis_reload_failures_total{}`:                                                  1,
+		`epfis_panics_total{}`:                                                           0,
+		`epfis_catalog_generation{}`:                                                     1,
+		`epfis_degraded{}`:                                                               1,
+		`epfis_draining{}`:                                                               0,
+	} {
+		if got, ok := plain[series]; !ok || got != want {
+			t.Errorf("%s = %v (present %v), want %v", series, got, ok, want)
 		}
-		if name == routeMetrics {
+	}
+	for _, prefix := range []string{"epfis_cache_hits_total{", "epfis_traces_total{", "epfis_build_info{", "epfis_uptime_seconds{", "epfis_estimate_sigma_bucket{"} {
+		found := false
+		for series := range plain {
+			found = found || strings.HasPrefix(series, prefix)
+		}
+		if !found {
+			t.Errorf("exposition has no %s...} series", prefix)
+		}
+	}
+	// Every request lands in exactly one status class: per route, the
+	// latency histogram's count equals the sum of its status counters.
+	for series, count := range plain {
+		route, ok := strings.CutPrefix(series, "epfis_http_request_duration_seconds_count{")
+		if !ok || strings.Contains(route, `"GET /metrics"`) {
 			continue
 		}
-		lat := p.lat
-		if float64(row.Requests) != p.requests || lat.Count != row.Requests {
-			t.Errorf("%s: JSON requests %d, status counters %g, _count %d", name, row.Requests, p.requests, lat.Count)
+		sum := 0.0
+		for _, class := range statusClasses {
+			sum += plain["epfis_http_requests_total{"+strings.TrimSuffix(route, "}")+`,status="`+class+`"}`]
 		}
-		if float64(row.Errors) != p.errors {
-			t.Errorf("%s: JSON errors %d, >=4xx counters %g", name, row.Errors, p.errors)
+		if sum != count {
+			t.Errorf("%s: _count %v, status counters sum %v", route, count, sum)
 		}
-		wantAvg := 0.0
-		if lat.Count > 0 {
-			wantAvg = 1e6 * lat.Sum / float64(lat.Count)
-		}
-		if math.Abs(row.AvgMicros-wantAvg) > 1e-9*math.Abs(wantAvg) {
-			t.Errorf("%s: JSON avgMicros %g, 1e6*_sum/_count %g", name, row.AvgMicros, wantAvg)
-		}
-		// The highest non-empty bucket i spans (Bounds[i-1], Bounds[i]],
-		// open-ended for the +Inf bucket.
-		lo, hi := 0.0, 0.0
-		for i, c := range lat.Counts {
-			if c == 0 {
-				continue
-			}
-			lo, hi = 0, math.Inf(1)
-			if i > 0 {
-				lo = lat.Bounds[i-1]
-			}
-			if i < len(lat.Bounds) {
-				hi = lat.Bounds[i]
-			}
-		}
-		maxSec := row.MaxMicros / 1e6
-		if lat.Count == 0 {
-			if row.MaxMicros != 0 {
-				t.Errorf("%s: no requests but maxMicros %g", name, row.MaxMicros)
-			}
-		} else if !(maxSec > lo*(1-1e-9) && maxSec <= hi*(1+1e-9)) {
-			t.Errorf("%s: maxMicros %g outside the highest non-empty bucket (%g, %g] s", name, row.MaxMicros, lo, hi)
-		}
-	}
-	for _, c := range []struct {
-		json   uint64
-		series string
-	}{
-		{doc.Panics, "epfis_panics_total"},
-		{doc.Estimates, "epfis_estimates_total"},
-		{doc.Resilience.Sheds, "epfis_admission_shed_total"},
-		{doc.Resilience.ReloadFailures, "epfis_reload_failures_total"},
-	} {
-		if v, ok := scalar[c.series]; !ok || float64(c.json) != v {
-			t.Errorf("JSON %d vs %s = %g (present %v)", c.json, c.series, v, ok)
-		}
-	}
-	if doc.Resilience.Sheds == 0 || doc.Resilience.ReloadFailures == 0 || doc.Estimates == 0 {
-		t.Errorf("traffic left counters at zero: %+v, estimates %d", doc.Resilience, doc.Estimates)
 	}
 }
 
@@ -537,7 +411,7 @@ func TestShedAndDrainingStatusLabels(t *testing.T) {
 	}
 	srv.draining.Store(false)
 
-	r3, err := ts.Client().Get(ts.URL + "/metrics?format=prom")
+	r3, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -603,7 +477,7 @@ func TestPutIndexRegistersEstimateCounter(t *testing.T) {
 	io.Copy(io.Discard, r2.Body)
 	r2.Body.Close()
 
-	r3, err := ts.Client().Get(ts.URL + "/metrics?format=prom")
+	r3, err := ts.Client().Get(ts.URL + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -686,7 +560,7 @@ func TestSlowTraceThreshold(t *testing.T) {
 func estimateSeries(t *testing.T, srv *Server) map[string]float64 {
 	t.Helper()
 	rec := httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
 	fams, err := obs.ParseExposition(rec.Body.Bytes())
 	if err != nil {
 		t.Fatal(err)

@@ -22,8 +22,7 @@
 //     replica that lacks the write refuse instead (cluster.go);
 //   - every counter lives in one obs registry, recorded through direct
 //     instrument pointers; GET /metrics renders it as the Prometheus text
-//     exposition or, by default, as a JSON summary read from the same
-//     instruments.
+//     exposition, the one rendering.
 //
 // Routes:
 //
@@ -34,9 +33,7 @@
 //	DELETE /v1/indexes/{table}/{column}     drop statistics
 //	POST   /v1/reload                       re-read the catalog file
 //	GET    /healthz                         liveness + build info + generation
-//	GET    /metrics                         counters (JSON default; Prometheus
-//	                                        text via Accept: text/plain or
-//	                                        ?format=prom)
+//	GET    /metrics                         Prometheus text exposition
 //	GET    /debug/traces                    recent request traces (JSON)
 //	GET    /debug/traces/{traceid}          one trace, stitched across the cluster
 //	GET    /debug/accuracy                  continuous estimator-accuracy telemetry
@@ -84,8 +81,8 @@
 // every request: per-route latency histograms and status-class counters,
 // estimate-shape distributions (requested B, sigma, per-index counts), and
 // bridges over the cache, breaker, degraded, and catalog state, all
-// exported as a Prometheus text exposition when GET /metrics is asked for
-// text/plain (the JSON document stays the default). Requests carry W3C
+// exported as the Prometheus text exposition GET /metrics answers to every
+// request, whatever its Accept header or query. Requests carry W3C
 // traceparent identities — inbound headers are re-parented, absent or
 // malformed ones replaced — with per-stage spans (parse/cache/estimate/
 // encode) recorded into pooled buffers and retained in a fixed ring served
@@ -428,7 +425,7 @@ func New(cfg Config) (*Server, error) {
 	if s.ingest != nil {
 		// The ingest route carries its own backpressure (the bounded queue)
 		// and is exempt from per-route admission control. It journals to the
-		// WAL and may forward to the owning node.
+		// WAL and may forward to the key's ingest home.
 		blocking(routeIngest, s.handleIngest)
 		inline(routeAccuracy, s.handleAccuracy)
 	}
@@ -647,19 +644,14 @@ type EstimateResponse struct {
 // est. It is the shared core of the single and batch endpoints, and the
 // allocation-free center of the serving path: inputs and results travel by
 // pointer, and the estimator is the snapshot's pre-compiled form (flat
-// slices, no interface dispatch) whenever one exists — EstIO interpretation
-// remains only as the fallback for entries whose compilation failed.
+// slices, no interface dispatch). Every entry a store takes in is
+// validated, so every live entry has one: a key without one is absent.
 func estimateInto(snap *catalog.Snapshot, in *estimateInput, est *core.Estimate) error {
-	input := core.Input{B: in.b, Sigma: in.sigma, S: in.s}
-	if ce, ok := snap.Compiled(in.table, in.column); ok {
-		return ce.EstimateInto(est, input)
+	ce, ok := snap.Compiled(in.table, in.column)
+	if !ok {
+		return fmt.Errorf("%w: %s.%s", stats.ErrNotFound, in.table, in.column)
 	}
-	entry, err := snap.Get(in.table, in.column)
-	if err != nil {
-		return err
-	}
-	*est, err = core.EstIO(entry, input, core.Options{})
-	return err
+	return ce.EstimateInto(est, core.Input{B: in.b, Sigma: in.sigma, S: in.s})
 }
 
 // estimate is estimateInto behind the memo cache, for the single-estimate
@@ -1195,21 +1187,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, h)
 }
 
+// handleMetrics answers every request with the registry's Prometheus text
+// exposition; the Accept header and query (an older release's ?format=prom)
+// are ignored.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	// Content negotiation: ?format=prom or Accept: text/plain yields the
-	// Prometheus text exposition; the default stays the historical JSON
-	// document so existing consumers see identical bytes.
-	if wantsProm(r) {
-		w.Header().Set("Content-Type", obs.ContentType)
-		w.WriteHeader(http.StatusOK)
-		buf := getBuf()
-		b := s.obs.reg.AppendText((*buf)[:0])
-		_, _ = w.Write(b)
-		*buf = b
-		putBuf(buf)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.metricsDoc())
+	w.Header().Set("Content-Type", obs.ContentType)
+	w.WriteHeader(http.StatusOK)
+	buf := getBuf()
+	b := s.obs.reg.AppendText((*buf)[:0])
+	_, _ = w.Write(b)
+	*buf = b
+	putBuf(buf)
 }
 
 // statusOf maps domain errors to HTTP statuses: invalid Est-IO inputs are

@@ -294,6 +294,26 @@ func TestInstallListDelete(t *testing.T) {
 	}
 }
 
+// TestAbsentKeyAnswersNotFound pins the answer for an index the catalog
+// does not hold, single and batched: a 404 carrying the stats package's
+// not-found sentinel, byte for byte.
+func TestAbsentKeyAnswersNotFound(t *testing.T) {
+	srv, _, _ := newTestServer(t)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/estimate?table=nosuch&column=key&b=64&sigma=0.05", nil))
+	const single = `{"error":"stats: no statistics for index: nosuch.key","status":404}` + "\n"
+	if rec.Code != http.StatusNotFound || rec.Body.String() != single {
+		t.Fatalf("absent key: %d %q, want 404 %q", rec.Code, rec.Body, single)
+	}
+	body := `{"requests":[{"table":"nosuch","column":"key","b":64,"sigma":0.05},{"table":"orders","column":"key","b":64,"sigma":0.05}]}`
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/estimate/batch", strings.NewReader(body)))
+	const item = `"items":[{"error":"stats: no statistics for index: nosuch.key","status":404},{"estimate":`
+	if rec.Code != http.StatusOK || !strings.HasPrefix(rec.Body.String(), `{"count":2,"failed":1,"generation":1,`+item) {
+		t.Fatalf("batch with an absent key: %d %s", rec.Code, rec.Body)
+	}
+}
+
 func TestMemoCacheServesRepeatsAndInvalidatesOnPut(t *testing.T) {
 	srv, store, _ := newTestServer(t)
 	ts := httptest.NewServer(srv)
@@ -324,16 +344,9 @@ func TestMemoCacheServesRepeatsAndInvalidatesOnPut(t *testing.T) {
 		t.Fatalf("generation = %d, want 2", third.Generation)
 	}
 
-	var met struct {
-		Cache struct {
-			Hits     uint64  `json:"hits"`
-			Misses   uint64  `json:"misses"`
-			HitRatio float64 `json:"hitRatio"`
-		} `json:"cache"`
-	}
-	getJSON(t, ts, "/metrics", http.StatusOK, &met)
-	if met.Cache.Hits != 1 || met.Cache.Misses != 2 {
-		t.Fatalf("cache counters = %+v", met.Cache)
+	met := promSeries(t, srv, "epfis_cache_hits_total", "epfis_cache_misses_total")
+	if met["epfis_cache_hits_total{}"] != 1 || met["epfis_cache_misses_total{}"] != 2 {
+		t.Fatalf("cache counters = %v, want 1 hit and 2 misses", met)
 	}
 }
 
@@ -355,16 +368,15 @@ func TestHealthzAndMetrics(t *testing.T) {
 	getJSON(t, ts, "/v1/estimate?table=orders&column=key&b=100&sigma=0.1", http.StatusOK, nil)
 	getJSON(t, ts, "/v1/estimate?table=orders&column=key&b=0&sigma=0.1", http.StatusBadRequest, nil)
 
-	var met struct {
-		Routes map[string]routeDoc `json:"routes"`
+	met := promSeries(t, srv, "epfis_http_requests_total", "epfis_http_request_duration_seconds")
+	const route = `{route="GET /v1/estimate"}`
+	if met["epfis_http_request_duration_seconds_count"+route] != 2 {
+		t.Fatalf("estimate route requests = %v, want 2: %v", met["epfis_http_request_duration_seconds_count"+route], met)
 	}
-	getJSON(t, ts, "/metrics", http.StatusOK, &met)
-	rs, ok := met.Routes[routeEstimate]
-	if !ok {
-		t.Fatalf("metrics missing route %q: %v", routeEstimate, met.Routes)
-	}
-	if rs.Requests != 2 || rs.Errors != 1 {
-		t.Fatalf("estimate route counters = %+v", rs)
+	const ok, bad = `{route="GET /v1/estimate",status="2xx"}`, `{route="GET /v1/estimate",status="4xx"}`
+	if met["epfis_http_requests_total"+ok] != 1 || met["epfis_http_requests_total"+bad] != 1 {
+		t.Fatalf("estimate route status counters: 2xx %v, 4xx %v; want 1 each",
+			met["epfis_http_requests_total"+ok], met["epfis_http_requests_total"+bad])
 	}
 }
 
@@ -378,16 +390,8 @@ func TestPanicRecovery(t *testing.T) {
 	if rec.Code != http.StatusInternalServerError {
 		t.Fatalf("status after panic = %d", rec.Code)
 	}
-	var met struct {
-		Panics uint64 `json:"panics"`
-	}
 	rec = httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
-	if err := json.Unmarshal(rec.Body.Bytes(), &met); err != nil || met.Panics != 1 {
-		t.Fatalf("JSON panics = %d (%v), want 1", met.Panics, err)
-	}
-	rec = httptest.NewRecorder()
-	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics?format=prom", nil))
 	if !strings.Contains(rec.Body.String(), "\nepfis_panics_total 1\n") {
 		t.Fatalf("exposition lacks epfis_panics_total 1:\n%s", rec.Body)
 	}

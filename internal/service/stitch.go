@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"net/http"
 	"sort"
-	"sync"
 
 	"epfis/internal/cluster"
 	"epfis/internal/obs"
@@ -77,43 +76,58 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // merges the answers into doc. Peers that are dead, unreachable, or slower
 // than the replication timeout land in missing_nodes.
 func (s *Server) stitchPeers(ctx context.Context, traceID string, doc *stitchDoc) {
-	peers := s.cluster.Peers()
-	if len(peers) == 0 {
-		return
+	answers, missing := fanOut(ctx, s, func(ctx context.Context, p cluster.PeerInfo) ([]traceDoc, error) {
+		return s.fetchPeerTrace(ctx, p, traceID)
+	})
+	for _, a := range answers {
+		doc.Records = append(doc.Records, a.val...)
 	}
+	doc.MissingNodes = missing
+}
+
+// peerAnswer is one peer's answer to a fan-out.
+type peerAnswer[T any] struct {
+	peer string
+	val  T
+}
+
+// fanOut is the one peer fan-out of the cluster-wide observability routes:
+// it calls fetch concurrently, one goroutine per peer, on every peer with a
+// URL that this node does not hold dead, under ctx bounded by the
+// replication timeout. It returns the answers sorted by peer ID, and the
+// IDs, sorted, of the peers it skipped or whose fetch failed.
+func fanOut[T any](ctx context.Context, s *Server, fetch func(context.Context, cluster.PeerInfo) (T, error)) (answers []peerAnswer[T], missing []string) {
+	peers := s.cluster.Peers()
 	ctx, cancel := context.WithTimeout(ctx, s.replTimeout)
 	defer cancel()
-	type peerTrace struct {
-		id   string
-		recs []traceDoc
-		err  error
+	type result struct {
+		peerAnswer[T]
+		err error
 	}
-	results := make(chan peerTrace, len(peers))
+	results := make(chan result, len(peers))
 	n := 0
-	var wg sync.WaitGroup
 	for _, p := range peers {
 		if p.URL == "" || p.State == cluster.StateDead {
-			doc.MissingNodes = append(doc.MissingNodes, p.ID)
+			missing = append(missing, p.ID)
 			continue
 		}
 		n++
-		wg.Add(1)
 		go func(p cluster.PeerInfo) {
-			defer wg.Done()
-			recs, err := s.fetchPeerTrace(ctx, p, traceID)
-			results <- peerTrace{id: p.ID, recs: recs, err: err}
+			v, err := fetch(ctx, p)
+			results <- result{peerAnswer[T]{p.ID, v}, err}
 		}(p)
 	}
-	wg.Wait()
 	for i := 0; i < n; i++ {
 		res := <-results
 		if res.err != nil {
-			doc.MissingNodes = append(doc.MissingNodes, res.id)
+			missing = append(missing, res.peer)
 			continue
 		}
-		doc.Records = append(doc.Records, res.recs...)
+		answers = append(answers, res.peerAnswer)
 	}
-	sort.Strings(doc.MissingNodes)
+	sort.Slice(answers, func(i, j int) bool { return answers[i].peer < answers[j].peer })
+	sort.Strings(missing)
+	return answers, missing
 }
 
 // fetchPeerTrace asks one peer for its local view of the trace.

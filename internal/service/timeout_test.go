@@ -121,10 +121,9 @@ func TestPutSlowWALSyncTimesOut(t *testing.T) {
 
 // TestClusterEstimateSlowOwnersTimesOut slows every owner of a key as seen
 // from the one node that does not own it, and posts that node an ingest
-// batch for the key: the one request a node forwards to an owner (estimates
-// are answered locally). The forward runs under the watchdog, whose one
-// deadline spans the owner loop, so the 503 arrives within about one
-// timeout, not one timeout per owner.
+// batch for the key: the one request a node forwards, to the key's ingest
+// home (estimates are answered locally). The forward runs under the
+// watchdog, so the 503 arrives within about one timeout.
 func TestClusterEstimateSlowOwnersTimesOut(t *testing.T) {
 	nodes := startFaultCluster(t, 4, 3, func(c *Config) { c.RequestTimeout = drillTimeout })
 	st := fitStats(t, "orders", "key", 1)
