@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race chaos chaos-net cluster-check check-gates check-docs bench bench-json bench-serve bench-ingest bench-cluster bench-smoke e2e-smoke fuzz obs-check serve vet all
+.PHONY: build test race chaos chaos-net cluster-check check-gates check-docs mutants bench bench-json bench-serve bench-ingest bench-cluster bench-smoke e2e-smoke fuzz obs-check serve vet all
 
 all: build vet test
 
@@ -37,21 +37,28 @@ race:
 # never moves a stamp back) and the digest document with its stamp text (no
 # accepted epoch reaches the peer bound), and differential fuzz passes over
 # the serving path: the compiled estimator held bit-exact to EstIO, and the
-# hand-rolled response encoder held to encoding/json.
+# hand-rolled response encoder held to encoding/json, and a round-trip fuzz
+# pass over the fence parser (it accepts only tokens fenceToken renders).
+# Every fuzz pass runs through scripts/fuzz-pass.sh, which fails it when its
+# final exec count is below the floor beside it (a quarter of the lowest of
+# three runs on a 2-vCPU host); -fuzzminimizetime=50x bounds Go's input
+# minimizer, whose default 60 s, spent without reporting execs, can stall a
+# 20-s pass.
 chaos:
 	$(GO) test -race ./internal/faultfs/ ./internal/resilience/
 	$(GO) test -race -run 'TestChaos|TestOverload|TestDeleted|TestHealthz|TestCommitAborts|TestFsync|TestOpenRecovers|TestReload|TestWAL' \
 		./internal/catalog/ ./internal/service/
-	$(GO) test -run=Fuzz -fuzz=FuzzOpenCatalogStore -fuzztime=20s ./internal/catalog/
-	$(GO) test -run=Fuzz -fuzz=FuzzWALRecovery -fuzztime=20s ./internal/catalog/
-	$(GO) test -run=Fuzz -fuzz=FuzzScan -fuzztime=20s ./internal/framelog/
-	$(GO) test -run=Fuzz -fuzz=FuzzDecodeBatchBody -fuzztime=20s ./internal/service/
-	$(GO) test -run=Fuzz -fuzz=FuzzParseEstimateQuery -fuzztime=20s ./internal/service/
-	$(GO) test -run=Fuzz -fuzz=FuzzParseExposition -fuzztime=20s ./internal/obs/
-	$(GO) test -run=Fuzz -fuzz=FuzzDecodeEntries -fuzztime=20s ./internal/catalog/
-	$(GO) test -run=Fuzz -fuzz=FuzzDigestDoc -fuzztime=20s ./internal/cluster/
-	$(GO) test -run=Fuzz -fuzz=FuzzCompiledEquivalence -fuzztime=20s ./internal/core/
-	$(GO) test -run=Fuzz -fuzz=FuzzEncodeEstimateResponse -fuzztime=20s ./internal/service/
+	bash scripts/fuzz-pass.sh 3008 $(GO) test -run=Fuzz -fuzz=FuzzOpenCatalogStore -fuzztime=20s -fuzzminimizetime=50x ./internal/catalog/
+	bash scripts/fuzz-pass.sh 5804 $(GO) test -run=Fuzz -fuzz=FuzzWALRecovery -fuzztime=20s -fuzzminimizetime=50x ./internal/catalog/
+	bash scripts/fuzz-pass.sh 286559 $(GO) test -run=Fuzz -fuzz=FuzzScan -fuzztime=20s -fuzzminimizetime=50x ./internal/framelog/
+	bash scripts/fuzz-pass.sh 40403 $(GO) test -run=Fuzz -fuzz=FuzzDecodeBatchBody -fuzztime=20s -fuzzminimizetime=50x ./internal/service/
+	bash scripts/fuzz-pass.sh 47518 $(GO) test -run=Fuzz -fuzz=FuzzParseEstimateQuery -fuzztime=20s -fuzzminimizetime=50x ./internal/service/
+	bash scripts/fuzz-pass.sh 182132 $(GO) test -run=Fuzz -fuzz=FuzzParseExposition -fuzztime=20s -fuzzminimizetime=50x ./internal/obs/
+	bash scripts/fuzz-pass.sh 155931 $(GO) test -run=Fuzz -fuzz=FuzzDecodeEntries -fuzztime=20s -fuzzminimizetime=50x ./internal/catalog/
+	bash scripts/fuzz-pass.sh 46306 $(GO) test -run=Fuzz -fuzz=FuzzDigestDoc -fuzztime=20s -fuzzminimizetime=50x ./internal/cluster/
+	bash scripts/fuzz-pass.sh 131974 $(GO) test -run=Fuzz -fuzz=FuzzCompiledEquivalence -fuzztime=20s -fuzzminimizetime=50x ./internal/core/
+	bash scripts/fuzz-pass.sh 37537 $(GO) test -run=Fuzz -fuzz=FuzzEncodeEstimateResponse -fuzztime=20s -fuzzminimizetime=50x ./internal/service/
+	bash scripts/fuzz-pass.sh 43915 $(GO) test -run=Fuzz -fuzz=FuzzParseFence -fuzztime=20s -fuzzminimizetime=50x ./internal/service/
 
 # Network partition drills under the race detector: the deterministic fault
 # injector itself, then the jepsen-lite convergence drill — partition a 3-node
@@ -156,6 +163,13 @@ check-gates:
 check-docs:
 	bash scripts/check-docs.sh
 
+# Mutation gate: each patch under scripts/mutants/ plants one bug in a copy
+# of the tree and names the test that must fail on it. A mutant that
+# survives, no longer applies, or names a test that does not exist fails
+# the target; the working tree is never touched.
+mutants:
+	bash scripts/mutants.sh
+
 # Observability smoke: spin up a live service instance and check the
 # Prometheus exposition /metrics answers (run through the obs package's
 # strict parser), /debug/traces span breakdowns, traceparent echo, and the
@@ -170,10 +184,11 @@ obs-check:
 	$(GO) test -count=1 -run '^(TestStitchAcrossClusterIdentifiesSlowOwner|TestClusterMetricsFederation|TestClusterObservabilityPlane)$$' ./internal/service/
 
 # Short fuzz passes: catalog JSON format, and store recovery from corrupt
-# catalog files (run one at a time; go fuzzing allows one -fuzz per package).
+# catalog files (run one at a time; go fuzzing allows one -fuzz per package),
+# each held to an exec floor like make chaos's.
 fuzz:
-	$(GO) test -run=Fuzz -fuzz=FuzzCatalogRoundTrip -fuzztime=30s ./internal/stats/
-	$(GO) test -run=Fuzz -fuzz=FuzzOpenCatalogStore -fuzztime=30s ./internal/catalog/
+	bash scripts/fuzz-pass.sh 248632 $(GO) test -run=Fuzz -fuzz=FuzzCatalogRoundTrip -fuzztime=30s -fuzzminimizetime=50x ./internal/stats/
+	bash scripts/fuzz-pass.sh 4068 $(GO) test -run=Fuzz -fuzz=FuzzOpenCatalogStore -fuzztime=30s -fuzzminimizetime=50x ./internal/catalog/
 
 # Collect statistics for a demo index if needed, then serve it.
 serve:

@@ -20,8 +20,8 @@
 //
 // Observability (see the README's "Observability" section): lifecycle and
 // degradation events are structured log/slog records shaped by -log-level
-// and -log-format; GET /metrics serves Prometheus text when asked for
-// text/plain (JSON stays the default); GET /debug/traces exposes a ring of
+// and -log-format; GET /metrics serves the Prometheus text exposition to
+// every request (there is no JSON form); GET /debug/traces exposes a ring of
 // recent request traces sized with -trace-ring, with requests at or above
 // -slow-trace flagged slow.
 //

@@ -22,8 +22,8 @@
 // swaps in the records of the keys it changes, all made by newRecord, and
 // shares every other record by pointer; a stamp fold makes a new record
 // sharing the old one's entry, estimator and CRC. A single-key commit thus
-// costs one map copy plus its own key's work. Each published snapshot's
-// generation is one above its predecessor's, so callers (the service's
+// costs one map copy plus its own key's work. The commit that publishes a
+// snapshot numbers it (Snapshot.Generation), so callers (the service's
 // memo) can key derived state by generation.
 //
 // # Stamps
@@ -56,13 +56,14 @@
 //
 // A catalog file without an lsn field (epfis gen, stats.SaveFile) is an
 // out-of-band refresh that replaces the catalog, checkpointed over before
-// anything later is acknowledged. OpenWAL logs the adoption as one replace
-// frame; Reload logs a batch frame of the keys it changes and of those a
-// later stamp keeps (empty when it changes none, as a reload of the store's
-// own checkpoint never does), so recovery from the adopted file, retained
-// as .prev, replays to the committed state. On a cluster node a refresh is
-// a write: ReloadStamped stamps what it changes and tombstones what it
-// drops, and StampRefreshed stamps what an adoption at open changed.
+// anything later is acknowledged. Every whole-catalog refresh (OpenWAL's
+// adoption of such a file, Reload's, and ReplaceAll) logs one batch frame
+// of the keys it changes and of those a later stamp keeps (empty when it
+// changes none, as a reload of the store's own checkpoint never does), so
+// recovery from the adopted file, retained as .prev, replays to the
+// committed state. On a cluster node a refresh is a write: ReloadStamped
+// stamps what it changes and tombstones what it drops, and StampRefreshed
+// stamps what an adoption at open changed.
 //
 // # Anti-entropy
 //
@@ -195,8 +196,13 @@ func (s Stamp) Less(o Stamp) bool {
 	return s.Origin < o.Origin
 }
 
-// Generation reports the snapshot's version number. Generations increase by
-// one per committed write; generation 0 is the empty store.
+// Generation reports the snapshot's version number, set by the commit that
+// published it; generations strictly increase. An in-memory store counts
+// from 0, the empty store, in each process. On a WAL store it is the LSN of
+// that commit's frame, skipping those ingest records take, and a reopen
+// serves the highest LSN replayed, so it never goes backwards across a
+// restart. It is per store: two nodes' generations do not compare; stamps
+// do.
 func (s *Snapshot) Generation() uint64 { return s.gen }
 
 // Len reports the number of catalog entries.
@@ -458,7 +464,8 @@ func (st *Store) RecordStamps(stamps map[string]Stamp) (uint64, error) {
 
 // ReplaceAll swaps the entire catalog contents for c's entries in one
 // generation step (c itself is not retained). The stamp table is kept: a
-// stamped key c lacks becomes a tombstone.
+// stamped key c lacks becomes a tombstone. It commits what Reload does for
+// a file without an lsn, without the checkpoint.
 func (st *Store) ReplaceAll(c *stats.Catalog) (uint64, error) {
 	next := map[string]*stats.IndexStats{}
 	for _, k := range c.Keys() {
@@ -468,26 +475,7 @@ func (st *Store) ReplaceAll(c *stats.Catalog) (uint64, error) {
 		}
 		next[k] = deepCopy(e)
 	}
-	var body []byte
-	if st.wal != nil {
-		p, err := encodeCatalog(c)
-		if err != nil {
-			return 0, fmt.Errorf("catalog: encode commit: %w", err)
-		}
-		body = p
-	}
-	return st.commit(frame(walFrameReplace, body), false, func(base *Snapshot) (*Snapshot, bool) {
-		changed := make(map[string]*record, len(base.recs)+len(next))
-		for k, r := range base.recs {
-			changed[k] = newRecord(next[k], r.stamp, r)
-		}
-		for k, e := range next {
-			if base.recs[k] == nil {
-				changed[k] = newRecord(e, Stamp{}, nil)
-			}
-		}
-		return base.derive(changed), true
-	})
+	return st.refresh(next, Stamp{}, false)
 }
 
 // entriesOf indexes a loaded catalog's entries by key; nil c is empty.
@@ -522,15 +510,14 @@ func newSnapshot(gen uint64, entries map[string]*stats.IndexStats, stamps map[st
 	return snap
 }
 
-// derive builds the snapshot a commit publishes: s's records with those in
-// changed set in their place (a nil record removes its key). It copies s's
-// one map once and shares every other record by pointer, so a single-key
-// commit costs one map copy and the work of its own key; the sorted key
-// slice is s's unless the live key set changed, and one key's arrival or
-// departure splices it. A commit that changes nothing still takes the next
-// generation.
+// derive builds the snapshot a commit publishes, unnumbered (commit numbers
+// it): s's records with those in changed set in their place (a nil record
+// removes its key). It copies s's one map once and shares every other
+// record by pointer, so a single-key commit costs one map copy and the work
+// of its own key; the sorted key slice is s's unless the live key set
+// changed, and one key's arrival or departure splices it.
 func (s *Snapshot) derive(changed map[string]*record) *Snapshot {
-	next := &Snapshot{gen: s.gen + 1, keys: s.keys, recs: s.recs}
+	next := &Snapshot{keys: s.keys, recs: s.recs}
 	if len(changed) == 0 {
 		return next
 	}

@@ -151,8 +151,9 @@ func TestPersistenceRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	// Close checkpointed both commits: the reopen replays nothing.
-	if re.Len() != 2 || re.Generation() != 1 {
+	// Close checkpointed both commits: the reopen replays nothing and
+	// serves the checkpoint's LSN, the generation of the last commit.
+	if re.Len() != 2 || re.Generation() != 2 {
 		t.Fatalf("reopened store len=%d gen=%d", re.Len(), re.Generation())
 	}
 	e, err := re.Get("orders", "key")

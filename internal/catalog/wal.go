@@ -16,8 +16,9 @@ package catalog
 //
 // Types: header (log identity and the LSN the log starts from, written at
 // creation/rotation), put (one entry's JSON), delete (the key), replace (a
-// full catalog JSON), ingest (an opaque ingest-journal record), three
-// stamped types whose payload opens with a stamp header
+// full catalog JSON, which older releases wrote for a refresh: replay still
+// reads it, nothing writes it), ingest (an opaque ingest-journal record),
+// three stamped types whose payload opens with a stamp header
 //
 //	[epoch u64][origin len uvarint][origin][key len uvarint][key]
 //
@@ -25,9 +26,10 @@ package catalog
 // header alone) and stamp (the header alone: a stamp record that changes no
 // entry), and batch: the put, delete or stamped records of one commit, each
 // [type u8][len uvarint][payload], so a commit that touches many keys (a
-// merge, a reload, a stamp import) lands whole or not at all; a reload that
-// changes no key logs a batch of none. LSNs increase by one per logged
-// commit and never repeat within a log+checkpoint lineage.
+// merge, a refresh, a stamp import) lands whole or not at all; a refresh
+// that changes no key logs a batch of none. LSNs increase by one per logged
+// commit or ingest record and never repeat within a log+checkpoint lineage;
+// a snapshot's generation is the LSN of the commit that published it.
 //
 // Stamps. A stamp rides in the frame of the write it names. The checkpoint
 // file stays a plain stats catalog: rotation carries the stamp table into
@@ -226,14 +228,14 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 			return nil, fmt.Errorf("catalog: write wal header: %w", err)
 		}
 	}
-	gen, entries := uint64(r.replayed), r.entries
-	if base != nil {
-		gen++
-	}
+	// The generation is the highest LSN replayed: every snapshot served
+	// from the durable prefix was numbered at or below it.
+	gen, entries := r.maxLSN, r.entries
 	if adopt {
 		// The file replaces every mutation logged before it; the logs gave
-		// their end, their ingest records and their stamps.
-		gen, entries = 1, entriesOf(c)
+		// their end, their ingest records and their stamps. The adoption is
+		// numbered by the frame openCheckpoint logs for it.
+		gen, entries = r.maxLSN+1, entriesOf(c)
 		st.refreshed = changedKeys(r.entries, entries)
 	}
 	snap := newSnapshot(gen, entries, r.stamps)
@@ -258,22 +260,22 @@ func OpenWALFS(path string, opts WALOptions, fsys faultfs.FS) (*Store, error) {
 }
 
 // openCheckpoint makes the catalog file this store's checkpoint, so Reload
-// and later opens can tell it from an out-of-band refresh. An adopted file
-// is first logged as a replace frame, so recovery from the retained file
-// replays it; a file that did not verify is first removed, so the
+// and later opens can tell it from an out-of-band refresh. An adoption is
+// first logged as Reload's batch frame of the keys it changed, at the LSN
+// numbering the adopted snapshot, so recovery from the retained file
+// replays to it; a file that did not verify is first removed, so the
 // checkpoint does not retain it over the verified one.
 func (st *Store) openCheckpoint(adopt bool) error {
 	w, snap := st.wal, st.snap.Load()
 	if adopt {
-		p, err := snap.encode()
+		f, err := appendKeyRecords(nil, snap.gen, snap, st.refreshed)
 		if err == nil {
-			err = w.log.Append(appendRecord(nil, walFrameReplace, w.lsn+1, p))
+			err = w.log.Append(f)
 		}
 		if err != nil {
 			return fmt.Errorf("catalog: log adopted catalog: %w", err)
 		}
-		w.lsn++
-		w.durableLSN = w.lsn
+		w.lsn, w.durableLSN = snap.gen, snap.gen
 	}
 	if st.recovered {
 		if err := st.fs.Remove(st.path); err != nil && !errors.Is(err, os.ErrNotExist) {
@@ -296,14 +298,13 @@ func (st *Store) WALPath() string {
 // loose); committed mutation frames past that LSN fold into entries, every
 // stamped frame folds into stamps, and ingest frames are collected.
 type walReplay struct {
-	entries  map[string]*stats.IndexStats
-	stamps   map[string]Stamp
-	maxLSN   uint64   // LSN reached: the checkpoint's, then each frame's
-	loose    bool     // the state has no LSN: any log may continue it
-	header   bool     // the identity frame opened the current log
-	replayed int      // mutation frames applied
-	ingest   [][]byte // ingest-journal payloads, oldest first
-	err      error    // the log does not continue the state before it
+	entries map[string]*stats.IndexStats
+	stamps  map[string]Stamp
+	maxLSN  uint64   // LSN reached: the checkpoint's, then each frame's
+	loose   bool     // the state has no LSN: any log may continue it
+	header  bool     // the identity frame opened the current log
+	ingest  [][]byte // ingest-journal payloads, oldest first
+	err     error    // the log does not continue the state before it
 }
 
 // replay folds one log's bytes, reporting a log that starts past the LSN
@@ -353,15 +354,9 @@ func (r *walReplay) accept(body []byte) bool {
 			return false
 		}
 		r.entries, r.stamps = entries, stamps
-		if lsn > r.maxLSN {
-			r.replayed++
-		}
 	case ftype >= walFramePutStamped && ftype <= walFrameStamp, lsn > r.maxLSN:
 		if !applyRecord(r.entries, r.stamps, ftype, payload, lsn > r.maxLSN) {
 			return false // undecodable committed frame: stop at the last good one
-		}
-		if ftype != walFrameStamp && lsn > r.maxLSN {
-			r.replayed++
 		}
 	}
 	r.maxLSN = max(r.maxLSN, lsn)
@@ -548,36 +543,38 @@ func (st *Store) ReloadStamped(s Stamp) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("catalog: reload: %w", err)
 	}
-	// A reload that changes no key logs an empty batch frame: replay
-	// counts it as one mutation, so a reopen reaches the same generation.
-	noop := frame(walFrameBatch, nil)
 	if hasLSN {
-		return st.commit(noop, false, func(base *Snapshot) (*Snapshot, bool) {
+		// The store's own state, republished: an empty batch frame.
+		return st.commit(frame(walFrameBatch, nil), false, func(base *Snapshot) (*Snapshot, bool) {
 			return base.derive(nil), true
 		})
 	}
-	file := entriesOf(c)
-	// The log records each key whose entry or stamp the refresh changes,
-	// and each key it keeps against the file, so recovery from the
-	// adopted file (retained as .prev) replays to the same state.
+	return st.refresh(entriesOf(c), s, true)
+}
+
+// refresh is the one commit body of a whole-catalog refresh (ReloadStamped
+// of a file without an lsn, and ReplaceAll): entries become the catalog in
+// one generation step. A changed key takes entries' version under the later
+// of its held stamp and s (a dropped stamped key becomes a tombstone),
+// unless its held stamp orders after a non-zero s: it then keeps its entry
+// against the file. An unchanged key keeps its record. One batch frame logs
+// the changed and kept keys, as OpenWAL logs an adoption, so recovery from
+// an adopted file retained as .prev replays to the same state. checkpoint
+// checkpoints the commit before it is acknowledged.
+func (st *Store) refresh(entries map[string]*stats.IndexStats, s Stamp, checkpoint bool) (uint64, error) {
 	var logged []string
-	rec := func(lsn uint64, next *Snapshot) ([]byte, error) {
-		if len(logged) == 0 {
-			return noop(lsn, next)
-		}
-		return appendKeyRecords(nil, lsn, next, logged)
-	}
-	return st.commit(rec, true, func(base *Snapshot) (*Snapshot, bool) {
+	rec := func(lsn uint64, next *Snapshot) ([]byte, error) { return appendKeyRecords(nil, lsn, next, logged) }
+	return st.commit(rec, checkpoint, func(base *Snapshot) (*Snapshot, bool) {
 		logged = logged[:0]
 		changed := map[string]*record{}
-		for _, k := range changedKeys(base.entries(), file) {
+		for _, k := range changedKeys(base.entries(), entries) {
 			logged = append(logged, k)
 			held := base.recs[k]
 			_, hs := held.held()
 			if s != (Stamp{}) && !hs.Less(s) {
 				continue // kept against the file
 			}
-			changed[k] = newRecord(file[k], later(hs, s), held)
+			changed[k] = newRecord(entries[k], later(hs, s), held)
 		}
 		return base.derive(changed), true
 	})
@@ -639,22 +636,17 @@ func (st *Store) StampRefreshed(next func() (Stamp, error)) (uint64, error) {
 	return st.RecordStamps(stamps)
 }
 
-// encodeCatalog renders a catalog as the canonical catalog JSON.
-func encodeCatalog(c *stats.Catalog) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := c.Save(&buf); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // encode renders the snapshot's entries as the canonical catalog JSON.
 func (s *Snapshot) encode() ([]byte, error) {
 	c, err := s.Catalog()
 	if err != nil {
 		return nil, err
 	}
-	return encodeCatalog(c)
+	var buf bytes.Buffer
+	if err := c.Save(&buf); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // logRecord renders one commit's log bytes at the LSN the commit is
@@ -668,19 +660,23 @@ func frame(ftype byte, body []byte) logRecord {
 }
 
 // commit is the mutation front door: build the next snapshot against the
-// newest one with prepare and publish it — directly on an in-memory store;
-// on a file-backed one by enqueueing rec's frames and riding (or driving) a
-// group commit. adopt checkpoints the commit before it is acknowledged (see
-// maybeCheckpoint). prepare returns ok=false to abort without a commit
-// (e.g. deleting a missing key); commit then returns (0, nil).
+// newest one with prepare, number it, and publish it — on an in-memory store
+// directly, as generation one above its predecessor's; on a file-backed one
+// as generation the LSN its frame takes, by enqueueing rec's frames and
+// riding (or driving) a group commit. adopt checkpoints the commit before
+// it is acknowledged (see maybeCheckpoint). prepare returns ok=false to
+// abort without a commit (e.g. deleting a missing key); commit then returns
+// (0, nil).
 func (st *Store) commit(rec logRecord, adopt bool, prepare func(base *Snapshot) (*Snapshot, bool)) (uint64, error) {
 	if st.wal == nil {
 		st.mu.Lock()
 		defer st.mu.Unlock()
-		next, ok := prepare(st.snap.Load())
+		base := st.snap.Load()
+		next, ok := prepare(base)
 		if !ok {
 			return 0, nil
 		}
+		next.gen = base.gen + 1
 		st.snap.Store(next)
 		return next.gen, nil
 	}
@@ -694,13 +690,15 @@ func (st *Store) commit(rec logRecord, adopt bool, prepare func(base *Snapshot) 
 		st.mu.Unlock()
 		return 0, nil
 	}
-	frames, err := rec(st.wal.lsn+1, next)
+	lsn := st.wal.lsn + 1
+	next.gen = lsn
+	frames, err := rec(lsn, next)
 	if err != nil {
 		st.mu.Unlock()
 		return 0, fmt.Errorf("catalog: encode commit: %w", err)
 	}
-	st.wal.lsn++
-	t := &walTicket{frame: frames, lsn: st.wal.lsn, snap: next, adopt: adopt}
+	st.wal.lsn = lsn
+	t := &walTicket{frame: frames, lsn: lsn, snap: next, adopt: adopt}
 	st.applied = next
 	st.walQ.mu.Lock()
 	st.walQ.queue = append(st.walQ.queue, t)

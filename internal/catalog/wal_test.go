@@ -196,17 +196,60 @@ func TestWALCheckpointRotation(t *testing.T) {
 	}
 }
 
+// TestWALRecoveryTornTail builds one log holding every commit kind (put,
+// delete, stamped put and delete, a merge, a stamp import, ReplaceAll and a
+// reload that changes nothing) with an ingest record after each, then
+// truncates it at EVERY byte length. Each cut must recover without error to
+// exactly the committed prefix its whole frames hold, never a torn or
+// interpolated catalog, with the highest LSN replayed as its generation: at
+// least the generation served once that prefix was durable. No frame of the
+// log is a replace frame.
 func TestWALRecoveryTornTail(t *testing.T) {
-	// Build a log of commits, then truncate it at EVERY byte length. Each
-	// truncation must recover without error to exactly one of the committed
-	// prefix states — never a torn or interpolated catalog.
 	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, nil)
-	prefixes := []map[string]int64{stateOf(st.Snapshot())}
-	for i := 0; i < 5; i++ {
-		if _, err := st.Put(entry("t", fmt.Sprintf("c%d", i), int64(110+i))); err != nil {
+	type prefix struct {
+		gen    uint64
+		state  map[string]int64
+		stamps map[string]Stamp
+	}
+	prefixes := []prefix{{0, stateOf(st.Snapshot()), st.Snapshot().Stamps()}}
+	a1, b2, a3 := Stamp{Epoch: 1, Origin: "node-a"}, Stamp{Epoch: 2, Origin: "node-b"}, Stamp{Epoch: 3, Origin: "node-a"}
+	crc, err := entryCRC(entry("t", "m", 130))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replacement := stats.NewCatalog()
+	for _, e := range []*stats.IndexStats{entry("t", "c1", 140), entry("t", "r", 150)} {
+		if err := replacement.Put(e); err != nil {
 			t.Fatal(err)
 		}
-		prefixes = append(prefixes, stateOf(st.Snapshot()))
+	}
+	deleted := func(_ bool, gen uint64, err error) (uint64, error) { return gen, err }
+	merged := func(gen uint64, _ []string, err error) (uint64, error) { return gen, err }
+	for i, commit := range []func() (uint64, error){
+		func() (uint64, error) { return st.Put(entry("t", "c0", 110)) },
+		func() (uint64, error) { return st.Put(entry("t", "c1", 111)) },
+		func() (uint64, error) { return deleted(st.Delete("t", "c0")) },
+		func() (uint64, error) { return st.PutStamped(entry("t", "s", 120), a1) },
+		func() (uint64, error) { return deleted(st.DeleteStamped("t", "s", b2)) },
+		func() (uint64, error) {
+			return merged(st.Merge(map[string]Incoming{
+				"t.m":     {Version: Version{Stamp: b2, CRC: crc}, Entry: entry("t", "m", 130)},
+				"t.ghost": {Version: Version{Stamp: a1, Tombstone: true}},
+			}))
+		},
+		func() (uint64, error) { return st.RecordStamps(map[string]Stamp{"t.c1": a3}) },
+		func() (uint64, error) { return st.ReplaceAll(replacement) }, // drops t.m: a tombstone
+		st.Reload, // of the store's own checkpoint: an empty batch
+		func() (uint64, error) { return st.Put(entry("t", "c2", 160)) },
+	} {
+		gen, err := commit()
+		if err != nil || gen != st.WALStatsNow().LSN {
+			t.Fatalf("commit %d = (%d, %v), want generation lsn %d", i, gen, err, st.WALStatsNow().LSN)
+		}
+		prefixes = append(prefixes, prefix{gen, stateOf(st.Snapshot()), st.Snapshot().Stamps()})
+		if err := st.AppendIngest([]byte(fmt.Sprintf(`{"id":"b%d"}`, i))); err != nil {
+			t.Fatal(err)
+		}
 	}
 	st.Close()
 	walPath := st.WALPath()
@@ -214,16 +257,14 @@ func TestWALRecoveryTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	matches := func(got map[string]int64) int {
-		for i, p := range prefixes {
-			if statesEqual(got, p) {
-				return i
-			}
+	framelog.Scan(full, func(body []byte) bool {
+		if body[0] == walFrameReplace {
+			t.Fatal("a commit logged a replace frame")
 		}
-		return -1
-	}
-	lastIdx := -1
+		return true
+	})
+
+	var lastLSN uint64
 	for cut := 0; cut <= len(full); cut++ {
 		if err := os.WriteFile(walPath, full[:cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -232,19 +273,28 @@ func TestWALRecoveryTornTail(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut %d: open: %v", cut, err)
 		}
-		got := stateOf(re.Snapshot())
+		gen, lsn, snap := re.Generation(), re.WALStatsNow().LSN, re.Snapshot()
 		re.Close()
-		idx := matches(got)
-		if idx < 0 {
-			t.Fatalf("cut %d: recovered state %v matches no committed prefix", cut, got)
+		// The whole frames end at lsn: the last commit at or below it is
+		// the durable prefix.
+		i := len(prefixes) - 1
+		for prefixes[i].gen > lsn {
+			i--
 		}
-		if idx < lastIdx {
-			t.Fatalf("cut %d: recovered prefix %d after already recovering %d", cut, idx, lastIdx)
+		want := prefixes[i]
+		if gen != lsn || gen < want.gen {
+			t.Fatalf("cut %d: generation %d at lsn %d, want the lsn, at least the %d served", cut, gen, lsn, want.gen)
 		}
-		lastIdx = idx
+		if got := stateOf(snap); !statesEqual(got, want.state) || !reflect.DeepEqual(snap.Stamps(), want.stamps) {
+			t.Fatalf("cut %d: recovered %v with stamps %v at lsn %d, want prefix %d: %v with %v", cut, got, snap.Stamps(), lsn, i, want.state, want.stamps)
+		}
+		if lsn < lastLSN {
+			t.Fatalf("cut %d: recovered lsn %d after already recovering %d", cut, lsn, lastLSN)
+		}
+		lastLSN = lsn
 	}
-	if lastIdx != len(prefixes)-1 {
-		t.Fatalf("full log recovered prefix %d, want %d", lastIdx, len(prefixes)-1)
+	if lastLSN != st.WALStatsNow().LSN {
+		t.Fatalf("full log recovered lsn %d, want %d", lastLSN, st.WALStatsNow().LSN)
 	}
 }
 
@@ -252,7 +302,8 @@ func TestWALReplaysCommittedFormat(t *testing.T) {
 	// testdata/compat.wal was written before the WAL moved onto framelog:
 	// header, put, put, delete, replace, ingest, put. The frame format did
 	// not change, so it must replay unchanged to the same catalog, bit for
-	// bit, and the same ingest record.
+	// bit, and the same ingest record, at the last LSN as its generation.
+	// Nothing writes a replace frame now; replay still reads it.
 	data, err := os.ReadFile(filepath.Join("testdata", "compat.wal"))
 	if err != nil {
 		t.Fatal(err)
@@ -292,12 +343,12 @@ func TestWALReplaysCommittedFormat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantVersions, wantGen, err := want.Versions()
+	wantVersions, _, err := want.Versions()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, wantVersions) || gotGen != wantGen {
-		t.Fatalf("replayed catalog %v at gen %d, want %v at gen %d", got, gotGen, wantVersions, wantGen)
+	if !reflect.DeepEqual(got, wantVersions) || gotGen != 6 {
+		t.Fatalf("replayed catalog %v at gen %d, want %v at gen 6", got, gotGen, wantVersions)
 	}
 	recs := re.IngestRecords()
 	if len(recs) != 1 || string(recs[0]) != `{"id":"batch-1","table":"lineitem","column":"suppkey","pages":[1,2,3]}` {
@@ -354,12 +405,11 @@ func copyImage(t *testing.T, path string) string {
 // TestWALNoopReloadLogsEmptyBatch: a reload that changes no key — of the
 // store's own checkpoint, or of a file without an lsn holding the store's
 // entries — logs one empty batch frame, not the whole catalog, and still
-// advances the generation by one. A crash image reproduces the entries and
-// stamps, and the generation wherever it replays the frame: from the
-// checkpoint after a reload of the store's own file, and from the retained
-// adopted file after the other kind, whose reload checkpoints (a reopen
-// from that new checkpoint starts the generation over, as after any
-// checkpoint).
+// advances the generation by one, to the frame's LSN. A crash image
+// reproduces the entries, the stamps and the generation served: by
+// replaying the frame after a reload of the store's own file, and after the
+// other kind, whose reload checkpoints, from the checkpoint's LSN or by
+// replaying from the retained adopted file.
 func TestWALNoopReloadLogsEmptyBatch(t *testing.T) {
 	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, nil)
 	var entries []*stats.IndexStats
@@ -413,11 +463,161 @@ func TestWALNoopReloadLogsEmptyBatch(t *testing.T) {
 	refresh(t, path, entries...)
 	gen = reload("reload of an lsn-less file", path+".wal.prev")
 	img := copyImage(t, path)
-	check("crash image after the lsn-less reload", img, 1)
+	check("crash image after the lsn-less reload", img, gen)
 	if err := os.WriteFile(img, []byte("not a catalog"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	check("recovery from the adopted file", img, gen)
+}
+
+// TestWALGenerationSurvivesReopen: a WAL store's generation is the LSN of
+// the commit behind its snapshot, so a reopen serves the highest LSN
+// replayed, never below a generation served before. The probe: five puts,
+// an ingest record, a put, Close, reopen, with checkpoints on (Close
+// checkpoints, so nothing replays) and off. Then a crash image after each
+// kind of reload and after ReplaceAll, a recovery from the retained
+// checkpoint, and an adoption at open.
+func TestWALGenerationSurvivesReopen(t *testing.T) {
+	reopened := func(what, path string, served uint64) *Store {
+		t.Helper()
+		re := reopenWAL(t, path)
+		if gen, lsn := re.Generation(), re.WALStatsNow().LSN; gen != lsn || gen < served {
+			t.Fatalf("%s: generation %d at lsn %d, want the lsn, at least the %d served", what, gen, lsn, served)
+		}
+		return re
+	}
+	for _, every := range []int{0, -1} {
+		st, path := walFixture(t, WALOptions{CheckpointEvery: every}, nil)
+		for i := 0; i < 5; i++ {
+			if _, err := st.Put(entry("t", fmt.Sprintf("c%d", i), int64(500+i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.AppendIngest([]byte(`{"id":"b0"}`)); err != nil {
+			t.Fatal(err)
+		}
+		served, err := st.Put(entry("t", "c5", 505))
+		if err != nil || served != 7 {
+			t.Fatalf("put after an ingest record = (%d, %v), want generation 7, its lsn", served, err)
+		}
+		st.Close()
+		reopened(fmt.Sprintf("probe, checkpoint every %d", every), path, served)
+	}
+
+	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, nil)
+	for i := 0; i < 3; i++ {
+		if _, err := st.Put(entry("t", fmt.Sprintf("c%d", i), int64(500+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	served, err := st.Reload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reopened("crash image after a reload of the store's own checkpoint", copyImage(t, path), served)
+	refresh(t, path, entry("t", "c0", 600), entry("t", "c1", 501))
+	if served, err = st.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	reopened("crash image after a reload of a file without an lsn", copyImage(t, path), served)
+	if err := st.AppendIngest([]byte(`{"id":"b1"}`)); err != nil {
+		t.Fatal(err)
+	}
+	c := stats.NewCatalog()
+	if err := c.Put(entry("t", "c0", 700)); err != nil {
+		t.Fatal(err)
+	}
+	if served, err = st.ReplaceAll(c); err != nil {
+		t.Fatal(err)
+	}
+	reopened("crash image after ReplaceAll", copyImage(t, path), served)
+	img := copyImage(t, path)
+	if err := os.WriteFile(img, []byte("not a catalog"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if re := reopened("recovery from the retained checkpoint", img, served); !re.Recovered() {
+		t.Fatal("a corrupt checkpoint did not recover from the retained one")
+	}
+	img = copyImage(t, path)
+	refresh(t, img, entry("t", "c0", 800))
+	re := reopened("adoption at open", img, served+1)
+	if got := stateOf(re.Snapshot()); got["t.c0"] != 800 || len(got) != 1 {
+		t.Fatalf("adoption at open served %v, want the file", got)
+	}
+	reopened("reopen after the adoption", img, re.Generation())
+}
+
+// TestRefreshLogsChangedKeys: a whole-catalog refresh logs one batch frame
+// of the keys it changes, never the whole catalog, so a ReplaceAll and an
+// adoption at open that each change one entry of 64 grow the log by under
+// 1 KB. A recovery from the adopted file, retained as .prev, replays the
+// frames to the adopted state.
+func TestRefreshLogsChangedKeys(t *testing.T) {
+	st, path := walFixture(t, WALOptions{CheckpointEvery: -1}, nil)
+	c := stats.NewCatalog()
+	for i := 0; i < 64; i++ {
+		if err := c.Put(entry("t", fmt.Sprintf("c%02d", i), int64(500+i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := st.ReplaceAll(c); err != nil {
+		t.Fatal(err)
+	}
+	size := func() int64 {
+		t.Helper()
+		fi, err := os.Stat(path + ".wal")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fi.Size()
+	}
+	grown := func(what string, before int64) {
+		t.Helper()
+		d := size() - before
+		if d <= 0 || d >= 1024 {
+			t.Fatalf("%s of one entry in 64 grew the log %d B, want under 1 KB", what, d)
+		}
+		t.Logf("%s of one entry in 64 grew the log %d B", what, d)
+	}
+	before := size()
+	if err := c.Put(entry("t", "c07", 900)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.ReplaceAll(c); err != nil {
+		t.Fatal(err)
+	}
+	grown("a ReplaceAll", before)
+	st.Close()
+
+	before = size()
+	if err := c.Put(entry("t", "c08", 901)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SaveFile(path); err != nil {
+		t.Fatal(err)
+	}
+	want := stateOf(reopenWAL(t, path).Snapshot())
+	grown("an adoption at open", before)
+	if len(want) != 64 || want["t.c07"] != 900 || want["t.c08"] != 901 {
+		t.Fatalf("adoption at open served %v, want the file", want)
+	}
+	log, err := os.ReadFile(path + ".wal")
+	if err != nil {
+		t.Fatal(err)
+	}
+	framelog.Scan(log, func(body []byte) bool {
+		if body[0] == walFrameReplace {
+			t.Fatal("a refresh logged a replace frame")
+		}
+		return true
+	})
+	if err := os.WriteFile(path, []byte("not a catalog"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := reopenWAL(t, path)
+	if got := stateOf(re.Snapshot()); !re.Recovered() || !statesEqual(got, want) {
+		t.Fatalf("recovery from the adopted file (recovered=%v) served %v, want %v", re.Recovered(), got, want)
+	}
 }
 
 func TestWALReloadDuringCommitsAndCheckpoints(t *testing.T) {
@@ -789,8 +989,6 @@ func TestChaosWALConcurrentReadersSeeCommittedOnly(t *testing.T) {
 	}
 }
 
-// FuzzWALRecovery throws arbitrary bytes at the log reader: recovery must
-// never panic and must always produce a store whose every entry validates.
 func TestWALIngestJournalInterleavedWithRotation(t *testing.T) {
 	// Catalog commits and ingest-journal frames share one log, with
 	// checkpoint rotation carrying live ingest frames into each fresh log.
@@ -882,6 +1080,10 @@ func TestWALIngestJournalInterleavedWithRotation(t *testing.T) {
 	}
 }
 
+// FuzzWALRecovery throws arbitrary bytes at the log reader: recovery must
+// never panic, must always produce a store whose every entry validates, and
+// must number its snapshot with the highest LSN it replayed, as every
+// commit after it is numbered with its own.
 func FuzzWALRecovery(f *testing.F) {
 	// Seed with a genuine log so the fuzzer mutates realistic frames.
 	dir, err := os.MkdirTemp("", "walfuzz")
@@ -941,7 +1143,8 @@ func FuzzWALRecovery(f *testing.F) {
 	f.Add(stampedSeed)
 	f.Add(stampedSeed[:len(stampedSeed)*2/3])
 	// A log of batch frames: a merge taking an entry, a tombstone and a
-	// stamp fold, then a stamp import, read before Close rotates them away.
+	// stamp fold, a stamp import, then a ReplaceAll, read before Close
+	// rotates them away.
 	bs, err := OpenWAL(filepath.Join(dir, "batch.json"), WALOptions{CheckpointEvery: -1})
 	if err != nil {
 		f.Fatal(err)
@@ -962,6 +1165,13 @@ func FuzzWALRecovery(f *testing.F) {
 		f.Fatal(err)
 	}
 	if _, err := bs.RecordStamps(map[string]Stamp{"t.c3": {Epoch: 6, Origin: "node-a"}}); err != nil {
+		f.Fatal(err)
+	}
+	replacement := stats.NewCatalog()
+	if err := replacement.Put(entry("t", "c0", 102)); err != nil {
+		f.Fatal(err)
+	}
+	if _, err := bs.ReplaceAll(replacement); err != nil {
 		f.Fatal(err)
 	}
 	batchSeed, err := os.ReadFile(bs.WALPath())
@@ -995,6 +1205,10 @@ func FuzzWALRecovery(f *testing.F) {
 		if err != nil {
 			return // honest refusal is fine; panics are not
 		}
+		defer re.Close()
+		if gen, lsn := re.Generation(), re.WALStatsNow().LSN; gen != lsn {
+			t.Fatalf("recovered generation %d at lsn %d", gen, lsn)
+		}
 		s := re.Snapshot()
 		for _, k := range s.keys {
 			if err := s.recs[k].entry.Validate(); err != nil {
@@ -1013,9 +1227,10 @@ func FuzzWALRecovery(f *testing.F) {
 				t.Fatalf("recovered stamp %+v for key %q", st, k)
 			}
 		}
-		// The store must accept new commits after any recovery.
-		if _, err := re.Put(entry("t", "post", 199)); err != nil {
-			t.Fatalf("Put after recovery: %v", err)
+		// The store must accept new commits after any recovery, each
+		// numbered with its LSN.
+		if gen, err := re.Put(entry("t", "post", 199)); err != nil || gen != re.WALStatsNow().LSN {
+			t.Fatalf("Put after recovery = (%d, %v), want generation lsn %d", gen, err, re.WALStatsNow().LSN)
 		}
 		if _, err := re.PutStamped(entry("t", "post", 198), Stamp{Epoch: 1 << 40, Origin: "fuzz"}); err != nil {
 			t.Fatalf("PutStamped after recovery: %v", err)
@@ -1023,7 +1238,6 @@ func FuzzWALRecovery(f *testing.F) {
 		if err := re.AppendIngest([]byte(`{"id":"post"}`)); err != nil {
 			t.Fatalf("AppendIngest after recovery: %v", err)
 		}
-		re.Close()
 	})
 }
 

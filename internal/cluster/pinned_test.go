@@ -18,9 +18,10 @@ import (
 // checkpoint file and the rotated log. The history covers every way a key's
 // version changes: an unstamped and a stamped put, a stamped delete, a
 // peer's tombstone for an absent key, a merged entry, a stamp fold, a
-// recorded stamp, an unstamped put over a stamped key and a ReplaceAll that
-// drops stamped keys. A change to how the store holds versions must leave
-// every byte as it is, and a reopen from the files must report the hash.
+// recorded stamp, an unstamped put over a stamped key, a ReplaceAll that
+// drops stamped keys and the adoption at open of a file without an lsn. A
+// change to how the store holds versions must leave every byte as it is,
+// and a reopen from the files must report the hash.
 func TestPinnedFixtureBytes(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "catalog.json")
 	st, err := catalog.OpenWAL(path, catalog.WALOptions{CheckpointEvery: -1})
@@ -90,8 +91,16 @@ func TestPinnedFixtureBytes(t *testing.T) {
 	must(err)
 	re, err := catalog.OpenWAL(path, catalog.WALOptions{CheckpointEvery: -1})
 	must(err)
-	defer re.Close()
 	n3, err := NewNode(Config{SelfID: "node-a", SelfURL: "http://node-a", Store: re})
+	must(err)
+	must(re.Close())
+	// An out-of-band file that changes t.f, adopted at open.
+	must(c.Put(testEntry("t", "f", 560)))
+	must(c.SaveFile(path))
+	ad, err := catalog.OpenWAL(path, catalog.WALOptions{CheckpointEvery: -1})
+	must(err)
+	defer ad.Close()
+	adopted, err := os.ReadFile(ad.WALPath())
 	must(err)
 
 	// Each file and stream is pinned by the first 8 bytes of its SHA-256.
@@ -104,8 +113,9 @@ func TestPinnedFixtureBytes(t *testing.T) {
 		{"checkpoint", sum(checkpoint), "e6ff1890bc05e9d9"},
 		{"rotated log", sum(rotated), "5ea6e4e4e2fde1ce"},
 		{"catalog hash after ReplaceAll", n2.CatalogHash(), "crc32c:f23dafa1"},
-		{"log after ReplaceAll", sum(replaced), "7a4ad929da6d246b"},
+		{"log after ReplaceAll", sum(replaced), "4bfb41cd6620e91e"},
 		{"catalog hash reopened", n3.CatalogHash(), n2.CatalogHash()},
+		{"log after an adoption at open", sum(adopted), "65c95ae7350a5996"},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s: %s, pinned %s", c.what, c.got, c.want)

@@ -162,19 +162,22 @@ func fenceToken(table, column string, st cluster.Stamp) string {
 		strconv.FormatUint(st.Epoch, 10) + "/" + url.PathEscape(st.Origin)
 }
 
-// parseFence is fenceToken's inverse.
+// parseFence is fenceToken's inverse. It accepts only a token fenceToken
+// renders, spaces around it aside, so one fence has one spelling.
 func parseFence(tok string) (table, column string, st cluster.Stamp, err error) {
-	if parts := strings.Split(strings.TrimSpace(tok), "/"); len(parts) == 4 {
+	trimmed := strings.TrimSpace(tok)
+	if parts := strings.Split(trimmed, "/"); len(parts) == 4 {
 		table, err1 := url.PathUnescape(parts[0])
 		column, err2 := url.PathUnescape(parts[1])
 		epoch, err3 := strconv.ParseUint(parts[2], 10, 64)
 		origin, err4 := url.PathUnescape(parts[3])
+		st := cluster.Stamp{Epoch: epoch, Origin: origin}
 		if err1 == nil && err2 == nil && err3 == nil && err4 == nil &&
-			table != "" && column != "" && epoch != 0 && origin != "" {
-			return table, column, cluster.Stamp{Epoch: epoch, Origin: origin}, nil
+			table != "" && column != "" && epoch != 0 && origin != "" && fenceToken(table, column, st) == trimmed {
+			return table, column, st, nil
 		}
 	}
-	return "", "", st, fmt.Errorf("%w %q: want table/column/epoch/origin, each path-escaped", ErrBadFence, tok)
+	return "", "", st, fmt.Errorf("%w %q: want table/column/epoch/origin, each path-escaped as an acknowledgement renders it", ErrBadFence, tok)
 }
 
 // staleFences returns a refusal, keyed by {table, column}, for each fenced
@@ -222,10 +225,11 @@ func (s *Server) clusterEstimate(w http.ResponseWriter, r *http.Request, in *est
 	return true
 }
 
-// proxyRequest forwards an ingest batch to one owner under ctx, copying the
-// response through verbatim. It reports false on transport failure (the
-// caller tries the next owner); any completed upstream response — success or
-// error — is relayed as-is and reported true.
+// proxyRequest forwards an ingest batch to the key's ingest home under ctx,
+// copying the response through verbatim. It reports false on transport
+// failure, which forwardIngest answers with a retryable 503 (it never tries
+// another owner); any completed upstream response — success or error — is
+// relayed as-is and reported true.
 // The outbound request carries this node's id plus a child traceparent
 // derived from the inbound request's trace (read from the request's trace
 // buffer, never from response headers), and the sender records one forward

@@ -177,6 +177,12 @@ func rawMutate(t testing.TB, cn *cnode, method, path string, body []byte) (int, 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return send(t, cn, req)
+}
+
+// send issues req to the node and returns the status plus body.
+func send(t testing.TB, cn *cnode, req *http.Request) (int, string) {
+	t.Helper()
 	resp, err := cn.ts.Client().Do(req)
 	if err != nil {
 		t.Fatal(err)
